@@ -119,7 +119,7 @@ pub(crate) fn op_effects(plan: &Program) -> Vec<OpEffects> {
                 bool_slots(unsafe { &**cond }, &mut Vec::new(), &mut e.reads);
                 e
             }
-            Op::FusedEpilogue | Op::BulkPass { .. } | Op::ScalarStmt { .. } => OpEffects::opaque(),
+            Op::FusedEpilogue | Op::BulkPass { .. } => OpEffects::opaque(),
             Op::Jump(_) | Op::Barrier | Op::KernelEnd => OpEffects::none(),
         })
         .collect()

@@ -1,12 +1,10 @@
 //! Interpreter state shared by both runtimes: buffers, accounting
 //! scopes, engine caches, and index/boolean expression evaluation.
 //!
-//! The [`Interp`] struct is the per-request execution state. Three
-//! front-ends drive it: the direct-threaded closure tier
-//! ([`super::threaded`], the default), the pc-based plan runtime
-//! ([`super::run`], the fallback when specialization is off) and the
-//! legacy AST-walking oracle ([`super::scalar`],
-//! `ExecOptions { interp: true }`). All share every helper here, which
+//! The [`Interp`] struct is the per-request execution state. Two
+//! front-ends drive it: the pc-based plan runtime ([`super::run`], the
+//! default) and the legacy AST-walking oracle ([`super::scalar`],
+//! `ExecOptions { interp: true }`). Both share every helper here, which
 //! is what keeps their outputs and `Profile` counters bit-identical.
 
 use std::collections::HashMap;
@@ -147,8 +145,7 @@ pub(crate) struct Buffer {
 impl Buffer {
     /// A zeroed owned buffer, reusing an allocation from `pool` when one
     /// with enough capacity is available. Small solo runs pay one
-    /// malloc/free pair per declared tensor otherwise — fixed cost that
-    /// dilutes the dispatch-elimination win the threaded tier measures.
+    /// malloc/free pair per declared tensor otherwise.
     pub(crate) fn new(dims: Dims, class: StorageClass, pool: &mut Vec<Vec<f32>>) -> Self {
         let len: usize = dims.iter().product::<usize>().max(1);
         let mut v = match pool.iter().position(|p| p.capacity() >= len) {
@@ -289,9 +286,6 @@ pub(crate) struct Interp<'a> {
     pub(crate) fused_waves: Rc<HashMap<(usize, usize), Rc<FusedWave>>>,
     /// The lowered linear instruction stream the pc runtime executes.
     pub(crate) plan: Rc<Program>,
-    /// The plan specialized into direct-threaded closure code — the
-    /// default dispatch tier when attached (see `super::threaded`).
-    pub(crate) threaded: Option<Rc<super::threaded::ThreadedProgram>>,
     /// Index of the kernel currently launching — the kernel half of the
     /// bulk-plan keys.
     pub(crate) cur_kernel: usize,
@@ -418,7 +412,6 @@ impl<'a> Interp<'a> {
             bulk_plans: shared.bulk_plans,
             fused_waves: shared.fused_waves,
             plan: shared.plan,
-            threaded: shared.threaded,
             cur_kernel: 0,
             wave_ancestors: shared.wave_ancestors,
             caches: Caches::default(),

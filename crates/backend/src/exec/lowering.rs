@@ -13,8 +13,9 @@
 //!    statement address) happen exactly once, here.
 //!
 //! The lowering is total over the statement grammar — `For`, `Let`,
-//! `Store`, `If`, `Barrier` all flatten — so no `ScalarStmt` fallback is
-//! ever emitted today ([`Program::fallback_ops`] stays 0, CI-gated).
+//! `Store`, `If`, `Barrier` all flatten, and the `match` over `Stmt` is
+//! exhaustive, so a new statement kind is a compile error here rather
+//! than a silent fallback to the AST walk.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -186,7 +187,6 @@ pub(crate) fn lower(
         bulk_plans,
         fused_waves,
         cur_kernel: 0,
-        fallback_ops: 0,
     };
     let mut kernels = Vec::with_capacity(compiled.len());
     for (ki, kernel) in compiled.iter().enumerate() {
@@ -211,7 +211,6 @@ pub(crate) fn lower(
         fused_safety: lw.fused_safety,
         bulks: lw.bulks,
         kernels,
-        fallback_ops: lw.fallback_ops,
         source: compiled.clone(),
     }
 }
@@ -228,7 +227,6 @@ struct Lowerer<'e> {
     bulk_plans: &'e HashMap<(usize, usize), Rc<BulkPlan>>,
     fused_waves: &'e HashMap<(usize, usize), Rc<FusedWave>>,
     cur_kernel: usize,
-    fallback_ops: usize,
 }
 
 impl<'e> Lowerer<'e> {
@@ -246,7 +244,7 @@ impl<'e> Lowerer<'e> {
                 // A bulk-servable feature loop gets its fast path op in
                 // front of the per-element loop; the runtime falls
                 // through when the plan's reductions are not memo-active
-                // (scalar path, per-site fallback, min-width skip).
+                // (scalar path, per-site fallback).
                 let bulk_at: Option<Pc> = self.bulk_plans.get(&key).map(|plan| {
                     self.bulks.push(plan.clone());
                     let at = self.ops.len();

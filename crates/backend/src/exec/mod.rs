@@ -26,21 +26,17 @@
 //!   ▼
 //! [`program::Program`]            flat `Vec<Op>` with jump targets
 //!   │  [`verify`]                 static checks; refuse on any finding
-//!   │  [`threaded::specialize`]   const-fold operands into step closures
-//!   ▼
-//! [`threaded::ThreadedProgram`]   direct-threaded closure table
-//!   │  [`threaded`]               closure dispatch; park = step + loop records
+//!   │  [`run`]                    pc dispatch; park = pc + loop records
 //!   ▼
 //! outputs + exact `Profile`
 //! ```
 //!
-//! Three runtime tiers execute the result, all bit-identical on outputs
-//! and `Profile` (property-tested three ways across every model):
+//! One runtime executes the verified program, and one reference checks
+//! it — bit-identical on outputs and `Profile` (property-tested across
+//! every model, solo and batched):
 //!
-//! * **threaded** (default): the specialized closure table — no per-op
-//!   match or operand decode on the hot path.
-//! * **pc** (`threaded: false`): the match-on-op dispatch loop over the
-//!   `Program` ops (`run`) — the fallback when specialization is off.
+//! * **pc** (default): the match-on-op dispatch loop over the `Program`
+//!   ops (`run`).
 //! * **interp** (`interp: true`): the pre-lowering recursive AST walk
 //!   (`scalar`), kept as the bit-exactness oracle — the same
 //!   cross-check pattern as `bulk: false`.
@@ -55,7 +51,6 @@ mod run;
 mod scalar;
 #[cfg(test)]
 mod tests;
-mod threaded;
 mod verify;
 
 use std::cell::RefCell;
@@ -421,19 +416,6 @@ pub fn execute(
 // Options and stats
 // ---------------------------------------------------------------------
 
-/// Default for [`ExecOptions::min_wave_width`]: waves narrower than this
-/// skip the gather/pack phase and run on the scalar fastdot path.
-/// Results and `Profile` are identical either way; this is purely a
-/// latency tuning knob.
-///
-/// Measured with the `tune_wave_width` sweep (single-core x86, h=256):
-/// gate stacking makes even width-1 waves profitable — one stacked GEMM
-/// replaces `h` per-element stream resolutions — so the default batches
-/// everything (`seqlstm_h256_bs1` is 23 ms batched vs 36 ms skipped;
-/// thresholds ≥2 only ever lose). Raise this on hardware where the
-/// gather/pack phase is comparatively more expensive.
-pub const MIN_WAVE_WIDTH: usize = 1;
-
 /// Which executor paths are enabled.
 ///
 /// All configurations compute identical results (a property test
@@ -453,9 +435,6 @@ pub struct ExecOptions {
     /// row-stacked gathers). With this off every site runs its own GEMM
     /// (the pre-stacking path, kept as a cross-check).
     pub gate_stacking: bool,
-    /// Waves narrower than this many rows stay on the scalar fastdot
-    /// path ([`MIN_WAVE_WIDTH`]).
-    pub min_wave_width: usize,
     /// Serve store loops in bulk (strided row passes, fused whole-wave
     /// epilogues) instead of interpreting them per element. Results are
     /// **bit-identical** either way (in `Exact` nonlinearity mode) and
@@ -467,21 +446,7 @@ pub struct ExecOptions {
     /// pc runtime (property-tested across every model, solo and
     /// batched); this switch is the lowering's correctness oracle and a
     /// diagnostic, exactly like `bulk: false` is for bulk serving.
-    /// Takes precedence over [`ExecOptions::threaded`].
     pub interp: bool,
-    /// Dispatch through the direct-threaded tier: the verified plan is
-    /// specialized at engine build into a flat table of monomorphized
-    /// step closures with loop bounds, slots and jump targets
-    /// const-folded into each closure's captured state, and adjacent
-    /// straight-line ops fused into single steps (see
-    /// `exec::threaded`). On by default; turning it off falls back to
-    /// the pc dispatch loop. Outputs and `Profile`s are
-    /// **bit-identical** across the threaded, pc and interp tiers
-    /// (property-tested three ways) — this knob trades specialization
-    /// time (`ExecStats::specialize_ns`, once per build) for per-op
-    /// dispatch on the hot path, and exists as the tier's cross-check
-    /// and diagnostic.
-    pub threaded: bool,
     /// Which `tanh`/`sigmoid` implementation the executor applies — the
     /// paper's App. A.5 schedule choice, exposed as a per-engine knob
     /// (TVM-style: exact vs approximate nonlinearities are a scheduling
@@ -529,10 +494,8 @@ impl Default for ExecOptions {
             fastdot: true,
             wave_gemm: true,
             gate_stacking: true,
-            min_wave_width: MIN_WAVE_WIDTH,
             bulk: true,
             interp: false,
-            threaded: true,
             nonlinearity: NonlinearityMode::Exact,
             memory_budget: None,
             max_input_nodes: None,
@@ -550,7 +513,6 @@ impl ExecOptions {
             fastdot: false,
             wave_gemm: false,
             gate_stacking: false,
-            min_wave_width: 0,
             bulk: false,
             ..ExecOptions::default()
         }
@@ -561,7 +523,6 @@ impl ExecOptions {
         ExecOptions {
             wave_gemm: false,
             gate_stacking: false,
-            min_wave_width: 0,
             ..ExecOptions::default()
         }
     }
@@ -614,8 +575,6 @@ pub struct ExecStats {
     pub stacked_groups: u64,
     /// Sites that shared a stacked GEMM (members of the above).
     pub stacked_sites: u64,
-    /// Waves skipped by the min-width heuristic.
-    pub narrow_waves_skipped: u64,
     /// Sites that failed a runtime check (weight window) and fell back
     /// to the scalar path.
     pub fallback_sites: u64,
@@ -654,10 +613,6 @@ pub struct ExecStats {
     /// wall time into its own phase, and the `interp: true` oracle
     /// lacks the loop bracket.
     pub serve_ns: u64,
-    /// Statements executed through the AST-walk escape hatch of the pc
-    /// runtime (`Op::ScalarStmt`). Always 0 today: the lowering is
-    /// total, and CI gates it.
-    pub interp_stmts: u64,
     /// Dead `Let` evaluations the dataflow optimizer removed at compile
     /// time (0 with `optimize: false`). Compile-time facts — these four
     /// and the reason histogram are seeded into every run's stats so
@@ -678,16 +633,6 @@ pub struct ExecStats {
     /// Dynamic shadow-checker assertions executed (0 unless the
     /// `checked` feature is on — see [`shadow_checking_enabled`]).
     pub shadow_checks: u64,
-    /// Steps in the specialized direct-threaded dispatch table (0 with
-    /// `threaded: false` — the engine is dispatching per op). Like the
-    /// optimizer counters, a compile-time fact seeded into every run.
-    pub threaded_ops: u64,
-    /// Runs of ≥ 2 adjacent straight-line ops the specializer fused
-    /// into single closures (0 with `threaded: false`).
-    pub fused_scalar_runs: u64,
-    /// Wall-clock nanoseconds the specializer took at engine build (0
-    /// with `threaded: false`).
-    pub specialize_ns: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -716,12 +661,6 @@ pub(crate) struct SharedPlans {
     pub(crate) wave_ancestors: Rc<HashSet<usize>>,
     /// The lowered linear instruction stream (see [`program`]).
     pub(crate) plan: Rc<program::Program>,
-    /// The plan specialized into direct-threaded closure code — `Some`
-    /// iff [`ExecOptions::threaded`] is on and the plan (then the
-    /// specialized table) passed verification. Attached *after*
-    /// [`build_plans`] by [`Engine::attach_threaded`], so
-    /// specialization always follows static verification.
-    pub(crate) threaded: Option<Rc<threaded::ThreadedProgram>>,
 }
 
 /// Whether a resumable step suspended or finished the request.
@@ -844,15 +783,10 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
     let par_unsafe_waves = plan.wave_safety.len() + plan.fused_safety.len() - par_safe_waves;
     let stats = PlanStats {
         plan_ops: plan.ops.len(),
-        interp_fallback_stmts: plan.fallback_ops,
         lower_ns,
-        dead_ops_eliminated: 0,
-        slots_coalesced: 0,
         par_safe_waves,
         par_unsafe_waves,
-        threaded_ops: 0,
-        fused_scalar_runs: 0,
-        specialize_ns: 0,
+        ..PlanStats::default()
     };
     (
         SharedPlans {
@@ -862,7 +796,6 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
             fused_waves: Rc::new(fused_waves),
             wave_ancestors: Rc::new(wave_ancestors),
             plan: Rc::new(plan),
-            threaded: None,
         },
         stats,
     )
@@ -904,7 +837,7 @@ impl<'p> Engine<'p> {
         plan_stats.slots_coalesced = opt_stats.slots_coalesced;
         let verified = verify::verify(&shared.plan);
         debug_assert!(verified.is_ok(), "lowering emitted an invalid plan");
-        let mut engine = Engine {
+        Engine {
             program,
             opts,
             shared,
@@ -917,35 +850,6 @@ impl<'p> Engine<'p> {
             verified,
             plan_arity,
             params_validated: None,
-        };
-        engine.attach_threaded();
-        engine
-    }
-
-    /// (Re)builds the direct-threaded specialization of the current
-    /// plan: the verify-before-specialize half of the contract (nothing
-    /// specializes off an unverified plan), plus the post-build table
-    /// consistency check (a specialized table that disagrees with its
-    /// program demotes the engine to refusing runs, typed — it is never
-    /// dispatched through). With `threaded: false` the specialization is
-    /// dropped and the engine dispatches through the pc tier.
-    fn attach_threaded(&mut self) {
-        self.shared.threaded = None;
-        self.plan_stats.threaded_ops = 0;
-        self.plan_stats.fused_scalar_runs = 0;
-        self.plan_stats.specialize_ns = 0;
-        if !self.opts.threaded || self.verified.is_err() {
-            return;
-        }
-        let tp = threaded::specialize(&self.shared.plan);
-        match threaded::verify_threaded(&tp, &self.shared.plan) {
-            Ok(()) => {
-                self.plan_stats.threaded_ops = tp.steps.len();
-                self.plan_stats.fused_scalar_runs = tp.fused_scalar_runs;
-                self.plan_stats.specialize_ns = tp.specialize_ns;
-                self.shared.threaded = Some(Rc::new(tp));
-            }
-            Err(e) => self.verified = Err(e),
         }
     }
 
@@ -1019,16 +923,9 @@ impl<'p> Engine<'p> {
     ///   reduction plans) is dropped — a toggled engine behaves exactly
     ///   like one freshly built with the new options (regression-tested
     ///   per knob).
-    /// * `threaded` changes the **dispatch table**: flipping it
-    ///   re-specializes (or drops) the direct-threaded closure program
-    ///   against the existing plan and drops the grouping-shaped caches,
-    ///   so a toggled engine is indistinguishable from a fresh build
-    ///   (regression-tested like the lowering knobs). A lowering rebuild
-    ///   re-specializes implicitly — the table is compiled from the new
-    ///   plan.
-    /// * `bulk` / `fastdot` / `min_wave_width` / `interp` /
-    ///   `nonlinearity` are pure runtime dispatch: no compiled state
-    ///   depends on them, nothing invalidates.
+    /// * `bulk` / `fastdot` / `interp` / `nonlinearity` are pure
+    ///   runtime dispatch: no compiled state depends on them, nothing
+    ///   invalidates.
     ///
     /// The parameter arena and packed-weight cache remain keyed on
     /// `(model, params generation)` independently of all knobs.
@@ -1040,7 +937,6 @@ impl<'p> Engine<'p> {
         let lowering_changed = optimize_changed
             || opts.wave_gemm != self.opts.wave_gemm
             || opts.gate_stacking != self.opts.gate_stacking;
-        let threaded_changed = opts.threaded != self.opts.threaded;
         self.opts = opts;
         if lowering_changed {
             let (compiled, dead, coalesced) = if optimize_changed {
@@ -1061,25 +957,14 @@ impl<'p> Engine<'p> {
             self.shared = shared;
             self.plan_stats = plan_stats;
             // Re-verify: a rebuilt plan passes the same static checks a
-            // fresh build does before any run is admitted against it —
-            // and only then re-specializes the threaded dispatch table
-            // from the new plan.
+            // fresh build does before any run is admitted against it.
             self.verified = verify::verify(&self.shared.plan);
             debug_assert!(self.verified.is_ok(), "rebuild emitted an invalid plan");
-            self.attach_threaded();
             // Stacked-weight packs and group scratch are shaped by the
             // previous grouping; reduction plans are keyed by addresses
             // that remain valid but may now be wave-served — drop all
             // three so the engine is indistinguishable from a fresh
             // build with these options.
-            self.caches.weight_cache.clear();
-            self.caches.group_bufs.clear();
-            self.caches.plan_cache.clear();
-        } else if threaded_changed {
-            // Same plan, different dispatch table: re-specialize (or
-            // drop) the closure program and drop the run caches, so the
-            // toggled engine matches a fresh build bit for bit.
-            self.attach_threaded();
             self.caches.weight_cache.clear();
             self.caches.group_bufs.clear();
             self.caches.plan_cache.clear();
@@ -1267,16 +1152,12 @@ impl<'p> Engine<'p> {
             par_safe_waves: self.plan_stats.par_safe_waves as u64,
             par_unsafe_waves: self.plan_stats.par_unsafe_waves as u64,
             par_unsafe_by_reason,
-            threaded_ops: self.plan_stats.threaded_ops as u64,
-            fused_scalar_runs: self.plan_stats.fused_scalar_runs as u64,
-            specialize_ns: self.plan_stats.specialize_ns,
             ..ExecStats::default()
         }
     }
 
     /// Compile-time facts about the lowered plan: instruction count,
-    /// lowering time, and how many statements failed to lower (0 —
-    /// CI-gated).
+    /// lowering time and the static-analysis verdicts.
     pub fn plan_stats(&self) -> PlanStats {
         self.plan_stats
     }
@@ -1316,12 +1197,8 @@ impl<'p> Engine<'p> {
             &mut self.buf_pool,
         )?;
         std::mem::swap(&mut self.caches, &mut interp.caches);
-        // Tier dispatch: the interp oracle overrides everything, then
-        // the specialized table when one is attached, then the pc loop.
         let result = if self.opts.interp {
             interp.run_all()
-        } else if self.opts.threaded && self.shared.threaded.is_some() {
-            interp.run_threaded()
         } else {
             interp.run_program()
         };
@@ -1392,8 +1269,6 @@ impl<'p> Engine<'p> {
         }
         if self.opts.interp {
             self.run_many_interp(&mut interps)?;
-        } else if self.opts.threaded && self.shared.threaded.is_some() {
-            self.run_many_threaded(&mut interps)?;
         } else {
             self.run_many_pc(&mut interps)?;
         }
@@ -1401,23 +1276,6 @@ impl<'p> Engine<'p> {
             .into_iter()
             .map(|it| it.finish(&mut self.buf_pool))
             .collect()
-    }
-
-    /// The threaded tier's batched scheduler: identical to
-    /// [`Engine::run_many_pc`] — same [`PcCursor`], same park/flush/
-    /// resume protocol — stepping through the specialized closure table
-    /// instead of the op stream.
-    fn run_many_threaded(&mut self, interps: &mut [Interp<'_>]) -> Result<(), ExecError> {
-        let cursors: Vec<PcCursor> = interps
-            .iter()
-            .map(|it| PcCursor::new(it.launch_units(), it.watchdog_fuel()))
-            .collect();
-        self.run_many_cooperative(
-            interps,
-            cursors,
-            |c| c.done,
-            |it, cur, acc, r| it.step_threaded(cur, Some((acc, r))),
-        )
     }
 
     /// The pc runtime's batched scheduler: one [`PcCursor`] per request

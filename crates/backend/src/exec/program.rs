@@ -8,8 +8,7 @@
 //! waves, which feature loops bulk-serve, which node loops fuse, which
 //! sites stack) is resolved into op operands here: the pc runtime's only
 //! remaining dynamic checks are the ones that genuinely depend on run
-//! state (memo-servability after a per-site fallback, the min-wave-width
-//! latency knob).
+//! state (memo-servability after a per-site fallback).
 //!
 //! This is the same move Relay/TVM make when going from graph IR to an
 //! executable form, and it is what makes suspension trivial: a parked
@@ -85,15 +84,6 @@ pub(crate) enum Op {
         id: usize,
         done: Pc,
     },
-    /// Escape hatch: interpret one statement subtree through the AST
-    /// walker. The lowering is total over the statement grammar and
-    /// never emits this today; it exists so a future construct degrades
-    /// gracefully, and [`Program::fallback_ops`] (CI-gated to 0) proves
-    /// it stays unused.
-    #[allow(dead_code)]
-    ScalarStmt {
-        stmt: *const Stmt,
-    },
     /// End of a kernel body: pop the launch scope and start the next
     /// launch unit.
     KernelEnd,
@@ -154,23 +144,17 @@ pub(crate) struct Program {
     pub(crate) fused_safety: Vec<ParSafety>,
     pub(crate) bulks: Vec<Rc<BulkPlan>>,
     pub(crate) kernels: Vec<KernelDef>,
-    /// `ScalarStmt` ops emitted (statements the lowering could not
-    /// flatten). Zero for every current model — CI-gated.
-    pub(crate) fallback_ops: usize,
     /// Owner of every statement tree the ops point into — see the
     /// module-level pointer invariant, checked by [`super::verify`].
     pub(crate) source: Rc<Vec<CompiledKernel>>,
 }
 
 /// Compile-time facts about an engine's lowered plan (the bench schema's
-/// `plan_ops` / `lower_ms` / `interp_fallback_stmts` fields).
+/// `plan_ops` / `lower_ms` fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Instructions in the lowered program.
     pub plan_ops: usize,
-    /// Statements that fell back to AST interpretation ops (0 ⇔
-    /// everything lowered; CI-gated for all bench models).
-    pub interp_fallback_stmts: usize,
     /// Wall-clock nanoseconds the lowering pass took at engine build.
     pub lower_ns: u64,
     /// Dead `Let` bindings the liveness pass eliminated at engine build
@@ -184,12 +168,9 @@ pub struct PlanStats {
     /// Wave bodies the certifier refused (see
     /// `ExecStats::par_unsafe_by_reason` for the breakdown).
     pub par_unsafe_waves: usize,
-    /// Steps in the specialized direct-threaded dispatch table (0 with
-    /// `ExecOptions::threaded` off).
+    /// Always 0: the direct-threaded tier is gone; `benchmarks/` still
+    /// reads this field and `specialize_ns` by name.
     pub threaded_ops: usize,
-    /// Runs of ≥ 2 adjacent straight-line ops the specializer fused
-    /// into single step closures.
-    pub fused_scalar_runs: usize,
-    /// Wall-clock nanoseconds the specializer took at engine build.
+    /// Always 0 (see `threaded_ops`).
     pub specialize_ns: u64,
 }

@@ -240,14 +240,6 @@ impl<'a> Interp<'a> {
                     self.op_loop_next(id, &plan, cur);
                 }
                 Op::FusedEpilogue => self.op_fused_epilogue(&plan, cur),
-                Op::ScalarStmt { stmt } => {
-                    // Never emitted by the current lowering; kept as the
-                    // graceful-degradation path (see `Op::ScalarStmt`).
-                    self.caches.stats.interp_stmts += 1;
-                    // SAFETY: as above.
-                    self.exec_stmt(unsafe { &*stmt });
-                    cur.pc += 1;
-                }
             }
         }
     }
@@ -274,13 +266,9 @@ impl<'a> Interp<'a> {
         if n > 0 {
             if let Some(w) = d.wave {
                 let wref = &plan.waves[w];
-                if (n as usize) < self.opts.min_wave_width {
-                    self.caches.stats.narrow_waves_skipped += 1;
-                } else {
-                    let deferring = defer.is_some();
-                    activated = self.prepare_wave(&wref.plan, wref.for_key, n as usize, defer);
-                    paused = deferring && activated.1 > 0;
-                }
+                let deferring = defer.is_some();
+                activated = self.prepare_wave(&wref.plan, wref.for_key, n as usize, defer);
+                paused = deferring && activated.1 > 0;
             }
         }
         if n <= 0 {

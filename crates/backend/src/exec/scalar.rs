@@ -91,19 +91,12 @@ impl<'a> Interp<'a> {
                 // wave plan, run each stacking group of recognized
                 // reduction sites as one packed GEMM over the whole wave,
                 // then interpret the loop normally with `Sum`s served
-                // from the result matrices. Waves below the width
-                // threshold skip packing entirely — the scalar fastdot
-                // path is cheaper there and produces the identical
-                // `Profile`.
+                // from the result matrices.
                 let mut activated = (0usize, 0usize);
                 if n > 0 && !self.wave_plans.is_empty() {
                     let for_key = s as *const Stmt as usize;
                     if let Some(plan) = self.wave_plans.get(&for_key).cloned() {
-                        if (n as usize) < self.opts.min_wave_width {
-                            self.caches.stats.narrow_waves_skipped += 1;
-                        } else {
-                            activated = self.prepare_wave(&plan, for_key, n as usize, None);
-                        }
+                        activated = self.prepare_wave(&plan, for_key, n as usize, None);
                     }
                 }
                 // Bulk serving: a fused wave runs the whole loop body as
@@ -270,10 +263,8 @@ impl<'a> Interp<'a> {
 
     /// Serves one element of a memo-active reduction site from its wave
     /// GEMM result, charging the exact counters the scalar dot would.
-    /// `pub(crate)` so the threaded tier's compiled `Sum` closures can
-    /// share it (their memo path must charge identically).
     #[inline]
-    pub(crate) fn serve_memo_element(&mut self, idx: usize) -> f32 {
+    fn serve_memo_element(&mut self, idx: usize) -> f32 {
         let site = &self.active[idx];
         let group = &self.active_groups[site.group];
         let r = self.slots[site.n_idx_slot] as usize;
@@ -659,12 +650,8 @@ impl<'a> Interp<'a> {
         if n > 0 && !self.wave_plans.is_empty() {
             let for_key = s as *const Stmt as usize;
             if let Some(plan) = self.wave_plans.get(&for_key).cloned() {
-                if (n as usize) < self.opts.min_wave_width {
-                    self.caches.stats.narrow_waves_skipped += 1;
-                } else {
-                    activated = self.prepare_wave(&plan, for_key, n as usize, Some((acc, request)));
-                    paused = activated.1 > 0;
-                }
+                activated = self.prepare_wave(&plan, for_key, n as usize, Some((acc, request)));
+                paused = activated.1 > 0;
             }
         }
         if n > 0 {

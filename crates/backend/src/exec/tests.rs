@@ -336,9 +336,9 @@ fn leaf_check_modes_differ_in_loads() {
 
 #[test]
 fn every_schedule_lowers_fully_with_no_fallback_ops() {
-    // The lowering must be total over the statement grammar: whatever
-    // schedule shape the RA pass emits, no `ScalarStmt` escape op may
-    // appear and the plan must be non-trivial.
+    // The lowering is total over the statement grammar (its `match`
+    // over `Stmt` is exhaustive): whatever schedule shape the RA pass
+    // emits, the plan must be non-trivial.
     use cortex_core::ra::{BarrierMode, LeafCheckMode};
     let (g, _) = tree_rnn(6);
     let schedules = [
@@ -364,10 +364,6 @@ fn every_schedule_lowers_fully_with_no_fallback_ops() {
         let engine = Engine::new(&program);
         let ps = engine.plan_stats();
         assert!(ps.plan_ops > 0, "plan must lower ({schedule:?})");
-        assert_eq!(
-            ps.interp_fallback_stmts, 0,
-            "no AST fallback ops ({schedule:?})"
-        );
     }
 }
 
@@ -1307,98 +1303,8 @@ fn verify_rejects_certificate_table_length_mismatch() {
     ));
 }
 
-// -- direct-threaded specialization: post-build table checks --
-
-use super::threaded::{specialize, verify_threaded};
-
-#[test]
-fn verify_threaded_accepts_genuine_table() {
-    let (g, _) = matvec_tree(6);
-    let shared = forgeable_plans(&g);
-    let tp = specialize(&shared.plan);
-    assert!(tp.steps.len() > 1, "a real model specializes to many steps");
-    assert_eq!(verify_threaded(&tp, &shared.plan), Ok(()));
-}
-
-#[test]
-fn verify_threaded_rejects_truncated_step_table() {
-    let (g, _) = matvec_tree(6);
-    let shared = forgeable_plans(&g);
-    let mut tp = specialize(&shared.plan);
-    let expected = tp.steps.len();
-    tp.steps.pop();
-    assert_eq!(
-        verify_threaded(&tp, &shared.plan),
-        Err(VerifyError::ThreadedLengthMismatch {
-            what: "step",
-            found: expected - 1,
-            expected,
-        })
-    );
-}
-
-#[test]
-fn verify_threaded_rejects_dangling_jump_target() {
-    let (g, _) = matvec_tree(6);
-    let shared = forgeable_plans(&g);
-    let mut tp = specialize(&shared.plan);
-    let len = tp.steps.len();
-    let bad = len + 7;
-    let at = tp
-        .steps
-        .iter()
-        .position(|s| !s.targets.is_empty())
-        .expect("control steps record jump targets");
-    tp.steps[at].targets[0] = bad;
-    assert_eq!(
-        verify_threaded(&tp, &shared.plan),
-        Err(VerifyError::ThreadedDanglingTarget {
-            step: at,
-            target: bad,
-            len,
-        })
-    );
-}
-
-#[test]
-fn verify_threaded_rejects_redirected_jump_target() {
-    let (g, _) = matvec_tree(6);
-    let shared = forgeable_plans(&g);
-    let mut tp = specialize(&shared.plan);
-    // Redirect an in-range target: still a corruption, caught by the
-    // re-derived target-list comparison.
-    let at = tp
-        .steps
-        .iter()
-        .position(|s| !s.targets.is_empty())
-        .expect("control steps record jump targets");
-    tp.steps[at].targets[0] = (tp.steps[at].targets[0] + 1) % tp.steps.len();
-    assert_eq!(
-        verify_threaded(&tp, &shared.plan),
-        Err(VerifyError::ThreadedTargetMismatch { step: at })
-    );
-}
-
-#[test]
-fn verify_threaded_rejects_forged_kernel_entry() {
-    let (g, _) = matvec_tree(6);
-    let shared = forgeable_plans(&g);
-    let mut tp = specialize(&shared.plan);
-    let expected = tp.kernels[0].entry;
-    tp.kernels[0].entry = (expected + 1) % tp.steps.len();
-    assert_eq!(
-        verify_threaded(&tp, &shared.plan),
-        Err(VerifyError::ThreadedEntryMismatch {
-            kernel: 0,
-            entry: (expected + 1) % tp.steps.len(),
-            expected,
-        })
-    );
-}
-
-/// A demoted engine (its specialized table failed post-build
-/// verification) refuses every run with a typed error — corrupted
-/// closure code is never executed.
+/// An engine whose plan failed verification refuses every run with a
+/// typed error — a rejected plan is never executed.
 #[test]
 fn demoted_engine_refuses_execution_typed() {
     let h = 4;
@@ -1411,9 +1317,7 @@ fn demoted_engine_refuses_execution_typed() {
     .unwrap();
     let mut engine = Engine::new(&program);
     assert_eq!(engine.verified(), Ok(()));
-    // Simulate the demotion `attach_threaded` performs when
-    // `verify_threaded` rejects its freshly built table.
-    let forged = VerifyError::ThreadedTargetMismatch { step: 0 };
+    let forged = VerifyError::ForeignExpr { op: 0 };
     engine.verified = Err(forged.clone());
     let lin = Linearizer::new()
         .linearize(&datasets::random_binary_tree(9, 5))

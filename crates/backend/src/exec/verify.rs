@@ -114,45 +114,6 @@ pub enum VerifyError {
         /// Which field disagrees.
         what: &'static str,
     },
-    /// A specialized step table's length disagrees with the layout
-    /// re-derived from the source program (`what` names the table:
-    /// `"step"`, `"kernel"`, `"pc-map"`) — the table was truncated,
-    /// extended or built against a different program.
-    ThreadedLengthMismatch {
-        /// Which specialized table disagrees.
-        what: &'static str,
-        /// The table's length.
-        found: usize,
-        /// The length the program's layout requires.
-        expected: usize,
-    },
-    /// A specialized kernel entry does not translate the source
-    /// program's entry (or its launch metadata was altered).
-    ThreadedEntryMismatch {
-        /// The kernel index.
-        kernel: usize,
-        /// The table's entry step.
-        entry: usize,
-        /// The step the program's entry translates to.
-        expected: usize,
-    },
-    /// A specialized step records a jump target outside the step table —
-    /// dispatching through it would read past the table.
-    ThreadedDanglingTarget {
-        /// The step carrying the target.
-        step: usize,
-        /// The out-of-range target.
-        target: usize,
-        /// The step-table length.
-        len: usize,
-    },
-    /// A specialized step's recorded jump targets disagree with the ones
-    /// re-derived from the source op — the table was retargeted after
-    /// specialization.
-    ThreadedTargetMismatch {
-        /// The disagreeing step.
-        step: usize,
-    },
     /// A stored parallel-safety certificate disagrees with the one the
     /// certifier re-derives from the compiled kernels (or a fused wave
     /// carries anything other than `RowDisjoint`): the plan was forged
@@ -209,38 +170,6 @@ impl std::fmt::Display for VerifyError {
             }
             VerifyError::BadLoopShape { op, loop_id, what } => {
                 write!(f, "op {op}: loop {loop_id} has inconsistent {what}")
-            }
-            VerifyError::ThreadedLengthMismatch {
-                what,
-                found,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "threaded {what} table has {found} entries, layout requires {expected}"
-                )
-            }
-            VerifyError::ThreadedEntryMismatch {
-                kernel,
-                entry,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "threaded kernel {kernel} enters at step {entry}, program requires {expected}"
-                )
-            }
-            VerifyError::ThreadedDanglingTarget { step, target, len } => {
-                write!(
-                    f,
-                    "threaded step {step}: jump target {target} outside the {len}-step table"
-                )
-            }
-            VerifyError::ThreadedTargetMismatch { step } => {
-                write!(
-                    f,
-                    "threaded step {step}: recorded jump targets disagree with the source program"
-                )
             }
             VerifyError::CertificateMismatch { what, index } => {
                 write!(
@@ -459,8 +388,8 @@ impl SlotEnv {
         }
     }
 
-    /// Use-check a whole statement subtree (`Store` / `ScalarStmt` ops),
-    /// treating nested `For`/`Let` binders as locally bound.
+    /// Use-check a whole statement subtree (`Store` ops), treating
+    /// nested `For`/`Let` binders as locally bound.
     fn check_stmt(&mut self, s: &Stmt) -> Result<(), VerifyError> {
         match s {
             Stmt::For {
@@ -725,7 +654,7 @@ fn verify_kernel(
                 env.check_idx(unsafe { &**value })?;
                 env.define(*slot)?;
             }
-            Op::Store { stmt } | Op::ScalarStmt { stmt } => {
+            Op::Store { stmt } => {
                 if !owned.stmts.contains(&(*stmt as usize)) {
                     return Err(VerifyError::ForeignExpr { op: pc });
                 }

@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v6",
+//!   "schema": "cortex-bench-pipeline/v8",
 //!   "results": [
 //!     {"bench": "treelstm_h256_bs16", "nodes": 1234, "hidden": 256,
 //!      "scalar_ms": 12.3, "batched_ms": 3.2, "generic_ms": 88.0,
@@ -47,19 +47,16 @@
 //! entry: `dead_ops_eliminated` / `slots_coalesced` (the dataflow
 //! optimizer's work) and `par_safe_waves` / `par_unsafe_waves` (the
 //! parallel-safety certifier's verdict counts).
-//! Schema v7 adds the direct-threaded specialization trajectory:
-//! each lowering entry gains `threaded_ops` (specialized closure-table
-//! length), `fused_scalar_runs` (peephole-fused straight-line runs +
-//! natively fused loops), and `specialize_ms`; and a new `solo_small`
-//! section measures solo small-structure latency (depth-1 and depth-4
-//! seqlstm/treelstm rows at h=16) of the threaded tier against the pc
-//! runtime and the interp oracle, under both the default schedule and
-//! the scalar "no fusion" schedule. The scalar rows are the
-//! dispatch-bound configuration the specializer targets (under the
-//! default schedule this work rides the shared fused-wave bulk path,
-//! so the tiers measure equal by construction); ratios use paired
-//! alternating-block medians ([`paired_compare`]) so CPU frequency
-//! drift between the two engines' measurement windows cancels.
+//! Schema v8: lowering entries are `plan_ops`, `lower_ms` and the
+//! static-analysis counts, and the `solo_small` section — solo
+//! small-structure latency (depth-1 and depth-4 seqlstm/treelstm rows at
+//! h=16, under both the default schedule and the scalar "no fusion"
+//! schedule) — compares the pc runtime against the interp oracle. The
+//! ratio is **ungated**: it is on record because schema v7 had the
+//! oracle ahead of pc on the `seqlstm[scalar]` rows (17.0 vs 25.9 µs at
+//! depth 1), a ROADMAP question this row answers run by run. Ratios use
+//! paired alternating-block medians ([`paired_compare`]) so CPU
+//! frequency drift between the two engines' measurement windows cancels.
 
 use std::fmt::Write as _;
 
@@ -226,27 +223,19 @@ struct SoloRecord {
     depth: usize,
     nodes: usize,
     hidden: usize,
-    threaded_us: f64,
     pc_us: f64,
     interp_us: f64,
-    /// Median of per-block-pair pc/threaded time ratios (paired blocks).
-    speedup_threaded_vs_pc: f64,
-    threaded_ops: usize,
-    fused_scalar_runs: usize,
-    specialize_ms: f64,
+    /// Median of per-block-pair interp/pc time ratios (paired blocks).
+    speedup_pc_vs_interp: f64,
 }
 
 /// Solo small-structure latency: the serving shape where per-op dispatch
 /// overhead is proportionally largest. Before timing, one run of each
-/// tier is cross-checked bit-identical on outputs and `Profile` — the
-/// same invariant the three-way property tests enforce, re-asserted here
-/// so a timing row can never come from diverging executions.
+/// engine is cross-checked bit-identical on outputs and `Profile` — the
+/// same invariant the pc-vs-oracle property tests enforce, re-asserted
+/// here so a timing row can never come from diverging executions.
 fn solo_small() -> Vec<SoloRecord> {
     let h = 16;
-    let pc_opts = ExecOptions {
-        threaded: false,
-        ..ExecOptions::default()
-    };
     let mut rows = Vec::new();
     for (name, depth, model, structure) in [
         (
@@ -270,66 +259,40 @@ fn solo_small() -> Vec<SoloRecord> {
         ] {
             let program = model.lower(&schedule).expect("lowers");
             let lin = Linearizer::new().linearize(&structure).expect("linearizes");
-            let mut threaded = Engine::new(&program);
-            let mut pc = Engine::with_options(&program, pc_opts);
+            let mut pc = Engine::new(&program);
             let mut interp = Engine::with_options(&program, ExecOptions::interpreted());
             let run = |e: &mut Engine<'_>| e.execute(&lin, &model.params, true).expect("solo run");
-            let (out_t, prof_t) = run(&mut threaded);
             let (out_p, prof_p) = run(&mut pc);
             let (out_i, prof_i) = run(&mut interp);
             assert_eq!(
-                prof_t, prof_p,
-                "{name}[{sched}]: threaded/pc Profile diverged"
+                prof_p, prof_i,
+                "{name}[{sched}]: pc/interp Profile diverged"
             );
             assert_eq!(
-                prof_t, prof_i,
-                "{name}[{sched}]: threaded/interp Profile diverged"
-            );
-            let bits = out_t[&model.output].as_slice();
-            assert_eq!(
-                bits,
                 out_p[&model.output].as_slice(),
-                "{name}[{sched}]: threaded/pc outputs diverged"
-            );
-            assert_eq!(
-                bits,
                 out_i[&model.output].as_slice(),
-                "{name}[{sched}]: threaded/interp outputs diverged"
+                "{name}[{sched}]: pc/interp outputs diverged"
             );
             // Calibrate block size to ~500us so a paired block is long
             // enough to time but short enough that frequency state is
-            // shared between the adjacent threaded and pc blocks.
-            let (_, once) = time_once(|| run(&mut threaded));
+            // shared between the adjacent pc and interp blocks.
+            let (_, once) = time_once(|| run(&mut pc));
             let iters = ((500e-6 / once.as_secs_f64().max(1e-9)) as u32).clamp(1, 4096);
-            let rep = paired_compare(21, iters, || run(&mut threaded), || run(&mut pc));
-            let rep_i = paired_compare(7, iters, || run(&mut interp), || run(&mut pc));
-            let plan = threaded.plan_stats();
+            let rep = paired_compare(21, iters, || run(&mut pc), || run(&mut interp));
             let rec = SoloRecord {
                 bench: name,
                 schedule: sched,
                 depth,
                 nodes: structure.num_nodes(),
                 hidden: h,
-                threaded_us: rep.a_s * 1e6,
-                pc_us: rep.b_s * 1e6,
-                interp_us: rep_i.a_s * 1e6,
-                speedup_threaded_vs_pc: rep.speedup,
-                threaded_ops: plan.threaded_ops,
-                fused_scalar_runs: plan.fused_scalar_runs,
-                specialize_ms: plan.specialize_ns as f64 / 1e6,
+                pc_us: rep.a_s * 1e6,
+                interp_us: rep.b_s * 1e6,
+                speedup_pc_vs_interp: rep.speedup,
             };
             println!(
-                "solo {name:<14} [{sched:<7}] nodes={:<3} h={h:<3} threaded={:8.2}us \
-                 pc={:8.2}us interp={:8.2}us speedup(threaded/pc)={:.3}x \
-                 threaded_ops={} fused_runs={} specialize={:.3}ms",
-                rec.nodes,
-                rec.threaded_us,
-                rec.pc_us,
-                rec.interp_us,
-                rec.speedup_threaded_vs_pc,
-                rec.threaded_ops,
-                rec.fused_scalar_runs,
-                rec.specialize_ms,
+                "solo {name:<14} [{sched:<7}] nodes={:<3} h={h:<3} pc={:8.2}us \
+                 interp={:8.2}us speedup(pc/interp)={:.3}x",
+                rec.nodes, rec.pc_us, rec.interp_us, rec.speedup_pc_vs_interp,
             );
             rows.push(rec);
         }
@@ -441,19 +404,14 @@ fn main() {
             let program = model.lower(&RaSchedule::default()).expect("lowers");
             let plan = Engine::new(&program).plan_stats();
             println!(
-                "lowering {name:<10} plan_ops={:<5} lower={:.3}ms fallback_stmts={} \
-                 dead_ops={} coalesced={} par_safe={} par_unsafe={} \
-                 threaded_ops={} fused_runs={} specialize={:.3}ms",
+                "lowering {name:<10} plan_ops={:<5} lower={:.3}ms \
+                 dead_ops={} coalesced={} par_safe={} par_unsafe={}",
                 plan.plan_ops,
                 plan.lower_ns as f64 / 1e6,
-                plan.interp_fallback_stmts,
                 plan.dead_ops_eliminated,
                 plan.slots_coalesced,
                 plan.par_safe_waves,
                 plan.par_unsafe_waves,
-                plan.threaded_ops,
-                plan.fused_scalar_runs,
-                plan.specialize_ns as f64 / 1e6,
             );
             (*name, plan)
         })
@@ -462,26 +420,20 @@ fn main() {
     let solo = solo_small();
 
     let mut json =
-        String::from("{\n  \"schema\": \"cortex-bench-pipeline/v7\",\n  \"lowering\": [\n");
+        String::from("{\n  \"schema\": \"cortex-bench-pipeline/v8\",\n  \"lowering\": [\n");
     for (i, (name, plan)) in lowering.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"model\": \"{}\", \"plan_ops\": {}, \"lower_ms\": {:.4}, \
-             \"interp_fallback_stmts\": {}, \"dead_ops_eliminated\": {}, \
-             \"slots_coalesced\": {}, \"par_safe_waves\": {}, \
-             \"par_unsafe_waves\": {}, \"threaded_ops\": {}, \
-             \"fused_scalar_runs\": {}, \"specialize_ms\": {:.4}}}{}",
+             \"dead_ops_eliminated\": {}, \"slots_coalesced\": {}, \
+             \"par_safe_waves\": {}, \"par_unsafe_waves\": {}}}{}",
             name,
             plan.plan_ops,
             plan.lower_ns as f64 / 1e6,
-            plan.interp_fallback_stmts,
             plan.dead_ops_eliminated,
             plan.slots_coalesced,
             plan.par_safe_waves,
             plan.par_unsafe_waves,
-            plan.threaded_ops,
-            plan.fused_scalar_runs,
-            plan.specialize_ns as f64 / 1e6,
             if i + 1 < lowering.len() { ",\n" } else { "\n" }
         );
     }
@@ -490,22 +442,16 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"bench\": \"{}\", \"schedule\": \"{}\", \"depth\": {}, \
-             \"nodes\": {}, \"hidden\": {}, \"threaded_us\": {:.3}, \
-             \"pc_us\": {:.3}, \"interp_us\": {:.3}, \
-             \"speedup_threaded_vs_pc\": {:.4}, \"threaded_ops\": {}, \
-             \"fused_scalar_runs\": {}, \"specialize_ms\": {:.4}}}{}",
+             \"nodes\": {}, \"hidden\": {}, \"pc_us\": {:.3}, \
+             \"interp_us\": {:.3}, \"speedup_pc_vs_interp\": {:.4}}}{}",
             s.bench,
             s.schedule,
             s.depth,
             s.nodes,
             s.hidden,
-            s.threaded_us,
             s.pc_us,
             s.interp_us,
-            s.speedup_threaded_vs_pc,
-            s.threaded_ops,
-            s.fused_scalar_runs,
-            s.specialize_ms,
+            s.speedup_pc_vs_interp,
             if i + 1 < solo.len() { ",\n" } else { "\n" }
         );
     }
@@ -520,7 +466,7 @@ fn main() {
              \"gemm_rows\": {}, \"stacked_groups\": {}, \"stacked_sites\": {}, \
              \"requests_per_batch\": 1, \"superwave_width\": {:.3}, \
              \"throughput_rps\": {:.3}, \"plan_ops\": {}, \"lower_ms\": {:.4}, \
-             \"interp_fallback_stmts\": {}, \"gather_ms\": {:.4}, \
+             \"gather_ms\": {:.4}, \
              \"gemm_ms\": {:.4}, \"serve_ms\": {:.4}, \"epilogue_ms\": {:.4}, \
              \"fused_waves\": {}, \"nonlinearity\": \"{}\"}}{}",
             r.bench,
@@ -541,7 +487,6 @@ fn main() {
             1e3 / r.batched_ms,
             r.plan.plan_ops,
             r.plan.lower_ns as f64 / 1e6,
-            r.plan.interp_fallback_stmts,
             r.stats.gather_ns as f64 / 1e6,
             r.stats.gemm_ns as f64 / 1e6,
             r.stats.serve_ns as f64 / 1e6,
@@ -579,18 +524,9 @@ fn main() {
     for r in &records {
         assert!(r.verified, "{}: verification failed", r.bench);
         assert!(r.plan.plan_ops > 0, "{}: kernels must lower", r.bench);
-        assert_eq!(
-            r.plan.interp_fallback_stmts, 0,
-            "{}: lowering must be total",
-            r.bench
-        );
     }
     for (name, plan) in &lowering {
         assert!(plan.plan_ops > 0, "{name}: kernels must lower");
-        assert_eq!(
-            plan.interp_fallback_stmts, 0,
-            "{name}: lowering must be total"
-        );
     }
     let by_name = |name: &str| -> &Record {
         records
@@ -615,66 +551,13 @@ fn main() {
     // Wall-clock bars are skippable for noisy shared CI runners
     // (CORTEX_BENCH_ENFORCE=0) — the JSON still records the measured
     // ratios either way.
-    // The threaded tier's specialization must have engaged on every
-    // solo row regardless of wall-clock: a non-empty closure table with
-    // at least one fused run, built in bounded time. (Structural, not
-    // timing — always enforced.)
-    for s in &solo {
-        assert!(
-            s.threaded_ops > 0,
-            "{}[{}]: specialization produced an empty table",
-            s.bench,
-            s.schedule
-        );
-        assert!(
-            s.fused_scalar_runs > 0,
-            "{}[{}]: peephole fusion found no runs",
-            s.bench,
-            s.schedule
-        );
-        assert!(
-            s.specialize_ms < 100.0,
-            "{}[{}]: specialization took {:.1}ms",
-            s.bench,
-            s.schedule,
-            s.specialize_ms
-        );
-    }
-    let solo_line = solo
-        .iter()
-        .filter(|s| s.schedule == "scalar")
-        .map(|s| format!("{} {:.2}x", s.bench, s.speedup_threaded_vs_pc))
-        .collect::<Vec<_>>()
-        .join(", ");
     if std::env::var("CORTEX_BENCH_ENFORCE").as_deref() == Ok("0") {
         println!(
             "acceptance: treelstm {speedup:.2}x, dagrnn {dag_speedup:.2}x, \
              seqlstm epilogue {epi_exact:.2}ms exact vs {epi_rational:.2}ms \
-             rational, solo threaded/pc [{solo_line}] (enforcement disabled)"
+             rational (enforcement disabled)"
         );
     } else {
-        // Dispatch-elimination gate, on the scalar-schedule rows — the
-        // configuration where per-op dispatch is the hot path (under
-        // the default schedule both tiers ride the same fused-wave bulk
-        // code and measure equal by construction). seqlstm rows gate at
-        // the headline 1.15x (measured 1.15-1.27x on the dev box);
-        // treelstm rows are dot-product-dominated at h=16 and gate as a
-        // no-regression floor (measured 1.08-1.22x).
-        for s in solo.iter().filter(|s| s.schedule == "scalar") {
-            let floor = if s.bench.starts_with("seqlstm") {
-                1.15
-            } else {
-                1.05
-            };
-            assert!(
-                s.speedup_threaded_vs_pc >= floor,
-                "solo gate: {} scalar-schedule threaded/pc must be ≥{floor}x, \
-                 got {:.3}x",
-                s.bench,
-                s.speedup_threaded_vs_pc
-            );
-        }
-        println!("solo dispatch gate: [{solo_line}] ✓");
         assert!(
             speedup >= 15.0,
             "acceptance: batched wave engine must be ≥15x over scalar eval_dot \

@@ -8,20 +8,25 @@
 //!    `unsafe` block in this repo carries a verifier- or
 //!    analysis-backed invariant; new ones must be added to the
 //!    allowlist deliberately, in the same PR that argues their safety.
-//! 2. **Raw clock reads** (`Instant::now()` / `SystemTime::now()`)
-//!    outside the allowlist — serving code must go through the `Clock`
-//!    abstraction so tests and replay stay deterministic; the allowlist
-//!    names the `Clock` impls and the measurement-only crates.
+//! 2. **Raw clock reads** (the paths `Instant::now` / `SystemTime::now`,
+//!    called or passed as a function value) outside the allowlist —
+//!    serving code must go through the `Clock` abstraction so tests and
+//!    replay stay deterministic; the allowlist names the `Clock` impls
+//!    and the measurement-only files.
 //! 3. **`.unwrap()` in `cortex-serve` non-test code** — the serving
 //!    front returns typed errors; a panic in the request path defeats
 //!    its fault containment. Test modules (after the file's first
 //!    `#[cfg(test)]`) are exempt.
 //!
+//! 4. **Stale allowlist entries** — an `[unsafe]` or `[clock]` line
+//!    whose file is gone, or no longer contains what it is exempted
+//!    for, so the allowlist can only shrink honestly.
+//!
 //! Run with `cargo run --release -p cortex-bench-harness --bin lint`;
 //! CI runs it as part of the `analysis-gates` job. Exit code 1 on any
 //! violation, each reported as `path:line: rule`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Replaces comments, string literals, and char literals with spaces,
@@ -176,10 +181,10 @@ fn find_lines(stripped: &str, needle: &str, word: bool) -> Vec<usize> {
 }
 
 /// The `[section]`-keyed allowlist of repo-relative paths.
-fn load_allowlist(path: &Path) -> std::collections::HashMap<String, HashSet<String>> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let mut out: std::collections::HashMap<String, HashSet<String>> = Default::default();
+type Allowlist = HashMap<String, HashSet<String>>;
+
+fn parse_allowlist(text: &str) -> Allowlist {
+    let mut out = Allowlist::new();
     let mut section = String::new();
     for line in text.lines() {
         let line = line.trim();
@@ -196,6 +201,91 @@ fn load_allowlist(path: &Path) -> std::collections::HashMap<String, HashSet<Stri
         }
     }
     out
+}
+
+/// A rule gated by an allowlist section: `needles` may occur only in
+/// the files listed under `[section]`, and every listed file must still
+/// contain one (a line that exempts nothing is itself a violation).
+struct GatedRule {
+    section: &'static str,
+    needles: &'static [&'static str],
+    /// Completes "`needle` ..." in a violation.
+    complaint: &'static str,
+}
+
+/// Rules 1, 2 and 4. Clock reads are matched as whole paths, not as
+/// calls: `(..).then(Instant::now)` reads the clock just as
+/// `Instant::now()` does.
+const GATED_RULES: [GatedRule; 2] = [
+    GatedRule {
+        section: "unsafe",
+        needles: &["unsafe"],
+        complaint: "outside the allowlist (add the file to lint-allow.txt [unsafe] \
+                    with a safety argument, or remove it)",
+    },
+    GatedRule {
+        section: "clock",
+        needles: &["Instant::now", "SystemTime::now"],
+        complaint: "read outside a Clock impl (inject a `Clock`, or allowlist under [clock])",
+    },
+];
+
+/// Every violation in `files` (`(repo-relative path, source text)`
+/// pairs) under `allow`, each as `path:line: rule`.
+fn lint(files: &[(String, String)], allow: &Allowlist) -> Vec<String> {
+    let stripped: Vec<String> = files.iter().map(|(_, text)| strip(text)).collect();
+    let mut violations = Vec::new();
+
+    let empty = HashSet::new();
+    for rule in &GATED_RULES {
+        let allowed = allow.get(rule.section).unwrap_or(&empty);
+        // Allowlisted files that still contain what they are exempted for.
+        let mut live = HashSet::new();
+        for ((rel, _), stripped) in files.iter().zip(&stripped) {
+            for needle in rule.needles {
+                let lines = find_lines(stripped, needle, true);
+                if !allowed.contains(rel) {
+                    for line in lines {
+                        violations.push(format!("{rel}:{line}: `{needle}` {}", rule.complaint));
+                    }
+                } else if !lines.is_empty() {
+                    live.insert(rel);
+                }
+            }
+        }
+        let mut stale: Vec<&String> = allowed.iter().filter(|p| !live.contains(p)).collect();
+        stale.sort();
+        for path in stale {
+            violations.push(format!(
+                "lint-allow.txt: stale [{}] entry {path} (the file is gone or no longer \
+                 contains `{}`; delete the line)",
+                rule.section,
+                rule.needles.join("` / `")
+            ));
+        }
+    }
+
+    for ((rel, text), stripped) in files.iter().zip(&stripped) {
+        if !rel.starts_with("crates/serve/src/") {
+            continue;
+        }
+        // Everything after the file's first `#[cfg(test)]` is test
+        // code; the request path above it must not panic.
+        let test_start = text
+            .lines()
+            .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+            .map(|i| i + 1)
+            .unwrap_or(usize::MAX);
+        for line in find_lines(stripped, ".unwrap()", false) {
+            if line < test_start {
+                violations.push(format!(
+                    "{rel}:{line}: `.unwrap()` in cortex-serve request-path code \
+                     (return a typed error instead)"
+                ));
+            }
+        }
+    }
+    violations
 }
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -219,63 +309,28 @@ fn main() {
         .and_then(Path::parent)
         .expect("repo root")
         .to_path_buf();
-    let allow = load_allowlist(&root.join("lint-allow.txt"));
-    let empty = HashSet::new();
-    let allow_unsafe = allow.get("unsafe").unwrap_or(&empty);
-    let allow_clock = allow.get("clock").unwrap_or(&empty);
+    let allow_path = root.join("lint-allow.txt");
+    let allow = parse_allowlist(
+        &std::fs::read_to_string(&allow_path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", allow_path.display())),
+    );
 
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
     sources.sort();
-
-    let mut violations = Vec::new();
-    let mut scanned = 0usize;
-    for path in &sources {
-        let rel = path
-            .strip_prefix(&root)
-            .expect("under root")
-            .to_string_lossy()
-            .replace('\\', "/");
-        let text = std::fs::read_to_string(path).expect("readable source");
-        let stripped = strip(&text);
-        scanned += 1;
-
-        if !allow_unsafe.contains(&rel) {
-            for line in find_lines(&stripped, "unsafe", true) {
-                violations.push(format!(
-                    "{rel}:{line}: `unsafe` outside the allowlist (add the file to \
-                     lint-allow.txt [unsafe] with a safety argument, or remove it)"
-                ));
-            }
-        }
-        if !allow_clock.contains(&rel) {
-            for needle in ["Instant::now()", "SystemTime::now()"] {
-                for line in find_lines(&stripped, needle, false) {
-                    violations.push(format!(
-                        "{rel}:{line}: raw `{needle}` outside a Clock impl (inject a \
-                         `Clock`, or allowlist under [clock])"
-                    ));
-                }
-            }
-        }
-        if rel.starts_with("crates/serve/src/") {
-            // Everything after the file's first `#[cfg(test)]` is test
-            // code; the request path above it must not panic.
-            let test_start = text
-                .lines()
-                .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-                .map(|i| i + 1)
-                .unwrap_or(usize::MAX);
-            for line in find_lines(&stripped, ".unwrap()", false) {
-                if line < test_start {
-                    violations.push(format!(
-                        "{rel}:{line}: `.unwrap()` in cortex-serve request-path code \
-                         (return a typed error instead)"
-                    ));
-                }
-            }
-        }
-    }
+    let files: Vec<(String, String)> = sources
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(&root)
+                .expect("under root")
+                .to_string_lossy()
+                .replace('\\', "/");
+            (rel, std::fs::read_to_string(path).expect("readable source"))
+        })
+        .collect();
+    let scanned = files.len();
+    let violations = lint(&files, &allow);
 
     if violations.is_empty() {
         println!("lint: {scanned} files clean");
@@ -285,5 +340,56 @@ fn main() {
         }
         eprintln!("lint: {} violation(s) in {scanned} files", violations.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn file(rel: &str, text: &str) -> (String, String) {
+        (rel.to_string(), text.to_string())
+    }
+
+    #[test]
+    fn function_value_clock_read_is_caught() {
+        let files = [
+            file(
+                "crates/a/src/lib.rs",
+                "fn f(on: bool) {\n    let t0 = on.then(Instant::now);\n}\n",
+            ),
+            file(
+                "crates/a/src/call.rs",
+                "fn g() { std::time::Instant::now(); }",
+            ),
+            file(
+                "crates/a/src/prose.rs",
+                "// Instant::now in prose\nfn h() { \"SystemTime::now\"; }",
+            ),
+        ];
+        let violations = lint(&files, &Allowlist::new());
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("crates/a/src/lib.rs:2: `Instant::now` read"));
+        assert!(violations[1].starts_with("crates/a/src/call.rs:1: `Instant::now` read"));
+
+        let allow = parse_allowlist("[clock]\ncrates/a/src/lib.rs\ncrates/a/src/call.rs\n");
+        assert_eq!(lint(&files, &allow), Vec::<String>::new());
+    }
+
+    #[test]
+    fn stale_allowlist_entry_is_caught() {
+        let files = [
+            file("crates/a/src/live.rs", "fn f() { unsafe { g() } }"),
+            file("crates/a/src/cleaned.rs", "fn f() { g() }"),
+        ];
+        let allow = parse_allowlist(
+            "[unsafe]\ncrates/a/src/live.rs\ncrates/a/src/cleaned.rs\ncrates/a/src/deleted.rs\n\
+             [clock]\ncrates/a/src/live.rs\n",
+        );
+        let violations = lint(&files, &allow);
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("stale [unsafe] entry crates/a/src/cleaned.rs"));
+        assert!(violations[1].contains("stale [unsafe] entry crates/a/src/deleted.rs"));
+        assert!(violations[2].contains("stale [clock] entry crates/a/src/live.rs"));
     }
 }

@@ -1,11 +1,11 @@
-//! Property test for the direct-threaded dispatch tier: specializing
-//! the verified plan into closure code must be completely unobservable.
-//! For every Table 2 model, under every Fig. 10 ablation schedule, over
-//! random forests, a threaded engine (the default), a pc-dispatch
-//! engine (`threaded: false`) and the AST-walking interp oracle must
-//! produce bit-identical outputs AND bit-identical `Profile` counters —
-//! both solo and through a depth-16 serving batch, where the plan
-//! runtimes park and resume at super-wave flushes.
+//! Property test for the plan runtime's dispatch: lowering to the flat
+//! `Program` and executing it by program counter must be completely
+//! unobservable. For every Table 2 model, under every Fig. 10 ablation
+//! schedule, over random forests, the pc engine (the default) and the
+//! AST-walking interp oracle must produce bit-identical outputs AND
+//! bit-identical `Profile` counters — both solo and through a depth-16
+//! serving batch, where the pc runtime parks and resumes at super-wave
+//! flushes.
 
 use cortex_backend::exec::{Engine, ExecOptions};
 use cortex_bench_harness::experiments::fig10::ablation_schedules;
@@ -26,12 +26,8 @@ const ALL_MODELS: [ModelId; 9] = [
 ];
 
 #[test]
-fn threaded_tier_is_unobservable_across_models_schedules_and_batching() {
+fn pc_runtime_matches_oracle_across_models_schedules_and_batching() {
     let mut rng = Rng::new(0x7D15);
-    let pc_opts = ExecOptions {
-        threaded: false,
-        ..ExecOptions::default()
-    };
     for id in ALL_MODELS {
         let model = id.build(10);
         for (sched, schedule) in ablation_schedules() {
@@ -39,19 +35,8 @@ fn threaded_tier_is_unobservable_across_models_schedules_and_batching() {
             let program = model
                 .lower(&schedule)
                 .unwrap_or_else(|e| panic!("{ctx}: lower failed: {e}"));
-            let mut threaded = Engine::new(&program);
-            let mut pc = Engine::with_options(&program, pc_opts);
+            let mut pc = Engine::new(&program);
             let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
-
-            assert!(
-                threaded.plan_stats().threaded_ops > 0,
-                "{ctx}: default engine must specialize"
-            );
-            assert_eq!(
-                pc.plan_stats().threaded_ops,
-                0,
-                "{ctx}: pc engine must not specialize"
-            );
 
             // Solo over a random forest.
             let seed = rng.next_u64();
@@ -59,31 +44,21 @@ fn threaded_tier_is_unobservable_across_models_schedules_and_batching() {
             let lin = Linearizer::new()
                 .linearize(&structure)
                 .unwrap_or_else(|e| panic!("{ctx}: linearize failed: {e}"));
-            let (out_t, prof_t) = threaded.execute(&lin, &model.params, true).unwrap();
             let (out_p, prof_p) = pc.execute(&lin, &model.params, true).unwrap();
             let (out_o, prof_o) = oracle.execute(&lin, &model.params, true).unwrap();
             assert_eq!(prof_p, prof_o, "{ctx} (seed {seed}): pc vs oracle Profile");
-            assert_eq!(
-                prof_t, prof_o,
-                "{ctx} (seed {seed}): threaded vs oracle Profile"
-            );
-            assert_eq!(out_t.len(), out_o.len(), "{ctx}: output set");
+            assert_eq!(out_p.len(), out_o.len(), "{ctx}: output set");
             for (tid, t_o) in &out_o {
                 assert_eq!(
                     out_p.get(tid),
                     Some(t_o),
                     "{ctx} (seed {seed}): pc tensor {tid:?}"
                 );
-                assert_eq!(
-                    out_t.get(tid),
-                    Some(t_o),
-                    "{ctx} (seed {seed}): threaded tensor {tid:?}"
-                );
             }
 
-            // Depth-16 serving batch: the threaded tier must park and
-            // resume (a plain value: step index + loop records) exactly
-            // where the pc tier does.
+            // Depth-16 serving batch: a parked pc request is a plain
+            // value (pc + loop records) and must resume exactly where
+            // the oracle's frame machine does.
             let batch_seed = rng.next_u64();
             let structures: Vec<_> = (0..16)
                 .map(|i| id.dataset(1, batch_seed.wrapping_add(i)))
@@ -93,32 +68,18 @@ fn threaded_tier_is_unobservable_across_models_schedules_and_batching() {
                 .map(|s| Linearizer::new().linearize(s).unwrap())
                 .collect();
             let refs: Vec<&_> = lins.iter().collect();
-            let many_t = threaded.execute_many(&refs, &model.params, true).unwrap();
             let many_p = pc.execute_many(&refs, &model.params, true).unwrap();
             let many_o = oracle.execute_many(&refs, &model.params, true).unwrap();
             for (r, (out_o, prof_o)) in many_o.iter().enumerate() {
                 assert_eq!(&many_p[r].1, prof_o, "{ctx}: request {r} pc Profile");
-                assert_eq!(&many_t[r].1, prof_o, "{ctx}: request {r} threaded Profile");
                 for (tid, t_o) in out_o {
                     assert_eq!(
                         many_p[r].0.get(tid),
                         Some(t_o),
                         "{ctx}: request {r} pc tensor {tid:?}"
                     );
-                    assert_eq!(
-                        many_t[r].0.get(tid),
-                        Some(t_o),
-                        "{ctx}: request {r} threaded tensor {tid:?}"
-                    );
                 }
             }
-
-            let st = threaded.stats();
-            assert!(
-                st.threaded_ops > 0,
-                "{ctx}: threaded stats must report table"
-            );
-            assert_eq!(pc.stats().threaded_ops, 0, "{ctx}: pc stats stay zero");
         }
     }
 }

@@ -202,29 +202,17 @@ fn run_interleaving(model: &Model, gen_input: &dyn Fn(&mut Rng) -> RecStructure,
                 clock.advance(Duration::from_millis(rng.below_usize(12) as u64));
             }
             // mid-stream executor reconfiguration: results must stay
-            // bit-identical under any of these configurations —
-            // including dropping from the direct-threaded dispatch
-            // table to the pc loop (and back) while faults inject at
-            // the same sites in both tiers
+            // bit-identical under any of these configurations
             _ => {
-                let flip = rng.below_usize(5);
+                let flip = rng.below_usize(3);
                 batcher.set_exec_options(match flip {
                     0 => ExecOptions::default(),
                     1 => ExecOptions {
                         bulk: false,
                         ..ExecOptions::default()
                     },
-                    2 => ExecOptions {
-                        gate_stacking: false,
-                        ..ExecOptions::default()
-                    },
-                    3 => ExecOptions {
-                        threaded: false,
-                        ..ExecOptions::default()
-                    },
                     _ => ExecOptions {
-                        threaded: false,
-                        bulk: false,
+                        gate_stacking: false,
                         ..ExecOptions::default()
                     },
                 });

@@ -211,42 +211,6 @@ fn treelstm_gemm_count_drops_three_fold_with_stacking() {
     );
 }
 
-/// The min-wave-width heuristic: an engine that skips every wave must
-/// behave exactly like the scalar fastdot path (outputs and `Profile`
-/// both), and report that it batched nothing.
-#[test]
-fn min_wave_width_skip_is_equivalent_to_scalar_path() {
-    let mut rng = Rng::new(0x55);
-    for _ in 0..6 {
-        let h = rng.range_usize(3, 16);
-        let model = treelstm::tree_lstm(h, LeafInit::Embedding);
-        let structure = structure_for(&model, &mut rng);
-        let program = model.lower(&RaSchedule::default()).unwrap();
-        let lin = Linearizer::new().linearize(&structure).unwrap();
-
-        let mut skipping = Engine::with_options(
-            &program,
-            ExecOptions {
-                min_wave_width: usize::MAX,
-                ..ExecOptions::default()
-            },
-        );
-        let (out_k, prof_k) = skipping.execute(&lin, &model.params, true).unwrap();
-        let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
-            .execute(&lin, &model.params, true)
-            .unwrap();
-        let ctx = format!("TreeLSTM h={h} all waves skipped");
-        for (id, t_s) in &out_s {
-            assert!(out_k[id].all_close(t_s, 1e-5), "{ctx}");
-        }
-        assert_profiles_identical(&prof_s, &prof_k, &ctx);
-        let st = skipping.stats();
-        assert_eq!(st.wave_gemms, 0, "{ctx}: no GEMM may launch");
-        assert_eq!(st.sites_batched, 0);
-        assert!(st.narrow_waves_skipped > 0, "{ctx}: skips must be counted");
-    }
-}
-
 #[test]
 fn executors_agree_across_random_schedules() {
     use cortex::core::ra::{BarrierMode, LeafCheckMode};
@@ -813,65 +777,36 @@ fn engine_reuse_across_runs_is_stable() {
     }
 }
 
-/// The runtime tiers' correctness bar: the direct-threaded closure
-/// tier (the default), the pc dispatch loop (`threaded: false`) and the
-/// AST-walking oracle (`ExecOptions { interp: true }`) must agree
-/// **bit-for-bit** — outputs and complete `Profile`s — on every model,
-/// both solo and through a depth-16 serving batch (where the plan
-/// runtimes park/resume at super-wave flushes). Also asserts the
-/// lowering is total (zero AST-fallback ops, no `ScalarStmt` escapes
-/// ran) and that specialization actually happened: the threaded engine
-/// reports a non-empty dispatch table, the pc engine reports none.
+/// The plan runtime's correctness bar: the pc dispatch loop (the
+/// default) and the AST-walking oracle (`ExecOptions { interp: true }`)
+/// must agree **bit-for-bit** — outputs and complete `Profile`s — on
+/// every model, both solo and through a depth-16 serving batch (where
+/// the pc runtime parks/resumes at super-wave flushes).
 #[test]
 fn plan_runtime_matches_interp_oracle_on_all_models() {
     let mut rng = Rng::new(0x61);
-    let pc_opts = ExecOptions {
-        threaded: false,
-        ..ExecOptions::default()
-    };
-    let oracle_opts = ExecOptions {
-        interp: true,
-        ..ExecOptions::default()
-    };
     for case in 0..3 {
         let h = rng.range_usize(3, 12);
         for model in models(h) {
             let program = model.lower(&RaSchedule::default()).unwrap();
-            let mut threaded = Engine::new(&program);
-            let mut pc = Engine::with_options(&program, pc_opts);
-            let mut oracle = Engine::with_options(&program, oracle_opts);
+            let mut pc = Engine::new(&program);
+            let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
             let ctx = format!("{} h={h} case={case}", model.name);
 
-            let ps = pc.plan_stats();
-            assert!(ps.plan_ops > 0, "{ctx}: kernels must lower to a plan");
-            assert_eq!(
-                ps.interp_fallback_stmts, 0,
-                "{ctx}: the lowering must be total"
-            );
-            assert_eq!(ps.threaded_ops, 0, "{ctx}: pc engine must not specialize");
             assert!(
-                threaded.plan_stats().threaded_ops > 0,
-                "{ctx}: the default engine must carry a dispatch table"
+                pc.plan_stats().plan_ops > 0,
+                "{ctx}: kernels must lower to a plan"
             );
 
             // Solo.
             let structure = structure_for(&model, &mut rng);
             let lin = Linearizer::new().linearize(&structure).unwrap();
-            let (out_t, prof_t) = threaded.execute(&lin, &model.params, true).unwrap();
             let (out_p, prof_p) = pc.execute(&lin, &model.params, true).unwrap();
             let (out_o, prof_o) = oracle.execute(&lin, &model.params, true).unwrap();
             for (id, t_o) in &out_o {
                 assert_eq!(&out_p[id], t_o, "{ctx}: solo pc outputs bit-exact");
-                assert_eq!(&out_t[id], t_o, "{ctx}: solo threaded outputs bit-exact");
             }
             assert_eq!(prof_p, prof_o, "{ctx}: solo pc profile identical");
-            assert_eq!(prof_t, prof_o, "{ctx}: solo threaded profile identical");
-            assert_eq!(pc.stats().interp_stmts, 0, "{ctx}: no AST escapes ran");
-            assert_eq!(
-                threaded.stats().interp_stmts,
-                0,
-                "{ctx}: no AST escapes ran"
-            );
 
             // Depth-16 serving batch (mixed shapes and depths).
             let structures: Vec<RecStructure> =
@@ -881,22 +816,13 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
                 .map(|s| Linearizer::new().linearize(s).unwrap())
                 .collect();
             let refs: Vec<&_> = lins.iter().collect();
-            let many_t = threaded.execute_many(&refs, &model.params, true).unwrap();
             let many_p = pc.execute_many(&refs, &model.params, true).unwrap();
             let many_o = oracle.execute_many(&refs, &model.params, true).unwrap();
             for (r, ((op_, pp), (oo, po))) in many_p.iter().zip(&many_o).enumerate() {
                 for (id, t_o) in oo {
                     assert_eq!(&op_[id], t_o, "{ctx}: request {r} pc outputs bit-exact");
-                    assert_eq!(
-                        &many_t[r].0[id], t_o,
-                        "{ctx}: request {r} threaded outputs bit-exact"
-                    );
                 }
                 assert_eq!(pp, po, "{ctx}: request {r} pc profile identical");
-                assert_eq!(
-                    &many_t[r].1, po,
-                    "{ctx}: request {r} threaded profile identical"
-                );
             }
         }
     }
@@ -953,12 +879,10 @@ fn pc_suspension_parks_mid_wave_and_resumes_exactly() {
 /// Reconfiguring a live engine must behave exactly like building a
 /// fresh engine with the new options: lowering-relevant knobs
 /// (`wave_gemm`, `gate_stacking`) rebuild the plans and drop
-/// grouping-shaped caches, `threaded` rebuilds (or drops) the
-/// specialized dispatch table, and runtime knobs (`bulk`,
-/// `nonlinearity`, `min_wave_width`, `interp`) switch paths without
-/// stale compiled state. Every knob — `fastdot` included, via the generic
-/// configuration — is flipped on one engine whose caches were warmed
-/// under the previous configuration.
+/// grouping-shaped caches, and runtime knobs (`bulk`, `nonlinearity`,
+/// `interp`) switch paths without stale compiled state. Every knob —
+/// `fastdot` included, via the generic configuration — is flipped on
+/// one engine whose caches were warmed under the previous configuration.
 #[test]
 fn set_options_matches_fresh_engine_for_every_knob() {
     let model = treelstm::tree_lstm(10, LeafInit::Embedding);
@@ -980,31 +904,10 @@ fn set_options_matches_fresh_engine_for_every_knob() {
         ),
         ("nonlinearity rational", ExecOptions::rational()),
         (
-            "min_wave_width max",
-            ExecOptions {
-                min_wave_width: usize::MAX,
-                ..ExecOptions::default()
-            },
-        ),
-        (
             "interp oracle",
             ExecOptions {
                 interp: true,
                 ..ExecOptions::default()
-            },
-        ),
-        (
-            "threaded off (pc dispatch)",
-            ExecOptions {
-                threaded: false,
-                ..ExecOptions::default()
-            },
-        ),
-        (
-            "threaded off, wave_gemm off",
-            ExecOptions {
-                threaded: false,
-                ..ExecOptions::scalar()
             },
         ),
         ("default again", ExecOptions::default()),
@@ -1048,18 +951,6 @@ fn set_options_matches_fresh_engine_for_every_knob() {
         assert_eq!(
             live_stats.fused_waves, fresh_stats.fused_waves,
             "{name}: fused epilogues must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.narrow_waves_skipped, fresh_stats.narrow_waves_skipped,
-            "{name}: min-width skips must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.threaded_ops, fresh_stats.threaded_ops,
-            "{name}: specialized dispatch table must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.fused_scalar_runs, fresh_stats.fused_scalar_runs,
-            "{name}: scalar-run fusion must match a fresh engine"
         );
     }
 }
