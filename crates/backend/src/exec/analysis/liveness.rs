@@ -480,17 +480,9 @@ fn collect_stmt_slots(s: &Stmt, out: &mut Vec<u32>) {
         }
     };
     match s {
-        Stmt::For {
-            var, extent, body, ..
-        } => {
+        Stmt::For { var, extent: e, .. } | Stmt::Let { var, value: e, .. } => {
             push(var.id(), out);
-            effects::idx_slots(extent, &mut Vec::new(), out);
-            body.iter().for_each(|st| collect_stmt_slots(st, out));
-        }
-        Stmt::Let { var, value, body } => {
-            push(var.id(), out);
-            effects::idx_slots(value, &mut Vec::new(), out);
-            body.iter().for_each(|st| collect_stmt_slots(st, out));
+            effects::idx_slots(e, &mut Vec::new(), out);
         }
         Stmt::Store { index, value, .. } => {
             for dim in index {
@@ -502,19 +494,8 @@ fn collect_stmt_slots(s: &Stmt, out: &mut Vec<u32>) {
                 push(b, out);
             }
         }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            effects::bool_slots(cond, &mut Vec::new(), out);
-            then_branch
-                .iter()
-                .for_each(|st| collect_stmt_slots(st, out));
-            else_branch
-                .iter()
-                .for_each(|st| collect_stmt_slots(st, out));
-        }
+        Stmt::If { cond, .. } => effects::bool_slots(cond, &mut Vec::new(), out),
         Stmt::Barrier => {}
     }
+    s.children().for_each(|st| collect_stmt_slots(st, out));
 }

@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use cortex_core::expr::{IdxBinOp, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::Stmt;
 
-use super::super::bulk::{BulkExpr, FusedLoop};
+use super::super::bulk::{Cells, Instr, RowProgram};
 use super::effects::{self, region_of_idx, RegionDim};
 
 /// A parallel-safety certificate for one wave body or fused row pass.
@@ -55,8 +55,8 @@ pub enum SeqReason {
     /// iteration-unique slot (arithmetic over the counter, a child
     /// indirection, an opaque function) — two iterations may collide.
     WriteRowAliased,
-    /// Two fused passes store the same tensor with different index
-    /// patterns, so pass-order interchange is not per-row sequential.
+    /// Two fused statements store the same tensor with different index
+    /// patterns.
     StorePatternMismatch,
     /// A read of an iteration-written tensor lands on a row another
     /// iteration may be writing.
@@ -331,21 +331,20 @@ fn injective_in(e: &IdxExpr, n: Var) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Fused row passes
+// Fused row programs
 // ---------------------------------------------------------------------
 
-/// Certifies a fused wave's row passes: whether running the body
-/// statements as whole-wave passes (loop interchange) is
+/// Certifies a fused wave's row program: whether serving the body's
+/// statements together, tile by tile within each node's row, is
 /// observationally identical to per-node interpretation — and, the same
-/// condition, whether one pass's rows may be served concurrently.
+/// condition, whether the wave's rows may be served concurrently.
 ///
 /// Requirements, each mapped to its [`SeqReason`]:
 ///
 /// * every store targets a node-unique row (some non-feature index
-///   position rides the wave variable), so no two nodes' passes write
-///   the same cell — else [`SeqReason::WriteRowShared`];
-/// * passes storing one tensor share one index pattern, so pass order
-///   coincides with body order per row — else
+///   position rides the wave variable), so no two nodes write the same
+///   cell — else [`SeqReason::WriteRowShared`];
+/// * statements storing one tensor share one index pattern — else
 ///   [`SeqReason::StorePatternMismatch`];
 /// * every load of a body-stored tensor either stays within its own
 ///   node's row (non-feature index positions structurally equal to the
@@ -357,80 +356,57 @@ fn injective_in(e: &IdxExpr, n: Var) -> bool {
 /// when this certifies [`ParSafety::RowDisjoint`], so every fused wave
 /// stored in a program carries — and `verify` re-derives — a
 /// row-disjoint certificate.
-pub(crate) fn certify_fused(loops: &[FusedLoop], n_idx: Var, node: Option<Var>) -> ParSafety {
+pub(crate) fn certify_fused(prog: &RowProgram, n_idx: Var, node: Option<Var>) -> ParSafety {
     use crate::fastdot::idx_uses_var;
-    let mut stores: HashMap<TensorId, (&[IdxExpr], usize)> = HashMap::new();
-    for fl in loops {
-        let p = &fl.plan;
+    let instrs = || prog.passes.iter().flat_map(|p| &p.instrs);
+    // The first store of every stored tensor (a handful: no map needed).
+    let mut stores: Vec<&Cells> = Vec::new();
+    for ins in instrs() {
+        let Instr::Store { cells, .. } = ins else {
+            continue;
+        };
         // A store must hit a different row for every node of the wave.
-        let node_dep = p.index.iter().enumerate().any(|(d, e)| {
-            d != p.i_pos && (idx_uses_var(e, n_idx) || node.is_some_and(|nv| idx_uses_var(e, nv)))
+        let node_dep = cells.index.iter().enumerate().any(|(d, e)| {
+            Some(d) != cells.i_pos
+                && (idx_uses_var(e, n_idx) || node.is_some_and(|nv| idx_uses_var(e, nv)))
         });
         if !node_dep {
             return ParSafety::Sequential {
                 reason: SeqReason::WriteRowShared,
             };
         }
-        match stores.entry(p.tensor) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let &(idx, ipos) = e.get();
-                if idx != p.index.as_slice() || ipos != p.i_pos {
-                    return ParSafety::Sequential {
-                        reason: SeqReason::StorePatternMismatch,
-                    };
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((p.index.as_slice(), p.i_pos));
-            }
-        }
-    }
-    for fl in loops {
-        if !fused_loads_disjoint(&fl.plan.expr, &stores, n_idx, node) {
+        let Some(first) = stores.iter().find(|s| s.tensor == cells.tensor) else {
+            stores.push(cells);
+            continue;
+        };
+        if *first != cells {
             return ParSafety::Sequential {
-                reason: SeqReason::ReadOverlapsWrites,
+                reason: SeqReason::StorePatternMismatch,
             };
         }
     }
-    ParSafety::RowDisjoint
-}
-
-fn fused_loads_disjoint(
-    e: &BulkExpr,
-    stores: &HashMap<TensorId, (&[IdxExpr], usize)>,
-    n_idx: Var,
-    node: Option<Var>,
-) -> bool {
-    match e {
-        BulkExpr::Load { tensor, index, .. } => {
-            let Some(&(s_idx, s_ipos)) = stores.get(tensor) else {
-                return true; // not written by this wave body
-            };
-            if index.len() != s_idx.len() {
-                return false;
-            }
-            index.iter().enumerate().all(|(d, ix)| {
+    let loads_disjoint = instrs().all(|ins| {
+        let Instr::Load { cells, .. } = ins else {
+            return true; // constants, memo rows and guards load no tensors
+        };
+        let Some(store) = stores.iter().find(|s| s.tensor == cells.tensor) else {
+            return true; // not written by this wave body
+        };
+        cells.index.len() == store.index.len()
+            && cells.index.iter().enumerate().all(|(d, ix)| {
                 // Within the stored row's feature dimension, any element
                 // is same-row; elsewhere the coordinate must match the
                 // store's (same node row) or be an earlier-wave child
                 // row.
-                d == s_ipos
-                    || *ix == s_idx[d]
+                Some(d) == store.i_pos
+                    || *ix == store.index[d]
                     || crate::wave::is_wave_child_indirection(ix, n_idx, node)
             })
-        }
-        BulkExpr::Const(_) | BulkExpr::MemoSum(_) => true,
-        BulkExpr::Unary(_, a) => fused_loads_disjoint(a, stores, n_idx, node),
-        BulkExpr::Bin(_, a, b) => {
-            fused_loads_disjoint(a, stores, n_idx, node)
-                && fused_loads_disjoint(b, stores, n_idx, node)
-        }
-        // Guard conditions load no tensors.
-        BulkExpr::Select {
-            then, otherwise, ..
-        } => {
-            fused_loads_disjoint(then, stores, n_idx, node)
-                && fused_loads_disjoint(otherwise, stores, n_idx, node)
-        }
+    });
+    if !loads_disjoint {
+        return ParSafety::Sequential {
+            reason: SeqReason::ReadOverlapsWrites,
+        };
     }
+    ParSafety::RowDisjoint
 }

@@ -1,169 +1,264 @@
-//! Bulk feature-loop serving and fused whole-wave epilogues.
+//! The compiled epilogue: flat row programs over column tiles.
 //!
-//! A compiled feature-store loop `for i in 0..H { t[…, i] = expr(i) }`
-//! whose body the executor can serve with strided row passes instead of
-//! `H` interpreted element walks: every `Sum` is served from an active
-//! wave GEMM, every load is a plain `i`-strided stream, and the
-//! per-element profile counters are *uniform in `i`* (no
-//! feature-dependent selects, no counting uninterpreted functions), so
-//! the exact scalar accounting is replayed in bulk (`×H`). This is the
-//! interpreter's stand-in for the vectorized elementwise epilogue
-//! generated code would fuse after the wave GEMM — without it,
-//! serving-side batching wins drown in per-element interpretation
-//! overhead.
+//! A feature-store loop `for i in 0..H { t[…, i] = expr(i) }` that can be
+//! served a whole row at a time — every `Sum` comes from an active wave
+//! GEMM, every load is a plain `i`-strided stream, and the per-element
+//! profile counters are *uniform in `i`* (no feature-dependent selects,
+//! no counting uninterpreted functions) — is lowered at engine build,
+//! straight from its `ValExpr`, into a linear register program
+//! ([`RowProgram`]). A parallel `d_batch` wave loop whose **whole body**
+//! lowers this way becomes one program ([`FusedWave`]) — the host
+//! backend's form of the paper's fused cell kernel (§4–§5), whose
+//! intermediates never round-trip through memory — and its feature
+//! loops' own programs are views of that one.
 //!
-//! Compilation ([`compile_bulk`], [`plan_fused_wave`]) runs once per
-//! engine; execution ([`Interp::exec_bulk`], [`Interp::exec_fused_wave`])
-//! is shared by both runtimes.
+//! Registers are [`TILE`]-lane column tiles in one engine-owned scratch.
+//! A pass's arithmetic is a [`TileOp`] list fixed at lowering. Per row,
+//! [`Interp::exec_row_program`] *resolves* what varies — addresses, memo
+//! rows and scales, which arm of each feature-invariant `Select` runs,
+//! and the exact `×H` `Profile` counter deltas of the per-element walk
+//! — then runs tile by tile: inputs copied in, each taken stretch of
+//! the op list as one vectorized
+//! [`run_tile`](cortex_tensor::simd::run_tile) call (one in all for a
+//! select-free pass), results copied out. A later statement's read of
+//! an earlier statement's own-row store (LSTM `c` → `h`) is forwarded
+//! from the register that still holds it. Values are bit-identical to
+//! per-element evaluation: each element comes from the same operation
+//! tree, and every operator is the one lane-generic definition of
+//! [`cortex_tensor::approx`].
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr};
+use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr, Var};
 use cortex_core::ilir::Stmt;
-use cortex_tensor::approx::NonlinearityMode;
+use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
-use super::gather::GroupOut;
+use super::analysis::parsafety::{certify_fused, ParSafety};
 use super::interp::Interp;
 
-/// A compiled feature-store loop (see module docs).
-pub(crate) struct BulkPlan {
-    /// Loop extent `H`.
-    pub(crate) h: usize,
-    /// Slot of the loop variable `i`.
-    pub(crate) feat_slot: usize,
-    /// Stored tensor and its index (position `i_pos` is `i`).
+/// A tile register (an index into the scratch's [`TILE`]-lane columns).
+type Reg = u16;
+
+/// The cells `tensor[index]` one row streams: the feature variable `i`
+/// rides position `i_pos` (or is absent — a loop-invariant broadcast),
+/// where `index` holds a placeholder — so equal `Cells` address the same
+/// cell for equal feature indices, whatever each loop calls its `i`.
+#[derive(Clone, PartialEq)]
+pub(crate) struct Cells {
     pub(crate) tensor: TensorId,
     pub(crate) index: Vec<IdxExpr>,
-    pub(crate) i_pos: usize,
-    /// The stored value as a bulk-evaluable expression tree.
-    pub(crate) expr: BulkExpr,
-    /// `Sum` body keys that must be memo-active for the plan to run.
+    pub(crate) i_pos: Option<usize>,
+}
+
+impl Cells {
+    /// Validates an access for row serving: at most one position is the
+    /// plain variable `i`; every other position must be `i`-free and
+    /// counter-free (it is evaluated once instead of once per element).
+    fn new(tensor: TensorId, index: &[IdxExpr], feat: Var) -> Option<Cells> {
+        let mut i_pos = None;
+        for (d, e) in index.iter().enumerate() {
+            let rides = matches!(e, IdxExpr::Var(v) if *v == feat);
+            if rides && i_pos.is_none() {
+                i_pos = Some(d);
+            } else if rides
+                || crate::fastdot::idx_uses_var(e, feat)
+                || crate::wave::idx_has_counting_ufn(e)
+            {
+                return None;
+            }
+        }
+        let mut index = index.to_vec();
+        if let Some(d) = i_pos {
+            index[d] = IdxExpr::Const(i64::MIN); // no real coordinate; never evaluated
+        }
+        Some(Cells {
+            tensor,
+            index,
+            i_pos,
+        })
+    }
+}
+
+/// One instruction of a [`RowPass`].
+pub(crate) enum Instr {
+    /// Stream `cells` into `dst`. A `forwarded` load reads the very
+    /// cells an earlier statement of this pass stored: the value is
+    /// already in `dst` (that statement's result register), only
+    /// accounting remains.
+    Load {
+        dst: Reg,
+        cells: Cells,
+        forwarded: bool,
+    },
+    /// A reduction served from the wave memo (`Sum` body address), in
+    /// the statement whose feature variable lives in `feat_slot`.
+    Memo {
+        dst: Reg,
+        key: usize,
+        feat_slot: usize,
+    },
+    /// Pure register arithmetic: `ops[from..to]` of the pass, whose
+    /// non-move operators charge `flops` (already `×H`) per row.
+    Ops {
+        from: usize,
+        to: usize,
+        flops: u64,
+    },
+    /// A value-level select whose condition is feature-invariant (the
+    /// DAG guard `select(slot < nc(n), …, 0)`): one evaluation per row,
+    /// its counters replayed `×H`, decides every lane. Execution skips
+    /// to `else_at` when it fails; the taken arm ends in an
+    /// [`Instr::Jump`] over the other.
+    Select {
+        cond: BoolExpr,
+        else_at: usize,
+    },
+    Jump(usize),
+    /// The statement's store (its cells always ride `i`) from `src`.
+    Store {
+        src: Reg,
+        cells: Cells,
+    },
+}
+
+/// Body statements that run together, tile by tile, in one sweep over
+/// the row.
+pub(crate) struct RowPass {
+    /// Loop extent `H`.
+    pub(crate) h: usize,
+    /// `(slot, extent)` of the outer feature loop wrapping a rank-2
+    /// store (`for i { for j { A[n,i,j] = … } }`): the pass repeats once
+    /// per `i`.
+    pub(crate) outer: Option<(usize, usize)>,
+    pub(crate) instrs: Vec<Instr>,
+    /// The pass's straight-line arithmetic, fixed at lowering: per row
+    /// only *which* [`Instr::Ops`] runs execute is decided (selects).
+    pub(crate) ops: Vec<TileOp>,
+    /// Where in `instrs` the stores are: one per statement, at its end.
+    pub(crate) stores: Vec<usize>,
+    /// Tile registers the pass uses. A register has one writer; a
+    /// statement's result stays live to the end of the tile, where the
+    /// stores happen.
+    pub(crate) regs: Reg,
+}
+
+/// A compiled feature-store loop, or the whole body of a fused wave
+/// (see module docs).
+pub(crate) struct RowProgram {
+    pub(crate) passes: Rc<[RowPass]>,
+    /// `Some((pass, start, end))` makes this the stand-alone program of
+    /// one statement of a fused wave — a view of the wave's own
+    /// instructions `start..end` (nothing is lowered twice), run
+    /// without the outer repeat and with forwarded loads read from
+    /// memory.
+    pub(crate) only: Option<(usize, usize, usize)>,
+    /// `Sum` body keys that must be memo-active for the program to run.
     pub(crate) sum_keys: Vec<usize>,
 }
 
-/// One node of a bulk-evaluable expression.
-pub(crate) enum BulkExpr {
-    Const(f32),
-    /// A load with `i` at `i_pos` as a plain variable (or absent —
-    /// a loop-invariant broadcast).
-    Load {
-        tensor: TensorId,
-        index: Vec<IdxExpr>,
-        i_pos: Option<usize>,
-    },
-    /// A reduction served from the wave memo (`Sum` body address).
-    MemoSum(usize),
-    Unary(cortex_core::expr::UnaryOp, Box<BulkExpr>),
-    Bin(cortex_core::expr::BinOp, Box<BulkExpr>, Box<BulkExpr>),
-    /// A value-level select whose condition is feature-invariant: one
-    /// (masked) evaluation decides every lane of the row, with the
-    /// condition's counters replayed ×`h` — the branch-free form of the
-    /// DAG guard `select(slot < nc(n), …, 0)`.
-    Select {
-        cond: BoolExpr,
-        then: Box<BulkExpr>,
-        otherwise: Box<BulkExpr>,
-    },
-}
-
-/// A parallel `d_batch` (wave) loop whose **whole body** bulk-serves: an
-/// optional node binding plus one [`BulkPlan`] per body statement
-/// (rank-2 store nests keep their outer feature loop in
-/// [`FusedLoop::outer`]). The executor runs it as loop-interchanged row
-/// passes — pass `p` serves statement `p` for every node of the wave —
-/// instead of `wave_len` per-node body walks, so per-loop constants
-/// (plan lookup, pool round-trips) amortize over the wave, and in
-/// `run_many` over every parked request of a super-wave flush. The
-/// interchange is valid because the parallel-safety certifier
-/// ([`certify_fused`](super::analysis::parsafety::certify_fused))
-/// restricts cross-statement reads to each node's own rows (pass order
-/// ≡ body order per row) or strictly-earlier-wave rows (child
-/// indirections); all profile counters are order-independent sums, so
-/// the `Profile` is bit-identical to per-node interpretation.
+/// A parallel `d_batch` (wave) loop whose **whole body** lowers into one
+/// [`RowProgram`], served row by row — node order, like per-node
+/// interpretation — with statements that read each other's own-row
+/// stores sharing a tile sweep. That is valid because [`certify_fused`]
+/// restricts cross-statement reads to each node's own rows or
+/// strictly-earlier-wave rows (child indirections); profile counters
+/// are order-independent sums, so the `Profile` is bit-identical too.
 pub(crate) struct FusedWave {
     /// Slot of the wave loop variable.
     pub(crate) n_idx_slot: usize,
-    /// The `let node = value` binding directly under the loop. Its value
-    /// is counter-free (checked at plan time), so re-evaluating it once
-    /// per (pass, node) instead of once per node is invisible.
+    /// The `let node = value` binding directly under the loop; its value
+    /// is counter-free (checked at plan time).
     pub(crate) node_let: Option<(usize, IdxExpr)>,
-    /// One entry per body statement, in body order.
-    pub(crate) loops: Vec<FusedLoop>,
+    pub(crate) prog: RowProgram,
+    /// Bytes one node's row streams through the tile registers, counted
+    /// at lowering (see [`RowProgram::stream_bytes`]).
+    pub(crate) bytes_per_row: u64,
 }
 
-/// One fused body statement: a bulk-served feature loop, with the outer
-/// loop of a rank-2 store nest if present.
-pub(crate) struct FusedLoop {
-    /// `(slot, extent)` of the outer feature loop wrapping a rank-2
-    /// store (`for i { for j { A[n,i,j] = … } }` serves the inner loop
-    /// once per `i`).
-    pub(crate) outer: Option<(usize, usize)>,
-    pub(crate) plan: Rc<BulkPlan>,
+/// The tile registers and the per-row resolved form of a pass —
+/// engine-owned scratch, recycled across rows, waves and runs.
+#[derive(Default)]
+pub(crate) struct TileScratch {
+    regs: Vec<f32>,
+    loads: Vec<(Reg, Source)>,
+    /// The `ops[from..to]` runs of the pass this row executes.
+    runs: Vec<(usize, usize)>,
+    stores: Vec<(Reg, Strided)>,
 }
 
-/// Compiles every feature loop under `stmt` into the engine-lifetime
-/// bulk-plan map, keyed by `(kernel index, statement address)`.
-pub(crate) fn collect_bulk_plans(
-    stmt: &Stmt,
+/// `data[base + i·stride]` of a tensor buffer.
+struct Strided {
+    tensor: usize,
+    base: usize,
+    stride: usize,
+}
+
+/// A resolved input stream of one row.
+enum Source {
+    Tensor(Strided),
+    /// One value in every lane: a loop-invariant load, a zeroed memo
+    /// row, or a memo column bound outside the loop.
+    Splat(f32),
+    /// `scale · rows[at + i]` of a wave GEMM result.
+    Memo {
+        group: usize,
+        at: usize,
+        scale: f32,
+    },
+    /// A rank-2 site whose row-side dimension rides this loop: element
+    /// `i` comes from result row `row0 + i`, each with its own metadata.
+    MemoColumn {
+        site: usize,
+        row0: usize,
+        col: usize,
+    },
+}
+
+impl FusedWave {
+    /// Derives the parallel-safety certificate of the wave's row program.
+    pub(crate) fn certify(&self) -> ParSafety {
+        let node = self.node_let.as_ref().map(|(slot, _)| *slot as u32);
+        let n_idx = Var::from_raw(self.n_idx_slot as u32);
+        certify_fused(&self.prog, n_idx, node.map(Var::from_raw))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lowering
+// ---------------------------------------------------------------------
+
+/// Compiles every feature loop of a kernel body into `bulk` and every
+/// fusable wave loop into `fused`, keyed by `(kernel index, statement
+/// address)` for the engine's lifetime.
+pub(crate) fn collect_row_programs(
+    body: &[Stmt],
     kernel: usize,
-    out: &mut HashMap<(usize, usize), Rc<BulkPlan>>,
+    bulk: &mut HashMap<(usize, usize), Rc<RowProgram>>,
+    fused: &mut HashMap<(usize, usize), Rc<FusedWave>>,
 ) {
-    if let Some(plan) = compile_bulk(stmt) {
-        out.insert((kernel, stmt as *const Stmt as usize), Rc::new(plan));
-    }
-    match stmt {
-        Stmt::For { body, .. } | Stmt::Let { body, .. } => {
-            body.iter().for_each(|s| collect_bulk_plans(s, kernel, out));
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            for s in then_branch.iter().chain(else_branch) {
-                collect_bulk_plans(s, kernel, out);
+    for stmt in body {
+        stmt.visit(&mut |s| {
+            let key = (kernel, s as *const Stmt as usize);
+            if let Some((fw, loops)) = plan_fused_wave(s) {
+                // The wave's feature loops, served on their own when the
+                // wave cannot fuse at run time, share its instructions.
+                for (view, l) in fw.prog.statements().zip(loops) {
+                    bulk.insert((kernel, l as *const Stmt as usize), Rc::new(view));
+                }
+                fused.insert(key, Rc::new(fw));
+            } else if matches!(s, Stmt::For { .. }) && !bulk.contains_key(&key) {
+                if let Some(prog) = lower_row_program(&[(None, s)]) {
+                    bulk.insert(key, Rc::new(prog));
+                }
             }
-        }
-        Stmt::Store { .. } | Stmt::Barrier => {}
+        });
     }
 }
 
-/// Finds every fusable wave loop under `stmt`.
-pub(crate) fn collect_fused_waves(
-    stmt: &Stmt,
-    kernel: usize,
-    bulk: &HashMap<(usize, usize), Rc<BulkPlan>>,
-    out: &mut HashMap<(usize, usize), Rc<FusedWave>>,
-) {
-    if let Some(fw) = plan_fused_wave(stmt, kernel, bulk) {
-        out.insert((kernel, stmt as *const Stmt as usize), Rc::new(fw));
-        return; // loops under this statement belong to the fused wave
-    }
-    match stmt {
-        Stmt::For { body, .. } | Stmt::Let { body, .. } => {
-            body.iter()
-                .for_each(|s| collect_fused_waves(s, kernel, bulk, out));
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            for s in then_branch.iter().chain(else_branch) {
-                collect_fused_waves(s, kernel, bulk, out);
-            }
-        }
-        Stmt::Store { .. } | Stmt::Barrier => {}
-    }
-}
-
-/// Tries to compile a parallel `d_batch` loop into a [`FusedWave`].
-fn plan_fused_wave(
-    stmt: &Stmt,
-    kernel: usize,
-    bulk: &HashMap<(usize, usize), Rc<BulkPlan>>,
-) -> Option<FusedWave> {
+/// Tries to compile a parallel `d_batch` loop into a [`FusedWave`];
+/// also returns the body's feature loops, in statement order.
+fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
     let Stmt::For {
         var,
         kind: cortex_core::ilir::LoopKind::Parallel,
@@ -183,239 +278,371 @@ fn plan_fused_wave(
         }
         other => (None, other),
     };
-    if stmts.is_empty() {
-        return None;
-    }
-    // Re-evaluating the node binding once per (pass, node) instead of
-    // once per node must be counter-invisible.
+    // Evaluating the node binding outside the per-element walk must be
+    // counter-invisible.
     if let Some((_, value)) = &node_let {
         if crate::wave::idx_has_counting_ufn(value) {
             return None;
         }
     }
-    let mut loops = Vec::new();
-    for s in stmts {
-        if let Some(plan) = bulk.get(&(kernel, s as *const Stmt as usize)) {
-            loops.push(FusedLoop {
-                outer: None,
-                plan: plan.clone(),
-            });
-            continue;
-        }
-        // A rank-2 store nest: the *inner* loop carries the bulk plan,
-        // served once per outer feature index.
+    let loops: Vec<_> = stmts
+        .iter()
+        .map(|s| match s {
+            // A rank-2 store nest: the *inner* loop is the feature loop,
+            // served once per outer feature index.
+            Stmt::For {
+                var: ov,
+                extent: IdxExpr::Const(oh),
+                body: obody,
+                ..
+            } if *oh > 0 && matches!(obody.as_slice(), [Stmt::For { .. }]) => {
+                (Some((ov.id() as usize, *oh as usize)), &obody[0])
+            }
+            _ => (None, s),
+        })
+        .collect();
+    let prog = lower_row_program(&loops)?;
+    let fw = FusedWave {
+        n_idx_slot: var.id() as usize,
+        node_let,
+        bytes_per_row: prog.stream_bytes(),
+        prog,
+    };
+    // Only row-disjoint bodies fuse: sharing a sweep (and any future
+    // row-parallel execution) needs the certificate.
+    let loops = loops.into_iter().map(|(_, l)| l).collect();
+    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, loops))
+}
+
+/// Lowers a list of `(outer loop, feature loop)` body statements into
+/// one [`RowProgram`], or `None` if any of them does not row-serve.
+///
+/// Statements share a pass — one tile sweep, inputs hoisted to the
+/// front of each tile, stores deferred to its end — while that
+/// reordering is invisible: same extent, no outer loop, and every read
+/// of a tensor the pass stores is either forwarded (the very cells an
+/// earlier statement stored) or rides `i` in the stored dimension and
+/// comes *before* the store in body order (a tile-local
+/// read-then-write). Anything else starts a new pass, which runs after
+/// the previous one has stored the whole row.
+pub(crate) fn lower_row_program(loops: &[(Option<(usize, usize)>, &Stmt)]) -> Option<RowProgram> {
+    let mut passes: Vec<RowPass> = Vec::new();
+    let mut sum_keys = Vec::new();
+    for &(outer, s) in loops {
         let Stmt::For {
-            var: ov,
-            extent: IdxExpr::Const(oh),
-            body: obody,
+            var: feat,
+            extent: IdxExpr::Const(h),
+            body,
             ..
         } = s
         else {
             return None;
         };
-        if *oh <= 0 {
-            return None;
-        }
-        let [inner] = obody.as_slice() else {
+        let [Stmt::Store {
+            tensor,
+            index,
+            value,
+        }] = body.as_slice()
+        else {
             return None;
         };
-        let plan = bulk.get(&(kernel, inner as *const Stmt as usize))?;
-        loops.push(FusedLoop {
-            outer: Some((ov.id() as usize, *oh as usize)),
-            plan: plan.clone(),
-        });
+        // The store must ride `i`.
+        let store = Cells::new(*tensor, index, *feat).filter(|c| c.i_pos.is_some() && *h > 0)?;
+        let h = *h as usize;
+        let joined = match passes.last_mut() {
+            // An earlier read of this store's tensor must be tile-local.
+            Some(p)
+                if (p.outer.is_none() && outer.is_none() && p.h == h)
+                    && p.instrs.iter().all(|ins| match ins {
+                        Instr::Load { cells, .. } => {
+                            cells.tensor != store.tensor || cells.i_pos == store.i_pos
+                        }
+                        _ => true,
+                    }) =>
+            {
+                lower_stmt(p, &mut sum_keys, *feat, &store, value)?
+            }
+            _ => false,
+        };
+        if !joined {
+            passes.push(RowPass {
+                h,
+                outer,
+                instrs: Vec::new(),
+                ops: Vec::new(),
+                stores: Vec::new(),
+                regs: 0,
+            });
+            let fresh = passes.last_mut().expect("pushed above");
+            lower_stmt(fresh, &mut sum_keys, *feat, &store, value)?;
+        }
     }
-    let node_var = node_let
-        .as_ref()
-        .map(|(slot, _)| cortex_core::Var::from_raw(*slot as u32));
-    // Only row-disjoint bodies fuse: the loop interchange (and any
-    // future row-parallel execution) needs the certificate.
-    let safety = super::analysis::parsafety::certify_fused(&loops, *var, node_var);
-    if safety != super::analysis::ParSafety::RowDisjoint {
-        return None;
-    }
-    Some(FusedWave {
-        n_idx_slot: var.id() as usize,
-        node_let,
-        loops,
-    })
-}
-
-/// Tries to compile a feature loop into a [`BulkPlan`].
-fn compile_bulk(stmt: &Stmt) -> Option<BulkPlan> {
-    let Stmt::For {
-        var: feat,
-        extent: IdxExpr::Const(h),
-        body,
-        ..
-    } = stmt
-    else {
-        return None;
-    };
-    if *h <= 0 {
-        return None;
-    }
-    let [Stmt::Store {
-        tensor,
-        index,
-        value,
-    }] = body.as_slice()
-    else {
-        return None;
-    };
-    let i_pos = plain_i_position(index, *feat)?;
-    let i_pos = i_pos?; // the store must actually ride `i`
-    let mut sum_keys = Vec::new();
-    let expr = compile_bulk_expr(value, *feat, &mut sum_keys)?;
-    Some(BulkPlan {
-        h: *h as usize,
-        feat_slot: feat.id() as usize,
-        tensor: *tensor,
-        index: index.clone(),
-        i_pos,
-        expr,
+    (!loops.is_empty()).then_some(RowProgram {
+        passes: passes.into(),
+        only: None,
         sum_keys,
     })
 }
 
-/// Validates an index list for bulk serving: at most one position is
-/// the plain variable `i`; every other position must be `i`-free and
-/// counter-free (it is evaluated once instead of once per element).
-/// Returns `None` on an invalid list, `Some(pos)` otherwise.
-#[allow(clippy::option_option)]
-fn plain_i_position(index: &[IdxExpr], feat: cortex_core::Var) -> Option<Option<usize>> {
-    let mut i_pos = None;
-    for (d, e) in index.iter().enumerate() {
-        match e {
-            IdxExpr::Var(v) if *v == feat => {
-                if i_pos.is_some() {
-                    return None;
-                }
-                i_pos = Some(d);
-            }
-            other => {
-                if crate::fastdot::idx_uses_var(other, feat)
-                    || crate::wave::idx_has_counting_ufn(other)
-                {
-                    return None;
-                }
-            }
-        }
+impl RowProgram {
+    /// Bytes one row streams in and out of the tile registers: `4·H` per
+    /// tensor-row load, memo row and store instruction (both arms of a
+    /// select; forwarded reads and broadcasts move nothing), times the
+    /// outer repeat.
+    fn stream_bytes(&self) -> u64 {
+        let pass_bytes = |p: &RowPass| {
+            let streams = p.instrs.iter().filter(|ins| match ins {
+                Instr::Load {
+                    cells, forwarded, ..
+                } => cells.i_pos.is_some() && !forwarded,
+                Instr::Memo { .. } | Instr::Store { .. } => true,
+                _ => false,
+            });
+            (streams.count() * p.h * 4 * p.outer.map_or(1, |(_, extent)| extent)) as u64
+        };
+        self.passes.iter().map(pass_bytes).sum()
     }
-    Some(i_pos)
+
+    /// The stand-alone program of every statement, in body order (a
+    /// statement ends at its store).
+    fn statements(&self) -> impl Iterator<Item = RowProgram> + '_ {
+        self.passes.iter().enumerate().flat_map(move |(p, pass)| {
+            let mut from = 0;
+            pass.stores.iter().map(move |&store_at| {
+                let start = from;
+                from = store_at + 1;
+                let keys = pass.instrs[start..store_at]
+                    .iter()
+                    .filter_map(|ins| match ins {
+                        Instr::Memo { key, .. } => Some(*key),
+                        _ => None,
+                    });
+                RowProgram {
+                    passes: self.passes.clone(),
+                    only: Some((p, start, store_at + 1)),
+                    sum_keys: keys.collect(),
+                }
+            })
+        })
+    }
 }
 
-fn compile_bulk_expr(
-    e: &ValExpr,
-    feat: cortex_core::Var,
+/// Appends one statement to `pass`. Returns `Some(false)`, with the pass
+/// untouched, if the statement reads cells the pass's deferred stores
+/// would hide from it (it belongs in the next pass), and `None` if it
+/// does not row-serve at all.
+fn lower_stmt(
+    pass: &mut RowPass,
     sums: &mut Vec<usize>,
-) -> Option<BulkExpr> {
-    match e {
-        ValExpr::Const(c) => Some(BulkExpr::Const(*c)),
-        ValExpr::Load { tensor, index } => {
-            let i_pos = plain_i_position(index, feat)?;
-            Some(BulkExpr::Load {
-                tensor: *tensor,
-                index: index.clone(),
-                i_pos,
-            })
-        }
-        ValExpr::Unary(op, a) => Some(BulkExpr::Unary(
-            *op,
-            Box::new(compile_bulk_expr(a, feat, sums)?),
-        )),
-        ValExpr::Bin(op, a, b) => Some(BulkExpr::Bin(
-            *op,
-            Box::new(compile_bulk_expr(a, feat, sums)?),
-            Box::new(compile_bulk_expr(b, feat, sums)?),
-        )),
-        ValExpr::Sum { body, .. } => {
-            let key = &**body as *const ValExpr as usize;
-            sums.push(key);
-            Some(BulkExpr::MemoSum(key))
-        }
-        // A select whose condition is feature-invariant is uniform over
-        // the row: one condition evaluation (its counters replayed ×h,
-        // plus the per-element branch check) selects the branch for
-        // every lane. Feature-dependent conditions stay per-element.
-        ValExpr::Select {
-            cond,
-            then,
-            otherwise,
-        } => {
-            if crate::fastdot::bool_uses_var(cond, feat) {
-                return None;
+    feat: Var,
+    store: &Cells,
+    value: &ValExpr,
+) -> Option<bool> {
+    let mark = (pass.instrs.len(), pass.ops.len(), pass.regs, sums.len());
+    let mut cx = Emit {
+        pass,
+        sums,
+        feat,
+        store,
+        hidden_read: false,
+        join: usize::MAX,
+    };
+    let src = cx.emit(value)?.0;
+    if cx.hidden_read {
+        pass.instrs.truncate(mark.0);
+        pass.ops.truncate(mark.1);
+        pass.regs = mark.2;
+        sums.truncate(mark.3);
+        return Some(false);
+    }
+    let cells = store.clone();
+    pass.stores.push(pass.instrs.len());
+    pass.instrs.push(Instr::Store { src, cells });
+    Some(true)
+}
+
+/// Lowering state of one statement.
+struct Emit<'p> {
+    pass: &'p mut RowPass,
+    sums: &'p mut Vec<usize>,
+    feat: Var,
+    /// The statement's store.
+    store: &'p Cells,
+    /// Set by a read of a tensor the pass stores that cannot be
+    /// forwarded.
+    hidden_read: bool,
+    /// The instruction index the last patched jump lands on: an
+    /// [`Instr::Ops`] run must not grow across it.
+    join: usize,
+}
+
+impl Emit<'_> {
+    fn alloc(&mut self) -> Reg {
+        self.pass.regs += 1;
+        self.pass.regs - 1
+    }
+
+    /// Appends `op` to the pass's arithmetic, growing the open
+    /// [`Instr::Ops`] run unless a jump lands between the two.
+    fn push_op(&mut self, op: TileOp) {
+        // `Const` and `Copy` are data movement, not flops.
+        let moves = matches!(
+            op,
+            TileOp::Const { .. }
+                | TileOp::Unary {
+                    op: TileUnary::Copy,
+                    ..
+                }
+        );
+        let flops = if moves { 0 } else { self.pass.h as u64 };
+        self.pass.ops.push(op);
+        let end = self.pass.ops.len();
+        let landed_on = self.pass.instrs.len() == self.join;
+        match self.pass.instrs.last_mut() {
+            Some(Instr::Ops { to, flops: f, .. }) if !landed_on => {
+                *to = end;
+                *f += flops;
             }
-            Some(BulkExpr::Select {
-                cond: cond.clone(),
-                then: Box::new(compile_bulk_expr(then, feat, sums)?),
-                otherwise: Box::new(compile_bulk_expr(otherwise, feat, sums)?),
-            })
+            _ => self.pass.instrs.push(Instr::Ops {
+                from: end - 1,
+                to: end,
+                flops,
+            }),
         }
     }
+
+    /// Emits the instructions computing `e`; returns the register that
+    /// holds the value and whether it is a temporary the consumer may
+    /// overwrite in place.
+    fn emit(&mut self, e: &ValExpr) -> Option<(Reg, bool)> {
+        let op = match e {
+            ValExpr::Const(c) => TileOp::Const {
+                dst: self.alloc(),
+                value: *c,
+            },
+            ValExpr::Load { tensor, index } => {
+                let cells = Cells::new(*tensor, index, self.feat)?;
+                // A read of the statement's own store tensor must ride
+                // `i` in the stored dimension: then each tile reads its
+                // cells before writing them, like the per-element walk.
+                if cells.tensor == self.store.tensor && cells.i_pos != self.store.i_pos {
+                    return None;
+                }
+                let mut stored = None;
+                for &at in &self.pass.stores {
+                    let Instr::Store { src, cells: st } = &self.pass.instrs[at] else {
+                        unreachable!("`stores` indexes the stores")
+                    };
+                    if *st == cells {
+                        stored = Some(*src);
+                    } else if st.tensor == cells.tensor {
+                        self.hidden_read = true;
+                    }
+                }
+                let dst = stored.unwrap_or_else(|| self.alloc());
+                self.pass.instrs.push(Instr::Load {
+                    dst,
+                    cells,
+                    forwarded: stored.is_some(),
+                });
+                return Some((dst, false));
+            }
+            ValExpr::Sum { body, .. } => {
+                let key = &**body as *const ValExpr as usize;
+                self.sums.push(key);
+                let dst = self.alloc();
+                self.pass.instrs.push(Instr::Memo {
+                    dst,
+                    key,
+                    feat_slot: self.feat.id() as usize,
+                });
+                return Some((dst, false));
+            }
+            ValExpr::Unary(op, a) => {
+                let (a, temp) = self.emit(a)?;
+                let dst = if temp { a } else { self.alloc() };
+                TileOp::Unary {
+                    op: op.tile_op(),
+                    dst,
+                    a,
+                }
+            }
+            ValExpr::Bin(op, a, b) => {
+                let (a, a_temp) = self.emit(a)?;
+                let (b, b_temp) = self.emit(b)?;
+                let dst = match (a_temp, b_temp) {
+                    (true, _) => a,
+                    (false, true) => b,
+                    (false, false) => self.alloc(),
+                };
+                TileOp::Binary {
+                    op: op.tile_op(),
+                    dst,
+                    a,
+                    b,
+                }
+            }
+            // A select whose condition is feature-invariant is uniform
+            // over the row (feature-dependent ones stay per-element);
+            // both arms copy their value into `dst`.
+            ValExpr::Select {
+                cond,
+                then,
+                otherwise,
+            } => {
+                if crate::fastdot::bool_uses_var(cond, self.feat) {
+                    return None;
+                }
+                let dst = self.alloc();
+                let op = TileUnary::Copy;
+                let select_at = self.pass.instrs.len();
+                self.pass.instrs.push(Instr::Jump(0)); // the select, patched below
+                let a = self.emit(then)?.0;
+                self.push_op(TileOp::Unary { op, dst, a });
+                let jump_at = self.pass.instrs.len();
+                self.pass.instrs.push(Instr::Jump(0)); // patched below
+                let a = self.emit(otherwise)?.0;
+                self.push_op(TileOp::Unary { op, dst, a });
+                self.join = self.pass.instrs.len();
+                self.pass.instrs[jump_at] = Instr::Jump(self.join);
+                self.pass.instrs[select_at] = Instr::Select {
+                    cond: cond.clone(),
+                    else_at: jump_at + 1,
+                };
+                return Some((dst, true));
+            }
+        };
+        self.push_op(op);
+        let (TileOp::Const { dst, .. } | TileOp::Unary { dst, .. } | TileOp::Binary { dst, .. }) =
+            op;
+        Some((dst, true))
+    }
 }
+
+// ---------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------
 
 impl<'a> Interp<'a> {
-    /// Whether every reduction a bulk plan references is currently
-    /// wave-served (rank-1 or rank-2). When not — e.g. on the scalar
-    /// path, after a site's runtime fallback, or for reductions the
-    /// analyzer rejected — the caller falls back to the per-element
-    /// interpreter.
-    pub(crate) fn bulk_servable(&self, plan: &BulkPlan) -> bool {
-        plan.sum_keys
+    /// Whether every reduction a row program references is currently
+    /// wave-served. When not — on the scalar path, after a site's
+    /// runtime fallback, or for reductions the analyzer rejected — the
+    /// caller falls back to the per-element interpreter.
+    pub(crate) fn bulk_servable(&self, prog: &RowProgram) -> bool {
+        prog.sum_keys
             .iter()
             .all(|key| self.memo.iter().any(|(k, _)| k == key))
     }
 
-    /// Runs a compiled feature loop as strided row passes. The caller
-    /// must have checked [`bulk_servable`](Self::bulk_servable).
-    pub(crate) fn exec_bulk(&mut self, plan: &BulkPlan) {
-        let h = plan.h;
-        let mut pool = std::mem::take(&mut self.caches.row_pool);
-        let mut out = pool.pop().unwrap_or_default();
-        out.resize(h, 0.0);
-        self.eval_bulk(&plan.expr, plan.feat_slot, &mut out, &mut pool);
-
-        // The store: offset evaluated once (the index is counter-free),
-        // one strided write, accounting ×h exactly as `record_store`
-        // per element would have.
-        let (base, stride) = self.strided_offset(plan.tensor, &plan.index, Some(plan.i_pos));
-        #[cfg(feature = "checked")]
-        self.shadow_check_bulk_store(plan.tensor, base, stride, h);
-        self.store_gens[plan.tensor.0 as usize] += h as u64;
-        if let Some(scope) = self.scopes.last_mut() {
-            scope.touch[plan.tensor.0 as usize].1 += h as u64;
-        }
-        let buf = self.bufs[plan.tensor.0 as usize]
-            .as_mut()
-            .expect("stored tensor allocated");
-        let data = buf.data.as_mut();
-        super::checked_assert!(
-            h == 0 || base + (h - 1) * stride < data.len(),
-            "bulk store window [{base}..+{h}×{stride}] outside {}-element buffer",
-            data.len()
-        );
-        for (jj, v) in out.iter().enumerate() {
-            data[base + jj * stride] = *v;
-        }
-        pool.push(out);
-        self.caches.row_pool = pool;
-    }
-
-    /// Whether every bulk plan of a fused wave can serve right now
-    /// (every referenced reduction memo-active — e.g. not skipped by the
-    /// min-width heuristic and not fallen back at a runtime check).
+    /// Whether a fused wave can serve right now: bulk serving enabled
+    /// and every referenced reduction memo-active.
     pub(crate) fn fused_servable(&self, fw: &FusedWave) -> bool {
-        self.opts.fastdot
-            && self.opts.bulk
-            && fw.loops.iter().all(|fl| self.bulk_servable(&fl.plan))
+        self.opts.fastdot && self.opts.bulk && self.bulk_servable(&fw.prog)
     }
 
-    /// Runs a fused wave: one row pass per body statement over every
-    /// node, in body order — the interpreter's stand-in for the fused
-    /// elementwise epilogue generated code would emit after the wave
-    /// GEMMs. Values and `Profile` counters are identical to per-node
-    /// interpretation (see [`FusedWave`]).
+    /// Runs a fused wave: the whole body, row by row — the stand-in for
+    /// the fused elementwise epilogue generated code would emit after
+    /// the wave GEMMs (see [`FusedWave`]).
     pub(crate) fn exec_fused_wave(&mut self, fw: &FusedWave, wave_len: usize) {
         let t0 = std::time::Instant::now();
         super::checked_assert!(
@@ -423,249 +650,303 @@ impl<'a> Interp<'a> {
             "fused wave index slot {} out of range",
             fw.n_idx_slot
         );
-        for fl in &fw.loops {
-            for r in 0..wave_len {
-                #[cfg(feature = "checked")]
-                self.shadow_begin_fused_row(r as i64);
-                self.slots[fw.n_idx_slot] = r as i64;
-                if let Some((slot, value)) = &fw.node_let {
-                    self.slots[*slot] = self.eval_idx(value);
-                }
-                match fl.outer {
-                    None => self.exec_bulk(&fl.plan),
-                    Some((slot, extent)) => {
-                        for i in 0..extent {
-                            self.slots[slot] = i as i64;
-                            self.exec_bulk(&fl.plan);
-                        }
-                    }
-                }
+        for r in 0..wave_len {
+            #[cfg(feature = "checked")]
+            self.shadow_begin_fused_row(r as i64);
+            self.slots[fw.n_idx_slot] = r as i64;
+            if let Some((slot, value)) = &fw.node_let {
+                self.slots[*slot] = self.eval_idx(value);
             }
+            self.exec_row_program(&fw.prog);
         }
         #[cfg(feature = "checked")]
         self.shadow_end_fused();
         let stats = &mut self.caches.stats;
         stats.fused_waves += 1;
+        stats.epilogue_bytes += fw.bytes_per_row * wave_len as u64;
         stats.epilogue_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Evaluates a bulk expression over the whole feature extent,
-    /// charging per-element counters ×`out.len()`. Values are
-    /// bit-identical to per-element evaluation: each element's value is
-    /// produced by the same operation tree in the same order.
-    fn eval_bulk(
-        &mut self,
-        e: &BulkExpr,
-        feat_slot: usize,
-        out: &mut [f32],
-        pool: &mut Vec<Vec<f32>>,
-    ) {
-        let h = out.len();
-        match e {
-            BulkExpr::Const(c) => out.fill(*c),
-            BulkExpr::Load {
-                tensor,
-                index,
-                i_pos,
-            } => {
-                let (base, stride) = self.strided_offset(*tensor, index, *i_pos);
-                #[cfg(feature = "checked")]
-                self.shadow_check_bulk_load(*tensor, base, stride, h);
-                if let Some(scope) = self.scopes.last_mut() {
-                    scope.touch[tensor.0 as usize].0 += h as u64;
-                }
-                let data = &self.bufs[tensor.0 as usize]
-                    .as_ref()
-                    .expect("loaded tensor allocated")
-                    .data;
-                if stride == 1 {
-                    out.copy_from_slice(&data[base..base + h]);
-                } else {
-                    for (jj, o) in out.iter_mut().enumerate() {
-                        *o = data[base + jj * stride];
-                    }
-                }
+    /// Runs a row program for the row the slot registers select; the
+    /// caller must have checked [`bulk_servable`](Self::bulk_servable).
+    pub(crate) fn exec_row_program(&mut self, prog: &RowProgram) {
+        let mut s = std::mem::take(&mut self.caches.tile);
+        let (passes, span) = match prog.only {
+            Some((p, from, to)) => (&prog.passes[p..=p], Some((from, to))),
+            None => (&prog.passes[..], None),
+        };
+        for pass in passes {
+            let regs = usize::from(pass.regs) * TILE;
+            if s.regs.len() < regs {
+                s.regs.resize(regs, 0.0);
             }
-            BulkExpr::MemoSum(key) => {
-                let (_, idx) = *self
-                    .memo
-                    .iter()
-                    .find(|(k, _)| *k == *key)
-                    .expect("memo-active (checked by exec_bulk)");
-                // Disjoint field borrows: the group (rows, metadata) is
-                // read while the profile/scope counters are written.
-                let site = &self.active[idx];
-                let groups = &self.active_groups;
-                let profile = &mut self.profile;
-                let scopes = &mut self.scopes;
-                let group = &groups[site.group];
-                let r = self.slots[site.n_idx_slot] as usize;
-                let (k, wt) = (site.k, site.weight_tensor);
-                if let Some(d) = site.inner.filter(|d| d.slot == feat_slot) {
-                    // Rank-2 site whose row-side dimension rides this
-                    // loop: one result element per `(node, j)` row, each
-                    // with its **own** metadata (guards may differ per
-                    // row), read as a strided column pass over the
-                    // result matrix. Accounting is per element, exactly
-                    // the scalar cadence.
-                    let col = site.col_off + self.slots[site.feat_slot] as usize;
-                    let mut scope = scopes.last_mut();
-                    let mut flops = 0u64;
-                    for (jj, o) in out.iter_mut().enumerate() {
-                        let row = r * d.extent + jj;
-                        let m = &group.meta[site.meta_off + row];
-                        if m.zero {
-                            // The scalar path short-circuits before any
-                            // accounting for this element.
-                            *o = 0.0;
-                            continue;
-                        }
-                        *o = m.scale * group.value(site.row_off + row, col);
-                        flops += k * (m.streams + 2);
-                        if let Some(scope) = scope.as_deref_mut() {
-                            scope.touch[wt as usize].0 += k;
-                            for &t in &m.tensors {
-                                scope.touch[t as usize].0 += k;
+            // A view's outer loop is driven by the caller.
+            let outer = pass.outer.filter(|_| span.is_none());
+            for i in 0..outer.map_or(1, |(_, extent)| extent) {
+                if let Some((slot, _)) = outer {
+                    self.slots[slot] = i as i64;
+                }
+                self.resolve_pass(pass, span, &mut s);
+                self.run_tiles(pass, &mut s);
+            }
+        }
+        self.caches.tile = s;
+    }
+
+    /// The tile sweep of one resolved pass: inputs in, one vectorized
+    /// tile-program call per run of ops, results out.
+    fn run_tiles(&mut self, pass: &RowPass, s: &mut TileScratch) {
+        for t0 in (0..pass.h).step_by(TILE) {
+            let len = TILE.min(pass.h - t0);
+            for (dst, src) in &s.loads {
+                let out = &mut s.regs[usize::from(*dst) * TILE..][..len];
+                match src {
+                    Source::Tensor(w) => {
+                        let data = &self.bufs[w.tensor].as_ref().expect("allocated").data;
+                        let at = w.base + t0 * w.stride;
+                        if w.stride == 1 {
+                            out.copy_from_slice(&data[at..at + len]);
+                        } else {
+                            for (jj, o) in out.iter_mut().enumerate() {
+                                *o = data[at + jj * w.stride];
                             }
                         }
                     }
-                    profile.flops += flops;
-                    return;
-                }
-                // Rank-1 sites (one row per node) and rank-2 sites whose
-                // row-side variable is bound outside this loop share one
-                // row — and one metadata entry — for the whole extent.
-                let row = match site.inner {
-                    None => r,
-                    Some(d) => r * d.extent + self.slots[d.slot] as usize,
-                };
-                let m = &group.meta[site.meta_off + row];
-                if m.zero {
-                    // The scalar path short-circuits before accounting.
-                    out.fill(0.0);
-                    return;
-                }
-                let (scale, grow) = (m.scale, site.row_off + row);
-                if site.feat_slot == feat_slot {
-                    // The site's columns are contiguous in the result
-                    // row: serve the whole extent as one scaled copy.
-                    let (buf, base_row): (&[f32], usize) = match &group.out {
-                        GroupOut::Owned(v) => (v, 0),
-                        GroupOut::Shared { buf, base } => (buf, *base),
-                        GroupOut::Pending => {
-                            unreachable!("wave GEMM result read before its flush")
+                    Source::Splat(value) => out.fill(*value),
+                    Source::Memo { group, at, scale } => {
+                        let rows = &self.active_groups[*group].rows()[at + t0..][..len];
+                        if *scale == 1.0 {
+                            out.copy_from_slice(rows); // 1·v is v, bit for bit
+                        } else {
+                            out.iter_mut().zip(rows).for_each(|(o, v)| *o = scale * v);
                         }
-                    };
-                    let at = (base_row + grow) * group.cols + site.col_off;
-                    for (o, v) in out.iter_mut().zip(&buf[at..at + h]) {
-                        *o = scale * v;
                     }
+                    Source::MemoColumn { site, row0, col } => {
+                        let site = &self.active[*site];
+                        let group = &self.active_groups[site.group];
+                        for (jj, o) in out.iter_mut().enumerate() {
+                            let row = row0 + t0 + jj;
+                            let m = &group.meta[site.meta_off + row];
+                            // A zeroed row short-circuits to 0, like
+                            // the scalar path.
+                            *o = if m.zero {
+                                0.0
+                            } else {
+                                m.scale * group.value(site.row_off + row, *col)
+                            };
+                        }
+                    }
+                }
+            }
+            for &(from, to) in &s.runs {
+                cortex_tensor::simd::run_tile(&pass.ops[from..to], &mut s.regs, len, self.nonlin);
+            }
+            for (src, w) in &s.stores {
+                let src = &s.regs[usize::from(*src) * TILE..][..len];
+                let data = self.bufs[w.tensor].as_mut().expect("allocated");
+                let data = data.data.as_mut();
+                let at = w.base + t0 * w.stride;
+                if w.stride == 1 {
+                    data[at..at + len].copy_from_slice(src);
                 } else {
-                    // The site's feature variable is bound outside this
-                    // loop: one column, broadcast.
-                    let col = site.col_off + self.slots[site.feat_slot] as usize;
-                    out.fill(scale * group.value(grow, col));
-                }
-                let streams = m.streams;
-                let per_tensor = k * h as u64;
-                profile.flops += k * (streams + 2) * h as u64;
-                if let Some(scope) = scopes.last_mut() {
-                    scope.touch[wt as usize].0 += per_tensor;
-                    for &t in &m.tensors {
-                        scope.touch[t as usize].0 += per_tensor;
+                    for (jj, v) in src.iter().enumerate() {
+                        data[at + jj * w.stride] = *v;
                     }
                 }
             }
-            BulkExpr::Unary(op, a) => {
-                self.eval_bulk(a, feat_slot, out, pool);
-                self.profile.flops += h as u64;
-                match op {
-                    cortex_core::expr::UnaryOp::Neg => out.iter_mut().for_each(|x| *x = -*x),
-                    // In `Exact` mode the per-element libm calls keep
-                    // bulk rows bit-identical to scalar interpretation;
-                    // `Rational` substitutes the SIMD-vectorized App.
-                    // A.5 approximations (≤ 1e-4 end-to-end, same
-                    // counters).
-                    cortex_core::expr::UnaryOp::Tanh => match self.nonlin {
-                        NonlinearityMode::Exact => {
-                            out.iter_mut().for_each(|x| *x = x.tanh());
-                        }
-                        NonlinearityMode::Rational => {
-                            cortex_tensor::simd::tanh_rational_slice(out);
-                        }
-                    },
-                    cortex_core::expr::UnaryOp::Sigmoid => match self.nonlin {
-                        NonlinearityMode::Exact => {
-                            out.iter_mut()
-                                .for_each(|x| *x = cortex_tensor::approx::sigmoid_exact(*x));
-                        }
-                        NonlinearityMode::Rational => {
-                            cortex_tensor::simd::sigmoid_rational_slice(out);
-                        }
-                    },
-                    cortex_core::expr::UnaryOp::Relu => {
-                        out.iter_mut().for_each(|x| *x = x.max(0.0));
-                    }
-                    cortex_core::expr::UnaryOp::Exp => {
-                        out.iter_mut().for_each(|x| *x = x.exp());
+        }
+    }
+
+    /// Resolves one pass for the current row: evaluates addresses and
+    /// selects once, charges per-element counters `×h` exactly as the
+    /// per-element walk would have, and leaves the row's input streams,
+    /// the runs of the pass's ops to execute and its stores in `s`.
+    fn resolve_pass(&mut self, pass: &RowPass, span: Option<(usize, usize)>, s: &mut TileScratch) {
+        let h = pass.h as u64;
+        s.loads.clear();
+        s.runs.clear();
+        s.stores.clear();
+        let (mut pc, end) = span.unwrap_or((0, pass.instrs.len()));
+        while pc < end {
+            pc += 1;
+            match &pass.instrs[pc - 1] {
+                Instr::Ops { from, to, flops } => {
+                    self.profile.flops += flops;
+                    match s.runs.last_mut() {
+                        Some(run) if run.1 == *from => run.1 = *to,
+                        _ => s.runs.push((*from, *to)),
                     }
                 }
-            }
-            BulkExpr::Bin(op, a, b) => {
-                self.eval_bulk(a, feat_slot, out, pool);
-                let mut rhs = pool.pop().unwrap_or_default();
-                rhs.resize(h, 0.0);
-                self.eval_bulk(b, feat_slot, &mut rhs, pool);
-                self.profile.flops += h as u64;
-                match op {
-                    cortex_core::expr::BinOp::Add => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x += *y)
+                Instr::Load {
+                    dst,
+                    cells,
+                    forwarded,
+                } => {
+                    let tensor = cells.tensor.0 as usize;
+                    if let Some(scope) = self.scopes.last_mut() {
+                        scope.touch[tensor].0 += h;
                     }
-                    cortex_core::expr::BinOp::Sub => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x -= *y)
+                    // A view has no earlier statement to forward from.
+                    let forwarded = *forwarded && span.is_none();
+                    if forwarded && !cfg!(feature = "checked") {
+                        continue;
                     }
-                    cortex_core::expr::BinOp::Mul => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x *= *y)
+                    let w = self.window(cells);
+                    #[cfg(feature = "checked")]
+                    self.shadow_check_bulk_load(cells.tensor, w.base, w.stride, pass.h);
+                    if forwarded {
+                        continue; // the value is already in `dst`
                     }
-                    cortex_core::expr::BinOp::Div => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x /= *y)
-                    }
-                    cortex_core::expr::BinOp::Max => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x = x.max(*y))
-                    }
-                    cortex_core::expr::BinOp::Min => {
-                        out.iter_mut().zip(&rhs).for_each(|(x, y)| *x = x.min(*y))
-                    }
+                    let source = match cells.i_pos {
+                        Some(_) => Source::Tensor(w),
+                        // A loop-invariant broadcast.
+                        None => Source::Splat(
+                            self.bufs[tensor].as_ref().expect("allocated").data[w.base],
+                        ),
+                    };
+                    s.loads.push((*dst, source));
                 }
-                pool.push(rhs);
+                Instr::Memo {
+                    dst,
+                    key,
+                    feat_slot,
+                } => self.resolve_memo(*dst, *key, *feat_slot, pass.h, s),
+                Instr::Select { cond, else_at } => {
+                    // The scalar path would check the branch — and pay
+                    // the condition's counters (e.g. `NumChildren`
+                    // loads) — once per element, so the one
+                    // evaluation's counter deltas are replayed ×`h`.
+                    let p = &self.profile;
+                    let before = (p.flops, p.leaf_check_loads, p.branch_checks);
+                    self.profile.branch_checks += 1;
+                    if !self.eval_bool(cond) {
+                        pc = *else_at;
+                    }
+                    let p = &mut self.profile;
+                    p.flops += (p.flops - before.0) * (h - 1);
+                    p.leaf_check_loads += (p.leaf_check_loads - before.1) * (h - 1);
+                    p.branch_checks += (p.branch_checks - before.2) * (h - 1);
+                }
+                Instr::Jump(to) => pc = *to,
+                Instr::Store { src, cells } => {
+                    // Offset evaluated once (the index is counter-free),
+                    // accounting ×h exactly as `record_store` per
+                    // element would have.
+                    let w = self.window(cells);
+                    #[cfg(feature = "checked")]
+                    self.shadow_check_bulk_store(cells.tensor, w.base, w.stride, pass.h);
+                    self.store_gens[w.tensor] += h;
+                    if let Some(scope) = self.scopes.last_mut() {
+                        scope.touch[w.tensor].1 += h;
+                    }
+                    super::checked_assert!(
+                        self.bufs[w.tensor]
+                            .as_ref()
+                            .is_some_and(|b| w.base + (pass.h - 1) * w.stride < b.data.len()),
+                        "row store window [{}..+{}×{}] outside tensor {}",
+                        w.base,
+                        pass.h,
+                        w.stride,
+                        w.tensor
+                    );
+                    s.stores.push((*src, w));
+                }
             }
-            BulkExpr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                // The condition is feature-invariant (checked at
-                // compile), so one evaluation decides every lane; the
-                // scalar path would check the branch — and pay the
-                // condition's counters (e.g. `NumChildren` loads) —
-                // once per element, so the one evaluation's counter
-                // deltas are replayed ×`h`.
-                let before = (
-                    self.profile.flops,
-                    self.profile.leaf_check_loads,
-                    self.profile.branch_checks,
-                );
-                self.profile.branch_checks += 1;
-                let take = self.eval_bool(cond);
-                let extra = (h as u64).saturating_sub(1);
-                self.profile.flops += (self.profile.flops - before.0) * extra;
-                self.profile.leaf_check_loads += (self.profile.leaf_check_loads - before.1) * extra;
-                self.profile.branch_checks += (self.profile.branch_checks - before.2) * extra;
-                // Only the taken branch is evaluated — bit-identical to
-                // per-element interpretation, where every lane takes the
-                // same arm.
-                self.eval_bulk(if take { then } else { otherwise }, feat_slot, out, pool);
+        }
+    }
+
+    /// The window of a tensor buffer `cells` selects for the current row.
+    fn window(&mut self, cells: &Cells) -> Strided {
+        let (base, stride) = self.strided_offset(cells.tensor, &cells.index, cells.i_pos);
+        let tensor = cells.tensor.0 as usize;
+        Strided {
+            tensor,
+            base,
+            stride,
+        }
+    }
+
+    /// Resolves one memo-served reduction of the current row into an
+    /// input stream (or a constant), charging the counters the scalar
+    /// dot would have charged for all `h` elements.
+    fn resolve_memo(
+        &mut self,
+        dst: Reg,
+        key: usize,
+        feat_slot: usize,
+        h: usize,
+        s: &mut TileScratch,
+    ) {
+        let (_, idx) = *self
+            .memo
+            .iter()
+            .find(|(k, _)| *k == key)
+            .expect("memo-active (checked by bulk_servable)");
+        // Disjoint field borrows: the group (rows, metadata) is read
+        // while the profile/scope counters are written.
+        let site = &self.active[idx];
+        let group = &self.active_groups[site.group];
+        let profile = &mut self.profile;
+        let mut scope = self.scopes.last_mut();
+        let r = self.slots[site.n_idx_slot] as usize;
+        // One served element: the weight stream plus the row-side ones.
+        let mut charge = |m: &super::gather::RowMeta, elems: u64| {
+            let loads = site.k * elems;
+            profile.flops += loads * (m.streams + 2);
+            if let Some(scope) = scope.as_deref_mut() {
+                scope.touch[site.weight_tensor as usize].0 += loads;
+                for &t in &m.tensors {
+                    scope.touch[t as usize].0 += loads;
+                }
             }
+        };
+        if let Some(d) = site.inner.filter(|d| d.slot == feat_slot) {
+            // Rank-2 site whose row-side dimension rides this loop: one
+            // result element per `(node, j)` row, each with its **own**
+            // metadata (guards may differ per row); a zeroed row
+            // short-circuits before any accounting, like the scalar
+            // path.
+            let row0 = r * d.extent;
+            for m in group.meta[site.meta_off + row0..][..h]
+                .iter()
+                .filter(|m| !m.zero)
+            {
+                charge(m, 1);
+            }
+            let col = site.col_off + self.slots[site.feat_slot] as usize;
+            let site = idx;
+            s.loads.push((dst, Source::MemoColumn { site, row0, col }));
+            return;
+        }
+        // Rank-1 sites (one row per node) and rank-2 sites whose
+        // row-side variable is bound outside this loop share one row —
+        // and one metadata entry — for the whole extent.
+        let row = match site.inner {
+            None => r,
+            Some(d) => r * d.extent + self.slots[d.slot] as usize,
+        };
+        let m = &group.meta[site.meta_off + row];
+        if m.zero {
+            // The scalar path short-circuits before accounting.
+            s.loads.push((dst, Source::Splat(0.0)));
+            return;
+        }
+        charge(m, h as u64);
+        let grow = site.row_off + row;
+        if site.feat_slot == feat_slot {
+            // The site's columns are contiguous in the result row.
+            let source = Source::Memo {
+                group: site.group,
+                at: grow * group.cols + site.col_off,
+                scale: m.scale,
+            };
+            s.loads.push((dst, source));
+        } else {
+            // The site's feature variable is bound outside this loop:
+            // one column, broadcast.
+            let col = site.col_off + self.slots[site.feat_slot] as usize;
+            let value = m.scale * group.value(grow, col);
+            s.loads.push((dst, Source::Splat(value)));
         }
     }
 }

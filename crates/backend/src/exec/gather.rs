@@ -137,6 +137,16 @@ pub(crate) struct ActiveGroup {
 }
 
 impl ActiveGroup {
+    /// The group's GEMM result rows, row-major from its row 0.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[f32] {
+        match &self.out {
+            GroupOut::Owned(v) => v,
+            GroupOut::Shared { buf, base } => &buf[base * self.cols..],
+            GroupOut::Pending => unreachable!("wave GEMM result read before its flush"),
+        }
+    }
+
     /// One element of the GEMM result.
     #[inline]
     pub(crate) fn value(&self, row: usize, col: usize) -> f32 {
@@ -145,11 +155,7 @@ impl ActiveGroup {
             "col {col} outside {}-wide group",
             self.cols
         );
-        match &self.out {
-            GroupOut::Owned(v) => v[row * self.cols + col],
-            GroupOut::Shared { buf, base } => buf[(base + row) * self.cols + col],
-            GroupOut::Pending => unreachable!("wave GEMM result read before its flush"),
-        }
+        self.rows()[row * self.cols + col]
     }
 }
 

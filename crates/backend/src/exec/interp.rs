@@ -16,7 +16,7 @@ use cortex_ds::linearizer::{Batch, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::Tensor;
 
-use super::bulk::{BulkPlan, FusedWave};
+use super::bulk::{FusedWave, RowProgram, TileScratch};
 use super::gather::{ActiveGroup, ActiveSite, GroupBufs, StackedWeight};
 use super::lowering::CompiledKernel;
 use super::program::Program;
@@ -33,9 +33,8 @@ use crate::wave::WavePlan;
 #[derive(Default)]
 pub(crate) struct Caches {
     pub(crate) plan_cache: HashMap<usize, Option<Rc<DotPlan>>>,
-    /// Scratch rows for bulk evaluation (one per live expression-tree
-    /// level), recycled across loops.
-    pub(crate) row_pool: Vec<Vec<f32>>,
+    /// Tile registers and per-row resolved streams of the row programs.
+    pub(crate) tile: TileScratch,
     /// Monotonic execution counter, stamped onto weight-cache entries on
     /// every hit or insert — the recency order the LRU eviction uses.
     pub(crate) run_stamp: u64,
@@ -282,7 +281,7 @@ pub(crate) struct Interp<'a> {
     pub(crate) opts: ExecOptions,
     pub(crate) compiled: Rc<Vec<CompiledKernel>>,
     pub(crate) wave_plans: Rc<HashMap<usize, Rc<WavePlan>>>,
-    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<BulkPlan>>>,
+    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<RowProgram>>>,
     pub(crate) fused_waves: Rc<HashMap<(usize, usize), Rc<FusedWave>>>,
     /// The lowered linear instruction stream the pc runtime executes.
     pub(crate) plan: Rc<Program>,
@@ -621,25 +620,7 @@ impl<'a> Interp<'a> {
     }
 
     pub(crate) fn offset(&mut self, tensor: TensorId, index: &[IdxExpr]) -> usize {
-        let mut coords = [0i64; 8];
-        for (d, e) in index.iter().enumerate() {
-            coords[d] = self.eval_idx(e);
-        }
-        let buf = self.bufs[tensor.0 as usize]
-            .as_ref()
-            .expect("tensor allocated");
-        let mut off = 0usize;
-        for (d, &c) in coords.iter().enumerate().take(index.len()) {
-            debug_assert!(
-                c >= 0 && (c as usize) < buf.dims[d],
-                "index {} out of bounds for dim {} of {:?} (tensor {tensor})",
-                c,
-                d,
-                buf.dims
-            );
-            off += c as usize * buf.strides[d];
-        }
-        off
+        self.strided_offset(tensor, index, None).0
     }
 
     /// Base offset and `i`-stride of an index list whose non-`i`
@@ -652,20 +633,23 @@ impl<'a> Interp<'a> {
     ) -> (usize, usize) {
         let mut coords = [0i64; 8];
         for (d, e) in index.iter().enumerate() {
-            if Some(d) == i_pos {
-                continue;
+            if Some(d) != i_pos {
+                coords[d] = self.eval_idx(e);
             }
-            coords[d] = self.eval_idx(e);
         }
         let buf = self.bufs[tensor.0 as usize]
             .as_ref()
             .expect("tensor allocated");
         let mut base = 0usize;
-        for (d, _) in index.iter().enumerate() {
-            if Some(d) == i_pos {
-                continue;
-            }
-            base += coords[d] as usize * buf.strides[d];
+        for (d, &c) in coords.iter().enumerate().take(index.len()) {
+            debug_assert!(
+                c >= 0 && (c as usize) < buf.dims[d],
+                "index {} out of bounds for dim {} of {:?} (tensor {tensor})",
+                c,
+                d,
+                buf.dims
+            );
+            base += c as usize * buf.strides[d];
         }
         (base, i_pos.map_or(0, |d| buf.strides[d]))
     }
@@ -802,22 +786,8 @@ pub(crate) fn collect_wave_ancestors(
     out: &mut std::collections::HashSet<usize>,
 ) -> bool {
     let mut contains = plans.contains_key(&(stmt as *const Stmt as usize));
-    match stmt {
-        Stmt::For { body, .. } | Stmt::Let { body, .. } => {
-            for s in body {
-                contains |= collect_wave_ancestors(s, plans, out);
-            }
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            for s in then_branch.iter().chain(else_branch) {
-                contains |= collect_wave_ancestors(s, plans, out);
-            }
-        }
-        Stmt::Store { .. } | Stmt::Barrier => {}
+    for s in stmt.children() {
+        contains |= collect_wave_ancestors(s, plans, out);
     }
     if contains {
         out.insert(stmt as *const Stmt as usize);

@@ -24,7 +24,7 @@ use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr};
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
 use super::analysis::parsafety;
-use super::bulk::{BulkPlan, FusedWave};
+use super::bulk::{FusedWave, RowProgram};
 use super::program::{KernelDef, LoopDef, Op, Pc, Program, WaveRef};
 use crate::wave::WavePlan;
 
@@ -172,7 +172,7 @@ fn remap_val(e: &ValExpr, m: &mut SlotMap) -> ValExpr {
 pub(crate) fn lower(
     compiled: &Rc<Vec<CompiledKernel>>,
     wave_plans: &HashMap<usize, Rc<WavePlan>>,
-    bulk_plans: &HashMap<(usize, usize), Rc<BulkPlan>>,
+    bulk_plans: &HashMap<(usize, usize), Rc<RowProgram>>,
     fused_waves: &HashMap<(usize, usize), Rc<FusedWave>>,
 ) -> Program {
     let mut lw = Lowerer {
@@ -181,7 +181,6 @@ pub(crate) fn lower(
         waves: Vec::new(),
         wave_safety: Vec::new(),
         fused: Vec::new(),
-        fused_safety: Vec::new(),
         bulks: Vec::new(),
         wave_plans,
         bulk_plans,
@@ -208,7 +207,6 @@ pub(crate) fn lower(
         waves: lw.waves,
         wave_safety: lw.wave_safety,
         fused: lw.fused,
-        fused_safety: lw.fused_safety,
         bulks: lw.bulks,
         kernels,
         source: compiled.clone(),
@@ -221,10 +219,9 @@ struct Lowerer<'e> {
     waves: Vec<WaveRef>,
     wave_safety: Vec<parsafety::ParSafety>,
     fused: Vec<Rc<FusedWave>>,
-    fused_safety: Vec<parsafety::ParSafety>,
-    bulks: Vec<Rc<BulkPlan>>,
+    bulks: Vec<Rc<RowProgram>>,
     wave_plans: &'e HashMap<usize, Rc<WavePlan>>,
-    bulk_plans: &'e HashMap<(usize, usize), Rc<BulkPlan>>,
+    bulk_plans: &'e HashMap<(usize, usize), Rc<RowProgram>>,
     fused_waves: &'e HashMap<(usize, usize), Rc<FusedWave>>,
     cur_kernel: usize,
 }
@@ -270,15 +267,6 @@ impl<'e> Lowerer<'e> {
                 });
                 let fused = self.fused_waves.get(&key).map(|fw| {
                     self.fused.push(fw.clone());
-                    let node = fw
-                        .node_let
-                        .as_ref()
-                        .map(|(slot, _)| cortex_core::Var::from_raw(*slot as u32));
-                    self.fused_safety.push(parsafety::certify_fused(
-                        &fw.loops,
-                        cortex_core::Var::from_raw(fw.n_idx_slot as u32),
-                        node,
-                    ));
                     self.fused.len() - 1
                 });
 

@@ -21,7 +21,7 @@
 //!   │  [`lowering::CompiledKernel::compile`]   dense variable slots
 //!   ▼
 //! compiled ASTs ──▶ wave analysis  (`wave::analyze`: GEMM sites, stacking groups)
-//!   │           ──▶ bulk analysis  (`bulk`: feature-loop row passes, fused epilogues)
+//!   │           ──▶ row programs   (`bulk`: tiled feature loops, fused epilogues)
 //!   │  [`lowering::lower`]        flatten + resolve plans into operands
 //!   ▼
 //! [`program::Program`]            flat `Vec<Op>` with jump targets
@@ -70,7 +70,7 @@ use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
 use crate::wave::{SuperEntry, SuperWaveAcc, WavePlan};
 
-use bulk::{BulkPlan, FusedWave};
+use bulk::{FusedWave, RowProgram};
 use gather::evict_weight_cache_lru;
 use interp::{Caches, Interp};
 use lowering::CompiledKernel;
@@ -435,11 +435,11 @@ pub struct ExecOptions {
     /// row-stacked gathers). With this off every site runs its own GEMM
     /// (the pre-stacking path, kept as a cross-check).
     pub gate_stacking: bool,
-    /// Serve store loops in bulk (strided row passes, fused whole-wave
-    /// epilogues) instead of interpreting them per element. Results are
-    /// **bit-identical** either way (in `Exact` nonlinearity mode) and
-    /// the `Profile` counters are exactly equal; this switch exists as
-    /// the cross-check for that claim and as a diagnostic.
+    /// Serve store loops as compiled row programs (tiled rows, fused
+    /// whole-wave epilogues) instead of interpreting them per element.
+    /// Results are **bit-identical** either way, in both nonlinearity
+    /// modes, and the `Profile` counters are exactly equal; this switch
+    /// exists as the cross-check for that claim and as a diagnostic.
     pub bulk: bool,
     /// Run the legacy AST-walking interpreter instead of the lowered
     /// linear plan. Outputs and `Profile`s are **bit-identical** to the
@@ -452,15 +452,17 @@ pub struct ExecOptions {
     /// (TVM-style: exact vs approximate nonlinearities are a scheduling
     /// decision, not a model property).
     ///
-    /// [`Exact`](NonlinearityMode::Exact) (the default) uses `libm` and
-    /// keeps every executor configuration bit-identical.
-    /// [`Rational`](NonlinearityMode::Rational) substitutes the
-    /// branch-free rational approximations — SIMD-vectorized over bulk
-    /// feature rows via `cortex_tensor::simd` — with end-to-end error
-    /// ≤ 1e-4 against the exact results (property-tested). `Profile`
-    /// counters are unaffected: the modes differ in arithmetic, never in
-    /// accounting. A program whose schedule already requests `Rational`
-    /// keeps it regardless of this option.
+    /// [`Exact`](NonlinearityMode::Exact) (the default) is the
+    /// deterministic ≤ 2 ulp definition of `cortex_tensor::approx`;
+    /// [`Rational`](NonlinearityMode::Rational) substitutes the rational
+    /// approximations, with end-to-end error ≤ 1e-4 against the exact
+    /// results (property-tested). Either way every executor
+    /// configuration evaluates the one lane-generic routine — scalar per
+    /// element, vectorized over row-program tiles — so all of them stay
+    /// bit-identical, and `Profile` counters are unaffected: the modes
+    /// differ in arithmetic, never in accounting. A program whose
+    /// schedule already requests `Rational` keeps it regardless of this
+    /// option.
     pub nonlinearity: NonlinearityMode,
     /// Refuse runs whose plan-time memory estimate
     /// ([`Engine::footprint`]) exceeds this many bytes
@@ -590,16 +592,23 @@ pub struct ExecStats {
     /// Sum over merged GEMMs of the number of requests each served (so
     /// `super_gemm_requests / super_gemms` is the mean merge width).
     pub super_gemm_requests: u64,
-    /// Waves whose whole body ran as the fused bulk epilogue (one
-    /// loop-interchanged row pass per body statement instead of
-    /// `wave_len` per-node body walks).
+    /// Waves whose whole body ran as the fused epilogue (one flat row
+    /// program per node instead of a per-element body walk).
     pub fused_waves: u64,
-    /// Wall-clock nanoseconds spent in **fused wave** epilogue passes —
-    /// the post-GEMM serve/nonlinearity cost the `Rational` mode
-    /// targets. Timed at wave granularity only: per-node bulk loops
-    /// outside fused waves are not counted (a clock read per row pass
-    /// would distort both the metric and the path).
+    /// Wall-clock nanoseconds spent in **fused wave** epilogues — the
+    /// post-GEMM serve/nonlinearity cost. Timed at wave granularity
+    /// only: per-node row programs outside fused waves are not counted
+    /// (a clock read per row would distort both the metric and the
+    /// path).
     pub epilogue_ns: u64,
+    /// Bytes the **fused wave** row programs stream in and out of their
+    /// tile registers: a per-row count fixed at lowering (tensor and
+    /// GEMM-result rows loaded, rows stored; forwarded reads and
+    /// broadcasts move nothing) times the rows served. It covers
+    /// exactly the work `epilogue_ns` times, so the quotient is the
+    /// epilogue's achieved bandwidth — its ceiling is the box's stream
+    /// rate.
+    pub epilogue_bytes: u64,
     /// Wall-clock nanoseconds in the wave gather phase (weight packing +
     /// operand-row resolution), timed per stacking group.
     pub gather_ns: u64,
@@ -607,7 +616,7 @@ pub struct ExecStats {
     /// super-wave flushes).
     pub gemm_ns: u64,
     /// Wall-clock nanoseconds serving a wave's per-element epilogue
-    /// (memo hits, bulk row passes) when the body does **not** fuse.
+    /// (memo hits, lone row programs) when the body does **not** fuse.
     /// Timed at wave granularity by the pc runtime on solo runs only:
     /// under `execute_many` a parked wave would count other requests'
     /// wall time into its own phase, and the `interp: true` oracle
@@ -651,7 +660,7 @@ pub(crate) struct SharedPlans {
     /// — the kernel index makes the key self-describing and collision
     /// -free by construction: there is no runtime insertion, so a key
     /// can never outlive or alias the statement it was built from.
-    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<BulkPlan>>>,
+    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<RowProgram>>>,
     /// Fused whole-wave epilogues: parallel `d_batch` loops whose whole
     /// body bulk-serves, keyed like `bulk_plans`.
     pub(crate) fused_waves: Rc<HashMap<(usize, usize), Rc<FusedWave>>>,
@@ -753,20 +762,13 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
             interp::collect_wave_ancestors(stmt, &wave_plans, &mut wave_ancestors);
         }
     }
-    // Bulk feature-loop plans and fused wave epilogues are purely
-    // syntactic: compile them once here, per `(kernel, statement)`,
+    // The row programs of feature loops and fused wave epilogues are
+    // purely syntactic: lower them once here, per `(kernel, statement)`,
     // instead of caching per run.
     let mut bulk_plans = HashMap::new();
-    for (ki, kernel) in compiled.iter().enumerate() {
-        for stmt in &kernel.body {
-            bulk::collect_bulk_plans(stmt, ki, &mut bulk_plans);
-        }
-    }
     let mut fused_waves = HashMap::new();
     for (ki, kernel) in compiled.iter().enumerate() {
-        for stmt in &kernel.body {
-            bulk::collect_fused_waves(stmt, ki, &bulk_plans, &mut fused_waves);
-        }
+        bulk::collect_row_programs(&kernel.body, ki, &mut bulk_plans, &mut fused_waves);
     }
     let t0 = Instant::now();
     let plan = lowering::lower(&compiled, &wave_plans, &bulk_plans, &fused_waves);
@@ -774,13 +776,14 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
     // The lowering certified every wave body it attached a plan to;
     // count the verdicts here (the caller fills in the optimizer pair,
     // which is per-compile, not per-lowering).
-    let par_safe_waves = plan
+    let safe_wave_bodies = plan
         .wave_safety
         .iter()
-        .chain(&plan.fused_safety)
         .filter(|c| matches!(c, ParSafety::RowDisjoint))
         .count();
-    let par_unsafe_waves = plan.wave_safety.len() + plan.fused_safety.len() - par_safe_waves;
+    // Every fused wave is row-disjoint (only those fuse).
+    let par_safe_waves = safe_wave_bodies + plan.fused.len();
+    let par_unsafe_waves = plan.wave_safety.len() - safe_wave_bodies;
     let stats = PlanStats {
         plan_ops: plan.ops.len(),
         lower_ns,
@@ -1135,13 +1138,7 @@ impl<'p> Engine<'p> {
     /// counters, the engine's static-analysis results pre-filled.
     fn stats_seed(&self) -> ExecStats {
         let mut par_unsafe_by_reason = [0u64; 6];
-        for cert in self
-            .shared
-            .plan
-            .wave_safety
-            .iter()
-            .chain(&self.shared.plan.fused_safety)
-        {
+        for cert in &self.shared.plan.wave_safety {
             if let ParSafety::Sequential { reason } = cert {
                 par_unsafe_by_reason[reason.index()] += 1;
             }

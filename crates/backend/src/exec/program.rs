@@ -37,7 +37,7 @@ use cortex_core::expr::{BoolExpr, IdxExpr};
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
 use super::analysis::ParSafety;
-use super::bulk::{BulkPlan, FusedWave};
+use super::bulk::{FusedWave, RowProgram};
 use super::lowering::CompiledKernel;
 use crate::wave::WavePlan;
 
@@ -77,7 +77,7 @@ pub(crate) enum Op {
     Jump(Pc),
     Barrier,
     /// Bulk feature-loop pass: when servable (all referenced reductions
-    /// memo-active and the bulk path enabled) run the strided row passes
+    /// memo-active and the bulk path enabled) run the row program
     /// and jump `done`; otherwise fall through into the per-element
     /// loop ops.
     BulkPass {
@@ -137,12 +137,11 @@ pub(crate) struct Program {
     /// lowering ([`super::analysis::parsafety`]), re-derived and
     /// compared by [`super::verify`] so a forged entry is rejected.
     pub(crate) wave_safety: Vec<ParSafety>,
+    /// Fused waves carry no stored certificate: `plan_fused_wave` only
+    /// builds row-disjoint ones, and [`super::verify`] re-derives that
+    /// from each wave's row program.
     pub(crate) fused: Vec<Rc<FusedWave>>,
-    /// Certificate of each fused wave's row passes, aligned with
-    /// `fused`. Row-disjoint by construction (`plan_fused_wave` only
-    /// builds certified waves) — `verify` enforces exactly that.
-    pub(crate) fused_safety: Vec<ParSafety>,
-    pub(crate) bulks: Vec<Rc<BulkPlan>>,
+    pub(crate) bulks: Vec<Rc<RowProgram>>,
     pub(crate) kernels: Vec<KernelDef>,
     /// Owner of every statement tree the ops point into — see the
     /// module-level pointer invariant, checked by [`super::verify`].

@@ -216,7 +216,7 @@ impl<'a> Interp<'a> {
                 Op::BulkPass { id, done } => {
                     let bulk = plan.bulks[id].clone();
                     if self.opts.fastdot && self.opts.bulk && self.bulk_servable(&bulk) {
-                        self.exec_bulk(&bulk);
+                        self.exec_row_program(&bulk);
                         cur.pc = done;
                     } else {
                         cur.pc += 1;
@@ -275,7 +275,7 @@ impl<'a> Interp<'a> {
             cur.pc = d.exit;
             return false;
         }
-        // A fusable wave runs its whole body as bulk row passes from the
+        // A fusable wave runs its whole body as one row program from the
         // FusedEpilogue op — immediately in a solo run, after the flush
         // installs results when parked.
         if let Some(f) = d.fused {
@@ -347,8 +347,8 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// [`Op::FusedEpilogue`]: run the whole parked/fusable wave as bulk
-    /// row passes, retire its sites, and exit the loop.
+    /// [`Op::FusedEpilogue`]: run the whole parked/fusable wave as its
+    /// row program, retire its sites, and exit the loop.
     fn op_fused_epilogue(&mut self, plan: &Program, cur: &mut PcCursor) {
         let Some(LoopRec::Fused { id, n, activated }) = cur.recs.pop() else {
             unreachable!("FusedEpilogue without its loop record")

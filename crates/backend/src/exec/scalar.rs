@@ -71,40 +71,13 @@ impl<'a> Interp<'a> {
 
     pub(crate) fn exec_stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::For {
-                var,
-                extent,
-                dim,
-                body,
-                ..
-            } => {
-                let n = self.eval_idx(extent);
+            Stmt::For { var, dim, body, .. } => {
+                let (n, activated) = self.enter_loop(s, None);
                 let slot = var.id() as usize;
                 let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
-                let is_node_loop = matches!(dim, Some(d) if d.0 == "d_batch");
-                if is_node_loop {
-                    if let Some(scope) = self.scopes.last_mut() {
-                        scope.width = scope.width.max(n.max(0) as u64);
-                    }
-                }
-                // Batched wavefront execution: if this node loop has a
-                // wave plan, run each stacking group of recognized
-                // reduction sites as one packed GEMM over the whole wave,
-                // then interpret the loop normally with `Sum`s served
-                // from the result matrices.
-                let mut activated = (0usize, 0usize);
-                if n > 0 && !self.wave_plans.is_empty() {
-                    let for_key = s as *const Stmt as usize;
-                    if let Some(plan) = self.wave_plans.get(&for_key).cloned() {
-                        activated = self.prepare_wave(&plan, for_key, n as usize, None);
-                    }
-                }
-                // Bulk serving: a fused wave runs the whole loop body as
-                // loop-interchanged row passes (one pass per body
-                // statement over every node); a bulk feature loop runs
-                // one strided row pass over its extent. Either way the
-                // values and counters are identical to per-element
-                // interpretation.
+                // Row programs: a fused wave serves its whole body row
+                // by row, a lone feature loop its one row; values and
+                // counters are identical to per-element interpretation.
                 let mut served = false;
                 if n > 0 && !is_wave && self.opts.fastdot && self.opts.bulk {
                     let key = (self.cur_kernel, s as *const Stmt as usize);
@@ -115,11 +88,9 @@ impl<'a> Interp<'a> {
                         }
                     } else if let Some(plan) = self.bulk_plans.get(&key).cloned() {
                         if self.bulk_servable(&plan) {
-                            // Not timed: a clock pair per row pass would
-                            // distort both the metric and the path
-                            // (`ExecStats::epilogue_ns` is charged at
-                            // fused-wave granularity).
-                            self.exec_bulk(&plan);
+                            // Not timed (`ExecStats::epilogue_ns` is
+                            // charged at fused-wave granularity).
+                            self.exec_row_program(&plan);
                             served = true;
                         }
                     }
@@ -191,26 +162,15 @@ impl<'a> Interp<'a> {
             ValExpr::Unary(op, a) => {
                 let x = self.eval_val(a);
                 self.profile.flops += 1;
-                match op {
-                    cortex_core::expr::UnaryOp::Neg => -x,
-                    cortex_core::expr::UnaryOp::Tanh => self.nonlin.tanh(x),
-                    cortex_core::expr::UnaryOp::Sigmoid => self.nonlin.sigmoid(x),
-                    cortex_core::expr::UnaryOp::Relu => x.max(0.0),
-                    cortex_core::expr::UnaryOp::Exp => x.exp(),
-                }
+                // The operators' one definition, shared with the tiled
+                // row programs — bit-identity by construction.
+                op.apply(self.nonlin, x)
             }
             ValExpr::Bin(op, a, b) => {
                 let x = self.eval_val(a);
                 let y = self.eval_val(b);
                 self.profile.flops += 1;
-                match op {
-                    cortex_core::expr::BinOp::Add => x + y,
-                    cortex_core::expr::BinOp::Sub => x - y,
-                    cortex_core::expr::BinOp::Mul => x * y,
-                    cortex_core::expr::BinOp::Div => x / y,
-                    cortex_core::expr::BinOp::Max => x.max(y),
-                    cortex_core::expr::BinOp::Min => x.min(y),
-                }
+                op.apply(x, y)
             }
             ValExpr::Sum { var, extent, body } => {
                 let n = self.eval_idx(extent).max(0);
@@ -560,7 +520,7 @@ impl<'a> Interp<'a> {
                     };
                     // Resumed after the super-wave flush installed this
                     // request's result blocks: the whole wave's epilogue
-                    // runs as fused row passes, then its sites retire.
+                    // runs as its fused row program, then its sites retire.
                     let fw = self
                         .fused_waves
                         .get(&key)
@@ -615,11 +575,38 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// The `For` entry shared by the recursive walk and the step machine:
+    /// evaluates the extent, records the wave width and — batched
+    /// wavefront execution — if this node loop has a wave plan, runs
+    /// each stacking group of recognized reduction sites as one packed
+    /// GEMM over the whole wave (deferred into the accumulator under
+    /// `execute_many`), so the body's `Sum`s serve from the result
+    /// matrices. Returns the extent and the activated `(sites, groups)`.
+    fn enter_loop(
+        &mut self,
+        s: &Stmt,
+        defer: Option<(&mut SuperWaveAcc, usize)>,
+    ) -> (i64, (usize, usize)) {
+        let Stmt::For { extent, dim, .. } = s else {
+            unreachable!("enter_loop on a non-For statement")
+        };
+        let n = self.eval_idx(extent);
+        if matches!(dim, Some(d) if d.0 == "d_batch") {
+            if let Some(scope) = self.scopes.last_mut() {
+                scope.width = scope.width.max(n.max(0) as u64);
+            }
+        }
+        let for_key = s as *const Stmt as usize;
+        match self.wave_plans.get(&for_key).cloned() {
+            Some(plan) if n > 0 => (n, self.prepare_wave(&plan, for_key, n as usize, defer)),
+            _ => (n, (0, 0)),
+        }
+    }
+
     /// The step machine's mirror of [`exec_stmt`](Self::exec_stmt)'s
-    /// `For` entry: evaluates the extent, records wave width, runs the
-    /// wave-plan prepare phase (with GEMMs deferred into `acc`), and
-    /// pushes the loop's first iteration. Returns whether the request
-    /// must park for a super-wave flush.
+    /// `For` case: enters the loop (GEMMs deferred into `acc`) and pushes
+    /// its first iteration. Returns whether the request must park for a
+    /// super-wave flush.
     fn enter_for<'k>(
         &mut self,
         s: &'k Stmt,
@@ -627,37 +614,16 @@ impl<'a> Interp<'a> {
         acc: &mut SuperWaveAcc,
         request: usize,
     ) -> bool {
-        let Stmt::For {
-            var,
-            extent,
-            dim,
-            body,
-            ..
-        } = s
-        else {
+        let Stmt::For { var, dim, body, .. } = s else {
             unreachable!("enter_for on a non-For statement")
         };
-        let n = self.eval_idx(extent);
+        let (n, activated) = self.enter_loop(s, Some((acc, request)));
         let slot = var.id() as usize;
         let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
-        if matches!(dim, Some(d) if d.0 == "d_batch") {
-            if let Some(scope) = self.scopes.last_mut() {
-                scope.width = scope.width.max(n.max(0) as u64);
-            }
-        }
-        let mut activated = (0usize, 0usize);
-        let mut paused = false;
-        if n > 0 && !self.wave_plans.is_empty() {
-            let for_key = s as *const Stmt as usize;
-            if let Some(plan) = self.wave_plans.get(&for_key).cloned() {
-                activated = self.prepare_wave(&plan, for_key, n as usize, Some((acc, request)));
-                paused = activated.1 > 0;
-            }
-        }
+        let paused = activated.1 > 0;
         if n > 0 {
-            // A parked fusable wave runs its whole body as fused row
-            // passes once the flush installs results, instead of
-            // resuming per-node frames.
+            // A parked fusable wave runs its row program once the flush
+            // installs results, instead of resuming per-node frames.
             if paused {
                 let key = (self.cur_kernel, s as *const Stmt as usize);
                 if let Some(fw) = self.fused_waves.get(&key).cloned() {
@@ -756,7 +722,7 @@ pub(crate) enum Frame<'k> {
     },
     /// A parked fusable wave loop: once the pending super-wave flush
     /// installs this request's result blocks, the whole body runs as
-    /// fused bulk passes ([`Interp::exec_fused_wave`]) and the wave's
+    /// its fused row program ([`Interp::exec_fused_wave`]) and the wave's
     /// `activated` sites retire.
     Fused {
         key: (usize, usize),

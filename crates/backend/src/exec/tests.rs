@@ -6,6 +6,7 @@ use cortex_core::lower::{lower, StructureInfo};
 use cortex_core::ra::{RaGraph, RaSchedule};
 use cortex_ds::datasets;
 use cortex_ds::linearizer::{Linearized, Linearizer};
+use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::Tensor;
 
 use super::gather::{evict_weight_cache_lru, StackedWeight};
@@ -43,7 +44,7 @@ fn reference_tree_rnn(lin: &Linearized, emb: &Tensor, h: usize) -> Vec<Vec<f32>>
             vals[n as usize] = vals[l]
                 .iter()
                 .zip(&vals[r])
-                .map(|(a, b)| (a + b).tanh())
+                .map(|(a, b)| cortex_tensor::approx::tanh_exact(a + b))
                 .collect();
         }
     }
@@ -391,12 +392,30 @@ fn pc_runtime_matches_interp_oracle_exactly() {
         let program = lower(&g, schedule, StructureInfo { max_children: 2 }).unwrap();
         let tree = datasets::random_binary_tree(17, 11 + si as u64);
         let lin = Linearizer::new().linearize(&tree).unwrap();
-        let (out_pc, prof_pc) = Engine::new(&program).execute(&lin, &params, true).unwrap();
-        let (out_or, prof_or) = Engine::with_options(&program, ExecOptions::interpreted())
-            .execute(&lin, &params, true)
-            .unwrap();
-        assert_eq!(out_pc[&out], out_or[&out], "schedule {si}: bit-exact");
-        assert_eq!(prof_pc, prof_or, "schedule {si}: identical profiles");
+        // Both nonlinearity modes, against the oracle and against
+        // per-element serving (`bulk: false`).
+        for nonlinearity in [NonlinearityMode::Exact, NonlinearityMode::Rational] {
+            let on = ExecOptions {
+                nonlinearity,
+                ..ExecOptions::default()
+            };
+            let run = |opts| {
+                Engine::with_options(&program, opts)
+                    .execute(&lin, &params, true)
+                    .unwrap()
+            };
+            let (out_pc, prof_pc) = run(on);
+            let interp = true;
+            for other in [
+                ExecOptions { interp, ..on },
+                ExecOptions { bulk: false, ..on },
+            ] {
+                let (out_or, prof_or) = run(other);
+                let ctx = format!("schedule {si} {nonlinearity:?}");
+                assert_eq!(out_pc[&out], out_or[&out], "{ctx}: bit-exact");
+                assert_eq!(prof_pc, prof_or, "{ctx}: identical profiles");
+            }
+        }
     }
 }
 
@@ -1276,12 +1295,23 @@ fn verify_rejects_forged_fused_certificate() {
     let mut shared = forgeable_plans(&g);
     let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
     assert!(
-        !plan.fused_safety.is_empty(),
+        !plan.fused.is_empty(),
         "matvec body fuses under the default schedule"
     );
-    plan.fused_safety[0] = ParSafety::Sequential {
-        reason: SeqReason::ReadOverlapsWrites,
-    };
+    // A fused wave carries no stored certificate to flip: forge the wave
+    // itself, claiming a loop variable its stores do not ride (every
+    // node would write the same row).
+    let genuine = &plan.fused[0];
+    plan.fused[0] = Rc::new(super::bulk::FusedWave {
+        n_idx_slot: usize::from(u16::MAX),
+        node_let: None,
+        prog: super::bulk::RowProgram {
+            passes: genuine.prog.passes.clone(),
+            only: None,
+            sum_keys: genuine.prog.sum_keys.clone(),
+        },
+        bytes_per_row: genuine.bytes_per_row,
+    });
     assert_eq!(
         verify(&shared.plan),
         Err(VerifyError::CertificateMismatch {
@@ -1379,70 +1409,47 @@ fn engine_stats_surface_the_analysis_results() {
 
 #[test]
 fn certify_fused_rejects_overlapping_row_passes() {
-    use super::bulk::{BulkExpr, BulkPlan, FusedLoop};
     let n = Var::from_raw(0);
+    let i = Var::from_raw(1);
     let t = TensorId(4);
-    let plan = |index: Vec<IdxExpr>, i_pos: usize, expr: BulkExpr| {
-        Rc::new(BulkPlan {
-            h: 4,
-            feat_slot: 1,
-            tensor: t,
-            index,
-            i_pos,
-            expr,
-            sum_keys: Vec::new(),
-        })
+    // `for i in 0..4 { t[index] = value }`, lowered and certified.
+    let certify = |index: Vec<IdxExpr>, value: ValExpr| {
+        let s = Stmt::For {
+            var: i,
+            extent: IdxExpr::Const(4),
+            kind: LoopKind::Vectorized,
+            dim: None,
+            body: vec![Stmt::Store {
+                tensor: t,
+                index,
+                value,
+            }],
+        };
+        let prog = super::bulk::lower_row_program(&[(None, &s)]).expect("row-serves");
+        certify_fused(&prog, n, None)
     };
-    let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(Var::from_raw(1))];
+    let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(i)];
     // Pass writes t[0][i] — every row of the wave hits the same cells.
-    let shared = FusedLoop {
-        outer: None,
-        plan: plan(
-            vec![IdxExpr::Const(0), IdxExpr::Var(Var::from_raw(1))],
-            1,
-            BulkExpr::Const(1.0),
-        ),
-    };
     assert_eq!(
-        certify_fused(&[shared], n, None),
+        certify(
+            vec![IdxExpr::Const(0), IdxExpr::Var(i)],
+            ValExpr::Const(1.0)
+        ),
         ParSafety::Sequential {
             reason: SeqReason::WriteRowShared
         }
     );
     // Pass reads its own tensor at the *next* row: cross-row overlap.
-    let overlapping = FusedLoop {
-        outer: None,
-        plan: plan(
-            own_row.clone(),
-            1,
-            BulkExpr::Load {
-                tensor: t,
-                index: vec![
-                    IdxExpr::Var(n).add(IdxExpr::Const(1)),
-                    IdxExpr::Var(Var::from_raw(1)),
-                ],
-                i_pos: Some(1),
-            },
-        ),
-    };
+    let next_row = vec![IdxExpr::Var(n).add(IdxExpr::Const(1)), IdxExpr::Var(i)];
     assert_eq!(
-        certify_fused(&[overlapping], n, None),
+        certify(own_row.clone(), ValExpr::load(t, next_row)),
         ParSafety::Sequential {
             reason: SeqReason::ReadOverlapsWrites
         }
     );
     // Own-row read is fine.
-    let own = FusedLoop {
-        outer: None,
-        plan: plan(
-            own_row.clone(),
-            1,
-            BulkExpr::Load {
-                tensor: t,
-                index: own_row,
-                i_pos: Some(1),
-            },
-        ),
-    };
-    assert_eq!(certify_fused(&[own], n, None), ParSafety::RowDisjoint);
+    assert_eq!(
+        certify(own_row.clone(), ValExpr::load(t, own_row)),
+        ParSafety::RowDisjoint
+    );
 }

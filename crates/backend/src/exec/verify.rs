@@ -210,29 +210,15 @@ impl OwnedAddrs {
     fn add_stmt(&mut self, s: &Stmt) {
         self.stmts.insert(s as *const Stmt as usize);
         match s {
-            Stmt::For { extent, body, .. } => {
-                self.add_idx(extent);
-                body.iter().for_each(|st| self.add_stmt(st));
-            }
-            Stmt::Let { value, body, .. } => {
-                self.add_idx(value);
-                body.iter().for_each(|st| self.add_stmt(st));
-            }
+            Stmt::For { extent: e, .. } | Stmt::Let { value: e, .. } => self.add_idx(e),
             Stmt::Store { index, value, .. } => {
                 index.iter().for_each(|e| self.add_idx(e));
                 self.add_val(value);
             }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.add_bool(cond);
-                then_branch.iter().for_each(|st| self.add_stmt(st));
-                else_branch.iter().for_each(|st| self.add_stmt(st));
-            }
+            Stmt::If { cond, .. } => self.add_bool(cond),
             Stmt::Barrier => {}
         }
+        s.children().for_each(|st| self.add_stmt(st));
     }
 
     fn add_idx(&mut self, e: &IdxExpr) {
@@ -465,33 +451,15 @@ fn verify_certificates(plan: &Program) -> Result<(), VerifyError> {
             index: plan.wave_safety.len().min(plan.waves.len()),
         });
     }
-    if plan.fused_safety.len() != plan.fused.len() {
-        return Err(VerifyError::CertificateMismatch {
-            what: "fused",
-            index: plan.fused_safety.len().min(plan.fused.len()),
-        });
-    }
     // Wave bodies are found back through the plan's `for_key` (the
     // planned `For`'s statement address within the compiled kernels).
     // An explicit walker — `Stmt::visit` cannot lend references with
     // the tree's lifetime out of its callback.
     fn collect_fors<'a>(s: &'a Stmt, out: &mut HashMap<usize, (cortex_core::Var, &'a [Stmt])>) {
-        match s {
-            Stmt::For { var, body, .. } => {
-                out.insert(s as *const Stmt as usize, (*var, body.as_slice()));
-                body.iter().for_each(|c| collect_fors(c, out));
-            }
-            Stmt::Let { body, .. } => body.iter().for_each(|c| collect_fors(c, out)),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                then_branch.iter().for_each(|c| collect_fors(c, out));
-                else_branch.iter().for_each(|c| collect_fors(c, out));
-            }
-            Stmt::Store { .. } | Stmt::Barrier => {}
+        if let Stmt::For { var, body, .. } = s {
+            out.insert(s as *const Stmt as usize, (*var, body.as_slice()));
         }
+        s.children().for_each(|c| collect_fors(c, out));
     }
     let mut fors: HashMap<usize, (cortex_core::Var, &[Stmt])> = HashMap::new();
     for k in plan.source.iter() {
@@ -513,19 +481,9 @@ fn verify_certificates(plan: &Program) -> Result<(), VerifyError> {
             });
         }
     }
-    for (i, (fw, cert)) in plan.fused.iter().zip(&plan.fused_safety).enumerate() {
-        let node = fw
-            .node_let
-            .as_ref()
-            .map(|(slot, _)| cortex_core::Var::from_raw(*slot as u32));
-        let derived = parsafety::certify_fused(
-            &fw.loops,
-            cortex_core::Var::from_raw(fw.n_idx_slot as u32),
-            node,
-        );
-        // A fused wave must not merely match: only row-disjoint bodies
-        // may fuse at all.
-        if derived != *cert || derived != ParSafety::RowDisjoint {
+    for (i, fw) in plan.fused.iter().enumerate() {
+        // Only row-disjoint bodies may fuse at all.
+        if fw.certify() != ParSafety::RowDisjoint {
             return Err(VerifyError::CertificateMismatch {
                 what: "fused",
                 index: i,
@@ -562,6 +520,19 @@ fn verify_kernel(
     let mut wave_watch: Vec<(usize, usize, usize, bool, bool)> = Vec::new();
     for pc in range {
         env.op = pc;
+        // A plan id must name an entry of its table, a pc operand an op.
+        let plan_ref = |what: &'static str, index: usize, len: usize| {
+            let err = VerifyError::PlanRefOutOfBounds {
+                op: pc,
+                what,
+                index,
+            };
+            (index < len).then_some(()).ok_or(err)
+        };
+        let jump_to = |target: usize| {
+            let err = VerifyError::DanglingJump { op: pc, target };
+            (target < n_ops).then_some(()).ok_or(err)
+        };
         match &plan.ops[pc] {
             Op::KernelEnd => {
                 if let Some(&(at, loop_id)) = open.last() {
@@ -570,11 +541,8 @@ fn verify_kernel(
                 break;
             }
             Op::LoopEnter(id) => {
-                let d = plan.loops.get(*id).ok_or(VerifyError::PlanRefOutOfBounds {
-                    op: pc,
-                    what: "loop",
-                    index: *id,
-                })?;
+                plan_ref("loop", *id, plan.loops.len())?;
+                let d = &plan.loops[*id];
                 if !owned.idxs.contains(&(d.extent as usize)) {
                     return Err(VerifyError::ForeignExpr { op: pc });
                 }
@@ -583,9 +551,7 @@ fn verify_kernel(
                 env.check_idx(unsafe { &*d.extent })?;
                 for (target, what) in [(d.body, "body"), (d.fused_pc, "fused_pc"), (d.exit, "exit")]
                 {
-                    if target >= n_ops {
-                        return Err(VerifyError::DanglingJump { op: pc, target });
-                    }
+                    jump_to(target)?;
                     if what == "body" && target != pc + 1 {
                         return Err(VerifyError::BadLoopShape {
                             op: pc,
@@ -595,25 +561,13 @@ fn verify_kernel(
                     }
                 }
                 if let Some(w) = d.wave {
-                    if w >= plan.waves.len() {
-                        return Err(VerifyError::PlanRefOutOfBounds {
-                            op: pc,
-                            what: "wave",
-                            index: w,
-                        });
-                    }
+                    plan_ref("wave", w, plan.waves.len())?;
                     for watch in wave_watch.iter_mut() {
                         watch.3 = true;
                     }
                 }
                 if let Some(fu) = d.fused {
-                    if fu >= plan.fused.len() {
-                        return Err(VerifyError::PlanRefOutOfBounds {
-                            op: pc,
-                            what: "fused",
-                            index: fu,
-                        });
-                    }
+                    plan_ref("fused", fu, plan.fused.len())?;
                 }
                 env.define(d.slot)?;
                 open.push((pc, *id));
@@ -622,13 +576,7 @@ fn verify_kernel(
                 }
             }
             Op::LoopNext(id) => {
-                if *id >= plan.loops.len() {
-                    return Err(VerifyError::PlanRefOutOfBounds {
-                        op: pc,
-                        what: "loop",
-                        index: *id,
-                    });
-                }
+                plan_ref("loop", *id, plan.loops.len())?;
                 match open.pop() {
                     Some((_, open_id)) if open_id == *id => {}
                     _ => {
@@ -667,40 +615,17 @@ fn verify_kernel(
                 }
                 // SAFETY: ownership checked above.
                 env.check_bool(unsafe { &**cond })?;
-                if *on_false >= n_ops {
-                    return Err(VerifyError::DanglingJump {
-                        op: pc,
-                        target: *on_false,
-                    });
-                }
+                jump_to(*on_false)?;
             }
-            Op::Jump(target) => {
-                if *target >= n_ops {
-                    return Err(VerifyError::DanglingJump {
-                        op: pc,
-                        target: *target,
-                    });
-                }
-            }
+            Op::Jump(target) => jump_to(*target)?,
             Op::Barrier => {
                 for watch in wave_watch.iter_mut() {
                     watch.4 = true;
                 }
             }
             Op::BulkPass { id, done } => {
-                if *id >= plan.bulks.len() {
-                    return Err(VerifyError::PlanRefOutOfBounds {
-                        op: pc,
-                        what: "bulk",
-                        index: *id,
-                    });
-                }
-                if *done >= n_ops {
-                    return Err(VerifyError::DanglingJump {
-                        op: pc,
-                        target: *done,
-                    });
-                }
+                plan_ref("bulk", *id, plan.bulks.len())?;
+                jump_to(*done)?;
             }
         }
     }
@@ -745,29 +670,15 @@ pub(crate) fn plan_arity_bounds(kernels: &[CompiledKernel]) -> ArityBounds {
     }
     fn scan_stmt(s: &Stmt, b: &mut ArityBounds, bound: Option<usize>) {
         match s {
-            Stmt::For { extent, body, .. } => {
-                scan_idx(extent, b, bound);
-                body.iter().for_each(|st| scan_stmt(st, b, bound));
-            }
-            Stmt::Let { value, body, .. } => {
-                scan_idx(value, b, bound);
-                body.iter().for_each(|st| scan_stmt(st, b, bound));
-            }
+            Stmt::For { extent: e, .. } | Stmt::Let { value: e, .. } => scan_idx(e, b, bound),
             Stmt::Store { index, value, .. } => {
                 index.iter().for_each(|i| scan_idx(i, b, bound));
                 scan_val(value, b, bound);
             }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                scan_bool(cond, b, bound);
-                then_branch.iter().for_each(|st| scan_stmt(st, b, bound));
-                else_branch.iter().for_each(|st| scan_stmt(st, b, bound));
-            }
+            Stmt::If { cond, .. } => scan_bool(cond, b, bound),
             Stmt::Barrier => {}
         }
+        s.children().for_each(|st| scan_stmt(st, b, bound));
     }
     fn scan_idx(e: &IdxExpr, b: &mut ArityBounds, bound: Option<usize>) {
         match e {

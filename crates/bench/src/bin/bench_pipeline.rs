@@ -14,7 +14,8 @@
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v8",
+//!   "schema": "cortex-bench-pipeline/v9",
+//!   "axpy_gb_s": 36.1,
 //!   "results": [
 //!     {"bench": "treelstm_h256_bs16", "nodes": 1234, "hidden": 256,
 //!      "scalar_ms": 12.3, "batched_ms": 3.2, "generic_ms": 88.0,
@@ -22,8 +23,8 @@
 //!      "wave_gemms": 120, "waves_batched": 60, "gemms_per_wave": 2.0,
 //!      "gemm_rows": 1800, "stacked_groups": 60, "stacked_sites": 180,
 //!      "requests_per_batch": 1, "superwave_width": 15.0,
-//!      "throughput_rps": 312.5, "epilogue_ms": 1.9, "fused_waves": 60,
-//!      "nonlinearity": "exact"}
+//!      "throughput_rps": 312.5, "epilogue_ms": 1.9, "epilogue_gb_s": 6.2,
+//!      "fused_waves": 60, "nonlinearity": "exact"}
 //!   ]
 //! }
 //! ```
@@ -43,6 +44,14 @@
 //! "rational"), plus the `dagrnn_h256` row (Select-guarded DAG serving,
 //! CI-gated ≥10× batched/scalar) and a rational-mode seqlstm row whose
 //! outputs are verified ≤1e-4 against the exact references.
+//! Schema v9 states the epilogue against its ceiling: `epilogue_gb_s`
+//! is the bytes the row programs streamed in and out of their tile
+//! registers (`ExecStats::epilogue_bytes`) over `epilogue_ms`, and the
+//! top-level `axpy_gb_s` is what `simd::axpy` reaches on this box over
+//! 1 Mi elements — the stream rate an elementwise pass cannot beat.
+//! Both nonlinearity modes are vectorized now, so the old wall-clock
+//! bar "rational beats libm-exact" is gone; the rational row is still
+//! verified ≤1e-4 against the (new, deterministic) exact references.
 //! Schema v6 adds the static-analysis trajectory to each lowering
 //! entry: `dead_ops_eliminated` / `slots_coalesced` (the dataflow
 //! optimizer's work) and `par_safe_waves` / `par_unsafe_waves` (the
@@ -134,8 +143,9 @@ fn bench_model(
 }
 
 /// Like [`bench_model`], with an explicit nonlinearity mode: `Rational`
-/// rows verify against the same exact references (the ≤1e-4 bar covers
-/// the substitution error end-to-end, the paper's App. A.5 claim).
+/// rows verify against the same references, which evaluate the `Exact`
+/// definitions (the ≤1e-4 bar covers the substitution error end-to-end,
+/// the paper's App. A.5 claim).
 fn bench_model_mode(
     name: &str,
     model: &Model,
@@ -189,7 +199,7 @@ fn bench_model_mode(
         "{name:<28} nodes={:<5} h={:<4} generic={generic_ms:9.2}ms scalar={scalar_ms:9.2}ms \
          batched={batched_ms:9.2}ms speedup(batched/scalar)={:.2}x gemms/wave={:.2} \
          stacked={}/{} plan_ops={} gather={:.2}ms gemm={:.2}ms serve={:.2}ms \
-         epilogue={:.2}ms fused_waves={} verified={verified}",
+         epilogue={:.2}ms ({:.1} GB/s) fused_waves={} verified={verified}",
         structure.num_nodes(),
         model.hidden,
         scalar_ms / batched_ms,
@@ -201,6 +211,7 @@ fn bench_model_mode(
         stats.gemm_ns as f64 / 1e6,
         stats.serve_ns as f64 / 1e6,
         stats.epilogue_ns as f64 / 1e6,
+        epilogue_gb_s(&stats),
         stats.fused_waves,
     );
     Record {
@@ -215,6 +226,25 @@ fn bench_model_mode(
         stats,
         plan,
     }
+}
+
+/// Achieved epilogue bandwidth: bytes through the tile registers per
+/// nanosecond of fused-wave epilogue.
+fn epilogue_gb_s(stats: &ExecStats) -> f64 {
+    stats.epilogue_bytes as f64 / stats.epilogue_ns.max(1) as f64
+}
+
+/// The stream-rate ceiling of an elementwise pass: `y += x` over 1 Mi
+/// elements (reads `x` and `y`, writes `y` — twelve bytes per element).
+fn axpy_gb_s() -> f64 {
+    let x = vec![1.0f32; 1 << 20];
+    let mut y = vec![0.0f32; 1 << 20];
+    let seconds = median_run(9, || {
+        cortex_tensor::simd::axpy(&mut y, &x);
+        std::hint::black_box(&mut y);
+    })
+    .as_secs_f64();
+    12.0 * y.len() as f64 / seconds / 1e9
 }
 
 struct SoloRecord {
@@ -419,8 +449,12 @@ fn main() {
 
     let solo = solo_small();
 
-    let mut json =
-        String::from("{\n  \"schema\": \"cortex-bench-pipeline/v8\",\n  \"lowering\": [\n");
+    let axpy = axpy_gb_s();
+    println!("ceiling: axpy {axpy:.1} GB/s");
+    let mut json = format!(
+        "{{\n  \"schema\": \"cortex-bench-pipeline/v9\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
+         \"lowering\": [\n"
+    );
     for (i, (name, plan)) in lowering.iter().enumerate() {
         let _ = write!(
             json,
@@ -468,7 +502,7 @@ fn main() {
              \"throughput_rps\": {:.3}, \"plan_ops\": {}, \"lower_ms\": {:.4}, \
              \"gather_ms\": {:.4}, \
              \"gemm_ms\": {:.4}, \"serve_ms\": {:.4}, \"epilogue_ms\": {:.4}, \
-             \"fused_waves\": {}, \"nonlinearity\": \"{}\"}}{}",
+             \"epilogue_gb_s\": {:.3}, \"fused_waves\": {}, \"nonlinearity\": \"{}\"}}{}",
             r.bench,
             r.nodes,
             r.hidden,
@@ -491,6 +525,7 @@ fn main() {
             r.stats.gemm_ns as f64 / 1e6,
             r.stats.serve_ns as f64 / 1e6,
             r.stats.epilogue_ns as f64 / 1e6,
+            epilogue_gb_s(&r.stats),
             r.stats.fused_waves,
             match r.nonlinearity {
                 NonlinearityMode::Exact => "exact",
@@ -517,10 +552,11 @@ fn main() {
         gemms_per_wave < 2.5,
         "gate stacking must collapse TreeLSTM's 5 sites to ~2 GEMMs/wave, got {gemms_per_wave:.2}"
     );
-    // Correctness gates — always enforced. The rational row must verify
-    // against the exact references (the ≤1e-4 end-to-end substitution
-    // bound), every row must have taken the batched path, and every
-    // model — benchmarked or not — must lower fully to the plan IR.
+    // Correctness gates — always enforced. Every row — the rational one
+    // included, against references evaluated with the `Exact`
+    // definitions (the ≤1e-4 end-to-end substitution bound) — must
+    // verify and must have taken the batched path, and every model —
+    // benchmarked or not — must lower fully to the plan IR.
     for r in &records {
         assert!(r.verified, "{}: verification failed", r.bench);
         assert!(r.plan.plan_ops > 0, "{}: kernels must lower", r.bench);
@@ -569,14 +605,9 @@ fn main() {
             "acceptance: Select-guarded DAG-RNN must be ≥10x over scalar on the \
              bulk path (measured ~12x on the dev box), got {dag_speedup:.2}x"
         );
-        assert!(
-            epi_rational < epi_exact,
-            "acceptance: the rational epilogue must beat libm-exact on seqlstm \
-             ({epi_rational:.2}ms vs {epi_exact:.2}ms)"
-        );
         println!(
-            "acceptance: treelstm {speedup:.2}x ≥ 15x ✓, dagrnn {dag_speedup:.2}x ≥ 10x ✓, \
-             rational epilogue {epi_rational:.2}ms < exact {epi_exact:.2}ms ✓"
+            "acceptance: treelstm {speedup:.2}x ≥ 15x ✓, dagrnn {dag_speedup:.2}x ≥ 10x ✓; \
+             seqlstm epilogue {epi_exact:.2}ms exact, {epi_rational:.2}ms rational"
         );
     }
 }

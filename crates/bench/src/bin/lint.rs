@@ -18,9 +18,17 @@
 //!    its fault containment. Test modules (after the file's first
 //!    `#[cfg(test)]`) are exempt.
 //!
-//! 4. **Stale allowlist entries** — an `[unsafe]` or `[clock]` line
-//!    whose file is gone, or no longer contains what it is exempted
-//!    for, so the allowlist can only shrink honestly.
+//! 4. **Stale allowlist entries** — an `[unsafe]`, `[clock]` or
+//!    `[libm]` line whose file is gone, or no longer contains what it
+//!    is exempted for, so the allowlist can only shrink honestly.
+//! 5. **Platform transcendentals** (`.tanh()` / `.exp()`, which also
+//!    catches the hand-rolled `1.0 / (1.0 + (-x).exp())`) in the
+//!    non-test code of `crates/{core,backend,models,serve,baselines}`
+//!    outside the allowlist — every nonlinearity a result depends on
+//!    is the one definition in `cortex_tensor::approx`, which is what
+//!    keeps the execution paths bit-identical by construction. The
+//!    `[libm]` allowlist names the modelled vendor kernels, the files
+//!    where `.tanh()` is the `ValExpr` builder, and test-only files.
 //!
 //! Run with `cargo run --release -p cortex-bench-harness --bin lint`;
 //! CI runs it as part of the `analysis-gates` job. Exit code 1 on any
@@ -209,26 +217,61 @@ fn parse_allowlist(text: &str) -> Allowlist {
 struct GatedRule {
     section: &'static str,
     needles: &'static [&'static str],
+    /// Whether needles match only at identifier boundaries.
+    word: bool,
+    /// Path prefixes the rule scans (empty: every file).
+    scope: &'static [&'static str],
+    /// Whether code after a file's first `#[cfg(test)]` is exempt.
+    skip_tests: bool,
     /// Completes "`needle` ..." in a violation.
     complaint: &'static str,
 }
 
-/// Rules 1, 2 and 4. Clock reads are matched as whole paths, not as
+/// Rules 1, 2, 4 and 5. Clock reads are matched as whole paths, not as
 /// calls: `(..).then(Instant::now)` reads the clock just as
 /// `Instant::now()` does.
-const GATED_RULES: [GatedRule; 2] = [
+const GATED_RULES: [GatedRule; 3] = [
     GatedRule {
         section: "unsafe",
         needles: &["unsafe"],
+        word: true,
+        scope: &[],
+        skip_tests: false,
         complaint: "outside the allowlist (add the file to lint-allow.txt [unsafe] \
                     with a safety argument, or remove it)",
     },
     GatedRule {
         section: "clock",
         needles: &["Instant::now", "SystemTime::now"],
+        word: true,
+        scope: &[],
+        skip_tests: false,
         complaint: "read outside a Clock impl (inject a `Clock`, or allowlist under [clock])",
     },
+    GatedRule {
+        section: "libm",
+        needles: &[".tanh()", ".exp()"],
+        word: false,
+        scope: &[
+            "crates/core/src/",
+            "crates/backend/src/",
+            "crates/models/src/",
+            "crates/serve/src/",
+            "crates/baselines/src/",
+        ],
+        skip_tests: true,
+        complaint: "outside cortex_tensor::approx (call the shared definition, or \
+                    allowlist under [libm])",
+    },
 ];
+
+/// The 1-based line of a file's first `#[cfg(test)]` (everything from
+/// there on is test code), or `usize::MAX`.
+fn test_start(text: &str) -> usize {
+    text.lines()
+        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+        .map_or(usize::MAX, |i| i + 1)
+}
 
 /// Every violation in `files` (`(repo-relative path, source text)`
 /// pairs) under `allow`, each as `path:line: rule`.
@@ -241,9 +284,18 @@ fn lint(files: &[(String, String)], allow: &Allowlist) -> Vec<String> {
         let allowed = allow.get(rule.section).unwrap_or(&empty);
         // Allowlisted files that still contain what they are exempted for.
         let mut live = HashSet::new();
-        for ((rel, _), stripped) in files.iter().zip(&stripped) {
+        for ((rel, text), stripped) in files.iter().zip(&stripped) {
+            if !rule.scope.is_empty() && !rule.scope.iter().any(|p| rel.starts_with(p)) {
+                continue;
+            }
+            let end = if rule.skip_tests {
+                test_start(text)
+            } else {
+                usize::MAX
+            };
             for needle in rule.needles {
-                let lines = find_lines(stripped, needle, true);
+                let mut lines = find_lines(stripped, needle, rule.word);
+                lines.retain(|&l| l < end);
                 if !allowed.contains(rel) {
                     for line in lines {
                         violations.push(format!("{rel}:{line}: `{needle}` {}", rule.complaint));
@@ -269,13 +321,8 @@ fn lint(files: &[(String, String)], allow: &Allowlist) -> Vec<String> {
         if !rel.starts_with("crates/serve/src/") {
             continue;
         }
-        // Everything after the file's first `#[cfg(test)]` is test
-        // code; the request path above it must not panic.
-        let test_start = text
-            .lines()
-            .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-            .map(|i| i + 1)
-            .unwrap_or(usize::MAX);
+        // Test code is exempt; the request path above it must not panic.
+        let test_start = test_start(text);
         for line in find_lines(stripped, ".unwrap()", false) {
             if line < test_start {
                 violations.push(format!(
@@ -374,6 +421,30 @@ mod tests {
 
         let allow = parse_allowlist("[clock]\ncrates/a/src/lib.rs\ncrates/a/src/call.rs\n");
         assert_eq!(lint(&files, &allow), Vec::<String>::new());
+    }
+
+    #[test]
+    fn platform_transcendentals_are_caught_outside_tests_and_scope() {
+        let body = "fn f(x: f32) -> f32 { 1.0 / (1.0 + (-x).exp()) + x.tanh() }\n";
+        let files = [
+            file("crates/models/src/reference.rs", body),
+            file(
+                "crates/backend/src/tested.rs",
+                &format!("fn g() {{}}\n#[cfg(test)]\nmod tests {{\n{body}}}\n"),
+            ),
+            file("crates/bench/src/out_of_scope.rs", body),
+        ];
+        let violations = lint(&files, &Allowlist::new());
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("crates/models/src/reference.rs:1: `.tanh()`"));
+        assert!(violations[1].starts_with("crates/models/src/reference.rs:1: `.exp()`"));
+
+        let allow = parse_allowlist(
+            "[libm]\ncrates/models/src/reference.rs\ncrates/backend/src/tested.rs\n",
+        );
+        let violations = lint(&files, &allow);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("stale [libm] entry crates/backend/src/tested.rs"));
     }
 
     #[test]

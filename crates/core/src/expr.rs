@@ -460,6 +460,48 @@ pub enum BinOp {
     Min,
 }
 
+impl UnaryOp {
+    /// The tile-kernel operator that defines this operator's numerics.
+    pub fn tile_op(self) -> cortex_tensor::simd::TileUnary {
+        use cortex_tensor::simd::TileUnary;
+        match self {
+            UnaryOp::Neg => TileUnary::Neg,
+            UnaryOp::Tanh => TileUnary::Tanh,
+            UnaryOp::Sigmoid => TileUnary::Sigmoid,
+            UnaryOp::Relu => TileUnary::Relu,
+            UnaryOp::Exp => TileUnary::Exp,
+        }
+    }
+
+    /// Evaluates the operator on one value — the single definition every
+    /// execution path (scalar walk, tiled row programs, constant folder)
+    /// shares, so they agree bit for bit.
+    pub fn apply(self, mode: cortex_tensor::approx::NonlinearityMode, x: f32) -> f32 {
+        self.tile_op().apply(mode, x)
+    }
+}
+
+impl BinOp {
+    /// The tile-kernel operator that defines this operator's numerics.
+    pub fn tile_op(self) -> cortex_tensor::simd::TileBinary {
+        use cortex_tensor::simd::TileBinary;
+        match self {
+            BinOp::Add => TileBinary::Add,
+            BinOp::Sub => TileBinary::Sub,
+            BinOp::Mul => TileBinary::Mul,
+            BinOp::Div => TileBinary::Div,
+            BinOp::Max => TileBinary::Max,
+            BinOp::Min => TileBinary::Min,
+        }
+    }
+
+    /// Evaluates the operator on one pair of values (see
+    /// [`UnaryOp::apply`]).
+    pub fn apply(self, x: f32, y: f32) -> f32 {
+        self.tile_op().apply(x, y)
+    }
+}
+
 /// An `f32` value expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValExpr {

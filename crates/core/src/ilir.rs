@@ -200,23 +200,24 @@ impl Stmt {
         }
     }
 
-    /// Visits every statement (pre-order), including nested ones.
-    pub fn visit(&self, f: &mut impl FnMut(&Stmt)) {
-        f(self);
-        match self {
-            Stmt::For { body, .. } | Stmt::Let { body, .. } => {
-                body.iter().for_each(|s| s.visit(f));
-            }
+    /// The directly nested statements, in program order.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        let (first, second): (&[Stmt], &[Stmt]) = match self {
+            Stmt::For { body, .. } | Stmt::Let { body, .. } => (body, &[]),
             Stmt::If {
                 then_branch,
                 else_branch,
                 ..
-            } => {
-                then_branch.iter().for_each(|s| s.visit(f));
-                else_branch.iter().for_each(|s| s.visit(f));
-            }
-            Stmt::Store { .. } | Stmt::Barrier => {}
-        }
+            } => (then_branch, else_branch),
+            Stmt::Store { .. } | Stmt::Barrier => (&[], &[]),
+        };
+        first.iter().chain(second)
+    }
+
+    /// Visits every statement (pre-order), including nested ones.
+    pub fn visit(&self, f: &mut impl FnMut(&Stmt)) {
+        f(self);
+        self.children().for_each(|s| s.visit(f));
     }
 
     /// Counts statements satisfying a predicate.

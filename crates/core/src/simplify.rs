@@ -6,7 +6,8 @@
 //! deeper reasoning about uninterpreted functions lives in
 //! [`prover`](crate::prover).
 
-use crate::expr::{BinOp, BoolExpr, CmpOp, IdxBinOp, IdxExpr, UnaryOp, ValExpr};
+use crate::expr::{BinOp, BoolExpr, CmpOp, IdxBinOp, IdxExpr, ValExpr};
+use cortex_tensor::approx::NonlinearityMode;
 
 /// Simplifies an index expression.
 ///
@@ -157,14 +158,10 @@ pub fn simplify_val(e: &ValExpr) -> ValExpr {
         ValExpr::Unary(op, a) => {
             let a = simplify_val(a);
             if let ValExpr::Const(c) = a {
-                let v = match op {
-                    UnaryOp::Neg => -c,
-                    UnaryOp::Tanh => c.tanh(),
-                    UnaryOp::Sigmoid => 1.0 / (1.0 + (-c).exp()),
-                    UnaryOp::Relu => c.max(0.0),
-                    UnaryOp::Exp => c.exp(),
-                };
-                return ValExpr::Const(v);
+                // Folded with the runtime's own definition (in the
+                // default `Exact` mode), so a folded constant equals the
+                // executed value bit for bit.
+                return ValExpr::Const(op.apply(NonlinearityMode::Exact, c));
             }
             ValExpr::Unary(*op, Box::new(a))
         }
@@ -173,17 +170,7 @@ pub fn simplify_val(e: &ValExpr) -> ValExpr {
             let b = simplify_val(b);
             use BinOp::*;
             match (&a, &b) {
-                (ValExpr::Const(x), ValExpr::Const(y)) => {
-                    let v = match op {
-                        Add => x + y,
-                        Sub => x - y,
-                        Mul => x * y,
-                        Div => x / y,
-                        Max => x.max(*y),
-                        Min => x.min(*y),
-                    };
-                    ValExpr::Const(v)
-                }
+                (ValExpr::Const(x), ValExpr::Const(y)) => ValExpr::Const(op.apply(*x, *y)),
                 (ValExpr::Const(c), _) if *c == 0.0 && *op == Add => b,
                 (_, ValExpr::Const(c)) if *c == 0.0 && matches!(op, Add | Sub) => a,
                 (ValExpr::Const(c), _) if *c == 0.0 && *op == Mul => ValExpr::Const(0.0),

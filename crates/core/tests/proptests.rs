@@ -13,6 +13,7 @@ use cortex_core::expr::{BinOp, BoolExpr, CmpOp, IdxBinOp, IdxExpr, UnaryOp, ValE
 use cortex_core::prover::{ProofContext, Verdict};
 use cortex_core::simplify::{simplify_bool, simplify_idx, simplify_val};
 use cortex_rng::Rng;
+use cortex_tensor::approx::NonlinearityMode;
 
 const VARS: usize = 3;
 const CASES: usize = 300;
@@ -166,27 +167,10 @@ fn eval_val(e: &ValExpr, env: &[i64; VARS]) -> f32 {
     match e {
         ValExpr::Const(c) => *c,
         ValExpr::Load { .. } | ValExpr::Sum { .. } => unreachable!("not generated"),
-        ValExpr::Unary(op, a) => {
-            let x = eval_val(a, env);
-            match op {
-                UnaryOp::Neg => -x,
-                UnaryOp::Tanh => x.tanh(),
-                UnaryOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-                UnaryOp::Relu => x.max(0.0),
-                UnaryOp::Exp => x.exp(),
-            }
-        }
-        ValExpr::Bin(op, a, b) => {
-            let (x, y) = (eval_val(a, env), eval_val(b, env));
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Max => x.max(y),
-                BinOp::Min => x.min(y),
-            }
-        }
+        // The operators' shared definition: what the folder and every
+        // runtime path evaluate.
+        ValExpr::Unary(op, a) => op.apply(NonlinearityMode::Exact, eval_val(a, env)),
+        ValExpr::Bin(op, a, b) => op.apply(eval_val(a, env), eval_val(b, env)),
         ValExpr::Select {
             cond,
             then,

@@ -12,6 +12,7 @@
 
 use cortex_backend::params::Params;
 use cortex_ds::{RecStructure, StructureKind};
+use cortex_tensor::approx::{sigmoid_exact as sigmoid, tanh_exact as tanh};
 use cortex_tensor::{kernels, Tensor};
 
 use crate::model::LeafInit;
@@ -73,7 +74,7 @@ pub fn tree_rnn(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) -> 
             mv(w, &hs)
                 .iter()
                 .zip(b.as_slice())
-                .map(|(x, bias)| (x + bias).tanh())
+                .map(|(x, bias)| tanh(x + bias))
                 .collect()
         };
     }
@@ -96,7 +97,7 @@ pub fn tree_fc(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) -> V
             let r = mv(wr, &vals[kids[1].index()]);
             add3(&l, &r, b.as_slice())
                 .iter()
-                .map(|x| x.tanh())
+                .map(|&x| tanh(x))
                 .collect()
         };
     }
@@ -118,7 +119,6 @@ pub fn tree_gru(
     let bz = p(params, "b_z");
     let bh = p(params, "b_h");
     let emb = p(params, "Emb");
-    let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
     let mut vals = vec![Vec::new(); s.num_nodes()];
     for n in s.post_order() {
         let kids: Vec<usize> = s.children(n).iter().map(|c| c.index()).collect();
@@ -140,7 +140,7 @@ pub fn tree_gru(
             let hp: Vec<f32> = mv(uh, &gated)
                 .iter()
                 .zip(bh.as_slice())
-                .map(|(x, b)| (x + b).tanh())
+                .map(|(x, b)| tanh(x + b))
                 .collect();
             (0..h)
                 .map(|i| {
@@ -178,7 +178,6 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
     let bf = p(params, "b_f");
     let emb_c = p(params, "Emb_c");
     let emb_h = p(params, "Emb_h");
-    let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
     let mut hv = vec![Vec::new(); s.num_nodes()];
     let mut cv = vec![Vec::new(); s.num_nodes()];
     for n in s.post_order() {
@@ -201,7 +200,7 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
             let ug: Vec<f32> = mv(uu, &hs)
                 .iter()
                 .zip(bu.as_slice())
-                .map(|(x, b)| (x + b).tanh())
+                .map(|(x, b)| tanh(x + b))
                 .collect();
             let fgs: Vec<Vec<f32>> = kids
                 .iter()
@@ -222,7 +221,7 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
                     acc
                 })
                 .collect();
-            let h_new: Vec<f32> = (0..h).map(|i| og[i] * c_new[i].tanh()).collect();
+            let h_new: Vec<f32> = (0..h).map(|i| og[i] * tanh(c_new[i])).collect();
             cv[n.index()] = c_new;
             hv[n.index()] = h_new;
         }
@@ -278,7 +277,7 @@ pub fn mv_rnn(s: &RecStructure, params: &Params, h: usize) -> MvRef {
             let p2 = mv(w2, &ab);
             av[n.index()] = add3(&p1, &p2, b.as_slice())
                 .iter()
-                .map(|x| x.tanh())
+                .map(|&x| tanh(x))
                 .collect();
             // A(n)[i][j] = Σ_k WM1[i,k] A_l[k,j] + Σ_k WM2[i,k] A_r[k,j]
             let mut m_new = vec![0.0f32; h * h];
@@ -322,7 +321,7 @@ pub fn dag_rnn(s: &RecStructure, params: &Params, h: usize) -> Vec<Vec<f32>> {
                 for (d, c) in kids.iter().enumerate() {
                     acc += kernels::dot(us[d].row(i), &vals[c.index()]);
                 }
-                acc.tanh()
+                tanh(acc)
             })
             .collect();
     }

@@ -20,11 +20,14 @@
 //! in a `*_with` form taking an explicit [`Level`] so tests can compare
 //! the wide paths against the scalar path on the same inputs.
 //!
-//! Numerics: the wide paths reassociate the reduction (lane-striped
+//! Numerics: the wide *reduction* paths reassociate (lane-striped
 //! partial sums) and contract `a*b+c` into FMAs, so results may differ
 //! from the scalar path by normal rounding — but IEEE special values
 //! flow through unchanged (`0·∞ → NaN` is preserved; FMA propagates
-//! NaN/∞ exactly like mul+add does).
+//! NaN/∞ exactly like mul+add does). The *elementwise* kernels
+//! ([`run_tile`], [`unary_slice`]) do neither: every level runs the one
+//! lane-generic routine of [`crate::approx`] and is bit-identical to its
+//! scalar form.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -169,7 +172,11 @@ pub fn dot_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Scalar `dot`: eight partial accumulators, pairwise-combined.
+/// Scalar `dot`: eight partial accumulators, pairwise-combined. Every
+/// scalar reduction kernel below accumulates each of its outputs in
+/// exactly this order, so at the scalar level a GEMM element (one `k`
+/// block) is bit-identical to the `dot` of its row and column whichever
+/// micro-kernel shape produced it.
 pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
     let chunks = a.len() / 8;
@@ -228,33 +235,9 @@ pub fn dot4_with(l: Level, a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[
     }
 }
 
-/// Scalar `dot4`: 4×4 accumulator grid, one pass over `a`.
+/// Scalar `dot4`: four [`dot_scalar`]s (the shared accumulation order).
 pub fn dot4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let n = a.len();
-    let mut acc = [[0.0f32; 4]; 4];
-    let chunks = n / 4;
-    for cidx in 0..chunks {
-        let i = cidx * 4;
-        for u in 0..4 {
-            let av = a[i + u];
-            acc[u][0] += av * b0[i + u];
-            acc[u][1] += av * b1[i + u];
-            acc[u][2] += av * b2[i + u];
-            acc[u][3] += av * b3[i + u];
-        }
-    }
-    let mut out = [0.0f32; 4];
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = acc[0][j] + acc[1][j] + acc[2][j] + acc[3][j];
-    }
-    for i in chunks * 4..n {
-        let av = a[i];
-        out[0] += av * b0[i];
-        out[1] += av * b1[i];
-        out[2] += av * b2[i];
-        out[3] += av * b3[i];
-    }
-    out
+    [b0, b1, b2, b3].map(|b| dot_scalar(a, &b[..a.len()]))
 }
 
 // ---------------------------------------------------------------------
@@ -297,15 +280,9 @@ pub fn dot8_with(l: Level, a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
     }
 }
 
-/// Scalar `dot8`: one pass over `a`, eight running sums.
+/// Scalar `dot8`: eight [`dot_scalar`]s (the shared accumulation order).
 pub fn dot8_scalar(a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-    let mut out = [0.0f32; 8];
-    for (i, &av) in a.iter().enumerate() {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o += av * b[j][i];
-        }
-    }
-    out
+    b.map(|b| dot_scalar(a, &b[..a.len()]))
 }
 
 // ---------------------------------------------------------------------
@@ -403,57 +380,254 @@ pub fn axpy_scalar(y: &mut [f32], x: &[f32]) {
 }
 
 // ---------------------------------------------------------------------
-// Rational nonlinearities (the Cortex App. A.5 epilogue kernels)
+// Elementwise kernels: nonlinearity slices and register-tile programs
 // ---------------------------------------------------------------------
+//
+// Everything below evaluates the lane-generic routines of
+// [`crate::approx`] at the dispatched width. Unlike the reductions above
+// there is no reassociation and no FMA: every level executes the same
+// IEEE operation sequence per element, so results are **bit-identical**
+// across levels and to the scalar `approx` functions.
 
-/// In-place rational `tanh` over a slice at the detected level (the
-/// vectorized elementwise epilogue of the wave executor's
-/// `Rational` nonlinearity mode). The scalar fallback applies
-/// [`crate::approx::tanh_rational`] per element; the wide paths evaluate
-/// the same polynomial with FMA contraction, so lanes may differ from
-/// the scalar path by normal rounding while staying within the `1e-4`
-/// bound against exact `tanh` (asserted by tests).
-#[inline]
-pub fn tanh_rational_slice(xs: &mut [f32]) {
-    tanh_rational_slice_with(level(), xs);
+use crate::approx::{self, Lanes, NonlinearityMode};
+
+/// Lane count of one register tile of a [`run_tile`] program (a
+/// multiple of every level's vector width). At 128 lanes a 20-register
+/// program keeps 10 kB live — well inside L1 — and an `h = 256` row is
+/// two tiles; 64 lanes measured 7% slower on the TreeLSTM epilogue (the
+/// per-tile copy and call overheads double), 256 lanes no faster.
+pub const TILE: usize = 128;
+
+/// Elementwise unary operators of a tile program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TileUnary {
+    /// Register copy.
+    Copy,
+    /// Sign flip.
+    Neg,
+    /// `max(x, 0)` (NaN → 0).
+    Relu,
+    /// [`approx::exp_exact`].
+    Exp,
+    /// `tanh` in the program's [`NonlinearityMode`].
+    Tanh,
+    /// Logistic sigmoid in the program's [`NonlinearityMode`].
+    Sigmoid,
 }
 
-/// [`tanh_rational_slice`] at an explicit level; an unsupported level
-/// falls back to the scalar kernel.
-#[inline]
-pub fn tanh_rational_slice_with(l: Level, xs: &mut [f32]) {
-    match l {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the feature is verified on this CPU.
-        Level::Avx2 if level_supported(l) => unsafe { tanh_rational_avx2(xs) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 if level_supported(l) => unsafe { tanh_rational_avx512(xs) },
-        _ => xs
-            .iter_mut()
-            .for_each(|x| *x = crate::approx::tanh_rational(*x)),
+/// Elementwise binary operators of a tile program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TileBinary {
+    /// `a + b`.
+    Add,
+    /// `a - b`.
+    Sub,
+    /// `a * b`.
+    Mul,
+    /// `a / b`.
+    Div,
+    /// IEEE `maxNum`.
+    Max,
+    /// IEEE `minNum`.
+    Min,
+}
+
+impl TileUnary {
+    /// The scalar form: exactly what [`run_tile`] computes per lane.
+    pub fn apply(self, mode: NonlinearityMode, x: f32) -> f32 {
+        self.lanes(mode, x)
+    }
+
+    #[inline(always)]
+    fn lanes<L: Lanes>(self, mode: NonlinearityMode, x: L) -> L {
+        match self {
+            TileUnary::Copy => x,
+            TileUnary::Neg => x.neg(),
+            TileUnary::Relu => approx::relu_lanes(x),
+            TileUnary::Exp => approx::exp_lanes(x),
+            TileUnary::Tanh => mode.tanh_lanes(x),
+            TileUnary::Sigmoid => mode.sigmoid_lanes(x),
+        }
     }
 }
 
-/// In-place rational sigmoid over a slice at the detected level, via
-/// `σ(x) = (1 + tanh(x/2)) / 2` like [`crate::approx::sigmoid_rational`].
-#[inline]
-pub fn sigmoid_rational_slice(xs: &mut [f32]) {
-    sigmoid_rational_slice_with(level(), xs);
+impl TileBinary {
+    /// The scalar form: exactly what [`run_tile`] computes per lane.
+    pub fn apply(self, x: f32, y: f32) -> f32 {
+        self.lanes(x, y)
+    }
+
+    #[inline(always)]
+    fn lanes<L: Lanes>(self, x: L, y: L) -> L {
+        match self {
+            TileBinary::Add => x.add(y),
+            TileBinary::Sub => x.sub(y),
+            TileBinary::Mul => x.mul(y),
+            TileBinary::Div => x.div(y),
+            TileBinary::Max => approx::max_lanes(x, y),
+            TileBinary::Min => approx::min_lanes(x, y),
+        }
+    }
 }
 
-/// [`sigmoid_rational_slice`] at an explicit level; an unsupported level
-/// falls back to the scalar kernel.
+/// One instruction of a register-tile program: registers are
+/// [`TILE`]-lane columns of one flat scratch slice, addressed by index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TileOp {
+    /// `dst ← value` in every lane.
+    Const {
+        /// Destination register.
+        dst: u16,
+        /// Broadcast value.
+        value: f32,
+    },
+    /// `dst ← op(a)`.
+    Unary {
+        /// Operator.
+        op: TileUnary,
+        /// Destination register (may alias `a`).
+        dst: u16,
+        /// Operand register.
+        a: u16,
+    },
+    /// `dst ← op(a, b)`.
+    Binary {
+        /// Operator.
+        op: TileBinary,
+        /// Destination register (may alias an operand).
+        dst: u16,
+        /// Left operand register.
+        a: u16,
+        /// Right operand register.
+        b: u16,
+    },
+}
+
+/// Runs a straight-line tile program over the first `lanes` lanes of
+/// every register it names, at the detected level. `regs` holds
+/// `regs.len() / TILE` registers; lanes at and beyond `lanes` (up to the
+/// next vector boundary) may be overwritten with unspecified values.
+///
+/// # Panics
+///
+/// Panics if `lanes > TILE` or an instruction names a register outside
+/// `regs`.
 #[inline]
-pub fn sigmoid_rational_slice_with(l: Level, xs: &mut [f32]) {
+pub fn run_tile(ops: &[TileOp], regs: &mut [f32], lanes: usize, mode: NonlinearityMode) {
+    run_tile_with(level(), ops, regs, lanes, mode);
+}
+
+/// [`run_tile`] at an explicit level; an unsupported level falls back to
+/// the scalar kernel.
+///
+/// # Panics
+///
+/// See [`run_tile`].
+pub fn run_tile_with(
+    l: Level,
+    ops: &[TileOp],
+    regs: &mut [f32],
+    lanes: usize,
+    mode: NonlinearityMode,
+) {
+    assert!(lanes <= TILE, "tile program over {lanes} > {TILE} lanes");
     match l {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the feature is verified on this CPU.
-        Level::Avx2 if level_supported(l) => unsafe { sigmoid_rational_avx2(xs) },
+        Level::Avx2 if level_supported(l) => unsafe { run_tile_avx2(ops, regs, lanes, mode) },
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 if level_supported(l) => unsafe { sigmoid_rational_avx512(xs) },
-        _ => xs
-            .iter_mut()
-            .for_each(|x| *x = crate::approx::sigmoid_rational(*x)),
+        // SAFETY: the feature is verified on this CPU.
+        Level::Avx512 if level_supported(l) => unsafe { run_tile_avx512(ops, regs, lanes, mode) },
+        _ => run_tile_lanes::<f32>(ops, regs, lanes, mode),
+    }
+}
+
+/// The tile interpreter, generic over the lane width: dispatch on the
+/// operator happens once per instruction, outside the per-vector loop.
+#[inline(always)]
+fn run_tile_lanes<L: Lanes>(
+    ops: &[TileOp],
+    regs: &mut [f32],
+    lanes: usize,
+    mode: NonlinearityMode,
+) {
+    let span = lanes.div_ceil(L::N) * L::N;
+    for op in ops {
+        match *op {
+            TileOp::Const { dst, value } => {
+                let d = usize::from(dst) * TILE;
+                regs[d..d + span].fill(value);
+            }
+            TileOp::Unary { op, dst, a } => {
+                let (d, a) = (usize::from(dst) * TILE, usize::from(a) * TILE);
+                // One monomorphic loop per operator, so the lane
+                // routine inlines into straight-line vector code.
+                macro_rules! each {
+                    ($f:expr) => {
+                        for i in (0..span).step_by(L::N) {
+                            let x = L::load(&regs[a + i..a + i + L::N]);
+                            $f(x).store(&mut regs[d + i..d + i + L::N]);
+                        }
+                    };
+                }
+                match (op, mode) {
+                    (TileUnary::Copy, _) => regs.copy_within(a..a + span, d),
+                    (TileUnary::Neg, _) => each!(|x: L| x.neg()),
+                    (TileUnary::Relu, _) => each!(approx::relu_lanes::<L>),
+                    (TileUnary::Exp, _) => each!(approx::exp_lanes::<L>),
+                    (TileUnary::Tanh, NonlinearityMode::Exact) => each!(approx::tanh_lanes::<L>),
+                    (TileUnary::Tanh, NonlinearityMode::Rational) => {
+                        each!(approx::tanh_rational_lanes::<L>)
+                    }
+                    (TileUnary::Sigmoid, NonlinearityMode::Exact) => {
+                        each!(approx::sigmoid_lanes::<L>)
+                    }
+                    (TileUnary::Sigmoid, NonlinearityMode::Rational) => {
+                        each!(approx::sigmoid_rational_lanes::<L>)
+                    }
+                }
+            }
+            TileOp::Binary { op, dst, a, b } => {
+                let d = usize::from(dst) * TILE;
+                let (a, b) = (usize::from(a) * TILE, usize::from(b) * TILE);
+                macro_rules! each {
+                    ($f:expr) => {
+                        for i in (0..span).step_by(L::N) {
+                            let x = L::load(&regs[a + i..a + i + L::N]);
+                            let y = L::load(&regs[b + i..b + i + L::N]);
+                            $f(x, y).store(&mut regs[d + i..d + i + L::N]);
+                        }
+                    };
+                }
+                match op {
+                    TileBinary::Add => each!(L::add),
+                    TileBinary::Sub => each!(L::sub),
+                    TileBinary::Mul => each!(L::mul),
+                    TileBinary::Div => each!(L::div),
+                    TileBinary::Max => each!(approx::max_lanes::<L>),
+                    TileBinary::Min => each!(approx::min_lanes::<L>),
+                }
+            }
+        }
+    }
+}
+
+/// Applies a unary operator in place over a slice of any length at
+/// level `l` (whole tiles in place, the ragged tail through a
+/// zero-padded stack tile — the same lane routine either way); an
+/// unsupported level falls back to the scalar kernel.
+pub fn unary_slice(l: Level, op: TileUnary, mode: NonlinearityMode, xs: &mut [f32]) {
+    let prog = [TileOp::Unary { op, dst: 0, a: 0 }];
+    let mut chunks = xs.chunks_exact_mut(TILE);
+    for chunk in &mut chunks {
+        run_tile_with(l, &prog, chunk, TILE, mode);
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let mut reg = [0.0f32; TILE];
+        reg[..tail.len()].copy_from_slice(tail);
+        run_tile_with(l, &prog, &mut reg, tail.len(), mode);
+        tail.copy_from_slice(&reg[..tail.len()]);
     }
 }
 
@@ -463,6 +637,7 @@ pub fn sigmoid_rational_slice_with(l: Level, xs: &mut [f32]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{run_tile_lanes, Lanes, NonlinearityMode, TileOp};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -581,77 +756,99 @@ mod avx2 {
         }
     }
 
-    /// 8-lane rational `tanh` (clamp + odd/even Horner + divide); the
-    /// remainder lanes use the scalar rational kernel, so every element
-    /// evaluates the same polynomial.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tanh_rational_avx2(xs: &mut [f32]) {
-        use crate::approx::{tanh_rational, TANH_ALPHA, TANH_BETA};
-        // SAFETY: `i + 8 <= n` bounds every load/store to the slice.
-        unsafe {
-            let n = xs.len();
-            let p = xs.as_mut_ptr();
-            let lo = _mm256_set1_ps(-9.0);
-            let hi = _mm256_set1_ps(9.0);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let x = _mm256_max_ps(lo, _mm256_min_ps(hi, _mm256_loadu_ps(p.add(i))));
-                let x2 = _mm256_mul_ps(x, x);
-                let mut num = _mm256_set1_ps(TANH_ALPHA[6]);
-                for a in TANH_ALPHA[..6].iter().rev() {
-                    num = _mm256_fmadd_ps(num, x2, _mm256_set1_ps(*a));
-                }
-                let num = _mm256_mul_ps(num, x);
-                let mut den = _mm256_set1_ps(TANH_BETA[3]);
-                for b in TANH_BETA[..3].iter().rev() {
-                    den = _mm256_fmadd_ps(den, x2, _mm256_set1_ps(*b));
-                }
-                _mm256_storeu_ps(p.add(i), _mm256_div_ps(num, den));
-                i += 8;
+    /// Eight `f32` lanes in a `__m256` ([`Lanes`] at the AVX2 level).
+    /// Only constructed inside `#[target_feature(enable = "avx2")]`
+    /// entry points, after the runtime feature check.
+    #[derive(Clone, Copy)]
+    pub struct V256(__m256);
+
+    // SAFETY (every intrinsic below): `V256` values exist only in code
+    // reached through an AVX2-checked entry point; loads and stores go
+    // through bounds-checked `N`-element subslices.
+    impl Lanes for V256 {
+        const N: usize = 8;
+        type Mask = __m256;
+
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            V256(unsafe { _mm256_set1_ps(x) })
+        }
+        #[inline(always)]
+        fn load(src: &[f32]) -> Self {
+            let src = &src[..8];
+            V256(unsafe { _mm256_loadu_ps(src.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, dst: &mut [f32]) {
+            let dst = &mut dst[..8];
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            V256(unsafe { _mm256_add_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            V256(unsafe { _mm256_sub_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            V256(unsafe { _mm256_mul_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            V256(unsafe { _mm256_div_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            V256(unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), self.0) })
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            V256(unsafe { _mm256_xor_ps(_mm256_set1_ps(-0.0), self.0) })
+        }
+        #[inline(always)]
+        fn copysign(self, sign: Self) -> Self {
+            unsafe {
+                let m = _mm256_set1_ps(-0.0);
+                V256(_mm256_or_ps(
+                    _mm256_andnot_ps(m, self.0),
+                    _mm256_and_ps(m, sign.0),
+                ))
             }
-            while i < n {
-                xs[i] = tanh_rational(xs[i]);
-                i += 1;
+        }
+        #[inline(always)]
+        fn shl23(self) -> Self {
+            unsafe {
+                V256(_mm256_castsi256_ps(_mm256_slli_epi32(
+                    _mm256_castps_si256(self.0),
+                    23,
+                )))
             }
+        }
+        #[inline(always)]
+        fn lt(self, o: Self) -> __m256 {
+            unsafe { _mm256_cmp_ps(self.0, o.0, _CMP_LT_OQ) }
+        }
+        #[inline(always)]
+        fn is_nan(self) -> __m256 {
+            unsafe { _mm256_cmp_ps(self.0, self.0, _CMP_UNORD_Q) }
+        }
+        #[inline(always)]
+        fn select(m: __m256, a: Self, b: Self) -> Self {
+            V256(unsafe { _mm256_blendv_ps(b.0, a.0, m) })
         }
     }
 
-    /// 8-lane rational sigmoid: `0.5 · (1 + tanh(x/2))` with the tanh
-    /// polynomial inlined, one pass per vector.
+    /// The tile interpreter at 8 lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sigmoid_rational_avx2(xs: &mut [f32]) {
-        use crate::approx::{sigmoid_rational, TANH_ALPHA, TANH_BETA};
-        // SAFETY: `i + 8 <= n` bounds every load/store to the slice.
-        unsafe {
-            let n = xs.len();
-            let p = xs.as_mut_ptr();
-            let half = _mm256_set1_ps(0.5);
-            let one = _mm256_set1_ps(1.0);
-            let lo = _mm256_set1_ps(-9.0);
-            let hi = _mm256_set1_ps(9.0);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let x = _mm256_mul_ps(half, _mm256_loadu_ps(p.add(i)));
-                let x = _mm256_max_ps(lo, _mm256_min_ps(hi, x));
-                let x2 = _mm256_mul_ps(x, x);
-                let mut num = _mm256_set1_ps(TANH_ALPHA[6]);
-                for a in TANH_ALPHA[..6].iter().rev() {
-                    num = _mm256_fmadd_ps(num, x2, _mm256_set1_ps(*a));
-                }
-                let num = _mm256_mul_ps(num, x);
-                let mut den = _mm256_set1_ps(TANH_BETA[3]);
-                for b in TANH_BETA[..3].iter().rev() {
-                    den = _mm256_fmadd_ps(den, x2, _mm256_set1_ps(*b));
-                }
-                let t = _mm256_div_ps(num, den);
-                _mm256_storeu_ps(p.add(i), _mm256_mul_ps(half, _mm256_add_ps(one, t)));
-                i += 8;
-            }
-            while i < n {
-                xs[i] = sigmoid_rational(xs[i]);
-                i += 1;
-            }
-        }
+    pub unsafe fn run_tile_avx2(
+        ops: &[TileOp],
+        regs: &mut [f32],
+        lanes: usize,
+        mode: NonlinearityMode,
+    ) {
+        run_tile_lanes::<V256>(ops, regs, lanes, mode);
     }
 
     /// 8-lane `y += x`.
@@ -678,7 +875,7 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{axpy_avx2, dot4_avx2, dot8_avx2, dot_avx2, sigmoid_rational_avx2, tanh_rational_avx2};
+use avx2::{axpy_avx2, dot4_avx2, dot8_avx2, dot_avx2, run_tile_avx2};
 
 // ---------------------------------------------------------------------
 // AVX-512F (16-lane, masked tails)
@@ -686,6 +883,7 @@ use avx2::{axpy_avx2, dot4_avx2, dot8_avx2, dot_avx2, sigmoid_rational_avx2, tan
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::{run_tile_lanes, Lanes, NonlinearityMode, TileOp};
     use std::arch::x86_64::*;
 
     /// 16-lane dot with two accumulator chains and a masked tail.
@@ -842,82 +1040,112 @@ mod avx512 {
         }
     }
 
-    /// 16-lane rational `tanh` (clamp + odd/even Horner + divide) with a
-    /// masked tail — no scalar remainder at all.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tanh_rational_avx512(xs: &mut [f32]) {
-        use crate::approx::{TANH_ALPHA, TANH_BETA};
-        // SAFETY: full ops bounded by `i + 16 <= n`; the tail is masked.
-        unsafe {
-            let n = xs.len();
-            let p = xs.as_mut_ptr();
-            let lo = _mm512_set1_ps(-9.0);
-            let hi = _mm512_set1_ps(9.0);
-            let body = |x: __m512| {
-                let x = _mm512_max_ps(lo, _mm512_min_ps(hi, x));
-                let x2 = _mm512_mul_ps(x, x);
-                let mut num = _mm512_set1_ps(TANH_ALPHA[6]);
-                for a in TANH_ALPHA[..6].iter().rev() {
-                    num = _mm512_fmadd_ps(num, x2, _mm512_set1_ps(*a));
-                }
-                let num = _mm512_mul_ps(num, x);
-                let mut den = _mm512_set1_ps(TANH_BETA[3]);
-                for b in TANH_BETA[..3].iter().rev() {
-                    den = _mm512_fmadd_ps(den, x2, _mm512_set1_ps(*b));
-                }
-                _mm512_div_ps(num, den)
-            };
-            let mut i = 0usize;
-            while i + 16 <= n {
-                _mm512_storeu_ps(p.add(i), body(_mm512_loadu_ps(p.add(i))));
-                i += 16;
+    /// Sixteen `f32` lanes in a `__m512` ([`Lanes`] at the AVX-512
+    /// level). Only constructed inside
+    /// `#[target_feature(enable = "avx512f")]` entry points, after the
+    /// runtime feature check.
+    #[derive(Clone, Copy)]
+    pub struct V512(__m512);
+
+    // SAFETY (every intrinsic below): `V512` values exist only in code
+    // reached through an AVX-512F-checked entry point; loads and stores
+    // go through bounds-checked `N`-element subslices. Bit operations
+    // use the integer forms (`AVX512F`; the `_ps` forms need `DQ`).
+    impl Lanes for V512 {
+        const N: usize = 16;
+        type Mask = __mmask16;
+
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            V512(unsafe { _mm512_set1_ps(x) })
+        }
+        #[inline(always)]
+        fn load(src: &[f32]) -> Self {
+            let src = &src[..16];
+            V512(unsafe { _mm512_loadu_ps(src.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, dst: &mut [f32]) {
+            let dst = &mut dst[..16];
+            unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            V512(unsafe { _mm512_add_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            V512(unsafe { _mm512_sub_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            V512(unsafe { _mm512_mul_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            V512(unsafe { _mm512_div_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            unsafe {
+                let m = _mm512_set1_epi32(0x7fff_ffff);
+                V512(_mm512_castsi512_ps(_mm512_and_si512(
+                    _mm512_castps_si512(self.0),
+                    m,
+                )))
             }
-            if i < n {
-                let m: __mmask16 = (1u16 << (n - i)) - 1;
-                let v = body(_mm512_maskz_loadu_ps(m, p.add(i)));
-                _mm512_mask_storeu_ps(p.add(i), m, v);
+        }
+        #[inline(always)]
+        fn neg(self) -> Self {
+            unsafe {
+                let m = _mm512_set1_epi32(i32::MIN);
+                V512(_mm512_castsi512_ps(_mm512_xor_si512(
+                    _mm512_castps_si512(self.0),
+                    m,
+                )))
             }
+        }
+        #[inline(always)]
+        fn copysign(self, sign: Self) -> Self {
+            unsafe {
+                let m = _mm512_set1_epi32(i32::MIN);
+                let mag = _mm512_andnot_si512(m, _mm512_castps_si512(self.0));
+                let sgn = _mm512_and_si512(m, _mm512_castps_si512(sign.0));
+                V512(_mm512_castsi512_ps(_mm512_or_si512(mag, sgn)))
+            }
+        }
+        #[inline(always)]
+        fn shl23(self) -> Self {
+            unsafe {
+                V512(_mm512_castsi512_ps(_mm512_slli_epi32(
+                    _mm512_castps_si512(self.0),
+                    23,
+                )))
+            }
+        }
+        #[inline(always)]
+        fn lt(self, o: Self) -> __mmask16 {
+            unsafe { _mm512_cmp_ps_mask(self.0, o.0, _CMP_LT_OQ) }
+        }
+        #[inline(always)]
+        fn is_nan(self) -> __mmask16 {
+            unsafe { _mm512_cmp_ps_mask(self.0, self.0, _CMP_UNORD_Q) }
+        }
+        #[inline(always)]
+        fn select(m: __mmask16, a: Self, b: Self) -> Self {
+            V512(unsafe { _mm512_mask_blend_ps(m, b.0, a.0) })
         }
     }
 
-    /// 16-lane rational sigmoid `0.5 · (1 + tanh(x/2))` with a masked
-    /// tail.
+    /// The tile interpreter at 16 lanes.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn sigmoid_rational_avx512(xs: &mut [f32]) {
-        use crate::approx::{TANH_ALPHA, TANH_BETA};
-        // SAFETY: full ops bounded by `i + 16 <= n`; the tail is masked.
-        unsafe {
-            let n = xs.len();
-            let p = xs.as_mut_ptr();
-            let half = _mm512_set1_ps(0.5);
-            let one = _mm512_set1_ps(1.0);
-            let lo = _mm512_set1_ps(-9.0);
-            let hi = _mm512_set1_ps(9.0);
-            let body = |x: __m512| {
-                let x = _mm512_max_ps(lo, _mm512_min_ps(hi, _mm512_mul_ps(half, x)));
-                let x2 = _mm512_mul_ps(x, x);
-                let mut num = _mm512_set1_ps(TANH_ALPHA[6]);
-                for a in TANH_ALPHA[..6].iter().rev() {
-                    num = _mm512_fmadd_ps(num, x2, _mm512_set1_ps(*a));
-                }
-                let num = _mm512_mul_ps(num, x);
-                let mut den = _mm512_set1_ps(TANH_BETA[3]);
-                for b in TANH_BETA[..3].iter().rev() {
-                    den = _mm512_fmadd_ps(den, x2, _mm512_set1_ps(*b));
-                }
-                _mm512_mul_ps(half, _mm512_add_ps(one, _mm512_div_ps(num, den)))
-            };
-            let mut i = 0usize;
-            while i + 16 <= n {
-                _mm512_storeu_ps(p.add(i), body(_mm512_loadu_ps(p.add(i))));
-                i += 16;
-            }
-            if i < n {
-                let m: __mmask16 = (1u16 << (n - i)) - 1;
-                let v = body(_mm512_maskz_loadu_ps(m, p.add(i)));
-                _mm512_mask_storeu_ps(p.add(i), m, v);
-            }
-        }
+    pub unsafe fn run_tile_avx512(
+        ops: &[TileOp],
+        regs: &mut [f32],
+        lanes: usize,
+        mode: NonlinearityMode,
+    ) {
+        run_tile_lanes::<V512>(ops, regs, lanes, mode);
     }
 
     /// 16-lane `y += x` with a masked tail.
@@ -947,10 +1175,7 @@ mod avx512 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx512::{
-    axpy_avx512, dot4_avx512, dot8_avx512, dot8x2_avx512, dot_avx512, sigmoid_rational_avx512,
-    tanh_rational_avx512,
-};
+use avx512::{axpy_avx512, dot4_avx512, dot8_avx512, dot8x2_avx512, dot_avx512, run_tile_avx512};
 
 #[cfg(test)]
 mod tests {
@@ -1021,6 +1246,36 @@ mod tests {
                         got[j],
                         want[j]
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_column_dots_are_bit_identical_to_dot() {
+        // A GEMM element (from `dot4`/`dot8`) and the per-element `dot`
+        // of the same row and column must not differ by a bit: the
+        // wave-GEMM ≡ scalar-path suites rest on this. It holds for
+        // every length at the scalar level and below 16 at the wide
+        // ones, where `dot` switches to two accumulator chains and the
+        // multi-column kernels keep one (ROADMAP, known gap).
+        for l in available_levels() {
+            for n in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40, 100, 129, 256] {
+                if l != Level::Scalar && n >= 16 {
+                    continue;
+                }
+                let a = Tensor::random(&[n.max(1)], 1.0, 11);
+                let rows = Tensor::random(&[8, n.max(1)], 1.0, 12);
+                let a = &a.as_slice()[..n];
+                let b: [&[f32]; 8] = std::array::from_fn(|j| &rows.row(j)[..n]);
+                let four = dot4_with(l, a, b[0], b[1], b[2], b[3]);
+                let eight = dot8_with(l, a, &b);
+                for j in 0..8 {
+                    let want = dot_with(l, a, b[j]);
+                    assert_eq!(eight[j], want, "{l:?} n={n} dot8 column {j}");
+                    if j < 4 {
+                        assert_eq!(four[j], want, "{l:?} n={n} dot4 column {j}");
+                    }
                 }
             }
         }
@@ -1100,14 +1355,14 @@ mod tests {
         for l in available_levels() {
             for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 100, 257] {
                 let base: Vec<f32> = (0..n).map(|i| (i as f32) * 0.173 - 8.0).collect();
-                // tanh: every lane within rounding of the scalar rational
+                // tanh: every lane bit-identical to the scalar rational
                 // kernel and within 1e-4 of exact tanh.
                 let mut got = base.clone();
-                tanh_rational_slice_with(l, &mut got);
+                unary_slice(l, TileUnary::Tanh, NonlinearityMode::Rational, &mut got);
                 for (i, (&g, &x)) in got.iter().zip(&base).enumerate() {
                     let scalar = tanh_rational(x);
                     assert!(
-                        (g - scalar).abs() <= 2e-6,
+                        g.to_bits() == scalar.to_bits(),
                         "{l:?} tanh n={n} lane {i}: {g} vs scalar rational {scalar}"
                     );
                     assert!(
@@ -1117,11 +1372,11 @@ mod tests {
                 }
                 // sigmoid likewise.
                 let mut got = base.clone();
-                sigmoid_rational_slice_with(l, &mut got);
+                unary_slice(l, TileUnary::Sigmoid, NonlinearityMode::Rational, &mut got);
                 for (i, (&g, &x)) in got.iter().zip(&base).enumerate() {
                     let scalar = sigmoid_rational(x);
                     assert!(
-                        (g - scalar).abs() <= 2e-6,
+                        g.to_bits() == scalar.to_bits(),
                         "{l:?} sigmoid n={n} lane {i}: {g} vs scalar rational {scalar}"
                     );
                     assert!(
@@ -1137,10 +1392,151 @@ mod tests {
     fn vector_rational_tanh_saturates_at_extremes() {
         for l in available_levels() {
             let mut xs = vec![-100.0f32, -9.5, 0.0, 9.5, 100.0];
-            tanh_rational_slice_with(l, &mut xs);
+            unary_slice(l, TileUnary::Tanh, NonlinearityMode::Rational, &mut xs);
             assert!((xs[0] + 1.0).abs() < 1e-4, "{l:?}");
             assert!((xs[4] - 1.0).abs() < 1e-4, "{l:?}");
             assert_eq!(xs[2], 0.0, "{l:?}: tanh(0) is exactly zero");
+        }
+    }
+
+    /// Inputs that cross every branch of the exact routines: both
+    /// polynomial/exponential regimes, the saturation and clamp
+    /// thresholds, zeros, subnormals, infinities and NaN.
+    fn nonlinearity_probe(n: usize) -> Vec<f32> {
+        const EDGES: [f32; 16] = [
+            0.0,
+            -0.0,
+            1.0e-41,
+            f32::MIN_POSITIVE,
+            0.624_999_9,
+            0.625,
+            -9.011,
+            9.2,
+            17.4,
+            -87.9,
+            88.73,
+            -103.9,
+            -104.6,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        (0..n)
+            .map(|i| match i % 3 {
+                0 => EDGES[(i / 3) % EDGES.len()],
+                1 => (i as f32) * 0.173 - 5.0,
+                _ => (i as f32 - 30.0) * 1.7,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn elementwise_slices_are_bit_identical_to_the_scalar_form_at_every_level() {
+        use TileUnary::*;
+        for l in available_levels() {
+            for mode in [NonlinearityMode::Exact, NonlinearityMode::Rational] {
+                for op in [Copy, Neg, Relu, Exp, Tanh, Sigmoid] {
+                    // Every ragged tail, and lengths around a whole tile.
+                    for n in (0..=67usize).chain([TILE - 1, TILE, TILE + 1, 2 * TILE + 5]) {
+                        let base = nonlinearity_probe(n);
+                        let mut got = base.clone();
+                        unary_slice(l, op, mode, &mut got);
+                        for (i, (&g, &x)) in got.iter().zip(&base).enumerate() {
+                            let want = op.apply(mode, x);
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{l:?} {mode:?} {op:?} n={n} lane {i}: f({x:e}) = {g:e} vs scalar {want:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_forms_are_the_approx_definitions() {
+        use crate::approx::*;
+        for x in nonlinearity_probe(96) {
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits();
+            let (ex, ra) = (NonlinearityMode::Exact, NonlinearityMode::Rational);
+            assert!(same(TileUnary::Tanh.apply(ex, x), tanh_exact(x)));
+            assert!(same(TileUnary::Sigmoid.apply(ex, x), sigmoid_exact(x)));
+            assert!(same(TileUnary::Exp.apply(ra, x), exp_exact(x)));
+            assert!(same(TileUnary::Tanh.apply(ra, x), tanh_rational(x)));
+            assert!(same(TileUnary::Sigmoid.apply(ra, x), sigmoid_rational(x)));
+        }
+    }
+
+    #[test]
+    fn tile_programs_match_per_lane_scalar_evaluation_with_aliased_registers() {
+        // r0 ← sigmoid(r0 + r1) * tanh(min(r2, r0)) / 3, reusing r0 as
+        // both operand and destination, over every ragged lane count.
+        let prog = [
+            TileOp::Binary {
+                op: TileBinary::Add,
+                dst: 0,
+                a: 0,
+                b: 1,
+            },
+            TileOp::Unary {
+                op: TileUnary::Sigmoid,
+                dst: 3,
+                a: 0,
+            },
+            TileOp::Binary {
+                op: TileBinary::Min,
+                dst: 0,
+                a: 2,
+                b: 0,
+            },
+            TileOp::Unary {
+                op: TileUnary::Tanh,
+                dst: 0,
+                a: 0,
+            },
+            TileOp::Binary {
+                op: TileBinary::Mul,
+                dst: 0,
+                a: 3,
+                b: 0,
+            },
+            TileOp::Const { dst: 1, value: 3.0 },
+            TileOp::Binary {
+                op: TileBinary::Div,
+                dst: 0,
+                a: 0,
+                b: 1,
+            },
+        ];
+        let mode = NonlinearityMode::Exact;
+        for l in available_levels() {
+            for lanes in 0..=TILE {
+                let mut regs = vec![0.0f32; 4 * TILE];
+                for (r, seed) in [(0usize, 0.31f32), (1, -0.77), (2, 1.9)] {
+                    for i in 0..lanes {
+                        regs[r * TILE + i] = seed * (i as f32 - 20.0) * 0.4;
+                    }
+                }
+                let want: Vec<f32> = (0..lanes)
+                    .map(|i| {
+                        let (a, b, c) = (regs[i], regs[TILE + i], regs[2 * TILE + i]);
+                        let s = TileBinary::Add.apply(a, b);
+                        let sig = TileUnary::Sigmoid.apply(mode, s);
+                        let t = TileUnary::Tanh.apply(mode, TileBinary::Min.apply(c, s));
+                        sig * t / 3.0
+                    })
+                    .collect();
+                run_tile_with(l, &prog, &mut regs, lanes, mode);
+                for i in 0..lanes {
+                    assert_eq!(
+                        regs[i].to_bits(),
+                        want[i].to_bits(),
+                        "{l:?} lanes={lanes} lane {i}"
+                    );
+                }
+            }
         }
     }
 

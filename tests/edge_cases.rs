@@ -119,3 +119,69 @@ fn sequences_of_length_one_work() {
     let want = reference::tree_gru(&s, &m.params, 4, LeafInit::Embedding, false);
     verify::assert_matches(&m, &s, &RaSchedule::default(), &want, 1e-6);
 }
+
+#[test]
+fn constant_folding_agrees_with_the_runtime_bit_for_bit() {
+    // `simplify(op(Const c))` must be the very value the engine computes
+    // for `op(load)` of `c` — both evaluate the one shared definition —
+    // over a sweep crossing every regime of the nonlinearities.
+    use cortex::backend::exec::Engine;
+    use cortex::core::expr::{UnaryOp, ValExpr};
+    use cortex::core::simplify::simplify_val;
+    let (h, leaves) = (8usize, 64usize);
+    let vocab = cortex::ds::datasets::VOCAB_SIZE as usize;
+    let mut table = vec![0.0f32; vocab * h];
+    for (i, v) in table.iter_mut().take(leaves * h).enumerate() {
+        *v = match i % 4 {
+            0 => (i as f32 - 250.0) * 0.013,  // around the small-argument switch
+            1 => (i as f32 - 250.0) * 0.41,   // out to the saturation thresholds
+            2 => (i as f32 - 250.0) * 1.0e-3, // near zero
+            _ => (i as f32 - 250.0) * 0.07,
+        };
+    }
+    let mut params = Params::new();
+    params.set("Emb", Tensor::from_vec(table.clone(), &[vocab, h]).unwrap());
+    let mut b = StructureBuilder::new(StructureKind::Tree);
+    for w in 0..leaves as u32 {
+        b.leaf(w);
+    }
+    let forest = b.finish().unwrap();
+    let lin = Linearizer::new().linearize(&forest).unwrap();
+
+    for op in [UnaryOp::Tanh, UnaryOp::Sigmoid, UnaryOp::Exp] {
+        let mut g = RaGraph::new();
+        let emb = g.input("Emb", &[vocab, h]);
+        let ph = g.placeholder("ph", &[h]);
+        let leaf = g.compute("leaf", &[h], |c| {
+            ValExpr::Unary(op, Box::new(c.read(emb, &[c.node().word(), c.axis(0)])))
+        });
+        let rec = g.compute("rec", &[h], |c| c.read(ph, &[c.node().child(0), c.axis(0)]));
+        let body = g.if_then_else("body", leaf, rec).unwrap();
+        let out = g.recursion(ph, body).unwrap();
+        g.mark_output(out);
+        let program = lower(
+            &g,
+            &RaSchedule::default(),
+            StructureInfo { max_children: 2 },
+        )
+        .unwrap();
+        let (outputs, _) = Engine::new(&program).execute(&lin, &params, true).unwrap();
+        let got = outputs[&out.id()].as_slice();
+        for node in forest.iter() {
+            let row = lin.from_structure_id(node) as usize;
+            for i in 0..h {
+                let c = table[forest.word(node) as usize * h + i];
+                let folded = simplify_val(&ValExpr::Unary(op, Box::new(ValExpr::Const(c))));
+                let ValExpr::Const(want) = folded else {
+                    panic!("{op:?}({c}) did not fold: {folded}");
+                };
+                assert_eq!(
+                    got[row * h + i].to_bits(),
+                    want.to_bits(),
+                    "{op:?}({c:e}): engine {:e} vs folded {want:e}",
+                    got[row * h + i]
+                );
+            }
+        }
+    }
+}

@@ -17,7 +17,11 @@ use cortex::core::ra::RaSchedule;
 use cortex::ds::linearizer::Linearizer;
 use cortex::ds::{datasets, RecStructure};
 use cortex::models::{dagrnn, mvrnn, seq, treefc, treegru, treelstm, treernn, LeafInit, Model};
+use cortex::tensor::approx::NonlinearityMode;
 use cortex_rng::Rng;
+
+/// Both nonlinearity modes: every bit-identity contract holds in each.
+const NONLINEARITIES: [NonlinearityMode; 2] = [NonlinearityMode::Exact, NonlinearityMode::Rational];
 
 fn models(h: usize) -> Vec<Model> {
     vec![
@@ -463,22 +467,32 @@ fn execute_many_equals_independent_runs_exactly() {
                 .collect();
             let refs: Vec<&_> = lins.iter().collect();
 
-            let mut engine = Engine::new(&program);
-            let many = engine.execute_many(&refs, &model.params, true).unwrap();
-            assert_eq!(many.len(), k);
+            for nonlinearity in NONLINEARITIES {
+                let opts = ExecOptions {
+                    nonlinearity,
+                    ..ExecOptions::default()
+                };
+                let mut engine = Engine::with_options(&program, opts);
+                let many = engine.execute_many(&refs, &model.params, true).unwrap();
+                assert_eq!(many.len(), k);
 
-            let mut solo_engine = Engine::new(&program);
-            for (r, (out_m, prof_m)) in many.iter().enumerate() {
-                let (out_s, prof_s) = solo_engine.execute(&lins[r], &model.params, true).unwrap();
-                let ctx = format!("{} h={h} case={case} request={r}/{k}", model.name);
-                assert_eq!(out_m.len(), out_s.len(), "{ctx}");
-                for (id, t_s) in &out_s {
-                    assert_eq!(
-                        &out_m[id], t_s,
-                        "batched output must be bit-identical ({ctx})"
+                let mut solo_engine = Engine::with_options(&program, opts);
+                for (r, (out_m, prof_m)) in many.iter().enumerate() {
+                    let (out_s, prof_s) =
+                        solo_engine.execute(&lins[r], &model.params, true).unwrap();
+                    let ctx = format!(
+                        "{} h={h} case={case} {nonlinearity:?} request={r}/{k}",
+                        model.name
                     );
+                    assert_eq!(out_m.len(), out_s.len(), "{ctx}");
+                    for (id, t_s) in &out_s {
+                        assert_eq!(
+                            &out_m[id], t_s,
+                            "batched output must be bit-identical ({ctx})"
+                        );
+                    }
+                    assert_profiles_identical(&prof_s, prof_m, &ctx);
                 }
-                assert_profiles_identical(&prof_s, prof_m, &ctx);
             }
         }
     }
@@ -620,10 +634,6 @@ fn weight_packs_amortize_across_runs_and_requests() {
 #[test]
 fn bulk_serving_is_bit_identical_to_per_element_serving() {
     let mut rng = Rng::new(0x59);
-    let no_bulk = ExecOptions {
-        bulk: false,
-        ..ExecOptions::default()
-    };
     for case in 0..6 {
         let h = rng.range_usize(3, 14);
         for model in models(h) {
@@ -631,18 +641,27 @@ fn bulk_serving_is_bit_identical_to_per_element_serving() {
             let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
 
-            let mut bulk = Engine::new(&program);
-            let (out_b, prof_b) = bulk.execute(&lin, &model.params, true).unwrap();
-            let mut per_elem = Engine::with_options(&program, no_bulk);
-            let (out_p, prof_p) = per_elem.execute(&lin, &model.params, true).unwrap();
+            // Both nonlinearity modes: the row programs and the
+            // per-element walk share one lane definition of each.
+            for nonlinearity in NONLINEARITIES {
+                let on = ExecOptions {
+                    nonlinearity,
+                    ..ExecOptions::default()
+                };
+                let mut bulk = Engine::with_options(&program, on);
+                let (out_b, prof_b) = bulk.execute(&lin, &model.params, true).unwrap();
+                let mut per_elem =
+                    Engine::with_options(&program, ExecOptions { bulk: false, ..on });
+                let (out_p, prof_p) = per_elem.execute(&lin, &model.params, true).unwrap();
 
-            let ctx = format!("{} h={h} case={case}", model.name);
-            for (id, t_p) in &out_p {
-                assert_eq!(&out_b[id], t_p, "bulk must be bit-identical ({ctx})");
+                let ctx = format!("{} h={h} case={case} {nonlinearity:?}", model.name);
+                for (id, t_p) in &out_p {
+                    assert_eq!(&out_b[id], t_p, "bulk must be bit-identical ({ctx})");
+                }
+                assert_profiles_identical(&prof_p, &prof_b, &ctx);
+                assert_eq!(per_elem.stats().fused_waves, 0, "{ctx}: bulk off");
+                assert_eq!(per_elem.stats().epilogue_ns, 0, "{ctx}: bulk off");
             }
-            assert_profiles_identical(&prof_p, &prof_b, &ctx);
-            assert_eq!(per_elem.stats().fused_waves, 0, "{ctx}: bulk off");
-            assert_eq!(per_elem.stats().epilogue_ns, 0, "{ctx}: bulk off");
         }
     }
 }
@@ -789,26 +808,10 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
         let h = rng.range_usize(3, 12);
         for model in models(h) {
             let program = model.lower(&RaSchedule::default()).unwrap();
-            let mut pc = Engine::new(&program);
-            let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
-            let ctx = format!("{} h={h} case={case}", model.name);
-
-            assert!(
-                pc.plan_stats().plan_ops > 0,
-                "{ctx}: kernels must lower to a plan"
-            );
-
-            // Solo.
+            // One solo input and a depth-16 serving batch (mixed shapes
+            // and depths), run in both nonlinearity modes.
             let structure = structure_for(&model, &mut rng);
             let lin = Linearizer::new().linearize(&structure).unwrap();
-            let (out_p, prof_p) = pc.execute(&lin, &model.params, true).unwrap();
-            let (out_o, prof_o) = oracle.execute(&lin, &model.params, true).unwrap();
-            for (id, t_o) in &out_o {
-                assert_eq!(&out_p[id], t_o, "{ctx}: solo pc outputs bit-exact");
-            }
-            assert_eq!(prof_p, prof_o, "{ctx}: solo pc profile identical");
-
-            // Depth-16 serving batch (mixed shapes and depths).
             let structures: Vec<RecStructure> =
                 (0..16).map(|_| structure_for(&model, &mut rng)).collect();
             let lins: Vec<_> = structures
@@ -816,13 +819,44 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
                 .map(|s| Linearizer::new().linearize(s).unwrap())
                 .collect();
             let refs: Vec<&_> = lins.iter().collect();
-            let many_p = pc.execute_many(&refs, &model.params, true).unwrap();
-            let many_o = oracle.execute_many(&refs, &model.params, true).unwrap();
-            for (r, ((op_, pp), (oo, po))) in many_p.iter().zip(&many_o).enumerate() {
-                for (id, t_o) in oo {
-                    assert_eq!(&op_[id], t_o, "{ctx}: request {r} pc outputs bit-exact");
+
+            for nonlinearity in NONLINEARITIES {
+                let mut pc = Engine::with_options(
+                    &program,
+                    ExecOptions {
+                        nonlinearity,
+                        ..ExecOptions::default()
+                    },
+                );
+                let mut oracle = Engine::with_options(
+                    &program,
+                    ExecOptions {
+                        nonlinearity,
+                        ..ExecOptions::interpreted()
+                    },
+                );
+                let ctx = format!("{} h={h} case={case} {nonlinearity:?}", model.name);
+
+                assert!(
+                    pc.plan_stats().plan_ops > 0,
+                    "{ctx}: kernels must lower to a plan"
+                );
+
+                let (out_p, prof_p) = pc.execute(&lin, &model.params, true).unwrap();
+                let (out_o, prof_o) = oracle.execute(&lin, &model.params, true).unwrap();
+                for (id, t_o) in &out_o {
+                    assert_eq!(&out_p[id], t_o, "{ctx}: solo pc outputs bit-exact");
                 }
-                assert_eq!(pp, po, "{ctx}: request {r} pc profile identical");
+                assert_eq!(prof_p, prof_o, "{ctx}: solo pc profile identical");
+
+                let many_p = pc.execute_many(&refs, &model.params, true).unwrap();
+                let many_o = oracle.execute_many(&refs, &model.params, true).unwrap();
+                for (r, ((op_, pp), (oo, po))) in many_p.iter().zip(&many_o).enumerate() {
+                    for (id, t_o) in oo {
+                        assert_eq!(&op_[id], t_o, "{ctx}: request {r} pc outputs bit-exact");
+                    }
+                    assert_eq!(pp, po, "{ctx}: request {r} pc profile identical");
+                }
             }
         }
     }
