@@ -1,6 +1,6 @@
 //! Batched wavefront execution: the gather/GEMM phase.
 //!
-//! Runs each stacking group of a planned wave as one packed NT GEMM
+//! Runs each stacking group of a planned wave as one packed tile GEMM
 //! (or registers its rows into a pending super-wave GEMM during
 //! `execute_many`), and activates the group's member sites so `Sum`
 //! evaluations — interpreted, bulk, or fused — serve from the result
@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use cortex_core::expr::BoolExpr;
 use cortex_core::ilir::StorageClass;
-use cortex_tensor::kernels;
+use cortex_tensor::kernels::{self, PackedB};
 
 use super::checked_assert;
 use super::interp::Interp;
@@ -39,8 +39,8 @@ pub(crate) struct StackedWeight {
     /// [`super::interp::Caches::run_stamp`] of the last execution that
     /// used this pack; eviction removes the stalest entries first.
     pub(crate) last_used: u64,
-    /// `[ΣH][K]` row-major.
-    pub(crate) data: Rc<Vec<f32>>,
+    /// The `ΣH` stacked columns × `K`, in the tile kernel's panels.
+    pub(crate) data: Rc<PackedB>,
 }
 
 /// Evicts the least-recently-used entries of the packed-weight cache
@@ -360,25 +360,15 @@ impl<'a> Interp<'a> {
                     .class
                     == StorageClass::Param
             });
-            let mut data = vec![0.0f32; cols * k_len];
-            let mut row0 = 0usize;
-            for p in &preps[..to_pack] {
+            // One k-stream per stacked column, in member order.
+            let streams = preps[..to_pack].iter().flat_map(|p| {
                 let buf = self.bufs[p.site.weight.tensor.0 as usize]
                     .as_ref()
                     .expect("weight allocated");
-                for i in 0..p.site.feat_extent {
-                    let src = p.wbase + i * p.si;
-                    let dst = &mut data[(row0 + i) * k_len..(row0 + i + 1) * k_len];
-                    if p.sk == 1 {
-                        dst.copy_from_slice(&buf.data[src..src + k_len]);
-                    } else {
-                        for (kk, dv) in dst.iter_mut().enumerate() {
-                            *dv = buf.data[src + kk * p.sk];
-                        }
-                    }
-                }
-                row0 += p.site.feat_extent;
-            }
+                (0..p.site.feat_extent)
+                    .map(move |i| (buf.data.get(p.wbase + i * p.si..).unwrap_or(&[]), p.sk))
+            });
+            let data = PackedB::pack(cols, k_len, streams);
             self.caches.weight_cache.insert(
                 cache_key,
                 StackedWeight {
@@ -455,16 +445,16 @@ impl<'a> Interp<'a> {
                 meta,
             );
             self.caches.stats.gather_ns += gather_t0.elapsed().as_nanos() as u64;
-            // One cache-blocked NT GEMM for the whole group. Guard-zero
+            // One register-tiled GEMM for the whole group. Guard-zero
             // rows need no special handling here: the memo hit
             // short-circuits to exactly 0.0 (matching the scalar path,
             // which never touches the weight — inf/NaN containment
             // happens at that early return) so their slots in `out` are
-            // never read.
-            bufs.out.clear();
+            // never read. The product stores every element, so only
+            // growth is filled.
             bufs.out.resize(gemm_rows * cols, 0.0);
             let gemm_t0 = Instant::now();
-            kernels::gemm_nt_into(&mut bufs.out, &bufs.rows, &packed_w, gemm_rows, cols, k_len);
+            kernels::gemm_packed_into(&mut bufs.out, &bufs.rows, &packed_w, gemm_rows);
             self.caches.stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
             false
         };
@@ -475,6 +465,7 @@ impl<'a> Interp<'a> {
             // requests' waves may share one launch.
             stats.wave_gemms += 1;
             stats.gemm_rows += gemm_rows as u64;
+            stats.gemm_flops += 2 * (gemm_rows * cols * k_len) as u64;
         }
         stats.sites_batched += preps.len() as u64;
         if preps.len() > 1 {

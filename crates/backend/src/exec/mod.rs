@@ -62,13 +62,14 @@ use cortex_core::expr::TensorId;
 use cortex_core::ilir::IlirProgram;
 use cortex_ds::linearizer::{LinearizeError, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
-use cortex_tensor::{kernels, Tensor};
+use cortex_tensor::kernels::{self, PackedB};
+use cortex_tensor::Tensor;
 
 use crate::device::{DeviceSpec, LatencyEstimate};
 use crate::params::Params;
 use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
-use crate::wave::{SuperEntry, SuperWaveAcc, WavePlan};
+use crate::wave::{SumSite, SuperEntry, SuperWaveAcc, WavePlan};
 
 use bulk::{FusedWave, RowProgram};
 use gather::evict_weight_cache_lru;
@@ -425,10 +426,17 @@ pub fn execute(
 pub struct ExecOptions {
     /// Run recognized reductions as tight strided loops
     /// ([`crate::fastdot::DotPlan`]). With this off, every `Sum` goes
-    /// through the generic interpreter.
+    /// through the generic interpreter. A product of two contiguous
+    /// streams runs as `cortex_tensor::simd::dot_ordered` — the
+    /// k-sequential chain the wave GEMM runs for the same element — so
+    /// this path and `wave_gemm` agree bit for bit on such sites at any
+    /// reduction length and SIMD level. One chain per element is
+    /// latency-bound: this is the ablation preset, not a fast path.
     pub fastdot: bool,
-    /// Execute recognized reduction *waves* as packed GEMMs (the batched
-    /// wavefront engine).
+    /// Execute recognized reduction *waves* as register-tiled GEMMs over
+    /// packed weight panels (the batched wavefront engine). A result row
+    /// does not depend on the launch it was computed in: solo, batched
+    /// and super-wave execution give identical bits by construction.
     pub wave_gemm: bool,
     /// Stack compatible sites of a wave into one GEMM per group (shared
     /// gathered rows → vertically stacked weights; shared weight →
@@ -569,6 +577,10 @@ pub struct ExecStats {
     pub wave_gemms: u64,
     /// Total rows across all wave GEMMs.
     pub gemm_rows: u64,
+    /// Floating-point operations of all wave GEMMs (`2·rows·cols·k` per
+    /// launch): over `gemm_ns` it is the rate the GEMM layer achieved,
+    /// whose ceiling is the box's FMA peak.
+    pub gemm_flops: u64,
     /// Waves that ran the batched path.
     pub waves_batched: u64,
     /// Reduction sites served from wave GEMMs.
@@ -1024,23 +1036,44 @@ impl<'p> Engine<'p> {
         for t in self.program.declared_tensors() {
             bytes += t.len(num_nodes, max_batch) as u64 * 4;
         }
-        // Wave scratch per site: gathered rows (R×K), the packed weight
-        // (H×K), and the group output (R×H), at the widest batch.
-        for plan in self.shared.wave_plans.values() {
-            for site in &plan.sites {
+        // Wave scratch per site: gathered rows (R×K) and the group
+        // output (R×H) at the widest batch, plus the packed weights.
+        for (site, k) in self.wave_sites() {
+            let rows = max_batch as u64 * site.inner.map(|i| i.extent.max(1) as u64).unwrap_or(1);
+            let h = site.feat_extent.max(1) as u64;
+            bytes += 4 * (rows * k + rows * h);
+        }
+        bytes += self.footprint_weights();
+        // Linearized arrays: child slots plus ~6 u32 metadata arrays.
+        bytes += (lin.max_children() as u64 + 6) * num_nodes as u64 * 4;
+        bytes
+    }
+
+    /// Every planned reduction site with the reduction extent the
+    /// footprint charges it at.
+    fn wave_sites(&self) -> impl Iterator<Item = (&SumSite, u64)> {
+        self.shared.wave_plans.values().flat_map(|plan| {
+            plan.sites.iter().map(|site| {
                 let k = match &site.extent {
                     cortex_core::expr::IdxExpr::Const(k) => (*k).max(1) as u64,
                     _ => site.feat_extent.max(1) as u64,
                 };
-                let rows =
-                    max_batch as u64 * site.inner.map(|i| i.extent.max(1) as u64).unwrap_or(1);
-                let h = site.feat_extent.max(1) as u64;
-                bytes += 4 * (rows * k + h * k + rows * h);
-            }
-        }
-        // Linearized arrays: child slots plus ~6 u32 metadata arrays.
-        bytes += (lin.max_children() as u64 + 6) * num_nodes as u64 * 4;
-        bytes
+                (site, k)
+            })
+        })
+    }
+
+    /// The packed-weight term of [`Engine::footprint`] (bytes): every
+    /// site's `H×K` window at the *padded* size its panels occupy. Sites
+    /// stacked into one pack share its last panel, so the per-site sum
+    /// bounds what `weight_cache` holds from above.
+    pub(crate) fn footprint_weights(&self) -> u64 {
+        let level = cortex_tensor::simd::level();
+        self.wave_sites()
+            .map(|(site, k)| {
+                4 * PackedB::padded_len(level, site.feat_extent.max(1), k as usize) as u64
+            })
+            .sum()
     }
 
     /// Validates one untrusted input against the plan and the engine's
@@ -1384,12 +1417,13 @@ impl<'p> Engine<'p> {
             );
             let mut out = vec![0.0f32; total_rows * key.cols];
             let gemm_t0 = Instant::now();
-            kernels::gemm_nt_into(&mut out, &rows, &weight, total_rows, key.cols, key.k_len);
+            kernels::gemm_packed_into(&mut out, &rows, &weight, total_rows);
             let shared = Rc::new(out);
             let stats = &mut self.caches.stats;
             stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
             stats.wave_gemms += 1;
             stats.gemm_rows += total_rows as u64;
+            stats.gemm_flops += 2 * (total_rows * key.cols * key.k_len) as u64;
             if registrants.len() > 1 {
                 stats.super_gemms += 1;
                 stats.super_gemm_rows += total_rows as u64;

@@ -410,7 +410,9 @@ impl<'a> Interp<'a> {
             {
                 let (d0, d1) = (data(*t0), data(*t1));
                 if *s0 == 1 && *s1 == 1 {
-                    acc = cortex_tensor::kernels::dot(
+                    // The chain a wave GEMM runs for this element, so
+                    // the two paths agree bit for bit at any length.
+                    acc = cortex_tensor::simd::dot_ordered(
                         &d0[*b0..*b0 + n_usize],
                         &d1[*b1..*b1 + n_usize],
                     );

@@ -7,6 +7,7 @@ use cortex_core::ra::{RaGraph, RaSchedule};
 use cortex_ds::datasets;
 use cortex_ds::linearizer::{Linearized, Linearizer};
 use cortex_tensor::approx::NonlinearityMode;
+use cortex_tensor::kernels::PackedB;
 use cortex_tensor::Tensor;
 
 use super::gather::{evict_weight_cache_lru, StackedWeight};
@@ -281,7 +282,7 @@ fn weight_cache_eviction_is_lru_not_clear_all() {
                 // Entries 0..4 are stale; 5..9 are the current
                 // working set.
                 last_used: if i < 5 { 1 } else { 2 },
-                data: Rc::new(Vec::new()),
+                data: Rc::new(PackedB::pack_nt(&[], 0, 0)),
             },
         );
     }
@@ -917,6 +918,61 @@ fn footprint_scales_with_input_size() {
         .linearize(&datasets::random_binary_tree(63, 1))
         .unwrap();
     assert!(engine.footprint(&large) > engine.footprint(&small));
+}
+
+/// Packed weights are zero-padded to whole panels, so a narrow site
+/// holds several times `h·k` floats; the footprint charges the padded
+/// size and stays an upper bound on what the cache really keeps.
+#[test]
+fn footprint_bounds_the_packed_weights_actually_held() {
+    for h in [3, 8, 33, 100] {
+        let (g, _) = matvec_tree(h);
+        let program = lower(
+            &g,
+            &RaSchedule::default(),
+            StructureInfo { max_children: 2 },
+        )
+        .unwrap();
+        let lin = Linearizer::new()
+            .linearize(&datasets::random_binary_tree(9, 5))
+            .unwrap();
+        let mut params = Params::new();
+        params.set("W", Tensor::random(&[h, h], 0.5, 41));
+        params.set(
+            "Emb",
+            Tensor::random(&[datasets::VOCAB_SIZE as usize, h], 0.5, 42),
+        );
+        let mut engine = Engine::new(&program);
+        engine.execute(&lin, &params, true).unwrap();
+        let held: u64 = engine
+            .caches
+            .weight_cache
+            .values()
+            .map(|w| 4 * w.data.floats() as u64)
+            .sum();
+        assert!(held >= 4 * (h * h) as u64, "h={h}: the matvec weight packs");
+        assert!(
+            held <= engine.footprint_weights(),
+            "h={h}: {held} bytes of packed weights held, {} charged",
+            engine.footprint_weights()
+        );
+        let needed = engine.footprint(&lin);
+        let mut tight = Engine::with_options(
+            &program,
+            ExecOptions {
+                memory_budget: Some(needed - 1),
+                ..ExecOptions::default()
+            },
+        );
+        assert_eq!(
+            tight.execute(&lin, &params, true).unwrap_err(),
+            ExecError::OverBudget {
+                needed,
+                budget: needed - 1
+            },
+            "h={h}"
+        );
+    }
 }
 
 /// `tree_rnn`'s guarded twin: every child read sits under the canonical

@@ -15,10 +15,10 @@
 //! ```
 //!
 //! and emits a [`SumSite`]: the node-invariant *weight* operand `W`
-//! (packed once per run into a contiguous `[H][K]` matrix) and the
+//! (packed once into the tile kernel's column panels) and the
 //! node-dependent *row* operands `X` (guards and child-sums resolved once
 //! per node, gathered into a packed `[R][K]` matrix). The executor then
-//! computes the whole wave with one cache-blocked NT GEMM from
+//! computes the whole wave with one register-tiled GEMM from
 //! `cortex-tensor` instead of `R·H` interpreted dots, and serves each
 //! `Sum` evaluation from the result matrix.
 //!
@@ -34,6 +34,7 @@ use std::rc::Rc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::{LoopKind, Stmt};
+use cortex_tensor::kernels::PackedB;
 
 use crate::fastdot::{self, bool_uses_var, idx_uses_var, val_uses_var, Operand};
 
@@ -810,7 +811,7 @@ pub(crate) struct Registrant {
 pub(crate) struct SuperEntry {
     pub key: SuperKey,
     /// The shared packed weight (from the engine's weight cache).
-    pub weight: Rc<Vec<f32>>,
+    pub weight: Rc<PackedB>,
     /// Merged row matrix, `[total_rows][k_len]` row-major.
     pub rows: Vec<f32>,
     pub total_rows: usize,
@@ -835,7 +836,7 @@ pub(crate) fn merge_plans(
     entries: &mut Vec<SuperEntry>,
     pool: &mut Vec<Vec<f32>>,
     key: SuperKey,
-    weight: &Rc<Vec<f32>>,
+    weight: &Rc<PackedB>,
 ) -> usize {
     if let Some(i) = entries
         .iter()
@@ -860,7 +861,7 @@ impl SuperWaveAcc {
     pub fn register(
         &mut self,
         key: SuperKey,
-        weight: &Rc<Vec<f32>>,
+        weight: &Rc<PackedB>,
         n_rows: usize,
         request: usize,
         group_idx: usize,
@@ -1346,8 +1347,9 @@ mod tests {
 
     #[test]
     fn merge_plans_fuses_same_key_and_weight_only() {
-        let w1 = Rc::new(vec![1.0f32; 8]);
-        let w2 = Rc::new(vec![1.0f32; 8]);
+        let ones = [1.0f32; 8];
+        let w1 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
+        let w2 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
         let key = SuperKey {
             for_key: 1,
             group_ordinal: 0,

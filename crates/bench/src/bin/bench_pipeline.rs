@@ -14,8 +14,10 @@
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v9",
-//!   "axpy_gb_s": 36.1,
+//!   "schema": "cortex-bench-pipeline/v10",
+//!   "axpy_gb_s": 36.1, "fma_peak_gflops": 160.0,
+//!   "gemm_packed_gflops_m1": 35.0, "gemm_packed_gflops_m16": 150.0,
+//!   "gemm_packed_gflops_m64": 155.0,
 //!   "results": [
 //!     {"bench": "treelstm_h256_bs16", "nodes": 1234, "hidden": 256,
 //!      "scalar_ms": 12.3, "batched_ms": 3.2, "generic_ms": 88.0,
@@ -23,7 +25,8 @@
 //!      "wave_gemms": 120, "waves_batched": 60, "gemms_per_wave": 2.0,
 //!      "gemm_rows": 1800, "stacked_groups": 60, "stacked_sites": 180,
 //!      "requests_per_batch": 1, "superwave_width": 15.0,
-//!      "throughput_rps": 312.5, "epilogue_ms": 1.9, "epilogue_gb_s": 6.2,
+//!      "throughput_rps": 312.5, "gemm_ms": 1.1, "gemm_gflops": 120.0,
+//!      "epilogue_ms": 1.9, "epilogue_gb_s": 6.2,
 //!      "fused_waves": 60, "nonlinearity": "exact"}
 //!   ]
 //! }
@@ -52,6 +55,19 @@
 //! Both nonlinearity modes are vectorized now, so the old wall-clock
 //! bar "rational beats libm-exact" is gone; the rational row is still
 //! verified ≤1e-4 against the (new, deterministic) exact references.
+//! Schema v10 states the GEMM against the machine the same way:
+//! top-level `fma_peak_gflops` is what independent FMA chains reach at
+//! the detected SIMD level (`simd::fma_chains`),
+//! `gemm_packed_gflops_m{1,16,64}` what the tile kernel reaches through
+//! its packed entry at N=1024, K=256 (the h=256 gate-stack shape; CI
+//! gates m16 ≥ half the peak), and each row's `gemm_gflops` is the wave
+//! GEMMs' flop count (`ExecStats::gemm_flops`) over `gemm_ms`. With v10
+//! the scalar preset's contiguous reductions run the GEMM's own
+//! k-sequential chain (so the two paths agree bit for bit), which is
+//! latency-bound: `scalar_ms` of the seq-LSTM rows rose 2.7× (211 →
+//! 566 ms) and of the DAG-RNN row 2.5×, and `speedup_batched_vs_scalar`
+//! widened with them — an ablation preset got slower, the engine did
+//! not get that much faster.
 //! Schema v6 adds the static-analysis trajectory to each lowering
 //! entry: `dead_ops_eliminated` / `slots_coalesced` (the dataflow
 //! optimizer's work) and `par_safe_waves` / `par_unsafe_waves` (the
@@ -198,8 +214,8 @@ fn bench_model_mode(
     println!(
         "{name:<28} nodes={:<5} h={:<4} generic={generic_ms:9.2}ms scalar={scalar_ms:9.2}ms \
          batched={batched_ms:9.2}ms speedup(batched/scalar)={:.2}x gemms/wave={:.2} \
-         stacked={}/{} plan_ops={} gather={:.2}ms gemm={:.2}ms serve={:.2}ms \
-         epilogue={:.2}ms ({:.1} GB/s) fused_waves={} verified={verified}",
+         stacked={}/{} plan_ops={} gather={:.2}ms gemm={:.2}ms ({:.1} GFLOP/s) \
+         serve={:.2}ms epilogue={:.2}ms ({:.1} GB/s) fused_waves={} verified={verified}",
         structure.num_nodes(),
         model.hidden,
         scalar_ms / batched_ms,
@@ -209,6 +225,7 @@ fn bench_model_mode(
         plan.plan_ops,
         stats.gather_ns as f64 / 1e6,
         stats.gemm_ns as f64 / 1e6,
+        gemm_gflops(&stats),
         stats.serve_ns as f64 / 1e6,
         stats.epilogue_ns as f64 / 1e6,
         epilogue_gb_s(&stats),
@@ -232,6 +249,42 @@ fn bench_model_mode(
 /// nanosecond of fused-wave epilogue.
 fn epilogue_gb_s(stats: &ExecStats) -> f64 {
     stats.epilogue_bytes as f64 / stats.epilogue_ns.max(1) as f64
+}
+
+/// Achieved wave-GEMM rate: flops per nanosecond of GEMM wall time.
+fn gemm_gflops(stats: &ExecStats) -> f64 {
+    stats.gemm_flops as f64 / stats.gemm_ns.max(1) as f64
+}
+
+/// The FLOP ceiling of the GEMM layer: twelve independent vector FMA
+/// chains at the detected level, operands in registers.
+fn fma_peak_gflops() -> f64 {
+    let mut flops = 0;
+    let seconds = median_run(9, || {
+        flops = cortex_tensor::simd::fma_chains(cortex_tensor::simd::level(), 1 << 20);
+    })
+    .as_secs_f64();
+    flops as f64 / seconds / 1e9
+}
+
+/// What the tile kernel reaches through its packed entry on `m` rows
+/// against 1024 columns × K=256 — the shape of an h=256 gate stack.
+fn gemm_packed_gflops(m: usize) -> f64 {
+    use cortex_tensor::kernels::{gemm_packed_into, PackedB};
+    let (n, k) = (1024, 256);
+    let b = cortex_tensor::Tensor::random(&[n, k], 1.0, 2);
+    let packed = PackedB::pack_nt(b.as_slice(), n, k);
+    let a = cortex_tensor::Tensor::random(&[m, k], 1.0, 1);
+    let mut c = vec![0.0f32; m * n];
+    let calls = 2048 / m as u32;
+    let seconds = median_run(9, || {
+        for _ in 0..calls {
+            gemm_packed_into(&mut c, a.as_slice(), &packed, m);
+            std::hint::black_box(&mut c);
+        }
+    })
+    .as_secs_f64();
+    2.0 * (m * n * k) as f64 * f64::from(calls) / seconds / 1e9
 }
 
 /// The stream-rate ceiling of an elementwise pass: `y += x` over 1 Mi
@@ -450,10 +503,17 @@ fn main() {
     let solo = solo_small();
 
     let axpy = axpy_gb_s();
-    println!("ceiling: axpy {axpy:.1} GB/s");
+    let fma_peak = fma_peak_gflops();
+    let [packed_m1, packed_m16, packed_m64] = [1, 16, 64].map(gemm_packed_gflops);
+    println!(
+        "ceilings: axpy {axpy:.1} GB/s, fma {fma_peak:.1} GFLOP/s; packed gemm \
+         m1 {packed_m1:.1} m16 {packed_m16:.1} m64 {packed_m64:.1} GFLOP/s"
+    );
     let mut json = format!(
-        "{{\n  \"schema\": \"cortex-bench-pipeline/v9\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
-         \"lowering\": [\n"
+        "{{\n  \"schema\": \"cortex-bench-pipeline/v10\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
+         \"fma_peak_gflops\": {fma_peak:.3},\n  \"gemm_packed_gflops_m1\": {packed_m1:.3},\n  \
+         \"gemm_packed_gflops_m16\": {packed_m16:.3},\n  \
+         \"gemm_packed_gflops_m64\": {packed_m64:.3},\n  \"lowering\": [\n"
     );
     for (i, (name, plan)) in lowering.iter().enumerate() {
         let _ = write!(
@@ -501,7 +561,8 @@ fn main() {
              \"requests_per_batch\": 1, \"superwave_width\": {:.3}, \
              \"throughput_rps\": {:.3}, \"plan_ops\": {}, \"lower_ms\": {:.4}, \
              \"gather_ms\": {:.4}, \
-             \"gemm_ms\": {:.4}, \"serve_ms\": {:.4}, \"epilogue_ms\": {:.4}, \
+             \"gemm_ms\": {:.4}, \"gemm_gflops\": {:.3}, \"serve_ms\": {:.4}, \
+             \"epilogue_ms\": {:.4}, \
              \"epilogue_gb_s\": {:.3}, \"fused_waves\": {}, \"nonlinearity\": \"{}\"}}{}",
             r.bench,
             r.nodes,
@@ -523,6 +584,7 @@ fn main() {
             r.plan.lower_ns as f64 / 1e6,
             r.stats.gather_ns as f64 / 1e6,
             r.stats.gemm_ns as f64 / 1e6,
+            gemm_gflops(&r.stats),
             r.stats.serve_ns as f64 / 1e6,
             r.stats.epilogue_ns as f64 / 1e6,
             epilogue_gb_s(&r.stats),

@@ -64,9 +64,10 @@
 //! 2×/1.3×: that target assumed a per-wave-launch-bound sequential
 //! baseline, but PR 2's SIMD kernels plus this PR's shared parameter
 //! arena and bulk feature-loop serving already removed most launch
-//! overhead from the *solo* path too. Measured on this box, the merged
-//! GEMM runs at 68 GFLOPS vs the solo GEMV's 27 (7.6 µs vs 19 µs per
-//! row at h=256 — the `dot8x2` row-pair block), but ~25 µs/wave/request
+//! overhead from the *solo* path too. Measured on this box when the
+//! bars were set (under the dot-product kernels of the time), the merged
+//! GEMM ran at 68 GFLOPS vs the solo GEMV's 27 (7.6 µs vs 19 µs per
+//! row at h=256), but ~25 µs/wave/request
 //! of genuine per-request elementwise epilogue (gate sigmoids/tanh,
 //! cell updates — work generated code would also execute per request)
 //! bounds the end-to-end wall ratio near 1.4× regardless of merge

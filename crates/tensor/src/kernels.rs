@@ -6,39 +6,161 @@
 //!    DyNet- and Cavs-like) call as black boxes, one call per operator.
 //! 2. They are the native inner loops that Cortex-generated fused kernels
 //!    bottom out in (standing in for the LLVM/CUDA code TVM would emit) —
-//!    in particular the batched wavefront executor runs one [`gemm_nt`]
-//!    per reduction site per wave.
+//!    in particular the batched wavefront executor runs one
+//!    [`gemm_packed_into`] per stacking group per wave.
 //!
-//! The matrix products share one cache-blocked **NT micro-kernel**
-//! ([`gemm_nt_into`]): `C[i,j] = Σ_k A[i,k]·B[j,k]` with both operands
-//! row-major, so every inner loop is a contiguous dual-stream dot
-//! product. Those inner loops ([`dot`], `dot4`, [`axpy`]) dispatch at
-//! runtime to explicit AVX2/FMA or AVX-512 kernels when the CPU supports
-//! them, with the unrolled scalar loop as the always-correct fallback —
-//! see the [`crate::simd`] module. `gemm` (the NN layout) packs
-//! transposed panels of `B` and calls the same kernel. There is **no**
-//! zero-skipping: a branch on `a == 0.0` both blocks vectorization and
-//! silently changes IEEE semantics (`0 · ∞` must be `NaN`, not skipped) —
-//! see `gemm_propagates_nan_and_inf`.
+//! Every matrix product is **one register-tiled kernel**
+//! ([`crate::simd::gemm_panels`]) over weights repacked once into
+//! k-major column panels ([`PackedB`]): `C[i,j] = Σ_k A[i,k]·B[j,k]`
+//! where a k-step loads a panel's two vectors and feeds them one scalar
+//! broadcast of `A[i,k]` per row — no horizontal sums, and every output
+//! element is a single k-sequential chain whatever the tile shape (the
+//! numerics paragraph of [`crate::simd`]). [`gemm_packed_into`] is the
+//! entry for a weight that outlives the call; [`gemm_nt_into`],
+//! [`gemm_into`], [`gemm`], [`gemm_nt`] and [`gemv`] pack their `B`
+//! and call it. [`dot`] and [`axpy`] dispatch to explicit AVX2/FMA or
+//! AVX-512 kernels when the CPU supports them, with a scalar loop as the
+//! always-correct fallback. There is **no** zero-skipping: a branch on
+//! `a == 0.0` both blocks vectorization and silently changes IEEE
+//! semantics (`0 · ∞` must be `NaN`, not skipped) — see
+//! `gemm_propagates_nan_and_inf`.
 //!
-//! With the `parallel` feature, large products are row-partitioned across
-//! a scoped thread pool with chunked work stealing (`par_rows`); each
-//! row's reduction order is unchanged, so results are identical to the
-//! sequential path.
+//! With the `parallel` feature, large products are row-partitioned at
+//! tile boundaries across a scoped thread pool with chunked work
+//! stealing (`par_rows`); an element's chain does not depend on the
+//! rows around it, so results are identical to the sequential path.
 
+use crate::simd::{self, Level};
 use crate::tensor::{Tensor, TensorError};
 
-/// Rows of `B` (= columns of the output) packed per panel: eight
-/// independent accumulator chains per pass over an `a` row (`dot8`).
-const NT_JB: usize = 8;
-/// K-extent of a packed panel: 8 rows × 512 × 4 B = 16 KiB, L1-resident.
-const NT_KB: usize = 512;
 /// Minimum `m·n·k` before threading is worth the fork (≈0.25 Mflop).
 #[cfg(feature = "parallel")]
 const PAR_MIN_WORK: usize = 1 << 18;
-/// Rows handed out per steal; keeps the atomic cold.
+/// Rows handed out per steal: whole full-height tiles at every level
+/// (12 rows at AVX-512, 6 below), and few enough steals to keep the
+/// atomic cold.
 #[cfg(feature = "parallel")]
-const PAR_CHUNK: usize = 8;
+const PAR_CHUNK: usize = 24;
+
+/// A `B` operand repacked for the tile kernel: `n` columns of `k`
+/// elements each in k-major panels of [`simd::panel_width`] columns,
+/// the last panel zero-padded (see [`simd::gemm_panels`] for the
+/// layout). The pack remembers the level it was laid out for, so a
+/// product can never read it at another width.
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    level: Level,
+    n: usize,
+    k: usize,
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs `n` columns at the detected level. Each item of `columns`
+    /// is one column, in order: the slice holding it from its first
+    /// element on, and the stride (≥ 1) between its consecutive `k`
+    /// elements.
+    pub fn pack<'a>(
+        n: usize,
+        k: usize,
+        columns: impl IntoIterator<Item = (&'a [f32], usize)>,
+    ) -> Self {
+        Self::pack_with(simd::level(), n, k, columns)
+    }
+
+    /// [`PackedB::pack`] at an explicit level (an unsupported one packs
+    /// for the scalar kernel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` yields fewer than `n` items or a column slice
+    /// is shorter than `(k - 1)·stride + 1`.
+    pub fn pack_with<'a>(
+        level: Level,
+        n: usize,
+        k: usize,
+        columns: impl IntoIterator<Item = (&'a [f32], usize)>,
+    ) -> Self {
+        let w = simd::panel_width(level);
+        let mut data = vec![0.0f32; Self::padded_len(level, n, k)];
+        if k > 0 {
+            let mut columns = columns.into_iter();
+            for j in 0..n {
+                let (src, stride) = columns.next().expect("pack: a column per output column");
+                let src = &src[..(k - 1) * stride + 1];
+                let dsts = data[(j / w * k) * w + j % w..].iter_mut().step_by(w);
+                if stride == 1 {
+                    dsts.zip(src).for_each(|(dst, v)| *dst = *v);
+                } else {
+                    dsts.zip(src.iter().step_by(stride))
+                        .for_each(|(dst, v)| *dst = *v);
+                }
+            }
+        }
+        PackedB { level, n, k, data }
+    }
+
+    /// Packs a row-major `[n][k]` matrix (the NT layout: `B`'s rows are
+    /// the product's columns).
+    pub fn pack_nt(b: &[f32], n: usize, k: usize) -> Self {
+        Self::pack(n, k, (0..n).map(|j| (&b[j * k..], 1)))
+    }
+
+    /// Packs a row-major `[k][n]` matrix (the NN layout): each panel row
+    /// is a plain slice of a `B` row.
+    pub fn pack_nn(b: &[f32], n: usize, k: usize) -> Self {
+        let level = simd::level();
+        let w = simd::panel_width(level);
+        let mut data = vec![0.0f32; Self::padded_len(level, n, k)];
+        for (p, panel) in data.chunks_exact_mut((w * k).max(1)).enumerate() {
+            let jb = w.min(n - p * w);
+            for (kk, row) in panel.chunks_exact_mut(w).enumerate() {
+                row[..jb].copy_from_slice(&b[kk * n + p * w..][..jb]);
+            }
+        }
+        PackedB { level, n, k, data }
+    }
+
+    /// Floats a pack of `n` columns × `k` holds at `level`, padding
+    /// included.
+    pub fn padded_len(level: Level, n: usize, k: usize) -> usize {
+        let w = simd::panel_width(level);
+        n.div_ceil(w) * w * k
+    }
+
+    /// Output columns.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Floats held, padding included.
+    pub fn floats(&self) -> usize {
+        self.data.len()
+    }
+}
+
+/// The packed product: `c[i·n + j] = Σ_k a[i·k + k']·B[j][k']` for `m`
+/// rows of `a` against the `n = b.n()` columns of `b`. With the
+/// `parallel` feature and enough work, rows of `c` are computed by a
+/// scoped thread pool; every element is the same k-sequential chain
+/// either way.
+///
+/// # Panics
+///
+/// Panics if `a` or `c` is shorter than `m` rows.
+pub fn gemm_packed_into(c: &mut [f32], a: &[f32], b: &PackedB, m: usize) {
+    let (n, k) = (b.n, b.k);
+    #[cfg(feature = "parallel")]
+    if m * n * k >= PAR_MIN_WORK && m >= 2 * PAR_CHUNK {
+        assert!(a.len() >= m * k && c.len() >= m * n, "gemm: short operand");
+        par_rows(m, |rows, c_rows: &mut [f32]| {
+            let a_rows = &a[rows.start * k..rows.end * k];
+            simd::gemm_panels(b.level, c_rows, a_rows, &b.data, rows.len(), n, k);
+        })(c, n);
+        return;
+    }
+    simd::gemm_panels(b.level, c, a, &b.data, m, n, k);
+}
 
 /// Dense matrix–matrix product: `C[m,n] = sum_k A[m,k] * B[k,n]`.
 ///
@@ -60,50 +182,22 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
     Ok(c)
 }
 
-/// Slice-level NN product: `c[i·n+j] = Σ_k a[i·k+k']·b[k'·n+j]`.
-///
-/// Packs transposed panels of `b` and runs the NT micro-kernel, so the
-/// inner loops are contiguous regardless of `n`.
+/// Slice-level NN product: `c[i·n+j] = Σ_k a[i·k+k']·b[k'·n+j]`
+/// ([`PackedB::pack_nn`], then [`gemm_packed_into`]).
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if the slices are shorter than the shapes
-/// imply.
+/// Panics if the slices are shorter than the shapes imply.
 pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c[..m * n].fill(0.0);
-        return;
-    }
-    // Pack Bᵀ panel by panel and reduce through the NT kernel. Panels are
-    // [NT_JB][kb]: column j of B becomes a contiguous row.
-    let mut panel = [0.0f32; NT_JB * NT_KB];
-    for j0 in (0..n).step_by(NT_JB) {
-        let jb = NT_JB.min(n - j0);
-        for k0 in (0..k).step_by(NT_KB) {
-            let kb = NT_KB.min(k - k0);
-            for jj in 0..jb {
-                for kk in 0..kb {
-                    panel[jj * kb + kk] = b[(k0 + kk) * n + j0 + jj];
-                }
-            }
-            let first = k0 == 0;
-            for i in 0..m {
-                let a_row = &a[i * k + k0..i * k + k0 + kb];
-                let c_row = &mut c[i * n + j0..i * n + j0 + jb];
-                nt_microkernel(c_row, a_row, &panel, jb, kb, first);
-            }
-        }
+    if m > 0 && n > 0 {
+        gemm_packed_into(c, a, &PackedB::pack_nn(b, n, k), m);
     }
 }
 
 /// Transposed-B product into a [`Tensor`]: `C[m,n] = Σ_k A[m,k]·B[n,k]`.
 ///
 /// This is the layout the batched wavefront executor produces (packed
-/// operand rows × packed weight rows); both operands stream contiguously.
+/// operand rows × packed weight rows).
 ///
 /// # Errors
 ///
@@ -123,184 +217,22 @@ pub fn gemm_nt(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
     Ok(c)
 }
 
-/// Slice-level NT product: `c[i·n+j] = Σ_k a[i·k+k']·b[j·k+k']`.
-///
-/// `a` is `[m][k]` row-major, `b` is `[n][k]` row-major. With the
-/// `parallel` feature and enough work, rows of `c` are computed by a
-/// scoped thread pool; the per-row reduction order is identical either
-/// way.
+/// Slice-level NT product: `c[i·n+j] = Σ_k a[i·k+k']·b[j·k+k']`, with
+/// `a` `[m][k]` and `b` `[n][k]` row-major ([`PackedB::pack_nt`], then
+/// [`gemm_packed_into`]). A caller that reuses `b` should pack it once
+/// and call the packed entry: this convenience repacks on every call.
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if the slices are shorter than the shapes
-/// imply.
+/// Panics if the slices are shorter than the shapes imply.
 pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c[..m * n].fill(0.0);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    if m * n * k >= PAR_MIN_WORK && m >= 2 * PAR_CHUNK {
-        par_rows(m, |rows, c_rows: &mut [f32]| {
-            gemm_nt_rows(c_rows, &a[rows.start * k..], b, rows.len(), n, k);
-        })(c, n);
-        return;
-    }
-    gemm_nt_rows(c, a, b, m, n, k);
-}
-
-/// Sequential NT product over a row range (the per-thread body).
-///
-/// Full 8-column panels process `a` rows in pairs ([`crate::simd::dot8x2`]):
-/// each `b` panel load feeds two rows' FMA chains, which is what makes
-/// multi-row (super-wave) GEMMs faster *per row* than the one-row GEMV
-/// shape. Per-row results are bit-identical to single-row execution.
-pub(crate) fn gemm_nt_rows(c: &mut [f32], a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
-    for j0 in (0..n).step_by(NT_JB) {
-        let jb = NT_JB.min(n - j0);
-        for k0 in (0..k).step_by(NT_KB) {
-            let kb = NT_KB.min(k - k0);
-            // B rows are already contiguous in the NT layout: "packing" is
-            // just the 4-row window starting at j0 (no copy when kb == k).
-            let first = k0 == 0;
-            let mut i = 0usize;
-            if jb == 8 {
-                let row = |j: usize| &b[(j0 + j) * k + k0..(j0 + j) * k + k0 + kb];
-                let bp: [&[f32]; 8] = std::array::from_fn(row);
-                while i + 2 <= m {
-                    let a0 = &a[i * k + k0..i * k + k0 + kb];
-                    let a1 = &a[(i + 1) * k + k0..(i + 1) * k + k0 + kb];
-                    let d = crate::simd::dot8x2(a0, a1, &bp);
-                    for (r, dr) in d.iter().enumerate() {
-                        let c_row = &mut c[(i + r) * n + j0..(i + r) * n + j0 + 8];
-                        if first {
-                            c_row.copy_from_slice(dr);
-                        } else {
-                            for (cv, dv) in c_row.iter_mut().zip(dr) {
-                                *cv += dv;
-                            }
-                        }
-                    }
-                    i += 2;
-                }
-            }
-            for i in i..m {
-                let a_row = &a[i * k + k0..i * k + k0 + kb];
-                let c_row = &mut c[i * n + j0..i * n + j0 + jb];
-                nt_microkernel_strided(c_row, a_row, b, (j0, k, k0), jb, kb, first);
-            }
-        }
+    if m > 0 && n > 0 {
+        gemm_packed_into(c, a, &PackedB::pack_nt(b, n, k), m);
     }
 }
 
-/// The NT micro-kernel: `jb ≤ 8` output elements from one `a` row and a
-/// row accessor over `B`. One pass over `a_row` feeds all accumulator
-/// chains (`dot8`/`dot4`, SIMD-dispatched). Both the packed-panel and
-/// the in-place layouts dispatch here via their accessor.
-#[inline]
-fn nt_microkernel_rows<'b>(
-    c_row: &mut [f32],
-    a_row: &[f32],
-    row: impl Fn(usize) -> &'b [f32],
-    jb: usize,
-    first: bool,
-) {
-    match jb {
-        8 => {
-            let b: [&[f32]; 8] = std::array::from_fn(&row);
-            let d = crate::simd::dot8(a_row, &b);
-            if first {
-                c_row[..8].copy_from_slice(&d);
-            } else {
-                for (cv, dv) in c_row.iter_mut().zip(d) {
-                    *cv += dv;
-                }
-            }
-        }
-        4..=7 => {
-            // Tail panels of 4-7 columns: a dot4 covers the first four
-            // (one shared pass over `a_row`), leaving at most three
-            // single-dot columns — the slow per-column path never runs
-            // more than 3 wide.
-            let d = dot4(a_row, row(0), row(1), row(2), row(3));
-            if first {
-                c_row[..4].copy_from_slice(&d);
-            } else {
-                for (cv, dv) in c_row.iter_mut().zip(d) {
-                    *cv += dv;
-                }
-            }
-            for (jj, cv) in c_row.iter_mut().enumerate().skip(4) {
-                let d = dot(a_row, row(jj));
-                if first {
-                    *cv = d;
-                } else {
-                    *cv += d;
-                }
-            }
-        }
-        _ => {
-            for (jj, cv) in c_row.iter_mut().enumerate() {
-                let d = dot(a_row, row(jj));
-                if first {
-                    *cv = d;
-                } else {
-                    *cv += d;
-                }
-            }
-        }
-    }
-}
-
-/// Micro-kernel over a `[jb][kb]` contiguous packed panel.
-#[inline]
-fn nt_microkernel(
-    c_row: &mut [f32],
-    a_row: &[f32],
-    panel: &[f32],
-    jb: usize,
-    kb: usize,
-    first: bool,
-) {
-    nt_microkernel_rows(c_row, a_row, |j| &panel[j * kb..j * kb + kb], jb, first);
-}
-
-/// Micro-kernel reading `b` in place (row stride `k`, offset `k0`),
-/// avoiding the pack copy when `B` is already `[n][k]` row-major.
-#[inline]
-fn nt_microkernel_strided(
-    c_row: &mut [f32],
-    a_row: &[f32],
-    b: &[f32],
-    (j0, k, k0): (usize, usize, usize),
-    jb: usize,
-    kb: usize,
-    first: bool,
-) {
-    nt_microkernel_rows(
-        c_row,
-        a_row,
-        |j| &b[(j0 + j) * k + k0..(j0 + j) * k + k0 + kb],
-        jb,
-        first,
-    );
-}
-
-/// Four simultaneous dot products sharing one pass over `a`, dispatched
-/// to the widest available SIMD level ([`crate::simd::dot4`]).
-#[inline]
-fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    crate::simd::dot4(a, b0, b1, b2, b3)
-}
-
-/// Dense matrix–vector product: `y[m] = sum_k A[m,k] * x[k]`.
-///
-/// Processes four rows per pass over `x` (the same accumulator shape as
-/// the NT micro-kernel).
+/// Dense matrix–vector product: `y[m] = sum_k A[m,k] * x[k]` — the
+/// one-row NT product `x · Aᵀ`.
 ///
 /// # Errors
 ///
@@ -314,19 +246,8 @@ pub fn gemv(a: &Tensor, x: &Tensor) -> crate::Result<Tensor> {
         });
     }
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let a_s = a.as_slice();
-    let x_s = x.as_slice();
     let mut y = vec![0.0f32; m];
-    let mut i = 0;
-    while i + 4 <= m {
-        let r = |d: usize| &a_s[(i + d) * k..(i + d + 1) * k];
-        let d = dot4(x_s, r(0), r(1), r(2), r(3));
-        y[i..i + 4].copy_from_slice(&d);
-        i += 4;
-    }
-    for (ii, yv) in y.iter_mut().enumerate().skip(i) {
-        *yv = dot(&a_s[ii * k..(ii + 1) * k], x_s);
-    }
+    gemm_nt_into(&mut y, x.as_slice(), a.as_slice(), 1, m, k);
     Tensor::from_vec(y, &[m])
 }
 
@@ -575,23 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn dot4_matches_four_dots() {
-        let a = Tensor::random(&[37], 1.0, 5);
-        let rows = Tensor::random(&[4, 37], 1.0, 6);
-        let got = dot4(
-            a.as_slice(),
-            rows.row(0),
-            rows.row(1),
-            rows.row(2),
-            rows.row(3),
-        );
-        for (j, g) in got.iter().enumerate() {
-            let want = dot(a.as_slice(), rows.row(j));
-            assert!((g - want).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn concat_orders_parts() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![3.0], &[1]).unwrap();
@@ -632,8 +536,17 @@ mod tests {
         let b = Tensor::random(&[n, k], 1.0, 22);
         let mut threaded = vec![0.0f32; m * n];
         gemm_nt_into(&mut threaded, a.as_slice(), b.as_slice(), m, n, k);
+        let packed = PackedB::pack_nt(b.as_slice(), n, k);
         let mut serial = vec![0.0f32; m * n];
-        gemm_nt_rows(&mut serial, a.as_slice(), b.as_slice(), m, n, k);
+        simd::gemm_panels(
+            packed.level,
+            &mut serial,
+            a.as_slice(),
+            &packed.data,
+            m,
+            n,
+            k,
+        );
         assert_eq!(threaded, serial);
     }
 

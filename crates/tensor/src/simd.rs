@@ -1,33 +1,44 @@
 //! Explicit SIMD micro-kernels with runtime feature dispatch.
 //!
-//! The NT micro-kernel, GEMV, and the row-gather/pack loops all bottom
-//! out in three primitives — [`dot`], [`dot4`] (four dots sharing one
-//! pass over `a`), and [`axpy`] — which this module provides in three
-//! implementations:
+//! Four primitives, each at three levels:
 //!
-//! * **Scalar** — the unrolled loops the autovectorizer handles; this is
-//!   the always-correct fallback and the reference the wide paths are
-//!   tested against.
-//! * **AVX2+FMA** — 8-lane `f32` with fused multiply-add, two
-//!   accumulator chains per output to hide FMA latency.
-//! * **AVX-512F** — 16-lane `f32` with masked tail loads (no scalar
-//!   remainder loop at all).
+//! * [`gemm_panels`] — the one matrix product of the workspace: a
+//!   register-tiled outer-product kernel over weights packed into
+//!   k-major column panels ([`crate::kernels::PackedB`]);
+//! * [`dot_ordered`] — the same reduction for a single element, in the
+//!   same order (the engine's per-element path);
+//! * [`dot`] — a reassociating dot product for code that is *not* the
+//!   engine (the reference models, the modelled vendor library), so
+//!   what the engine is checked against does not share its kernel;
+//! * [`axpy`] — `y += x`, the gather loop's child-sum.
+//!
+//! The levels:
+//!
+//! * **Scalar** — plain loops the autovectorizer handles; always
+//!   available, and the only one that never fuses a multiply-add.
+//! * **AVX2+FMA** — 8-lane `f32`, 16-column panels, tiles up to 6×16.
+//! * **AVX-512F** — 16-lane `f32`, 32-column panels, tiles up to 12×32.
 //!
 //! The active level is detected once per process with
 //! `is_x86_feature_detected!` and cached ([`level`]); the
 //! `CORTEX_SIMD` environment variable (`scalar` / `avx2` / `avx512`)
-//! clamps it for benchmarking and tests. Every entry point also exists
-//! in a `*_with` form taking an explicit [`Level`] so tests can compare
-//! the wide paths against the scalar path on the same inputs.
+//! clamps it for benchmarking and tests. Every entry point also takes an
+//! explicit [`Level`] (`*_with`, or a leading argument) so tests can
+//! compare levels on the same inputs.
 //!
-//! Numerics: the wide *reduction* paths reassociate (lane-striped
-//! partial sums) and contract `a*b+c` into FMAs, so results may differ
-//! from the scalar path by normal rounding — but IEEE special values
-//! flow through unchanged (`0·∞ → NaN` is preserved; FMA propagates
-//! NaN/∞ exactly like mul+add does). The *elementwise* kernels
-//! ([`run_tile`], [`unary_slice`]) do neither: every level runs the one
-//! lane-generic routine of [`crate::approx`] and is bit-identical to its
-//! scalar form.
+//! Numerics. [`gemm_panels`] and [`dot_ordered`] are **k-sequential**:
+//! every output element is the single chain `acc = a[k]·b[k] + acc`,
+//! `k = 0..K` in order — one fused multiply-add per step at the wide
+//! levels, a multiply then an add at the scalar one — whatever the tile
+//! shape, the row count or the neighbouring rows. Within a level they
+//! agree bit for bit; across levels they differ by the fusion only.
+//! [`dot`] **reassociates** (lane-striped partial sums, two accumulator
+//! chains, FMA at the wide levels) and promises a tolerance, not bits.
+//! IEEE special values flow through all of them unchanged (`0·∞ → NaN`;
+//! FMA propagates NaN/∞ exactly like mul+add does). The *elementwise*
+//! kernels ([`run_tile`], [`unary_slice`]) neither reassociate nor fuse:
+//! every level runs the one lane-generic routine of [`crate::approx`]
+//! and is bit-identical to its scalar form.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -172,11 +183,7 @@ pub fn dot_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Scalar `dot`: eight partial accumulators, pairwise-combined. Every
-/// scalar reduction kernel below accumulates each of its outputs in
-/// exactly this order, so at the scalar level a GEMM element (one `k`
-/// block) is bit-identical to the `dot` of its row and column whichever
-/// micro-kernel shape produced it.
+/// Scalar `dot`: eight partial accumulators, pairwise-combined.
 pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
     let chunks = a.len() / 8;
@@ -194,147 +201,312 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------
-// dot4
+// dot_ordered: the per-element form of a GEMM element
 // ---------------------------------------------------------------------
 
-/// Four simultaneous dot products sharing one pass over `a`, at the
-/// detected level. This is the inner kernel of both the NT GEMM and
-/// GEMV.
+/// The k-sequential dot product `acc = a[k]·b[k] + acc`, `k = 0..len` in
+/// order from `acc = 0`, at the detected level: one fused multiply-add
+/// per step at AVX2/AVX-512, a multiply then an add at
+/// [`Level::Scalar`]. This is **exactly** the chain [`gemm_panels`]
+/// runs for every output element at the same level, so an engine that
+/// evaluates a reduction per element and one that batches it into a
+/// GEMM agree bit for bit at any length.
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if any `b` row is shorter than `a`.
+/// Panics if the slices have different lengths.
 #[inline]
-pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    dot4_with(level(), a, b0, b1, b2, b3)
+pub fn dot_ordered(a: &[f32], b: &[f32]) -> f32 {
+    dot_ordered_with(level(), a, b)
 }
 
-/// [`dot4`] at an explicit level; an unsupported level falls back to
-/// the scalar kernel.
+/// [`dot_ordered`] at an explicit level; an unsupported level falls back
+/// to the scalar (unfused) chain.
 ///
 /// # Panics
 ///
-/// Panics if any `b` row is shorter than `a` (a real assert, not a
-/// debug one: the wide paths do unchecked unaligned loads up to
-/// `a.len()` and must not be reachable out of bounds from safe code).
+/// Panics if the slices have different lengths.
 #[inline]
-pub fn dot4_with(l: Level, a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let n = a.len();
-    assert!(
-        b0.len() >= n && b1.len() >= n && b2.len() >= n && b3.len() >= n,
-        "dot4: b rows shorter than a"
-    );
+pub fn dot_ordered_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot of unequal lengths");
     match l {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the feature is verified on this CPU, and every row is
-        // at least `a.len()` long (asserted above).
-        Level::Avx2 if level_supported(l) => unsafe { dot4_avx2(a, b0, b1, b2, b3) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 if level_supported(l) => unsafe { dot4_avx512(a, b0, b1, b2, b3) },
-        _ => dot4_scalar(a, b0, b1, b2, b3),
+        // SAFETY: AVX2 and FMA are verified on this CPU (the second
+        // check covers `Avx512`, whose own is AVX-512F alone).
+        Level::Avx2 | Level::Avx512 if level_supported(l) && level_supported(Level::Avx2) => unsafe {
+            dot_ordered_fma(a, b)
+        },
+        _ => a.iter().zip(b).fold(0.0, |acc, (x, y)| x * y + acc),
     }
 }
 
-/// Scalar `dot4`: four [`dot_scalar`]s (the shared accumulation order).
-pub fn dot4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    [b0, b1, b2, b3].map(|b| dot_scalar(a, &b[..a.len()]))
+/// The fused chain: `mul_add` compiles to one `vfmadd…ss` per step.
+///
+/// # Safety
+///
+/// AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_ordered_fma(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| x.mul_add(*y, acc))
 }
 
 // ---------------------------------------------------------------------
-// dot8
+// gemm_panels: the register-tiled product over packed column panels
 // ---------------------------------------------------------------------
 
-/// Eight simultaneous dot products sharing one pass over `a` — the
-/// widest accumulator shape of the NT micro-kernel (eight independent
-/// FMA chains amortize each `a` load and hide FMA latency).
-///
-/// # Panics
-///
-/// Panics (in debug builds) if any `b` row is shorter than `a`.
-#[inline]
-pub fn dot8(a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-    dot8_with(level(), a, b)
-}
-
-/// [`dot8`] at an explicit level; an unsupported level falls back to
-/// the scalar kernel.
-///
-/// # Panics
-///
-/// Panics if any `b` row is shorter than `a` (a real assert — see
-/// [`dot4_with`]).
-#[inline]
-pub fn dot8_with(l: Level, a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-    assert!(
-        b.iter().all(|r| r.len() >= a.len()),
-        "dot8: b rows shorter than a"
-    );
+/// Columns of one packed weight panel at `l`: two vectors (an
+/// unsupported level counts as scalar, like every `*_with` entry).
+pub fn panel_width(l: Level) -> usize {
     match l {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the feature is verified on this CPU, and every row is
-        // at least `a.len()` long (asserted above).
-        Level::Avx2 if level_supported(l) => unsafe { dot8_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 if level_supported(l) => unsafe { dot8_avx512(a, b) },
-        _ => dot8_scalar(a, b),
+        Level::Avx512 if level_supported(l) => 32,
+        Level::Avx2 if level_supported(l) => 16,
+        _ => 8,
     }
 }
 
-/// Scalar `dot8`: eight [`dot_scalar`]s (the shared accumulation order).
-pub fn dot8_scalar(a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-    b.map(|b| dot_scalar(a, &b[..a.len()]))
+/// One vector of the tile kernel. `fma` is its only arithmetic.
+///
+/// # Safety
+///
+/// Every method needs the implementing vector's instruction set;
+/// `load` and `store` need `N` readable / writable floats at `p`.
+trait Fma: Copy {
+    /// Lanes per vector.
+    const N: usize;
+    unsafe fn zero() -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// `a·b + self` in every lane: fused at the wide levels, a multiply
+    /// then an add at the scalar one.
+    unsafe fn fma(self, a: f32, b: Self) -> Self;
 }
 
-// ---------------------------------------------------------------------
-// dot8x2
-// ---------------------------------------------------------------------
-
-/// Two `a` rows against the same eight `b` rows: sixteen simultaneous
-/// dot products where each `b` load feeds **two** FMA chains. This is
-/// the row-pair register blocking of the NT micro-kernel for multi-row
-/// (super-wave) GEMMs — the b-panel traffic per row halves, which is
-/// what bounds the 16-accumulator AVX-512 shape. Results are
-/// **bit-identical** to two independent [`dot8`] calls (each row's
-/// chains accumulate in the same order).
-///
-/// # Panics
-///
-/// Panics if `a1` is shorter than `a0` or any `b` row is shorter than
-/// `a0`.
-#[inline]
-pub fn dot8x2(a0: &[f32], a1: &[f32], b: &[&[f32]; 8]) -> [[f32; 8]; 2] {
-    dot8x2_with(level(), a0, a1, b)
-}
-
-/// [`dot8x2`] at an explicit level; an unsupported level falls back to
-/// the scalar kernel. AVX2 has too few vector registers for sixteen
-/// accumulators and runs the two rows as consecutive [`dot8`]s.
-///
-/// # Panics
-///
-/// See [`dot8x2`].
-#[inline]
-pub fn dot8x2_with(l: Level, a0: &[f32], a1: &[f32], b: &[&[f32]; 8]) -> [[f32; 8]; 2] {
-    assert!(a1.len() >= a0.len(), "dot8x2: a1 shorter than a0");
-    assert!(
-        b.iter().all(|r| r.len() >= a0.len()),
-        "dot8x2: b rows shorter than a0"
-    );
-    let a1 = &a1[..a0.len()];
-    match l {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the feature is verified on this CPU, and every row is
-        // at least `a0.len()` long (asserted above).
-        Level::Avx512 if level_supported(l) => unsafe { dot8x2_avx512(a0, a1, b) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 if level_supported(l) => unsafe { [dot8_avx2(a0, b), dot8_avx2(a1, b)] },
-        _ => dot8x2_scalar(a0, a1, b),
+/// The scalar level's "vector": four lanes the autovectorizer keeps in
+/// one SSE/NEON register. Rust never contracts `a * b + c`.
+impl Fma for [f32; 4] {
+    const N: usize = 4;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; 4]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        // SAFETY: the caller guarantees four readable floats at `p`.
+        unsafe { p.cast::<[f32; 4]>().read_unaligned() }
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        // SAFETY: the caller guarantees four writable floats at `p`.
+        unsafe { p.cast::<[f32; 4]>().write_unaligned(self) }
+    }
+    #[inline(always)]
+    unsafe fn fma(self, a: f32, b: Self) -> Self {
+        std::array::from_fn(|i| a * b[i] + self[i])
     }
 }
 
-/// Scalar `dot8x2`: two independent [`dot8_scalar`] passes.
-pub fn dot8x2_scalar(a0: &[f32], a1: &[f32], b: &[&[f32]; 8]) -> [[f32; 8]; 2] {
-    [dot8_scalar(a0, b), dot8_scalar(a1, b)]
+/// `c[i·n + j] = Σ_k a[i·k + k']·B[j][k']` for `m` rows against the `n`
+/// columns held in `panels`: `⌈n / w⌉` panels of `w =`
+/// [`panel_width`]`(l)` columns, panel `p` storing element `k'` of
+/// column `p·w + jj` at `(p·k + k')·w + jj` (columns past `n` are
+/// padding and never stored). Every element of `c` is the
+/// [`dot_ordered_with`]`(l, ..)` chain of its row and column — whatever
+/// `m`, the tile split, or the rows it shares a launch with.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than the shapes imply.
+pub fn gemm_panels(
+    l: Level,
+    c: &mut [f32],
+    a: &[f32],
+    panels: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    let w = panel_width(l);
+    assert!(
+        a.len() >= m * k && c.len() >= m * n && panels.len() >= n.div_ceil(w) * w * k,
+        "gemm_panels: operands shorter than {m}x{n}x{k}"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    match w {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `panel_width` verified the feature; the slices cover
+        // the shapes (asserted above).
+        32 => unsafe { gemm_panels_avx512(c, a, panels, m, n, k) },
+        #[cfg(target_arch = "x86_64")]
+        16 => unsafe { gemm_panels_avx2(c, a, panels, m, n, k) },
+        // SAFETY: the slices cover the shapes (asserted above).
+        _ => unsafe { gemm_tiles::<[f32; 4], 6>(c, a, panels, m, n, k) },
+    }
+}
+
+/// The FLOP ceiling [`gemm_panels`] is stated against: `steps` rounds
+/// of twelve independent vector FMA chains at level `l`, operands in
+/// registers throughout. Returns the flops performed; the caller times
+/// the call.
+pub fn fma_chains(l: Level, steps: usize) -> u64 {
+    let lanes = panel_width(l) / 2;
+    match lanes {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `panel_width` verified the feature.
+        16 => unsafe { fma_chains_avx512(steps) },
+        #[cfg(target_arch = "x86_64")]
+        8 => unsafe { fma_chains_avx2(steps) },
+        // SAFETY: no instruction-set requirement at the scalar level.
+        _ => unsafe { fma_chains_on::<[f32; 4]>(steps) },
+    }
+    (steps * 12 * lanes * 2) as u64
+}
+
+/// # Safety
+///
+/// `V`'s instruction set is available.
+#[inline(always)]
+unsafe fn fma_chains_on<V: Fma>(steps: usize) {
+    // Distinct opaque seeds keep the twelve chains from folding into one.
+    let seed: [f32; 12 + 16] = std::hint::black_box(std::array::from_fn(|i| 1.0 + i as f32));
+    let mut sink = [0.0f32; 12 * 16];
+    // SAFETY: every load and store stays `N <= 16` floats inside the
+    // two stack arrays.
+    unsafe {
+        let mut acc: [V; 12] = std::array::from_fn(|i| V::load(seed.as_ptr().add(i)));
+        let b = V::load(seed.as_ptr().add(12));
+        for _ in 0..steps {
+            for v in &mut acc {
+                *v = v.fma(seed[0], b);
+            }
+        }
+        for (i, v) in acc.iter().enumerate() {
+            v.store(sink.as_mut_ptr().add(i * 16));
+        }
+    }
+    std::hint::black_box(sink);
+}
+
+/// Splits the product into register tiles: panels outermost (a panel
+/// stays in L1 across the row tiles), rows in `⌈m / MR_MAX⌉` *balanced*
+/// tiles (13 rows → 7 + 6, never 12 + 1). A launch of few rows is
+/// widened across 2 or 4 adjacent panels while the accumulators still
+/// fit the register file, so even `m = 1` runs eight independent FMA
+/// chains.
+///
+/// # Safety
+///
+/// `V`'s instruction set is available; `a`, `panels` and `c` cover
+/// `m×k`, `⌈n / 2N⌉` panels and `m×n`; `m, n > 0`.
+#[inline(always)]
+unsafe fn gemm_tiles<V: Fma, const MR_MAX: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    panels: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    let w = 2 * V::N;
+    let n_panels = n.div_ceil(w);
+    let tiles = m.div_ceil(MR_MAX);
+    let (short, taller) = (m / tiles, m % tiles);
+    let np_wide = match MR_MAX / (short + usize::from(taller > 0)) {
+        0 | 1 => 1,
+        2 | 3 => 2,
+        _ => 4,
+    };
+    let mut p = 0;
+    while p < n_panels {
+        let mut np = np_wide;
+        while p + np > n_panels {
+            np /= 2;
+        }
+        let cols = (n - p * w).min(np * w);
+        let mut i = 0;
+        for t in 0..tiles {
+            let mr = short + usize::from(t < taller);
+            // SAFETY: rows `i..i + mr` and panels `p..p + np` are inside
+            // the operands; `cols` keeps the stores inside row `i`'s `n`.
+            unsafe {
+                let a = a.as_ptr().add(i * k);
+                let b = panels.as_ptr().add(p * k * w);
+                let c = c.as_mut_ptr().add(i * n + p * w);
+                macro_rules! run {
+                    ($(($mr:literal, $np:literal))*) => {
+                        match (mr, np) {
+                            $(($mr, $np) => tile::<V, $mr, $np>(a, b, c, k, n, cols),)*
+                            _ => unreachable!("no {mr}x{np} tile"),
+                        }
+                    };
+                }
+                // Every shape the split can ask for: any height on one
+                // panel, up to six rows on two, up to three on four.
+                #[rustfmt::skip]
+                run!((1, 1) (2, 1) (3, 1) (4, 1) (5, 1) (6, 1)
+                     (7, 1) (8, 1) (9, 1) (10, 1) (11, 1) (12, 1)
+                     (1, 2) (2, 2) (3, 2) (4, 2) (5, 2) (6, 2)
+                     (1, 4) (2, 4) (3, 4));
+            }
+            i += mr;
+        }
+        p += np;
+    }
+}
+
+/// The micro-kernel: `MR` rows × `NP` adjacent panels, `MR·NP·2`
+/// accumulator vectors whose every lane is one output element's chain.
+/// A k-step loads each panel's two vectors once and feeds them `MR`
+/// scalar broadcasts of `a[r][k]`; nothing is summed across lanes.
+///
+/// # Safety
+///
+/// `a` addresses `MR` rows of stride `k`, `b` `NP` panels of `k`
+/// k-steps, `c` `MR` rows of stride `ldc` with `cols` (at most `NP`
+/// panel widths) writable floats each.
+#[inline(always)]
+unsafe fn tile<V: Fma, const MR: usize, const NP: usize>(
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    k: usize,
+    ldc: usize,
+    cols: usize,
+) {
+    let w = 2 * V::N;
+    // SAFETY: see the function's contract; a partial panel is staged
+    // through a full-width stack buffer and only `cols - j0` floats of
+    // it reach `c`.
+    unsafe {
+        let mut acc = [[[V::zero(); 2]; MR]; NP];
+        for kk in 0..k {
+            for (p, rows) in acc.iter_mut().enumerate() {
+                let bp = b.add((p * k + kk) * w);
+                let (b0, b1) = (V::load(bp), V::load(bp.add(V::N)));
+                for (r, [acc0, acc1]) in rows.iter_mut().enumerate() {
+                    let av = *a.add(r * k + kk);
+                    *acc0 = acc0.fma(av, b0);
+                    *acc1 = acc1.fma(av, b1);
+                }
+            }
+        }
+        for (p, rows) in acc.iter().enumerate() {
+            for (r, [acc0, acc1]) in rows.iter().enumerate() {
+                let (j0, cp) = (p * w, c.add(r * ldc + p * w));
+                if j0 + w <= cols {
+                    acc0.store(cp);
+                    acc1.store(cp.add(V::N));
+                } else if j0 < cols {
+                    let mut stage = [0.0f32; 32];
+                    acc0.store(stage.as_mut_ptr());
+                    acc1.store(stage.as_mut_ptr().add(V::N));
+                    std::ptr::copy_nonoverlapping(stage.as_ptr(), cp, cols - j0);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -637,7 +809,7 @@ pub fn unary_slice(l: Level, op: TileUnary, mode: NonlinearityMode, xs: &mut [f3
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{run_tile_lanes, Lanes, NonlinearityMode, TileOp};
+    use super::{fma_chains_on, gemm_tiles, run_tile_lanes, Fma, Lanes, NonlinearityMode, TileOp};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -688,72 +860,48 @@ mod avx2 {
         }
     }
 
-    /// Four dots sharing one pass over `a`, 8-lane FMA per row.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot4_avx2(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        // SAFETY: the caller checks every row is at least `a.len()`
-        // long; loads stay inside `i + 8 <= n`.
-        unsafe {
-            let n = a.len();
-            let ap = a.as_ptr();
-            let bps = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-            let mut acc = [_mm256_setzero_ps(); 4];
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let va = _mm256_loadu_ps(ap.add(i));
-                for j in 0..4 {
-                    acc[j] = _mm256_fmadd_ps(va, _mm256_loadu_ps(bps[j].add(i)), acc[j]);
-                }
-                i += 8;
-            }
-            let mut out = [
-                hsum256(acc[0]),
-                hsum256(acc[1]),
-                hsum256(acc[2]),
-                hsum256(acc[3]),
-            ];
-            while i < n {
-                let av = a[i];
-                out[0] = av.mul_add(b0[i], out[0]);
-                out[1] = av.mul_add(b1[i], out[1]);
-                out[2] = av.mul_add(b2[i], out[2]);
-                out[3] = av.mul_add(b3[i], out[3]);
-                i += 1;
-            }
-            out
+    // SAFETY (every intrinsic below): only reached through
+    // [`gemm_panels_avx2`], after the runtime feature check; the pointer
+    // contracts are [`Fma`]'s.
+    impl Fma for __m256 {
+        const N: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm256_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm256_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm256_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn fma(self, a: f32, b: Self) -> Self {
+            unsafe { _mm256_fmadd_ps(_mm256_set1_ps(a), b, self) }
         }
     }
 
-    /// Eight dots sharing one pass over `a`: eight 8-lane FMA chains.
+    /// The tile kernel at 8 lanes: 16-column panels, tiles up to 6×16.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot8_avx2(a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-        // SAFETY: rows are at least `a.len()` long (caller-checked);
-        // loads stay inside `i + 8 <= n`.
-        unsafe {
-            let n = a.len();
-            let ap = a.as_ptr();
-            let mut acc = [_mm256_setzero_ps(); 8];
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let va = _mm256_loadu_ps(ap.add(i));
-                for j in 0..8 {
-                    acc[j] = _mm256_fmadd_ps(va, _mm256_loadu_ps(b[j].as_ptr().add(i)), acc[j]);
-                }
-                i += 8;
-            }
-            let mut out = [0.0f32; 8];
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = hsum256(acc[j]);
-            }
-            while i < n {
-                let av = a[i];
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = av.mul_add(b[j][i], *o);
-                }
-                i += 1;
-            }
-            out
-        }
+    pub unsafe fn gemm_panels_avx2(
+        c: &mut [f32],
+        a: &[f32],
+        panels: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        // SAFETY: forwarded contract of [`gemm_tiles`].
+        unsafe { gemm_tiles::<__m256, 6>(c, a, panels, m, n, k) }
+    }
+
+    /// The FMA ceiling probe at 8 lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fma_chains_avx2(steps: usize) {
+        // SAFETY: the caller verified AVX2+FMA.
+        unsafe { fma_chains_on::<__m256>(steps) }
     }
 
     /// Eight `f32` lanes in a `__m256` ([`Lanes`] at the AVX2 level).
@@ -875,7 +1023,7 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{axpy_avx2, dot4_avx2, dot8_avx2, dot_avx2, run_tile_avx2};
+use avx2::{axpy_avx2, dot_avx2, fma_chains_avx2, gemm_panels_avx2, run_tile_avx2};
 
 // ---------------------------------------------------------------------
 // AVX-512F (16-lane, masked tails)
@@ -883,7 +1031,7 @@ use avx2::{axpy_avx2, dot4_avx2, dot8_avx2, dot_avx2, run_tile_avx2};
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{run_tile_lanes, Lanes, NonlinearityMode, TileOp};
+    use super::{fma_chains_on, gemm_tiles, run_tile_lanes, Fma, Lanes, NonlinearityMode, TileOp};
     use std::arch::x86_64::*;
 
     /// 16-lane dot with two accumulator chains and a masked tail.
@@ -924,120 +1072,49 @@ mod avx512 {
         }
     }
 
-    /// Four dots sharing one pass over `a`, 16-lane FMA per row.
+    // SAFETY (every intrinsic below): only reached through
+    // [`gemm_panels_avx512`], after the runtime feature check; the
+    // pointer contracts are [`Fma`]'s.
+    impl Fma for __m512 {
+        const N: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm512_storeu_ps(p, self) }
+        }
+        #[inline(always)]
+        unsafe fn fma(self, a: f32, b: Self) -> Self {
+            unsafe { _mm512_fmadd_ps(_mm512_set1_ps(a), b, self) }
+        }
+    }
+
+    /// The tile kernel at 16 lanes: 32-column panels, tiles up to 12×32
+    /// (24 of the 32 vector registers accumulate).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot4_avx512(
+    pub unsafe fn gemm_panels_avx512(
+        c: &mut [f32],
         a: &[f32],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) -> [f32; 4] {
-        // SAFETY: rows are at least `a.len()` long (caller-checked);
-        // the tail is masked.
-        unsafe {
-            let n = a.len();
-            let ap = a.as_ptr();
-            let bps = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-            let mut acc = [_mm512_setzero_ps(); 4];
-            let mut i = 0usize;
-            while i + 16 <= n {
-                let va = _mm512_loadu_ps(ap.add(i));
-                for j in 0..4 {
-                    acc[j] = _mm512_fmadd_ps(va, _mm512_loadu_ps(bps[j].add(i)), acc[j]);
-                }
-                i += 16;
-            }
-            if i < n {
-                let m: __mmask16 = (1u16 << (n - i)) - 1;
-                let va = _mm512_maskz_loadu_ps(m, ap.add(i));
-                for j in 0..4 {
-                    acc[j] = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, bps[j].add(i)), acc[j]);
-                }
-            }
-            [
-                _mm512_reduce_add_ps(acc[0]),
-                _mm512_reduce_add_ps(acc[1]),
-                _mm512_reduce_add_ps(acc[2]),
-                _mm512_reduce_add_ps(acc[3]),
-            ]
-        }
+        panels: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        // SAFETY: forwarded contract of [`gemm_tiles`].
+        unsafe { gemm_tiles::<__m512, 12>(c, a, panels, m, n, k) }
     }
 
-    /// Eight dots sharing one pass over `a`: eight 16-lane FMA chains.
+    /// The FMA ceiling probe at 16 lanes.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot8_avx512(a: &[f32], b: &[&[f32]; 8]) -> [f32; 8] {
-        // SAFETY: rows are at least `a.len()` long (caller-checked);
-        // the tail is masked.
-        unsafe {
-            let n = a.len();
-            let ap = a.as_ptr();
-            let mut acc = [_mm512_setzero_ps(); 8];
-            let mut i = 0usize;
-            while i + 16 <= n {
-                let va = _mm512_loadu_ps(ap.add(i));
-                for j in 0..8 {
-                    acc[j] = _mm512_fmadd_ps(va, _mm512_loadu_ps(b[j].as_ptr().add(i)), acc[j]);
-                }
-                i += 16;
-            }
-            if i < n {
-                let m: __mmask16 = (1u16 << (n - i)) - 1;
-                let va = _mm512_maskz_loadu_ps(m, ap.add(i));
-                for j in 0..8 {
-                    acc[j] =
-                        _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, b[j].as_ptr().add(i)), acc[j]);
-                }
-            }
-            let mut out = [0.0f32; 8];
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = _mm512_reduce_add_ps(acc[j]);
-            }
-            out
-        }
-    }
-
-    /// Sixteen dots as an 2×8 register block: each 16-lane `b` load
-    /// feeds two FMA chains (one per `a` row). Per-row accumulation
-    /// order is identical to [`dot8_avx512`], so results are
-    /// bit-identical to two independent calls.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot8x2_avx512(a0: &[f32], a1: &[f32], b: &[&[f32]; 8]) -> [[f32; 8]; 2] {
-        // SAFETY: rows are at least `a0.len()` long (caller-checked);
-        // the tail is masked.
-        unsafe {
-            let n = a0.len();
-            let (ap0, ap1) = (a0.as_ptr(), a1.as_ptr());
-            let mut acc0 = [_mm512_setzero_ps(); 8];
-            let mut acc1 = [_mm512_setzero_ps(); 8];
-            let mut i = 0usize;
-            while i + 16 <= n {
-                let va0 = _mm512_loadu_ps(ap0.add(i));
-                let va1 = _mm512_loadu_ps(ap1.add(i));
-                for j in 0..8 {
-                    let vb = _mm512_loadu_ps(b[j].as_ptr().add(i));
-                    acc0[j] = _mm512_fmadd_ps(va0, vb, acc0[j]);
-                    acc1[j] = _mm512_fmadd_ps(va1, vb, acc1[j]);
-                }
-                i += 16;
-            }
-            if i < n {
-                let m: __mmask16 = (1u16 << (n - i)) - 1;
-                let va0 = _mm512_maskz_loadu_ps(m, ap0.add(i));
-                let va1 = _mm512_maskz_loadu_ps(m, ap1.add(i));
-                for j in 0..8 {
-                    let vb = _mm512_maskz_loadu_ps(m, b[j].as_ptr().add(i));
-                    acc0[j] = _mm512_fmadd_ps(va0, vb, acc0[j]);
-                    acc1[j] = _mm512_fmadd_ps(va1, vb, acc1[j]);
-                }
-            }
-            let mut out = [[0.0f32; 8]; 2];
-            for j in 0..8 {
-                out[0][j] = _mm512_reduce_add_ps(acc0[j]);
-                out[1][j] = _mm512_reduce_add_ps(acc1[j]);
-            }
-            out
-        }
+    pub unsafe fn fma_chains_avx512(steps: usize) {
+        // SAFETY: the caller verified AVX-512F.
+        unsafe { fma_chains_on::<__m512>(steps) }
     }
 
     /// Sixteen `f32` lanes in a `__m512` ([`Lanes`] at the AVX-512
@@ -1175,7 +1252,7 @@ mod avx512 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx512::{axpy_avx512, dot4_avx512, dot8_avx512, dot8x2_avx512, dot_avx512, run_tile_avx512};
+use avx512::{axpy_avx512, dot_avx512, fma_chains_avx512, gemm_panels_avx512, run_tile_avx512};
 
 #[cfg(test)]
 mod tests {
@@ -1203,98 +1280,6 @@ mod tests {
                 let want = dot_scalar(a, b);
                 let got = dot_with(l, a, b);
                 assert!(close(got, want, 1e-5), "{l:?} n={n}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_dot4_matches_scalar_on_edge_shapes() {
-        for l in available_levels() {
-            for n in [0usize, 1, 2, 5, 8, 15, 16, 17, 40, 129] {
-                let a = Tensor::random(&[n.max(1)], 1.0, 7);
-                let rows = Tensor::random(&[4, n.max(1)], 1.0, 8);
-                let a = &a.as_slice()[..n];
-                let r = |j: usize| &rows.row(j)[..n];
-                let want = dot4_scalar(a, r(0), r(1), r(2), r(3));
-                let got = dot4_with(l, a, r(0), r(1), r(2), r(3));
-                for j in 0..4 {
-                    assert!(
-                        close(got[j], want[j], 1e-5),
-                        "{l:?} n={n} j={j}: {} vs {}",
-                        got[j],
-                        want[j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_dot8_matches_scalar_on_edge_shapes() {
-        for l in available_levels() {
-            for n in [0usize, 1, 7, 8, 15, 16, 17, 31, 33, 100] {
-                let a = Tensor::random(&[n.max(1)], 1.0, 9);
-                let rows = Tensor::random(&[8, n.max(1)], 1.0, 10);
-                let a = &a.as_slice()[..n];
-                let b: [&[f32]; 8] = std::array::from_fn(|j| &rows.row(j)[..n]);
-                let want = dot8_scalar(a, &b);
-                let got = dot8_with(l, a, &b);
-                for j in 0..8 {
-                    assert!(
-                        close(got[j], want[j], 1e-5),
-                        "{l:?} n={n} j={j}: {} vs {}",
-                        got[j],
-                        want[j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_column_dots_are_bit_identical_to_dot() {
-        // A GEMM element (from `dot4`/`dot8`) and the per-element `dot`
-        // of the same row and column must not differ by a bit: the
-        // wave-GEMM ≡ scalar-path suites rest on this. It holds for
-        // every length at the scalar level and below 16 at the wide
-        // ones, where `dot` switches to two accumulator chains and the
-        // multi-column kernels keep one (ROADMAP, known gap).
-        for l in available_levels() {
-            for n in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40, 100, 129, 256] {
-                if l != Level::Scalar && n >= 16 {
-                    continue;
-                }
-                let a = Tensor::random(&[n.max(1)], 1.0, 11);
-                let rows = Tensor::random(&[8, n.max(1)], 1.0, 12);
-                let a = &a.as_slice()[..n];
-                let b: [&[f32]; 8] = std::array::from_fn(|j| &rows.row(j)[..n]);
-                let four = dot4_with(l, a, b[0], b[1], b[2], b[3]);
-                let eight = dot8_with(l, a, &b);
-                for j in 0..8 {
-                    let want = dot_with(l, a, b[j]);
-                    assert_eq!(eight[j], want, "{l:?} n={n} dot8 column {j}");
-                    if j < 4 {
-                        assert_eq!(four[j], want, "{l:?} n={n} dot4 column {j}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot8x2_is_bit_identical_to_two_dot8s() {
-        // The row-pair block must not change a single bit vs per-row
-        // execution — the super-wave executor's equivalence contract
-        // (merged GEMMs ≡ solo GEMMs) rests on this.
-        for l in available_levels() {
-            for n in [0usize, 1, 7, 15, 16, 17, 31, 33, 100, 256] {
-                let a = Tensor::random(&[2, n.max(1)], 1.0, 21);
-                let rows = Tensor::random(&[8, n.max(1)], 1.0, 22);
-                let (a0, a1) = (&a.row(0)[..n], &a.row(1)[..n]);
-                let b: [&[f32]; 8] = std::array::from_fn(|j| &rows.row(j)[..n]);
-                let got = dot8x2_with(l, a0, a1, &b);
-                assert_eq!(got[0], dot8_with(l, a0, &b), "{l:?} n={n} row 0");
-                assert_eq!(got[1], dot8_with(l, a1, &b), "{l:?} n={n} row 1");
             }
         }
     }
@@ -1331,8 +1316,7 @@ mod tests {
                     );
                     b[pos] = f32::NAN;
                     assert!(dot_with(l, &a, &b).is_nan());
-                    let got = dot4_with(l, &a, &b, &b, &b, &b);
-                    assert!(got.iter().all(|v| v.is_nan()), "{l:?} dot4 tail");
+                    assert!(dot_ordered_with(l, &a, &b).is_nan());
                 }
             }
         }
@@ -1342,8 +1326,7 @@ mod tests {
     fn zero_extent_reductions_are_exactly_zero() {
         for l in available_levels() {
             assert_eq!(dot_with(l, &[], &[]), 0.0, "{l:?}: K=0 dot");
-            let z = dot4_with(l, &[], &[], &[], &[], &[]);
-            assert_eq!(z, [0.0; 4], "{l:?}: K=0 dot4");
+            assert_eq!(dot_ordered_with(l, &[], &[]), 0.0, "{l:?}: K=0 chain");
             let mut y: [f32; 0] = [];
             axpy_with(l, &mut y, &[]);
         }

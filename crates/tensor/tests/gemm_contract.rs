@@ -1,0 +1,166 @@
+//! The tile kernel's contract: every element of every matrix product is
+//! the k-sequential chain of `simd::dot_ordered`, bit for bit, at every
+//! level, whatever the tile shape and whoever shares the launch.
+
+use cortex_tensor::kernels::{self, PackedB};
+use cortex_tensor::simd::{self, Level};
+use cortex_tensor::Tensor;
+
+const NS: [usize; 8] = [1, 15, 16, 17, 31, 32, 33, 100];
+const KS: [usize; 6] = [0, 1, 7, 16, 255, 600];
+/// Every tile height at every level, every balanced split of two and
+/// three tiles (13 → 7+6, 25 → 9+8+8), and the multi-panel forms of
+/// one- to six-row launches.
+const M_MAX: usize = 27;
+
+fn random(len: usize, seed: u64) -> Vec<f32> {
+    Tensor::random(&[len.max(1)], 1.0, seed).as_slice()[..len].to_vec()
+}
+
+fn pack_nt(l: Level, b: &[f32], n: usize, k: usize) -> PackedB {
+    PackedB::pack_with(l, n, k, (0..n).map(|j| (&b[j * k..], 1)))
+}
+
+fn product(a: &[f32], b: &PackedB, m: usize) -> Vec<f32> {
+    // A poisoned output shows any element the kernel fails to store.
+    let mut c = vec![f32::NAN; m * b.n()];
+    kernels::gemm_packed_into(&mut c, a, b, m);
+    c
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn every_element_is_the_ordered_dot_of_its_row_and_column() {
+    for l in simd::available_levels() {
+        for n in NS {
+            for k in KS {
+                let a = random(M_MAX * k, 1 + k as u64);
+                let b = random(n * k, 1000 + (n * k) as u64);
+                let packed = pack_nt(l, &b, n, k);
+                let want: Vec<f32> = (0..M_MAX * n)
+                    .map(|e| {
+                        let (i, j) = (e / n, e % n);
+                        simd::dot_ordered_with(l, &a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
+                    })
+                    .collect();
+                // Row i of any m-row product is the one-row product of
+                // that row: solo ≡ batched ≡ super-wave.
+                for i in 0..M_MAX {
+                    assert_eq!(
+                        bits(&product(&a[i * k..(i + 1) * k], &packed, 1)),
+                        bits(&want[i * n..(i + 1) * n]),
+                        "{l:?} n={n} k={k}: one-row product of row {i}"
+                    );
+                }
+                for m in 0..=M_MAX {
+                    assert_eq!(
+                        bits(&product(&a, &packed, m)),
+                        bits(&want[..m * n]),
+                        "{l:?} m={m} n={n} k={k}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_times_infinity_poisons_exactly_its_own_element() {
+    // n = 33 leaves padded columns in the last panel at every level. An
+    // infinite `a` makes them NaN inside the kernel (∞ · 0 padding);
+    // none of that may reach `c`.
+    let (m, n, k) = (5, 33, 7);
+    for l in simd::available_levels() {
+        let mut a = random(m * k, 3);
+        let mut b = random(n * k, 4);
+        assert!(a.iter().chain(&b).all(|v| *v != 0.0));
+        a[2 * k + 3] = 0.0;
+        b[5 * k + 3] = f32::INFINITY;
+        a[k + 2] = f32::INFINITY;
+        let c = product(&a, &pack_nt(l, &b, n, k), m);
+        for (e, v) in c.iter().enumerate() {
+            let (i, j) = (e / n, e % n);
+            assert_eq!(v.is_nan(), (i, j) == (2, 5), "{l:?} c[{i}][{j}] = {v}");
+            assert_eq!(
+                v.is_infinite(),
+                i == 1 || (j == 5 && i != 2),
+                "{l:?} c[{i}][{j}] = {v}"
+            );
+        }
+    }
+}
+
+#[test]
+fn products_stay_close_to_an_f64_reference_at_k_600() {
+    let (m, n, k) = (13, 33, 600);
+    let (a, b) = (random(m * k, 5), random(n * k, 6));
+    for l in simd::available_levels() {
+        let c = product(&a, &pack_nt(l, &b, n, k), m);
+        for (e, got) in c.iter().enumerate() {
+            let (i, j) = (e / n, e % n);
+            let want: f64 = (0..k)
+                .map(|kk| f64::from(a[i * k + kk]) * f64::from(b[j * k + kk]))
+                .sum();
+            assert!(
+                (f64::from(*got) - want).abs() <= 1e-4 * (1.0 + want.abs()),
+                "{l:?} c[{i}][{j}] = {got} vs {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn conveniences_agree_bitwise_with_the_packed_entry() {
+    for (m, n, k) in [
+        (1, 1, 1),
+        (3, 5, 7),
+        (13, 33, 40),
+        (27, 100, 255),
+        (4, 70, 0),
+    ] {
+        let a = Tensor::from_vec(random(m * k, 7), &[m, k]).unwrap();
+        let b = Tensor::from_vec(random(n * k, 8), &[n, k]).unwrap();
+        let want = product(a.as_slice(), &PackedB::pack_nt(b.as_slice(), n, k), m);
+
+        let mut nt = vec![f32::NAN; m * n];
+        kernels::gemm_nt_into(&mut nt, a.as_slice(), b.as_slice(), m, n, k);
+        assert_eq!(bits(&nt), bits(&want), "gemm_nt_into {m}x{n}x{k}");
+        let nt = kernels::gemm_nt(&a, &b).unwrap();
+        assert_eq!(bits(nt.as_slice()), bits(&want), "gemm_nt {m}x{n}x{k}");
+
+        let bt = kernels::transpose(&b).unwrap();
+        let mut nn = vec![f32::NAN; m * n];
+        kernels::gemm_into(&mut nn, a.as_slice(), bt.as_slice(), m, n, k);
+        assert_eq!(bits(&nn), bits(&want), "gemm_into {m}x{n}x{k}");
+        let nn = kernels::gemm(&a, &bt).unwrap();
+        assert_eq!(bits(nn.as_slice()), bits(&want), "gemm {m}x{n}x{k}");
+
+        // gemv(B, a_i) is row i of A·Bᵀ.
+        for i in 0..m {
+            let x = Tensor::from_vec(a.row(i).to_vec(), &[k]).unwrap();
+            let y = kernels::gemv(&b, &x).unwrap();
+            assert_eq!(
+                bits(y.as_slice()),
+                bits(&want[i * n..(i + 1) * n]),
+                "gemv row {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_large_product_equals_its_rows_computed_one_at_a_time() {
+    // With the `parallel` feature this shape is row-partitioned across
+    // threads; one-row products never are. Either way: the same bits.
+    let (m, n, k) = (100, 64, 128);
+    let (a, b) = (random(m * k, 9), random(n * k, 10));
+    let packed = PackedB::pack_nt(&b, n, k);
+    let whole = product(&a, &packed, m);
+    for i in 0..m {
+        let row = product(&a[i * k..(i + 1) * k], &packed, 1);
+        assert_eq!(bits(&row), bits(&whole[i * n..(i + 1) * n]), "row {i}");
+    }
+}
