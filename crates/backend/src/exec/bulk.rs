@@ -12,30 +12,42 @@
 //! intermediates never round-trip through memory — and its feature
 //! loops' own programs are views of that one.
 //!
-//! Registers are [`TILE`]-lane column tiles in one engine-owned scratch.
-//! A pass's arithmetic is a [`TileOp`] list fixed at lowering. Per row,
-//! [`Interp::exec_row_program`] *resolves* what varies — addresses, memo
-//! rows and scales, which arm of each feature-invariant `Select` runs,
-//! and the exact `×H` `Profile` counter deltas of the per-element walk
-//! — then runs tile by tile: inputs copied in, each taken stretch of
-//! the op list as one vectorized
+//! Registers are [`TILE`]-lane column tiles, one file per thread. A
+//! pass's arithmetic is a [`TileOp`] list fixed at lowering. Serving a
+//! row has two halves. The *resolve* ([`Interp::resolve_pass`]) settles
+//! what varies per row — addresses, memo rows and scales, which arm of
+//! each feature-invariant `Select` runs, and the exact `×H` `Profile`
+//! counter deltas of the per-element walk — into the engine-owned
+//! [`TileScratch`]; it is the only half that touches the interpreter's
+//! counters, and it always runs sequentially, in row order. The *sweep*
+//! ([`Sweeper::sweep`]) then runs the resolved row tile by tile: inputs
+//! copied in, each taken stretch of the op list as one vectorized
 //! [`run_tile`](cortex_tensor::simd::run_tile) call (one in all for a
-//! select-free pass), results copied out. A later statement's read of
-//! an earlier statement's own-row store (LSTM `c` → `h`) is forwarded
-//! from the register that still holds it. Values are bit-identical to
-//! per-element evaluation: each element comes from the same operation
-//! tree, and every operator is the one lane-generic definition of
+//! select-free pass), results copied out. A later statement's read of an
+//! earlier statement's own-row store (LSTM `c` → `h`) is forwarded from
+//! the register that still holds it. Normally a sweep follows its
+//! resolve at once. A fused wave that is large enough is instead
+//! resolved whole, and its sweeps then run row-parallel across the
+//! lanes of [`cortex_tensor::par`], through [`RowWindows::run`], which
+//! first verifies that the rows really are disjoint. Values are
+//! bit-identical to per-element evaluation either way and on any number
+//! of lanes: each element comes from the same operation tree, and every
+//! operator is the one lane-generic definition of
 //! [`cortex_tensor::approx`].
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr, Var};
 use cortex_core::ilir::Stmt;
+use cortex_tensor::approx::NonlinearityMode;
+use cortex_tensor::par::{self, Buf, RowAccess, RowWindows, Window};
 use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
 use super::analysis::parsafety::{certify_fused, ParSafety};
-use super::interp::Interp;
+use super::gather::{ActiveGroup, ActiveSite};
+use super::interp::{BufData, Buffer, Interp};
 
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
 type Reg = u16;
@@ -176,36 +188,80 @@ pub(crate) struct FusedWave {
     pub(crate) bytes_per_row: u64,
 }
 
-/// The tile registers and the per-row resolved form of a pass —
-/// engine-owned scratch, recycled across rows, waves and runs.
-#[derive(Default)]
-pub(crate) struct TileScratch {
-    regs: Vec<f32>,
-    loads: Vec<(Reg, Source)>,
-    /// The `ops[from..to]` runs of the pass this row executes.
-    runs: Vec<(usize, usize)>,
-    stores: Vec<(Reg, Strided)>,
+/// Bytes of tile streams (`rows × bytes_per_row`) from which a fused
+/// wave's sweeps are spread over lanes: 64 KiB, where forking breaks
+/// even on this 2-core box. Measured on the waves of an `h = 256`
+/// TreeLSTM (14 KiB and ≈ 3 µs a row; a fork and join costs ≈ 0.8 µs,
+/// `fork_join_ns` of `BENCH_pipeline.json`, the window check ≈ 0.1 µs a
+/// row, and two lanes sweep ≈ 1.45× as fast as one, not 2×): 5 rows
+/// (70 KiB) take 13–15 µs on one lane and 13 µs forked, 12 rows 35 → 26
+/// µs, 58 rows 183 → 121 µs. Every wave of the `h = 32` models (at most
+/// 18 rows of ≈ 2.4 KiB) stays below and is swept where it was resolved.
+const EPILOGUE_FORK_MIN_BYTES: u64 = 64 << 10;
+
+thread_local! {
+    /// The tile registers of this thread as a lane of a forked wave,
+    /// grown to the widest pass it swept.
+    static LANE_REGS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `data[base + i·stride]` of a tensor buffer.
-struct Strided {
-    tensor: usize,
-    base: usize,
-    stride: usize,
+/// The resolved form of the rows being served — engine-owned scratch,
+/// recycled across rows, waves and runs.
+#[derive(Default)]
+pub(crate) struct TileScratch {
+    /// The tile registers of sweeps that run where they were resolved.
+    regs: Vec<f32>,
+    streams: Streams,
+    /// What a wave that is resolved whole before it is swept adds: one
+    /// [`Sweep`] per `(row, pass, outer index)`, in resolve order, where
+    /// each row's sweeps end, and the tensor windows of every sweep,
+    /// declared row by row for [`RowWindows::run`] to verify.
+    sweeps: Vec<Sweep>,
+    row_ends: Vec<usize>,
+    windows: RowWindows,
+}
+
+/// Input streams, runs of the pass's ops and stores of the resolved
+/// sweeps, back to back.
+#[derive(Default)]
+struct Streams {
+    loads: Vec<(Reg, Source)>,
+    runs: Vec<(usize, usize)>,
+    stores: Vec<(Reg, Window)>,
+}
+
+impl Streams {
+    fn clear(&mut self) {
+        self.loads.clear();
+        self.runs.clear();
+        self.stores.clear();
+    }
+}
+
+/// One resolved tile sweep: a pass of the program and its slices of
+/// the [`Streams`].
+struct Sweep {
+    pass: usize,
+    loads: std::ops::Range<usize>,
+    runs: std::ops::Range<usize>,
+    stores: std::ops::Range<usize>,
+    /// Id, in [`TileScratch::windows`], of the first of the sweep's
+    /// windows: those of its tensor loads, then of its stores, in stream
+    /// order (unused by a sweep that runs where it was resolved).
+    first_window: usize,
 }
 
 /// A resolved input stream of one row.
 enum Source {
-    Tensor(Strided),
-    /// One value in every lane: a loop-invariant load, a zeroed memo
-    /// row, or a memo column bound outside the loop.
+    /// A window of a tensor buffer. Stride 0 is a loop-invariant cell:
+    /// like every tensor read it happens when the tile is swept, after
+    /// the stores of the rows before it.
+    Tensor(Window),
+    /// One value in every lane: a zeroed memo row, or a memo column
+    /// bound outside the loop.
     Splat(f32),
     /// `scale · rows[at + i]` of a wave GEMM result.
-    Memo {
-        group: usize,
-        at: usize,
-        scale: f32,
-    },
+    Memo { group: usize, at: usize, scale: f32 },
     /// A rank-2 site whose row-side dimension rides this loop: element
     /// `i` comes from result row `row0 + i`, each with its own metadata.
     MemoColumn {
@@ -308,8 +364,8 @@ fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
         bytes_per_row: prog.stream_bytes(),
         prog,
     };
-    // Only row-disjoint bodies fuse: sharing a sweep (and any future
-    // row-parallel execution) needs the certificate.
+    // Only row-disjoint bodies fuse: sharing a sweep, and sweeping rows
+    // in parallel, need the certificate.
     let loops = loops.into_iter().map(|(_, l)| l).collect();
     (fw.certify() == ParSafety::RowDisjoint).then_some((fw, loops))
 }
@@ -642,7 +698,8 @@ impl<'a> Interp<'a> {
 
     /// Runs a fused wave: the whole body, row by row — the stand-in for
     /// the fused elementwise epilogue generated code would emit after
-    /// the wave GEMMs (see [`FusedWave`]).
+    /// the wave GEMMs (see [`FusedWave`]). Rows are resolved in order;
+    /// the sweeps of a large enough wave then run across lanes.
     pub(crate) fn exec_fused_wave(&mut self, fw: &FusedWave, wave_len: usize) {
         let t0 = std::time::Instant::now();
         super::checked_assert!(
@@ -650,6 +707,11 @@ impl<'a> Interp<'a> {
             "fused wave index slot {} out of range",
             fw.n_idx_slot
         );
+        // A wave worth forking is resolved whole and then swept across
+        // lanes; any other is swept as it is resolved.
+        let bytes = fw.bytes_per_row * wave_len as u64;
+        let fork = bytes >= EPILOGUE_FORK_MIN_BYTES && par::lanes() > 1;
+        let mut s = self.caches.tile.take().unwrap_or_default();
         for r in 0..wave_len {
             #[cfg(feature = "checked")]
             self.shadow_begin_fused_row(r as i64);
@@ -657,124 +719,141 @@ impl<'a> Interp<'a> {
             if let Some((slot, value)) = &fw.node_let {
                 self.slots[*slot] = self.eval_idx(value);
             }
-            self.exec_row_program(&fw.prog);
+            self.serve_row(&fw.prog, &mut s, fork);
         }
         #[cfg(feature = "checked")]
         self.shadow_end_fused();
+        let forked = fork && self.sweep_deferred(&fw.prog.passes, &mut s);
+        self.caches.tile = Some(s);
         let stats = &mut self.caches.stats;
         stats.fused_waves += 1;
-        stats.epilogue_bytes += fw.bytes_per_row * wave_len as u64;
+        stats.forked_waves += u64::from(forked);
+        stats.epilogue_bytes += bytes;
         stats.epilogue_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Runs a row program for the row the slot registers select; the
     /// caller must have checked [`bulk_servable`](Self::bulk_servable).
     pub(crate) fn exec_row_program(&mut self, prog: &RowProgram) {
-        let mut s = std::mem::take(&mut self.caches.tile);
+        let mut s = self.caches.tile.take().unwrap_or_default();
+        self.serve_row(prog, &mut s, false);
+        self.caches.tile = Some(s);
+    }
+
+    /// Resolves every sweep of `prog` for the row the slot registers
+    /// select. With `defer` they are appended to `s` as one more row of
+    /// a wave ([`Interp::sweep_deferred`] runs them); without, each is
+    /// swept right after it was resolved, through the interpreter's own
+    /// buffers, and forgotten.
+    fn serve_row(&mut self, prog: &RowProgram, s: &mut TileScratch, defer: bool) {
         let (passes, span) = match prog.only {
-            Some((p, from, to)) => (&prog.passes[p..=p], Some((from, to))),
-            None => (&prog.passes[..], None),
+            Some((p, from, to)) => (p..p + 1, Some((from, to))),
+            None => (0..prog.passes.len(), None),
         };
-        for pass in passes {
-            let regs = usize::from(pass.regs) * TILE;
-            if s.regs.len() < regs {
-                s.regs.resize(regs, 0.0);
-            }
+        for p in passes {
+            let pass = &prog.passes[p];
             // A view's outer loop is driven by the caller.
             let outer = pass.outer.filter(|_| span.is_none());
             for i in 0..outer.map_or(1, |(_, extent)| extent) {
                 if let Some((slot, _)) = outer {
                     self.slots[slot] = i as i64;
                 }
-                self.resolve_pass(pass, span, &mut s);
-                self.run_tiles(pass, &mut s);
+                let st = &s.streams;
+                let from = (st.loads.len(), st.runs.len(), st.stores.len());
+                self.resolve_pass(pass, span, s);
+                let st = &s.streams;
+                let mut sweep = Sweep {
+                    pass: p,
+                    loads: from.0..st.loads.len(),
+                    runs: from.1..st.runs.len(),
+                    stores: from.2..st.stores.len(),
+                    first_window: 0,
+                };
+                if defer {
+                    sweep.first_window = s.windows.declared();
+                    for (_, source) in &st.loads[sweep.loads.clone()] {
+                        if let Source::Tensor(w) = source {
+                            s.windows.load(*w);
+                        }
+                    }
+                    for (_, w) in &st.stores[sweep.stores.clone()] {
+                        s.windows.store(*w);
+                    }
+                    s.sweeps.push(sweep);
+                    continue;
+                }
+                Sweeper {
+                    passes: &prog.passes,
+                    streams: &s.streams,
+                    sites: &self.active,
+                    groups: &self.active_groups,
+                    nonlin: self.nonlin,
+                }
+                .sweep(&sweep, &mut Direct(&mut self.bufs), &mut s.regs);
+                s.streams.clear();
             }
         }
-        self.caches.tile = s;
+        if defer {
+            s.row_ends.push(s.sweeps.len());
+            s.windows.end_row();
+        }
     }
 
-    /// The tile sweep of one resolved pass: inputs in, one vectorized
-    /// tile-program call per run of ops, results out.
-    fn run_tiles(&mut self, pass: &RowPass, s: &mut TileScratch) {
-        for t0 in (0..pass.h).step_by(TILE) {
-            let len = TILE.min(pass.h - t0);
-            for (dst, src) in &s.loads {
-                let out = &mut s.regs[usize::from(*dst) * TILE..][..len];
-                match src {
-                    Source::Tensor(w) => {
-                        let data = &self.bufs[w.tensor].as_ref().expect("allocated").data;
-                        let at = w.base + t0 * w.stride;
-                        if w.stride == 1 {
-                            out.copy_from_slice(&data[at..at + len]);
-                        } else {
-                            for (jj, o) in out.iter_mut().enumerate() {
-                                *o = data[at + jj * w.stride];
-                            }
-                        }
-                    }
-                    Source::Splat(value) => out.fill(*value),
-                    Source::Memo { group, at, scale } => {
-                        let rows = &self.active_groups[*group].rows()[at + t0..][..len];
-                        if *scale == 1.0 {
-                            out.copy_from_slice(rows); // 1·v is v, bit for bit
-                        } else {
-                            out.iter_mut().zip(rows).for_each(|(o, v)| *o = scale * v);
-                        }
-                    }
-                    Source::MemoColumn { site, row0, col } => {
-                        let site = &self.active[*site];
-                        let group = &self.active_groups[site.group];
-                        for (jj, o) in out.iter_mut().enumerate() {
-                            let row = row0 + t0 + jj;
-                            let m = &group.meta[site.meta_off + row];
-                            // A zeroed row short-circuits to 0, like
-                            // the scalar path.
-                            *o = if m.zero {
-                                0.0
-                            } else {
-                                m.scale * group.value(site.row_off + row, *col)
-                            };
-                        }
-                    }
+    /// Sweeps the rows of a wave resolved with `defer`, and forgets them,
+    /// through [`RowWindows::run`]: across lanes if the rows' windows
+    /// verify as disjoint (the return value), else here, in row order.
+    fn sweep_deferred(&mut self, passes: &[RowPass], s: &mut TileScratch) -> bool {
+        let sweeper = Sweeper {
+            passes,
+            streams: &s.streams,
+            sites: &self.active,
+            groups: &self.active_groups,
+            nonlin: self.nonlin,
+        };
+        let (sweeps, row_ends) = (&s.sweeps, &s.row_ends);
+        let tensors = self.bufs.iter_mut().map(|b| match b {
+            Some(Buffer {
+                data: BufData::Owned(v),
+                ..
+            }) => Buf::Write(v),
+            Some(Buffer {
+                data: BufData::Shared(v),
+                ..
+            }) => Buf::Read(v),
+            None => Buf::Read(&[]),
+        });
+        let forked = s.windows.run(tensors, &|row, access| {
+            let from = if row == 0 { 0 } else { row_ends[row - 1] };
+            // Every lane has its own tile registers.
+            LANE_REGS.with_borrow_mut(|regs| {
+                for sweep in &sweeps[from..row_ends[row]] {
+                    sweeper.sweep(sweep, access, regs);
                 }
-            }
-            for &(from, to) in &s.runs {
-                cortex_tensor::simd::run_tile(&pass.ops[from..to], &mut s.regs, len, self.nonlin);
-            }
-            for (src, w) in &s.stores {
-                let src = &s.regs[usize::from(*src) * TILE..][..len];
-                let data = self.bufs[w.tensor].as_mut().expect("allocated");
-                let data = data.data.as_mut();
-                let at = w.base + t0 * w.stride;
-                if w.stride == 1 {
-                    data[at..at + len].copy_from_slice(src);
-                } else {
-                    for (jj, v) in src.iter().enumerate() {
-                        data[at + jj * w.stride] = *v;
-                    }
-                }
-            }
-        }
+            });
+        });
+        s.streams.clear();
+        s.sweeps.clear();
+        s.row_ends.clear();
+        s.windows.clear();
+        forked
     }
 
     /// Resolves one pass for the current row: evaluates addresses and
     /// selects once, charges per-element counters `×h` exactly as the
-    /// per-element walk would have, and leaves the row's input streams,
-    /// the runs of the pass's ops to execute and its stores in `s`.
+    /// per-element walk would have, and appends the row's input streams,
+    /// the runs of the pass's ops to execute and its stores to `s`.
     fn resolve_pass(&mut self, pass: &RowPass, span: Option<(usize, usize)>, s: &mut TileScratch) {
         let h = pass.h as u64;
-        s.loads.clear();
-        s.runs.clear();
-        s.stores.clear();
+        let first_run = s.streams.runs.len();
         let (mut pc, end) = span.unwrap_or((0, pass.instrs.len()));
         while pc < end {
             pc += 1;
             match &pass.instrs[pc - 1] {
                 Instr::Ops { from, to, flops } => {
                     self.profile.flops += flops;
-                    match s.runs.last_mut() {
+                    match s.streams.runs[first_run..].last_mut() {
                         Some(run) if run.1 == *from => run.1 = *to,
-                        _ => s.runs.push((*from, *to)),
+                        _ => s.streams.runs.push((*from, *to)),
                     }
                 }
                 Instr::Load {
@@ -791,20 +870,13 @@ impl<'a> Interp<'a> {
                     if forwarded && !cfg!(feature = "checked") {
                         continue;
                     }
-                    let w = self.window(cells);
+                    let w = self.window(cells, pass.h);
                     #[cfg(feature = "checked")]
                     self.shadow_check_bulk_load(cells.tensor, w.base, w.stride, pass.h);
                     if forwarded {
                         continue; // the value is already in `dst`
                     }
-                    let source = match cells.i_pos {
-                        Some(_) => Source::Tensor(w),
-                        // A loop-invariant broadcast.
-                        None => Source::Splat(
-                            self.bufs[tensor].as_ref().expect("allocated").data[w.base],
-                        ),
-                    };
-                    s.loads.push((*dst, source));
+                    s.streams.loads.push((*dst, Source::Tensor(w)));
                 }
                 Instr::Memo {
                     dst,
@@ -832,37 +904,34 @@ impl<'a> Interp<'a> {
                     // Offset evaluated once (the index is counter-free),
                     // accounting ×h exactly as `record_store` per
                     // element would have.
-                    let w = self.window(cells);
+                    let w = self.window(cells, pass.h);
                     #[cfg(feature = "checked")]
                     self.shadow_check_bulk_store(cells.tensor, w.base, w.stride, pass.h);
-                    self.store_gens[w.tensor] += h;
+                    self.store_gens[w.buf] += h;
                     if let Some(scope) = self.scopes.last_mut() {
-                        scope.touch[w.tensor].1 += h;
+                        scope.touch[w.buf].1 += h;
                     }
                     super::checked_assert!(
-                        self.bufs[w.tensor]
+                        self.bufs[w.buf]
                             .as_ref()
                             .is_some_and(|b| w.base + (pass.h - 1) * w.stride < b.data.len()),
-                        "row store window [{}..+{}×{}] outside tensor {}",
-                        w.base,
-                        pass.h,
-                        w.stride,
-                        w.tensor
+                        "row store window {w:?} outside its tensor"
                     );
-                    s.stores.push((*src, w));
+                    s.streams.stores.push((*src, w));
                 }
             }
         }
     }
 
-    /// The window of a tensor buffer `cells` selects for the current row.
-    fn window(&mut self, cells: &Cells) -> Strided {
+    /// The `len`-element window of a tensor buffer `cells` selects for
+    /// the current row (stride 0 for a loop-invariant cell).
+    fn window(&mut self, cells: &Cells, len: usize) -> Window {
         let (base, stride) = self.strided_offset(cells.tensor, &cells.index, cells.i_pos);
-        let tensor = cells.tensor.0 as usize;
-        Strided {
-            tensor,
+        Window {
+            buf: cells.tensor.0 as usize,
             base,
             stride,
+            len,
         }
     }
 
@@ -915,7 +984,9 @@ impl<'a> Interp<'a> {
             }
             let col = site.col_off + self.slots[site.feat_slot] as usize;
             let site = idx;
-            s.loads.push((dst, Source::MemoColumn { site, row0, col }));
+            s.streams
+                .loads
+                .push((dst, Source::MemoColumn { site, row0, col }));
             return;
         }
         // Rank-1 sites (one row per node) and rank-2 sites whose
@@ -928,7 +999,7 @@ impl<'a> Interp<'a> {
         let m = &group.meta[site.meta_off + row];
         if m.zero {
             // The scalar path short-circuits before accounting.
-            s.loads.push((dst, Source::Splat(0.0)));
+            s.streams.loads.push((dst, Source::Splat(0.0)));
             return;
         }
         charge(m, h as u64);
@@ -940,13 +1011,134 @@ impl<'a> Interp<'a> {
                 at: grow * group.cols + site.col_off,
                 scale: m.scale,
             };
-            s.loads.push((dst, source));
+            s.streams.loads.push((dst, source));
         } else {
             // The site's feature variable is bound outside this loop:
             // one column, broadcast.
             let col = site.col_off + self.slots[site.feat_slot] as usize;
             let value = m.scale * group.value(grow, col);
-            s.loads.push((dst, Source::Splat(value)));
+            s.streams.loads.push((dst, Source::Splat(value)));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The sweep
+// ---------------------------------------------------------------------
+
+/// Where a sweep's tensor windows live. A window comes with the id it
+/// was declared under, if it was.
+trait TileMem {
+    /// Copies elements `at..at + out.len()` of window `w` into `out`.
+    fn load(&self, id: usize, w: &Window, at: usize, out: &mut [f32]);
+    /// Copies `src` over elements `at..at + src.len()` of window `w`.
+    fn store(&mut self, id: usize, w: &Window, at: usize, src: &[f32]);
+}
+
+/// The interpreter's own buffers, indexed directly: the one-lane form.
+struct Direct<'i>(&'i mut [Option<Buffer>]);
+
+impl TileMem for Direct<'_> {
+    fn load(&self, _: usize, w: &Window, at: usize, out: &mut [f32]) {
+        let data = &self.0[w.buf].as_ref().expect("allocated").data;
+        let from = w.base + at * w.stride;
+        match w.stride {
+            1 => out.copy_from_slice(&data[from..from + out.len()]),
+            0 => out.fill(data[from]),
+            stride => {
+                for (jj, o) in out.iter_mut().enumerate() {
+                    *o = data[from + jj * stride];
+                }
+            }
+        }
+    }
+
+    fn store(&mut self, _: usize, w: &Window, at: usize, src: &[f32]) {
+        let data = self.0[w.buf].as_mut().expect("allocated").data.as_mut();
+        let from = w.base + at * w.stride;
+        if w.stride == 1 {
+            data[from..from + src.len()].copy_from_slice(src);
+        } else {
+            for (jj, v) in src.iter().enumerate() {
+                data[from + jj * w.stride] = *v;
+            }
+        }
+    }
+}
+
+/// One row's verified reach into the buffers, by the ids its windows
+/// were declared under: the form any lane may use.
+impl TileMem for RowAccess<'_> {
+    fn load(&self, id: usize, _: &Window, at: usize, out: &mut [f32]) {
+        RowAccess::load(self, id, at, out);
+    }
+
+    fn store(&mut self, id: usize, _: &Window, at: usize, src: &[f32]) {
+        RowAccess::store(self, id, at, src);
+    }
+}
+
+/// Everything a lane reads to sweep resolved rows — shared, immutable.
+struct Sweeper<'a> {
+    passes: &'a [RowPass],
+    streams: &'a Streams,
+    sites: &'a [ActiveSite],
+    groups: &'a [ActiveGroup],
+    nonlin: NonlinearityMode,
+}
+
+impl Sweeper<'_> {
+    /// One resolved pass, tile by tile: inputs in, one vectorized
+    /// tile-program call per run of ops, results out.
+    fn sweep(&self, sweep: &Sweep, mem: &mut impl TileMem, regs: &mut Vec<f32>) {
+        let pass = &self.passes[sweep.pass];
+        let file = usize::from(pass.regs) * TILE;
+        if regs.len() < file {
+            regs.resize(file, 0.0);
+        }
+        for t0 in (0..pass.h).step_by(TILE) {
+            let len = TILE.min(pass.h - t0);
+            let mut id = sweep.first_window;
+            for (dst, src) in &self.streams.loads[sweep.loads.clone()] {
+                let out = &mut regs[usize::from(*dst) * TILE..][..len];
+                match src {
+                    Source::Tensor(w) => {
+                        mem.load(id, w, t0, out);
+                        id += 1;
+                    }
+                    Source::Splat(value) => out.fill(*value),
+                    Source::Memo { group, at, scale } => {
+                        let rows = &self.groups[*group].rows()[at + t0..][..len];
+                        if *scale == 1.0 {
+                            out.copy_from_slice(rows); // 1·v is v, bit for bit
+                        } else {
+                            out.iter_mut().zip(rows).for_each(|(o, v)| *o = scale * v);
+                        }
+                    }
+                    Source::MemoColumn { site, row0, col } => {
+                        let site = &self.sites[*site];
+                        let group = &self.groups[site.group];
+                        for (jj, o) in out.iter_mut().enumerate() {
+                            let row = row0 + t0 + jj;
+                            let m = &group.meta[site.meta_off + row];
+                            // A zeroed row short-circuits to 0, like
+                            // the scalar path.
+                            *o = if m.zero {
+                                0.0
+                            } else {
+                                m.scale * group.value(site.row_off + row, *col)
+                            };
+                        }
+                    }
+                }
+            }
+            for &(from, to) in &self.streams.runs[sweep.runs.clone()] {
+                cortex_tensor::simd::run_tile(&pass.ops[from..to], regs, len, self.nonlin);
+            }
+            for (src, w) in &self.streams.stores[sweep.stores.clone()] {
+                mem.store(id, w, t0, &regs[usize::from(*src) * TILE..][..len]);
+                id += 1;
+            }
         }
     }
 }

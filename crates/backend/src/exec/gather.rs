@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cortex_core::expr::BoolExpr;
@@ -115,8 +116,9 @@ pub(crate) enum GroupOut {
     /// This request's own GEMM (the single-run path).
     Owned(Vec<f32>),
     /// A block of a merged super-wave result shared by several requests;
-    /// this request's rows start at `base`.
-    Shared { buf: Rc<Vec<f32>>, base: usize },
+    /// this request's rows start at `base`. (`Arc`, not `Rc`: the lanes
+    /// of a forked epilogue read it.)
+    Shared { buf: Arc<Vec<f32>>, base: usize },
 }
 
 /// One stacked GEMM currently serving a wave: the packed rows, the
@@ -454,8 +456,10 @@ impl<'a> Interp<'a> {
             // growth is filled.
             bufs.out.resize(gemm_rows * cols, 0.0);
             let gemm_t0 = Instant::now();
-            kernels::gemm_packed_into(&mut bufs.out, &bufs.rows, &packed_w, gemm_rows);
-            self.caches.stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
+            let forked = kernels::gemm_packed_into(&mut bufs.out, &bufs.rows, &packed_w, gemm_rows);
+            let stats = &mut self.caches.stats;
+            stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
+            stats.forked_gemms += u64::from(forked);
             false
         };
 
@@ -730,7 +734,12 @@ impl<'a> Interp<'a> {
     }
 
     /// Hands this request its block of a flushed super-wave GEMM result.
-    pub(crate) fn install_wave_result(&mut self, group_idx: usize, buf: Rc<Vec<f32>>, base: usize) {
+    pub(crate) fn install_wave_result(
+        &mut self,
+        group_idx: usize,
+        buf: Arc<Vec<f32>>,
+        base: usize,
+    ) {
         debug_assert!(matches!(
             self.active_groups[group_idx].out,
             GroupOut::Pending

@@ -33,8 +33,9 @@ use crate::wave::WavePlan;
 #[derive(Default)]
 pub(crate) struct Caches {
     pub(crate) plan_cache: HashMap<usize, Option<Rc<DotPlan>>>,
-    /// Tile registers and per-row resolved streams of the row programs.
-    pub(crate) tile: TileScratch,
+    /// Tile registers and resolved rows of the row programs (boxed: it
+    /// is taken out and put back around every row program).
+    pub(crate) tile: Option<Box<TileScratch>>,
     /// Monotonic execution counter, stamped onto weight-cache entries on
     /// every hit or insert — the recency order the LRU eviction uses.
     pub(crate) run_stamp: u64,

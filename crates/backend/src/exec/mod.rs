@@ -56,6 +56,7 @@ mod verify;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cortex_core::expr::TensorId;
@@ -604,9 +605,18 @@ pub struct ExecStats {
     /// Sum over merged GEMMs of the number of requests each served (so
     /// `super_gemm_requests / super_gemms` is the mean merge width).
     pub super_gemm_requests: u64,
+    /// Wave GEMM launches large enough to be split, by weight-panel
+    /// ranges, across the lanes of `cortex_tensor::par` (0 on a one-CPU
+    /// box or under `par::with_lanes(1, ..)`). Outputs and `Profile` do
+    /// not depend on it.
+    pub forked_gemms: u64,
     /// Waves whose whole body ran as the fused epilogue (one flat row
     /// program per node instead of a per-element body walk).
     pub fused_waves: u64,
+    /// Fused waves whose tile sweeps ran row-parallel across lanes: big
+    /// enough, on more than one lane, and verified row-disjoint at run
+    /// time (`cortex_tensor::par::RowWindows`).
+    pub forked_waves: u64,
     /// Wall-clock nanoseconds spent in **fused wave** epilogues — the
     /// post-GEMM serve/nonlinearity cost. Timed at wave granularity
     /// only: per-node row programs outside fused waves are not counted
@@ -1417,10 +1427,11 @@ impl<'p> Engine<'p> {
             );
             let mut out = vec![0.0f32; total_rows * key.cols];
             let gemm_t0 = Instant::now();
-            kernels::gemm_packed_into(&mut out, &rows, &weight, total_rows);
-            let shared = Rc::new(out);
+            let forked = kernels::gemm_packed_into(&mut out, &rows, &weight, total_rows);
+            let shared = Arc::new(out);
             let stats = &mut self.caches.stats;
             stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
+            stats.forked_gemms += u64::from(forked);
             stats.wave_gemms += 1;
             stats.gemm_rows += total_rows as u64;
             stats.gemm_flops += 2 * (total_rows * key.cols * key.k_len) as u64;

@@ -143,7 +143,7 @@ pub fn run(
         }
     }
     let hidden = states.into_iter().map(|s| s.h).collect();
-    FrameworkRun::finish(hidden, ctx.profile, device)
+    FrameworkRun::finish(hidden, ctx.profile, device, graph.len())
 }
 
 #[cfg(test)]
@@ -183,8 +183,14 @@ mod tests {
         let m = treelstm::tree_lstm(4, LeafInit::Zero);
         let t = cortex_ds::datasets::random_binary_tree(40, 62);
         let r = run(&m, &t, &DeviceSpec::v100(), DynetOptions::default());
-        assert!(r.profile.graph_construction_time.as_nanos() > 0);
-        assert!(r.profile.dynamic_batching_time.as_nanos() > 0);
+        // What the two stopwatches time, as exact counts: one vertex per
+        // leaf and one per operator of every internal node.
+        let ops = CellKind::for_model(&m)
+            .expect("known cell")
+            .ops_per_internal(t.max_children());
+        let internal = t.iter().filter(|n| !t.is_leaf(*n)).count();
+        assert_eq!(internal, 39);
+        assert_eq!(r.graph_vertices, 40 + internal * ops);
         assert!(
             r.profile.memcpy_bytes > 0,
             "contiguity copies must be counted"

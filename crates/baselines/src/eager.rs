@@ -43,7 +43,7 @@ pub fn run(model: &Model, structure: &RecStructure, device: &DeviceSpec) -> Fram
         states[node.index()] = new_state;
     }
     let hidden = states.into_iter().map(|s| s.h).collect();
-    FrameworkRun::finish(hidden, ctx.profile, device)
+    FrameworkRun::finish(hidden, ctx.profile, device, 0)
 }
 
 #[cfg(test)]

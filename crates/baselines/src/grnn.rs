@@ -78,7 +78,7 @@ pub fn run(model: &Model, structure: &RecStructure, device: &DeviceSpec) -> Fram
         .collect();
     profile.allocated_bytes = model.params.total_bytes() + (steps + 1) * batch * state_words * 4;
 
-    FrameworkRun::finish(hidden, profile, device)
+    FrameworkRun::finish(hidden, profile, device, 0)
 }
 
 #[cfg(test)]

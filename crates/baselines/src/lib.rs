@@ -50,15 +50,27 @@ pub struct FrameworkRun {
     pub profile: Profile,
     /// Device-model latency.
     pub latency: LatencyEstimate,
+    /// Vertices of the dataflow graph the framework built for this run —
+    /// the deterministic size of what `graph_construction_time` times:
+    /// one per operator per node for DyNet, one per operator of the
+    /// vertex function for Cavs, none for the frameworks that build no
+    /// graph.
+    pub graph_vertices: usize,
 }
 
 impl FrameworkRun {
-    pub(crate) fn finish(hidden: Vec<Vec<f32>>, profile: Profile, device: &DeviceSpec) -> Self {
+    pub(crate) fn finish(
+        hidden: Vec<Vec<f32>>,
+        profile: Profile,
+        device: &DeviceSpec,
+        graph_vertices: usize,
+    ) -> Self {
         let latency = device.latency(&profile);
         FrameworkRun {
             hidden,
             profile,
             latency,
+            graph_vertices,
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v10",
+//!   "schema": "cortex-bench-pipeline/v11",
 //!   "axpy_gb_s": 36.1, "fma_peak_gflops": 160.0,
 //!   "gemm_packed_gflops_m1": 35.0, "gemm_packed_gflops_m16": 150.0,
 //!   "gemm_packed_gflops_m64": 155.0,
@@ -68,6 +68,20 @@
 //! 566 ms) and of the DAG-RNN row 2.5×, and `speedup_batched_vs_scalar`
 //! widened with them — an ablation preset got slower, the engine did
 //! not get that much faster.
+//! Schema v11 adds the `lanes` section — what the second core is worth
+//! (`cortex_tensor::par`): `lanes` (the pool's helpers plus the caller),
+//! `fma_peak_gflops_one_lane` / `_all_lanes` (the same probe on every
+//! lane at once), `fork_join_ns` (an empty `par::split` round trip),
+//! `gemm_packed_gflops_all_lanes_m{1,16,64}` (the top-level
+//! `gemm_packed_gflops_m*` rows are pinned to one lane, so they stay the
+//! kernel against one core's peak), and `compare`: [`paired_compare`]
+//! ratios, with quartiles, of `par::with_lanes(1, ..)` against all lanes
+//! for TreeLSTM h=256 over ten trees (solo `execute`) and seq-LSTM h=256
+//! over 16 sequences (`execute_many`), each with the run's
+//! `forked_gemms`/`wave_gemms` and `forked_waves`/`fused_waves`. Outputs
+//! and `Profile` of the two sides are asserted equal before timing. The
+//! two fork thresholds (`simd::GEMM_FORK_MIN_WORK`, the epilogue's
+//! `EPILOGUE_FORK_MIN_BYTES`) are constants read off these rows.
 //! Schema v6 adds the static-analysis trajectory to each lowering
 //! entry: `dead_ops_eliminated` / `slots_coalesced` (the dataflow
 //! optimizer's work) and `par_safe_waves` / `par_unsafe_waves` (the
@@ -86,7 +100,7 @@
 use std::fmt::Write as _;
 
 use cortex_backend::exec::{Engine, ExecOptions, ExecStats, PlanStats};
-use cortex_bench_harness::timing::{median_run, paired_compare, time_once};
+use cortex_bench_harness::timing::{median_run, paired_compare, time_once, PairedReport};
 use cortex_core::ra::RaSchedule;
 use cortex_ds::linearizer::{Linearized, Linearizer};
 use cortex_ds::{datasets, RecStructure};
@@ -94,6 +108,7 @@ use cortex_models::{
     dagrnn, mvrnn, reference, seq, treefc, treegru, treelstm, treernn, LeafInit, Model,
 };
 use cortex_tensor::approx::NonlinearityMode;
+use cortex_tensor::par;
 
 struct Record {
     bench: String,
@@ -257,19 +272,29 @@ fn gemm_gflops(stats: &ExecStats) -> f64 {
 }
 
 /// The FLOP ceiling of the GEMM layer: twelve independent vector FMA
-/// chains at the detected level, operands in registers.
-fn fma_peak_gflops() -> f64 {
-    let mut flops = 0;
+/// chains at the detected level, operands in registers, on `lanes` lanes
+/// at once.
+fn fma_peak_gflops(lanes: usize) -> f64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let level = cortex_tensor::simd::level();
+    let flops = AtomicU64::new(0);
     let seconds = median_run(9, || {
-        flops = cortex_tensor::simd::fma_chains(cortex_tensor::simd::level(), 1 << 20);
+        flops.store(0, Ordering::Relaxed);
+        par::with_lanes(lanes, || {
+            par::split(lanes, &|_| {
+                let done = cortex_tensor::simd::fma_chains(level, 1 << 20);
+                flops.fetch_add(done, Ordering::Relaxed);
+            });
+        });
     })
     .as_secs_f64();
-    flops as f64 / seconds / 1e9
+    flops.into_inner() as f64 / seconds / 1e9
 }
 
 /// What the tile kernel reaches through its packed entry on `m` rows
-/// against 1024 columns × K=256 — the shape of an h=256 gate stack.
-fn gemm_packed_gflops(m: usize) -> f64 {
+/// against 1024 columns × K=256 — the shape of an h=256 gate stack —
+/// spread over at most `lanes` lanes.
+fn gemm_packed_gflops(m: usize, lanes: usize) -> f64 {
     use cortex_tensor::kernels::{gemm_packed_into, PackedB};
     let (n, k) = (1024, 256);
     let b = cortex_tensor::Tensor::random(&[n, k], 1.0, 2);
@@ -277,14 +302,82 @@ fn gemm_packed_gflops(m: usize) -> f64 {
     let a = cortex_tensor::Tensor::random(&[m, k], 1.0, 1);
     let mut c = vec![0.0f32; m * n];
     let calls = 2048 / m as u32;
-    let seconds = median_run(9, || {
-        for _ in 0..calls {
-            gemm_packed_into(&mut c, a.as_slice(), &packed, m);
-            std::hint::black_box(&mut c);
-        }
+    let seconds = par::with_lanes(lanes, || {
+        median_run(9, || {
+            for _ in 0..calls {
+                gemm_packed_into(&mut c, a.as_slice(), &packed, m);
+                std::hint::black_box(&mut c);
+            }
+        })
     })
     .as_secs_f64();
     2.0 * (m * n * k) as f64 * f64::from(calls) / seconds / 1e9
+}
+
+/// An empty fork and join on every lane, nanoseconds (median of 10001
+/// back-to-back round trips: the helpers are hot).
+fn fork_join_ns() -> f64 {
+    let lanes = par::lanes();
+    let mut ns: Vec<u128> = (0..10_001)
+        .map(|_| time_once(|| par::split(lanes, &|_| {})).1.as_nanos())
+        .collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64
+}
+
+/// One one-lane/all-lanes comparison of the `lanes` section.
+struct LaneRecord {
+    bench: &'static str,
+    requests: usize,
+    report: PairedReport,
+    stats: ExecStats,
+}
+
+/// Times `model` over `structures` — one `execute` for a single
+/// structure, one `execute_many` otherwise — pinned to one lane against
+/// all lanes, after asserting that the two sides agree bit for bit on
+/// outputs and `Profile`.
+fn lanes_compare(bench: &'static str, model: &Model, structures: &[RecStructure]) -> LaneRecord {
+    let program = model.lower(&RaSchedule::default()).expect("lowers");
+    let lins: Vec<Linearized> = structures
+        .iter()
+        .map(|s| Linearizer::new().linearize(s).expect("linearizes"))
+        .collect();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let engine = std::cell::RefCell::new(Engine::new(&program));
+    let run = |lanes: usize| {
+        let mut engine = engine.borrow_mut();
+        par::with_lanes(lanes, || match refs.as_slice() {
+            [lin] => vec![engine.execute(lin, &model.params, true).expect("solo run")],
+            many => engine
+                .execute_many(many, &model.params, true)
+                .expect("batched run"),
+        })
+    };
+    assert_eq!(run(1), run(par::MAX_LANES), "{bench}: lanes changed a bit");
+    let stats = engine.borrow().stats();
+    let (_, once) = time_once(|| run(par::MAX_LANES));
+    let iters = ((20e-3 / once.as_secs_f64().max(1e-9)) as u32).clamp(1, 64);
+    let report = paired_compare(21, iters, || run(par::MAX_LANES), || run(1));
+    println!(
+        "lanes {bench:<24} one={:8.3}ms all={:8.3}ms speedup(one/all)={:.3}x [{:.3}, {:.3}] \
+         forked gemms={}/{} waves={}/{}",
+        report.b_s * 1e3,
+        report.a_s * 1e3,
+        report.speedup,
+        report.speedup_quartiles.0,
+        report.speedup_quartiles.1,
+        stats.forked_gemms,
+        stats.wave_gemms,
+        stats.forked_waves,
+        stats.fused_waves,
+    );
+    LaneRecord {
+        bench,
+        requests: lins.len(),
+        report,
+        stats,
+    }
 }
 
 /// The stream-rate ceiling of an elementwise pass: `y += x` over 1 Mi
@@ -502,19 +595,66 @@ fn main() {
 
     let solo = solo_small();
 
+    let lane_rows = [
+        lanes_compare(
+            "treelstm_h256_bs10_solo",
+            &treelstm::tree_lstm(256, LeafInit::Embedding),
+            &[sst_forest(10, 45)],
+        ),
+        lanes_compare(
+            "seqlstm_h256_x16_many",
+            &seq::seq_lstm(256),
+            &(0..16)
+                .map(|i| datasets::sequence(48 + 2 * i, 46 + i as u64))
+                .collect::<Vec<_>>(),
+        ),
+    ];
+
     let axpy = axpy_gb_s();
-    let fma_peak = fma_peak_gflops();
-    let [packed_m1, packed_m16, packed_m64] = [1, 16, 64].map(gemm_packed_gflops);
+    let lanes = par::lanes();
+    let (fma_peak, fma_peak_all) = (fma_peak_gflops(1), fma_peak_gflops(lanes));
+    let [packed_m1, packed_m16, packed_m64] = [1, 16, 64].map(|m| gemm_packed_gflops(m, 1));
+    let [all_m1, all_m16, all_m64] = [1, 16, 64].map(|m| gemm_packed_gflops(m, lanes));
+    let fork_join = fork_join_ns();
     println!(
         "ceilings: axpy {axpy:.1} GB/s, fma {fma_peak:.1} GFLOP/s; packed gemm \
-         m1 {packed_m1:.1} m16 {packed_m16:.1} m64 {packed_m64:.1} GFLOP/s"
+         m1 {packed_m1:.1} m16 {packed_m16:.1} m64 {packed_m64:.1} GFLOP/s\n\
+         on {lanes} lanes: fma {fma_peak_all:.1} GFLOP/s; packed gemm m1 {all_m1:.1} \
+         m16 {all_m16:.1} m64 {all_m64:.1} GFLOP/s; fork+join {fork_join:.0} ns"
     );
     let mut json = format!(
-        "{{\n  \"schema\": \"cortex-bench-pipeline/v10\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
+        "{{\n  \"schema\": \"cortex-bench-pipeline/v11\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
          \"fma_peak_gflops\": {fma_peak:.3},\n  \"gemm_packed_gflops_m1\": {packed_m1:.3},\n  \
          \"gemm_packed_gflops_m16\": {packed_m16:.3},\n  \
-         \"gemm_packed_gflops_m64\": {packed_m64:.3},\n  \"lowering\": [\n"
+         \"gemm_packed_gflops_m64\": {packed_m64:.3},\n  \"lanes\": {{\n    \
+         \"lanes\": {lanes}, \"fma_peak_gflops_one_lane\": {fma_peak:.3}, \
+         \"fma_peak_gflops_all_lanes\": {fma_peak_all:.3}, \"fork_join_ns\": {fork_join:.0},\n    \
+         \"gemm_packed_gflops_all_lanes_m1\": {all_m1:.3}, \
+         \"gemm_packed_gflops_all_lanes_m16\": {all_m16:.3}, \
+         \"gemm_packed_gflops_all_lanes_m64\": {all_m64:.3},\n    \"compare\": [\n"
     );
+    for (i, r) in lane_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"bench\": \"{}\", \"requests\": {}, \"one_lane_ms\": {:.4}, \
+             \"all_lanes_ms\": {:.4}, \"speedup\": {:.4}, \"speedup_q1\": {:.4}, \
+             \"speedup_q3\": {:.4}, \"forked_gemms\": {}, \"wave_gemms\": {}, \
+             \"forked_waves\": {}, \"fused_waves\": {}}}{}",
+            r.bench,
+            r.requests,
+            r.report.b_s * 1e3,
+            r.report.a_s * 1e3,
+            r.report.speedup,
+            r.report.speedup_quartiles.0,
+            r.report.speedup_quartiles.1,
+            r.stats.forked_gemms,
+            r.stats.wave_gemms,
+            r.stats.forked_waves,
+            r.stats.fused_waves,
+            if i + 1 < lane_rows.len() { ",\n" } else { "\n" }
+        );
+    }
+    json.push_str("    ]\n  },\n  \"lowering\": [\n");
     for (i, (name, plan)) in lowering.iter().enumerate() {
         let _ = write!(
             json,

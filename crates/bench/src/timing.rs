@@ -127,6 +127,9 @@ pub struct PairedReport {
     /// Median of the per-block `b/a` time ratios — the speedup of `a`
     /// over `b`, robust to frequency drift between blocks.
     pub speedup: f64,
+    /// First and third quartile of those ratios: the spread a claim
+    /// resting on `speedup` has to clear.
+    pub speedup_quartiles: (f64, f64),
 }
 
 /// Compares two workloads by alternating timed blocks — `iters` runs of
@@ -178,6 +181,7 @@ pub fn paired_compare<R, S>(
         a_s: med(&mut ta),
         b_s: med(&mut tb),
         speedup: med(&mut ratios),
+        speedup_quartiles: (ratios[ratios.len() / 4], ratios[ratios.len() * 3 / 4]),
     }
 }
 

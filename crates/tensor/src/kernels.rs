@@ -25,22 +25,13 @@
 //! semantics (`0 · ∞` must be `NaN`, not skipped) — see
 //! `gemm_propagates_nan_and_inf`.
 //!
-//! With the `parallel` feature, large products are row-partitioned at
-//! tile boundaries across a scoped thread pool with chunked work
-//! stealing (`par_rows`); an element's chain does not depend on the
-//! rows around it, so results are identical to the sequential path.
+//! A product of at least [`simd::GEMM_FORK_MIN_WORK`] multiply-adds is
+//! split by weight-panel ranges across the lanes of [`crate::par`]; an
+//! element's chain does not depend on the lane that runs it, so results
+//! are identical on any number of lanes.
 
 use crate::simd::{self, Level};
 use crate::tensor::{Tensor, TensorError};
-
-/// Minimum `m·n·k` before threading is worth the fork (≈0.25 Mflop).
-#[cfg(feature = "parallel")]
-const PAR_MIN_WORK: usize = 1 << 18;
-/// Rows handed out per steal: whole full-height tiles at every level
-/// (12 rows at AVX-512, 6 below), and few enough steals to keep the
-/// atomic cold.
-#[cfg(feature = "parallel")]
-const PAR_CHUNK: usize = 24;
 
 /// A `B` operand repacked for the tile kernel: `n` columns of `k`
 /// elements each in k-major panels of [`simd::panel_width`] columns,
@@ -140,26 +131,15 @@ impl PackedB {
 }
 
 /// The packed product: `c[i·n + j] = Σ_k a[i·k + k']·B[j][k']` for `m`
-/// rows of `a` against the `n = b.n()` columns of `b`. With the
-/// `parallel` feature and enough work, rows of `c` are computed by a
-/// scoped thread pool; every element is the same k-sequential chain
-/// either way.
+/// rows of `a` against the `n = b.n()` columns of `b`. Returns whether
+/// the launch was split across lanes (see [`simd::gemm_panels`]); every
+/// element is the same k-sequential chain either way.
 ///
 /// # Panics
 ///
 /// Panics if `a` or `c` is shorter than `m` rows.
-pub fn gemm_packed_into(c: &mut [f32], a: &[f32], b: &PackedB, m: usize) {
-    let (n, k) = (b.n, b.k);
-    #[cfg(feature = "parallel")]
-    if m * n * k >= PAR_MIN_WORK && m >= 2 * PAR_CHUNK {
-        assert!(a.len() >= m * k && c.len() >= m * n, "gemm: short operand");
-        par_rows(m, |rows, c_rows: &mut [f32]| {
-            let a_rows = &a[rows.start * k..rows.end * k];
-            simd::gemm_panels(b.level, c_rows, a_rows, &b.data, rows.len(), n, k);
-        })(c, n);
-        return;
-    }
-    simd::gemm_panels(b.level, c, a, &b.data, m, n, k);
+pub fn gemm_packed_into(c: &mut [f32], a: &[f32], b: &PackedB, m: usize) -> bool {
+    simd::gemm_panels(b.level, c, a, &b.data, m, b.n, b.k)
 }
 
 /// Dense matrix–matrix product: `C[m,n] = sum_k A[m,k] * B[k,n]`.
@@ -261,68 +241,6 @@ pub fn gemv(a: &Tensor, x: &Tensor) -> crate::Result<Tensor> {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     crate::simd::dot(a, b)
 }
-
-// ---------------------------------------------------------------------
-// Scoped-thread row partitioning (the `parallel` feature)
-// ---------------------------------------------------------------------
-
-/// Returns a closure that runs `work(row_range, c_rows)` over disjoint
-/// row chunks of an `[m][row_len]` output, stolen from a shared atomic
-/// counter by a scoped thread pool.
-///
-/// Chunked work stealing (rather than static striping) keeps threads busy
-/// when early waves of a recursion are much wider than late ones.
-#[cfg(feature = "parallel")]
-fn par_rows<'a, F>(m: usize, work: F) -> impl FnOnce(&mut [f32], usize) + 'a
-where
-    F: Fn(std::ops::Range<usize>, &mut [f32]) + Sync + 'a,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    move |c: &mut [f32], row_len: usize| {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1)
-            .min(m.div_ceil(PAR_CHUNK));
-        if threads <= 1 {
-            work(0..m, &mut c[..m * row_len]);
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let c_ptr = SendPtr(c.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let work = &work;
-                let next = &next;
-                let c_ptr = &c_ptr;
-                scope.spawn(move || loop {
-                    let start = next.fetch_add(PAR_CHUNK, Ordering::Relaxed);
-                    if start >= m {
-                        break;
-                    }
-                    let end = (start + PAR_CHUNK).min(m);
-                    // SAFETY: chunks [start, end) are claimed exactly once
-                    // via the atomic counter, so the row slices handed to
-                    // each thread are disjoint.
-                    let rows = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            c_ptr.0.add(start * row_len),
-                            (end - start) * row_len,
-                        )
-                    };
-                    work(start..end, rows);
-                });
-            }
-        });
-    }
-}
-
-/// A raw pointer that may cross scoped-thread boundaries; all uses derive
-/// disjoint slices (see `par_rows`).
-#[cfg(feature = "parallel")]
-struct SendPtr(*mut f32);
-#[cfg(feature = "parallel")]
-unsafe impl Sync for SendPtr {}
 
 /// `y += x` over slices, dispatched to the widest available SIMD level
 /// ([`crate::simd::axpy`]).
@@ -526,35 +444,10 @@ mod tests {
         assert_eq!(y, vec![3.0, 4.0]);
     }
 
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_nt_product_is_bitwise_identical_to_sequential() {
-        // Row partitioning must not change any row's reduction order: the
-        // threaded product is bit-identical to the serial body.
-        let (m, k, n) = (96, 128, 64); // m·n·k ≥ PAR_MIN_WORK → threads engage
-        let a = Tensor::random(&[m, k], 1.0, 21);
-        let b = Tensor::random(&[n, k], 1.0, 22);
-        let mut threaded = vec![0.0f32; m * n];
-        gemm_nt_into(&mut threaded, a.as_slice(), b.as_slice(), m, n, k);
-        let packed = PackedB::pack_nt(b.as_slice(), n, k);
-        let mut serial = vec![0.0f32; m * n];
-        simd::gemm_panels(
-            packed.level,
-            &mut serial,
-            a.as_slice(),
-            &packed.data,
-            m,
-            n,
-            k,
-        );
-        assert_eq!(threaded, serial);
-    }
-
     #[test]
     fn large_nt_product_is_consistent_with_small_blocks() {
-        // Exercises the parallel row partition when the feature is on and
-        // the panel loops when it is off; either way the result must
-        // match the naive reference.
+        // Large enough to be split across lanes where there are any;
+        // either way the result must match the naive reference.
         let (m, k, n) = (130, 96, 50);
         let a = Tensor::random(&[m, k], 1.0, 7);
         let bt = Tensor::random(&[n, k], 1.0, 8);

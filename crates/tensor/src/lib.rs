@@ -15,7 +15,10 @@
 //! * [`simd`] — explicit AVX2/AVX-512 micro-kernels with runtime feature
 //!   dispatch (and the always-correct scalar fallback) that the matrix
 //!   kernels bottom out in,
-//! * [`approx`] — rational approximations of `tanh`/`sigmoid` (App. A.5).
+//! * [`approx`] — rational approximations of `tanh`/`sigmoid` (App. A.5),
+//! * [`par`] — the process-wide fork/join lane pool that large matrix
+//!   products and row sweeps are spread over, and the verified
+//!   row-window access that lets safe code do the latter.
 //!
 //! # Example
 //!
@@ -31,6 +34,7 @@
 pub mod approx;
 pub mod kernels;
 pub mod layout;
+pub mod par;
 pub mod shape;
 pub mod simd;
 pub mod tensor;

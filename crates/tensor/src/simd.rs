@@ -306,13 +306,36 @@ impl Fma for [f32; 4] {
     }
 }
 
+/// Smallest `m·n·k` a product is split across lanes at: 2¹⁸ multiply-adds,
+/// which is one row against the 1024 × 256 gate stack of an `h = 256`
+/// LSTM. The `lanes` section of `BENCH_pipeline.json` has the
+/// measurement on this 2-core box: a fork and join costs ≈ 0.8 µs
+/// (`fork_join_ns`); that one-row product takes 15 µs on one lane (34
+/// GFLOP/s, bound by streaming the 1 MB weight from L2) and 9 µs on two,
+/// each streaming its own half (`gemm_packed_gflops_all_lanes_m1` 59);
+/// 16 and 64 rows go from 136 and 149 to 240 and 252 GFLOP/s. Every
+/// launch of the `h = 32` models is several times below the line, so the
+/// small-request path never looks at the pool.
+pub const GEMM_FORK_MIN_WORK: usize = 1 << 18;
+
+/// The output of a product shared by the lanes that compute it.
+struct SplitOut(*mut f32);
+
+// SAFETY: lanes store through the pointer to the columns of pairwise
+// disjoint panel ranges only (`gemm_panels` hands each chunk its own).
+unsafe impl Sync for SplitOut {}
+
 /// `c[i·n + j] = Σ_k a[i·k + k']·B[j][k']` for `m` rows against the `n`
 /// columns held in `panels`: `⌈n / w⌉` panels of `w =`
 /// [`panel_width`]`(l)` columns, panel `p` storing element `k'` of
 /// column `p·w + jj` at `(p·k + k')·w + jj` (columns past `n` are
 /// padding and never stored). Every element of `c` is the
 /// [`dot_ordered_with`]`(l, ..)` chain of its row and column — whatever
-/// `m`, the tile split, or the rows it shares a launch with.
+/// `m`, the tile split, the rows it shares a launch with, or the lane
+/// that computes it: a product of at least [`GEMM_FORK_MIN_WORK`]
+/// multiply-adds is split by **panel ranges** across the lanes of
+/// [`crate::par::split`], which changes who computes an element and
+/// nothing about how. Returns whether the product was split.
 ///
 /// # Panics
 ///
@@ -325,24 +348,63 @@ pub fn gemm_panels(
     m: usize,
     n: usize,
     k: usize,
-) {
+) -> bool {
     let w = panel_width(l);
+    let n_panels = n.div_ceil(w);
     assert!(
-        a.len() >= m * k && c.len() >= m * n && panels.len() >= n.div_ceil(w) * w * k,
+        a.len() >= m * k && c.len() >= m * n && panels.len() >= n_panels * w * k,
         "gemm_panels: operands shorter than {m}x{n}x{k}"
     );
     if m == 0 || n == 0 {
-        return;
+        return false;
     }
-    match w {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `panel_width` verified the feature; the slices cover
-        // the shapes (asserted above).
-        32 => unsafe { gemm_panels_avx512(c, a, panels, m, n, k) },
-        #[cfg(target_arch = "x86_64")]
-        16 => unsafe { gemm_panels_avx2(c, a, panels, m, n, k) },
-        // SAFETY: the slices cover the shapes (asserted above).
-        _ => unsafe { gemm_tiles::<[f32; 4], 6>(c, a, panels, m, n, k) },
+    let out = SplitOut(c.as_mut_ptr());
+    let run = |ps: std::ops::Range<usize>| {
+        // The wrapper as a whole, not its (unshareable) pointer field.
+        let out = &out;
+        match w {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `panel_width` verified the feature; the slices
+            // cover the shapes (asserted above), `ps` is inside the
+            // panels, and no concurrent call shares a panel with it.
+            32 => unsafe { gemm_panels_avx512(out.0, a, panels, m, n, k, ps) },
+            #[cfg(target_arch = "x86_64")]
+            16 => unsafe { gemm_panels_avx2(out.0, a, panels, m, n, k, ps) },
+            // SAFETY: as above, without an instruction-set requirement.
+            _ => unsafe { gemm_tiles::<[f32; 4], 6>(out.0, a, panels, m, n, k, ps) },
+        }
+    };
+    // A small launch does not even look at the pool.
+    if m * n * k < GEMM_FORK_MIN_WORK {
+        run(0..n_panels);
+        return false;
+    }
+    // Chunks are whole groups of the panels a few-row launch is widened
+    // across, so it keeps its widening; a few per lane, so a late
+    // helper costs one of them.
+    let wide = panels_wide(m, if w == 32 { 12 } else { 6 });
+    let groups = n_panels.div_ceil(wide);
+    let lanes = crate::par::lanes();
+    if lanes == 1 || groups == 1 {
+        run(0..n_panels);
+        return false;
+    }
+    let chunks = groups.min(4 * lanes);
+    crate::par::split(chunks, &|chunk| {
+        let from = chunk * groups / chunks * wide;
+        run(from..((chunk + 1) * groups / chunks * wide).min(n_panels));
+    });
+    true
+}
+
+/// Adjacent panels a launch of `m` rows in tiles of at most `mr_max` is
+/// widened across: as many (1, 2 or 4) as keep the accumulators of its
+/// tallest tile inside the register file.
+fn panels_wide(m: usize, mr_max: usize) -> usize {
+    match mr_max / m.div_ceil(m.div_ceil(mr_max)) {
+        0 | 1 => 1,
+        2 | 3 => 2,
+        _ => 4,
     }
 }
 
@@ -389,39 +451,37 @@ unsafe fn fma_chains_on<V: Fma>(steps: usize) {
     std::hint::black_box(sink);
 }
 
-/// Splits the product into register tiles: panels outermost (a panel
-/// stays in L1 across the row tiles), rows in `⌈m / MR_MAX⌉` *balanced*
-/// tiles (13 rows → 7 + 6, never 12 + 1). A launch of few rows is
-/// widened across 2 or 4 adjacent panels while the accumulators still
-/// fit the register file, so even `m = 1` runs eight independent FMA
-/// chains.
+/// Splits panels `ps` of the product into register tiles: panels
+/// outermost (a panel stays in L1 across the row tiles), rows in
+/// `⌈m / MR_MAX⌉` *balanced* tiles (13 rows → 7 + 6, never 12 + 1). A
+/// launch of few rows is widened across 2 or 4 adjacent panels while the
+/// accumulators still fit the register file, so even `m = 1` runs eight
+/// independent FMA chains.
 ///
 /// # Safety
 ///
-/// `V`'s instruction set is available; `a`, `panels` and `c` cover
-/// `m×k`, `⌈n / 2N⌉` panels and `m×n`; `m, n > 0`.
+/// `V`'s instruction set is available; `a` and `panels` cover `m×k` and
+/// `⌈n / 2N⌉` panels, `c` addresses `m×n` writable floats of which no
+/// concurrent access touches the columns of panels `ps`; `ps` is inside
+/// the panels; `m, n > 0`.
 #[inline(always)]
 unsafe fn gemm_tiles<V: Fma, const MR_MAX: usize>(
-    c: &mut [f32],
+    c: *mut f32,
     a: &[f32],
     panels: &[f32],
     m: usize,
     n: usize,
     k: usize,
+    ps: std::ops::Range<usize>,
 ) {
     let w = 2 * V::N;
-    let n_panels = n.div_ceil(w);
     let tiles = m.div_ceil(MR_MAX);
     let (short, taller) = (m / tiles, m % tiles);
-    let np_wide = match MR_MAX / (short + usize::from(taller > 0)) {
-        0 | 1 => 1,
-        2 | 3 => 2,
-        _ => 4,
-    };
-    let mut p = 0;
-    while p < n_panels {
+    let np_wide = panels_wide(m, MR_MAX);
+    let mut p = ps.start;
+    while p < ps.end {
         let mut np = np_wide;
-        while p + np > n_panels {
+        while p + np > ps.end {
             np /= 2;
         }
         let cols = (n - p * w).min(np * w);
@@ -429,11 +489,12 @@ unsafe fn gemm_tiles<V: Fma, const MR_MAX: usize>(
         for t in 0..tiles {
             let mr = short + usize::from(t < taller);
             // SAFETY: rows `i..i + mr` and panels `p..p + np` are inside
-            // the operands; `cols` keeps the stores inside row `i`'s `n`.
+            // the operands; `cols` keeps the stores inside row `i`'s `n`
+            // and inside the columns of `ps`.
             unsafe {
                 let a = a.as_ptr().add(i * k);
                 let b = panels.as_ptr().add(p * k * w);
-                let c = c.as_mut_ptr().add(i * n + p * w);
+                let c = c.add(i * n + p * w);
                 macro_rules! run {
                     ($(($mr:literal, $np:literal))*) => {
                         match (mr, np) {
@@ -886,15 +947,16 @@ mod avx2 {
     /// The tile kernel at 8 lanes: 16-column panels, tiles up to 6×16.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_panels_avx2(
-        c: &mut [f32],
+        c: *mut f32,
         a: &[f32],
         panels: &[f32],
         m: usize,
         n: usize,
         k: usize,
+        ps: std::ops::Range<usize>,
     ) {
         // SAFETY: forwarded contract of [`gemm_tiles`].
-        unsafe { gemm_tiles::<__m256, 6>(c, a, panels, m, n, k) }
+        unsafe { gemm_tiles::<__m256, 6>(c, a, panels, m, n, k, ps) }
     }
 
     /// The FMA ceiling probe at 8 lanes.
@@ -1099,15 +1161,16 @@ mod avx512 {
     /// (24 of the 32 vector registers accumulate).
     #[target_feature(enable = "avx512f")]
     pub unsafe fn gemm_panels_avx512(
-        c: &mut [f32],
+        c: *mut f32,
         a: &[f32],
         panels: &[f32],
         m: usize,
         n: usize,
         k: usize,
+        ps: std::ops::Range<usize>,
     ) {
         // SAFETY: forwarded contract of [`gemm_tiles`].
-        unsafe { gemm_tiles::<__m512, 12>(c, a, panels, m, n, k) }
+        unsafe { gemm_tiles::<__m512, 12>(c, a, panels, m, n, k, ps) }
     }
 
     /// The FMA ceiling probe at 16 lanes.

@@ -4,7 +4,7 @@
 
 use cortex_tensor::kernels::{self, PackedB};
 use cortex_tensor::simd::{self, Level};
-use cortex_tensor::Tensor;
+use cortex_tensor::{par, Tensor};
 
 const NS: [usize; 8] = [1, 15, 16, 17, 31, 32, 33, 100];
 const KS: [usize; 6] = [0, 1, 7, 16, 255, 600];
@@ -153,8 +153,8 @@ fn conveniences_agree_bitwise_with_the_packed_entry() {
 
 #[test]
 fn a_large_product_equals_its_rows_computed_one_at_a_time() {
-    // With the `parallel` feature this shape is row-partitioned across
-    // threads; one-row products never are. Either way: the same bits.
+    // This shape is split across lanes where there are any; one-row
+    // products of it never are. Either way: the same bits.
     let (m, n, k) = (100, 64, 128);
     let (a, b) = (random(m * k, 9), random(n * k, 10));
     let packed = PackedB::pack_nt(&b, n, k);
@@ -163,4 +163,42 @@ fn a_large_product_equals_its_rows_computed_one_at_a_time() {
         let row = product(&a[i * k..(i + 1) * k], &packed, 1);
         assert_eq!(bits(&row), bits(&whole[i * n..(i + 1) * n]), "row {i}");
     }
+}
+
+#[test]
+fn a_product_split_across_lanes_equals_the_unsplit_one_bitwise() {
+    // 9 panels of 32 columns, 18 of 16, 35 of 8 — an odd count at every
+    // level, the last one ragged (280 = 8·32 + 24) — under every tile
+    // shape and widening: one-row launches (four panels wide), 5 rows
+    // (two wide), 13 (7 + 6), 27 (9 + 9 + 9) and 64.
+    let (n, k) = (280, 256);
+    let b = random(n * k, 11);
+    for l in simd::available_levels() {
+        let packed = pack_nt(l, &b, n, k);
+        for m in [1, 5, 13, 27, 64] {
+            let a = random(m * k, 12 + m as u64);
+            let (mut one, mut all) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            let forked = par::with_lanes(1, || kernels::gemm_packed_into(&mut one, &a, &packed, m));
+            assert!(!forked, "{l:?} m={m}: one lane never forks");
+            let forked = kernels::gemm_packed_into(&mut all, &a, &packed, m);
+            // m·n·k ≥ 2¹⁸ from m = 4 on; one row stays below.
+            assert_eq!(forked, m >= 4 && par::lanes() > 1, "{l:?} m={m}");
+            assert_eq!(bits(&one), bits(&all), "{l:?} m={m}");
+            assert_eq!(
+                one[m * n - 1].to_bits(),
+                simd::dot_ordered_with(l, &a[(m - 1) * k..], &b[(n - 1) * k..]).to_bits(),
+                "{l:?} m={m}: the last element of the ragged panel"
+            );
+        }
+    }
+    // The gate-stack shape forks from one row on.
+    let (n, k) = (1024, 256);
+    let (a, b) = (random(k, 13), random(n * k, 14));
+    let packed = PackedB::pack_nt(&b, n, k);
+    let mut one = vec![f32::NAN; n];
+    par::with_lanes(1, || kernels::gemm_packed_into(&mut one, &a, &packed, 1));
+    let mut all = vec![f32::NAN; n];
+    let forked = kernels::gemm_packed_into(&mut all, &a, &packed, 1);
+    assert_eq!(forked, par::lanes() > 1);
+    assert_eq!(bits(&one), bits(&all));
 }

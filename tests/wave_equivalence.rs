@@ -288,32 +288,96 @@ fn batched_engine_matches_reference_models_at_paper_width() {
     }
 }
 
-/// With the `parallel` feature, wave GEMMs run on a scoped thread pool.
-/// Threading must not perturb a single counter (`Profile` accounting all
-/// happens outside the threaded kernels) and must stay deterministic.
-#[cfg(feature = "parallel")]
+/// The nine models of the zoo, the vector ones at `h` and the rank-2
+/// MV-RNN (an `h × h` matrix per node) at `mv_h`.
+fn nine_models(h: usize, mv_h: usize) -> Vec<Model> {
+    let mut all = models(h);
+    all[4] = mvrnn::mv_rnn(mv_h);
+    all.push(treegru::simple_tree_gru(h, LeafInit::Embedding));
+    all.push(seq::seq_gru(h));
+    all
+}
+
+/// A forest of `parts` structures for `model`, each of `size`: leaves
+/// of a tree, steps of a sequence, columns of a three-row grid.
+fn forest_of(model: &Model, parts: usize, size: usize, rng: &mut Rng) -> RecStructure {
+    let parts: Vec<RecStructure> = (0..parts)
+        .map(|_| {
+            let seed = rng.next_u64();
+            match model.name.as_str() {
+                "DAG-RNN" => datasets::grid_dag(3, size.min(4), seed),
+                "LSTM" | "GRU" => datasets::sequence(size, seed),
+                _ => datasets::random_binary_tree(size, seed),
+            }
+        })
+        .collect();
+    RecStructure::merge(&parts.iter().collect::<Vec<_>>())
+}
+
+/// The lane pool changes who computes an element, never how: with
+/// forks pinned to one lane (`par::with_lanes(1, ..)`) and on every
+/// lane the box has, outputs **and** `Profile` are `==`, solo and
+/// through `execute_many` of 16, for all nine models. At the paper's
+/// width the first request is a forest wide enough that wave GEMMs
+/// (split by weight panels) and fused epilogues (split by rows) really
+/// fork, solo and batched — asserted, wherever there is a second lane.
+/// At the width of the benchmark's `zoo_small`, on structures as large
+/// as its largest, no solo launch may reach a threshold (16 of them
+/// merged into one super-wave may, and gain from it). Run under
+/// `--features cortex-backend/checked` too: the shadow hooks see the
+/// same accesses in the same order on any lane count.
 #[test]
-fn parallel_execution_keeps_profile_identical_to_sequential_accounting() {
-    let mut rng = Rng::new(0x53);
-    for _ in 0..6 {
-        let h = rng.range_usize(16, 40);
-        let model = treelstm::tree_lstm(h, LeafInit::Embedding);
-        let structure = structure_for(&model, &mut rng);
-        let program = model.lower(&RaSchedule::default()).unwrap();
-        let lin = Linearizer::new().linearize(&structure).unwrap();
-        let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
-            .execute(&lin, &model.params, true)
-            .unwrap();
-        let (out_w1, prof_w) = Engine::new(&program)
-            .execute(&lin, &model.params, true)
-            .unwrap();
-        let (out_w2, _) = Engine::new(&program)
-            .execute(&lin, &model.params, true)
-            .unwrap();
-        assert_profiles_identical(&prof_s, &prof_w, "threaded TreeLSTM");
-        for (id, t1) in &out_w1 {
-            assert_eq!(t1, &out_w2[id], "threaded runs must be deterministic");
-            assert!(out_s[id].all_close(t1, 1e-5));
+fn one_lane_and_all_lanes_agree_exactly_and_large_launches_fork() {
+    use cortex::tensor::par;
+    let mut rng = Rng::new(0x55);
+    for (h, mv_h, wide) in [(256, 64, true), (32, 16, false)] {
+        for model in nine_models(h, mv_h) {
+            let program = model.lower(&RaSchedule::default()).unwrap();
+            let lins: Vec<_> = (0..16)
+                .map(|r| {
+                    let forest = match (wide, r) {
+                        (true, 0) => forest_of(&model, 16, 6, &mut rng),
+                        (true, _) => forest_of(&model, 1, 4, &mut rng),
+                        (false, _) => forest_of(&model, 1, 18 + 18 * (r % 2), &mut rng),
+                    };
+                    Linearizer::new().linearize(&forest).unwrap()
+                })
+                .collect();
+            let refs: Vec<_> = lins.iter().collect();
+            // (solo stats, batched stats) and every output of a side.
+            let side = |lanes: usize| {
+                par::with_lanes(lanes, || {
+                    let mut engine = Engine::new(&program);
+                    let solo = engine.execute(&lins[0], &model.params, true).unwrap();
+                    let solo_stats = engine.stats();
+                    let many = engine.execute_many(&refs, &model.params, true).unwrap();
+                    ((solo_stats, engine.stats()), solo, many)
+                })
+            };
+            let (one_stats, one_solo, one_many) = side(1);
+            let (all_stats, all_solo, all_many) = side(par::MAX_LANES);
+            let ctx = format!("{} h={}", model.name, model.hidden);
+            assert_eq!(one_solo, all_solo, "solo, one lane vs all: {ctx}");
+            assert_eq!(one_many, all_many, "execute_many, one lane vs all: {ctx}");
+            assert_eq!(one_many[0], one_solo, "batched vs solo: {ctx}");
+            for (what, one, all) in [
+                ("solo", one_stats.0, all_stats.0),
+                ("execute_many", one_stats.1, all_stats.1),
+            ] {
+                let forks = |s: &cortex::backend::exec::ExecStats| (s.forked_gemms, s.forked_waves);
+                assert_eq!(forks(&one), (0, 0), "{what} on one lane: {ctx}");
+                if wide && par::lanes() > 1 {
+                    assert!(all.forked_gemms > 0, "{what} GEMMs: {ctx}: {all:?}");
+                    assert!(all.forked_waves > 0, "{what} waves: {ctx}: {all:?}");
+                } else if what == "solo" {
+                    assert_eq!(forks(&all), (0, 0), "{what} at zoo size: {ctx}");
+                }
+                assert_eq!(
+                    (one.wave_gemms, one.fused_waves),
+                    (all.wave_gemms, all.fused_waves),
+                    "{what}: the schedule does not depend on lanes: {ctx}"
+                );
+            }
         }
     }
 }
