@@ -190,9 +190,9 @@ pub(crate) struct FusedWave {
 
 /// Bytes of tile streams (`rows × bytes_per_row`) from which a fused
 /// wave's sweeps are spread over lanes: 64 KiB, where forking breaks
-/// even on this 2-core box. Measured on the waves of an `h = 256`
+/// even on this 2-core box. Measured (PR 19) on the waves of an `h = 256`
 /// TreeLSTM (14 KiB and ≈ 3 µs a row; a fork and join costs ≈ 0.8 µs,
-/// `fork_join_ns` of `BENCH_pipeline.json`, the window check ≈ 0.1 µs a
+/// `lanes.fork_join_ns` of `BENCH_pipeline.json`, the window check ≈ 0.1 µs a
 /// row, and two lanes sweep ≈ 1.45× as fast as one, not 2×): 5 rows
 /// (70 KiB) take 13–15 µs on one lane and 13 µs forked, 12 rows 35 → 26
 /// µs, 58 rows 183 → 121 µs. Every wave of the `h = 32` models (at most

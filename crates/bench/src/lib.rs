@@ -2,10 +2,11 @@
 //! paper's evaluation (§7 and appendices).
 //!
 //! Each experiment is a library function returning the formatted table
-//! (so integration tests can assert on its contents) with a thin binary
-//! wrapper printing it:
+//! (so integration tests can assert on its contents);
+//! `cargo run --release -p cortex-bench-harness --bin all_experiments
+//! [name]` prints all of them, or the one named:
 //!
-//! | Binary | Paper artifact |
+//! | `name` | Paper artifact |
 //! | --- | --- |
 //! | `fig6` | Fig. 6 — speedup over PyTorch vs batch size |
 //! | `fig7` | Fig. 7 — latency vs hidden size (DyNet/Cavs overheads) |
@@ -20,14 +21,19 @@
 //! | `linearize` | §7.5 — linearization overheads |
 //! | `roofline` | Appendix C — operational intensities for TreeFC |
 //!
+//! The other binaries: `bench_pipeline` (machine ceilings and lowering
+//! facts, `BENCH_pipeline.json`), `tune` (the §6 grid search) and
+//! `lint` (the workspace lint). Engine latency and throughput are
+//! measured in `benchmarks/`, not here.
+//!
 //! Workload configurations follow Table 2: perfect binary trees of height
 //! 7 for TreeFC, 10×10 grid DAGs for DAG-RNN, a synthetic
 //! sentiment-treebank for the Tree* and MV-RNN models, and length-100
 //! sequences for the Fig. 9 RNNs. Hidden sizes are hs/hl = 256/512
 //! (64/128 for MV-RNN); batch sizes are 1 and 10.
 //!
-//! Experiments accept a [`Scale`] so integration tests and criterion
-//! benches can run the identical code at reduced hidden sizes.
+//! Experiments accept a [`Scale`] so integration tests can run the
+//! identical code at reduced hidden sizes.
 
 pub mod experiments;
 pub mod registry;
@@ -38,7 +44,7 @@ pub mod tune;
 
 /// Scaling knob for experiments: `Paper` uses the exact paper
 /// configuration; `Smoke` shrinks hidden sizes (÷8) for tests and
-/// criterion benches while preserving every structural property.
+/// quick runs while preserving every structural property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// The paper's configuration.

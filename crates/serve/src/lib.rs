@@ -39,8 +39,8 @@
 //!   window instead of failing traffic.
 //!
 //! The [`faults`] module provides the deterministic fault-injection
-//! hooks the model-based test suite (and `bench_serving`'s robustness
-//! scenarios) drive all of this with.
+//! hooks the model-based test suites (`tests/model_based.rs`,
+//! `tests/router_model_based.rs`) drive all of this with.
 //!
 //! ```no_run
 //! use cortex_serve::{Batcher, BatcherOptions};
@@ -1441,22 +1441,38 @@ mod tests {
         use cortex_models::seq;
         let model = seq::seq_lstm(6);
         let program = model.lower(&RaSchedule::default()).unwrap();
-        let mut batcher = Batcher::new(&program, model.params.clone(), manual(4));
-        let tickets: Vec<Ticket> = (0..4u64)
-            .map(|s| batcher.submit(lin(&datasets::sequence(12, s))).unwrap())
+        let seqs: Vec<Linearized> = (0..16u64)
+            .map(|s| lin(&datasets::sequence(12, s)))
+            .collect();
+        // Depth 1: a sequence alone launches a GEMM for every wave.
+        let mut solo = Batcher::new(&program, model.params.clone(), manual(1));
+        let t = solo.submit(seqs[0].clone()).unwrap();
+        solo.poll(t).unwrap().expect("flushed");
+        let solo_gemms = solo.stats().wave_gemms as f64;
+
+        let mut batcher = Batcher::new(&program, model.params.clone(), manual(16));
+        let tickets: Vec<Ticket> = seqs
+            .into_iter()
+            .map(|l| batcher.submit(l).unwrap())
             .collect();
         let r = batcher.poll(tickets[0]).unwrap().unwrap();
         assert!(
-            (r.superwave_width - 4.0).abs() < 1e-9,
-            "4 width-1 sequence waves merge into width-4 super-waves, got {}",
+            (r.superwave_width - 16.0).abs() < 1e-9,
+            "16 width-1 sequence waves merge into width-16 super-waves, got {}",
             r.superwave_width
         );
-        assert!(batcher.stats().super_gemms > 0);
-        let mean_requests =
-            batcher.stats().super_gemm_requests as f64 / batcher.stats().super_gemms.max(1) as f64;
+        let stats = batcher.stats();
+        assert!(stats.super_gemms > 0);
+        let mean_requests = stats.super_gemm_requests as f64 / stats.super_gemms as f64;
         assert!(
-            mean_requests > 3.0,
-            "nearly every GEMM should serve all 4 requests, got {mean_requests:.2}"
+            mean_requests >= 12.0,
+            "nearly every GEMM should serve all 16 requests, got {mean_requests:.2}"
+        );
+        let gemms_per_request = stats.wave_gemms as f64 / 16.0;
+        assert!(
+            gemms_per_request * 8.0 <= solo_gemms,
+            "depth 16 must launch ≥ 8× fewer GEMMs per request than depth 1 \
+             ({gemms_per_request:.2} vs {solo_gemms})"
         );
     }
 

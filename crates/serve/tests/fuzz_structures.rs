@@ -157,39 +157,86 @@ fn batcher_refuses_hostile_admissions_with_typed_errors_and_counters() {
         "under-arity chain must be InvalidInput, got {err}"
     );
 
-    // A one-byte memory budget: everything is over budget.
+    // A one-byte memory budget: all eight trees are over budget.
     batcher.set_exec_options(ExecOptions {
         memory_budget: Some(1),
         ..ExecOptions::default()
     });
-    let tree = linearize(&fuzz.valid_tree());
-    let err = batcher.submit(tree.clone()).unwrap_err();
-    assert!(
-        matches!(err, ServeError::OverBudget { budget: 1, .. }),
-        "tiny budget must be OverBudget, got {err}"
-    );
+    let trees: Vec<_> = (0..8).map(|_| linearize(&fuzz.valid_tree())).collect();
+    for tree in &trees {
+        let err = batcher.submit(tree.clone()).unwrap_err();
+        assert!(
+            matches!(err, ServeError::OverBudget { budget: 1, .. }),
+            "tiny budget must be OverBudget, got {err}"
+        );
+    }
 
-    // Refusals must not poison the batcher: the same input is served
-    // once the budget is lifted.
+    // Refusals must not poison the batcher: the same eight inputs are
+    // served once the budget is lifted.
     batcher.set_exec_options(ExecOptions::default());
-    let ticket = batcher.submit(tree).expect("valid input admits");
+    for tree in trees {
+        batcher.submit(tree).expect("valid input admits");
+    }
     let resolved = batcher.drain();
-    let outcome = &resolved
-        .iter()
-        .find(|(t, _)| *t == ticket)
-        .expect("admitted ticket resolves")
-        .1;
-    assert!(outcome.is_ok(), "valid traffic must still be served");
+    assert_eq!(resolved.len(), 8);
+    assert!(
+        resolved.iter().all(|(_, outcome)| outcome.is_ok()),
+        "valid traffic must still be served"
+    );
 
     let stats = batcher.serve_stats();
     assert_eq!(stats.rejected_invalid, 2);
-    assert_eq!(stats.over_budget, 1);
-    assert!(stats.rejected >= 3, "every refusal counts as rejected");
+    assert_eq!(stats.over_budget, 8);
+    assert_eq!(stats.rejected, 2 + 8, "every refusal counts as rejected");
+    assert_eq!(stats.resolved_ok, 8);
     assert_eq!(
         stats.submitted,
         stats.resolved_ok + stats.resolved_err,
         "refused requests never enter the resolution ledger"
     );
+}
+
+/// The fuzzer's case stream straight at the front door: over two
+/// rotations of seed `0xF022`, 14 malformed cases never construct, the
+/// 6 plan-incompatible shapes (wide arity, unary chains against an
+/// exact binary plan) are refused at intake as `InvalidInput`, and the 4
+/// controls are served — an exact split, every ticket resolved once.
+#[test]
+fn invalid_input_burst_splits_exactly() {
+    let model = treelstm::tree_lstm(64, LeafInit::Embedding);
+    let program = model.lower(&RaSchedule::default()).expect("lowers");
+    let mut batcher = Batcher::new(
+        &program,
+        model.params.clone(),
+        BatcherOptions {
+            max_batch: 64,
+            max_delay: std::time::Duration::from_secs(3600),
+            ..BatcherOptions::default()
+        },
+    );
+    let (mut malformed, mut admitted) = (0u64, 0u64);
+    for case in StructureFuzzer::new(0xF022).cases(2 * SHAPES) {
+        let Ok(structure) = case.build() else {
+            malformed += 1;
+            continue;
+        };
+        let input = Linearizer::new().linearize(&structure).expect("linearizes");
+        match batcher.submit(input) {
+            Ok(_) => admitted += 1,
+            Err(e) => assert!(
+                matches!(e, ServeError::InvalidInput { .. }),
+                "{}: unexpected refusal {e}",
+                case.label
+            ),
+        }
+    }
+    batcher.drain();
+    let stats = batcher.serve_stats();
+    assert_eq!(malformed, 14);
+    assert_eq!(stats.rejected_invalid, 6);
+    assert_eq!(stats.submitted, admitted);
+    assert_eq!(stats.resolved_ok, 4);
+    assert_eq!(stats.resolved_ok + stats.resolved_err, stats.submitted);
 }
 
 /// Non-finite parameters — the fuzzer's NaN attack — surface as a typed

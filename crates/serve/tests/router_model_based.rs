@@ -39,7 +39,7 @@ use cortex_rng::Rng;
 use cortex_serve::faults::{silence_injected_panics, FaultInjector};
 use cortex_serve::{
     AimdDepth, BatcherOptions, HealthPolicy, HedgePolicy, ModelId, Placement, Response,
-    RetryPolicy, Router, RouterOptions, RouterTicket, ServeError, TestClock, WhenFull,
+    RetryPolicy, Router, RouterOptions, RouterStats, RouterTicket, ServeError, TestClock, WhenFull,
 };
 
 /// Seeds to sweep: `CORTEX_FAULT_SEEDS=1,2,3` overrides the default.
@@ -602,4 +602,58 @@ fn aimd_depth_halves_on_misses_and_grows_back() {
     router.flush();
     assert_eq!(router.health(id)[0].max_batch, 5, "grew by one");
     assert_eq!(router.stats().depth_increases, 1);
+}
+
+/// One deadline-pressured stream: 64 requests with a 20 ms budget arrive
+/// 2 ms apart on one shard whose `max_delay` never fires, so only the
+/// flush depth decides who makes the deadline.
+fn adaptive_depth_run(adaptive_depth: Option<AimdDepth>) -> RouterStats {
+    let (program, model) = one_model();
+    let clock = TestClock::new();
+    let mut router = Router::new(RouterOptions {
+        adaptive_depth,
+        ..RouterOptions::default()
+    })
+    .with_clock(Rc::new(clock.clone()));
+    let opts = BatcherOptions {
+        max_batch: 16,
+        queue_cap: 128,
+        ..quiet_opts()
+    };
+    let id = router.add_model("m", &program, &model.params, 1, opts);
+    for i in 0..64 {
+        let t = router
+            .submit_with_deadline(id, tree_input(i), Some(Duration::from_millis(20)))
+            .expect("admitted");
+        clock.advance(Duration::from_millis(2));
+        let _ = router.poll(t);
+    }
+    router.drain();
+    router.stats()
+}
+
+/// On the identical clocked stream, the AIMD controller dominates a
+/// fixed depth of 16: the fixed shard waits ~32 ms to fill and misses
+/// most of the stream; AIMD halves its depth after the first missed
+/// window and misses no more, serving at least as many requests.
+#[test]
+fn aimd_depth_dominates_fixed_depth16_on_the_same_stream() {
+    let fixed = adaptive_depth_run(None);
+    let aimd = adaptive_depth_run(Some(AimdDepth {
+        start: 16,
+        min: 1,
+        max: 64,
+        window: 4,
+    }));
+    assert!(
+        fixed.deadline_misses > 40,
+        "the fixed baseline must be under pressure, missed {}",
+        fixed.deadline_misses
+    );
+    assert!(aimd.deadline_misses <= fixed.deadline_misses);
+    assert!(aimd.resolved_ok >= fixed.resolved_ok);
+    assert!(aimd.depth_decreases >= 1);
+    for s in [&fixed, &aimd] {
+        assert_eq!(s.resolved_ok + s.resolved_err, s.submitted);
+    }
 }

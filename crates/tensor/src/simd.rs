@@ -308,7 +308,7 @@ impl Fma for [f32; 4] {
 
 /// Smallest `m·n·k` a product is split across lanes at: 2¹⁸ multiply-adds,
 /// which is one row against the 1024 × 256 gate stack of an `h = 256`
-/// LSTM. The `lanes` section of `BENCH_pipeline.json` has the
+/// LSTM. The `lanes` ceilings of `BENCH_pipeline.json` (v12) have the
 /// measurement on this 2-core box: a fork and join costs ≈ 0.8 µs
 /// (`fork_join_ns`); that one-row product takes 15 µs on one lane (34
 /// GFLOP/s, bound by streaming the 1 MB weight from L2) and 9 µs on two,
