@@ -27,7 +27,8 @@ use std::collections::{HashMap, HashSet};
 use cortex_core::expr::{IdxBinOp, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::Stmt;
 
-use super::super::bulk::{Cells, Instr, RowProgram};
+use super::super::address::Addr;
+use super::super::bulk::{Instr, RowProgram};
 use super::effects::{self, region_of_idx, RegionDim};
 
 /// A parallel-safety certificate for one wave body or fused row pass.
@@ -360,14 +361,14 @@ pub(crate) fn certify_fused(prog: &RowProgram, n_idx: Var, node: Option<Var>) ->
     use crate::fastdot::idx_uses_var;
     let instrs = || prog.passes.iter().flat_map(|p| &p.instrs);
     // The first store of every stored tensor (a handful: no map needed).
-    let mut stores: Vec<&Cells> = Vec::new();
+    let mut stores: Vec<&Addr> = Vec::new();
     for ins in instrs() {
         let Instr::Store { cells, .. } = ins else {
             continue;
         };
         // A store must hit a different row for every node of the wave.
         let node_dep = cells.index.iter().enumerate().any(|(d, e)| {
-            Some(d) != cells.i_pos
+            Some(d) != cells.hole
                 && (idx_uses_var(e, n_idx) || node.is_some_and(|nv| idx_uses_var(e, nv)))
         });
         if !node_dep {
@@ -398,7 +399,7 @@ pub(crate) fn certify_fused(prog: &RowProgram, n_idx: Var, node: Option<Var>) ->
                 // is same-row; elsewhere the coordinate must match the
                 // store's (same node row) or be an earlier-wave child
                 // row.
-                Some(d) == store.i_pos
+                Some(d) == store.hole
                     || *ix == store.index[d]
                     || crate::wave::is_wave_child_indirection(ix, n_idx, node)
             })

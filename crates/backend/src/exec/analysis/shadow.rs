@@ -22,7 +22,6 @@ use std::collections::{HashMap, HashSet};
 use cortex_core::expr::TensorId;
 
 use super::super::interp::Interp;
-use super::super::scalar::Res;
 
 /// Per-interpreter shadow state.
 #[derive(Default)]
@@ -54,22 +53,15 @@ impl<'a> Interp<'a> {
     }
 
     /// Records the cells one packed operand row read.
-    pub(crate) fn shadow_record_row(&mut self, resolved: &[Res], k_len: usize) {
+    pub(crate) fn shadow_record_row(&mut self, streams: &[(usize, usize, usize)], k_len: usize) {
         self.caches.stats.shadow_checks += 1;
-        let mut record = |t: usize, b: usize, s: usize| {
+        for &(t, b, s) in streams {
             if s == 0 {
                 self.shadow.gathered.insert((t, b));
             } else {
                 for kk in 0..k_len {
                     self.shadow.gathered.insert((t, b + kk * s));
                 }
-            }
-        };
-        for r in resolved {
-            match r {
-                Res::Stream(t, b, s) => record(*t, *b, *s),
-                Res::AddStreams(v) => v.iter().for_each(|(t, b, s)| record(*t, *b, *s)),
-                Res::Zero => {}
             }
         }
     }

@@ -18,8 +18,12 @@
 //! what varies per row — addresses, memo rows and scales, which arm of
 //! each feature-invariant `Select` runs, and the exact `×H` `Profile`
 //! counter deltas of the per-element walk — into the engine-owned
-//! [`TileScratch`]; it is the only half that touches the interpreter's
-//! counters, and it always runs sequentially, in row order. The *sweep*
+//! [`TileScratch`]. Every address and condition it evaluates is a
+//! program of [`super::address`] compiled with the row program, and
+//! each memo read names its site by plan ordinal, so the resolve walks
+//! no index tree and searches no table. It is the only half that
+//! touches the interpreter's counters, and it always runs sequentially,
+//! in row order. The *sweep*
 //! ([`Sweeper::sweep`]) then runs the resolved row tile by tile: inputs
 //! copied in, each taken stretch of the op list as one vectorized
 //! [`run_tile`](cortex_tensor::simd::run_tile) call (one in all for a
@@ -39,12 +43,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr, Var};
+use cortex_core::expr::{IdxExpr, TensorId, ValExpr, Var};
 use cortex_core::ilir::Stmt;
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::par::{self, Buf, RowAccess, RowWindows, Window};
 use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
+use super::address::{Addr, Cond, Coord};
 use super::analysis::parsafety::{certify_fused, ParSafety};
 use super::gather::{ActiveGroup, ActiveSite};
 use super::interp::{BufData, Buffer, Interp};
@@ -52,44 +57,33 @@ use super::interp::{BufData, Buffer, Interp};
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
 type Reg = u16;
 
-/// The cells `tensor[index]` one row streams: the feature variable `i`
-/// rides position `i_pos` (or is absent — a loop-invariant broadcast),
-/// where `index` holds a placeholder — so equal `Cells` address the same
-/// cell for equal feature indices, whatever each loop calls its `i`.
-#[derive(Clone, PartialEq)]
-pub(crate) struct Cells {
-    pub(crate) tensor: TensorId,
-    pub(crate) index: Vec<IdxExpr>,
-    pub(crate) i_pos: Option<usize>,
-}
-
-impl Cells {
-    /// Validates an access for row serving: at most one position is the
-    /// plain variable `i`; every other position must be `i`-free and
-    /// counter-free (it is evaluated once instead of once per element).
-    fn new(tensor: TensorId, index: &[IdxExpr], feat: Var) -> Option<Cells> {
-        let mut i_pos = None;
-        for (d, e) in index.iter().enumerate() {
-            let rides = matches!(e, IdxExpr::Var(v) if *v == feat);
-            if rides && i_pos.is_none() {
-                i_pos = Some(d);
-            } else if rides
-                || crate::fastdot::idx_uses_var(e, feat)
-                || crate::wave::idx_has_counting_ufn(e)
-            {
-                return None;
-            }
+/// The cells `tensor[index]` one row streams, as a compiled address
+/// whose hole is the position the feature variable `i` rides (none: a
+/// loop-invariant broadcast), where `index` holds a placeholder — so
+/// equal cells address the same cell for equal feature indices,
+/// whatever each loop calls its `i`.
+///
+/// Validates the access for row serving: at most one position is the
+/// plain variable `i`; every other position must be `i`-free and
+/// counter-free (it is evaluated once instead of once per element).
+fn cells(tensor: TensorId, index: &[IdxExpr], feat: Var) -> Option<Addr> {
+    let mut i_pos = None;
+    for (d, e) in index.iter().enumerate() {
+        let rides = matches!(e, IdxExpr::Var(v) if *v == feat);
+        if rides && i_pos.is_none() {
+            i_pos = Some(d);
+        } else if rides
+            || crate::fastdot::idx_uses_var(e, feat)
+            || crate::wave::idx_has_counting_ufn(e)
+        {
+            return None;
         }
-        let mut index = index.to_vec();
-        if let Some(d) = i_pos {
-            index[d] = IdxExpr::Const(i64::MIN); // no real coordinate; never evaluated
-        }
-        Some(Cells {
-            tensor,
-            index,
-            i_pos,
-        })
     }
+    let mut index = index.to_vec();
+    if let Some(d) = i_pos {
+        index[d] = IdxExpr::Const(i64::MIN); // no real coordinate; never evaluated
+    }
+    Some(Addr::new(tensor, index, i_pos))
 }
 
 /// One instruction of a [`RowPass`].
@@ -100,14 +94,15 @@ pub(crate) enum Instr {
     /// accounting remains.
     Load {
         dst: Reg,
-        cells: Cells,
+        cells: Addr,
         forwarded: bool,
     },
-    /// A reduction served from the wave memo (`Sum` body address), in
+    /// A reduction served from the wave memo — `site` is its ordinal in
+    /// the enclosing wave's plan (`usize::MAX`: no wave plans it) — in
     /// the statement whose feature variable lives in `feat_slot`.
     Memo {
         dst: Reg,
-        key: usize,
+        site: usize,
         feat_slot: usize,
     },
     /// Pure register arithmetic: `ops[from..to]` of the pass, whose
@@ -123,14 +118,14 @@ pub(crate) enum Instr {
     /// to `else_at` when it fails; the taken arm ends in an
     /// [`Instr::Jump`] over the other.
     Select {
-        cond: BoolExpr,
+        cond: Cond,
         else_at: usize,
     },
     Jump(usize),
     /// The statement's store (its cells always ride `i`) from `src`.
     Store {
         src: Reg,
-        cells: Cells,
+        cells: Addr,
     },
 }
 
@@ -165,8 +160,9 @@ pub(crate) struct RowProgram {
     /// without the outer repeat and with forwarded loads read from
     /// memory.
     pub(crate) only: Option<(usize, usize, usize)>,
-    /// `Sum` body keys that must be memo-active for the program to run.
-    pub(crate) sum_keys: Vec<usize>,
+    /// Plan ordinals of the sites that must be memo-active for the
+    /// program to run.
+    pub(crate) sites: Vec<usize>,
 }
 
 /// A parallel `d_batch` (wave) loop whose **whole body** lowers into one
@@ -179,9 +175,9 @@ pub(crate) struct RowProgram {
 pub(crate) struct FusedWave {
     /// Slot of the wave loop variable.
     pub(crate) n_idx_slot: usize,
-    /// The `let node = value` binding directly under the loop; its value
-    /// is counter-free (checked at plan time).
-    pub(crate) node_let: Option<(usize, IdxExpr)>,
+    /// The `let node = value` binding directly under the loop, compiled;
+    /// its value is counter-free (checked at plan time).
+    pub(crate) node_let: Option<(usize, Coord)>,
     pub(crate) prog: RowProgram,
     /// Bytes one node's row streams through the tile registers, counted
     /// at lowering (see [`RowProgram::stream_bytes`]).
@@ -286,17 +282,19 @@ impl FusedWave {
 
 /// Compiles every feature loop of a kernel body into `bulk` and every
 /// fusable wave loop into `fused`, keyed by `(kernel index, statement
-/// address)` for the engine's lifetime.
+/// address)` for the engine's lifetime. `ordinals` maps each
+/// wave-planned `Sum` body address to its ordinal in its plan.
 pub(crate) fn collect_row_programs(
     body: &[Stmt],
     kernel: usize,
+    ordinals: &HashMap<usize, usize>,
     bulk: &mut HashMap<(usize, usize), Rc<RowProgram>>,
     fused: &mut HashMap<(usize, usize), Rc<FusedWave>>,
 ) {
     for stmt in body {
         stmt.visit(&mut |s| {
             let key = (kernel, s as *const Stmt as usize);
-            if let Some((fw, loops)) = plan_fused_wave(s) {
+            if let Some((fw, loops)) = plan_fused_wave(s, ordinals) {
                 // The wave's feature loops, served on their own when the
                 // wave cannot fuse at run time, share its instructions.
                 for (view, l) in fw.prog.statements().zip(loops) {
@@ -304,7 +302,7 @@ pub(crate) fn collect_row_programs(
                 }
                 fused.insert(key, Rc::new(fw));
             } else if matches!(s, Stmt::For { .. }) && !bulk.contains_key(&key) {
-                if let Some(prog) = lower_row_program(&[(None, s)]) {
+                if let Some(prog) = lower_row_program(&[(None, s)], ordinals) {
                     bulk.insert(key, Rc::new(prog));
                 }
             }
@@ -314,7 +312,10 @@ pub(crate) fn collect_row_programs(
 
 /// Tries to compile a parallel `d_batch` loop into a [`FusedWave`];
 /// also returns the body's feature loops, in statement order.
-fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
+fn plan_fused_wave<'s>(
+    stmt: &'s Stmt,
+    ordinals: &HashMap<usize, usize>,
+) -> Option<(FusedWave, Vec<&'s Stmt>)> {
     let Stmt::For {
         var,
         kind: cortex_core::ilir::LoopKind::Parallel,
@@ -328,19 +329,16 @@ fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
     if d.0 != "d_batch" {
         return None;
     }
-    let (node_let, stmts): (Option<(usize, IdxExpr)>, &[Stmt]) = match body.as_slice() {
-        [Stmt::Let { var, value, body }] => {
-            (Some((var.id() as usize, value.clone())), body.as_slice())
-        }
+    let (node_let, stmts): (Option<(usize, Coord)>, &[Stmt]) = match body.as_slice() {
+        // Evaluating the node binding outside the per-element walk must
+        // be counter-invisible.
+        [Stmt::Let { value, .. }] if crate::wave::idx_has_counting_ufn(value) => return None,
+        [Stmt::Let { var, value, body }] => (
+            Some((var.id() as usize, Coord::new(value))),
+            body.as_slice(),
+        ),
         other => (None, other),
     };
-    // Evaluating the node binding outside the per-element walk must be
-    // counter-invisible.
-    if let Some((_, value)) = &node_let {
-        if crate::wave::idx_has_counting_ufn(value) {
-            return None;
-        }
-    }
     let loops: Vec<_> = stmts
         .iter()
         .map(|s| match s {
@@ -357,7 +355,7 @@ fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
             _ => (None, s),
         })
         .collect();
-    let prog = lower_row_program(&loops)?;
+    let prog = lower_row_program(&loops, ordinals)?;
     let fw = FusedWave {
         n_idx_slot: var.id() as usize,
         node_let,
@@ -381,9 +379,12 @@ fn plan_fused_wave(stmt: &Stmt) -> Option<(FusedWave, Vec<&Stmt>)> {
 /// comes *before* the store in body order (a tile-local
 /// read-then-write). Anything else starts a new pass, which runs after
 /// the previous one has stored the whole row.
-pub(crate) fn lower_row_program(loops: &[(Option<(usize, usize)>, &Stmt)]) -> Option<RowProgram> {
+pub(crate) fn lower_row_program(
+    loops: &[(Option<(usize, usize)>, &Stmt)],
+    ordinals: &HashMap<usize, usize>,
+) -> Option<RowProgram> {
     let mut passes: Vec<RowPass> = Vec::new();
-    let mut sum_keys = Vec::new();
+    let mut sites = Vec::new();
     for &(outer, s) in loops {
         let Stmt::For {
             var: feat,
@@ -403,7 +404,7 @@ pub(crate) fn lower_row_program(loops: &[(Option<(usize, usize)>, &Stmt)]) -> Op
             return None;
         };
         // The store must ride `i`.
-        let store = Cells::new(*tensor, index, *feat).filter(|c| c.i_pos.is_some() && *h > 0)?;
+        let store = cells(*tensor, index, *feat).filter(|c| c.hole.is_some() && *h > 0)?;
         let h = *h as usize;
         let joined = match passes.last_mut() {
             // An earlier read of this store's tensor must be tile-local.
@@ -411,12 +412,12 @@ pub(crate) fn lower_row_program(loops: &[(Option<(usize, usize)>, &Stmt)]) -> Op
                 if (p.outer.is_none() && outer.is_none() && p.h == h)
                     && p.instrs.iter().all(|ins| match ins {
                         Instr::Load { cells, .. } => {
-                            cells.tensor != store.tensor || cells.i_pos == store.i_pos
+                            cells.tensor != store.tensor || cells.hole == store.hole
                         }
                         _ => true,
                     }) =>
             {
-                lower_stmt(p, &mut sum_keys, *feat, &store, value)?
+                lower_stmt(p, &mut sites, ordinals, *feat, &store, value)?
             }
             _ => false,
         };
@@ -430,13 +431,13 @@ pub(crate) fn lower_row_program(loops: &[(Option<(usize, usize)>, &Stmt)]) -> Op
                 regs: 0,
             });
             let fresh = passes.last_mut().expect("pushed above");
-            lower_stmt(fresh, &mut sum_keys, *feat, &store, value)?;
+            lower_stmt(fresh, &mut sites, ordinals, *feat, &store, value)?;
         }
     }
     (!loops.is_empty()).then_some(RowProgram {
         passes: passes.into(),
         only: None,
-        sum_keys,
+        sites,
     })
 }
 
@@ -450,7 +451,7 @@ impl RowProgram {
             let streams = p.instrs.iter().filter(|ins| match ins {
                 Instr::Load {
                     cells, forwarded, ..
-                } => cells.i_pos.is_some() && !forwarded,
+                } => cells.hole.is_some() && !forwarded,
                 Instr::Memo { .. } | Instr::Store { .. } => true,
                 _ => false,
             });
@@ -467,16 +468,16 @@ impl RowProgram {
             pass.stores.iter().map(move |&store_at| {
                 let start = from;
                 from = store_at + 1;
-                let keys = pass.instrs[start..store_at]
+                let sites = pass.instrs[start..store_at]
                     .iter()
                     .filter_map(|ins| match ins {
-                        Instr::Memo { key, .. } => Some(*key),
+                        Instr::Memo { site, .. } => Some(*site),
                         _ => None,
                     });
                 RowProgram {
                     passes: self.passes.clone(),
                     only: Some((p, start, store_at + 1)),
-                    sum_keys: keys.collect(),
+                    sites: sites.collect(),
                 }
             })
         })
@@ -490,14 +491,16 @@ impl RowProgram {
 fn lower_stmt(
     pass: &mut RowPass,
     sums: &mut Vec<usize>,
+    ordinals: &HashMap<usize, usize>,
     feat: Var,
-    store: &Cells,
+    store: &Addr,
     value: &ValExpr,
 ) -> Option<bool> {
     let mark = (pass.instrs.len(), pass.ops.len(), pass.regs, sums.len());
     let mut cx = Emit {
         pass,
         sums,
+        ordinals,
         feat,
         store,
         hidden_read: false,
@@ -520,10 +523,13 @@ fn lower_stmt(
 /// Lowering state of one statement.
 struct Emit<'p> {
     pass: &'p mut RowPass,
+    /// Plan ordinals of the sites the program reads, and the map to
+    /// them from `Sum` body addresses.
     sums: &'p mut Vec<usize>,
+    ordinals: &'p HashMap<usize, usize>,
     feat: Var,
     /// The statement's store.
-    store: &'p Cells,
+    store: &'p Addr,
     /// Set by a read of a tensor the pass stores that cannot be
     /// forwarded.
     hidden_read: bool,
@@ -577,11 +583,11 @@ impl Emit<'_> {
                 value: *c,
             },
             ValExpr::Load { tensor, index } => {
-                let cells = Cells::new(*tensor, index, self.feat)?;
+                let cells = cells(*tensor, index, self.feat)?;
                 // A read of the statement's own store tensor must ride
                 // `i` in the stored dimension: then each tile reads its
                 // cells before writing them, like the per-element walk.
-                if cells.tensor == self.store.tensor && cells.i_pos != self.store.i_pos {
+                if cells.tensor == self.store.tensor && cells.hole != self.store.hole {
                     return None;
                 }
                 let mut stored = None;
@@ -605,11 +611,12 @@ impl Emit<'_> {
             }
             ValExpr::Sum { body, .. } => {
                 let key = &**body as *const ValExpr as usize;
-                self.sums.push(key);
+                let site = self.ordinals.get(&key).copied().unwrap_or(usize::MAX);
+                self.sums.push(site);
                 let dst = self.alloc();
                 self.pass.instrs.push(Instr::Memo {
                     dst,
-                    key,
+                    site,
                     feat_slot: self.feat.id() as usize,
                 });
                 return Some((dst, false));
@@ -662,7 +669,7 @@ impl Emit<'_> {
                 self.join = self.pass.instrs.len();
                 self.pass.instrs[jump_at] = Instr::Jump(self.join);
                 self.pass.instrs[select_at] = Instr::Select {
-                    cond: cond.clone(),
+                    cond: Cond::new(cond),
                     else_at: jump_at + 1,
                 };
                 return Some((dst, true));
@@ -685,9 +692,9 @@ impl<'a> Interp<'a> {
     /// runtime fallback, or for reductions the analyzer rejected — the
     /// caller falls back to the per-element interpreter.
     pub(crate) fn bulk_servable(&self, prog: &RowProgram) -> bool {
-        prog.sum_keys
+        prog.sites
             .iter()
-            .all(|key| self.memo.iter().any(|(k, _)| k == key))
+            .all(|&site| matches!(self.active.get(site), Some(Some(_))))
     }
 
     /// Whether a fused wave can serve right now: bulk serving enabled
@@ -715,10 +722,7 @@ impl<'a> Interp<'a> {
         for r in 0..wave_len {
             #[cfg(feature = "checked")]
             self.shadow_begin_fused_row(r as i64);
-            self.slots[fw.n_idx_slot] = r as i64;
-            if let Some((slot, value)) = &fw.node_let {
-                self.slots[*slot] = self.eval_idx(value);
-            }
+            self.enter_row(fw.n_idx_slot, &fw.node_let, r);
             self.serve_row(&fw.prog, &mut s, fork);
         }
         #[cfg(feature = "checked")]
@@ -880,9 +884,9 @@ impl<'a> Interp<'a> {
                 }
                 Instr::Memo {
                     dst,
-                    key,
+                    site,
                     feat_slot,
-                } => self.resolve_memo(*dst, *key, *feat_slot, pass.h, s),
+                } => self.resolve_memo(*dst, *site, *feat_slot, pass.h, s),
                 Instr::Select { cond, else_at } => {
                     // The scalar path would check the branch — and pay
                     // the condition's counters (e.g. `NumChildren`
@@ -891,7 +895,7 @@ impl<'a> Interp<'a> {
                     let p = &self.profile;
                     let before = (p.flops, p.leaf_check_loads, p.branch_checks);
                     self.profile.branch_checks += 1;
-                    if !self.eval_bool(cond) {
+                    if !self.cond(cond) {
                         pc = *else_at;
                     }
                     let p = &mut self.profile;
@@ -925,8 +929,8 @@ impl<'a> Interp<'a> {
 
     /// The `len`-element window of a tensor buffer `cells` selects for
     /// the current row (stride 0 for a loop-invariant cell).
-    fn window(&mut self, cells: &Cells, len: usize) -> Window {
-        let (base, stride) = self.strided_offset(cells.tensor, &cells.index, cells.i_pos);
+    fn window(&mut self, cells: &Addr, len: usize) -> Window {
+        let (base, stride) = self.addr(cells);
         Window {
             buf: cells.tensor.0 as usize,
             base,
@@ -941,19 +945,16 @@ impl<'a> Interp<'a> {
     fn resolve_memo(
         &mut self,
         dst: Reg,
-        key: usize,
+        idx: usize,
         feat_slot: usize,
         h: usize,
         s: &mut TileScratch,
     ) {
-        let (_, idx) = *self
-            .memo
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("memo-active (checked by bulk_servable)");
         // Disjoint field borrows: the group (rows, metadata) is read
         // while the profile/scope counters are written.
-        let site = &self.active[idx];
+        let site = self.active[idx]
+            .as_ref()
+            .expect("memo-active (checked by bulk_servable)");
         let group = &self.active_groups[site.group];
         let profile = &mut self.profile;
         let mut scope = self.scopes.last_mut();
@@ -1082,7 +1083,7 @@ impl TileMem for RowAccess<'_> {
 struct Sweeper<'a> {
     passes: &'a [RowPass],
     streams: &'a Streams,
-    sites: &'a [ActiveSite],
+    sites: &'a [Option<ActiveSite>],
     groups: &'a [ActiveGroup],
     nonlin: NonlinearityMode,
 }
@@ -1116,7 +1117,7 @@ impl Sweeper<'_> {
                         }
                     }
                     Source::MemoColumn { site, row0, col } => {
-                        let site = &self.sites[*site];
+                        let site = self.sites[*site].as_ref().expect("memo-active");
                         let group = &self.groups[site.group];
                         for (jj, o) in out.iter_mut().enumerate() {
                             let row = row0 + t0 + jj;

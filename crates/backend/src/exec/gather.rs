@@ -4,18 +4,23 @@
 //! (or registers its rows into a pending super-wave GEMM during
 //! `execute_many`), and activates the group's member sites so `Sum`
 //! evaluations — interpreted, bulk, or fused — serve from the result
-//! matrices with the scalar path's exact accounting. Shared verbatim by
-//! the pc-based plan runtime and the `interp: true` oracle.
+//! matrices with the scalar path's exact accounting. Each gathered row
+//! resolves through its site's compiled address program
+//! ([`RowOperand`], built at engine build): no row walks an index tree
+//! or allocates. Everything here — weight packing, the row gather, site
+//! activation — is shared verbatim by the pc-based plan runtime and the
+//! `interp: true` oracle; only the per-element `eval_dot` path walks
+//! the operands instead (`resolve_product`).
 
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cortex_core::expr::BoolExpr;
 use cortex_core::ilir::StorageClass;
 use cortex_tensor::kernels::{self, PackedB};
 
+use super::address::{Resolved, RowOperand};
 use super::checked_assert;
 use super::interp::Interp;
 use crate::wave::{GroupKind, InnerDim, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
@@ -98,9 +103,10 @@ pub(crate) struct RowMeta {
 }
 
 /// A stacking-group member that passed its runtime weight-window check:
-/// the resolved window base/strides and the source tensor's store
-/// generation at resolution time.
+/// its ordinal in the plan, the resolved window base/strides and the
+/// source tensor's store generation at resolution time.
 pub(crate) struct SitePrep<'s> {
+    pub(crate) ordinal: usize,
     pub(crate) site: &'s SumSite,
     pub(crate) wbase: usize,
     pub(crate) si: usize,
@@ -211,7 +217,10 @@ impl<'a> Interp<'a> {
         wave_len: usize,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
     ) -> (usize, usize) {
-        let mut sites = 0usize;
+        // The analysis plans no wave loop inside another, so the active
+        // sites are this wave's, by plan ordinal.
+        debug_assert!(self.active.is_empty(), "wave activations nest");
+        self.active.resize_with(plan.sites.len(), || None);
         let mut groups = 0usize;
         for (ordinal, group) in plan.groups.iter().enumerate() {
             let n = self.prepare_group(
@@ -222,17 +231,16 @@ impl<'a> Interp<'a> {
                 wave_len,
                 defer.as_mut().map(|(acc, req)| (&mut **acc, *req)),
             );
-            if n > 0 {
-                sites += n;
-                groups += 1;
-            }
+            groups += usize::from(n > 0);
         }
-        if groups > 0 {
-            self.caches.stats.waves_batched += 1;
-            #[cfg(feature = "checked")]
-            self.shadow_enter_wave();
+        if groups == 0 {
+            self.active.clear();
+            return (0, 0);
         }
-        (sites, groups)
+        self.caches.stats.waves_batched += 1;
+        #[cfg(feature = "checked")]
+        self.shadow_enter_wave();
+        (plan.sites.len(), groups)
     }
 
     /// Resolves a site's weight window for this wave: `(base, i-stride,
@@ -295,15 +303,11 @@ impl<'a> Interp<'a> {
         let k_len = self.eval_idx(&leader.extent).max(0) as usize;
 
         let mut preps: Vec<SitePrep<'_>> = Vec::with_capacity(group.members.len());
-        let mut attempted = 0usize;
         for &mi in &group.members {
             let site = &plan.sites[mi];
-            if self.memo.iter().any(|(k, _)| *k == site.key) {
-                continue; // defensive: a site is active at most once
-            }
-            attempted += 1;
             if let Some((wbase, si, sk, wgen)) = self.resolve_weight_window(site, k_len) {
                 preps.push(SitePrep {
+                    ordinal: mi,
                     site,
                     wbase,
                     si,
@@ -312,7 +316,7 @@ impl<'a> Interp<'a> {
                 });
             }
         }
-        self.caches.stats.fallback_sites += (attempted - preps.len()) as u64;
+        self.caches.stats.fallback_sites += (group.members.len() - preps.len()) as u64;
         if preps.is_empty() {
             return 0;
         }
@@ -405,7 +409,11 @@ impl<'a> Interp<'a> {
             .get_mut(&leader_key)
             .and_then(Vec::pop)
             .unwrap_or_default();
-        bufs.meta.resize_with(gemm_rows, RowMeta::default);
+        // Only grown: a shorter wave leaves the tail's `tensors`
+        // allocations for the next longer one.
+        if bufs.meta.len() < gemm_rows {
+            bufs.meta.resize_with(gemm_rows, RowMeta::default);
+        }
 
         let group_idx = self.active_groups.len();
         let deferred = if let Some((acc, request)) = defer {
@@ -495,8 +503,7 @@ impl<'a> Interp<'a> {
                 GroupKind::SharedWeight => (g * wave_len, 0, g * wave_len),
             };
             col_off += p.site.feat_extent;
-            self.memo.push((p.site.key, self.active.len()));
-            self.active.push(ActiveSite {
+            self.active[p.ordinal] = Some(ActiveSite {
                 site_key: p.site.key,
                 group: group_idx,
                 row_off,
@@ -512,9 +519,12 @@ impl<'a> Interp<'a> {
         preps.len()
     }
 
-    /// Gathers a group's operand rows (resolving guards, child-sums and
-    /// scalars once per row, with the scalar path's per-element counter
-    /// deltas replayed per served element) into `rows`/`meta`.
+    /// Gathers a group's operand rows into `rows`/`meta`. Shared-rows
+    /// members' row operands are structurally equal (select guards
+    /// included), so the leader's gather stands in for all of them, and
+    /// the per-element walk would have resolved once per served element
+    /// of every member: hence the Σ replay factor. Row-stacked members
+    /// gather one block of rows each.
     #[allow(clippy::too_many_arguments)]
     fn gather_rows(
         &mut self,
@@ -532,168 +542,86 @@ impl<'a> Interp<'a> {
             "wave index slot {} out of range",
             plan.n_idx_slot
         );
-        match kind {
-            GroupKind::SharedRows => {
-                // The members' row operands are structurally equal, so
-                // the leader's resolution stands in for all of them; the
-                // scalar path would have resolved once per served
-                // element of every member, hence the Σ replay factor.
-                // (Grouping requires equal `select_guards` too, so the
-                // leader's guards stand in for all members.)
-                let replay: u64 = preps.iter().map(|p| p.site.served_per_row as u64).sum();
-                let rest = &preps[0].site.rest;
-                let guards = &preps[0].site.select_guards;
-                let inner = preps[0].site.inner;
-                for r in 0..wave_len {
-                    self.slots[plan.n_idx_slot] = r as i64;
-                    if let Some((slot, value)) = &plan.node_let {
-                        self.slots[*slot] = self.eval_idx(value);
+        let (blocks, shared_replay) = match kind {
+            GroupKind::SharedRows => (
+                &preps[..1],
+                Some(preps.iter().map(|p| p.site.served_per_row as u64).sum()),
+            ),
+            GroupKind::SharedWeight => (preps, None),
+        };
+        let mut resolved = std::mem::take(&mut self.caches.resolved);
+        for (g, p) in blocks.iter().enumerate() {
+            let p0 = &self.profile;
+            let before = (p0.flops, p0.leaf_check_loads, p0.branch_checks);
+            for r in 0..wave_len {
+                self.enter_row(plan.n_idx_slot, &plan.node_let, r);
+                // Rank-2 sites gather one row per (node, j) pair; the
+                // analyzer keeps them out of row-stacked groups.
+                for jv in 0..rows_per_node {
+                    if let Some(d) = p.site.inner {
+                        self.slots[d.slot] = jv as i64;
                     }
-                    for jv in 0..rows_per_node {
-                        if let Some(d) = inner {
-                            self.slots[d.slot] = jv as i64;
-                        }
-                        let at = r * rows_per_node + jv;
-                        let row = &mut rows[at * k_len..(at + 1) * k_len];
-                        self.pack_row(rest, guards, k_len, replay, row, &mut meta[at]);
-                    }
+                    let at = (g * wave_len + r) * rows_per_node + jv;
+                    let row = &mut rows[at * k_len..(at + 1) * k_len];
+                    self.gather_row(&p.site.row, k_len, row, &mut meta[at], &mut resolved);
                 }
             }
-            GroupKind::SharedWeight => {
-                for (g, p) in preps.iter().enumerate() {
-                    for r in 0..wave_len {
-                        self.slots[plan.n_idx_slot] = r as i64;
-                        if let Some((slot, value)) = &plan.node_let {
-                            self.slots[*slot] = self.eval_idx(value);
-                        }
-                        let at = g * wave_len + r;
-                        let row = &mut rows[at * k_len..(at + 1) * k_len];
-                        self.pack_row(
-                            &p.site.rest,
-                            &p.site.select_guards,
-                            k_len,
-                            p.site.served_per_row as u64,
-                            row,
-                            &mut meta[at],
-                        );
-                    }
-                }
-            }
+            // The per-element walk would repeat each row's resolution for
+            // every element the row serves: replay the block's counter
+            // deltas that many times over (the node binding charges
+            // nothing, the select guards are evaluated silently).
+            let extra = shared_replay
+                .unwrap_or(p.site.served_per_row as u64)
+                .saturating_sub(1);
+            let p1 = &mut self.profile;
+            p1.flops += (p1.flops - before.0) * extra;
+            p1.leaf_check_loads += (p1.leaf_check_loads - before.1) * extra;
+            p1.branch_checks += (p1.branch_checks - before.2) * extra;
         }
+        self.caches.resolved = resolved;
     }
 
-    /// Resolves one node's row operands and packs its reduction row,
-    /// replicating the scalar path's per-element accounting ×`replay`
-    /// (the summed feature extents of every site this row serves). The
-    /// metadata entry is rewritten in place so its `tensors` allocation
-    /// is recycled across waves.
-    fn pack_row(
+    /// Resolves one row through its compiled address program and packs
+    /// its reduction row. The metadata entry is rewritten in place so its
+    /// `tensors` allocation is recycled across waves.
+    fn gather_row(
         &mut self,
-        rest: &[crate::fastdot::Operand],
-        guards: &[(BoolExpr, bool)],
+        row: &RowOperand,
         k_len: usize,
-        replay: u64,
         out_row: &mut [f32],
         meta: &mut RowMeta,
+        r: &mut Resolved,
     ) {
-        use super::scalar::Res;
+        meta.tensors.clear();
         // Value-level `Select` guards: when one fails, the scalar path
         // never reaches this reduction for this node — no resolution,
         // no accounting, and the (pre-zeroed) row is never read, so its
         // child indirections (possibly NO_CHILD) are never resolved.
-        // The evaluation is silent: the interpreter still walks each
-        // `Select` per served element and pays its counters there.
-        if !guards.is_empty() && !self.eval_guards_silently(guards) {
-            meta.tensors.clear();
+        if !row.guards.is_empty() && !self.guards_hold_silently(&row.guards) {
             meta.scale = 0.0;
             meta.zero = true;
             meta.streams = 0;
             return;
         }
-        let before = (
-            self.profile.flops,
-            self.profile.leaf_check_loads,
-            self.profile.branch_checks,
-        );
-        let (resolved, scale) = self.resolve_product(rest);
-        // The scalar path would repeat this resolution for every served
-        // output element; replay the counter deltas replay-1 more times.
-        let extra = replay.saturating_sub(1);
-        self.profile.flops += (self.profile.flops - before.0) * extra;
-        self.profile.leaf_check_loads += (self.profile.leaf_check_loads - before.1) * extra;
-        self.profile.branch_checks += (self.profile.branch_checks - before.2) * extra;
-
-        meta.tensors.clear();
-        meta.scale = scale;
-        if resolved.iter().any(|r| matches!(r, Res::Zero)) || k_len == 0 {
-            meta.zero = true;
+        self.resolve_row(row, r);
+        meta.scale = r.scale;
+        meta.zero = r.zero || k_len == 0;
+        if meta.zero {
             meta.streams = 0;
             return;
         }
-        meta.zero = false;
-        let mut streams = 0u64;
-        for r in &resolved {
-            match r {
-                Res::Stream(t, _, _) => {
-                    streams += 1;
-                    meta.tensors.push(*t as u32);
-                }
-                Res::AddStreams(v) => {
-                    streams += v.len() as u64;
-                    meta.tensors.extend(v.iter().map(|(t, _, _)| *t as u32));
-                }
-                Res::Zero => unreachable!("filtered above"),
-            }
-        }
-        meta.streams = streams;
+        meta.streams = r.streams.len() as u64;
+        meta.tensors
+            .extend(r.streams.iter().map(|&(t, _, _)| t as u32));
         #[cfg(feature = "checked")]
-        self.shadow_record_row(&resolved, k_len);
-        let bufs = &self.bufs;
-        let data = |t: usize| -> &[f32] { &bufs[t].as_ref().expect("allocated").data };
-        // Fast case: a single plain stream (the matvec row) is a strided
-        // copy; anything else folds the product elementwise.
-        match resolved.as_slice() {
-            [Res::Stream(t, b, s)] => {
-                let d = data(*t);
-                if *s == 1 {
-                    out_row.copy_from_slice(&d[*b..*b + k_len]);
-                } else {
-                    for (kk, ov) in out_row.iter_mut().enumerate() {
-                        *ov = d[b + kk * s];
-                    }
-                }
-            }
-            [Res::AddStreams(v)] => {
-                for (t, b, s) in v {
-                    let d = data(*t);
-                    if *s == 1 {
-                        kernels::axpy(out_row, &d[*b..*b + k_len]);
-                    } else {
-                        for (kk, ov) in out_row.iter_mut().enumerate() {
-                            *ov += d[b + kk * s];
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (kk, ov) in out_row.iter_mut().enumerate() {
-                    let mut prod = 1.0f32;
-                    for r in &resolved {
-                        match r {
-                            Res::Stream(t, b, s) => prod *= data(*t)[b + kk * s],
-                            Res::AddStreams(v) => {
-                                let mut sum = 0.0f32;
-                                for (t, b, s) in v {
-                                    sum += data(*t)[b + kk * s];
-                                }
-                                prod *= sum;
-                            }
-                            Res::Zero => unreachable!("filtered above"),
-                        }
-                    }
-                    *ov = prod;
-                }
-            }
+        self.shadow_record_row(&r.streams, k_len);
+        // The matvec row is a plain copy; any other product is folded a
+        // factor at a time.
+        if let Some(&[(t, b, 1)]) = r.plain() {
+            let data = &self.bufs[t].as_ref().expect("allocated").data;
+            out_row.copy_from_slice(&data[b..b + k_len]);
+        } else {
+            r.pack(&self.bufs, out_row);
         }
     }
 
@@ -704,15 +632,7 @@ impl<'a> Interp<'a> {
         if groups > 0 {
             self.shadow_exit_wave();
         }
-        for _ in 0..sites {
-            let site = self.active.pop().expect("active site");
-            let pos = self
-                .memo
-                .iter()
-                .position(|(k, _)| *k == site.site_key)
-                .expect("memoized site");
-            self.memo.swap_remove(pos);
-        }
+        self.active.truncate(self.active.len() - sites);
         for _ in 0..groups {
             let group = self.active_groups.pop().expect("active group");
             // Shared (super-wave) results are dropped with their `Rc`;

@@ -10,12 +10,13 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cortex_core::expr::{BoolExpr, CmpOp, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
+use cortex_core::expr::{BoolExpr, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
 use cortex_core::ilir::{DimExtent, IlirProgram, Stmt, StorageClass};
 use cortex_ds::linearizer::{Batch, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::Tensor;
 
+use super::address::Resolved;
 use super::bulk::{FusedWave, RowProgram, TileScratch};
 use super::gather::{ActiveGroup, ActiveSite, GroupBufs, StackedWeight};
 use super::lowering::CompiledKernel;
@@ -36,6 +37,9 @@ pub(crate) struct Caches {
     /// Tile registers and resolved rows of the row programs (boxed: it
     /// is taken out and put back around every row program).
     pub(crate) tile: Option<Box<TileScratch>>,
+    /// The resolved operand of the row being gathered or the element
+    /// being dotted, recycled.
+    pub(crate) resolved: Resolved,
     /// Monotonic execution counter, stamped onto weight-cache entries on
     /// every hit or insert — the recency order the LRU eviction uses.
     pub(crate) run_stamp: u64,
@@ -295,15 +299,12 @@ pub(crate) struct Interp<'a> {
     /// (the running one), which is how `execute_many`'s requests share
     /// packed weights and scratch pools without aliasing.
     pub(crate) caches: Caches,
-    /// Sites of the wave currently executing, served from GEMM results.
-    pub(crate) active: Vec<ActiveSite>,
+    /// Sites of the wave currently executing (waves do not nest), by
+    /// their ordinal in its plan: `Some` when served from a GEMM
+    /// result, `None` when the site fell back to the scalar path.
+    pub(crate) active: Vec<Option<ActiveSite>>,
     /// Stacked GEMMs of the wave currently executing.
     pub(crate) active_groups: Vec<ActiveGroup>,
-    /// `(Sum-body address, index into active)` of the active sites. A
-    /// linear scan: waves have a handful of sites, and this lookup runs
-    /// once per interpreted `Sum` element — the hottest path there is,
-    /// where a `HashMap` hash would dominate.
-    pub(crate) memo: Vec<(usize, usize)>,
     /// Zeroed per-tensor touch arrays, recycled across scopes.
     pub(crate) scope_pool: Vec<Vec<(u64, u64)>>,
     /// Per-tensor store generation: bumped on every interpreted store, so
@@ -417,7 +418,6 @@ impl<'a> Interp<'a> {
             caches: Caches::default(),
             active: Vec::new(),
             active_groups: Vec::new(),
-            memo: Vec::new(),
             scope_pool: Vec::new(),
             cache_epoch: NEXT_CACHE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             #[cfg(feature = "checked")]
@@ -658,32 +658,31 @@ impl<'a> Interp<'a> {
     // -- index/boolean expression evaluation --------------------------
 
     pub(crate) fn eval_idx(&mut self, e: &IdxExpr) -> i64 {
+        let mut loads = 0;
+        let v = self.idx_value(e, &mut loads);
+        self.profile.leaf_check_loads += loads;
+        v
+    }
+
+    /// The index walk: the value of `e`, adding the `leaf_check_loads` it
+    /// charges to `loads`.
+    pub(crate) fn idx_value(&self, e: &IdxExpr, loads: &mut u64) -> i64 {
         match e {
             IdxExpr::Const(c) => *c,
             IdxExpr::Var(v) => self.slots[v.id() as usize],
             IdxExpr::Rt(r) => self.rt_scalar(*r),
+            IdxExpr::Ufn(Ufn::StageNodeAt, args) => {
+                let a0 = self.idx_value(&args[0], loads);
+                let a1 = self.idx_value(&args[1], loads);
+                self.rt.stages[a0 as usize][a1 as usize] as i64
+            }
             IdxExpr::Ufn(f, args) => {
-                let a0 = self.eval_idx(&args[0]);
-                match f {
-                    Ufn::Child(k) => self.lin.child_array(*k as usize)[a0 as usize] as i64,
-                    Ufn::Word => self.lin.word(a0 as u32) as i64,
-                    Ufn::NumChildren => {
-                        self.profile.leaf_check_loads += 1;
-                        self.lin.num_children_of(a0 as u32) as i64
-                    }
-                    Ufn::BatchBegin => self.rt.batches[a0 as usize].begin() as i64,
-                    Ufn::BatchLength => self.rt.batches[a0 as usize].len() as i64,
-                    Ufn::NodeAt => self.lin.post_order()[a0 as usize] as i64,
-                    Ufn::RootAt => self.lin.roots()[a0 as usize] as i64,
-                    Ufn::StageLength => self.rt.stages[a0 as usize].len() as i64,
-                    Ufn::StageNodeAt => {
-                        let a1 = self.eval_idx(&args[1]);
-                        self.rt.stages[a0 as usize][a1 as usize] as i64
-                    }
-                }
+                let a0 = self.idx_value(&args[0], loads);
+                *loads += u64::from(*f == Ufn::NumChildren);
+                self.read(*f, a0)
             }
             IdxExpr::Bin(op, a, b) => {
-                let (x, y) = (self.eval_idx(a), self.eval_idx(b));
+                let (x, y) = (self.idx_value(a, loads), self.idx_value(b, loads));
                 match op {
                     IdxBinOp::Add => x + y,
                     IdxBinOp::Sub => x - y,
@@ -694,6 +693,23 @@ impl<'a> Interp<'a> {
                     IdxBinOp::Max => x.max(y),
                 }
             }
+        }
+    }
+
+    /// One read `f(a0)` of a linearizer or schedule array (every
+    /// one-argument [`Ufn`]).
+    #[inline]
+    pub(crate) fn read(&self, f: Ufn, a0: i64) -> i64 {
+        match f {
+            Ufn::Child(k) => self.lin.child_array(k as usize)[a0 as usize] as i64,
+            Ufn::Word => self.lin.word(a0 as u32) as i64,
+            Ufn::NumChildren => self.lin.num_children_of(a0 as u32) as i64,
+            Ufn::BatchBegin => self.rt.batches[a0 as usize].begin() as i64,
+            Ufn::BatchLength => self.rt.batches[a0 as usize].len() as i64,
+            Ufn::NodeAt => self.lin.post_order()[a0 as usize] as i64,
+            Ufn::RootAt => self.lin.roots()[a0 as usize] as i64,
+            Ufn::StageLength => self.rt.stages[a0 as usize].len() as i64,
+            Ufn::StageNodeAt => unreachable!("stage_node takes two arguments"),
         }
     }
 
@@ -714,14 +730,7 @@ impl<'a> Interp<'a> {
         match e {
             BoolExpr::Cmp(op, a, b) => {
                 let (x, y) = (self.eval_idx(a), self.eval_idx(b));
-                match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                }
+                op.apply(x, y)
             }
             BoolExpr::IsLeaf(n) => {
                 let v = self.eval_idx(n);

@@ -41,6 +41,7 @@
 //!   (`scalar`), kept as the bit-exactness oracle — the same
 //!   cross-check pattern as `bulk: false`.
 
+pub(crate) mod address;
 mod analysis;
 mod bulk;
 mod gather;
@@ -631,8 +632,10 @@ pub struct ExecStats {
     /// epilogue's achieved bandwidth — its ceiling is the box's stream
     /// rate.
     pub epilogue_bytes: u64,
-    /// Wall-clock nanoseconds in the wave gather phase (weight packing +
-    /// operand-row resolution), timed per stacking group.
+    /// Wall-clock nanoseconds in the wave gather phase, timed per
+    /// stacking group: weight packing (or the cached pack's check), then
+    /// each operand row resolved through its compiled address program
+    /// and copied into the GEMM's row block.
     pub gather_ns: u64,
     /// Wall-clock nanoseconds in wave GEMM kernels (own launches and
     /// super-wave flushes).
@@ -786,11 +789,22 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
     }
     // The row programs of feature loops and fused wave epilogues are
     // purely syntactic: lower them once here, per `(kernel, statement)`,
-    // instead of caching per run.
+    // instead of caching per run. A row program names each reduction it
+    // reads by the site's ordinal in its wave plan.
+    let ordinals: HashMap<usize, usize> = wave_plans
+        .values()
+        .flat_map(|plan| plan.sites.iter().enumerate().map(|(o, s)| (s.key, o)))
+        .collect();
     let mut bulk_plans = HashMap::new();
     let mut fused_waves = HashMap::new();
     for (ki, kernel) in compiled.iter().enumerate() {
-        bulk::collect_row_programs(&kernel.body, ki, &mut bulk_plans, &mut fused_waves);
+        bulk::collect_row_programs(
+            &kernel.body,
+            ki,
+            &ordinals,
+            &mut bulk_plans,
+            &mut fused_waves,
+        );
     }
     let t0 = Instant::now();
     let plan = lowering::lower(&compiled, &wave_plans, &bulk_plans, &fused_waves);

@@ -9,30 +9,27 @@
 //! two runtimes agree bit-for-bit (outputs *and* `Profile`s) on all
 //! models — the same cross-check pattern as `bulk: false`.
 //!
-//! The expression evaluator ([`Interp::eval_val`], [`Interp::eval_dot`],
-//! [`Interp::resolve_product`]) lives here too and is shared by the pc
-//! runtime: a lowered `Store` op evaluates the very same `ValExpr` tree
-//! the oracle would, so the two runtimes cannot diverge on arithmetic
-//! or accounting.
+//! The expression evaluator ([`Interp::eval_val`], [`Interp::eval_dot`])
+//! lives here too and is shared by the pc runtime: a lowered `Store` op
+//! evaluates the very same `ValExpr` tree the oracle would, so the two
+//! runtimes cannot diverge on arithmetic or accounting.
+//! [`Interp::resolve_product`] walks a reduction's operands for
+//! `eval_dot` only — the per-element path of `ExecOptions::scalar()`,
+//! `wave_gemm: false` and `bulk: false`. The wave gather resolves the
+//! same operands through compiled address programs
+//! ([`super::address`]) into the same [`Resolved`] form, and the
+//! equivalence suites compare the two.
 
-use cortex_core::expr::{BoolExpr, ValExpr};
+use cortex_core::expr::ValExpr;
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
+use super::address::Resolved;
 use super::interp::Interp;
 use super::lowering::CompiledKernel;
 use super::ExecError;
 use super::StepOutcome;
+use crate::fastdot::Operand;
 use crate::wave::SuperWaveAcc;
-
-/// A resolved multiplicative operand of a reduction.
-pub(crate) enum Res {
-    /// `data[base + k*stride]` of one tensor.
-    Stream(usize, usize, usize),
-    /// Sum of streams (child-sum).
-    AddStreams(Vec<(usize, usize, usize)>),
-    /// Guard failed: whole product is zero.
-    Zero,
-}
 
 impl<'a> Interp<'a> {
     /// Runs the whole launch schedule through the recursive AST walk
@@ -177,8 +174,13 @@ impl<'a> Interp<'a> {
                 let key = &**body as *const ValExpr as usize;
                 // Wave memo: this reduction was computed by a wave GEMM —
                 // serve the element and charge the exact counters the
-                // scalar dot would have.
-                if let Some(&(_, idx)) = self.memo.iter().find(|(k, _)| *k == key) {
+                // scalar dot would have. A linear scan: a wave has a
+                // handful of sites.
+                let memo = self
+                    .active
+                    .iter()
+                    .position(|s| s.as_ref().is_some_and(|s| s.site_key == key));
+                if let Some(idx) = memo {
                     return self.serve_memo_element(idx);
                 }
                 let plan = if self.opts.fastdot {
@@ -225,7 +227,7 @@ impl<'a> Interp<'a> {
     /// GEMM result, charging the exact counters the scalar dot would.
     #[inline]
     fn serve_memo_element(&mut self, idx: usize) -> f32 {
-        let site = &self.active[idx];
+        let site = self.active[idx].as_ref().expect("memo-active site");
         let group = &self.active_groups[site.group];
         let r = self.slots[site.n_idx_slot] as usize;
         // Rank-2 sites gather one row per (node, j) pair.
@@ -254,194 +256,87 @@ impl<'a> Interp<'a> {
         value
     }
 
-    /// Evaluates a site's value-level `Select` guards without touching a
-    /// single profile counter (the interpreter pays the `Select`'s
-    /// counters itself, once per served element). Guard conditions are
-    /// index-level booleans — they load no tensors — so restoring the
-    /// three counters an `IdxExpr` evaluation can bump makes the
-    /// evaluation fully invisible.
-    pub(crate) fn eval_guards_silently(&mut self, guards: &[(BoolExpr, bool)]) -> bool {
-        let saved = (
-            self.profile.flops,
-            self.profile.leaf_check_loads,
-            self.profile.branch_checks,
-        );
-        let ok = guards
-            .iter()
-            .all(|(cond, want)| self.eval_bool(cond) == *want);
-        self.profile.flops = saved.0;
-        self.profile.leaf_check_loads = saved.1;
-        self.profile.branch_checks = saved.2;
-        ok
-    }
-
-    /// Resolves the multiplicative operands of a reduction into streams
-    /// (shared by the scalar dot path and the wave packing phase).
-    pub(crate) fn resolve_product(
-        &mut self,
-        operands: &[crate::fastdot::Operand],
-    ) -> (Vec<Res>, f32) {
-        use crate::fastdot::Operand;
-
-        fn resolve_streams(
-            interp: &mut Interp<'_>,
-            op: &Operand,
-            out: &mut Vec<(usize, usize, usize)>,
-        ) -> bool {
+    /// Resolves the multiplicative operands of a reduction into `out` by
+    /// walking them — the per-element reference the gather's compiled
+    /// [`RowOperand`](super::address::RowOperand)s are checked against.
+    pub(crate) fn resolve_product(&mut self, operands: &[Operand], out: &mut Resolved) {
+        fn streams(interp: &mut Interp<'_>, op: &Operand, out: &mut Resolved) {
             match op {
                 Operand::Load {
                     tensor,
                     index,
                     k_pos,
                 } => {
-                    let mut base = 0usize;
-                    for (d, e) in index.iter().enumerate() {
-                        if d == *k_pos {
-                            continue;
-                        }
-                        let c = interp.eval_idx(e);
-                        let stride = interp.bufs[tensor.0 as usize]
-                            .as_ref()
-                            .expect("allocated")
-                            .strides[d];
-                        base += c as usize * stride;
-                    }
-                    let stride = interp.bufs[tensor.0 as usize]
-                        .as_ref()
-                        .expect("allocated")
-                        .strides[*k_pos];
-                    out.push((tensor.0 as usize, base, stride));
-                    true
+                    let (base, stride) = interp.strided_offset(*tensor, index, Some(*k_pos));
+                    out.streams.push((tensor.0 as usize, base, stride));
                 }
-                Operand::Add(parts) => {
-                    for p in parts {
-                        resolve_streams(interp, p, out);
-                    }
-                    true
-                }
+                Operand::Add(parts) => parts.iter().for_each(|p| streams(interp, p, out)),
                 Operand::Guarded { cond, inner } => {
                     if interp.eval_bool(cond) {
-                        resolve_streams(interp, inner, out)
-                    } else {
-                        true // contributes nothing
+                        streams(interp, inner, out);
                     }
                 }
                 Operand::Scalar(_) => unreachable!("scalars are resolved separately"),
             }
         }
-
-        let mut resolved: Vec<Res> = Vec::with_capacity(operands.len());
-        let mut scale = 1.0f32;
+        out.clear();
         for op in operands {
-            match op {
-                Operand::Scalar(e) => scale *= self.eval_val(e),
-                Operand::Guarded { cond, inner } => {
-                    if self.eval_bool(cond) {
-                        let mut streams = Vec::new();
-                        resolve_streams(self, inner, &mut streams);
-                        match streams.len() {
-                            0 => resolved.push(Res::Zero),
-                            1 => {
-                                resolved.push(Res::Stream(streams[0].0, streams[0].1, streams[0].2))
-                            }
-                            _ => resolved.push(Res::AddStreams(streams)),
-                        }
-                    } else {
-                        resolved.push(Res::Zero);
-                    }
-                }
-                Operand::Load { .. } => {
-                    let mut streams = Vec::new();
-                    resolve_streams(self, op, &mut streams);
-                    let (t, b, s) = streams[0];
-                    resolved.push(Res::Stream(t, b, s));
-                }
-                Operand::Add(_) => {
-                    let mut streams = Vec::new();
-                    resolve_streams(self, op, &mut streams);
-                    if streams.is_empty() {
-                        resolved.push(Res::Zero);
-                    } else {
-                        resolved.push(Res::AddStreams(streams));
-                    }
-                }
+            if let Operand::Scalar(e) = op {
+                out.scale *= self.eval_val(e);
+            } else {
+                streams(self, op, out);
+                out.close(matches!(op, Operand::Add(_)));
             }
         }
-        (resolved, scale)
     }
 
     /// Executes a compiled reduction as tight strided loops.
     pub(crate) fn eval_dot(&mut self, plan: &crate::fastdot::DotPlan, n: i64) -> f32 {
-        let (resolved, scale) = self.resolve_product(&plan.operands);
-        if resolved.iter().any(|r| matches!(r, Res::Zero)) || n == 0 {
+        let mut r = std::mem::take(&mut self.caches.resolved);
+        self.resolve_product(&plan.operands, &mut r);
+        let value = self.dot_resolved(&mut r, n);
+        self.caches.resolved = r;
+        value
+    }
+
+    fn dot_resolved(&mut self, r: &mut Resolved, n: i64) -> f32 {
+        if r.zero || n == 0 {
             return 0.0;
         }
         // Accounting in bulk, before borrowing buffers for the hot loop.
         let n_usize = n as usize;
-        let mut stream_count = 0u64;
-        for r in &resolved {
-            match r {
-                Res::Stream(t, _, _) => {
-                    stream_count += 1;
-                    if let Some(scope) = self.scopes.last_mut() {
-                        scope.touch[*t].0 += n as u64;
-                    }
-                }
-                Res::AddStreams(v) => {
-                    stream_count += v.len() as u64;
-                    for (t, _, _) in v {
-                        if let Some(scope) = self.scopes.last_mut() {
-                            scope.touch[*t].0 += n as u64;
-                        }
-                    }
-                }
-                _ => {}
+        if let Some(scope) = self.scopes.last_mut() {
+            for &(t, _, _) in &r.streams {
+                scope.touch[t].0 += n as u64;
             }
         }
-        self.profile.flops += n as u64 * (stream_count + 1);
+        self.profile.flops += n as u64 * (r.streams.len() as u64 + 1);
 
         let bufs = &self.bufs;
         let data = |t: usize| -> &[f32] { &bufs[t].as_ref().expect("allocated").data };
         let mut acc = 0.0f32;
         // Specialize the overwhelmingly common case: product of exactly
         // two plain streams (a matvec row).
-        if resolved.len() == 2 {
-            if let (Res::Stream(t0, b0, s0), Res::Stream(t1, b1, s1)) = (&resolved[0], &resolved[1])
-            {
-                let (d0, d1) = (data(*t0), data(*t1));
-                if *s0 == 1 && *s1 == 1 {
-                    // The chain a wave GEMM runs for this element, so
-                    // the two paths agree bit for bit at any length.
-                    acc = cortex_tensor::simd::dot_ordered(
-                        &d0[*b0..*b0 + n_usize],
-                        &d1[*b1..*b1 + n_usize],
-                    );
-                } else {
-                    for k in 0..n_usize {
-                        acc += d0[b0 + k * s0] * d1[b1 + k * s1];
-                    }
-                }
-                return scale * acc;
-            }
-        }
-        for k in 0..n_usize {
-            let mut prod = 1.0f32;
-            for r in &resolved {
-                match r {
-                    Res::Stream(t, b, s) => prod *= data(*t)[b + k * s],
-                    Res::AddStreams(v) => {
-                        let mut sum = 0.0f32;
-                        for (t, b, s) in v {
-                            sum += data(*t)[b + k * s];
-                        }
-                        prod *= sum;
-                    }
-                    Res::Zero => unreachable!("filtered above"),
+        if let Some(&[(t0, b0, s0), (t1, b1, s1)]) = r.plain() {
+            let (d0, d1) = (data(t0), data(t1));
+            if s0 == 1 && s1 == 1 {
+                // The chain a wave GEMM runs for this element, so the
+                // two paths agree bit for bit at any length.
+                acc =
+                    cortex_tensor::simd::dot_ordered(&d0[b0..b0 + n_usize], &d1[b1..b1 + n_usize]);
+            } else {
+                for k in 0..n_usize {
+                    acc += d0[b0 + k * s0] * d1[b1 + k * s1];
                 }
             }
-            acc += prod;
+            return r.scale * acc;
         }
-        scale * acc
+        let mut row = std::mem::take(&mut r.row);
+        row.resize(n_usize, 0.0);
+        r.pack(bufs, &mut row);
+        acc = row.iter().fold(acc, |acc, p| acc + p);
+        r.row = row;
+        r.scale * acc
     }
 
     // -- resumable execution (the `interp: true` step machine) ---------

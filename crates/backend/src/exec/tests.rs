@@ -1364,7 +1364,7 @@ fn verify_rejects_forged_fused_certificate() {
         prog: super::bulk::RowProgram {
             passes: genuine.prog.passes.clone(),
             only: None,
-            sum_keys: genuine.prog.sum_keys.clone(),
+            sites: genuine.prog.sites.clone(),
         },
         bytes_per_row: genuine.bytes_per_row,
     });
@@ -1373,6 +1373,42 @@ fn verify_rejects_forged_fused_certificate() {
         Err(VerifyError::CertificateMismatch {
             what: "fused",
             index: 0
+        })
+    );
+}
+
+/// A stored address program is re-derived from its source: a fused
+/// wave's node binding compiled from another expression than the one it
+/// carries is refused.
+#[test]
+fn verify_rejects_stale_address_program() {
+    use super::address::Coord;
+    let (g, _) = matvec_tree(6);
+    let mut shared = forgeable_plans(&g);
+    let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
+    let forged = {
+        let genuine = &plan.fused[0];
+        let (slot, node) = genuine.node_let.clone().expect("the wave binds its node");
+        let mut stale = Coord::new(&IdxExpr::Const(0));
+        stale.src = node.src;
+        super::bulk::FusedWave {
+            n_idx_slot: genuine.n_idx_slot,
+            node_let: Some((slot, stale)),
+            prog: super::bulk::RowProgram {
+                passes: genuine.prog.passes.clone(),
+                only: None,
+                sites: genuine.prog.sites.clone(),
+            },
+            bytes_per_row: genuine.bytes_per_row,
+        }
+    };
+    plan.fused[0] = Rc::new(forged);
+    let index = plan.waves.len();
+    assert_eq!(
+        verify(&shared.plan),
+        Err(VerifyError::CertificateMismatch {
+            what: "address",
+            index
         })
     );
 }
@@ -1481,7 +1517,8 @@ fn certify_fused_rejects_overlapping_row_passes() {
                 value,
             }],
         };
-        let prog = super::bulk::lower_row_program(&[(None, &s)]).expect("row-serves");
+        let prog =
+            super::bulk::lower_row_program(&[(None, &s)], &HashMap::new()).expect("row-serves");
         certify_fused(&prog, n, None)
     };
     let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(i)];

@@ -21,7 +21,11 @@
 //! * every stored parallel-safety certificate matches what the static
 //!   certifier derives from the kernels, and every fused wave's is
 //!   `RowDisjoint` — a forged or stale certificate is rejected before
-//!   any run is admitted ([`VerifyError::CertificateMismatch`]).
+//!   any run is admitted ([`VerifyError::CertificateMismatch`]);
+//! * every stored address program (a gathered row operand, a node
+//!   binding, a row program's load, store or select) is what the
+//!   address compiler makes of its source expressions
+//!   ([`VerifyError::CertificateMismatch`] with `what: "address"`).
 //!
 //! The scan is textual (it does not follow jumps): the lowering emits
 //! defs lexically before their uses and brackets loops in op order, so
@@ -34,6 +38,8 @@ use std::collections::{HashMap, HashSet};
 use cortex_core::expr::{BoolExpr, CmpOp, IdxExpr, Ufn, ValExpr};
 use cortex_core::ilir::Stmt;
 
+use super::address::Coord;
+use super::bulk::{Instr, RowPass, RowProgram};
 use super::lowering::CompiledKernel;
 use super::program::{Op, Program};
 
@@ -116,12 +122,15 @@ pub enum VerifyError {
     },
     /// A stored parallel-safety certificate disagrees with the one the
     /// certifier re-derives from the compiled kernels (or a fused wave
-    /// carries anything other than `RowDisjoint`): the plan was forged
-    /// or tampered with after lowering.
+    /// carries anything other than `RowDisjoint`), or a stored address
+    /// program with the one the address compiler derives from its
+    /// source: the plan was forged or tampered with after lowering.
     CertificateMismatch {
-        /// Which certificate table (`"wave"` / `"fused"`).
+        /// Which table (`"wave"` / `"fused"` certificates, or
+        /// `"address"` programs).
         what: &'static str,
-        /// Index into that table.
+        /// Index into that table; address programs are numbered by
+        /// their wave plan, then fused wave, then bulk pass.
         index: usize,
     },
 }
@@ -172,10 +181,13 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "op {op}: loop {loop_id} has inconsistent {what}")
             }
             VerifyError::CertificateMismatch { what, index } => {
+                let analysis = match *what {
+                    "address" => "address compile",
+                    _ => "parallel-safety analysis",
+                };
                 write!(
                     f,
-                    "{what} certificate {index} does not match the re-derived parallel-safety \
-                     analysis"
+                    "{what} certificate {index} does not match the re-derived {analysis}"
                 )
             }
         }
@@ -436,7 +448,48 @@ pub(crate) fn verify(plan: &Program) -> Result<(), VerifyError> {
             .unwrap_or(usize::MAX);
         verify_kernel(plan, &owned, ki, kd.entry..end, limit)?;
     }
-    verify_certificates(plan)
+    verify_certificates(plan)?;
+    verify_addresses(plan)
+}
+
+/// Recompiles every stored address program from its source
+/// expressions and compares: the runtime evaluates the compiled terms
+/// and never looks at the source again, so a stale or forged program
+/// would address other cells than the kernels say.
+fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
+    let node_ok =
+        |node_let: &Option<(usize, Coord)>| node_let.as_ref().is_none_or(|(_, c)| c.is_fresh());
+    // A fused wave's feature-loop views share its passes: check each once.
+    let mut seen: Vec<*const RowPass> = Vec::new();
+    let mut rows_ok = |prog: &RowProgram| {
+        let passes = prog.passes.as_ptr();
+        if seen.contains(&passes) {
+            return true;
+        }
+        seen.push(passes);
+        prog.passes
+            .iter()
+            .flat_map(|p| &p.instrs)
+            .all(|ins| match ins {
+                Instr::Load { cells, .. } | Instr::Store { cells, .. } => cells.is_fresh(),
+                Instr::Select { cond, .. } => cond.is_fresh(),
+                Instr::Memo { .. } | Instr::Ops { .. } | Instr::Jump(_) => true,
+            })
+    };
+    let waves = plan.waves.iter().map(|w| {
+        let sites = &w.plan.sites;
+        node_ok(&w.plan.node_let) && sites.iter().all(|s| s.row.is_fresh())
+    });
+    let fused = plan.fused.iter().map(|fw| (Some(&fw.node_let), &fw.prog));
+    let bulks = plan.bulks.iter().map(|b| (None, &**b));
+    let rows = (fused.chain(bulks)).map(|(node, prog)| node.is_none_or(node_ok) && rows_ok(prog));
+    match waves.chain(rows).position(|ok| !ok) {
+        Some(index) => Err(VerifyError::CertificateMismatch {
+            what: "address",
+            index,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Re-derives every parallel-safety certificate from the compiled

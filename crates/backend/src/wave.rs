@@ -36,6 +36,7 @@ use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::{LoopKind, Stmt};
 use cortex_tensor::kernels::PackedB;
 
+use crate::exec::address::{Coord, RowOperand};
 use crate::fastdot::{self, bool_uses_var, idx_uses_var, val_uses_var, Operand};
 
 /// A batched execution plan for one `d_batch` parallel node loop.
@@ -43,8 +44,9 @@ use crate::fastdot::{self, bool_uses_var, idx_uses_var, val_uses_var, Operand};
 pub(crate) struct WavePlan {
     /// Slot of the loop variable (`n_idx`).
     pub n_idx_slot: usize,
-    /// The `let node = value` binding directly under the loop, if any.
-    pub node_let: Option<(usize, IdxExpr)>,
+    /// The `let node = value` binding directly under the loop, if any,
+    /// compiled (the gather evaluates it once per row).
+    pub node_let: Option<(usize, Coord)>,
     /// Reductions executable as one GEMM per wave.
     pub sites: Vec<SumSite>,
     /// Stacking groups over `sites`: each group runs as **one** GEMM.
@@ -110,21 +112,10 @@ pub(crate) struct SumSite {
     pub served_per_row: usize,
     /// The feature-dependent operand, packed once per run.
     pub weight: WeightRef,
-    /// The remaining (node-dependent or invariant) operands, gathered
-    /// per node into the packed row matrix.
-    pub rest: Vec<Operand>,
-    /// Conjunction of the value-level `Select` guards wrapping this
-    /// `Sum` (the DAG formulation `select(slot < nc(n), Σ_k …, 0)`),
-    /// as `(cond, branch)` pairs: the site is reached when every `cond`
-    /// evaluates to its `branch` (false = the `otherwise` arm). The
-    /// scalar path reaches the reduction only when every guard holds,
-    /// so the gather phase evaluates them **silently** (no profile
-    /// counters — the interpreter still walks each `Select` per served
-    /// element and pays its counters there) and packs a zero row for
-    /// guarded-off nodes, whose result slots are never read (a
-    /// guarded-off node's `Select` takes the other arm before its `Sum`
-    /// — and thus the wave memo — is ever consulted).
-    pub select_guards: Vec<(BoolExpr, bool)>,
+    /// The remaining (node-dependent or invariant) operands and the
+    /// value-level `Select` guards wrapping this `Sum`, compiled into the
+    /// address program the gather resolves each node's row with.
+    pub row: RowOperand,
 }
 
 /// The node-invariant, feature-dependent operand of a site: a plain load
@@ -196,10 +187,8 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut HashMap<usize, WavePlan>) {
 /// Builds a plan for one `d_batch` loop body, or `None` if nothing under
 /// it batches.
 fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool) -> Option<WavePlan> {
-    let (node_let, stmts): (Option<(usize, IdxExpr)>, &[Stmt]) = match body {
-        [Stmt::Let { var, value, body }] => {
-            (Some((var.id() as usize, value.clone())), body.as_slice())
-        }
+    let (node_let, stmts): (Option<(usize, &IdxExpr)>, &[Stmt]) = match body {
+        [Stmt::Let { var, value, body }] => (Some((var.id() as usize, value)), body.as_slice()),
         other => (None, other),
     };
     let node = node_let
@@ -285,7 +274,7 @@ fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool) -> Option<WavePlan> {
         let groups = group_sites(&sites, stack);
         Some(WavePlan {
             n_idx_slot: n_idx.id() as usize,
-            node_let,
+            node_let: node_let.map(|(slot, value)| (slot, Coord::new(value))),
             sites,
             groups,
         })
@@ -375,21 +364,13 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
 /// Whether two sites gather identical operand rows: equal reduction
 /// extents, the same row-side feature dimension (rank-2 sites gather one
 /// row per `(node, j)` pair — they may only share rows with sites using
-/// the *same* `j` loop), and pairwise structurally-equal `rest` operands
-/// (modulo each site's own reduction variable). Such sites share one
-/// packed row matrix; their weights stack vertically.
+/// the *same* `j` loop), and the same row operands
+/// ([`RowOperand::same_rows`]). Such sites share one packed row matrix;
+/// their weights stack vertically. Shared-rows members share one per-row
+/// metadata entry, so their zero patterns — and therefore their `Select`
+/// guards — must coincide too.
 fn rows_sig_equal(a: &SumSite, b: &SumSite) -> bool {
-    a.extent == b.extent
-        && a.inner == b.inner
-        // Shared-rows members share one per-row metadata entry, so their
-        // zero patterns — and therefore their `Select` guards — must
-        // coincide.
-        && a.select_guards == b.select_guards
-        && a.rest.len() == b.rest.len()
-        && a.rest
-            .iter()
-            .zip(&b.rest)
-            .all(|(x, y)| operand_sig_equal(x, y))
+    a.extent == b.extent && a.inner == b.inner && a.row.same_rows(&b.row)
 }
 
 /// Whether two sites read the same weight window: same tensor, same
@@ -410,51 +391,6 @@ fn weight_sig_equal(a: &SumSite, b: &SumSite) -> bool {
             .zip(&wb.index)
             .enumerate()
             .all(|(d, (x, y))| d == wa.i_pos || d == wa.k_pos || x == y)
-}
-
-/// Structural operand equality ignoring each side's own reduction
-/// variable (which sits at `k_pos` of every load, and nowhere else —
-/// `fastdot::compile` guarantees guards, scalars, and the remaining
-/// index positions are reduction-invariant).
-pub(crate) fn operand_sig_equal(a: &Operand, b: &Operand) -> bool {
-    match (a, b) {
-        (
-            Operand::Load {
-                tensor: ta,
-                index: ia,
-                k_pos: ka,
-            },
-            Operand::Load {
-                tensor: tb,
-                index: ib,
-                k_pos: kb,
-            },
-        ) => {
-            ta == tb
-                && ka == kb
-                && ia.len() == ib.len()
-                && ia
-                    .iter()
-                    .zip(ib)
-                    .enumerate()
-                    .all(|(d, (x, y))| d == *ka || x == y)
-        }
-        (Operand::Add(pa), Operand::Add(pb)) => {
-            pa.len() == pb.len() && pa.iter().zip(pb).all(|(x, y)| operand_sig_equal(x, y))
-        }
-        (
-            Operand::Guarded {
-                cond: ca,
-                inner: xa,
-            },
-            Operand::Guarded {
-                cond: cb,
-                inner: xb,
-            },
-        ) => ca == cb && operand_sig_equal(xa, xb),
-        (Operand::Scalar(ea), Operand::Scalar(eb)) => ea == eb,
-        _ => false,
-    }
 }
 
 /// Records every tensor stored under a statement.
@@ -748,8 +684,7 @@ fn plan_site(
         inner,
         served_per_row,
         weight: weight?,
-        rest,
-        select_guards: guards.to_vec(),
+        row: RowOperand::new(rest, guards),
     })
 }
 
@@ -1016,8 +951,8 @@ mod tests {
         let plan = plans.values().next().unwrap();
         assert_eq!(plan.sites.len(), 1);
         let site = &plan.sites[0];
-        assert_eq!(site.select_guards.len(), 1);
-        assert!(site.select_guards[0].1, "then-branch guard expects true");
+        assert_eq!(site.row.guards.len(), 1);
+        assert!(site.row.guards[0].1, "then-branch guard expects true");
     }
 
     #[test]
@@ -1104,7 +1039,12 @@ mod tests {
         assert_eq!(site.weight.tensor, TensorId(0));
         assert_eq!(site.weight.i_pos, 0);
         assert_eq!(site.weight.k_pos, 1);
-        assert_eq!(site.rest.len(), 1);
+        let rest = Operand::Load {
+            tensor: TensorId(1),
+            index: vec![IdxExpr::Var(v(1)), IdxExpr::Var(v(3))],
+            k_pos: 1,
+        };
+        assert_eq!(site.row, RowOperand::new(vec![rest], &[]));
     }
 
     #[test]

@@ -356,6 +356,20 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// `x op y`.
+    pub fn apply(self, x: i64, y: i64) -> bool {
+        match self {
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+        }
+    }
+}
+
 /// A boolean condition over index expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr {

@@ -68,15 +68,7 @@ pub fn simplify_bool(e: &BoolExpr) -> BoolExpr {
             let a = simplify_idx(a);
             let b = simplify_idx(b);
             if let (IdxExpr::Const(x), IdxExpr::Const(y)) = (&a, &b) {
-                let v = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
-                return constant_bool(v);
+                return constant_bool(op.apply(*x, *y));
             }
             if a == b {
                 return constant_bool(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
@@ -127,15 +119,7 @@ pub fn constant_bool(v: bool) -> BoolExpr {
 /// comparison).
 pub fn is_constant_bool(e: &BoolExpr) -> Option<bool> {
     if let BoolExpr::Cmp(op, IdxExpr::Const(x), IdxExpr::Const(y)) = e {
-        let v = match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        };
-        return Some(v);
+        return Some(op.apply(*x, *y));
     }
     None
 }

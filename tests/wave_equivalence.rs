@@ -91,7 +91,7 @@ fn three_executors_agree_on_random_models_and_trees() {
     let mut rng = Rng::new(0x51);
     for case in 0..24 {
         let h = rng.range_usize(3, 11);
-        for model in models(h) {
+        for model in nine_models(h, h) {
             let structure = structure_for(&model, &mut rng);
             let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
@@ -702,7 +702,7 @@ fn bulk_serving_is_bit_identical_to_per_element_serving() {
     let mut rng = Rng::new(0x59);
     for case in 0..6 {
         let h = rng.range_usize(3, 14);
-        for model in models(h) {
+        for model in nine_models(h, h) {
             let structure = structure_for(&model, &mut rng);
             let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
