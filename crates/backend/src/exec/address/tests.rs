@@ -5,7 +5,6 @@
 //! change the `Profile`'s `leaf_check_loads`, `flops` and
 //! `branch_checks` by exactly what the walk does. Bounded by counts.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cortex_core::expr::{BoolExpr, CmpOp, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn, Var};
@@ -167,7 +166,7 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
     let (mut coords, mut conds, mut addrs, mut in_range) = (0, 0, 0, 0);
     for case in 0..60 {
         let lin = structure(&mut rng, case);
-        let (mut arena, mut pool) = (HashMap::new(), Vec::new());
+        let mut pool = Vec::new();
         let mut interp = Interp::new(
             &program,
             &lin,
@@ -176,7 +175,6 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             ExecOptions::default(),
             shared.clone(),
             8,
-            &mut arena,
             &mut pool,
         )
         .unwrap();

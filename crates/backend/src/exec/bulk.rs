@@ -821,9 +821,9 @@ impl<'a> Interp<'a> {
                 ..
             }) => Buf::Write(v),
             Some(Buffer {
-                data: BufData::Shared(v),
+                data: BufData::Shared(t),
                 ..
-            }) => Buf::Read(v),
+            }) => Buf::Read(t.as_slice()),
             None => Buf::Read(&[]),
         });
         let forked = s.windows.run(tensors, &|row, access| {

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
 use cortex_core::ilir::{DimExtent, IlirProgram, Stmt, StorageClass};
@@ -71,15 +72,15 @@ pub(crate) struct Caches {
 // ---------------------------------------------------------------------
 
 /// Backing storage of a [`Buffer`]: owned and writable, or a read-only
-/// view of the engine's shared parameter arena. Sharing parameters is
-/// what keeps a serving batch's K simultaneous interpreters from each
-/// copying (and keeping resident) the full weight + embedding set —
-/// parameters are bound once per `(model, params generation)` and every
-/// run/request of the engine reads the same allocation.
+/// view of a bound parameter tensor. `Param` buffers hold the
+/// [`Params`] entry's own `Arc`, so every run, every request of a
+/// serving batch and every engine bound to clones of one set reads the
+/// caller's allocation: no engine copies (or keeps resident) its own
+/// weight + embedding set.
 #[derive(Debug, Clone)]
 pub(crate) enum BufData {
     Owned(Vec<f32>),
-    Shared(Rc<Vec<f32>>),
+    Shared(Arc<Tensor>),
 }
 
 impl std::ops::Deref for BufData {
@@ -89,7 +90,7 @@ impl std::ops::Deref for BufData {
     fn deref(&self) -> &[f32] {
         match self {
             BufData::Owned(v) => v,
-            BufData::Shared(r) => r,
+            BufData::Shared(t) => t.as_slice(),
         }
     }
 }
@@ -108,7 +109,7 @@ impl BufData {
     pub(crate) fn into_vec(self) -> Vec<f32> {
         match self {
             BufData::Owned(v) => v,
-            BufData::Shared(r) => r.as_ref().clone(),
+            BufData::Shared(t) => t.as_slice().to_vec(),
         }
     }
 }
@@ -161,11 +162,10 @@ impl Buffer {
         Self::with_data(dims, class, BufData::Owned(v))
     }
 
-    /// A read-only view of an arena allocation: no owned storage is
-    /// allocated (or zeroed) at all — on small solo runs the throwaway
-    /// zero-fill of a `[vocab, h]` embedding table used to dwarf the
-    /// actual execution.
-    pub(crate) fn shared(dims: Dims, class: StorageClass, data: Rc<Vec<f32>>) -> Self {
+    /// A read-only view of a bound parameter tensor: no owned storage is
+    /// allocated, zeroed or filled at all — on small solo runs a copy of
+    /// a `[vocab, h]` embedding table would dwarf the actual execution.
+    pub(crate) fn shared(dims: Dims, class: StorageClass, data: Arc<Tensor>) -> Self {
         Self::with_data(dims, class, BufData::Shared(data))
     }
 
@@ -339,7 +339,6 @@ impl<'a> Interp<'a> {
         opts: ExecOptions,
         shared: super::SharedPlans,
         max_slots: usize,
-        param_arena: &mut HashMap<u32, Rc<Vec<f32>>>,
         buf_pool: &mut Vec<Vec<f32>>,
     ) -> Result<Self, ExecError> {
         let rt = RtEnv::new(program, lin)?;
@@ -362,7 +361,7 @@ impl<'a> Interp<'a> {
             };
             let buf = if decl.class == StorageClass::Param {
                 let bound = params
-                    .get(&decl.name)
+                    .get_shared(&decl.name)
                     .ok_or_else(|| ExecError::MissingParam(decl.name.clone()))?;
                 if bound.shape().dims() != &*dims {
                     return Err(ExecError::ParamShape {
@@ -371,15 +370,9 @@ impl<'a> Interp<'a> {
                         found: bound.shape().dims().to_vec(),
                     });
                 }
-                // Parameters are read-only to the generated code: every
-                // interpreter shares the engine arena's one allocation
-                // (filled on first use per params generation) instead of
-                // copying the full weight + embedding set per run.
-                let shared_buf = param_arena
-                    .entry(decl.id.0)
-                    .or_insert_with(|| Rc::new(bound.as_slice().to_vec()));
-                debug_assert_eq!(shared_buf.len(), bound.len());
-                Buffer::shared(dims, decl.class, shared_buf.clone())
+                // Parameters are read-only to the generated code: the
+                // buffer is the caller's tensor, bound in place.
+                Buffer::shared(dims, decl.class, Arc::clone(bound))
             } else {
                 Buffer::new(dims, decl.class, buf_pool)
             };
@@ -486,6 +479,8 @@ impl<'a> Interp<'a> {
         mut self,
         buf_pool: &mut Vec<Vec<f32>>,
     ) -> Result<(HashMap<TensorId, Tensor>, Profile), ExecError> {
+        #[cfg(test)]
+        super::tests::note_param_views(&self);
         let mut outputs = HashMap::new();
         for id in &self.program.outputs {
             let buf = self.bufs[id.0 as usize]

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cortex_core::expr::TensorId;
-use cortex_core::ilir::IlirProgram;
+use cortex_core::ilir::{IlirProgram, StorageClass};
 use cortex_ds::linearizer::{LinearizeError, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::kernels::{self, PackedB};
@@ -712,12 +712,13 @@ pub(crate) enum StepOutcome {
 /// Compiling kernels (dense slot remapping), analyzing wave plans,
 /// pattern-matching reduction bodies, and lowering everything to the
 /// linear `program::Program` are all done **once** here and then
-/// reused by every run. Within a run, packed weight matrices and
-/// per-site scratch buffers are shared across all waves and kernel
-/// launches; weights are re-packed at the start of each run (parameter
-/// bindings may change between runs) while scratch buffers persist. Use
-/// this instead of the free [`execute`] function when running the same
-/// program many times (benchmarks, serving loops):
+/// reused by every run. Every run binds its `Param` buffers to the
+/// caller's [`Params`] tensors in place, so the engine holds no copy of
+/// the parameters. Packed weight matrices are cached across runs and
+/// the requests of a batch until the params generation changes;
+/// per-site scratch buffers persist. Use this instead of the free
+/// [`execute`] function when running the same program many times
+/// (benchmarks, serving loops):
 ///
 /// ```ignore
 /// let mut engine = Engine::new(&program);
@@ -732,20 +733,14 @@ pub struct Engine<'p> {
     plan_stats: PlanStats,
     max_slots: usize,
     caches: Caches,
-    /// Shared parameter arena: one read-only allocation per `Param`
-    /// tensor, bound once per `(model, params generation)` and shared
-    /// by every run and every request of a batch (each interpreter's
-    /// `Param` buffers are `Rc` views of these).
-    param_arena: HashMap<u32, Rc<Vec<f32>>>,
     /// Recycled owned-buffer allocations: [`Interp::finish`] returns the
     /// non-output buffers of a completed run here and the next run's
     /// [`Interp::new`] reuses any with sufficient capacity, so
     /// steady-state serving allocates (almost) nothing per run. Buffers
     /// are re-zeroed on reuse — pooling is invisible to execution.
     buf_pool: Vec<Vec<f32>>,
-    /// The `Params::generation` the packed-weight cache and parameter
-    /// arena were built against; a different generation invalidates
-    /// both.
+    /// The `Params::generation` the packed-weight cache was built
+    /// against; a different generation invalidates it.
     params_gen: Option<u64>,
     /// Static verification verdict of the lowered plan, refreshed on
     /// every [`build_plans`] (fresh build and `set_options` rebuild).
@@ -883,7 +878,6 @@ impl<'p> Engine<'p> {
             plan_stats,
             max_slots,
             caches: Caches::default(),
-            param_arena: HashMap::new(),
             buf_pool: Vec::new(),
             params_gen: None,
             verified,
@@ -966,8 +960,8 @@ impl<'p> Engine<'p> {
     ///   runtime dispatch: no compiled state depends on them, nothing
     ///   invalidates.
     ///
-    /// The parameter arena and packed-weight cache remain keyed on
-    /// `(model, params generation)` independently of all knobs.
+    /// The packed-weight cache remains keyed on `(model, params
+    /// generation)` independently of all knobs.
     pub fn set_options(&mut self, opts: ExecOptions) {
         if opts == self.opts {
             return;
@@ -1040,12 +1034,13 @@ impl<'p> Engine<'p> {
     }
 
     /// Plan-time estimate (bytes) of what executing `lin` will allocate:
-    /// declared tensors at this input's extents, wave gather/pack
-    /// scratch (gathered rows, packed weights, group outputs at the
-    /// widest batch), and the linearized child arrays. An *estimate* —
-    /// upper-bounds steady-state allocation shape, not a byte-exact
-    /// accounting — enforced against [`ExecOptions::memory_budget`] at
-    /// admission.
+    /// declared non-`Param` tensors at this input's extents, wave
+    /// gather/pack scratch (gathered rows, packed weights, group outputs
+    /// at the widest batch), and the linearized child arrays. `Param`
+    /// tensors are not charged: a run binds them in place and allocates
+    /// nothing for them. An *estimate* — upper-bounds steady-state
+    /// allocation shape, not a byte-exact accounting — enforced against
+    /// [`ExecOptions::memory_budget`] at admission.
     pub fn footprint(&self, lin: &Linearized) -> u64 {
         let num_nodes = lin.num_nodes();
         let max_batch = lin
@@ -1058,7 +1053,9 @@ impl<'p> Engine<'p> {
             .max(1);
         let mut bytes: u64 = 0;
         for t in self.program.declared_tensors() {
-            bytes += t.len(num_nodes, max_batch) as u64 * 4;
+            if t.class != StorageClass::Param {
+                bytes += t.len(num_nodes, max_batch) as u64 * 4;
+            }
         }
         // Wave scratch per site: gathered rows (R×K) and the group
         // output (R×H) at the widest batch, plus the packed weights.
@@ -1247,7 +1244,6 @@ impl<'p> Engine<'p> {
             self.opts,
             self.shared.clone(),
             self.max_slots,
-            &mut self.param_arena,
             &mut self.buf_pool,
         )?;
         std::mem::swap(&mut self.caches, &mut interp.caches);
@@ -1317,7 +1313,6 @@ impl<'p> Engine<'p> {
                 self.opts,
                 self.shared.clone(),
                 self.max_slots,
-                &mut self.param_arena,
                 &mut self.buf_pool,
             )?);
         }
@@ -1484,7 +1479,6 @@ impl<'p> Engine<'p> {
         self.caches.run_stamp += 1;
         if self.params_gen != Some(gen) {
             self.caches.weight_cache.clear();
-            self.param_arena.clear();
             self.params_gen = Some(gen);
         } else {
             self.caches.weight_cache.retain(|_, w| w.params_only);

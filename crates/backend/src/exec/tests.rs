@@ -975,6 +975,149 @@ fn footprint_bounds_the_packed_weights_actually_held() {
     }
 }
 
+/// A run binds its parameters in place and allocates nothing for them,
+/// so the footprint leaves them out: a budget smaller than the embedding
+/// table alone still admits a small tree, and one byte less than the
+/// estimate is still refused.
+#[test]
+fn footprint_charges_no_parameter_bytes() {
+    let (program, lin, params, out) = fault_fixture();
+    let needed = Engine::new(&program).footprint(&lin);
+    let emb_bytes = params.get("Emb").unwrap().len() as u64 * 4;
+    assert!(
+        needed < emb_bytes,
+        "{needed} B estimated, Emb is {emb_bytes} B"
+    );
+    let budget = |memory_budget| ExecOptions {
+        memory_budget,
+        ..ExecOptions::default()
+    };
+    let mut fits = Engine::with_options(&program, budget(Some(needed)));
+    let (got, _) = fits.execute(&lin, &params, true).unwrap();
+    let (want, _) = execute(&program, &lin, &params, true).unwrap();
+    assert_eq!(got[&out], want[&out]);
+    let mut tight = Engine::with_options(&program, budget(Some(needed - 1)));
+    assert_eq!(
+        tight.execute(&lin, &params, true).unwrap_err(),
+        ExecError::OverBudget {
+            needed,
+            budget: needed - 1
+        }
+    );
+}
+
+thread_local! {
+    /// `(name, data pointer)` of every `Param` buffer, one entry per run
+    /// finished on this thread ([`note_param_views`]).
+    static PARAM_VIEWS: std::cell::RefCell<Vec<Vec<(String, *const f32)>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Called by `Interp::finish` in test builds: records where each `Param`
+/// buffer of the finishing run reads its data.
+pub(super) fn note_param_views(interp: &super::interp::Interp<'_>) {
+    let views = interp
+        .program
+        .declared_tensors()
+        .filter(|d| d.class == cortex_core::ilir::StorageClass::Param)
+        .map(|d| {
+            let buf = interp.bufs[d.id.0 as usize].as_ref().unwrap();
+            (d.name.clone(), buf.data.as_ptr())
+        })
+        .collect();
+    PARAM_VIEWS.with_borrow_mut(|runs| runs.push(views));
+}
+
+fn matvec_fixture(h: usize) -> (cortex_core::ilir::IlirProgram, Vec<Linearized>, Params) {
+    let (g, _) = matvec_tree(h);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+    let lins = (0..3u64)
+        .map(|s| {
+            Linearizer::new()
+                .linearize(&datasets::random_binary_tree(5 + 4 * s as usize, s))
+                .unwrap()
+        })
+        .collect();
+    let mut params = Params::new();
+    params.set("W", Tensor::random(&[h, h], 0.5, 41));
+    params.set(
+        "Emb",
+        Tensor::random(&[datasets::VOCAB_SIZE as usize, h], 0.5, 42),
+    );
+    (program, lins, params)
+}
+
+/// Zero copy: every `Param` buffer of every run — solo and each request
+/// of a batch — reads the caller's tensor allocation itself.
+#[test]
+fn param_buffers_view_the_bound_tensors_in_place() {
+    let (program, lins, params) = matvec_fixture(8);
+    let mut engine = Engine::new(&program);
+    PARAM_VIEWS.take();
+    engine.execute(&lins[0], &params, true).unwrap();
+    let solo = PARAM_VIEWS.take();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    engine.execute_many(&refs, &params, true).unwrap();
+    let many = PARAM_VIEWS.take();
+    assert_eq!((solo.len(), many.len()), (1, 3));
+    for run in solo.iter().chain(&many) {
+        assert_eq!(run.len(), params.len());
+        for (name, ptr) in run {
+            let bound = params.get(name).unwrap().as_slice().as_ptr();
+            assert_eq!(*ptr, bound, "{name} was copied");
+        }
+    }
+}
+
+#[test]
+fn params_clones_share_storage_and_set_rebinds_one_entry() {
+    let (_, _, original) = matvec_fixture(4);
+    let ptr = |p: &Params, name: &str| p.get(name).unwrap().as_slice().as_ptr();
+    let gen = original.generation();
+    let w = original.get("W").unwrap().clone();
+    let mut clone = original.clone();
+    for (name, t) in original.iter() {
+        assert_eq!(ptr(&clone, name), t.as_slice().as_ptr(), "{name}");
+    }
+    clone.set("W", Tensor::zeros(&[4, 4]));
+    assert_ne!(clone.generation(), gen);
+    assert_eq!(original.generation(), gen, "the original's binding stands");
+    assert_eq!(original.get("W").unwrap(), &w);
+    assert_ne!(ptr(&clone, "W"), ptr(&original, "W"));
+    assert_eq!(ptr(&clone, "Emb"), ptr(&original, "Emb"), "still shared");
+}
+
+/// Rebinding a parameter is seen by the very next run of a warm engine:
+/// it equals a fresh engine's run on the new binding, outputs and
+/// `Profile`.
+#[test]
+fn rebinding_a_param_equals_a_fresh_engine() {
+    let (program, lins, mut params) = matvec_fixture(8);
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let mut warm = Engine::new(&program);
+    warm.execute_many(&refs, &params, true).unwrap();
+    params.set("W", Tensor::random(&[8, 8], 0.5, 7));
+    let got = warm.execute_many(&refs, &params, true).unwrap();
+    let want = Engine::new(&program)
+        .execute_many(&refs, &params, true)
+        .unwrap();
+    assert_eq!(got, want);
+    let solo = warm.execute(&lins[0], &params, true).unwrap();
+    assert_eq!(solo, want[0]);
+}
+
+/// Parameter sets are shared across threads once compiled models are:
+/// this stops compiling if `Params` loses `Send + Sync`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Params>();
+};
+
 /// `tree_rnn`'s guarded twin: every child read sits under the canonical
 /// `slot < num_children` Select (the DAG-RNN idiom), so absent children
 /// contribute zero instead of a dangling indirection.

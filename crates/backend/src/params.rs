@@ -1,11 +1,18 @@
 //! Model parameter binding.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cortex_tensor::Tensor;
 
 /// Named parameter tensors bound to a lowered program's `Param`
 /// declarations (weights, biases, embedding tables).
+///
+/// Each tensor is held behind an [`Arc`], and engines bind their `Param`
+/// buffers to that allocation in place: a clone shares every tensor
+/// (it only bumps reference counts), so a model served by several
+/// shards keeps one copy of its parameters. [`set`](Self::set) rebinds
+/// one entry of one set and leaves every clone's binding untouched.
 ///
 /// # Example
 ///
@@ -20,7 +27,7 @@ use cortex_tensor::Tensor;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Params {
-    by_name: HashMap<String, Tensor>,
+    by_name: HashMap<String, Arc<Tensor>>,
     generation: u64,
 }
 
@@ -36,9 +43,10 @@ impl Params {
         Params::default()
     }
 
-    /// Binds (or replaces) a parameter by name.
+    /// Binds (or replaces) a parameter by name. Only this set sees the
+    /// new tensor: clones keep the one they shared.
     pub fn set(&mut self, name: &str, value: Tensor) -> &mut Self {
-        self.by_name.insert(name.to_string(), value);
+        self.by_name.insert(name.to_string(), Arc::new(value));
         self.generation = NEXT_GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self
     }
@@ -54,12 +62,18 @@ impl Params {
 
     /// Looks up a parameter.
     pub fn get(&self, name: &str) -> Option<&Tensor> {
+        self.by_name.get(name).map(|t| &**t)
+    }
+
+    /// The shared handle of a parameter: what an engine binds its
+    /// `Param` buffer to instead of copying the data.
+    pub(crate) fn get_shared(&self, name: &str) -> Option<&Arc<Tensor>> {
         self.by_name.get(name)
     }
 
     /// Iterates over all bound parameters.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.by_name.iter().map(|(k, v)| (k.as_str(), v))
+        self.by_name.iter().map(|(k, v)| (k.as_str(), &**v))
     }
 
     /// Number of bound parameters.

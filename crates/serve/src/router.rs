@@ -342,9 +342,10 @@ impl<'p> Router<'p> {
     }
 
     /// Registers a model served by `shards` identical [`Batcher`]
-    /// shards (one engine each), returning its handle. When adaptive
-    /// depth is on, [`AimdDepth::start`] overrides
-    /// `shard_opts.max_batch`.
+    /// shards (one engine each), returning its handle. Every shard
+    /// shares the caller's parameter storage: cloning [`Params`] copies
+    /// no tensor. When adaptive depth is on, [`AimdDepth::start`]
+    /// overrides `shard_opts.max_batch`.
     pub fn add_model(
         &mut self,
         name: &str,
@@ -1096,5 +1097,41 @@ impl<'p> Router<'p> {
             .collect();
         out.sort_by_key(|&(t, _)| t);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cortex_core::ra::RaSchedule;
+    use cortex_models::{treelstm, LeafInit};
+
+    /// Shards share the caller's parameter storage: a model added with
+    /// three shards keeps one copy of its parameters, not four.
+    #[test]
+    fn every_shard_reads_the_callers_parameter_allocation() {
+        let model = treelstm::tree_lstm(8, LeafInit::Embedding);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let mut router = Router::new(RouterOptions::default());
+        let id = router.add_model(
+            "lstm",
+            &program,
+            &model.params,
+            3,
+            BatcherOptions::default(),
+        );
+        let shards = &router.models[id.0].shards;
+        assert_eq!(shards.len(), 3);
+        for (s, shard) in shards.iter().enumerate() {
+            let held = &shard.batcher.as_ref().unwrap().params;
+            assert_eq!(held.len(), model.params.len());
+            for (name, t) in model.params.iter() {
+                assert_eq!(
+                    held.get(name).unwrap().as_slice().as_ptr(),
+                    t.as_slice().as_ptr(),
+                    "shard {s} copied {name}"
+                );
+            }
+        }
     }
 }
