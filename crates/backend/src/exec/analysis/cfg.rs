@@ -70,7 +70,7 @@ impl OpCfg {
                     }
                 }
                 Op::KernelEnd => {}
-                Op::Let { .. } | Op::Store { .. } | Op::Barrier => {
+                Op::Let { .. } | Op::Store(_) | Op::Barrier => {
                     succs[pc].push(pc + 1);
                 }
             }

@@ -15,21 +15,12 @@
 //!   entirely in these terms, and the shadow checker
 //!   ([`super::shadow`]) dynamically validates the concrete accesses
 //!   against what the regions promised.
-//!
-//! # Safety
-//!
-//! Ops reference their expressions by raw pointer into the compiled
-//! kernels; every deref here is covered by the pointer invariant
-//! documented in [`super::super::program`]: `Program::source` owns the
-//! statement trees for the program's whole lifetime, and compiled
-//! kernels are immutable after construction.
 
 use std::collections::HashMap;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, Ufn, ValExpr};
-use cortex_core::ilir::Stmt;
 
-use super::super::program::{Op, Program};
+use super::super::program::{Op, Program, StoreOp};
 
 /// The slot-level effect summary of one op.
 pub(crate) struct OpEffects {
@@ -80,8 +71,7 @@ pub(crate) fn op_effects(plan: &Program) -> Vec<OpEffects> {
                     return OpEffects::opaque();
                 }
                 let mut e = OpEffects::none();
-                // SAFETY: see module docs — `plan.source` owns the tree.
-                idx_slots(unsafe { &*l.extent }, &mut Vec::new(), &mut e.reads);
+                idx_slots(&l.extent, &mut Vec::new(), &mut e.reads);
                 push_unique(&mut e.writes, l.slot as u32);
                 e
             }
@@ -95,16 +85,12 @@ pub(crate) fn op_effects(plan: &Program) -> Vec<OpEffects> {
             }
             Op::Let { slot, value } => {
                 let mut e = OpEffects::none();
-                // SAFETY: see module docs.
-                idx_slots(unsafe { &**value }, &mut Vec::new(), &mut e.reads);
+                idx_slots(value, &mut Vec::new(), &mut e.reads);
                 push_unique(&mut e.writes, *slot as u32);
                 e
             }
-            Op::Store { stmt } => {
-                // SAFETY: see module docs.
-                let Stmt::Store { index, value, .. } = (unsafe { &**stmt }) else {
-                    return OpEffects::opaque();
-                };
+            Op::Store(id) => {
+                let StoreOp { index, value, .. } = &plan.stores[*id];
                 let mut e = OpEffects::none();
                 let mut bound = Vec::new();
                 for dim in index {
@@ -115,8 +101,7 @@ pub(crate) fn op_effects(plan: &Program) -> Vec<OpEffects> {
             }
             Op::Branch { cond, .. } => {
                 let mut e = OpEffects::none();
-                // SAFETY: see module docs.
-                bool_slots(unsafe { &**cond }, &mut Vec::new(), &mut e.reads);
+                bool_slots(cond, &mut Vec::new(), &mut e.reads);
                 e
             }
             Op::FusedEpilogue | Op::BulkPass { .. } => OpEffects::opaque(),

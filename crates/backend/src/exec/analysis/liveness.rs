@@ -31,20 +31,25 @@
 //!    and every such cross-time comparison is confined to `d_batch`
 //!    bodies.
 //!
+//! The rewrite builds the new kernels from the preliminary program's
+//! own expressions, recolored in place: the lowering emits one loop per
+//! `For`, one op per `Let` and `If` and one store per `Store`, in
+//! statement pre-order, so a pre-order walk of the kernels meets them
+//! in the order they were emitted — a `Let` is dead by its op.
+//!
 //! A forward definite-assignment solve (the must-analysis twin of
 //! liveness) re-checks the rewritten kernels under debug assertions:
 //! every read must be dominated by a write on all paths, which would
 //! catch a miscolored rewrite long before the weaker textual
 //! `UseBeforeDef` scan does.
 
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::HashMap;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr, Var};
 use cortex_core::ilir::{LoopKind, Stmt};
 
-use super::super::lowering::{self, CompiledKernel};
-use super::super::program::{Op, Program};
+use super::super::lowering::{self, CompiledKernel, StmtPlans};
+use super::super::program::{Op, Program, StoreOp};
 use super::cfg::OpCfg;
 use super::dataflow::{self, BitSet, Direction, GenKill, Meet};
 use super::effects::{self, OpEffects};
@@ -70,18 +75,18 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
     if kernels.is_empty() {
         return (kernels, OptStats::default());
     }
-    let rc = Rc::new(kernels);
     // Plan-free preliminary lowering: same CFG and expressions as the
     // final program, analyzable before any wave/bulk/fused decisions.
-    let plan = lowering::lower(&rc, &HashMap::new(), &HashMap::new(), &HashMap::new());
+    let plan = lowering::lower(&kernels, Vec::new(), &StmtPlans::default());
     let cfg = OpCfg::build(&plan);
     let eff = effects::op_effects(&plan);
-    let nslots = rc.iter().map(|k| k.num_slots).max().unwrap_or(0);
+    let nslots = plan.kernels.iter().map(|k| k.num_slots).max().unwrap_or(0);
 
     // --- Liveness + dead-`Let` elimination, to a fixpoint ---
-    let mut dead: HashSet<usize> = HashSet::new();
+    // `dead[pc]`: the op at `pc` is a `Let` found dead.
+    let mut dead = vec![false; plan.ops.len()];
     let live = loop {
-        let transfers = liveness_transfers(&plan, &eff, &dead, nslots);
+        let transfers = liveness_transfers(&eff, &dead, nslots);
         let sol = dataflow::solve(
             &cfg,
             Direction::Backward,
@@ -93,16 +98,13 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
         let mut changed = false;
         for (pc, op) in plan.ops.iter().enumerate() {
             if let Op::Let { slot, value } = op {
-                let addr = *value as usize;
-                if dead.contains(&addr) || sol.outs[pc].contains(*slot) {
+                if dead[pc] || sol.outs[pc].contains(*slot) {
                     continue;
                 }
-                // SAFETY: `plan.source` owns the expression tree (the
-                // pointer invariant of `super::super::program`).
-                if crate::wave::idx_has_counting_ufn(unsafe { &**value }) {
+                if crate::wave::idx_has_counting_ufn(value) {
                     continue;
                 }
-                dead.insert(addr);
+                dead[pc] = true;
                 changed = true;
             }
         }
@@ -113,12 +115,13 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
 
     // --- Per-kernel interference, coloring, and rewrite ---
     let mut stats = OptStats {
-        dead_lets: dead.len(),
+        dead_lets: dead.iter().filter(|&&d| d).count(),
         slots_coalesced: 0,
     };
-    let mut out = Vec::with_capacity(rc.len());
+    let mut out = Vec::with_capacity(kernels.len());
+    let mut exprs = Exprs::take(plan, &dead);
     for (ki, &(lo, hi)) in cfg.kernel_ranges.iter().enumerate() {
-        let kernel = &rc[ki];
+        let kernel = &kernels[ki];
         let s_count = kernel.num_slots;
         let mut used = vec![false; s_count];
         let mut adj: Vec<BitSet> = vec![BitSet::new(s_count); s_count];
@@ -129,7 +132,7 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
             }
         };
         for (pc, e) in eff.iter().enumerate().take(hi).skip(lo) {
-            if is_dead_let(&plan.ops[pc], &dead) {
+            if dead[pc] {
                 continue;
             }
             debug_assert!(!e.clobbers_all, "plan-free lowering emitted a plan op");
@@ -201,7 +204,7 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
         let body = kernel
             .body
             .iter()
-            .flat_map(|s| rewrite_stmt(s, &dead, &colors))
+            .flat_map(|s| rewrite_stmt(s, &mut exprs, &colors))
             .collect();
         out.push(CompiledKernel {
             launch: kernel.launch,
@@ -212,32 +215,23 @@ pub(crate) fn optimize_kernels(kernels: Vec<CompiledKernel>) -> (Vec<CompiledKer
     }
 
     if cfg!(debug_assertions) {
-        let rc = Rc::new(out);
-        let plan = lowering::lower(&rc, &HashMap::new(), &HashMap::new(), &HashMap::new());
+        let plan = lowering::lower(&out, Vec::new(), &StmtPlans::default());
         assert!(
             definitely_assigned(&plan),
             "slot optimization broke definite assignment"
         );
-        drop(plan);
-        out = Rc::try_unwrap(rc).unwrap_or_else(|_| unreachable!("plan dropped above"));
     }
     (out, stats)
 }
 
 /// Backward-liveness transfers: `gen` = slots read, `kill` = slots
 /// written; dead `Let`s contribute nothing (they will be removed).
-fn liveness_transfers(
-    plan: &Program,
-    eff: &[OpEffects],
-    dead: &HashSet<usize>,
-    nslots: usize,
-) -> Vec<GenKill> {
-    plan.ops
-        .iter()
-        .zip(eff)
-        .map(|(op, e)| {
+fn liveness_transfers(eff: &[OpEffects], dead: &[bool], nslots: usize) -> Vec<GenKill> {
+    eff.iter()
+        .zip(dead)
+        .map(|(e, &dead)| {
             let mut t = GenKill::empty(nslots);
-            if is_dead_let(op, dead) {
+            if dead {
                 return t;
             }
             if e.clobbers_all {
@@ -255,16 +249,12 @@ fn liveness_transfers(
         .collect()
 }
 
-fn is_dead_let(op: &Op, dead: &HashSet<usize>) -> bool {
-    matches!(op, Op::Let { value, .. } if dead.contains(&(*value as usize)))
-}
-
 /// Forward definite-assignment (must) analysis: every slot an op reads
 /// is written on *all* paths reaching it. The rewrite cross-check.
 pub(crate) fn definitely_assigned(plan: &Program) -> bool {
     let cfg = OpCfg::build(plan);
     let eff = effects::op_effects(plan);
-    let nslots = plan.source.iter().map(|k| k.num_slots).max().unwrap_or(0);
+    let nslots = plan.kernels.iter().map(|k| k.num_slots).max().unwrap_or(0);
     let transfers: Vec<GenKill> = eff
         .iter()
         .map(|e| {
@@ -278,7 +268,7 @@ pub(crate) fn definitely_assigned(plan: &Program) -> bool {
     let mut boundary = HashMap::new();
     for (ki, &(lo, _)) in cfg.kernel_ranges.iter().enumerate() {
         let mut b = BitSet::new(nslots);
-        if let Some(bs) = plan.source[ki].batch_slot {
+        if let Some(bs) = plan.kernels[ki].batch_slot {
             b.insert(bs);
         }
         boundary.insert(lo, b);
@@ -300,65 +290,106 @@ pub(crate) fn definitely_assigned(plan: &Program) -> bool {
 // Rewrite
 // ---------------------------------------------------------------------
 
-/// Rewrites one statement: dead `Let`s splice their body inline, every
-/// surviving variable is renamed to its color.
-fn rewrite_stmt(s: &Stmt, dead: &HashSet<usize>, colors: &[u32]) -> Vec<Stmt> {
+/// The expressions of the preliminary program, handed back to the
+/// rewrite in the statement pre-order the lowering emitted them in.
+struct Exprs {
+    extents: std::vec::IntoIter<IdxExpr>,
+    /// `None`: a dead `Let`.
+    lets: std::vec::IntoIter<Option<IdxExpr>>,
+    stores: std::vec::IntoIter<StoreOp>,
+    conds: std::vec::IntoIter<BoolExpr>,
+}
+
+impl Exprs {
+    fn take(plan: Program, dead: &[bool]) -> Exprs {
+        let (mut lets, mut conds) = (Vec::new(), Vec::new());
+        for (op, &dead) in plan.ops.into_iter().zip(dead) {
+            match op {
+                Op::Let { value, .. } => lets.push((!dead).then_some(value)),
+                Op::Branch { cond, .. } => conds.push(cond),
+                _ => {}
+            }
+        }
+        let extents: Vec<IdxExpr> = plan.loops.into_iter().map(|l| l.extent).collect();
+        Exprs {
+            extents: extents.into_iter(),
+            lets: lets.into_iter(),
+            stores: plan.stores.into_iter(),
+            conds: conds.into_iter(),
+        }
+    }
+}
+
+/// Rewrites one statement from its expressions in `exprs`: dead `Let`s
+/// splice their body inline, every surviving variable is renamed to its
+/// color.
+fn rewrite_stmt(s: &Stmt, exprs: &mut Exprs, colors: &[u32]) -> Vec<Stmt> {
+    let rewrite = |body: &[Stmt], exprs: &mut Exprs| -> Vec<Stmt> {
+        body.iter()
+            .flat_map(|st| rewrite_stmt(st, exprs, colors))
+            .collect()
+    };
+    const EMITTED: &str = "the lowering emits one per statement";
     match s {
         Stmt::For {
             var,
-            extent,
             kind,
             dim,
             body,
-        } => vec![Stmt::For {
-            var: recolor(*var, colors),
-            extent: rewrite_idx(extent, colors),
-            kind: *kind,
-            dim: dim.clone(),
-            body: body
-                .iter()
-                .flat_map(|st| rewrite_stmt(st, dead, colors))
-                .collect(),
-        }],
-        Stmt::Let { var, value, body } => {
-            let inner: Vec<Stmt> = body
-                .iter()
-                .flat_map(|st| rewrite_stmt(st, dead, colors))
-                .collect();
-            if dead.contains(&(value as *const IdxExpr as usize)) {
-                inner
-            } else {
-                vec![Stmt::Let {
-                    var: recolor(*var, colors),
-                    value: rewrite_idx(value, colors),
-                    body: inner,
-                }]
+            ..
+        } => {
+            let mut extent = exprs.extents.next().expect(EMITTED);
+            recolor_idx(&mut extent, colors);
+            vec![Stmt::For {
+                var: recolor(*var, colors),
+                extent,
+                kind: *kind,
+                dim: dim.clone(),
+                body: rewrite(body, exprs),
+            }]
+        }
+        Stmt::Let { var, body, .. } => {
+            let value = exprs.lets.next().expect(EMITTED);
+            let inner = rewrite(body, exprs);
+            match value {
+                None => inner,
+                Some(mut value) => {
+                    recolor_idx(&mut value, colors);
+                    vec![Stmt::Let {
+                        var: recolor(*var, colors),
+                        value,
+                        body: inner,
+                    }]
+                }
             }
         }
-        Stmt::Store {
-            tensor,
-            index,
-            value,
-        } => vec![Stmt::Store {
-            tensor: *tensor,
-            index: index.iter().map(|e| rewrite_idx(e, colors)).collect(),
-            value: rewrite_val(value, colors),
-        }],
+        Stmt::Store { .. } => {
+            let StoreOp {
+                tensor,
+                mut index,
+                mut value,
+            } = exprs.stores.next().expect(EMITTED);
+            index.iter_mut().for_each(|e| recolor_idx(e, colors));
+            recolor_val(&mut value, colors);
+            vec![Stmt::Store {
+                tensor,
+                index,
+                value,
+            }]
+        }
         Stmt::If {
-            cond,
             then_branch,
             else_branch,
-        } => vec![Stmt::If {
-            cond: rewrite_bool(cond, colors),
-            then_branch: then_branch
-                .iter()
-                .flat_map(|st| rewrite_stmt(st, dead, colors))
-                .collect(),
-            else_branch: else_branch
-                .iter()
-                .flat_map(|st| rewrite_stmt(st, dead, colors))
-                .collect(),
-        }],
+            ..
+        } => {
+            let mut cond = exprs.conds.next().expect(EMITTED);
+            recolor_bool(&mut cond, colors);
+            vec![Stmt::If {
+                cond,
+                then_branch: rewrite(then_branch, exprs),
+                else_branch: rewrite(else_branch, exprs),
+            }]
+        }
         Stmt::Barrier => vec![Stmt::Barrier],
     }
 }
@@ -369,66 +400,56 @@ fn recolor(v: Var, colors: &[u32]) -> Var {
     Var::from_raw(c)
 }
 
-fn rewrite_idx(e: &IdxExpr, colors: &[u32]) -> IdxExpr {
+fn recolor_idx(e: &mut IdxExpr, colors: &[u32]) {
     match e {
-        IdxExpr::Const(_) | IdxExpr::Rt(_) => e.clone(),
-        IdxExpr::Var(v) => IdxExpr::Var(recolor(*v, colors)),
-        IdxExpr::Ufn(f, args) => {
-            IdxExpr::Ufn(*f, args.iter().map(|a| rewrite_idx(a, colors)).collect())
+        IdxExpr::Const(_) | IdxExpr::Rt(_) => {}
+        IdxExpr::Var(v) => *v = recolor(*v, colors),
+        IdxExpr::Ufn(_, args) => args.iter_mut().for_each(|a| recolor_idx(a, colors)),
+        IdxExpr::Bin(_, a, b) => {
+            recolor_idx(a, colors);
+            recolor_idx(b, colors);
         }
-        IdxExpr::Bin(op, a, b) => IdxExpr::Bin(
-            *op,
-            Box::new(rewrite_idx(a, colors)),
-            Box::new(rewrite_idx(b, colors)),
-        ),
     }
 }
 
-fn rewrite_bool(e: &BoolExpr, colors: &[u32]) -> BoolExpr {
+fn recolor_bool(e: &mut BoolExpr, colors: &[u32]) {
     match e {
-        BoolExpr::Cmp(op, a, b) => {
-            BoolExpr::Cmp(*op, rewrite_idx(a, colors), rewrite_idx(b, colors))
+        BoolExpr::Cmp(_, a, b) => {
+            recolor_idx(a, colors);
+            recolor_idx(b, colors);
         }
-        BoolExpr::IsLeaf(a) => BoolExpr::IsLeaf(rewrite_idx(a, colors)),
-        BoolExpr::And(a, b) => BoolExpr::And(
-            Box::new(rewrite_bool(a, colors)),
-            Box::new(rewrite_bool(b, colors)),
-        ),
-        BoolExpr::Or(a, b) => BoolExpr::Or(
-            Box::new(rewrite_bool(a, colors)),
-            Box::new(rewrite_bool(b, colors)),
-        ),
-        BoolExpr::Not(a) => BoolExpr::Not(Box::new(rewrite_bool(a, colors))),
+        BoolExpr::IsLeaf(a) => recolor_idx(a, colors),
+        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+            recolor_bool(a, colors);
+            recolor_bool(b, colors);
+        }
+        BoolExpr::Not(a) => recolor_bool(a, colors),
     }
 }
 
-fn rewrite_val(e: &ValExpr, colors: &[u32]) -> ValExpr {
+fn recolor_val(e: &mut ValExpr, colors: &[u32]) {
     match e {
-        ValExpr::Const(_) => e.clone(),
-        ValExpr::Load { tensor, index } => ValExpr::Load {
-            tensor: *tensor,
-            index: index.iter().map(|i| rewrite_idx(i, colors)).collect(),
-        },
-        ValExpr::Unary(op, a) => ValExpr::Unary(*op, Box::new(rewrite_val(a, colors))),
-        ValExpr::Bin(op, a, b) => ValExpr::Bin(
-            *op,
-            Box::new(rewrite_val(a, colors)),
-            Box::new(rewrite_val(b, colors)),
-        ),
-        ValExpr::Sum { var, extent, body } => ValExpr::Sum {
-            var: recolor(*var, colors),
-            extent: rewrite_idx(extent, colors),
-            body: Box::new(rewrite_val(body, colors)),
-        },
+        ValExpr::Const(_) => {}
+        ValExpr::Load { index, .. } => index.iter_mut().for_each(|i| recolor_idx(i, colors)),
+        ValExpr::Unary(_, a) => recolor_val(a, colors),
+        ValExpr::Bin(_, a, b) => {
+            recolor_val(a, colors);
+            recolor_val(b, colors);
+        }
+        ValExpr::Sum { var, extent, body } => {
+            *var = recolor(*var, colors);
+            recolor_idx(extent, colors);
+            recolor_val(body, colors);
+        }
         ValExpr::Select {
             cond,
             then,
             otherwise,
-        } => ValExpr::Select {
-            cond: rewrite_bool(cond, colors),
-            then: Box::new(rewrite_val(then, colors)),
-            otherwise: Box::new(rewrite_val(otherwise, colors)),
-        },
+        } => {
+            recolor_bool(cond, colors);
+            recolor_val(then, colors);
+            recolor_val(otherwise, colors);
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! running them concurrently is race-free) or
 //! [`ParSafety::Sequential`] with a typed [`SeqReason`] naming the
 //! first obstruction. Certificates are computed once at lowering,
-//! stored in the [`Program`](super::super::program::Program), re-derived
-//! and compared by [`super::super::verify`] (a forged certificate is a
+//! stored in the [`Program`], re-derived and compared by
+//! [`super::super::verify`] (a forged certificate is a
 //! [`VerifyError::CertificateMismatch`](super::super::VerifyError)),
 //! and surfaced through `Engine::stats()`. The multicore roadmap item
 //! consumes exactly these certificates: a `RowDisjoint` wave may fan
@@ -25,10 +25,10 @@
 use std::collections::{HashMap, HashSet};
 
 use cortex_core::expr::{IdxBinOp, IdxExpr, TensorId, Ufn, ValExpr, Var};
-use cortex_core::ilir::Stmt;
 
 use super::super::address::Addr;
 use super::super::bulk::{Instr, RowProgram};
+use super::super::program::{Op, Program, StoreOp};
 use super::effects::{self, region_of_idx, RegionDim};
 
 /// A parallel-safety certificate for one wave body or fused row pass.
@@ -126,40 +126,58 @@ impl std::fmt::Display for ParSafety {
 // Wave bodies
 // ---------------------------------------------------------------------
 
-/// Certifies one parallel `d_batch` wave body: may its iterations (one
-/// per node of the wave) run concurrently?
+/// Every wave's certificate, by wave id: the body of the loop that
+/// runs it, certified by [`certify_wave`] (`None` for a wave id no loop
+/// names).
+pub(crate) fn wave_certificates(plan: &Program) -> Vec<Option<ParSafety>> {
+    let mut certs = vec![None; plan.waves.len()];
+    for (id, d) in plan.loops.iter().enumerate() {
+        let Some(w) = d.wave.filter(|&w| w < certs.len()) else {
+            continue;
+        };
+        certs[w] = Some(certify_wave(plan, id, plan.waves[w].node_let.is_some()));
+    }
+    certs
+}
+
+/// Certifies the body of the parallel `d_batch` loop `loop_id`: may its
+/// iterations (one per node of the wave) run concurrently?
 ///
-/// The walk mirrors the shape `plan_wave` consumes — an optional
-/// top-level `let node = …` binding over the per-node statements — but
+/// The body's ops are read in program order, which is the statement
+/// order of the loop body. With `node_let` the first op is the
+/// top-level `let node = …` binding `plan_wave` consumes. The walk
 /// reasons about *every* statement, not just the batchable reductions:
 /// each store must ride an iteration-unique row slot in some
 /// non-feature dimension, and each read of a wave-written tensor must
 /// stay on its own row or a child chain rooted at it.
-pub(crate) fn certify_wave_body(n_idx: Var, body: &[Stmt]) -> ParSafety {
+pub(crate) fn certify_wave(plan: &Program, loop_id: usize, node_let: bool) -> ParSafety {
+    let d = &plan.loops[loop_id];
+    let n_idx = d.slot as u32;
     let mut cx = WaveCx {
-        row_slots: HashSet::from([n_idx.id()]),
-        wave_dep: HashSet::from([n_idx.id()]),
+        row_slots: HashSet::from([n_idx]),
+        wave_dep: HashSet::from([n_idx]),
         env: HashMap::new(),
     };
-    let (stmts, node_let): (&[Stmt], Option<(&Var, &IdxExpr)>) = match body {
-        [Stmt::Let { var, value, body }] => (body.as_slice(), Some((var, value))),
-        other => (other, None),
-    };
-    if let Some((var, value)) = node_let {
-        if injective_in(value, n_idx) {
+    let mut ops = &plan.ops[d.body..d.exit];
+    if let (true, [Op::Let { slot, value }, rest @ ..]) = (node_let, ops) {
+        if injective_in(value, Var::from_raw(n_idx)) {
             // The node alias enumerates distinct rows per iteration —
             // itself an iteration-unique row slot.
-            cx.row_slots.insert(var.id());
+            cx.row_slots.insert(*slot as u32);
         }
         if cx.uses_wave(value) {
-            cx.wave_dep.insert(var.id());
+            cx.wave_dep.insert(*slot as u32);
         }
+        ops = rest;
     }
-    let mut stored = HashSet::new();
-    for s in stmts {
-        collect_stored(s, &mut stored);
-    }
-    match certify_stmts(stmts, &mut cx, &stored) {
+    let stored: HashSet<TensorId> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Store(id) => Some(plan.stores[*id].tensor),
+            _ => None,
+        })
+        .collect();
+    match certify_ops(plan, ops, &mut cx, &stored) {
         Ok(()) => ParSafety::RowDisjoint,
         Err(reason) => ParSafety::Sequential { reason },
     }
@@ -198,35 +216,37 @@ impl WaveCx {
     }
 }
 
-fn certify_stmts(
-    stmts: &[Stmt],
+fn certify_ops(
+    plan: &Program,
+    ops: &[Op],
     cx: &mut WaveCx,
     stored: &HashSet<TensorId>,
 ) -> Result<(), SeqReason> {
-    for s in stmts {
-        match s {
-            Stmt::Barrier => return Err(SeqReason::Barrier),
-            Stmt::For { var, body, .. } => {
+    for op in ops {
+        match op {
+            Op::Barrier => return Err(SeqReason::Barrier),
+            Op::LoopEnter(id) => {
                 // A nested counter is iteration-independent (it restarts
                 // per iteration); the coalescer keeps wave-body slots
                 // distinct, so shadowing cannot occur — drop defensively.
-                cx.wave_dep.remove(&var.id());
-                cx.row_slots.remove(&var.id());
-                cx.env.remove(&var.id());
-                certify_stmts(body, cx, stored)?;
+                let var = plan.loops[*id].slot as u32;
+                cx.wave_dep.remove(&var);
+                cx.row_slots.remove(&var);
+                cx.env.remove(&var);
             }
-            Stmt::Let { var, value, body } => {
+            Op::Let { slot, value } => {
+                let var = *slot as u32;
                 let region = region_of_idx(value, &cx.env);
                 if cx.uses_wave(value) {
-                    cx.wave_dep.insert(var.id());
+                    cx.wave_dep.insert(var);
                 } else {
-                    cx.wave_dep.remove(&var.id());
+                    cx.wave_dep.remove(&var);
                 }
-                cx.row_slots.remove(&var.id());
-                cx.env.insert(var.id(), region);
-                certify_stmts(body, cx, stored)?;
+                cx.row_slots.remove(&var);
+                cx.env.insert(var, region);
             }
-            Stmt::Store { index, value, .. } => {
+            Op::Store(id) => {
+                let StoreOp { index, value, .. } = &plan.stores[*id];
                 let mut row_dims = 0usize;
                 for dim in index {
                     if !cx.uses_wave(dim) {
@@ -242,14 +262,13 @@ fn certify_stmts(
                 }
                 certify_val_loads(value, cx, stored)?;
             }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                certify_stmts(then_branch, cx, stored)?;
-                certify_stmts(else_branch, cx, stored)?;
-            }
+            // Both arms of a branch are certified, in program order.
+            Op::Branch { .. }
+            | Op::Jump(_)
+            | Op::LoopNext(_)
+            | Op::BulkPass { .. }
+            | Op::FusedEpilogue
+            | Op::KernelEnd => {}
         }
     }
     Ok(())
@@ -297,14 +316,6 @@ fn certify_val_loads(
             certify_val_loads(otherwise, cx, stored)
         }
     }
-}
-
-fn collect_stored(s: &Stmt, out: &mut HashSet<TensorId>) {
-    s.visit(&mut |st| {
-        if let Stmt::Store { tensor, .. } = st {
-            out.insert(*tensor);
-        }
-    });
 }
 
 /// Whether `e` is injective in `n`: distinct values of `n` produce

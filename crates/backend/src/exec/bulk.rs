@@ -40,7 +40,6 @@
 //! [`cortex_tensor::approx`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cortex_core::expr::{IdxExpr, TensorId, ValExpr, Var};
@@ -53,6 +52,8 @@ use super::address::{Addr, Cond, Coord};
 use super::analysis::parsafety::{certify_fused, ParSafety};
 use super::gather::{ActiveGroup, ActiveSite};
 use super::interp::{BufData, Buffer, Interp};
+use super::lowering::StmtPlans;
+use crate::wave::{SumSite, WavePlan};
 
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
 type Reg = u16;
@@ -98,8 +99,9 @@ pub(crate) enum Instr {
         forwarded: bool,
     },
     /// A reduction served from the wave memo — `site` is its ordinal in
-    /// the enclosing wave's plan (`usize::MAX`: no wave plans it) — in
-    /// the statement whose feature variable lives in `feat_slot`.
+    /// the enclosing wave's plan, found by binder slot (`usize::MAX`: no
+    /// wave plans it) — in the statement whose feature variable lives in
+    /// `feat_slot`.
     Memo {
         dst: Reg,
         site: usize,
@@ -280,42 +282,46 @@ impl FusedWave {
 // Lowering
 // ---------------------------------------------------------------------
 
-/// Compiles every feature loop of a kernel body into `bulk` and every
-/// fusable wave loop into `fused`, keyed by `(kernel index, statement
-/// address)` for the engine's lifetime. `ordinals` maps each
-/// wave-planned `Sum` body address to its ordinal in its plan.
+/// Compiles every feature loop of a kernel body into `plans.bulk` and
+/// every fusable wave loop into `plans.fused`, keyed by `(kernel index,
+/// statement address)` for the engine's lifetime. `sites` are the sites
+/// of the wave plan enclosing `body` (none outside any); `waves` are the
+/// plans `plans.waves` names.
 pub(crate) fn collect_row_programs(
     body: &[Stmt],
     kernel: usize,
-    ordinals: &HashMap<usize, usize>,
-    bulk: &mut HashMap<(usize, usize), Rc<RowProgram>>,
-    fused: &mut HashMap<(usize, usize), Rc<FusedWave>>,
+    sites: &[SumSite],
+    waves: &[WavePlan],
+    plans: &mut StmtPlans,
 ) {
-    for stmt in body {
-        stmt.visit(&mut |s| {
-            let key = (kernel, s as *const Stmt as usize);
-            if let Some((fw, loops)) = plan_fused_wave(s, ordinals) {
-                // The wave's feature loops, served on their own when the
-                // wave cannot fuse at run time, share its instructions.
-                for (view, l) in fw.prog.statements().zip(loops) {
-                    bulk.insert((kernel, l as *const Stmt as usize), Rc::new(view));
-                }
-                fused.insert(key, Rc::new(fw));
-            } else if matches!(s, Stmt::For { .. }) && !bulk.contains_key(&key) {
-                if let Some(prog) = lower_row_program(&[(None, s)], ordinals) {
-                    bulk.insert(key, Rc::new(prog));
-                }
+    for s in body {
+        let key = (kernel, s as *const Stmt as usize);
+        let sites = match plans.waves.get(&key.1) {
+            Some(&w) => &waves[w].sites[..],
+            None => sites,
+        };
+        if let Some((fw, loops)) = plan_fused_wave(s, sites) {
+            // The wave's feature loops, served on their own when the
+            // wave cannot fuse at run time, share its instructions.
+            for (view, l) in fw.prog.statements().zip(loops) {
+                let at = (kernel, l as *const Stmt as usize);
+                plans.bulk.insert(at, Rc::new(view));
             }
-        });
+            plans.fused.insert(key, Rc::new(fw));
+        } else if matches!(s, Stmt::For { .. }) && !plans.bulk.contains_key(&key) {
+            if let Some(prog) = lower_row_program(&[(None, s)], sites) {
+                plans.bulk.insert(key, Rc::new(prog));
+            }
+        }
+        for child in s.children() {
+            collect_row_programs(std::slice::from_ref(child), kernel, sites, waves, plans);
+        }
     }
 }
 
 /// Tries to compile a parallel `d_batch` loop into a [`FusedWave`];
 /// also returns the body's feature loops, in statement order.
-fn plan_fused_wave<'s>(
-    stmt: &'s Stmt,
-    ordinals: &HashMap<usize, usize>,
-) -> Option<(FusedWave, Vec<&'s Stmt>)> {
+fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, Vec<&'s Stmt>)> {
     let Stmt::For {
         var,
         kind: cortex_core::ilir::LoopKind::Parallel,
@@ -355,7 +361,7 @@ fn plan_fused_wave<'s>(
             _ => (None, s),
         })
         .collect();
-    let prog = lower_row_program(&loops, ordinals)?;
+    let prog = lower_row_program(&loops, sites)?;
     let fw = FusedWave {
         n_idx_slot: var.id() as usize,
         node_let,
@@ -381,10 +387,10 @@ fn plan_fused_wave<'s>(
 /// the previous one has stored the whole row.
 pub(crate) fn lower_row_program(
     loops: &[(Option<(usize, usize)>, &Stmt)],
-    ordinals: &HashMap<usize, usize>,
+    sites: &[SumSite],
 ) -> Option<RowProgram> {
     let mut passes: Vec<RowPass> = Vec::new();
-    let mut sites = Vec::new();
+    let mut memos = Vec::new();
     for &(outer, s) in loops {
         let Stmt::For {
             var: feat,
@@ -417,7 +423,7 @@ pub(crate) fn lower_row_program(
                         _ => true,
                     }) =>
             {
-                lower_stmt(p, &mut sites, ordinals, *feat, &store, value)?
+                lower_stmt(p, &mut memos, sites, *feat, &store, value)?
             }
             _ => false,
         };
@@ -431,13 +437,13 @@ pub(crate) fn lower_row_program(
                 regs: 0,
             });
             let fresh = passes.last_mut().expect("pushed above");
-            lower_stmt(fresh, &mut sites, ordinals, *feat, &store, value)?;
+            lower_stmt(fresh, &mut memos, sites, *feat, &store, value)?;
         }
     }
     (!loops.is_empty()).then_some(RowProgram {
         passes: passes.into(),
         only: None,
-        sites,
+        sites: memos,
     })
 }
 
@@ -491,7 +497,7 @@ impl RowProgram {
 fn lower_stmt(
     pass: &mut RowPass,
     sums: &mut Vec<usize>,
-    ordinals: &HashMap<usize, usize>,
+    sites: &[SumSite],
     feat: Var,
     store: &Addr,
     value: &ValExpr,
@@ -500,7 +506,7 @@ fn lower_stmt(
     let mut cx = Emit {
         pass,
         sums,
-        ordinals,
+        sites,
         feat,
         store,
         hidden_read: false,
@@ -523,10 +529,10 @@ fn lower_stmt(
 /// Lowering state of one statement.
 struct Emit<'p> {
     pass: &'p mut RowPass,
-    /// Plan ordinals of the sites the program reads, and the map to
-    /// them from `Sum` body addresses.
+    /// Plan ordinals of the sites the program reads, and the sites of
+    /// the enclosing wave plan they index.
     sums: &'p mut Vec<usize>,
-    ordinals: &'p HashMap<usize, usize>,
+    sites: &'p [SumSite],
     feat: Var,
     /// The statement's store.
     store: &'p Addr,
@@ -609,9 +615,11 @@ impl Emit<'_> {
                 });
                 return Some((dst, false));
             }
-            ValExpr::Sum { body, .. } => {
-                let key = &**body as *const ValExpr as usize;
-                let site = self.ordinals.get(&key).copied().unwrap_or(usize::MAX);
+            ValExpr::Sum { var, .. } => {
+                let binder = var.id() as usize;
+                let site = (self.sites.iter())
+                    .position(|s| s.binder == binder)
+                    .unwrap_or(usize::MAX);
                 self.sums.push(site);
                 let dst = self.alloc();
                 self.pass.instrs.push(Instr::Memo {

@@ -12,7 +12,6 @@
 //! `interp: true` oracle; only the per-element `eval_dot` path walks
 //! the operands instead (`resolve_product`).
 
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,9 +24,16 @@ use super::checked_assert;
 use super::interp::Interp;
 use crate::wave::{GroupKind, InnerDim, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
 
-/// One packed (possibly vertically stacked) weight matrix.
+/// One packed (possibly vertically stacked) weight matrix of a stacking
+/// group, for one reduction extent.
 pub(crate) struct StackedWeight {
-    /// Per-member `(site key, window base, store generation)`.
+    /// The reduction extent `K` it was packed for: a site's extent may
+    /// legally vary between waves (it is only required to be invariant
+    /// *within* one), and a group keeps one pack per extent instead of
+    /// repacking every wave.
+    pub(crate) k_len: usize,
+    /// Per-member `(site ordinal, window base, store generation)`; the
+    /// first member is the group's leader.
     pub(crate) sig: Vec<(usize, usize, u64)>,
     /// Whether every packed window reads a `Param`-class tensor: only
     /// such packs may cross an interpreter boundary (non-`Param`
@@ -49,23 +55,37 @@ pub(crate) struct StackedWeight {
     pub(crate) data: Rc<PackedB>,
 }
 
-/// Evicts the least-recently-used entries of the packed-weight cache
-/// down to `cap`. Entries stamped by the most recent execution (the
-/// in-flight working set) are the newest and go last — they are only
-/// evicted when a single run's working set itself exceeds the cap.
-pub(crate) fn evict_weight_cache_lru(
-    cache: &mut HashMap<(usize, usize), StackedWeight>,
-    cap: usize,
-) {
-    if cache.len() <= cap {
+/// Evicts the least-recently-used packs of the packed-weight cache (one
+/// list per stacking group) down to `cap` in all. Entries stamped by the
+/// most recent execution (the in-flight working set) are the newest and
+/// go last — they are only evicted when a single run's working set
+/// itself exceeds the cap.
+pub(crate) fn evict_weight_cache_lru(cache: &mut [Vec<StackedWeight>], cap: usize) {
+    let total: usize = cache.iter().map(Vec::len).sum();
+    if total <= cap {
         return;
     }
-    let mut stamps: Vec<((usize, usize), u64)> =
-        cache.iter().map(|(k, w)| (*k, w.last_used)).collect();
-    stamps.sort_by_key(|&(_, used)| used);
-    for (key, _) in stamps.iter().take(cache.len() - cap) {
-        cache.remove(key);
+    let mut stamps: Vec<(u64, usize, usize)> = (cache.iter().enumerate())
+        .flat_map(|(g, packs)| (packs.iter().enumerate()).map(move |(i, w)| (w.last_used, g, i)))
+        .collect();
+    stamps.sort_unstable();
+    let mut doomed: Vec<(usize, usize)> = stamps[..total - cap]
+        .iter()
+        .map(|&(_, g, i)| (g, i))
+        .collect();
+    // Highest index first, so each removal leaves the others in place.
+    doomed.sort_unstable_by(|a, b| b.cmp(a));
+    for (g, i) in doomed {
+        cache[g].swap_remove(i);
     }
+}
+
+/// Entry `i` of a cache indexed by group id, grown on first use.
+fn entry<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 /// Reusable buffers for one stacking group. All three vectors are
@@ -130,8 +150,8 @@ pub(crate) enum GroupOut {
 /// One stacked GEMM currently serving a wave: the packed rows, the
 /// result matrix, and the per-row accounting shared by its sites.
 pub(crate) struct ActiveGroup {
-    /// Group leader's site key (the scratch-buffer cache key).
-    pub(crate) leader_key: usize,
+    /// Engine-wide group id (the scratch-buffer cache index).
+    pub(crate) id: usize,
     /// GEMM output, `[rows][cols]` row-major (owned or a shared block).
     pub(crate) out: GroupOut,
     /// Packed operand rows (kept only to return the buffer to the pool;
@@ -169,7 +189,8 @@ impl ActiveGroup {
 
 /// A site currently served from an [`ActiveGroup`]'s GEMM result.
 pub(crate) struct ActiveSite {
-    pub(crate) site_key: usize,
+    /// The site's `Sum` binder slot ([`SumSite::binder`]).
+    pub(crate) binder: usize,
     /// Index into `Interp::active_groups`.
     pub(crate) group: usize,
     /// Row offset of this site's block in the group result
@@ -213,7 +234,7 @@ impl<'a> Interp<'a> {
     pub(crate) fn prepare_wave(
         &mut self,
         plan: &WavePlan,
-        for_key: usize,
+        wave: usize,
         wave_len: usize,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
     ) -> (usize, usize) {
@@ -226,7 +247,7 @@ impl<'a> Interp<'a> {
             let n = self.prepare_group(
                 plan,
                 group,
-                for_key,
+                wave,
                 ordinal,
                 wave_len,
                 defer.as_mut().map(|(acc, req)| (&mut **acc, *req)),
@@ -292,7 +313,7 @@ impl<'a> Interp<'a> {
         &mut self,
         plan: &WavePlan,
         group: &SiteGroup,
-        for_key: usize,
+        wave: usize,
         ordinal: usize,
         wave_len: usize,
         defer: Option<(&mut SuperWaveAcc, usize)>,
@@ -325,7 +346,9 @@ impl<'a> Interp<'a> {
         // Pack (or reuse) the stacked weight matrix: the members'
         // `[h][K]` windows vertically concatenated for shared-rows
         // groups, the one shared `[H][K]` window for row-stacked groups.
-        let leader_key = preps[0].site.key;
+        // A group keeps one pack per (leader, extent).
+        let id = plan.group_base + ordinal;
+        let leader = preps[0].ordinal;
         let to_pack = match group.kind {
             GroupKind::SharedRows => preps.len(),
             GroupKind::SharedWeight => 1,
@@ -333,32 +356,28 @@ impl<'a> Interp<'a> {
         let cols: usize = preps[..to_pack].iter().map(|p| p.site.feat_extent).sum();
         // Validate the cached pack without materializing a signature —
         // this is the per-wave steady state and must not allocate.
-        let cache_key = (leader_key, k_len);
         let run_stamp = self.caches.run_stamp;
-        let cached = self
-            .caches
-            .weight_cache
-            .get_mut(&cache_key)
-            .is_some_and(|w| {
-                let valid = (w.params_only || w.epoch == self.cache_epoch)
-                    && w.sig.len() == preps.len()
-                    && w.sig
-                        .iter()
-                        .zip(&preps)
-                        .all(|(s, p)| *s == (p.site.key, p.wbase, p.wgen));
-                if valid {
-                    // Recency stamp for the LRU eviction: packs the
-                    // current execution touches are the working set.
-                    w.last_used = run_stamp;
-                }
-                valid
-            });
+        let packs = entry(&mut self.caches.weight_cache, id);
+        let slot = packs
+            .iter()
+            .position(|w| w.k_len == k_len && w.sig[0].0 == leader);
+        let cached = slot.is_some_and(|at| {
+            let w = &mut packs[at];
+            let valid = (w.params_only || w.epoch == self.cache_epoch)
+                && w.sig.len() == preps.len()
+                && (w.sig.iter().zip(&preps)).all(|(s, p)| *s == (p.ordinal, p.wbase, p.wgen));
+            if valid {
+                // Recency stamp for the LRU eviction: packs the current
+                // execution touches are the working set.
+                w.last_used = run_stamp;
+            }
+            valid
+        });
+        let at = slot.unwrap_or(packs.len());
         if !cached {
             self.caches.stats.weight_packs += 1;
-            let sig: Vec<(usize, usize, u64)> = preps
-                .iter()
-                .map(|p| (p.site.key, p.wbase, p.wgen))
-                .collect();
+            let sig: Vec<(usize, usize, u64)> =
+                preps.iter().map(|p| (p.ordinal, p.wbase, p.wgen)).collect();
             let params_only = preps[..to_pack].iter().all(|p| {
                 self.bufs[p.site.weight.tensor.0 as usize]
                     .as_ref()
@@ -374,19 +393,22 @@ impl<'a> Interp<'a> {
                 (0..p.site.feat_extent)
                     .map(move |i| (buf.data.get(p.wbase + i * p.si..).unwrap_or(&[]), p.sk))
             });
-            let data = PackedB::pack(cols, k_len, streams);
-            self.caches.weight_cache.insert(
-                cache_key,
-                StackedWeight {
-                    sig,
-                    params_only,
-                    epoch: self.cache_epoch,
-                    last_used: run_stamp,
-                    data: Rc::new(data),
-                },
-            );
+            let packed = StackedWeight {
+                k_len,
+                sig,
+                params_only,
+                epoch: self.cache_epoch,
+                last_used: run_stamp,
+                data: Rc::new(PackedB::pack(cols, k_len, streams)),
+            };
+            let packs = &mut self.caches.weight_cache[id];
+            if at < packs.len() {
+                packs[at] = packed;
+            } else {
+                packs.push(packed);
+            }
         }
-        let packed_w = self.caches.weight_cache[&cache_key].data.clone();
+        let packed_w = self.caches.weight_cache[id][at].data.clone();
 
         // Gather phase: resolve guards/child-sums/scalars once per row
         // and pack the operand rows. Shared-rows groups gather one row
@@ -403,11 +425,8 @@ impl<'a> Interp<'a> {
             GroupKind::SharedRows => wave_len * rows_per_node,
             GroupKind::SharedWeight => preps.len() * wave_len,
         };
-        let mut bufs = self
-            .caches
-            .group_bufs
-            .get_mut(&leader_key)
-            .and_then(Vec::pop)
+        let mut bufs = entry(&mut self.caches.group_bufs, id)
+            .pop()
             .unwrap_or_default();
         // Only grown: a shorter wave leaves the tail's `tensors`
         // allocations for the next longer one.
@@ -420,9 +439,8 @@ impl<'a> Interp<'a> {
             // Register this request's block of the merged super-wave
             // GEMM and gather straight into it; the GEMM runs at flush.
             let key = SuperKey {
-                for_key,
-                group_ordinal: ordinal,
-                leader_key,
+                wave,
+                group: ordinal,
                 cols,
                 k_len,
             };
@@ -486,7 +504,7 @@ impl<'a> Interp<'a> {
         }
 
         self.active_groups.push(ActiveGroup {
-            leader_key,
+            id,
             out: if deferred {
                 GroupOut::Pending
             } else {
@@ -504,7 +522,7 @@ impl<'a> Interp<'a> {
             };
             col_off += p.site.feat_extent;
             self.active[p.ordinal] = Some(ActiveSite {
-                site_key: p.site.key,
+                binder: p.site.binder,
                 group: group_idx,
                 row_off,
                 col_off: c_off,
@@ -641,15 +659,11 @@ impl<'a> Interp<'a> {
                 GroupOut::Owned(v) => v,
                 GroupOut::Shared { .. } | GroupOut::Pending => Vec::new(),
             };
-            self.caches
-                .group_bufs
-                .entry(group.leader_key)
-                .or_default()
-                .push(GroupBufs {
-                    rows: group.rows,
-                    out,
-                    meta: group.meta,
-                });
+            entry(&mut self.caches.group_bufs, group.id).push(GroupBufs {
+                rows: group.rows,
+                out,
+                meta: group.meta,
+            });
         }
     }
 

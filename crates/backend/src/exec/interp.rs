@@ -18,22 +18,25 @@ use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::Tensor;
 
 use super::address::Resolved;
-use super::bulk::{FusedWave, RowProgram, TileScratch};
+use super::bulk::TileScratch;
 use super::gather::{ActiveGroup, ActiveSite, GroupBufs, StackedWeight};
-use super::lowering::CompiledKernel;
+use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::Program;
 use super::{ExecError, ExecOptions, ExecStats};
 use crate::fastdot::DotPlan;
 use crate::params::Params;
 use crate::profile::{Profile, WaveStat};
-use crate::wave::WavePlan;
 
-/// State the engine keeps across runs: memoized reduction plans (keyed by
-/// the `Sum` body's address within the compiled kernels, stable for the
-/// engine's lifetime), stacked packed-weight matrices (per run), and
-/// per-group gather/output scratch buffers.
+/// State the engine keeps across runs: memoized reduction plans, the
+/// stacked packed-weight matrices and the per-group gather/output
+/// scratch buffers.
 #[derive(Default)]
 pub(crate) struct Caches {
+    /// The scalar reduction plan of each `Sum` a run evaluated outside
+    /// the wave memo, keyed by the address of its body — in the
+    /// program's ops or in the kernel trees the oracle walks, both held
+    /// unchanged for the engine's lifetime. A key only: the plan is
+    /// compiled from the expression being evaluated.
     pub(crate) plan_cache: HashMap<usize, Option<Rc<DotPlan>>>,
     /// Tile registers and resolved rows of the row programs (boxed: it
     /// is taken out and put back around every row program).
@@ -44,21 +47,19 @@ pub(crate) struct Caches {
     /// Monotonic execution counter, stamped onto weight-cache entries on
     /// every hit or insert — the recency order the LRU eviction uses.
     pub(crate) run_stamp: u64,
-    /// Stacked packed weights keyed by `(group leader site key,
-    /// reduction extent)` — the extent is part of the key because a
-    /// site's extent may legally vary between waves (it is only required
-    /// to be invariant *within* one), and keying it keeps both variants
-    /// cached instead of repacking every wave. The signature (per-member
-    /// site key, weight window base, source-tensor store generation) is
-    /// validated on every hit and the pack rebuilt on mismatch — a
+    /// Stacked packed weights by engine-wide group id
+    /// ([`crate::wave::WavePlan::group_base`]): one pack per (leader,
+    /// reduction extent) the group ran with. The signature (per-member
+    /// site ordinal, weight window base, source-tensor store generation)
+    /// is validated on every hit and the pack rebuilt on mismatch — a
     /// non-`Param` weight may be rewritten by a precompute kernel
     /// mid-run.
-    pub(crate) weight_cache: HashMap<(usize, usize), StackedWeight>,
-    /// Reusable gather/output buffers keyed by group leader site key. A
-    /// stack per key: during `execute_many` several requests hold the
-    /// same group's buffers at once (their waves overlap in time), so
-    /// one slot per key would churn allocations.
-    pub(crate) group_bufs: HashMap<usize, Vec<GroupBufs>>,
+    pub(crate) weight_cache: Vec<Vec<StackedWeight>>,
+    /// Reusable gather/output buffers by group id. A stack per group:
+    /// during `execute_many` several requests hold the same group's
+    /// buffers at once (their waves overlap in time), so one slot per
+    /// group would churn allocations.
+    pub(crate) group_bufs: Vec<Vec<GroupBufs>>,
     pub(crate) stats: ExecStats,
     /// Deterministic fault-injection hook ([`super::FaultHook`]),
     /// consulted at instrumented sites. Lives in the caches so it
@@ -284,16 +285,15 @@ pub(crate) struct Interp<'a> {
     pub(crate) persist_active: bool,
     pub(crate) nonlin: NonlinearityMode,
     pub(crate) opts: ExecOptions,
+    /// The compiled kernel trees the `interp: true` oracle walks, and
+    /// its statement-address lookups into the plans.
     pub(crate) compiled: Rc<Vec<CompiledKernel>>,
-    pub(crate) wave_plans: Rc<HashMap<usize, Rc<WavePlan>>>,
-    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<RowProgram>>>,
-    pub(crate) fused_waves: Rc<HashMap<(usize, usize), Rc<FusedWave>>>,
+    pub(crate) stmt_plans: Rc<StmtPlans>,
     /// The lowered linear instruction stream the pc runtime executes.
     pub(crate) plan: Rc<Program>,
     /// Index of the kernel currently launching — the kernel half of the
     /// bulk-plan keys.
     pub(crate) cur_kernel: usize,
-    pub(crate) wave_ancestors: Rc<std::collections::HashSet<usize>>,
     /// Shared engine state, *shuttled* in and out around execution: the
     /// engine swaps its caches into exactly one interpreter at a time
     /// (the running one), which is how `execute_many`'s requests share
@@ -402,12 +402,9 @@ impl<'a> Interp<'a> {
             },
             opts,
             compiled: shared.compiled,
-            wave_plans: shared.wave_plans,
-            bulk_plans: shared.bulk_plans,
-            fused_waves: shared.fused_waves,
+            stmt_plans: shared.stmt_plans,
             plan: shared.plan,
             cur_kernel: 0,
-            wave_ancestors: shared.wave_ancestors,
             caches: Caches::default(),
             active: Vec::new(),
             active_groups: Vec::new(),
@@ -787,12 +784,12 @@ pub(crate) fn launch_units(
 /// (including the loop itself). Returns whether `stmt`'s subtree does.
 pub(crate) fn collect_wave_ancestors(
     stmt: &Stmt,
-    plans: &HashMap<usize, Rc<WavePlan>>,
+    waves: &HashMap<usize, usize>,
     out: &mut std::collections::HashSet<usize>,
 ) -> bool {
-    let mut contains = plans.contains_key(&(stmt as *const Stmt as usize));
+    let mut contains = waves.contains_key(&(stmt as *const Stmt as usize));
     for s in stmt.children() {
-        contains |= collect_wave_ancestors(s, plans, out);
+        contains |= collect_wave_ancestors(s, waves, out);
     }
     if contains {
         out.insert(stmt as *const Stmt as usize);

@@ -4,10 +4,12 @@
 //!
 //! 1. **Kernel compilation** ([`CompiledKernel::compile`]): remap every
 //!    `Var` to a dense slot index so the interpreter's register file is
-//!    a flat array.
+//!    a flat array. Every `Sum` binds a slot of its own, which is how a
+//!    wave names its reduction sites.
 //! 2. **Flattening** ([`lower`]): walk each compiled body once and emit
 //!    the flat op stream, resolving every wave/bulk/fused plan lookup
-//!    into op operands. Control flow becomes explicit jump targets
+//!    into op operands and cloning into the program each expression an
+//!    op evaluates. Control flow becomes explicit jump targets
 //!    (`Branch`/`Jump`, `LoopEnter`/`LoopNext`); plan decisions that
 //!    the AST walker re-discovers per execution (map lookups keyed by
 //!    statement address) happen exactly once, here.
@@ -17,15 +19,15 @@
 //! exhaustive, so a new statement kind is a compile error here rather
 //! than a silent fallback to the AST walk.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr};
+use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr, Var};
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
 use super::analysis::parsafety;
 use super::bulk::{FusedWave, RowProgram};
-use super::program::{KernelDef, LoopDef, Op, Pc, Program, WaveRef};
+use super::program::{KernelDef, LoopDef, Op, Pc, Program, StoreOp};
 use crate::wave::WavePlan;
 
 // ---------------------------------------------------------------------
@@ -42,13 +44,25 @@ pub(crate) struct CompiledKernel {
 #[derive(Default)]
 struct SlotMap {
     map: HashMap<u32, u32>,
+    next: u32,
 }
 
 impl SlotMap {
-    fn slot(&mut self, v: cortex_core::Var) -> cortex_core::Var {
-        let next = self.map.len() as u32;
-        let s = *self.map.entry(v.id()).or_insert(next);
-        cortex_core::Var::from_raw(s)
+    fn slot(&mut self, v: Var) -> Var {
+        let s = match self.map.get(&v.id()) {
+            Some(&s) => s,
+            None => {
+                let s = self.fresh();
+                self.map.insert(v.id(), s);
+                s
+            }
+        };
+        Var::from_raw(s)
+    }
+
+    fn fresh(&mut self) -> u32 {
+        self.next += 1;
+        self.next - 1
     }
 }
 
@@ -65,7 +79,7 @@ impl CompiledKernel {
             launch: kernel.launch,
             batch_slot,
             body,
-            num_slots: slots.map.len(),
+            num_slots: slots.next as usize,
         }
     }
 }
@@ -146,11 +160,23 @@ fn remap_val(e: &ValExpr, m: &mut SlotMap) -> ValExpr {
         ValExpr::Bin(op, a, b) => {
             ValExpr::Bin(*op, Box::new(remap_val(a, m)), Box::new(remap_val(b, m)))
         }
-        ValExpr::Sum { var, extent, body } => ValExpr::Sum {
-            var: m.slot(*var),
-            extent: remap_idx(extent, m),
-            body: Box::new(remap_val(body, m)),
-        },
+        // A fresh slot per `Sum`, even when one `Var` binds several:
+        // the binder is the reduction's identity within its wave.
+        ValExpr::Sum { var, extent, body } => {
+            let fresh = m.fresh();
+            let extent = remap_idx(extent, m);
+            let outer = m.map.insert(var.id(), fresh);
+            let body = Box::new(remap_val(body, m));
+            match outer {
+                Some(s) => m.map.insert(var.id(), s),
+                None => m.map.remove(&var.id()),
+            };
+            ValExpr::Sum {
+                var: Var::from_raw(fresh),
+                extent,
+                body,
+            }
+        }
         ValExpr::Select {
             cond,
             then,
@@ -167,24 +193,43 @@ fn remap_val(e: &ValExpr, m: &mut SlotMap) -> ValExpr {
 // Flattening
 // ---------------------------------------------------------------------
 
+/// The analysis results keyed by statement address in the compiled
+/// kernels. The lowering resolves them into op operands once; the
+/// `interp: true` oracle looks them up as it walks the kernel trees.
+/// The addresses are keys only: nothing dereferences them.
+#[derive(Default)]
+pub(crate) struct StmtPlans {
+    /// Planned `For` → its id in [`Program::waves`].
+    pub(crate) waves: HashMap<usize, usize>,
+    /// Row programs of feature loops, compiled **once per engine** from
+    /// its own kernels and keyed by `(kernel index, For address)`: there
+    /// is no runtime insertion, so a key can never outlive or alias the
+    /// statement it was built from.
+    pub(crate) bulk: HashMap<(usize, usize), Rc<RowProgram>>,
+    /// Fused whole-wave epilogues: parallel `d_batch` loops whose whole
+    /// body bulk-serves, keyed like `bulk`.
+    pub(crate) fused: HashMap<(usize, usize), Rc<FusedWave>>,
+    /// Statements whose subtree contains a planned wave loop — the only
+    /// paths the oracle's step machine must walk frame by frame;
+    /// everything else executes atomically there.
+    pub(crate) wave_ancestors: HashSet<usize>,
+}
+
 /// Lowers every compiled kernel into one flat [`Program`], resolving the
-/// engine's wave/bulk/fused plans into op operands.
+/// engine's wave/bulk/fused plans into op operands. `waves` are the wave
+/// plans by id, as `plans.waves` names them.
 pub(crate) fn lower(
-    compiled: &Rc<Vec<CompiledKernel>>,
-    wave_plans: &HashMap<usize, Rc<WavePlan>>,
-    bulk_plans: &HashMap<(usize, usize), Rc<RowProgram>>,
-    fused_waves: &HashMap<(usize, usize), Rc<FusedWave>>,
+    compiled: &[CompiledKernel],
+    waves: Vec<WavePlan>,
+    plans: &StmtPlans,
 ) -> Program {
     let mut lw = Lowerer {
         ops: Vec::new(),
         loops: Vec::new(),
-        waves: Vec::new(),
-        wave_safety: Vec::new(),
+        stores: Vec::new(),
         fused: Vec::new(),
         bulks: Vec::new(),
-        wave_plans,
-        bulk_plans,
-        fused_waves,
+        plans,
         cur_kernel: 0,
     };
     let mut kernels = Vec::with_capacity(compiled.len());
@@ -199,30 +244,35 @@ pub(crate) fn lower(
             entry,
             launch: kernel.launch,
             batch_slot: kernel.batch_slot,
+            num_slots: kernel.num_slots,
         });
     }
-    Program {
+    let mut program = Program {
         ops: lw.ops,
         loops: lw.loops,
-        waves: lw.waves,
-        wave_safety: lw.wave_safety,
+        stores: lw.stores,
+        waves,
+        wave_safety: Vec::new(),
         fused: lw.fused,
         bulks: lw.bulks,
         kernels,
-        source: compiled.clone(),
-    }
+    };
+    // The static parallel-safety certificate of every wave's body, which
+    // `verify` re-derives the same way.
+    program.wave_safety = parsafety::wave_certificates(&program)
+        .into_iter()
+        .map(|cert| cert.expect("every wave plan names a lowered loop"))
+        .collect();
+    program
 }
 
 struct Lowerer<'e> {
     ops: Vec<Op>,
     loops: Vec<LoopDef>,
-    waves: Vec<WaveRef>,
-    wave_safety: Vec<parsafety::ParSafety>,
+    stores: Vec<StoreOp>,
     fused: Vec<Rc<FusedWave>>,
     bulks: Vec<Rc<RowProgram>>,
-    wave_plans: &'e HashMap<usize, Rc<WavePlan>>,
-    bulk_plans: &'e HashMap<(usize, usize), Rc<RowProgram>>,
-    fused_waves: &'e HashMap<(usize, usize), Rc<FusedWave>>,
+    plans: &'e StmtPlans,
     cur_kernel: usize,
 }
 
@@ -242,7 +292,7 @@ impl<'e> Lowerer<'e> {
                 // front of the per-element loop; the runtime falls
                 // through when the plan's reductions are not memo-active
                 // (scalar path, per-site fallback).
-                let bulk_at: Option<Pc> = self.bulk_plans.get(&key).map(|plan| {
+                let bulk_at: Option<Pc> = self.plans.bulk.get(&key).map(|plan| {
                     self.bulks.push(plan.clone());
                     let at = self.ops.len();
                     self.ops.push(Op::BulkPass {
@@ -254,18 +304,8 @@ impl<'e> Lowerer<'e> {
 
                 let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
                 let is_node = matches!(dim, Some(d) if d.0 == "d_batch");
-                let wave = self.wave_plans.get(&addr).map(|plan| {
-                    self.waves.push(WaveRef {
-                        plan: plan.clone(),
-                        for_key: addr,
-                    });
-                    // The static parallel-safety certificate of this
-                    // wave's body, re-derived by `verify`.
-                    self.wave_safety
-                        .push(parsafety::certify_wave_body(*var, body));
-                    self.waves.len() - 1
-                });
-                let fused = self.fused_waves.get(&key).map(|fw| {
+                let wave = self.plans.waves.get(&addr).copied();
+                let fused = self.plans.fused.get(&key).map(|fw| {
                     self.fused.push(fw.clone());
                     self.fused.len() - 1
                 });
@@ -273,7 +313,7 @@ impl<'e> Lowerer<'e> {
                 let loop_id = self.loops.len();
                 self.loops.push(LoopDef {
                     slot: var.id() as usize,
-                    extent,
+                    extent: extent.clone(),
                     is_wave,
                     is_node,
                     wave,
@@ -307,13 +347,24 @@ impl<'e> Lowerer<'e> {
             Stmt::Let { var, value, body } => {
                 self.ops.push(Op::Let {
                     slot: var.id() as usize,
-                    value,
+                    value: value.clone(),
                 });
                 for st in body {
                     self.lower_stmt(st);
                 }
             }
-            Stmt::Store { .. } => self.ops.push(Op::Store { stmt: s }),
+            Stmt::Store {
+                tensor,
+                index,
+                value,
+            } => {
+                self.ops.push(Op::Store(self.stores.len()));
+                self.stores.push(StoreOp {
+                    tensor: *tensor,
+                    index: index.clone(),
+                    value: value.clone(),
+                });
+            }
             Stmt::If {
                 cond,
                 then_branch,
@@ -321,7 +372,7 @@ impl<'e> Lowerer<'e> {
             } => {
                 let branch_at = self.ops.len();
                 self.ops.push(Op::Branch {
-                    cond,
+                    cond: cond.clone(),
                     on_false: 0, // patched below
                 });
                 for st in then_branch {

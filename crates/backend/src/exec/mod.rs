@@ -55,7 +55,7 @@ mod tests;
 mod verify;
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,12 +71,11 @@ use crate::device::{DeviceSpec, LatencyEstimate};
 use crate::params::Params;
 use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
-use crate::wave::{SumSite, SuperEntry, SuperWaveAcc, WavePlan};
+use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
 
-use bulk::{FusedWave, RowProgram};
 use gather::evict_weight_cache_lru;
 use interp::{Caches, Interp};
-use lowering::CompiledKernel;
+use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
 use scalar::RunCursor;
 
@@ -674,25 +673,13 @@ pub struct ExecStats {
 // ---------------------------------------------------------------------
 
 /// The engine-lifetime compile artifacts shared by every interpreter:
-/// compiled kernels, the analysis plans keyed by their statement
-/// addresses, and the lowered linear program.
+/// the lowered linear program the pc runtime runs, and for the
+/// `interp: true` oracle the compiled kernel trees with their
+/// statement-address lookups into the plans.
 #[derive(Clone)]
 pub(crate) struct SharedPlans {
     pub(crate) compiled: Rc<Vec<CompiledKernel>>,
-    pub(crate) wave_plans: Rc<HashMap<usize, Rc<WavePlan>>>,
-    /// Bulk feature-loop plans, compiled **once per engine** from its
-    /// own kernels and keyed by `(kernel index, For statement address)`
-    /// — the kernel index makes the key self-describing and collision
-    /// -free by construction: there is no runtime insertion, so a key
-    /// can never outlive or alias the statement it was built from.
-    pub(crate) bulk_plans: Rc<HashMap<(usize, usize), Rc<RowProgram>>>,
-    /// Fused whole-wave epilogues: parallel `d_batch` loops whose whole
-    /// body bulk-serves, keyed like `bulk_plans`.
-    pub(crate) fused_waves: Rc<HashMap<(usize, usize), Rc<FusedWave>>>,
-    /// Addresses of statements whose subtree contains a planned wave
-    /// loop — the only paths the oracle's step machine must walk
-    /// frame-by-frame; everything else executes atomically there.
-    pub(crate) wave_ancestors: Rc<HashSet<usize>>,
+    pub(crate) stmt_plans: Rc<StmtPlans>,
     /// The lowered linear instruction stream (see [`program`]).
     pub(crate) plan: Rc<program::Program>,
 }
@@ -766,43 +753,31 @@ const WEIGHT_CACHE_CAP: usize = 64;
 /// analyses (wave plans honor `gate_stacking`/`wave_gemm`) plus the
 /// lowered program with those plans resolved into operands.
 fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedPlans, PlanStats) {
-    let wave_plans: Rc<HashMap<usize, Rc<WavePlan>>> = Rc::new(if opts.wave_gemm {
+    let (waves, wave_ids) = if opts.wave_gemm {
         let bodies: Vec<&[cortex_core::ilir::Stmt]> =
             compiled.iter().map(|k| k.body.as_slice()).collect();
         crate::wave::analyze(&bodies, opts.gate_stacking)
-            .into_iter()
-            .map(|(k, v)| (k, Rc::new(v)))
-            .collect()
     } else {
-        HashMap::new()
-    });
-    let mut wave_ancestors = HashSet::new();
+        Default::default()
+    };
+    let mut stmt_plans = StmtPlans {
+        waves: wave_ids,
+        ..StmtPlans::default()
+    };
     for kernel in compiled.iter() {
         for stmt in &kernel.body {
-            interp::collect_wave_ancestors(stmt, &wave_plans, &mut wave_ancestors);
+            interp::collect_wave_ancestors(stmt, &stmt_plans.waves, &mut stmt_plans.wave_ancestors);
         }
     }
     // The row programs of feature loops and fused wave epilogues are
     // purely syntactic: lower them once here, per `(kernel, statement)`,
     // instead of caching per run. A row program names each reduction it
     // reads by the site's ordinal in its wave plan.
-    let ordinals: HashMap<usize, usize> = wave_plans
-        .values()
-        .flat_map(|plan| plan.sites.iter().enumerate().map(|(o, s)| (s.key, o)))
-        .collect();
-    let mut bulk_plans = HashMap::new();
-    let mut fused_waves = HashMap::new();
     for (ki, kernel) in compiled.iter().enumerate() {
-        bulk::collect_row_programs(
-            &kernel.body,
-            ki,
-            &ordinals,
-            &mut bulk_plans,
-            &mut fused_waves,
-        );
+        bulk::collect_row_programs(&kernel.body, ki, &[], &waves, &mut stmt_plans);
     }
     let t0 = Instant::now();
-    let plan = lowering::lower(&compiled, &wave_plans, &bulk_plans, &fused_waves);
+    let plan = lowering::lower(&compiled, waves, &stmt_plans);
     let lower_ns = t0.elapsed().as_nanos() as u64;
     // The lowering certified every wave body it attached a plan to;
     // count the verdicts here (the caller fills in the optimizer pair,
@@ -825,10 +800,7 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
     (
         SharedPlans {
             compiled,
-            wave_plans,
-            bulk_plans: Rc::new(bulk_plans),
-            fused_waves: Rc::new(fused_waves),
-            wave_ancestors: Rc::new(wave_ancestors),
+            stmt_plans: Rc::new(stmt_plans),
             plan: Rc::new(plan),
         },
         stats,
@@ -993,9 +965,9 @@ impl<'p> Engine<'p> {
             // fresh build does before any run is admitted against it.
             self.verified = verify::verify(&self.shared.plan);
             debug_assert!(self.verified.is_ok(), "rebuild emitted an invalid plan");
-            // Stacked-weight packs and group scratch are shaped by the
-            // previous grouping; reduction plans are keyed by addresses
-            // that remain valid but may now be wave-served — drop all
+            // Stacked-weight packs and group scratch are indexed by the
+            // previous grouping's ids; reduction plans are keyed by the
+            // addresses of the old program's expressions — drop all
             // three so the engine is indistinguishable from a fresh
             // build with these options.
             self.caches.weight_cache.clear();
@@ -1006,7 +978,7 @@ impl<'p> Engine<'p> {
 
     /// Number of `d_batch` loops that will execute as batched GEMM waves.
     pub fn num_wave_plans(&self) -> usize {
-        self.shared.wave_plans.len()
+        self.shared.plan.waves.len()
     }
 
     /// The static verification verdict of the engine's lowered plan
@@ -1073,7 +1045,7 @@ impl<'p> Engine<'p> {
     /// Every planned reduction site with the reduction extent the
     /// footprint charges it at.
     fn wave_sites(&self) -> impl Iterator<Item = (&SumSite, u64)> {
-        self.shared.wave_plans.values().flat_map(|plan| {
+        self.shared.plan.waves.iter().flat_map(|plan| {
             plan.sites.iter().map(|site| {
                 let k = match &site.extent {
                     cortex_core::expr::IdxExpr::Const(k) => (*k).max(1) as u64,
@@ -1481,7 +1453,9 @@ impl<'p> Engine<'p> {
             self.caches.weight_cache.clear();
             self.params_gen = Some(gen);
         } else {
-            self.caches.weight_cache.retain(|_, w| w.params_only);
+            for packs in &mut self.caches.weight_cache {
+                packs.retain(|w| w.params_only);
+            }
             evict_weight_cache_lru(&mut self.caches.weight_cache, WEIGHT_CACHE_CAP);
         }
     }

@@ -16,29 +16,25 @@
 //! (slot values live in the interpreter's register file and are never
 //! unwound).
 //!
-//! # Pointer invariant
+//! # Ownership
 //!
-//! Ops reference the expressions they evaluate (`IdxExpr`, `BoolExpr`,
-//! full `Store` statements) by raw pointer into the compiled kernels.
-//! This keeps every `Sum` body address — the identity the wave memo,
-//! reduction-plan cache and bulk plans key on — canonical between the
-//! two runtimes, with no cloning or key translation. The pointers are
-//! valid for the [`Program`]'s whole lifetime because:
-//!
-//! * [`Program::source`] holds the owning `Rc<Vec<CompiledKernel>>`, so
-//!   the statement trees outlive the ops pointing into them;
-//! * compiled kernels are immutable after construction (nothing ever
-//!   takes `&mut` to them — the same address-stability discipline the
-//!   wave-plan and bulk-plan maps already rely on).
+//! The program is plain data. Every op owns what it evaluates: a `Let`
+//! its value, a `Branch` its condition, a loop its extent, a `Store` an
+//! entry of [`Program::stores`] — clones made at lowering, so nothing
+//! here points into the compiled kernels, and no op can name an
+//! expression the program does not hold. A wave site is named by its
+//! `Sum`'s binder slot, which the kernel compiler gives every `Sum` of
+//! its own and the coalescer keeps distinct within a wave body, so the
+//! wave memo matches the same sites in this program as in the kernel
+//! trees the `interp: true` oracle walks.
 
 use std::rc::Rc;
 
-use cortex_core::expr::{BoolExpr, IdxExpr};
-use cortex_core::ilir::{LaunchPattern, Stmt};
+use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr};
+use cortex_core::ilir::LaunchPattern;
 
 use super::analysis::ParSafety;
 use super::bulk::{FusedWave, RowProgram};
-use super::lowering::CompiledKernel;
 use crate::wave::WavePlan;
 
 /// A program counter: an index into [`Program::ops`].
@@ -62,16 +58,15 @@ pub(crate) enum Op {
     /// `slot = value`.
     Let {
         slot: usize,
-        value: *const IdxExpr,
+        value: IdxExpr,
     },
-    /// Execute a `Stmt::Store` (index + value evaluation, accounting).
-    Store {
-        stmt: *const Stmt,
-    },
+    /// Execute [`Program::stores`]`[id]` (index + value evaluation,
+    /// accounting).
+    Store(usize),
     /// Evaluate the condition (one branch check); fall through on true,
     /// jump to `on_false` otherwise.
     Branch {
-        cond: *const BoolExpr,
+        cond: BoolExpr,
         on_false: Pc,
     },
     Jump(Pc),
@@ -94,7 +89,7 @@ pub(crate) struct LoopDef {
     /// Register (slot) of the loop variable.
     pub(crate) slot: usize,
     /// Trip-count expression, evaluated once at entry.
-    pub(crate) extent: *const IdxExpr,
+    pub(crate) extent: IdxExpr,
     /// One accounting wave scope per iteration (`d_all_batches`).
     pub(crate) is_wave: bool,
     /// A node (`d_batch`) loop: its width feeds the scope's wave stat.
@@ -111,13 +106,11 @@ pub(crate) struct LoopDef {
     pub(crate) exit: Pc,
 }
 
-/// A wave plan attached to a lowered loop.
-pub(crate) struct WaveRef {
-    pub(crate) plan: Rc<WavePlan>,
-    /// The planned `For`'s statement address — the super-wave merge key
-    /// half shared with the `interp: true` oracle, so both runtimes
-    /// merge identically across a batch's requests.
-    pub(crate) for_key: usize,
+/// `tensor[index] = value`: one store statement, owned.
+pub(crate) struct StoreOp {
+    pub(crate) tensor: TensorId,
+    pub(crate) index: Vec<IdxExpr>,
+    pub(crate) value: ValExpr,
 }
 
 /// One kernel's entry point in the flat op stream.
@@ -125,17 +118,21 @@ pub(crate) struct KernelDef {
     pub(crate) entry: Pc,
     pub(crate) launch: LaunchPattern,
     pub(crate) batch_slot: Option<usize>,
+    /// Size of the kernel's register (slot) file.
+    pub(crate) num_slots: usize,
 }
 
 /// The lowered execution plan of one engine (see module docs).
 pub(crate) struct Program {
     pub(crate) ops: Vec<Op>,
     pub(crate) loops: Vec<LoopDef>,
-    pub(crate) waves: Vec<WaveRef>,
+    pub(crate) stores: Vec<StoreOp>,
+    /// The wave GEMM plans, by wave id ([`LoopDef::wave`]).
+    pub(crate) waves: Vec<WavePlan>,
     /// Parallel-safety certificate of each wave's `d_batch` body,
-    /// aligned with `waves`. Computed by the static certifier at
-    /// lowering ([`super::analysis::parsafety`]), re-derived and
-    /// compared by [`super::verify`] so a forged entry is rejected.
+    /// aligned with `waves`. Derived from the body's ops by the static
+    /// certifier at lowering ([`super::analysis::parsafety`]), re-derived
+    /// and compared by [`super::verify`] so a forged entry is rejected.
     pub(crate) wave_safety: Vec<ParSafety>,
     /// Fused waves carry no stored certificate: `plan_fused_wave` only
     /// builds row-disjoint ones, and [`super::verify`] re-derives that
@@ -143,10 +140,18 @@ pub(crate) struct Program {
     pub(crate) fused: Vec<Rc<FusedWave>>,
     pub(crate) bulks: Vec<Rc<RowProgram>>,
     pub(crate) kernels: Vec<KernelDef>,
-    /// Owner of every statement tree the ops point into — see the
-    /// module-level pointer invariant, checked by [`super::verify`].
-    pub(crate) source: Rc<Vec<CompiledKernel>>,
 }
+
+/// Ops are plain data: this stops compiling if an op, a loop, a kernel
+/// entry or a store holds a raw pointer (which is neither `Send` nor
+/// `Sync`).
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Op>();
+    send_sync::<LoopDef>();
+    send_sync::<KernelDef>();
+    send_sync::<StoreOp>();
+};
 
 /// Compile-time facts about an engine's lowered plan (the bench schema's
 /// `plan_ops` / `lower_ms` fields).

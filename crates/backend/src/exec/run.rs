@@ -9,18 +9,10 @@
 //! index, loop records — and resuming re-enters the dispatch loop at
 //! that pc with no re-evaluation of any control expression, so the
 //! `Profile` is exactly that of an uninterrupted run.
-//!
-//! # Safety
-//!
-//! Ops carry raw pointers into the engine's compiled kernels (see the
-//! pointer invariant on [`super::program`]). Every dereference below is
-//! sound because the interpreter holds the [`Program`] via `Rc`, and the
-//! program holds the compiled kernels it points into, immutably, for at
-//! least as long.
 
 use std::time::Instant;
 
-use cortex_core::ilir::{DimExtent, LaunchPattern, Stmt};
+use cortex_core::ilir::{DimExtent, LaunchPattern};
 
 use super::interp::Interp;
 use super::program::{Op, Pc, Program};
@@ -172,59 +164,48 @@ impl<'a> Interp<'a> {
                 cur.pc = kernel.entry;
             }
             checked_assert!(cur.pc < plan.ops.len(), "pc {} out of range", cur.pc);
-            match plan.ops[cur.pc] {
+            match &plan.ops[cur.pc] {
                 Op::KernelEnd => {
                     self.pop_scope();
                     cur.in_launch = false;
                     cur.unit += 1;
                 }
                 Op::Let { slot, value } => {
-                    checked_assert!(slot < self.slots.len(), "Let slot {slot} out of range");
-                    // SAFETY: see module docs — `value` points into the
-                    // compiled kernels the program keeps alive.
-                    let v = self.eval_idx(unsafe { &*value });
-                    self.slots[slot] = v;
+                    checked_assert!(*slot < self.slots.len(), "Let slot {slot} out of range");
+                    let v = self.eval_idx(value);
+                    self.slots[*slot] = v;
                     cur.pc += 1;
                 }
-                Op::Store { stmt } => {
-                    // SAFETY: as above.
-                    let Stmt::Store {
-                        tensor,
-                        index,
-                        value,
-                    } = (unsafe { &*stmt })
-                    else {
-                        unreachable!("Store op holds a Store statement")
-                    };
-                    self.exec_store(*tensor, index, value);
+                Op::Store(id) => {
+                    let st = &plan.stores[*id];
+                    self.exec_store(st.tensor, &st.index, &st.value);
                     cur.pc += 1;
                 }
                 Op::Branch { cond, on_false } => {
                     self.profile.branch_checks += 1;
-                    // SAFETY: as above.
-                    cur.pc = if self.eval_bool(unsafe { &*cond }) {
+                    cur.pc = if self.eval_bool(cond) {
                         cur.pc + 1
                     } else {
-                        on_false
+                        *on_false
                     };
                 }
-                Op::Jump(target) => cur.pc = target,
+                Op::Jump(target) => cur.pc = *target,
                 Op::Barrier => {
                     self.profile.barriers_global += 1;
                     cur.pc += 1;
                 }
                 Op::BulkPass { id, done } => {
-                    let bulk = plan.bulks[id].clone();
-                    if self.opts.fastdot && self.opts.bulk && self.bulk_servable(&bulk) {
-                        self.exec_row_program(&bulk);
-                        cur.pc = done;
+                    let bulk = &plan.bulks[*id];
+                    if self.opts.fastdot && self.opts.bulk && self.bulk_servable(bulk) {
+                        self.exec_row_program(bulk);
+                        cur.pc = *done;
                     } else {
                         cur.pc += 1;
                     }
                 }
                 Op::LoopEnter(id) => {
                     let deferring = defer.as_mut().map(|(acc, req)| (&mut **acc, *req));
-                    if self.op_loop_enter(id, &plan, cur, deferring) {
+                    if self.op_loop_enter(*id, &plan, cur, deferring) {
                         return Ok(StepOutcome::Paused);
                     }
                 }
@@ -237,7 +218,7 @@ impl<'a> Interp<'a> {
                         });
                     }
                     cur.fuel -= 1;
-                    self.op_loop_next(id, &plan, cur);
+                    self.op_loop_next(*id, &plan, cur);
                 }
                 Op::FusedEpilogue => self.op_fused_epilogue(&plan, cur),
             }
@@ -254,8 +235,7 @@ impl<'a> Interp<'a> {
         defer: Option<(&mut SuperWaveAcc, usize)>,
     ) -> bool {
         let d = &plan.loops[id];
-        // SAFETY: see module docs.
-        let n = self.eval_idx(unsafe { &*d.extent });
+        let n = self.eval_idx(&d.extent);
         if d.is_node {
             if let Some(scope) = self.scopes.last_mut() {
                 scope.width = scope.width.max(n.max(0) as u64);
@@ -265,9 +245,8 @@ impl<'a> Interp<'a> {
         let mut paused = false;
         if n > 0 {
             if let Some(w) = d.wave {
-                let wref = &plan.waves[w];
                 let deferring = defer.is_some();
-                activated = self.prepare_wave(&wref.plan, wref.for_key, n as usize, defer);
+                activated = self.prepare_wave(&plan.waves[w], w, n as usize, defer);
                 paused = deferring && activated.1 > 0;
             }
         }
@@ -354,8 +333,7 @@ impl<'a> Interp<'a> {
             unreachable!("FusedEpilogue without its loop record")
         };
         let d = &plan.loops[id];
-        let fw = plan.fused[d.fused.expect("fused loop def")].clone();
-        self.exec_fused_wave(&fw, n);
+        self.exec_fused_wave(&plan.fused[d.fused.expect("fused loop def")], n);
         if activated != (0, 0) {
             self.finish_wave(activated);
         }

@@ -11,8 +11,9 @@
 //!
 //! The expression evaluator ([`Interp::eval_val`], [`Interp::eval_dot`])
 //! lives here too and is shared by the pc runtime: a lowered `Store` op
-//! evaluates the very same `ValExpr` tree the oracle would, so the two
-//! runtimes cannot diverge on arithmetic or accounting.
+//! evaluates its own clone of the `ValExpr` tree the oracle walks, with
+//! the same code, so the two runtimes cannot diverge on arithmetic or
+//! accounting.
 //! [`Interp::resolve_product`] walks a reduction's operands for
 //! `eval_dot` only — the per-element path of `ExecOptions::scalar()`,
 //! `wave_gemm: false` and `bulk: false`. The wave gather resolves the
@@ -78,16 +79,17 @@ impl<'a> Interp<'a> {
                 let mut served = false;
                 if n > 0 && !is_wave && self.opts.fastdot && self.opts.bulk {
                     let key = (self.cur_kernel, s as *const Stmt as usize);
-                    if let Some(fw) = self.fused_waves.get(&key).cloned() {
-                        if self.fused_servable(&fw) {
-                            self.exec_fused_wave(&fw, n as usize);
+                    let plans = self.stmt_plans.clone();
+                    if let Some(fw) = plans.fused.get(&key) {
+                        if self.fused_servable(fw) {
+                            self.exec_fused_wave(fw, n as usize);
                             served = true;
                         }
-                    } else if let Some(plan) = self.bulk_plans.get(&key).cloned() {
-                        if self.bulk_servable(&plan) {
+                    } else if let Some(plan) = plans.bulk.get(&key) {
+                        if self.bulk_servable(plan) {
                             // Not timed (`ExecStats::epilogue_ns` is
                             // charged at fused-wave granularity).
-                            self.exec_row_program(&plan);
+                            self.exec_row_program(plan);
                             served = true;
                         }
                     }
@@ -171,18 +173,17 @@ impl<'a> Interp<'a> {
             }
             ValExpr::Sum { var, extent, body } => {
                 let n = self.eval_idx(extent).max(0);
-                let key = &**body as *const ValExpr as usize;
                 // Wave memo: this reduction was computed by a wave GEMM —
                 // serve the element and charge the exact counters the
-                // scalar dot would have. A linear scan: a wave has a
-                // handful of sites.
-                let memo = self
-                    .active
-                    .iter()
-                    .position(|s| s.as_ref().is_some_and(|s| s.site_key == key));
+                // scalar dot would have. Sites are named by binder slot;
+                // a linear scan: a wave has a handful of sites.
+                let binder = var.id() as usize;
+                let memo = (self.active.iter())
+                    .position(|s| s.as_ref().is_some_and(|s| s.binder == binder));
                 if let Some(idx) = memo {
                     return self.serve_memo_element(idx);
                 }
+                let key = &**body as *const ValExpr as usize;
                 let plan = if self.opts.fastdot {
                     match self.caches.plan_cache.get(&key) {
                         Some(p) => p.clone(),
@@ -418,18 +419,18 @@ impl<'a> Interp<'a> {
                     // Resumed after the super-wave flush installed this
                     // request's result blocks: the whole wave's epilogue
                     // runs as its fused row program, then its sites retire.
-                    let fw = self
-                        .fused_waves
-                        .get(&key)
-                        .expect("fused wave planned")
-                        .clone();
-                    self.exec_fused_wave(&fw, n);
+                    let plans = self.stmt_plans.clone();
+                    self.exec_fused_wave(&plans.fused[&key], n);
                     if activated != (0, 0) {
                         self.finish_wave(activated);
                     }
                 }
                 Action::Exec(s) => {
-                    if !self.wave_ancestors.contains(&(s as *const Stmt as usize)) {
+                    if !self
+                        .stmt_plans
+                        .wave_ancestors
+                        .contains(&(s as *const Stmt as usize))
+                    {
                         // No planned wave loop below: run it atomically
                         // through the ordinary recursive interpreter.
                         self.exec_stmt(s);
@@ -493,9 +494,14 @@ impl<'a> Interp<'a> {
                 scope.width = scope.width.max(n.max(0) as u64);
             }
         }
-        let for_key = s as *const Stmt as usize;
-        match self.wave_plans.get(&for_key).cloned() {
-            Some(plan) if n > 0 => (n, self.prepare_wave(&plan, for_key, n as usize, defer)),
+        match self.stmt_plans.waves.get(&(s as *const Stmt as usize)) {
+            Some(&w) if n > 0 => {
+                let program = self.plan.clone();
+                (
+                    n,
+                    self.prepare_wave(&program.waves[w], w, n as usize, defer),
+                )
+            }
             _ => (n, (0, 0)),
         }
     }
@@ -523,8 +529,8 @@ impl<'a> Interp<'a> {
             // installs results, instead of resuming per-node frames.
             if paused {
                 let key = (self.cur_kernel, s as *const Stmt as usize);
-                if let Some(fw) = self.fused_waves.get(&key).cloned() {
-                    if self.fused_servable(&fw) {
+                if let Some(fw) = self.stmt_plans.fused.get(&key) {
+                    if self.fused_servable(fw) {
                         cur.frames.push(Frame::Fused {
                             key,
                             n: n as usize,

@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use cortex_core::expr::TensorId;
@@ -271,35 +270,36 @@ fn weight_cache_eviction_is_lru_not_clear_all() {
     // A working set stamped by the latest run must survive eviction
     // even when the cache's lifetime population exceeds the cap —
     // the old clear-at-cap policy forced a full steady-state repack.
-    let mut cache: HashMap<(usize, usize), StackedWeight> = HashMap::new();
+    // Ten packs over five groups, two extents each: packs 0..4 are
+    // stale, 5..9 the current working set.
+    let mut cache: Vec<Vec<StackedWeight>> = (0..5).map(|_| Vec::new()).collect();
     for i in 0..10usize {
-        cache.insert(
-            (i, 0),
-            StackedWeight {
-                sig: Vec::new(),
-                params_only: true,
-                epoch: 0,
-                // Entries 0..4 are stale; 5..9 are the current
-                // working set.
-                last_used: if i < 5 { 1 } else { 2 },
-                data: Rc::new(PackedB::pack_nt(&[], 0, 0)),
-            },
-        );
+        cache[i % 5].push(StackedWeight {
+            k_len: i,
+            sig: Vec::new(),
+            params_only: true,
+            epoch: 0,
+            last_used: if i < 5 { 1 } else { 2 },
+            data: Rc::new(PackedB::pack_nt(&[], 0, 0)),
+        });
     }
+    let held = |cache: &[Vec<StackedWeight>]| -> Vec<usize> {
+        let mut ks: Vec<usize> = cache.iter().flatten().map(|w| w.k_len).collect();
+        ks.sort_unstable();
+        ks
+    };
     evict_weight_cache_lru(&mut cache, 7);
-    assert_eq!(cache.len(), 7);
+    let kept = held(&cache);
+    assert_eq!(kept.len(), 7);
     for i in 5..10 {
-        assert!(
-            cache.contains_key(&(i, 0)),
-            "working-set entry {i} must survive"
-        );
+        assert!(kept.contains(&i), "working-set entry {i} must survive");
     }
     // Under-cap caches are untouched.
     evict_weight_cache_lru(&mut cache, 64);
-    assert_eq!(cache.len(), 7);
+    assert_eq!(held(&cache), kept);
     // A working set larger than the cap still shrinks to the cap.
     evict_weight_cache_lru(&mut cache, 3);
-    assert_eq!(cache.len(), 3);
+    assert_eq!(held(&cache).len(), 3);
 }
 
 #[test]
@@ -577,15 +577,14 @@ fn hookless_engines_pay_no_guard() {
 
 // -- pipeline hardening: verifier, intake validation, budgets, watchdog --
 
-use super::lowering::CompiledKernel;
+use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::{Op, Program};
 use super::verify::{verify, VerifyError};
 use super::InvalidInput;
 
-/// Lowers the Fig. 1 model into an *owned* (mutable) plan so tests can
-/// corrupt individual ops. The ILIR program is returned to keep the
-/// compiled kernels' source alive for the plan's pointer ops.
-fn owned_plan() -> (cortex_core::ilir::IlirProgram, Program) {
+/// Lowers the Fig. 1 model into a plain (mutable) plan so tests can
+/// corrupt individual ops.
+fn owned_plan() -> Program {
     let (g, _) = tree_rnn(4);
     let ilir = lower(
         &g,
@@ -593,10 +592,8 @@ fn owned_plan() -> (cortex_core::ilir::IlirProgram, Program) {
         StructureInfo { max_children: 2 },
     )
     .unwrap();
-    let compiled: Rc<Vec<CompiledKernel>> =
-        Rc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
-    let plan = super::lowering::lower(&compiled, &HashMap::new(), &HashMap::new(), &HashMap::new());
-    (ilir, plan)
+    let compiled: Vec<CompiledKernel> = ilir.kernels.iter().map(CompiledKernel::compile).collect();
+    super::lowering::lower(&compiled, Vec::new(), &StmtPlans::default())
 }
 
 #[test]
@@ -636,7 +633,7 @@ fn verify_accepts_every_lowered_schedule_and_rebuild() {
 
 #[test]
 fn verify_rejects_dangling_jump() {
-    let (_ilir, mut plan) = owned_plan();
+    let mut plan = owned_plan();
     let bad = plan.ops.len() + 100;
     // Point the first loop's exit outside the op stream; its LoopEnter
     // op must report the dangling target.
@@ -658,9 +655,33 @@ fn verify_rejects_dangling_jump() {
     );
 }
 
+/// The certifier reads a wave body as the ops from its enter to its
+/// exit: an exit at or before the enter is refused, not sliced.
+#[test]
+fn verify_rejects_loop_exit_before_its_body() {
+    let mut plan = owned_plan();
+    let at = plan
+        .ops
+        .iter()
+        .position(|op| matches!(op, Op::LoopEnter(_)))
+        .expect("a loop lowers somewhere");
+    let Op::LoopEnter(id) = plan.ops[at] else {
+        unreachable!()
+    };
+    plan.loops[id].exit = at;
+    assert_eq!(
+        verify(&plan),
+        Err(VerifyError::BadLoopShape {
+            op: at,
+            loop_id: id,
+            what: "exit pc"
+        })
+    );
+}
+
 #[test]
 fn verify_rejects_unpaired_loop_next() {
-    let (_ilir, mut plan) = owned_plan();
+    let mut plan = owned_plan();
     assert!(plan.loops.len() >= 2, "nested loops expected");
     let at = plan
         .ops
@@ -683,7 +704,7 @@ fn verify_rejects_unpaired_loop_next() {
 
 #[test]
 fn verify_rejects_unclosed_loop() {
-    let (_ilir, mut plan) = owned_plan();
+    let mut plan = owned_plan();
     // Drop the *last* LoopNext of the stream: the loop it closed stays
     // open with no later LoopNext to mismatch first.
     let at = plan
@@ -701,7 +722,7 @@ fn verify_rejects_unclosed_loop() {
 
 #[test]
 fn verify_rejects_use_before_def() {
-    let (_ilir, mut plan) = owned_plan();
+    let mut plan = owned_plan();
     // Drop the first Let: every later read of its slot is now undefined.
     let at = plan
         .ops
@@ -716,28 +737,6 @@ fn verify_rejects_use_before_def() {
         Err(VerifyError::UseBeforeDef { slot: s, .. }) => assert_eq!(s, slot),
         other => panic!("expected UseBeforeDef of slot {slot}, got {other:?}"),
     }
-}
-
-#[test]
-fn verify_rejects_foreign_expression_pointer() {
-    use cortex_core::expr::IdxExpr;
-    let (_ilir, mut plan) = owned_plan();
-    // A pointer to an expression the compiled kernels do not own: the
-    // verifier must refuse it *without* dereferencing.
-    let foreign = IdxExpr::Const(1);
-    let at = plan
-        .ops
-        .iter()
-        .position(|op| matches!(op, Op::Let { .. }))
-        .expect("the lowering emits Let ops");
-    let Op::Let { slot, .. } = plan.ops[at] else {
-        unreachable!()
-    };
-    plan.ops[at] = Op::Let {
-        slot,
-        value: &foreign as *const IdxExpr,
-    };
-    assert_eq!(verify(&plan), Err(VerifyError::ForeignExpr { op: at }));
 }
 
 #[test]
@@ -944,10 +943,7 @@ fn footprint_bounds_the_packed_weights_actually_held() {
         );
         let mut engine = Engine::new(&program);
         engine.execute(&lin, &params, true).unwrap();
-        let held: u64 = engine
-            .caches
-            .weight_cache
-            .values()
+        let held: u64 = (engine.caches.weight_cache.iter().flatten())
             .map(|w| 4 * w.data.floats() as u64)
             .sum();
         assert!(held >= 4 * (h * h) as u64, "h={h}: the matvec weight packs");
@@ -1235,7 +1231,7 @@ use cortex_core::expr::{IdxBinOp, IdxExpr, Ufn, ValExpr, Var};
 use cortex_core::ilir::{Kernel, LaunchPattern, LoopKind, Stmt};
 
 use super::analysis::liveness::optimize_kernels;
-use super::analysis::parsafety::{certify_fused, certify_wave_body};
+use super::analysis::parsafety::{certify_fused, certify_wave};
 use super::{ParSafety, SeqReason};
 
 fn analysis_kernel(body: Vec<Stmt>) -> CompiledKernel {
@@ -1245,6 +1241,26 @@ fn analysis_kernel(body: Vec<Stmt>) -> CompiledKernel {
         batch_var: None,
         body,
     })
+}
+
+/// Lowers `for n in 0..4 { body }` (a `d_batch` loop) and certifies its
+/// body from the lowered ops, as the lowering and `verify` do.
+fn certify_wave_body(n: Var, body: &[Stmt]) -> ParSafety {
+    let wave = Stmt::For {
+        var: n,
+        extent: IdxExpr::Const(4),
+        kind: LoopKind::Parallel,
+        dim: Some(cortex_core::ilir::DimName::batch()),
+        body: body.to_vec(),
+    };
+    let kernel = CompiledKernel {
+        launch: LaunchPattern::Once,
+        batch_slot: None,
+        body: vec![wave],
+        num_slots: 8,
+    };
+    let plan = super::lowering::lower(&[kernel], Vec::new(), &StmtPlans::default());
+    certify_wave(&plan, 0, matches!(body, [Stmt::Let { .. }]))
 }
 
 #[test]
@@ -1459,8 +1475,6 @@ fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
         Rc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
     let (shared, _) = super::build_plans(compiled, ExecOptions::default());
     assert_eq!(verify(&shared.plan), Ok(()), "genuine plan verifies");
-    // The ILIR program owns nothing the plan points into (the compiled
-    // kernels do, and `shared` keeps them alive) — safe to drop.
     shared
 }
 
@@ -1582,7 +1596,7 @@ fn demoted_engine_refuses_execution_typed() {
     .unwrap();
     let mut engine = Engine::new(&program);
     assert_eq!(engine.verified(), Ok(()));
-    let forged = VerifyError::ForeignExpr { op: 0 };
+    let forged = VerifyError::DanglingJump { op: 0, target: 1 };
     engine.verified = Err(forged.clone());
     let lin = Linearizer::new()
         .linearize(&datasets::random_binary_tree(9, 5))
@@ -1660,8 +1674,7 @@ fn certify_fused_rejects_overlapping_row_passes() {
                 value,
             }],
         };
-        let prog =
-            super::bulk::lower_row_program(&[(None, &s)], &HashMap::new()).expect("row-serves");
+        let prog = super::bulk::lower_row_program(&[(None, &s)], &[]).expect("row-serves");
         certify_fused(&prog, n, None)
     };
     let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(i)];
@@ -1688,4 +1701,222 @@ fn certify_fused_rejects_overlapping_row_passes() {
         certify(own_row.clone(), ValExpr::load(t, own_row)),
         ParSafety::RowDisjoint
     );
+}
+
+// -- wave site identity: binder slots --
+
+/// `(binder slot, body address)` of every `Sum` under `e`.
+fn sums_in(e: &ValExpr, out: &mut Vec<(usize, usize)>) {
+    match e {
+        ValExpr::Const(_) | ValExpr::Load { .. } => {}
+        ValExpr::Unary(_, a) => sums_in(a, out),
+        ValExpr::Bin(_, a, b) => {
+            sums_in(a, out);
+            sums_in(b, out);
+        }
+        ValExpr::Sum { var, body, .. } => {
+            out.push((var.id() as usize, &**body as *const ValExpr as usize));
+            sums_in(body, out);
+        }
+        ValExpr::Select {
+            then, otherwise, ..
+        } => {
+            sums_in(then, out);
+            sums_in(otherwise, out);
+        }
+    }
+}
+
+/// `(binder slot, body address)` of every `Sum` stored under `stmts`.
+fn stored_sums(stmts: &[Stmt]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for s in stmts {
+        s.visit(&mut |st| {
+            if let Stmt::Store { value, .. } = st {
+                sums_in(value, &mut out);
+            }
+        });
+    }
+    out
+}
+
+/// Body addresses, in the program's own stores, of the `Sum` of every
+/// planned wave site: the `Sum`s in its wave loop's body bound by a
+/// site's binder.
+fn planned_site_sums(plan: &Program) -> Vec<usize> {
+    let mut out = Vec::new();
+    for d in &plan.loops {
+        let Some(w) = d.wave else { continue };
+        let sites = &plan.waves[w].sites;
+        for op in &plan.ops[d.body..d.exit] {
+            let Op::Store(id) = op else { continue };
+            let mut sums = Vec::new();
+            sums_in(&plan.stores[*id].value, &mut sums);
+            out.extend(
+                (sums.into_iter())
+                    .filter(|&(binder, _)| sites.iter().any(|s| s.binder == binder))
+                    .map(|(_, body)| body),
+            );
+        }
+    }
+    out
+}
+
+/// One `Var` binding two `Sum`s in one `d_batch` body: the kernel
+/// compiler gives each its own binder slot, both become wave sites, and
+/// each is served its own GEMM result — the pc runtime, the oracle and
+/// the memo-free scalar path agree on outputs and `Profile`.
+#[test]
+fn one_var_binding_two_sums_compiles_to_two_sites() {
+    let h = 6;
+    let mut g = RaGraph::new();
+    let w = g.input("W", &[h, h]);
+    let u = g.input("U", &[h, h]);
+    let emb = g.input("Emb", &[datasets::VOCAB_SIZE as usize, h]);
+    let ph = g.placeholder("two_ph", &[h]);
+    let leaf = g.compute("leaf", &[h], |c| c.read(emb, &[c.node().word(), c.axis(0)]));
+    let rec = g.compute("rec", &[h], |c| {
+        let i = c.axis(0);
+        let left = c.sum(h, |c, k| {
+            c.read(w, &[i.clone(), k.clone()])
+                .mul(c.read(ph, &[c.node().child(0), k]))
+        });
+        // A second reduction bound by the very same variable.
+        let ValExpr::Sum { var, .. } = &left else {
+            unreachable!("`sum` builds a Sum")
+        };
+        let k = IdxExpr::Var(*var);
+        let right = ValExpr::Sum {
+            var: *var,
+            extent: IdxExpr::Const(h as i64),
+            body: Box::new(
+                c.read(u, &[i, k.clone()])
+                    .mul(c.read(ph, &[c.node().child(1), k])),
+            ),
+        };
+        left.add(right).tanh()
+    });
+    let body = g.if_then_else("body", leaf, rec).unwrap();
+    let out = g.recursion(ph, body).unwrap();
+    g.mark_output(out);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+
+    // The ILIR shares one binder between the two sums; compiled, they
+    // own a slot each.
+    let (shared, split) = program
+        .kernels
+        .iter()
+        .map(|k| {
+            let raw = stored_sums(&k.body);
+            let compiled = stored_sums(&CompiledKernel::compile(k).body);
+            (raw, compiled)
+        })
+        .find(|(raw, _)| raw.len() == 2)
+        .expect("a kernel stores both sums");
+    assert_eq!(shared[0].0, shared[1].0, "one Var binds both sums");
+    assert_ne!(split[0].0, split[1].0, "each sum binds its own slot");
+
+    let lin = Linearizer::new()
+        .linearize(&datasets::random_binary_tree(11, 3))
+        .unwrap();
+    let lins = [&lin, &lin];
+    let mut params = Params::new();
+    params.set("W", Tensor::random(&[h, h], 0.5, 1));
+    params.set("U", Tensor::random(&[h, h], 0.5, 2));
+    params.set(
+        "Emb",
+        Tensor::random(&[datasets::VOCAB_SIZE as usize, h], 0.5, 3),
+    );
+    let mut pc = Engine::new(&program);
+    let binders: Vec<Vec<usize>> = (pc.shared.plan.waves.iter())
+        .map(|w| w.sites.iter().map(|s| s.binder).collect())
+        .collect();
+    assert!(
+        binders.iter().any(|b| b.len() == 2 && b[0] != b[1]),
+        "both sums are sites of one wave: {binders:?}"
+    );
+    let want = pc.execute(&lin, &params, true).unwrap();
+    assert_eq!(
+        pc.stats().sites_batched,
+        2 * lin.internal_batches().len() as u64
+    );
+    let want_many = pc.execute_many(&lins, &params, true).unwrap();
+    for opts in [ExecOptions::interpreted(), ExecOptions::scalar()] {
+        let mut other = Engine::with_options(&program, opts);
+        assert_eq!(
+            other.execute(&lin, &params, true).unwrap(),
+            want,
+            "{opts:?}"
+        );
+        let many = other.execute_many(&lins, &params, true).unwrap();
+        assert_eq!(many, want_many, "{opts:?}");
+    }
+}
+
+/// A wave memo miss is invisible in outputs and `Profile` (a site's
+/// scalar dot is `==` to its GEMM row), so it is detected here
+/// directly. With per-element serving (`bulk: false`) every site's
+/// `Sum` consults the memo; on all nine models, solo and batched, none
+/// may reach the scalar reduction compile — `plan_cache` holds no entry
+/// for a planned site's `Sum`.
+#[test]
+fn planned_sites_never_reach_the_scalar_dot() {
+    use cortex_models::{dagrnn, mvrnn, seq, treefc, treegru, treelstm, treernn, LeafInit};
+    let h = 8;
+    let models = [
+        treernn::tree_rnn(h, LeafInit::Embedding),
+        treefc::tree_fc(h, LeafInit::Embedding),
+        treegru::tree_gru(h, LeafInit::Embedding),
+        treelstm::tree_lstm(h, LeafInit::Zero),
+        mvrnn::mv_rnn(4),
+        dagrnn::dag_rnn(h),
+        seq::seq_lstm(h),
+        treegru::simple_tree_gru(h, LeafInit::Embedding),
+        seq::seq_gru(h),
+    ];
+    for model in models {
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let mut params = Params::new();
+        for (name, t) in model.params.iter() {
+            params.set(name, t.clone());
+        }
+        let lins: Vec<Linearized> = (0..4u64)
+            .map(|s| {
+                let structure = match model.name.as_str() {
+                    "DAG-RNN" => datasets::grid_dag(3, 2 + s as usize, s),
+                    "LSTM" | "GRU" => datasets::sequence(5 + 3 * s as usize, s),
+                    _ => datasets::random_binary_tree(4 + 3 * s as usize, s),
+                };
+                Linearizer::new().linearize(&structure).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Linearized> = lins.iter().collect();
+        let mut engine = Engine::with_options(
+            &program,
+            ExecOptions {
+                bulk: false,
+                ..ExecOptions::default()
+            },
+        );
+        engine.execute(&lins[0], &params, true).unwrap();
+        let solo = engine.stats();
+        engine.execute_many(&refs, &params, true).unwrap();
+        let many = engine.stats();
+        let name = &model.name;
+        assert!(solo.sites_batched > 0 && many.sites_batched > 0, "{name}");
+        assert_eq!((solo.fallback_sites, many.fallback_sites), (0, 0), "{name}");
+        let sites = planned_site_sums(&engine.shared.plan);
+        assert!(!sites.is_empty(), "{name}: sites found in the program");
+        for body in sites {
+            assert!(
+                !engine.caches.plan_cache.contains_key(&body),
+                "{name}: a planned site's Sum missed the wave memo"
+            );
+        }
+    }
 }

@@ -12,15 +12,14 @@
 //! * every register slot is written (by a `Let`, a loop header, or the
 //!   kernel's batch binding) before any expression reads it
 //!   ([`VerifyError::UseBeforeDef`], [`VerifyError::SlotOutOfRange`]);
+//! * every plan id an op or loop carries (loop, wave, fused, bulk)
+//!   names an entry of its table ([`VerifyError::PlanRefOutOfBounds`]);
 //! * every `d_all_batches` wave loop that drives a wave-GEMM loop
 //!   contains a `Barrier` separating its iterations
 //!   ([`VerifyError::MissingBarrier`]);
-//! * every raw expression pointer an op carries is owned by the
-//!   engine's compiled kernels — the pointer invariant the runtime's
-//!   `unsafe` dereferences rely on ([`VerifyError::ForeignExpr`]);
 //! * every stored parallel-safety certificate matches what the static
-//!   certifier derives from the kernels, and every fused wave's is
-//!   `RowDisjoint` — a forged or stale certificate is rejected before
+//!   certifier derives from the wave body's ops, and every fused wave's
+//!   is `RowDisjoint` — a forged or stale certificate is rejected before
 //!   any run is admitted ([`VerifyError::CertificateMismatch`]);
 //! * every stored address program (a gathered row operand, a node
 //!   binding, a row program's load, store or select) is what the
@@ -29,11 +28,11 @@
 //!
 //! The scan is textual (it does not follow jumps): the lowering emits
 //! defs lexically before their uses and brackets loops in op order, so
-//! a linear walk checks exactly the shape the runtime executes.
+//! a linear walk checks exactly the shape the runtime executes. It reads
+//! the program alone: the ops own every expression they evaluate and
+//! each kernel entry declares its slot file.
 //! Verification is build-time only — the runtime's dispatch loop is
 //! untouched in default builds.
-
-use std::collections::{HashMap, HashSet};
 
 use cortex_core::expr::{BoolExpr, CmpOp, IdxExpr, Ufn, ValExpr};
 use cortex_core::ilir::Stmt;
@@ -41,7 +40,7 @@ use cortex_core::ilir::Stmt;
 use super::address::Coord;
 use super::bulk::{Instr, RowPass, RowProgram};
 use super::lowering::CompiledKernel;
-use super::program::{Op, Program};
+use super::program::{Op, Program, StoreOp};
 
 /// A violated ExecPlan invariant, naming the offending op index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,12 +94,6 @@ pub enum VerifyError {
         /// The undefined slot.
         slot: usize,
     },
-    /// An op's raw expression pointer is not owned by the engine's
-    /// compiled kernels — dereferencing it would be UB.
-    ForeignExpr {
-        /// The op carrying the pointer.
-        op: usize,
-    },
     /// A `d_all_batches` wave loop drives a wave-GEMM loop but contains
     /// no `Barrier` separating its iterations.
     MissingBarrier {
@@ -121,7 +114,7 @@ pub enum VerifyError {
         what: &'static str,
     },
     /// A stored parallel-safety certificate disagrees with the one the
-    /// certifier re-derives from the compiled kernels (or a fused wave
+    /// certifier re-derives from the wave body's ops (or a fused wave
     /// carries anything other than `RowDisjoint`), or a stored address
     /// program with the one the address compiler derives from its
     /// source: the plan was forged or tampered with after lowering.
@@ -165,12 +158,6 @@ impl std::fmt::Display for VerifyError {
             VerifyError::UseBeforeDef { op, slot } => {
                 write!(f, "op {op}: reads slot {slot} before any op defines it")
             }
-            VerifyError::ForeignExpr { op } => {
-                write!(
-                    f,
-                    "op {op}: expression pointer not owned by the compiled kernels"
-                )
-            }
             VerifyError::MissingBarrier { op, loop_id } => {
                 write!(
                     f,
@@ -196,99 +183,8 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Every expression/statement address owned by the compiled kernels —
-/// the set of pointers ops may legally carry.
-struct OwnedAddrs {
-    stmts: HashSet<usize>,
-    idxs: HashSet<usize>,
-    bools: HashSet<usize>,
-}
-
-impl OwnedAddrs {
-    fn collect(kernels: &[CompiledKernel]) -> Self {
-        let mut o = OwnedAddrs {
-            stmts: HashSet::new(),
-            idxs: HashSet::new(),
-            bools: HashSet::new(),
-        };
-        for k in kernels {
-            for s in &k.body {
-                o.add_stmt(s);
-            }
-        }
-        o
-    }
-
-    fn add_stmt(&mut self, s: &Stmt) {
-        self.stmts.insert(s as *const Stmt as usize);
-        match s {
-            Stmt::For { extent: e, .. } | Stmt::Let { value: e, .. } => self.add_idx(e),
-            Stmt::Store { index, value, .. } => {
-                index.iter().for_each(|e| self.add_idx(e));
-                self.add_val(value);
-            }
-            Stmt::If { cond, .. } => self.add_bool(cond),
-            Stmt::Barrier => {}
-        }
-        s.children().for_each(|st| self.add_stmt(st));
-    }
-
-    fn add_idx(&mut self, e: &IdxExpr) {
-        self.idxs.insert(e as *const IdxExpr as usize);
-        match e {
-            IdxExpr::Const(_) | IdxExpr::Rt(_) | IdxExpr::Var(_) => {}
-            IdxExpr::Ufn(_, args) => args.iter().for_each(|a| self.add_idx(a)),
-            IdxExpr::Bin(_, a, b) => {
-                self.add_idx(a);
-                self.add_idx(b);
-            }
-        }
-    }
-
-    fn add_bool(&mut self, e: &BoolExpr) {
-        self.bools.insert(e as *const BoolExpr as usize);
-        match e {
-            BoolExpr::Cmp(_, a, b) => {
-                self.add_idx(a);
-                self.add_idx(b);
-            }
-            BoolExpr::IsLeaf(a) => self.add_idx(a),
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                self.add_bool(a);
-                self.add_bool(b);
-            }
-            BoolExpr::Not(a) => self.add_bool(a),
-        }
-    }
-
-    fn add_val(&mut self, e: &ValExpr) {
-        match e {
-            ValExpr::Const(_) => {}
-            ValExpr::Load { index, .. } => index.iter().for_each(|i| self.add_idx(i)),
-            ValExpr::Unary(_, a) => self.add_val(a),
-            ValExpr::Bin(_, a, b) => {
-                self.add_val(a);
-                self.add_val(b);
-            }
-            ValExpr::Sum { extent, body, .. } => {
-                self.add_idx(extent);
-                self.add_val(body);
-            }
-            ValExpr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.add_bool(cond);
-                self.add_val(then);
-                self.add_val(otherwise);
-            }
-        }
-    }
-}
-
 /// Tracks which register slots are defined at the current textual point
-/// of one kernel, plus expression-local binders (`Sum`/nested loops).
+/// of one kernel, plus the `Sum` binders of the expression being walked.
 struct SlotEnv {
     defined: Vec<bool>,
     /// Binders introduced inside the expression currently being walked.
@@ -385,43 +281,6 @@ impl SlotEnv {
             }
         }
     }
-
-    /// Use-check a whole statement subtree (`Store` ops), treating
-    /// nested `For`/`Let` binders as locally bound.
-    fn check_stmt(&mut self, s: &Stmt) -> Result<(), VerifyError> {
-        match s {
-            Stmt::For {
-                var, extent, body, ..
-            } => {
-                self.check_idx(extent)?;
-                self.bound.push(var.id() as usize);
-                let r = body.iter().try_for_each(|st| self.check_stmt(st));
-                self.bound.pop();
-                r
-            }
-            Stmt::Let { var, value, body } => {
-                self.check_idx(value)?;
-                self.bound.push(var.id() as usize);
-                let r = body.iter().try_for_each(|st| self.check_stmt(st));
-                self.bound.pop();
-                r
-            }
-            Stmt::Store { index, value, .. } => {
-                index.iter().try_for_each(|i| self.check_idx(i))?;
-                self.check_val(value)
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.check_bool(cond)?;
-                then_branch.iter().try_for_each(|st| self.check_stmt(st))?;
-                else_branch.iter().try_for_each(|st| self.check_stmt(st))
-            }
-            Stmt::Barrier => Ok(()),
-        }
-    }
 }
 
 /// Verifies every static invariant of a lowered program (module docs).
@@ -430,7 +289,6 @@ impl SlotEnv {
 ///
 /// The first violated invariant, naming the offending op index.
 pub(crate) fn verify(plan: &Program) -> Result<(), VerifyError> {
-    let owned = OwnedAddrs::collect(&plan.source);
     let n_ops = plan.ops.len();
     // Textual kernel ranges: entry of kernel k up to the next entry.
     for (ki, kd) in plan.kernels.iter().enumerate() {
@@ -441,12 +299,7 @@ pub(crate) fn verify(plan: &Program) -> Result<(), VerifyError> {
             });
         }
         let end = plan.kernels.get(ki + 1).map(|k| k.entry).unwrap_or(n_ops);
-        let limit = plan
-            .source
-            .get(ki)
-            .map(|k| k.num_slots)
-            .unwrap_or(usize::MAX);
-        verify_kernel(plan, &owned, ki, kd.entry..end, limit)?;
+        verify_kernel(plan, ki, kd.entry..end)?;
     }
     verify_certificates(plan)?;
     verify_addresses(plan)
@@ -476,10 +329,8 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
                 Instr::Memo { .. } | Instr::Ops { .. } | Instr::Jump(_) => true,
             })
     };
-    let waves = plan.waves.iter().map(|w| {
-        let sites = &w.plan.sites;
-        node_ok(&w.plan.node_let) && sites.iter().all(|s| s.row.is_fresh())
-    });
+    let waves = (plan.waves.iter())
+        .map(|w| node_ok(&w.node_let) && w.sites.iter().all(|s| s.row.is_fresh()));
     let fused = plan.fused.iter().map(|fw| (Some(&fw.node_let), &fw.prog));
     let bulks = plan.bulks.iter().map(|b| (None, &**b));
     let rows = (fused.chain(bulks)).map(|(node, prog)| node.is_none_or(node_ok) && rows_ok(prog));
@@ -492,47 +343,21 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
     }
 }
 
-/// Re-derives every parallel-safety certificate from the compiled
-/// kernels and compares it with the stored one, so a forged or stale
+/// Re-derives every parallel-safety certificate from the ops of its
+/// wave body and compares it with the stored one, so a forged or stale
 /// certificate never reaches a consumer (the multicore dispatcher
 /// trusts `RowDisjoint` blindly — this is where that trust is earned).
 fn verify_certificates(plan: &Program) -> Result<(), VerifyError> {
     use super::analysis::parsafety::{self, ParSafety};
-    if plan.wave_safety.len() != plan.waves.len() {
+    let derived = parsafety::wave_certificates(plan);
+    let stored = &plan.wave_safety;
+    if let Some(index) = (0..derived.len().max(stored.len()))
+        .find(|&i| derived.get(i).copied().flatten() != stored.get(i).copied())
+    {
         return Err(VerifyError::CertificateMismatch {
             what: "wave",
-            index: plan.wave_safety.len().min(plan.waves.len()),
+            index,
         });
-    }
-    // Wave bodies are found back through the plan's `for_key` (the
-    // planned `For`'s statement address within the compiled kernels).
-    // An explicit walker — `Stmt::visit` cannot lend references with
-    // the tree's lifetime out of its callback.
-    fn collect_fors<'a>(s: &'a Stmt, out: &mut HashMap<usize, (cortex_core::Var, &'a [Stmt])>) {
-        if let Stmt::For { var, body, .. } = s {
-            out.insert(s as *const Stmt as usize, (*var, body.as_slice()));
-        }
-        s.children().for_each(|c| collect_fors(c, out));
-    }
-    let mut fors: HashMap<usize, (cortex_core::Var, &[Stmt])> = HashMap::new();
-    for k in plan.source.iter() {
-        for s in &k.body {
-            collect_fors(s, &mut fors);
-        }
-    }
-    for (i, (wref, cert)) in plan.waves.iter().zip(&plan.wave_safety).enumerate() {
-        let Some(&(var, body)) = fors.get(&wref.for_key) else {
-            return Err(VerifyError::CertificateMismatch {
-                what: "wave",
-                index: i,
-            });
-        };
-        if parsafety::certify_wave_body(var, body) != *cert {
-            return Err(VerifyError::CertificateMismatch {
-                what: "wave",
-                index: i,
-            });
-        }
     }
     for (i, fw) in plan.fused.iter().enumerate() {
         // Only row-disjoint bodies may fuse at all.
@@ -548,19 +373,11 @@ fn verify_certificates(plan: &Program) -> Result<(), VerifyError> {
 
 fn verify_kernel(
     plan: &Program,
-    owned: &OwnedAddrs,
     ki: usize,
     range: std::ops::Range<usize>,
-    slot_limit: usize,
 ) -> Result<(), VerifyError> {
     let n_ops = plan.ops.len();
-    // A kernel range with no matching compiled kernel (hand-built test
-    // programs) gets a generous slot file instead of none.
-    let mut env = SlotEnv::new(if slot_limit == usize::MAX {
-        4096
-    } else {
-        slot_limit
-    });
+    let mut env = SlotEnv::new(plan.kernels[ki].num_slots);
     // The launch prologue binds the kernel's batch slot before any op.
     if let Some(bv) = plan.kernels[ki].batch_slot {
         env.op = range.start;
@@ -596,22 +413,19 @@ fn verify_kernel(
             Op::LoopEnter(id) => {
                 plan_ref("loop", *id, plan.loops.len())?;
                 let d = &plan.loops[*id];
-                if !owned.idxs.contains(&(d.extent as usize)) {
-                    return Err(VerifyError::ForeignExpr { op: pc });
-                }
-                // SAFETY: ownership checked above — the pointer targets
-                // an expression the program's `source` keeps alive.
-                env.check_idx(unsafe { &*d.extent })?;
-                for (target, what) in [(d.body, "body"), (d.fused_pc, "fused_pc"), (d.exit, "exit")]
-                {
+                env.check_idx(&d.extent)?;
+                for target in [d.body, d.fused_pc, d.exit] {
                     jump_to(target)?;
-                    if what == "body" && target != pc + 1 {
-                        return Err(VerifyError::BadLoopShape {
-                            op: pc,
-                            loop_id: *id,
-                            what: "body pc",
-                        });
-                    }
+                }
+                // The body runs from the op after the enter up to the
+                // exit (the ops the certifier reads as the body).
+                let misplaced = [(d.body != pc + 1, "body pc"), (d.exit <= pc, "exit pc")];
+                if let Some(&(_, what)) = misplaced.iter().find(|(bad, _)| *bad) {
+                    return Err(VerifyError::BadLoopShape {
+                        op: pc,
+                        loop_id: *id,
+                        what,
+                    });
                 }
                 if let Some(w) = d.wave {
                     plan_ref("wave", w, plan.waves.len())?;
@@ -648,26 +462,17 @@ fn verify_kernel(
             }
             Op::FusedEpilogue => {}
             Op::Let { slot, value } => {
-                if !owned.idxs.contains(&(*value as usize)) {
-                    return Err(VerifyError::ForeignExpr { op: pc });
-                }
-                // SAFETY: ownership checked above.
-                env.check_idx(unsafe { &**value })?;
+                env.check_idx(value)?;
                 env.define(*slot)?;
             }
-            Op::Store { stmt } => {
-                if !owned.stmts.contains(&(*stmt as usize)) {
-                    return Err(VerifyError::ForeignExpr { op: pc });
-                }
-                // SAFETY: ownership checked above.
-                env.check_stmt(unsafe { &**stmt })?;
+            Op::Store(id) => {
+                plan_ref("store", *id, plan.stores.len())?;
+                let StoreOp { index, value, .. } = &plan.stores[*id];
+                index.iter().try_for_each(|i| env.check_idx(i))?;
+                env.check_val(value)?;
             }
             Op::Branch { cond, on_false } => {
-                if !owned.bools.contains(&(*cond as usize)) {
-                    return Err(VerifyError::ForeignExpr { op: pc });
-                }
-                // SAFETY: ownership checked above.
-                env.check_bool(unsafe { &**cond })?;
+                env.check_bool(cond)?;
                 jump_to(*on_false)?;
             }
             Op::Jump(target) => jump_to(*target)?,

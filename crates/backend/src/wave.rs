@@ -51,6 +51,10 @@ pub(crate) struct WavePlan {
     pub sites: Vec<SumSite>,
     /// Stacking groups over `sites`: each group runs as **one** GEMM.
     pub groups: Vec<SiteGroup>,
+    /// Engine-wide id of `groups[0]`: group `g` of this plan is
+    /// `group_base + g`, the index of its packed weights and scratch in
+    /// the engine caches.
+    pub group_base: usize,
 }
 
 /// How the members of a [`SiteGroup`] share one GEMM.
@@ -93,9 +97,10 @@ pub(crate) struct InnerDim {
 /// One batched reduction site.
 #[derive(Debug)]
 pub(crate) struct SumSite {
-    /// Identity of the `Sum` body (`&*body` address), shared with the
-    /// executor's plan cache and wave memo.
-    pub key: usize,
+    /// Slot of the `Sum`'s binder: the site's identity within its wave
+    /// (binders are unique per `Sum` and distinct within a wave body),
+    /// which the wave memo and the row programs match on.
+    pub binder: usize,
     /// Reduction extent `K` (node- and feature-invariant).
     pub extent: IdxExpr,
     /// Feature loop variable slot (`i`).
@@ -133,17 +138,18 @@ pub(crate) struct WeightRef {
     pub k_pos: usize,
 }
 
-/// Analyzes compiled kernel bodies, returning wave plans keyed by the
-/// address of their `For` statement. With `stack` set, sites with
-/// compatible signatures are grouped into stacked GEMMs; without it each
-/// site forms its own singleton group (the pre-stacking behavior, kept
-/// as an executor option so the two paths can cross-check each other).
+/// Analyzes compiled kernel bodies, returning the wave plans by wave id
+/// and the map from each planned `For` statement's address to its id.
+/// With `stack` set, sites with compatible signatures are grouped into
+/// stacked GEMMs; without it each site forms its own singleton group
+/// (the pre-stacking behavior, kept as an executor option so the two
+/// paths can cross-check each other).
 ///
-/// Statement addresses are stable for the lifetime of the compiled
-/// kernels (the bodies are never mutated), which is the same keying
-/// discipline the executor's reduction plan cache uses.
-pub(crate) fn analyze(bodies: &[&[Stmt]], stack: bool) -> HashMap<usize, WavePlan> {
-    let mut plans = HashMap::new();
+/// The addresses are lookup keys for walks over these same kernels (the
+/// lowering, the `interp: true` oracle), stable because the bodies are
+/// never mutated; nothing dereferences them.
+pub(crate) fn analyze(bodies: &[&[Stmt]], stack: bool) -> (Vec<WavePlan>, HashMap<usize, usize>) {
+    let mut plans = (Vec::new(), HashMap::new());
     for body in bodies {
         for stmt in *body {
             visit(stmt, stack, &mut plans);
@@ -152,7 +158,7 @@ pub(crate) fn analyze(bodies: &[&[Stmt]], stack: bool) -> HashMap<usize, WavePla
     plans
 }
 
-fn visit(stmt: &Stmt, stack: bool, plans: &mut HashMap<usize, WavePlan>) {
+fn visit(stmt: &Stmt, stack: bool, plans: &mut (Vec<WavePlan>, HashMap<usize, usize>)) {
     if let Stmt::For {
         var,
         kind: LoopKind::Parallel,
@@ -162,8 +168,10 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut HashMap<usize, WavePlan>) {
     } = stmt
     {
         if d.0 == "d_batch" {
-            if let Some(plan) = plan_wave(*var, body, stack) {
-                plans.insert(stmt as *const Stmt as usize, plan);
+            let group_base = plans.0.last().map_or(0, |p| p.group_base + p.groups.len());
+            if let Some(plan) = plan_wave(*var, body, stack, group_base) {
+                plans.1.insert(stmt as *const Stmt as usize, plans.0.len());
+                plans.0.push(plan);
                 return; // sites under this loop are covered by the plan
             }
         }
@@ -186,7 +194,7 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut HashMap<usize, WavePlan>) {
 
 /// Builds a plan for one `d_batch` loop body, or `None` if nothing under
 /// it batches.
-fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool) -> Option<WavePlan> {
+fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool, group_base: usize) -> Option<WavePlan> {
     let (node_let, stmts): (Option<(usize, &IdxExpr)>, &[Stmt]) = match body {
         [Stmt::Let { var, value, body }] => (Some((var.id() as usize, value)), body.as_slice()),
         other => (None, other),
@@ -277,6 +285,7 @@ fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool) -> Option<WavePlan> {
             node_let: node_let.map(|(slot, value)| (slot, Coord::new(value))),
             sites,
             groups,
+            group_base,
         })
     }
 }
@@ -677,7 +686,7 @@ fn plan_site(
         (None, _) => (None, h),
     };
     Some(SumSite {
-        key: body as *const ValExpr as usize,
+        binder: k.id() as usize,
         extent: extent.clone(),
         feat_slot: feat.id() as usize,
         feat_extent: h,
@@ -716,14 +725,14 @@ fn val_is_pure(e: &ValExpr) -> bool {
 /// into one super-wave GEMM exactly when they are the *same* stacking
 /// group of the *same* planned loop with the same packed-weight shape —
 /// the result matrices then differ only in which rows belong to whom.
+/// (Which members passed their weight-window check is settled by the
+/// packed weight itself: [`merge_plans`] also requires the same pack.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SuperKey {
-    /// Address of the planned `For` statement.
-    pub for_key: usize,
+    /// Id of the wave plan.
+    pub wave: usize,
     /// Ordinal of the stacking group within its [`WavePlan`].
-    pub group_ordinal: usize,
-    /// Group leader's site key.
-    pub leader_key: usize,
+    pub group: usize,
     /// GEMM output columns (ΣH of the stacked sites).
     pub cols: usize,
     /// Reduction extent.
@@ -946,9 +955,9 @@ mod tests {
             }],
         };
         let body = [stmt];
-        let plans = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body], true);
         assert_eq!(plans.len(), 1, "the guarded sum must be planned");
-        let plan = plans.values().next().unwrap();
+        let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
         let site = &plan.sites[0];
         assert_eq!(site.row.guards.len(), 1);
@@ -1001,7 +1010,7 @@ mod tests {
             }],
         };
         let body = [stmt];
-        assert!(analyze(&[&body], true).is_empty());
+        assert!(analyze(&[&body], true).0.is_empty());
     }
 
     #[test]
@@ -1030,9 +1039,9 @@ mod tests {
     fn canonical_gate_loop_is_planned() {
         let stmt = wave_loop(8, 8);
         let body = [stmt];
-        let plans = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body], true);
         assert_eq!(plans.len(), 1);
-        let plan = plans.values().next().unwrap();
+        let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
         let site = &plan.sites[0];
         assert_eq!(site.feat_extent, 8);
@@ -1065,7 +1074,7 @@ mod tests {
         let body = [serial];
         // The inner feature loop is reachable but the loop itself is not a
         // d_batch parallel loop, so nothing batches.
-        assert!(analyze(&[&body], true).is_empty());
+        assert!(analyze(&[&body], true).0.is_empty());
     }
 
     /// Builds a TreeLSTM-shaped wave loop: `gates` sites reading the
@@ -1128,8 +1137,8 @@ mod tests {
     #[test]
     fn gates_sharing_rows_stack_and_forget_gates_share_weight() {
         let body = [multi_gate_loop(3, 2, 8)];
-        let plans = analyze(&[&body], true);
-        let plan = plans.values().next().unwrap();
+        let (plans, _) = analyze(&[&body], true);
+        let plan = &plans[0];
         assert_eq!(plan.sites.len(), 5);
         let shared_rows: Vec<_> = plan
             .groups
@@ -1156,8 +1165,8 @@ mod tests {
     #[test]
     fn stacking_disabled_yields_singleton_groups() {
         let body = [multi_gate_loop(3, 2, 8)];
-        let plans = analyze(&[&body], false);
-        let plan = plans.values().next().unwrap();
+        let (plans, _) = analyze(&[&body], false);
+        let plan = &plans[0];
         assert_eq!(plan.groups.len(), 5);
         assert!(plan
             .groups
@@ -1168,8 +1177,8 @@ mod tests {
     #[test]
     fn canonical_single_gate_is_a_singleton_group() {
         let body = [wave_loop(8, 8)];
-        let plans = analyze(&[&body], true);
-        let plan = plans.values().next().unwrap();
+        let (plans, _) = analyze(&[&body], true);
+        let plan = &plans[0];
         assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.groups[0].members, vec![0]);
     }
@@ -1220,9 +1229,9 @@ mod tests {
     #[test]
     fn rank2_matrix_site_is_planned() {
         let body = [rank2_loop(5, 7, 5)];
-        let plans = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body], true);
         assert_eq!(plans.len(), 1);
-        let plan = plans.values().next().unwrap();
+        let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
         let site = &plan.sites[0];
         assert_eq!(site.feat_extent, 5);
@@ -1278,8 +1287,8 @@ mod tests {
             }],
         };
         let body = [stmt];
-        let plans = analyze(&[&body], true);
-        let plan = plans.values().next().unwrap();
+        let (plans, _) = analyze(&[&body], true);
+        let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
         assert!(plan.sites[0].inner.is_none());
         assert_eq!(plan.sites[0].served_per_row, 15);
@@ -1291,23 +1300,19 @@ mod tests {
         let w1 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
         let w2 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
         let key = SuperKey {
-            for_key: 1,
-            group_ordinal: 0,
-            leader_key: 7,
+            wave: 1,
+            group: 0,
             cols: 2,
             k_len: 4,
         };
-        let other_key = SuperKey {
-            group_ordinal: 1,
-            ..key
-        };
+        let other_key = SuperKey { group: 1, ..key };
         let mut acc = SuperWaveAcc::default();
         let (e0, b0) = acc.register(key, &w1, 3, 0, 0);
         let (e1, b1) = acc.register(key, &w1, 2, 1, 0);
         assert_eq!((e0, b0), (0, 0));
         assert_eq!((e1, b1), (0, 3), "same key+weight fuses, rows appended");
         let (e2, _) = acc.register(other_key, &w1, 1, 2, 0);
-        assert_eq!(e2, 1, "different group ordinal stays separate");
+        assert_eq!(e2, 1, "different group stays separate");
         let (e3, _) = acc.register(key, &w2, 1, 3, 0);
         assert_eq!(
             e3, 2,
@@ -1352,6 +1357,6 @@ mod tests {
             }],
         };
         let body = [stmt];
-        assert!(analyze(&[&body], true).is_empty());
+        assert!(analyze(&[&body], true).0.is_empty());
     }
 }
