@@ -66,7 +66,7 @@ impl HealthPolicy {
 
 /// A fixed-size ring of recent outcomes (`true` = ok) with an O(1)
 /// error-rate read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RollingWindow {
     outcomes: std::collections::VecDeque<bool>,
     cap: usize,

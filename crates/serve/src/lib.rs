@@ -451,6 +451,15 @@ pub struct Batcher<'p> {
     /// Insertion order of `expired` (oldest first). May transiently
     /// hold already-polled tickets; compacted like `failed_order`.
     expired_order: VecDeque<u64>,
+    /// The earliest instant at which [`Batcher::poll`] acts on the
+    /// queue by itself: the front's `max_delay` flush or the earliest
+    /// queued deadline (`None` with an empty queue). Exact: updated on
+    /// every queue change.
+    due: Option<Duration>,
+    /// Bumped whenever the queue, the ready set, the failed set or the
+    /// breaker changes, so a [`Router`] can tell whether a pump did
+    /// anything on this shard.
+    version: u64,
     next_ticket: u64,
     flushes: u64,
     serve_stats: ServeStats,
@@ -485,6 +494,8 @@ impl<'p> Batcher<'p> {
             failed_order: VecDeque::new(),
             expired: std::collections::HashSet::new(),
             expired_order: VecDeque::new(),
+            due: None,
+            version: 0,
             next_ticket: 0,
             flushes: 0,
             serve_stats: ServeStats::default(),
@@ -591,6 +602,7 @@ impl<'p> Batcher<'p> {
                 }
                 WhenFull::ShedOldest => {
                     let victim = self.queue.pop_front().expect("full queue is non-empty");
+                    self.refresh_due();
                     self.record_failure(victim.ticket, ServeError::Shed);
                 }
                 WhenFull::ShedNewest => {
@@ -601,12 +613,19 @@ impl<'p> Batcher<'p> {
             }
         }
         let ticket = self.alloc_ticket();
-        self.queue.push_back(PendingRequest {
+        let pending = PendingRequest {
             ticket,
             lin,
             submitted: now,
             deadline: deadline.map(|d| now + d),
-        });
+        };
+        let front_flush = self.queue.is_empty().then(|| self.flush_due(&pending));
+        self.due = [self.due, front_flush, pending.deadline]
+            .into_iter()
+            .flatten()
+            .min();
+        self.queue.push_back(pending);
+        self.version += 1;
         if self.queue.len() >= self.opts.max_batch {
             self.flush();
         }
@@ -652,6 +671,7 @@ impl<'p> Batcher<'p> {
             .collect();
         self.failed_order.clear();
         self.expired_order.clear();
+        self.version += 1;
         out.sort_by_key(|(t, _)| *t);
         out
     }
@@ -660,7 +680,8 @@ impl<'p> Batcher<'p> {
     /// queued request whose own deadline expired resolves
     /// [`ServeError::DeadlineExceeded`], and if the oldest queued
     /// request has waited past [`BatcherOptions::max_delay`] the queue
-    /// flushes.
+    /// flushes. Before the earliest of those instants a poll only looks
+    /// the ticket up; it scans nothing.
     ///
     /// Returns `Ok(None)` while the request is still queued within its
     /// deadline (and for unknown/already-resolved tickets).
@@ -671,31 +692,19 @@ impl<'p> Batcher<'p> {
     /// another request's error never masks this ticket's ready response
     /// or still-queued state.
     pub fn poll(&mut self, ticket: Ticket) -> Result<Option<Response>, ServeError> {
-        if let Some(r) = self.ready.remove(&ticket.0) {
-            return Ok(Some(r));
-        }
-        if let Some(e) = self.failed.remove(&ticket.0) {
-            return Err(e);
-        }
-        if self.expired.remove(&ticket.0) {
-            return Err(ServeError::ResultExpired);
+        if let Some(outcome) = self.take_outcome(ticket.0) {
+            return outcome.map(Some);
         }
         let now = self.clock.now();
+        if self.due.is_none_or(|due| now < due) {
+            return Ok(None);
+        }
         self.expire_due(now);
-        if self
-            .queue
-            .front()
-            .is_some_and(|p| now.saturating_sub(p.submitted) >= self.opts.max_delay)
-        {
+        if self.queue.front().is_some_and(|p| now >= self.flush_due(p)) {
             self.flush();
         }
-        if let Some(e) = self.failed.remove(&ticket.0) {
-            return Err(e);
-        }
-        if self.expired.remove(&ticket.0) {
-            return Err(ServeError::ResultExpired);
-        }
-        Ok(self.ready.remove(&ticket.0))
+        self.take_outcome(ticket.0)
+            .map_or(Ok(None), |o| o.map(Some))
     }
 
     /// Flushes every queued request through merged super-wave
@@ -721,6 +730,7 @@ impl<'p> Batcher<'p> {
             let batch: Vec<PendingRequest> = self.queue.drain(..take).collect();
             ok += self.run_chunk(batch, false);
         }
+        self.due = None;
         ok
     }
 
@@ -731,6 +741,39 @@ impl<'p> Batcher<'p> {
         self.next_ticket += 1;
         self.serve_stats.submitted += 1;
         ticket
+    }
+
+    /// Removes `ticket`'s outcome, if it has one.
+    fn take_outcome(&mut self, ticket: u64) -> Option<Result<Response, ServeError>> {
+        let outcome = if let Some(r) = self.ready.remove(&ticket) {
+            Ok(r)
+        } else if let Some(e) = self.failed.remove(&ticket) {
+            Err(e)
+        } else if self.expired.remove(&ticket) {
+            Err(ServeError::ResultExpired)
+        } else {
+            return None;
+        };
+        self.version += 1;
+        Some(outcome)
+    }
+
+    /// When `p`, at the queue front, forces a flush: `max_delay` after
+    /// its admission, or at once for a zero delay whatever the clock
+    /// reads.
+    fn flush_due(&self, p: &PendingRequest) -> Duration {
+        if self.opts.max_delay.is_zero() {
+            Duration::ZERO
+        } else {
+            p.submitted + self.opts.max_delay
+        }
+    }
+
+    /// Recomputes `due` from the whole queue.
+    fn refresh_due(&mut self) {
+        let front_flush = self.queue.front().map(|p| self.flush_due(p));
+        let deadline = self.queue.iter().filter_map(|p| p.deadline).min();
+        self.due = front_flush.into_iter().chain(deadline).min();
     }
 
     /// Resolves every queued request whose deadline is due as
@@ -746,6 +789,7 @@ impl<'p> Batcher<'p> {
                 i += 1;
             }
         }
+        self.refresh_due();
     }
 
     /// Executes one chunk, bisecting on failure so each ticket's outcome
@@ -764,6 +808,7 @@ impl<'p> Batcher<'p> {
                 let width = DepthMap::build(&lins).mean_super_width();
                 let degraded = self.degraded();
                 let n = batch.len();
+                self.version += 1;
                 for (pending, (outputs, profile)) in batch.iter().zip(results) {
                     self.serve_stats.resolved_ok += 1;
                     self.ready.insert(
@@ -865,6 +910,7 @@ impl<'p> Batcher<'p> {
     /// immediately.
     fn update_breaker(&mut self, now: Duration) {
         if self.degraded_until.is_some_and(|until| now >= until) {
+            self.version += 1;
             self.degraded_until = None;
             self.engine.set_options(self.base_opts);
             self.consecutive_faults = self.opts.breaker_threshold.saturating_sub(1);
@@ -876,6 +922,7 @@ impl<'p> Batcher<'p> {
     /// oldest are dropped. Resolution counters update here — exactly
     /// once per ticket.
     fn record_failure(&mut self, ticket: u64, e: ServeError) {
+        self.version += 1;
         self.serve_stats.resolved_err += 1;
         match &e {
             ServeError::Shed => self.serve_stats.shed += 1,
@@ -954,6 +1001,18 @@ impl<'p> Batcher<'p> {
     /// Whether no tickets are tracked at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The earliest instant at which a poll acts on the queue without a
+    /// new submission (`None` with an empty queue).
+    pub(crate) fn next_due(&self) -> Option<Duration> {
+        self.due
+    }
+
+    /// A counter that moves whenever the queue, the ready set, the
+    /// failed set or the breaker changes.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// Executor-strategy counters of the most recent flush (see

@@ -42,7 +42,13 @@
 //! injected [`Clock`], and shard outputs are bit-identical to solo
 //! runs — so the router-level model-based suite can assert
 //! exactly-once resolution *and* bitwise-equal survivors across
-//! arbitrary fault/kill interleavings.
+//! arbitrary fault/kill interleavings. How often a caller polls does
+//! not change any of it: a [`Router::poll`] that skips its pump skips
+//! a no-op (the pump before it changed nothing, nothing has mutated
+//! since, and no time-driven condition has come due), and a failed
+//! hedge waits one more hedge delay instead of drawing again on every
+//! pump. Debug builds run every skipped pump anyway and assert that it
+//! changed nothing.
 //!
 //! [`BreakerState::Open`]: crate::BreakerState::Open
 //! [`ServeError::QueueFull`]: crate::ServeError::QueueFull
@@ -54,6 +60,7 @@
 //! [`ServeError::Shed`]: crate::ServeError::Shed
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -105,7 +112,8 @@ pub struct HedgePolicy {
     /// How long a *deadline-carrying* request may stay unresolved after
     /// its latest dispatch before a duplicate leg is sent to a
     /// different shard. First leg to resolve wins; the loser is
-    /// discarded (its result, bit-identical anyway, is dropped).
+    /// discarded (its result, bit-identical anyway, is dropped). A
+    /// hedge that no other shard takes is tried again one delay later.
     pub delay: Duration,
 }
 
@@ -213,7 +221,7 @@ pub struct RouterStats {
 }
 
 /// One dispatched copy of a request on a specific shard.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Leg {
     shard: usize,
     /// The shard's generation id — a leg whose uid mismatches found its
@@ -232,6 +240,7 @@ enum LegPoll {
 /// A leg whose router ticket already resolved (hedge loser, or a leg
 /// superseded by failover) — polled until its shard-level ticket
 /// resolves, then discarded.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Orphan {
     model: usize,
     leg: Leg,
@@ -239,12 +248,15 @@ struct Orphan {
 
 /// Router-side state of one in-flight ticket.
 struct InFlight {
+    /// The router ticket id.
+    id: u64,
     model: ModelId,
     input: Linearized,
     /// Absolute clock time after which the ticket must not execute.
     deadline: Option<Duration>,
-    /// When the latest primary leg was dispatched (hedge timer).
-    dispatched_at: Duration,
+    /// Start of the hedge delay: the latest primary dispatch, or the
+    /// latest hedge attempt that found no shard to take it.
+    hedge_since: Duration,
     /// Primary dispatches made (retry budget consumed). Hedges and
     /// failovers are free.
     attempts: u32,
@@ -296,7 +308,9 @@ pub struct Router<'p> {
     clock: Rc<dyn Clock>,
     rng: Rng,
     models: Vec<ModelEntry<'p>>,
-    in_flight: HashMap<u64, InFlight>,
+    /// In ticket order (tickets are issued in increasing order and
+    /// pushed), which is the order a pump steps them in.
+    in_flight: Vec<InFlight>,
     /// Resolved-but-unclaimed outcomes ([`Router::poll`] removes).
     done: HashMap<u64, Result<Response, ServeError>>,
     orphans: Vec<Orphan>,
@@ -304,6 +318,23 @@ pub struct Router<'p> {
     next_shard_uid: u64,
     stats: RouterStats,
     draining: bool,
+    /// Placement scratch: the candidate shards of one dispatch, in the
+    /// order they are tried.
+    order: Vec<usize>,
+    /// Bumped by every router-side change a pump makes; with the
+    /// shards' [`Batcher`] versions it tells whether a pump did
+    /// anything.
+    version: u64,
+    /// Set by a pump that changed nothing, to the instants from that
+    /// pump's up to the earliest one at which a time-driven condition
+    /// can fire. A [`Router::poll`] inside it skips its pump; every
+    /// other mutation clears it. A [`TestClock`](crate::TestClock) set
+    /// back before the start pumps again: a hedge's `now < deadline`
+    /// can turn true as time goes back.
+    idle: Option<Range<Duration>>,
+    /// Pumps [`Router::poll`] ran rather than skipped.
+    #[cfg(test)]
+    polled_pumps: u64,
 }
 
 /// Fault-shaped errors: the leg's *execution* failed in a way a
@@ -315,6 +346,13 @@ fn is_fault(e: &ServeError) -> bool {
     )
 }
 
+/// The earlier of `acc` and `due`, counting `due` only when it is after
+/// `now`: a condition due at or before `now` either fired in this pump
+/// or cannot fire without a state change.
+fn earliest_after(now: Duration, acc: Option<Duration>, due: Option<Duration>) -> Option<Duration> {
+    acc.into_iter().chain(due.filter(|&d| d > now)).min()
+}
+
 impl<'p> Router<'p> {
     /// An empty router (no models yet) under `opts`, on the production
     /// clock.
@@ -324,13 +362,18 @@ impl<'p> Router<'p> {
             opts,
             clock: Rc::new(MonotonicClock::new()),
             models: Vec::new(),
-            in_flight: HashMap::new(),
+            in_flight: Vec::new(),
             done: HashMap::new(),
             orphans: Vec::new(),
             next_ticket: 0,
             next_shard_uid: 0,
             stats: RouterStats::default(),
             draining: false,
+            order: Vec::new(),
+            version: 0,
+            idle: None,
+            #[cfg(test)]
+            polled_pumps: 0,
         }
     }
 
@@ -338,6 +381,7 @@ impl<'p> Router<'p> {
     /// added *afterwards* shares it. Call before [`Router::add_model`].
     pub fn with_clock(mut self, clock: Rc<dyn Clock>) -> Self {
         self.clock = clock;
+        self.idle = None;
         self
     }
 
@@ -355,6 +399,7 @@ impl<'p> Router<'p> {
         mut shard_opts: BatcherOptions,
     ) -> ModelId {
         assert!(shards >= 1, "a model needs at least one shard");
+        self.idle = None;
         if let Some(aimd) = self.opts.adaptive_depth {
             shard_opts.max_batch = aimd.start.clamp(aimd.min.max(1), aimd.max.max(1));
         }
@@ -423,6 +468,7 @@ impl<'p> Router<'p> {
         budget: Option<Duration>,
     ) -> Result<RouterTicket, ServeError> {
         assert!(model.0 < self.models.len(), "unknown model id");
+        self.idle = None;
         if self.draining {
             self.stats.rejected += 1;
             return Err(ServeError::Draining);
@@ -437,23 +483,21 @@ impl<'p> Router<'p> {
                 let rt = self.next_ticket;
                 self.next_ticket += 1;
                 self.stats.submitted += 1;
-                self.in_flight.insert(
-                    rt,
-                    InFlight {
-                        model,
-                        input,
-                        deadline: budget.map(|b| now + b),
-                        dispatched_at: now,
-                        attempts: 1,
-                        redispatch_stalls: 0,
-                        free_redispatch: false,
-                        last_shard: Some(leg.shard),
-                        primary: Some(leg),
-                        hedge: None,
-                        retry_due: None,
-                        last_err: None,
-                    },
-                );
+                self.in_flight.push(InFlight {
+                    id: rt,
+                    model,
+                    input,
+                    deadline: budget.map(|b| now + b),
+                    hedge_since: now,
+                    attempts: 1,
+                    redispatch_stalls: 0,
+                    free_redispatch: false,
+                    last_shard: Some(leg.shard),
+                    primary: Some(leg),
+                    hedge: None,
+                    retry_due: None,
+                    last_err: None,
+                });
                 Ok(RouterTicket(rt))
             }
             Err(e) => {
@@ -463,10 +507,18 @@ impl<'p> Router<'p> {
         }
     }
 
-    /// Retrieves a finished outcome, driving the whole topology one
-    /// step: leg polls (which drive each shard's own flush/deadline
+    /// Retrieves a finished outcome, first pumping the topology one
+    /// step — leg polls (which drive each shard's own flush/deadline
     /// policies), retries, failovers, hedge launches, and the AIMD
-    /// depth controller.
+    /// depth controller — unless that pump would do nothing.
+    ///
+    /// The pump is skipped when the last pump changed nothing, no other
+    /// `&mut` method has run since, and the clock has not reached the
+    /// earliest instant at which something can fall due: a shard's
+    /// `max_delay` flush or queued deadline, a ticket's retry or
+    /// deadline while it has no leg out, or its hedge instant. Such a
+    /// pump would re-evaluate every condition to the same value, so
+    /// polling N outstanding tickets costs one or two pumps, not N.
     ///
     /// Returns `Ok(None)` while the ticket is in flight (and for
     /// unknown/already-claimed tickets).
@@ -475,7 +527,17 @@ impl<'p> Router<'p> {
     ///
     /// This ticket's own terminal error, exactly once.
     pub fn poll(&mut self, ticket: RouterTicket) -> Result<Option<Response>, ServeError> {
-        self.pump(false);
+        let now = self.clock.now();
+        if self.idle.as_ref().is_some_and(|idle| idle.contains(&now)) {
+            #[cfg(debug_assertions)]
+            self.audit_skipped_pump();
+        } else {
+            #[cfg(test)]
+            {
+                self.polled_pumps += 1;
+            }
+            self.pump(false);
+        }
         match self.done.remove(&ticket.0) {
             Some(Ok(r)) => Ok(Some(r)),
             Some(Err(e)) => Err(e),
@@ -508,6 +570,7 @@ impl<'p> Router<'p> {
             self.pump(true);
         }
         self.discard_orphans();
+        self.idle = None;
         self.take_done()
     }
 
@@ -529,13 +592,11 @@ impl<'p> Router<'p> {
             self.flush_shards();
             self.pump(true);
         }
-        let mut ids: Vec<u64> = self.in_flight.keys().copied().collect();
-        ids.sort_unstable();
-        for rt in ids {
-            let f = self.in_flight.remove(&rt).expect("listed id in flight");
-            self.finish(rt, f, Err(ServeError::Shed));
+        for f in std::mem::take(&mut self.in_flight) {
+            self.finish(&f, Err(ServeError::Shed));
         }
         self.discard_orphans();
+        self.idle = None;
         self.take_done()
     }
 
@@ -572,6 +633,7 @@ impl<'p> Router<'p> {
         shard: usize,
         hook: Option<FaultHook>,
     ) -> bool {
+        self.idle = None;
         match self
             .models
             .get_mut(model.0)
@@ -660,23 +722,114 @@ impl<'p> Router<'p> {
     /// in-flight ticket (in ticket order, for determinism), then the
     /// AIMD controller. `ignore_backoff` makes due-dated retries fire
     /// immediately (drain/shutdown don't wait out backoff windows).
+    ///
+    /// A pump that changed nothing leaves `idle` set until the earliest
+    /// instant after `now` at which one of its time-driven conditions
+    /// (all of the form `now >= due`) can turn true.
     fn pump(&mut self, ignore_backoff: bool) {
         let now = self.clock.now();
+        let before = self.versions();
         self.poll_orphans();
-        let mut ids: Vec<u64> = self.in_flight.keys().copied().collect();
-        ids.sort_unstable();
-        for rt in ids {
-            let Some(mut f) = self.in_flight.remove(&rt) else {
-                continue;
-            };
-            match self.step_ticket(&mut f, now, ignore_backoff) {
-                Some(outcome) => self.finish(rt, f, outcome),
-                None => {
-                    self.in_flight.insert(rt, f);
-                }
+        let mut next_due = None;
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        in_flight.retain_mut(|f| match self.step_ticket(f, now, ignore_backoff) {
+            Some(outcome) => {
+                self.finish(f, outcome);
+                false
             }
-        }
+            None => {
+                next_due = earliest_after(now, next_due, self.ticket_due(f));
+                true
+            }
+        });
+        self.in_flight = in_flight;
         self.adjust_depths();
+        self.idle = (self.versions() == before).then(|| {
+            let shard_dues = self.models.iter().flat_map(|m| &m.shards);
+            let until = shard_dues
+                .filter_map(|s| s.batcher.as_ref()?.next_due())
+                .fold(next_due, |acc, due| earliest_after(now, acc, Some(due)));
+            now..until.unwrap_or(Duration::MAX)
+        });
+    }
+
+    /// The router's version plus every alive shard's: it moves whenever
+    /// a pump changes anything.
+    fn versions(&self) -> u64 {
+        self.models
+            .iter()
+            .flat_map(|m| &m.shards)
+            .filter_map(|s| s.batcher.as_ref())
+            .fold(self.version, |acc, b| acc.wrapping_add(b.version()))
+    }
+
+    /// When `f`'s next pump acts on it without a leg resolving: its
+    /// retry or deadline while it has no leg out, or its hedge instant
+    /// while only the primary is out.
+    fn ticket_due(&self, f: &InFlight) -> Option<Duration> {
+        match (f.primary, f.hedge) {
+            (None, None) => f.retry_due.into_iter().chain(f.deadline).min(),
+            (Some(_), None) => self
+                .opts
+                .hedge
+                .filter(|_| f.deadline.is_some())
+                .map(|hp| f.hedge_since + hp.delay),
+            _ => None,
+        }
+    }
+
+    /// Debug builds run the pump a poll skips and assert it changed
+    /// nothing observable, so a missed version bump fails here instead
+    /// of stranding a ticket in release builds.
+    #[cfg(debug_assertions)]
+    fn audit_skipped_pump(&mut self) {
+        let until = self.idle.as_ref().expect("only an idle router skips").end;
+        let before = self.observed();
+        self.pump(false);
+        // A clock that moved past `until` during the pump may rightly
+        // have fired something.
+        if self.clock.now() < until {
+            assert_eq!(
+                before,
+                self.observed(),
+                "a pump the router skipped would have changed its state"
+            );
+        }
+    }
+
+    /// Everything a pump can change, read without the version counters:
+    /// router counters and RNG; per shard its liveness, counters, queue,
+    /// ready and failed sizes, breaker, depth and health window; per
+    /// ticket its legs and retry state; the done and orphan sets.
+    #[cfg(debug_assertions)]
+    fn observed(&self) -> impl PartialEq + std::fmt::Debug {
+        let shards: Vec<_> = self
+            .models
+            .iter()
+            .flat_map(|m| &m.shards)
+            .map(|s| {
+                let batcher = s.batcher.as_ref().map(|b| {
+                    let sizes = [b.pending(), b.ready(), b.failed(), b.max_batch()];
+                    (b.serve_stats(), sizes, b.breaker_state())
+                });
+                let aimd = (s.aimd_total, s.aimd_misses);
+                (s.uid, batcher, s.depth, s.window.clone(), aimd)
+            })
+            .collect();
+        let tickets: Vec<_> = self
+            .in_flight
+            .iter()
+            .map(|f| {
+                let legs = (f.primary, f.hedge, f.last_shard);
+                let retry = (f.retry_due, f.attempts, f.redispatch_stalls);
+                let flags = (f.free_redispatch, f.hedge_since, f.last_err.clone());
+                (f.id, legs, retry, flags)
+            })
+            .collect();
+        let mut done: Vec<u64> = self.done.keys().copied().collect();
+        done.sort_unstable();
+        let orphans = self.orphans.clone();
+        (self.stats, shards, tickets, done, orphans, self.rng.clone())
     }
 
     /// Advances one ticket; `Some` is its terminal outcome.
@@ -726,6 +879,7 @@ impl<'p> Router<'p> {
         if f.primary.is_none() && f.hedge.is_none() {
             // No legs in flight: classify the failure once…
             if f.retry_due.is_none() {
+                self.version += 1;
                 if f.free_redispatch {
                     f.retry_due = Some(now);
                 } else {
@@ -770,7 +924,7 @@ impl<'p> Router<'p> {
                                 self.stats.retries += 1;
                             }
                             f.last_shard = Some(leg.shard);
-                            f.dispatched_at = now;
+                            f.hedge_since = now;
                             f.primary = Some(leg);
                         }
                         Err(ServeError::QueueFull) => {
@@ -797,14 +951,18 @@ impl<'p> Router<'p> {
         // A primary is in flight: maybe hedge a deadline-risk request.
         if f.hedge.is_none() && f.primary.is_some() {
             if let (Some(hp), Some(deadline)) = (self.opts.hedge, f.deadline) {
-                if now >= f.dispatched_at + hp.delay && now < deadline {
+                if now >= f.hedge_since + hp.delay && now < deadline {
                     let remaining = deadline - now;
                     let avoid = f.primary.map(|l| l.shard);
-                    if let Ok(leg) =
-                        self.dispatch(f.model.0, &f.input, Some(remaining), avoid, true, false)
-                    {
-                        f.hedge = Some(leg);
-                        self.stats.hedges_launched += 1;
+                    match self.dispatch(f.model.0, &f.input, Some(remaining), avoid, true, false) {
+                        Ok(leg) => {
+                            f.hedge = Some(leg);
+                            self.stats.hedges_launched += 1;
+                        }
+                        // No other shard took it: try again one hedge
+                        // delay later, not on every pump (each attempt
+                        // can draw from the placement RNG).
+                        Err(_) => f.hedge_since = now,
                     }
                 }
             }
@@ -816,16 +974,18 @@ impl<'p> Router<'p> {
     /// the shard's health window.
     fn poll_leg(&mut self, model: usize, leg: Leg) -> LegPoll {
         let entry = &mut self.models[model];
-        let Some(shard) = entry.shards.get_mut(leg.shard) else {
+        let Some(b) = entry
+            .shards
+            .get_mut(leg.shard)
+            .filter(|s| s.uid == leg.uid)
+            .and_then(|s| s.batcher.as_mut())
+        else {
+            self.version += 1;
             return LegPoll::ShardDead;
         };
-        if shard.uid != leg.uid {
-            return LegPoll::ShardDead;
-        }
-        let Some(b) = shard.batcher.as_mut() else {
-            return LegPoll::ShardDead;
-        };
-        match b.poll(leg.ticket) {
+        let polled = b.poll(leg.ticket);
+        let shard = &mut entry.shards[leg.shard];
+        match polled {
             Ok(None) => LegPoll::Pending,
             Ok(Some(r)) => {
                 shard.window.record(true);
@@ -859,33 +1019,31 @@ impl<'p> Router<'p> {
         strict_avoid: bool,
         record_spill: bool,
     ) -> Result<Leg, ServeError> {
+        self.version += 1;
         let placement = self.opts.placement;
         let health = self.opts.health;
         let entry = &mut self.models[model];
-        let alive: Vec<usize> = entry
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.batcher.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        if alive.is_empty() {
-            return Err(ServeError::Unavailable);
+        // Candidates in shard-index order: the healthy shards, or every
+        // alive one when none is healthy.
+        let ordered = &mut self.order;
+        ordered.clear();
+        ordered.extend(entry.shards.iter().enumerate().filter_map(|(i, s)| {
+            let b = s.batcher.as_ref()?;
+            let healthy =
+                b.breaker_state() != BreakerState::Open && health.window_healthy(&s.window);
+            healthy.then_some(i)
+        }));
+        if ordered.is_empty() {
+            let shards = entry.shards.iter().enumerate();
+            ordered.extend(shards.filter(|(_, s)| s.batcher.is_some()).map(|(i, _)| i));
+            if ordered.is_empty() {
+                return Err(ServeError::Unavailable);
+            }
         }
-        let healthy: Vec<usize> = alive
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let s = &entry.shards[i];
-                let b = s.batcher.as_ref().expect("alive shard has a batcher");
-                b.breaker_state() != BreakerState::Open && health.window_healthy(&s.window)
-            })
-            .collect();
-        let mut candidates = if healthy.is_empty() { alive } else { healthy };
         if strict_avoid {
             if let Some(a) = avoid {
-                candidates.retain(|&i| i != a);
-                if candidates.is_empty() {
+                ordered.retain(|&i| i != a);
+                if ordered.is_empty() {
                     return Err(ServeError::Unavailable);
                 }
             }
@@ -896,22 +1054,20 @@ impl<'p> Router<'p> {
                 .as_ref()
                 .map_or(usize::MAX, |b| b.pending())
         };
-        let mut ordered = candidates;
+        // The (load, index) keys are distinct, so an unstable sort
+        // orders exactly as a stable one would.
         match placement {
             Placement::LeastLoaded => {
-                ordered.sort_by_key(|&i| (load(entry, i), i));
+                ordered.sort_unstable_by_key(|&i| (load(entry, i), i));
             }
-            Placement::PrimarySpill => {
-                ordered.sort_unstable();
-            }
+            Placement::PrimarySpill => {}
             Placement::RoundRobin => {
-                ordered.sort_unstable();
                 let start = entry.rr % ordered.len();
                 entry.rr = entry.rr.wrapping_add(1);
                 ordered.rotate_left(start);
             }
             Placement::PowerOfTwo => {
-                ordered.sort_by_key(|&i| (load(entry, i), i));
+                ordered.sort_unstable_by_key(|&i| (load(entry, i), i));
                 if ordered.len() >= 2 {
                     let a = self.rng.below_usize(ordered.len());
                     let mut b = self.rng.below_usize(ordered.len() - 1);
@@ -920,23 +1076,17 @@ impl<'p> Router<'p> {
                     }
                     let (x, y) = (ordered[a], ordered[b]);
                     let first = if (load(entry, x), x) <= (load(entry, y), y) {
-                        x
+                        a
                     } else {
-                        y
+                        b
                     };
-                    ordered.retain(|&i| i != first);
-                    ordered.insert(0, first);
+                    ordered[..=first].rotate_right(1);
                 }
             }
         }
-        if !strict_avoid {
-            if let Some(a) = avoid {
-                if ordered.len() > 1 {
-                    if let Some(pos) = ordered.iter().position(|&i| i == a) {
-                        let moved = ordered.remove(pos);
-                        ordered.push(moved);
-                    }
-                }
+        if !strict_avoid && ordered.len() > 1 {
+            if let Some(pos) = avoid.and_then(|a| ordered.iter().position(|&i| i == a)) {
+                ordered[pos..].rotate_left(1);
             }
         }
         for (rank, &i) in ordered.iter().enumerate() {
@@ -965,7 +1115,8 @@ impl<'p> Router<'p> {
 
     /// Records a ticket's terminal outcome: counters, orphaning of any
     /// leftover legs, and the unclaimed-outcome slot.
-    fn finish(&mut self, rt: u64, f: InFlight, outcome: Result<Response, ServeError>) {
+    fn finish(&mut self, f: &InFlight, outcome: Result<Response, ServeError>) {
+        self.version += 1;
         if let Some(leg) = f.primary {
             self.orphans.push(Orphan {
                 model: f.model.0,
@@ -990,14 +1141,15 @@ impl<'p> Router<'p> {
                 }
             }
         }
-        let prev = self.done.insert(rt, outcome);
-        debug_assert!(prev.is_none(), "router ticket {rt} resolved twice");
+        let prev = self.done.insert(f.id, outcome);
+        debug_assert!(prev.is_none(), "router ticket {} resolved twice", f.id);
     }
 
     /// Polls discarded legs until their shard-level tickets resolve
     /// (still feeding the health windows), dropping the resolved.
     fn poll_orphans(&mut self) {
         let mut kept = std::mem::take(&mut self.orphans);
+        let before = kept.len();
         kept.retain(|o| {
             let Some(entry) = self.models.get_mut(o.model) else {
                 return false;
@@ -1025,6 +1177,9 @@ impl<'p> Router<'p> {
                 }
             }
         });
+        if kept.len() != before {
+            self.version += 1;
+        }
         self.orphans = kept;
     }
 
@@ -1045,6 +1200,7 @@ impl<'p> Router<'p> {
                 if total.saturating_sub(shard.aimd_total) < u64::from(aimd.window.max(1)) {
                     continue;
                 }
+                self.version += 1;
                 let missed = st.deadline_misses > shard.aimd_misses;
                 let depth = if missed {
                     (shard.depth / 2).max(aimd.min.max(1))
@@ -1103,8 +1259,106 @@ impl<'p> Router<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestClock;
     use cortex_core::ra::RaSchedule;
+    use cortex_ds::datasets;
+    use cortex_ds::linearizer::Linearizer;
     use cortex_models::{treelstm, LeafInit};
+
+    fn tree(seed: u64) -> Linearized {
+        Linearizer::new()
+            .linearize(&datasets::random_binary_tree(5, seed))
+            .unwrap()
+    }
+
+    /// 32 tickets on 3 shards under a virtual clock: polling all of them
+    /// at one instant runs at most two pumps, an advancing clock that
+    /// stays before the earliest `max_delay` flush still skips, and the
+    /// flush instant resolves everything.
+    #[test]
+    fn polls_skip_pumps_until_a_flush_falls_due() {
+        let model = treelstm::tree_lstm(8, LeafInit::Embedding);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let clock = TestClock::new();
+        let mut router = Router::new(RouterOptions {
+            adaptive_depth: None,
+            ..RouterOptions::default()
+        })
+        .with_clock(Rc::new(clock.clone()));
+        let max_delay = Duration::from_millis(2);
+        let opts = BatcherOptions {
+            max_batch: 64,
+            max_delay,
+            ..BatcherOptions::default()
+        };
+        let id = router.add_model("lstm", &program, &model.params, 3, opts);
+        let tickets: Vec<RouterTicket> = (0..32)
+            .map(|s| router.submit(id, tree(s)).unwrap())
+            .collect();
+
+        for &t in &tickets {
+            assert_eq!(router.poll(t), Ok(None));
+        }
+        assert!(router.polled_pumps <= 2, "{} pumps", router.polled_pumps);
+
+        clock.advance(Duration::from_nanos(1));
+        let pumps = router.polled_pumps;
+        for &t in &tickets {
+            assert_eq!(router.poll(t), Ok(None));
+        }
+        assert_eq!(router.polled_pumps, pumps, "nothing fell due");
+
+        clock.set(max_delay);
+        for &t in &tickets {
+            assert!(router.poll(t).unwrap().is_some(), "flushed and resolved");
+        }
+        assert_eq!(router.pending(), 0);
+        assert_eq!(router.stats().resolved_ok, 32);
+    }
+
+    /// Every other shard is at its queue cap, so each hedge attempt
+    /// fails after drawing from the power-of-two RNG. A failed hedge
+    /// waits one more hedge delay, so polling four times as often
+    /// draws exactly as often.
+    #[test]
+    fn failed_hedges_draw_the_same_however_often_tickets_are_polled() {
+        let model = treelstm::tree_lstm(8, LeafInit::Embedding);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let run = |polls_per_step: usize| {
+            let clock = TestClock::new();
+            let mut router = Router::new(RouterOptions {
+                placement: Placement::PowerOfTwo,
+                hedge: Some(HedgePolicy {
+                    delay: Duration::from_millis(1),
+                }),
+                adaptive_depth: None,
+                ..RouterOptions::default()
+            })
+            .with_clock(Rc::new(clock.clone()));
+            let opts = BatcherOptions {
+                max_batch: 64,
+                max_delay: Duration::from_secs(3600),
+                queue_cap: 1,
+                ..BatcherOptions::default()
+            };
+            let id = router.add_model("lstm", &program, &model.params, 3, opts);
+            let budget = Some(Duration::from_secs(1));
+            let tickets: Vec<RouterTicket> = (0..3)
+                .map(|s| router.submit_with_deadline(id, tree(s), budget).unwrap())
+                .collect();
+            for step in 1..=20 {
+                clock.set(Duration::from_micros(250 * step));
+                for _ in 0..polls_per_step {
+                    for &t in &tickets {
+                        assert_eq!(router.poll(t), Ok(None));
+                    }
+                }
+            }
+            assert_eq!(router.stats().hedges_launched, 0, "every hedge failed");
+            router.rng.clone()
+        };
+        assert_eq!(run(1), run(4));
+    }
 
     /// Shards share the caller's parameter storage: a model added with
     /// three shards keeps one copy of its parameters, not four.
