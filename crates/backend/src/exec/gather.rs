@@ -125,9 +125,8 @@ pub(crate) struct RowMeta {
 /// A stacking-group member that passed its runtime weight-window check:
 /// its ordinal in the plan, the resolved window base/strides and the
 /// source tensor's store generation at resolution time.
-pub(crate) struct SitePrep<'s> {
+pub(crate) struct SitePrep {
     pub(crate) ordinal: usize,
-    pub(crate) site: &'s SumSite,
     pub(crate) wbase: usize,
     pub(crate) si: usize,
     pub(crate) sk: usize,
@@ -323,13 +322,14 @@ impl<'a> Interp<'a> {
         let leader = &plan.sites[group.members[0]];
         let k_len = self.eval_idx(&leader.extent).max(0) as usize;
 
-        let mut preps: Vec<SitePrep<'_>> = Vec::with_capacity(group.members.len());
+        // The members list is recycled: this runs once per group per wave.
+        let mut preps = std::mem::take(&mut self.caches.preps);
+        preps.clear();
         for &mi in &group.members {
-            let site = &plan.sites[mi];
-            if let Some((wbase, si, sk, wgen)) = self.resolve_weight_window(site, k_len) {
+            if let Some((wbase, si, sk, wgen)) = self.resolve_weight_window(&plan.sites[mi], k_len)
+            {
                 preps.push(SitePrep {
                     ordinal: mi,
-                    site,
                     wbase,
                     si,
                     sk,
@@ -339,6 +339,7 @@ impl<'a> Interp<'a> {
         }
         self.caches.stats.fallback_sites += (group.members.len() - preps.len()) as u64;
         if preps.is_empty() {
+            self.caches.preps = preps;
             return 0;
         }
         let gather_t0 = Instant::now();
@@ -353,7 +354,10 @@ impl<'a> Interp<'a> {
             GroupKind::SharedRows => preps.len(),
             GroupKind::SharedWeight => 1,
         };
-        let cols: usize = preps[..to_pack].iter().map(|p| p.site.feat_extent).sum();
+        let cols: usize = preps[..to_pack]
+            .iter()
+            .map(|p| plan.sites[p.ordinal].feat_extent)
+            .sum();
         // Validate the cached pack without materializing a signature —
         // this is the per-wave steady state and must not allocate.
         let run_stamp = self.caches.run_stamp;
@@ -379,7 +383,7 @@ impl<'a> Interp<'a> {
             let sig: Vec<(usize, usize, u64)> =
                 preps.iter().map(|p| (p.ordinal, p.wbase, p.wgen)).collect();
             let params_only = preps[..to_pack].iter().all(|p| {
-                self.bufs[p.site.weight.tensor.0 as usize]
+                self.bufs[plan.sites[p.ordinal].weight.tensor.0 as usize]
                     .as_ref()
                     .expect("weight allocated")
                     .class
@@ -387,10 +391,11 @@ impl<'a> Interp<'a> {
             });
             // One k-stream per stacked column, in member order.
             let streams = preps[..to_pack].iter().flat_map(|p| {
-                let buf = self.bufs[p.site.weight.tensor.0 as usize]
+                let site = &plan.sites[p.ordinal];
+                let buf = self.bufs[site.weight.tensor.0 as usize]
                     .as_ref()
                     .expect("weight allocated");
-                (0..p.site.feat_extent)
+                (0..site.feat_extent)
                     .map(move |i| (buf.data.get(p.wbase + i * p.si..).unwrap_or(&[]), p.sk))
             });
             let packed = StackedWeight {
@@ -418,7 +423,7 @@ impl<'a> Interp<'a> {
         // guarantees a shared-rows group agrees on the inner dimension
         // and keeps rank-2 sites out of row-stacked groups.
         let rows_per_node = match group.kind {
-            GroupKind::SharedRows => preps[0].site.inner.map_or(1, |d| d.extent),
+            GroupKind::SharedRows => plan.sites[preps[0].ordinal].inner.map_or(1, |d| d.extent),
             GroupKind::SharedWeight => 1,
         };
         let gemm_rows = match group.kind {
@@ -520,21 +525,24 @@ impl<'a> Interp<'a> {
                 GroupKind::SharedRows => (0, col_off, 0),
                 GroupKind::SharedWeight => (g * wave_len, 0, g * wave_len),
             };
-            col_off += p.site.feat_extent;
+            let site = &plan.sites[p.ordinal];
+            col_off += site.feat_extent;
             self.active[p.ordinal] = Some(ActiveSite {
-                binder: p.site.binder,
+                binder: site.binder,
                 group: group_idx,
                 row_off,
                 col_off: c_off,
                 meta_off,
                 k: k_len as u64,
-                weight_tensor: p.site.weight.tensor.0,
-                feat_slot: p.site.feat_slot,
-                inner: p.site.inner,
+                weight_tensor: site.weight.tensor.0,
+                feat_slot: site.feat_slot,
+                inner: site.inner,
                 n_idx_slot: plan.n_idx_slot,
             });
         }
-        preps.len()
+        let activated = preps.len();
+        self.caches.preps = preps;
+        activated
     }
 
     /// Gathers a group's operand rows into `rows`/`meta`. Shared-rows
@@ -548,7 +556,7 @@ impl<'a> Interp<'a> {
         &mut self,
         plan: &WavePlan,
         kind: GroupKind,
-        preps: &[SitePrep<'_>],
+        preps: &[SitePrep],
         k_len: usize,
         rows_per_node: usize,
         wave_len: usize,
@@ -563,12 +571,18 @@ impl<'a> Interp<'a> {
         let (blocks, shared_replay) = match kind {
             GroupKind::SharedRows => (
                 &preps[..1],
-                Some(preps.iter().map(|p| p.site.served_per_row as u64).sum()),
+                Some(
+                    preps
+                        .iter()
+                        .map(|p| plan.sites[p.ordinal].served_per_row as u64)
+                        .sum(),
+                ),
             ),
             GroupKind::SharedWeight => (preps, None),
         };
         let mut resolved = std::mem::take(&mut self.caches.resolved);
         for (g, p) in blocks.iter().enumerate() {
+            let site = &plan.sites[p.ordinal];
             let p0 = &self.profile;
             let before = (p0.flops, p0.leaf_check_loads, p0.branch_checks);
             for r in 0..wave_len {
@@ -576,12 +590,12 @@ impl<'a> Interp<'a> {
                 // Rank-2 sites gather one row per (node, j) pair; the
                 // analyzer keeps them out of row-stacked groups.
                 for jv in 0..rows_per_node {
-                    if let Some(d) = p.site.inner {
+                    if let Some(d) = site.inner {
                         self.slots[d.slot] = jv as i64;
                     }
                     let at = (g * wave_len + r) * rows_per_node + jv;
                     let row = &mut rows[at * k_len..(at + 1) * k_len];
-                    self.gather_row(&p.site.row, k_len, row, &mut meta[at], &mut resolved);
+                    self.gather_row(&site.row, k_len, row, &mut meta[at], &mut resolved);
                 }
             }
             // The per-element walk would repeat each row's resolution for
@@ -589,7 +603,7 @@ impl<'a> Interp<'a> {
             // deltas that many times over (the node binding charges
             // nothing, the select guards are evaluated silently).
             let extra = shared_replay
-                .unwrap_or(p.site.served_per_row as u64)
+                .unwrap_or(site.served_per_row as u64)
                 .saturating_sub(1);
             let p1 = &mut self.profile;
             p1.flops += (p1.flops - before.0) * extra;

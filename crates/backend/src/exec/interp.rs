@@ -19,7 +19,7 @@ use cortex_tensor::Tensor;
 
 use super::address::Resolved;
 use super::bulk::TileScratch;
-use super::gather::{ActiveGroup, ActiveSite, GroupBufs, StackedWeight};
+use super::gather::{ActiveGroup, ActiveSite, GroupBufs, SitePrep, StackedWeight};
 use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::Program;
 use super::{ExecError, ExecOptions, ExecStats};
@@ -44,6 +44,9 @@ pub(crate) struct Caches {
     /// The resolved operand of the row being gathered or the element
     /// being dotted, recycled.
     pub(crate) resolved: Resolved,
+    /// The members of the stacking group being prepared that passed
+    /// their weight-window checks, recycled.
+    pub(crate) preps: Vec<SitePrep>,
     /// Monotonic execution counter, stamped onto weight-cache entries on
     /// every hit or insert — the recency order the LRU eviction uses.
     pub(crate) run_stamp: u64,

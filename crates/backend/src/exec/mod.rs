@@ -1392,7 +1392,9 @@ impl<'p> Engine<'p> {
     }
 
     /// Runs every pending super-wave GEMM and hands each registered
-    /// request its block of the shared result matrix.
+    /// request its block of the shared result matrix. The matrices are
+    /// the accumulator's: an earlier depth's, once its registrants have
+    /// retired it, so a flush allocates only when a depth needs more.
     fn flush_super_waves(&mut self, acc: &mut SuperWaveAcc, interps: &mut [Interp<'_>]) {
         for entry in acc.take_entries() {
             let SuperEntry {
@@ -1406,10 +1408,10 @@ impl<'p> Engine<'p> {
                 &self.caches.fault_hook,
                 FaultSite::Gemm { rows: total_rows },
             );
-            let mut out = vec![0.0f32; total_rows * key.cols];
+            let mut shared = acc.take_output(total_rows * key.cols);
+            let out = Arc::get_mut(&mut shared).expect("unshared");
             let gemm_t0 = Instant::now();
-            let forked = kernels::gemm_packed_into(&mut out, &rows, &weight, total_rows);
-            let shared = Arc::new(out);
+            let forked = kernels::gemm_packed_into(out, &rows, &weight, total_rows);
             let stats = &mut self.caches.stats;
             stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
             stats.forked_gemms += u64::from(forked);
@@ -1428,7 +1430,7 @@ impl<'p> Engine<'p> {
                     reg.base_row,
                 );
             }
-            acc.recycle(rows);
+            acc.recycle(rows, shared);
         }
     }
 

@@ -420,6 +420,79 @@ fn pc_runtime_matches_interp_oracle_exactly() {
     }
 }
 
+#[test]
+fn model_multiply_adds_round_twice_on_every_path() {
+    // rnn(n) = Emb[word] at leaves, lh·rh + c inside. Every leaf holds
+    // 1 + 2⁻¹², whose square is an exact tie: a fused multiply-add would
+    // keep the tie's half ulp, model arithmetic must not.
+    let (h, c) = (8, -1.0f32);
+    let tie = f32::from_bits(0x3f80_0800);
+    let mut g = RaGraph::new();
+    let emb = g.input("Emb", &[datasets::VOCAB_SIZE as usize, h]);
+    let ph = g.placeholder("ph", &[h]);
+    let leaf = g.compute("leaf", &[h], |x| x.read(emb, &[x.node().word(), x.axis(0)]));
+    let lh = g.compute("lh", &[h], |x| x.read(ph, &[x.node().child(0), x.axis(0)]));
+    let rh = g.compute("rh", &[h], |x| x.read(ph, &[x.node().child(1), x.axis(0)]));
+    let rec = g.compute("rec", &[h], |x| {
+        x.read(lh, &[x.node(), x.axis(0)])
+            .mul(x.read(rh, &[x.node(), x.axis(0)]))
+            .add(cortex_core::expr::ValExpr::Const(c))
+    });
+    let body = g.if_then_else("body", leaf, rec).unwrap();
+    let rnn = g.recursion(ph, body).unwrap();
+    g.mark_output(rnn);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+    let lin = Linearizer::new()
+        .linearize(&datasets::random_binary_tree(13, 5))
+        .unwrap();
+    let mut params = Params::new();
+    params.set(
+        "Emb",
+        Tensor::full(&[datasets::VOCAB_SIZE as usize, h], tie),
+    );
+
+    let mut want = vec![0.0f32; lin.num_nodes()];
+    for &n in lin.post_order() {
+        want[n as usize] = if lin.is_leaf(n) {
+            tie
+        } else {
+            let (l, r) = (lin.child(0, n).unwrap(), lin.child(1, n).unwrap());
+            want[l as usize] * want[r as usize] + c
+        };
+    }
+    assert!(
+        want.contains(&(tie * tie + c)) && tie * tie + c != tie.mul_add(tie, c),
+        "a node multiplies two leaves, where one rounding and two differ"
+    );
+    let interp = true;
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions {
+            bulk: false,
+            ..ExecOptions::default()
+        },
+        ExecOptions {
+            interp,
+            ..ExecOptions::default()
+        },
+    ] {
+        let (outputs, _) = Engine::with_options(&program, opts)
+            .execute(&lin, &params, true)
+            .unwrap();
+        for (n, &w) in want.iter().enumerate() {
+            for i in 0..h {
+                let got = outputs[&rnn.id()][[n, i]];
+                assert_eq!(got.to_bits(), w.to_bits(), "{opts:?}: node {n} elem {i}");
+            }
+        }
+    }
+}
+
 // -- fault-injection hooks (the serving front's containment substrate) --
 
 /// Silences the default panic report for injected-fault unwinds (they

@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::{LoopKind, Stmt};
@@ -765,10 +766,16 @@ pub(crate) struct SuperEntry {
 /// Accumulates per-request wave GEMMs between executor rendezvous
 /// points and merges compatible ones ([`merge_plans`]) so one GEMM
 /// serves every queued request at that wave depth.
+///
+/// One lives for one `execute_many` call, and recycles what its flushes
+/// allocate: row matrices return to `pool` after their GEMM, and each
+/// result matrix stays in `outs` to be reused by a later depth once
+/// every registrant has finished its wave and dropped its share.
 #[derive(Default)]
 pub(crate) struct SuperWaveAcc {
     entries: Vec<SuperEntry>,
     pool: Vec<Vec<f32>>,
+    outs: Vec<Arc<Vec<f32>>>,
 }
 
 /// Finds the entry a wave instance merges into, or opens a new one.
@@ -839,10 +846,22 @@ impl SuperWaveAcc {
         std::mem::take(&mut self.entries)
     }
 
-    /// Returns a flushed entry's row buffer to the pool.
-    pub fn recycle(&mut self, mut rows: Vec<f32>) {
+    /// A result matrix of `len` floats this accumulator alone holds: a
+    /// retired one when any is free (its contents are stale; the GEMM
+    /// stores every element), else a new one.
+    pub fn take_output(&mut self, len: usize) -> Arc<Vec<f32>> {
+        let free = self.outs.iter_mut().position(|o| Arc::get_mut(o).is_some());
+        let mut out = free.map_or_else(Arc::default, |i| self.outs.swap_remove(i));
+        Arc::get_mut(&mut out).expect("unshared").resize(len, 0.0);
+        out
+    }
+
+    /// Returns a flushed entry's row buffer to the pool and keeps a
+    /// share of its result matrix for reuse once its registrants retire.
+    pub fn recycle(&mut self, mut rows: Vec<f32>, out: Arc<Vec<f32>>) {
         rows.clear();
         self.pool.push(rows);
+        self.outs.push(out);
     }
 }
 
@@ -1324,6 +1343,23 @@ mod tests {
         assert_eq!(entries[0].rows.len(), 5 * 4);
         assert_eq!(entries[0].registrants.len(), 2);
         assert_eq!(entries[0].registrants[1].base_row, 3);
+    }
+
+    #[test]
+    fn result_matrices_are_reused_only_once_every_share_is_dropped() {
+        let mut acc = SuperWaveAcc::default();
+        let out = acc.take_output(6);
+        let held = out.clone(); // a registrant still serving its wave
+        let first = Arc::as_ptr(&out);
+        acc.recycle(Vec::new(), out);
+        let other = acc.take_output(4);
+        assert_ne!(Arc::as_ptr(&other), first, "a held result is not reused");
+        acc.recycle(Vec::new(), other);
+        drop(held);
+        let again = acc.take_output(8);
+        assert_eq!(Arc::as_ptr(&again), first, "the retired result is reused");
+        assert_eq!(again.len(), 8);
+        assert_eq!(acc.outs.len(), 1, "the other one stays pooled");
     }
 
     #[test]

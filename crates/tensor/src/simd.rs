@@ -15,7 +15,8 @@
 //! The levels:
 //!
 //! * **Scalar** — plain loops the autovectorizer handles; always
-//!   available, and the only one that never fuses a multiply-add.
+//!   available, and the only one whose reductions never fuse a
+//!   multiply-add.
 //! * **AVX2+FMA** — 8-lane `f32`, 16-column panels, tiles up to 6×16.
 //! * **AVX-512F** — 16-lane `f32`, 32-column panels, tiles up to 12×32.
 //!
@@ -36,9 +37,11 @@
 //! chains, FMA at the wide levels) and promises a tolerance, not bits.
 //! IEEE special values flow through all of them unchanged (`0·∞ → NaN`;
 //! FMA propagates NaN/∞ exactly like mul+add does). The *elementwise*
-//! kernels ([`run_tile`], [`unary_slice`]) neither reassociate nor fuse:
-//! every level runs the one lane-generic routine of [`crate::approx`]
-//! and is bit-identical to its scalar form.
+//! kernels ([`run_tile`], [`unary_slice`]) never reassociate: every
+//! level runs the one lane-generic routine of [`crate::approx`] and is
+//! bit-identical to its scalar form. Inside those routines each spelled
+//! out multiply-add is one `Lanes::mul_add`, rounded once at every
+//! level; a tile program's own `Mul` then `Add` stays two roundings.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -618,9 +621,11 @@ pub fn axpy_scalar(y: &mut [f32], x: &[f32]) {
 //
 // Everything below evaluates the lane-generic routines of
 // [`crate::approx`] at the dispatched width. Unlike the reductions above
-// there is no reassociation and no FMA: every level executes the same
-// IEEE operation sequence per element, so results are **bit-identical**
-// across levels and to the scalar `approx` functions.
+// there is no reassociation, and the only fused multiply-adds are the
+// routines' own `Lanes::mul_add`s, rounded once at every level: each
+// level executes the same IEEE operation sequence per element, so
+// results are **bit-identical** across levels and to the scalar `approx`
+// functions. `TileBinary` never fuses.
 
 use crate::approx::{self, Lanes, NonlinearityMode};
 
@@ -967,14 +972,14 @@ mod avx2 {
     }
 
     /// Eight `f32` lanes in a `__m256` ([`Lanes`] at the AVX2 level).
-    /// Only constructed inside `#[target_feature(enable = "avx2")]`
+    /// Only constructed inside `#[target_feature(enable = "avx2,fma")]`
     /// entry points, after the runtime feature check.
     #[derive(Clone, Copy)]
     pub struct V256(__m256);
 
     // SAFETY (every intrinsic below): `V256` values exist only in code
-    // reached through an AVX2-checked entry point; loads and stores go
-    // through bounds-checked `N`-element subslices.
+    // reached through an AVX2+FMA-checked entry point; loads and stores
+    // go through bounds-checked `N`-element subslices.
     impl Lanes for V256 {
         const N: usize = 8;
         type Mask = __m256;
@@ -1008,6 +1013,10 @@ mod avx2 {
         #[inline(always)]
         fn div(self, o: Self) -> Self {
             V256(unsafe { _mm256_div_ps(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul_add(self, b: Self, c: Self) -> Self {
+            V256(unsafe { _mm256_fmadd_ps(self.0, b.0, c.0) })
         }
         #[inline(always)]
         fn abs(self) -> Self {
@@ -1059,6 +1068,13 @@ mod avx2 {
         mode: NonlinearityMode,
     ) {
         run_tile_lanes::<V256>(ops, regs, lanes, mode);
+    }
+
+    /// `Lanes::mul_add` at 8 lanes over whole vectors.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn mul_add_avx2(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+        super::tests::mul_add_lanes::<V256>(a, b, c, out);
     }
 
     /// 8-lane `y += x`.
@@ -1226,6 +1242,10 @@ mod avx512 {
             V512(unsafe { _mm512_div_ps(self.0, o.0) })
         }
         #[inline(always)]
+        fn mul_add(self, b: Self, c: Self) -> Self {
+            V512(unsafe { _mm512_fmadd_ps(self.0, b.0, c.0) })
+        }
+        #[inline(always)]
         fn abs(self) -> Self {
             unsafe {
                 let m = _mm512_set1_epi32(0x7fff_ffff);
@@ -1286,6 +1306,13 @@ mod avx512 {
         mode: NonlinearityMode,
     ) {
         run_tile_lanes::<V512>(ops, regs, lanes, mode);
+    }
+
+    /// `Lanes::mul_add` at 16 lanes over whole vectors.
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn mul_add_avx512(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+        super::tests::mul_add_lanes::<V512>(a, b, c, out);
     }
 
     /// 16-lane `y += x` with a masked tail.
@@ -1582,6 +1609,123 @@ mod tests {
                         "{l:?} lanes={lanes} lane {i}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `out = a·b + c` through `Lanes::mul_add`, `L::N` lanes at a time
+    /// (lengths are whole vectors).
+    pub(super) fn mul_add_lanes<L: Lanes>(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+        for i in (0..out.len()).step_by(L::N) {
+            let r = L::load(&a[i..]).mul_add(L::load(&b[i..]), L::load(&c[i..]));
+            r.store(&mut out[i..]);
+        }
+    }
+
+    fn mul_add_with(l: Level, a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+        match l {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the feature is verified on this CPU.
+            Level::Avx2 if level_supported(l) => unsafe { avx2::mul_add_avx2(a, b, c, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the feature is verified on this CPU.
+            Level::Avx512 if level_supported(l) => unsafe { avx512::mul_add_avx512(a, b, c, out) },
+            _ => mul_add_lanes::<f32>(a, b, c, out),
+        }
+    }
+
+    /// `(a, b, c)` triples on which one rounding and two disagree: a
+    /// product that is an exact tie (twice), a product in the subnormals,
+    /// and a product that overflows while the sum does not.
+    fn fusion_sensitive_triples() -> [(f32, f32, f32); 4] {
+        let tie = f32::from_bits(0x3f80_0800); // 1 + 2⁻¹²: the square is a tie
+        let three_2_75 = f32::from_bits(0x1ac0_0000); // 3·2⁻⁷⁵
+        let two_75 = f32::from_bits(0x1a00_0000); // 2⁻⁷⁵
+        [
+            (tie, tie, -1.0),
+            (tie, tie, f32::from_bits(0x3380_0000)), // + 2⁻²⁴
+            (three_2_75, two_75, -f32::from_bits(1)), // 3·2⁻¹⁵⁰ − 2⁻¹⁴⁹
+            (f32::MAX, 2.0, -f32::MAX),
+        ]
+    }
+
+    #[test]
+    fn every_level_rounds_mul_add_once() {
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let mut triples = fusion_sensitive_triples().to_vec();
+        triples.extend([
+            (0.0, inf, 1.0),
+            (inf, 0.0, -1.0),
+            (inf, 2.0, 1.0),
+            (inf, 1.0, -inf),
+            (-inf, -1.0, 5.0),
+            (2.0, 3.0, -inf),
+            (nan, 1.0, 1.0),
+            (1.0, nan, 1.0),
+            (1.0, 1.0, nan),
+            (0.0, -1.0, 0.0),
+            (-0.0, 1.0, -0.0),
+            (f32::from_bits(1), 0.5, 0.0),
+        ]);
+        let rand = Tensor::random(&[3 * 40], 4.0, 30);
+        triples.extend(rand.as_slice().chunks_exact(3).map(|t| (t[0], t[1], t[2])));
+        // Each triple fills a 16-lane block: every lane of every level.
+        let block = |pick: fn(&(f32, f32, f32)) -> f32| -> Vec<f32> {
+            triples.iter().flat_map(|t| [pick(t); 16]).collect()
+        };
+        let (a, b, c) = (block(|t| t.0), block(|t| t.1), block(|t| t.2));
+        let n = a.len();
+        for l in available_levels() {
+            let mut out = vec![0.0f32; n];
+            mul_add_with(l, &a, &b, &c, &mut out);
+            for i in 0..n {
+                let want = a[i].mul_add(b[i], c[i]);
+                // NaN payloads are the encoding's choice; NaN-ness is not.
+                let same = want.to_bits() == out[i].to_bits() || want.is_nan() && out[i].is_nan();
+                assert!(
+                    same,
+                    "{l:?} {:e}·{:e}+{:e}: {:e} vs {want:e}",
+                    a[i], b[i], c[i], out[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn model_arithmetic_is_never_contracted() {
+        // t = a·b; y = t + c as a tile program, and its per-element form.
+        let prog = [
+            TileOp::Binary {
+                op: TileBinary::Mul,
+                dst: 3,
+                a: 0,
+                b: 1,
+            },
+            TileOp::Binary {
+                op: TileBinary::Add,
+                dst: 3,
+                a: 3,
+                b: 2,
+            },
+        ];
+        let triples = fusion_sensitive_triples();
+        let mode = NonlinearityMode::Exact;
+        for l in available_levels() {
+            let mut regs = vec![0.0f32; 4 * TILE];
+            for (i, &(a, b, c)) in triples.iter().cycle().take(TILE).enumerate() {
+                (regs[i], regs[TILE + i], regs[2 * TILE + i]) = (a, b, c);
+            }
+            run_tile_with(l, &prog, &mut regs, TILE, mode);
+            for (i, &(a, b, c)) in triples.iter().cycle().take(TILE).enumerate() {
+                let two = a * b + c;
+                let walk = TileBinary::Add.apply(TileBinary::Mul.apply(a, b), c);
+                assert_eq!(
+                    regs[3 * TILE + i].to_bits(),
+                    two.to_bits(),
+                    "{l:?} lane {i}"
+                );
+                assert_eq!(walk.to_bits(), two.to_bits(), "per-element lane {i}");
+                assert_ne!(two.to_bits(), a.mul_add(b, c).to_bits(), "lane {i}");
             }
         }
     }
