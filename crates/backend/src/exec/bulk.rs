@@ -40,7 +40,7 @@
 //! [`cortex_tensor::approx`].
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::{IdxExpr, TensorId, ValExpr, Var};
 use cortex_core::ilir::Stmt;
@@ -155,7 +155,7 @@ pub(crate) struct RowPass {
 /// A compiled feature-store loop, or the whole body of a fused wave
 /// (see module docs).
 pub(crate) struct RowProgram {
-    pub(crate) passes: Rc<[RowPass]>,
+    pub(crate) passes: Arc<[RowPass]>,
     /// `Some((pass, start, end))` makes this the stand-alone program of
     /// one statement of a fused wave — a view of the wave's own
     /// instructions `start..end` (nothing is lowered twice), run
@@ -305,12 +305,12 @@ pub(crate) fn collect_row_programs(
             // wave cannot fuse at run time, share its instructions.
             for (view, l) in fw.prog.statements().zip(loops) {
                 let at = (kernel, l as *const Stmt as usize);
-                plans.bulk.insert(at, Rc::new(view));
+                plans.bulk.insert(at, Arc::new(view));
             }
-            plans.fused.insert(key, Rc::new(fw));
+            plans.fused.insert(key, Arc::new(fw));
         } else if matches!(s, Stmt::For { .. }) && !plans.bulk.contains_key(&key) {
             if let Some(prog) = lower_row_program(&[(None, s)], sites) {
-                plans.bulk.insert(key, Rc::new(prog));
+                plans.bulk.insert(key, Arc::new(prog));
             }
         }
         for child in s.children() {

@@ -12,8 +12,7 @@
 //! `interp: true` oracle; only the per-element `eval_dot` path walks
 //! the operands instead (`resolve_product`).
 
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use cortex_core::ilir::StorageClass;
@@ -48,11 +47,29 @@ pub(crate) struct StackedWeight {
     /// kernel-written weight tensor, so the store-generation signature
     /// alone cannot tell their (possibly different) values apart.
     pub(crate) epoch: u64,
-    /// [`super::interp::Caches::run_stamp`] of the last execution that
-    /// used this pack; eviction removes the stalest entries first.
+    /// [`WeightCache::run_stamp`] of the last execution that used this
+    /// pack; eviction removes the stalest entries first.
     pub(crate) last_used: u64,
     /// The `ΣH` stacked columns × `K`, in the tile kernel's panels.
-    pub(crate) data: Rc<PackedB>,
+    pub(crate) data: Arc<PackedB>,
+}
+
+/// The packed weights of an engine, shared by every lane group of an
+/// `execute_many` behind one lock: a weight is packed once, whichever
+/// lane needs it first, and every lane multiplies by that one copy.
+#[derive(Default)]
+pub(crate) struct WeightCache {
+    /// Stacked packed weights by engine-wide group id
+    /// ([`crate::wave::WavePlan::group_base`]): one pack per (leader,
+    /// reduction extent) the group ran with. The signature (per-member
+    /// site ordinal, weight window base, source-tensor store generation)
+    /// is validated on every hit and the pack rebuilt on mismatch — a
+    /// non-`Param` weight may be rewritten by a precompute kernel
+    /// mid-run.
+    pub(crate) packs: Vec<Vec<StackedWeight>>,
+    /// Monotonic execution counter, stamped onto packs on every hit or
+    /// insert — the recency order the LRU eviction uses.
+    pub(crate) run_stamp: u64,
 }
 
 /// Evicts the least-recently-used packs of the packed-weight cache (one
@@ -359,9 +376,12 @@ impl<'a> Interp<'a> {
             .map(|p| plan.sites[p.ordinal].feat_extent)
             .sum();
         // Validate the cached pack without materializing a signature —
-        // this is the per-wave steady state and must not allocate.
-        let run_stamp = self.caches.run_stamp;
-        let packs = entry(&mut self.caches.weight_cache, id);
+        // this is the per-wave steady state and must not allocate. The
+        // lock is held through a pack, so lane groups that need the same
+        // weight wait for one pack instead of making two.
+        let mut cache = (self.weights.lock()).unwrap_or_else(PoisonError::into_inner);
+        let run_stamp = cache.run_stamp;
+        let packs = entry(&mut cache.packs, id);
         let slot = packs
             .iter()
             .position(|w| w.k_len == k_len && w.sig[0].0 == leader);
@@ -404,16 +424,17 @@ impl<'a> Interp<'a> {
                 params_only,
                 epoch: self.cache_epoch,
                 last_used: run_stamp,
-                data: Rc::new(PackedB::pack(cols, k_len, streams)),
+                data: Arc::new(PackedB::pack(cols, k_len, streams)),
             };
-            let packs = &mut self.caches.weight_cache[id];
+            let packs = &mut cache.packs[id];
             if at < packs.len() {
                 packs[at] = packed;
             } else {
                 packs.push(packed);
             }
         }
-        let packed_w = self.caches.weight_cache[id][at].data.clone();
+        let packed_w = cache.packs[id][at].data.clone();
+        drop(cache);
 
         // Gather phase: resolve guards/child-sums/scalars once per row
         // and pack the operand rows. Shared-rows groups gather one row

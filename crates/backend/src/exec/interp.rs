@@ -8,8 +8,7 @@
 //! is what keeps their outputs and `Profile` counters bit-identical.
 
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cortex_core::expr::{BoolExpr, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
 use cortex_core::ilir::{DimExtent, IlirProgram, Stmt, StorageClass};
@@ -19,7 +18,7 @@ use cortex_tensor::Tensor;
 
 use super::address::Resolved;
 use super::bulk::TileScratch;
-use super::gather::{ActiveGroup, ActiveSite, GroupBufs, SitePrep, StackedWeight};
+use super::gather::{ActiveGroup, ActiveSite, GroupBufs, SitePrep, WeightCache};
 use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::Program;
 use super::{ExecError, ExecOptions, ExecStats};
@@ -27,9 +26,10 @@ use crate::fastdot::DotPlan;
 use crate::params::Params;
 use crate::profile::{Profile, WaveStat};
 
-/// State the engine keeps across runs: memoized reduction plans, the
-/// stacked packed-weight matrices and the per-group gather/output
-/// scratch buffers.
+/// State one lane of an engine keeps across runs: memoized reduction
+/// plans and the per-group gather/output scratch buffers. (The packed
+/// weights are the engine's, lent to every interpreter: see
+/// [`Interp::weights`].)
 #[derive(Default)]
 pub(crate) struct Caches {
     /// The scalar reduction plan of each `Sum` a run evaluated outside
@@ -37,7 +37,7 @@ pub(crate) struct Caches {
     /// program's ops or in the kernel trees the oracle walks, both held
     /// unchanged for the engine's lifetime. A key only: the plan is
     /// compiled from the expression being evaluated.
-    pub(crate) plan_cache: HashMap<usize, Option<Rc<DotPlan>>>,
+    pub(crate) plan_cache: HashMap<usize, Option<Arc<DotPlan>>>,
     /// Tile registers and resolved rows of the row programs (boxed: it
     /// is taken out and put back around every row program).
     pub(crate) tile: Option<Box<TileScratch>>,
@@ -47,28 +47,12 @@ pub(crate) struct Caches {
     /// The members of the stacking group being prepared that passed
     /// their weight-window checks, recycled.
     pub(crate) preps: Vec<SitePrep>,
-    /// Monotonic execution counter, stamped onto weight-cache entries on
-    /// every hit or insert — the recency order the LRU eviction uses.
-    pub(crate) run_stamp: u64,
-    /// Stacked packed weights by engine-wide group id
-    /// ([`crate::wave::WavePlan::group_base`]): one pack per (leader,
-    /// reduction extent) the group ran with. The signature (per-member
-    /// site ordinal, weight window base, source-tensor store generation)
-    /// is validated on every hit and the pack rebuilt on mismatch — a
-    /// non-`Param` weight may be rewritten by a precompute kernel
-    /// mid-run.
-    pub(crate) weight_cache: Vec<Vec<StackedWeight>>,
     /// Reusable gather/output buffers by group id. A stack per group:
     /// during `execute_many` several requests hold the same group's
     /// buffers at once (their waves overlap in time), so one slot per
     /// group would churn allocations.
     pub(crate) group_bufs: Vec<Vec<GroupBufs>>,
     pub(crate) stats: ExecStats,
-    /// Deterministic fault-injection hook ([`super::FaultHook`]),
-    /// consulted at instrumented sites. Lives in the caches so it
-    /// shuttles into whichever request is stepping, exactly like the
-    /// stats it instruments.
-    pub(crate) fault_hook: Option<super::FaultHook>,
 }
 
 // ---------------------------------------------------------------------
@@ -290,18 +274,22 @@ pub(crate) struct Interp<'a> {
     pub(crate) opts: ExecOptions,
     /// The compiled kernel trees the `interp: true` oracle walks, and
     /// its statement-address lookups into the plans.
-    pub(crate) compiled: Rc<Vec<CompiledKernel>>,
-    pub(crate) stmt_plans: Rc<StmtPlans>,
+    pub(crate) compiled: Arc<Vec<CompiledKernel>>,
+    pub(crate) stmt_plans: Arc<StmtPlans>,
     /// The lowered linear instruction stream the pc runtime executes.
-    pub(crate) plan: Rc<Program>,
+    pub(crate) plan: Arc<Program>,
     /// Index of the kernel currently launching — the kernel half of the
     /// bulk-plan keys.
     pub(crate) cur_kernel: usize,
-    /// Shared engine state, *shuttled* in and out around execution: the
-    /// engine swaps its caches into exactly one interpreter at a time
-    /// (the running one), which is how `execute_many`'s requests share
-    /// packed weights and scratch pools without aliasing.
+    /// A lane's state, *shuttled* in and out around execution: a lane
+    /// swaps its caches into exactly one of its interpreters at a time
+    /// (the running one), which is how the requests of a lane group
+    /// share reduction plans and scratch pools without aliasing.
     pub(crate) caches: Caches,
+    /// The engine's packed weights, the one copy every lane multiplies
+    /// by. Borrowed, not shuttled: the caches a torn run leaves behind
+    /// never carry a private copy.
+    pub(crate) weights: &'a Mutex<WeightCache>,
     /// Sites of the wave currently executing (waves do not nest), by
     /// their ordinal in its plan: `Some` when served from a GEMM
     /// result, `None` when the site fell back to the scalar path.
@@ -341,6 +329,7 @@ impl<'a> Interp<'a> {
         persist_active: bool,
         opts: ExecOptions,
         shared: super::SharedPlans,
+        weights: &'a Mutex<WeightCache>,
         max_slots: usize,
         buf_pool: &mut Vec<Vec<f32>>,
     ) -> Result<Self, ExecError> {
@@ -409,6 +398,7 @@ impl<'a> Interp<'a> {
             plan: shared.plan,
             cur_kernel: 0,
             caches: Caches::default(),
+            weights,
             active: Vec::new(),
             active_groups: Vec::new(),
             scope_pool: Vec::new(),

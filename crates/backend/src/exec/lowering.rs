@@ -20,7 +20,7 @@
 //! than a silent fallback to the AST walk.
 
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr, Var};
 use cortex_core::ilir::{LaunchPattern, Stmt};
@@ -205,10 +205,10 @@ pub(crate) struct StmtPlans {
     /// its own kernels and keyed by `(kernel index, For address)`: there
     /// is no runtime insertion, so a key can never outlive or alias the
     /// statement it was built from.
-    pub(crate) bulk: HashMap<(usize, usize), Rc<RowProgram>>,
+    pub(crate) bulk: HashMap<(usize, usize), Arc<RowProgram>>,
     /// Fused whole-wave epilogues: parallel `d_batch` loops whose whole
     /// body bulk-serves, keyed like `bulk`.
-    pub(crate) fused: HashMap<(usize, usize), Rc<FusedWave>>,
+    pub(crate) fused: HashMap<(usize, usize), Arc<FusedWave>>,
     /// Statements whose subtree contains a planned wave loop — the only
     /// paths the oracle's step machine must walk frame by frame;
     /// everything else executes atomically there.
@@ -270,8 +270,8 @@ struct Lowerer<'e> {
     ops: Vec<Op>,
     loops: Vec<LoopDef>,
     stores: Vec<StoreOp>,
-    fused: Vec<Rc<FusedWave>>,
-    bulks: Vec<Rc<RowProgram>>,
+    fused: Vec<Arc<FusedWave>>,
+    bulks: Vec<Arc<RowProgram>>,
     plans: &'e StmtPlans,
     cur_kernel: usize,
 }

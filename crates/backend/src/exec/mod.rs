@@ -57,7 +57,7 @@ mod verify;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use cortex_core::expr::TensorId;
@@ -65,7 +65,7 @@ use cortex_core::ilir::{IlirProgram, StorageClass};
 use cortex_ds::linearizer::{LinearizeError, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::kernels::{self, PackedB};
-use cortex_tensor::Tensor;
+use cortex_tensor::{par, Tensor};
 
 use crate::device::{DeviceSpec, LatencyEstimate};
 use crate::params::Params;
@@ -73,7 +73,7 @@ use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
 use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
 
-use gather::evict_weight_cache_lru;
+use gather::{evict_weight_cache_lru, WeightCache};
 use interp::{Caches, Interp};
 use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
@@ -306,7 +306,7 @@ pub enum FaultSite {
         nodes: usize,
     },
     /// One wave-GEMM flush over `rows` gathered rows (possibly merged
-    /// across every request of a batch).
+    /// across the requests of a lane group).
     Gemm {
         /// Total row count of the (super-)wave GEMM.
         rows: usize,
@@ -347,14 +347,17 @@ pub struct InjectedPanic(pub FaultSite);
 /// A deterministic fault-injection decision function, consulted at every
 /// [`FaultSite`] occurrence. Installed with [`Engine::set_fault_hook`];
 /// `None` (the default) costs one branch per site. Shared `Rc` so
-/// harnesses can keep counters on the other handle.
+/// harnesses can keep counters on the other handle. Being `Rc`, it never
+/// leaves the calling thread: with a hook installed, the lane groups of
+/// [`Engine::execute_many`] run one after another on the caller, in
+/// group order, so the hook sees a deterministic site sequence.
 pub type FaultHook = Rc<RefCell<dyn FnMut(FaultSite) -> Option<FaultAction>>>;
 
 /// Consults the hook at `site` and raises the chosen fault, if any.
 ///
 /// The hook borrow is released *before* the panic so a caught unwind
 /// leaves the hook reusable.
-pub(crate) fn maybe_inject(hook: &Option<FaultHook>, site: FaultSite) {
+pub(crate) fn maybe_inject(hook: Option<&FaultHook>, site: FaultSite) {
     let Some(h) = hook else { return };
     let action = (h.borrow_mut())(site);
     match action {
@@ -599,11 +602,18 @@ pub struct ExecStats {
     pub weight_packs: u64,
     /// Merged super-wave GEMMs (one GEMM serving the same wave depth of
     /// several queued requests) executed by [`Engine::execute_many`].
+    /// Requests merge only within their lane group
+    /// ([`Engine::batch_groups`]):
+    /// on two lanes, 16 equal sequences run as two groups of 8, so this
+    /// and the next two fields count each group's GEMMs, and a GEMM
+    /// serves at most its group's requests.
     pub super_gemms: u64,
-    /// Rows across merged super-wave GEMMs.
+    /// Rows across merged super-wave GEMMs (per lane group, like
+    /// `super_gemms`).
     pub super_gemm_rows: u64,
     /// Sum over merged GEMMs of the number of requests each served (so
-    /// `super_gemm_requests / super_gemms` is the mean merge width).
+    /// `super_gemm_requests / super_gemms` is the mean merge width, at
+    /// most the largest lane group).
     pub super_gemm_requests: u64,
     /// Wave GEMM launches large enough to be split, by weight-panel
     /// ranges, across the lanes of `cortex_tensor::par` (0 on a one-CPU
@@ -668,6 +678,51 @@ pub struct ExecStats {
     pub shadow_checks: u64,
 }
 
+impl ExecStats {
+    /// Adds one lane group's run counters to these; the compile-time
+    /// fields stay this side's. The destructuring is exhaustive, so a
+    /// new field must be named here as one or the other. The `*_ns`
+    /// fields sum over lanes: lane time, not wall time.
+    fn absorb(&mut self, group: &ExecStats) {
+        macro_rules! sum {
+            ($($f:ident),*) => {{
+                let ExecStats {
+                    $($f,)*
+                    dead_ops_eliminated: _,
+                    slots_coalesced: _,
+                    par_safe_waves: _,
+                    par_unsafe_waves: _,
+                    par_unsafe_by_reason: _,
+                } = *group;
+                $(self.$f += $f;)*
+            }};
+        }
+        sum!(
+            wave_gemms,
+            gemm_rows,
+            gemm_flops,
+            waves_batched,
+            sites_batched,
+            stacked_groups,
+            stacked_sites,
+            fallback_sites,
+            weight_packs,
+            super_gemms,
+            super_gemm_rows,
+            super_gemm_requests,
+            forked_gemms,
+            fused_waves,
+            forked_waves,
+            epilogue_ns,
+            epilogue_bytes,
+            gather_ns,
+            gemm_ns,
+            serve_ns,
+            shadow_checks
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
@@ -678,10 +733,10 @@ pub struct ExecStats {
 /// statement-address lookups into the plans.
 #[derive(Clone)]
 pub(crate) struct SharedPlans {
-    pub(crate) compiled: Rc<Vec<CompiledKernel>>,
-    pub(crate) stmt_plans: Rc<StmtPlans>,
+    pub(crate) compiled: Arc<Vec<CompiledKernel>>,
+    pub(crate) stmt_plans: Arc<StmtPlans>,
     /// The lowered linear instruction stream (see [`program`]).
-    pub(crate) plan: Rc<program::Program>,
+    pub(crate) plan: Arc<program::Program>,
 }
 
 /// Whether a resumable step suspended or finished the request.
@@ -719,13 +774,19 @@ pub struct Engine<'p> {
     shared: SharedPlans,
     plan_stats: PlanStats,
     max_slots: usize,
-    caches: Caches,
-    /// Recycled owned-buffer allocations: [`Interp::finish`] returns the
-    /// non-output buffers of a completed run here and the next run's
-    /// [`Interp::new`] reuses any with sufficient capacity, so
-    /// steady-state serving allocates (almost) nothing per run. Buffers
-    /// are re-zeroed on reuse — pooling is invisible to execution.
-    buf_pool: Vec<Vec<f32>>,
+    /// One [`LaneState`] per lane group of the widest `execute_many` so
+    /// far (never empty). Lane 0 also serves solo runs and holds the
+    /// [`Engine::stats`] of the latest call.
+    lanes: Vec<LaneState>,
+    /// The packed weights, one copy for every lane: each interpreter
+    /// borrows it for its run.
+    weights: Mutex<WeightCache>,
+    /// The lane groups the latest `execute_many` ran
+    /// ([`Engine::batch_groups`]).
+    groups: Vec<Vec<usize>>,
+    /// Deterministic fault-injection hook ([`FaultHook`]), consulted at
+    /// instrumented sites.
+    fault_hook: Option<FaultHook>,
     /// The `Params::generation` the packed-weight cache was built
     /// against; a different generation invalidates it.
     params_gen: Option<u64>,
@@ -744,6 +805,91 @@ pub struct Engine<'p> {
     params_validated: Option<u64>,
 }
 
+/// What one lane group of [`Engine::execute_many`] runs with, kept
+/// across calls: the scratch caches its requests shuttle and the pool
+/// of owned-buffer allocations — [`Interp::finish`] returns a completed
+/// run's non-output buffers here and the next [`Interp::new`] reuses any
+/// with sufficient capacity, so steady-state serving allocates (almost)
+/// nothing per run. Buffers are re-zeroed on reuse: pooling is invisible
+/// to execution.
+#[derive(Default)]
+struct LaneState {
+    caches: Caches,
+    buf_pool: Vec<Vec<f32>>,
+}
+
+/// A group's state moves to the lane that runs it.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<LaneState>();
+    send::<Interp<'static>>();
+};
+
+/// Splits a batch into the lane groups [`Engine::execute_many`] runs on
+/// `lanes` lanes (it passes `cortex_tensor::par::lanes()`): `min(lanes,
+/// n)` groups of request indices, balanced by node count — each request,
+/// largest first, joins the lightest group so far — and in input order
+/// within each group. [`Engine::batch_groups`] reports the result.
+pub(crate) fn lane_groups(lins: &[&Linearized], lanes: usize) -> Vec<Vec<usize>> {
+    let mut groups = vec![Vec::new(); lanes.min(lins.len())];
+    let mut load = vec![0usize; groups.len()];
+    let mut by_size: Vec<usize> = (0..lins.len()).collect();
+    by_size.sort_by_key(|&r| std::cmp::Reverse(lins[r].num_nodes()));
+    for r in by_size {
+        let lightest = (0..load.len()).min_by_key(|&g| load[g]).expect("a group");
+        load[lightest] += lins[r].num_nodes();
+        groups[lightest].push(r);
+    }
+    groups.iter_mut().for_each(|g| g.sort_unstable());
+    groups
+}
+
+/// What every lane group of one `execute_many` call reads.
+struct Batch<'e> {
+    program: &'e IlirProgram,
+    shared: &'e SharedPlans,
+    weights: &'e Mutex<WeightCache>,
+    opts: ExecOptions,
+    max_slots: usize,
+    params: &'e Params,
+    persist_active: bool,
+}
+
+impl Batch<'_> {
+    /// Runs one lane group's requests to completion on `lane`, through
+    /// one cooperative park/flush/resume schedule.
+    fn run_group(
+        &self,
+        lane: &mut LaneState,
+        lins: &[&Linearized],
+        hook: Option<&FaultHook>,
+    ) -> Result<Vec<RunOutput>, ExecError> {
+        let mut interps = Vec::with_capacity(lins.len());
+        for lin in lins {
+            interps.push(Interp::new(
+                self.program,
+                lin,
+                self.params,
+                self.persist_active,
+                self.opts,
+                self.shared.clone(),
+                self.weights,
+                self.max_slots,
+                &mut lane.buf_pool,
+            )?);
+        }
+        if self.opts.interp {
+            lane.run_many_interp(&mut interps, &self.shared.compiled, hook)?;
+        } else {
+            lane.run_many_pc(&mut interps, hook)?;
+        }
+        interps
+            .into_iter()
+            .map(|it| it.finish(&mut lane.buf_pool))
+            .collect()
+    }
+}
+
 /// Packed-weight cache eviction bound: a long-lived serving engine
 /// re-packs (cheap, amortized) rather than growing without limit when a
 /// program produces more distinct stacked-weight windows than this.
@@ -752,7 +898,7 @@ const WEIGHT_CACHE_CAP: usize = 64;
 /// Builds every per-engine compile artifact for `opts`: compiled-kernel
 /// analyses (wave plans honor `gate_stacking`/`wave_gemm`) plus the
 /// lowered program with those plans resolved into operands.
-fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedPlans, PlanStats) {
+fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedPlans, PlanStats) {
     let (waves, wave_ids) = if opts.wave_gemm {
         let bodies: Vec<&[cortex_core::ilir::Stmt]> =
             compiled.iter().map(|k| k.body.as_slice()).collect();
@@ -800,8 +946,8 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
     (
         SharedPlans {
             compiled,
-            stmt_plans: Rc::new(stmt_plans),
-            plan: Rc::new(plan),
+            stmt_plans: Arc::new(stmt_plans),
+            plan: Arc::new(plan),
         },
         stats,
     )
@@ -813,7 +959,7 @@ fn build_plans(compiled: Rc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedP
 fn compile_kernels(
     program: &IlirProgram,
     opts: ExecOptions,
-) -> (Rc<Vec<CompiledKernel>>, analysis::liveness::OptStats) {
+) -> (Arc<Vec<CompiledKernel>>, analysis::liveness::OptStats) {
     let compiled: Vec<CompiledKernel> = program
         .kernels
         .iter()
@@ -824,7 +970,7 @@ fn compile_kernels(
     } else {
         (compiled, analysis::liveness::OptStats::default())
     };
-    (Rc::new(compiled), opt_stats)
+    (Arc::new(compiled), opt_stats)
 }
 
 impl<'p> Engine<'p> {
@@ -849,8 +995,10 @@ impl<'p> Engine<'p> {
             shared,
             plan_stats,
             max_slots,
-            caches: Caches::default(),
-            buf_pool: Vec::new(),
+            lanes: vec![LaneState::default()],
+            weights: Mutex::default(),
+            groups: Vec::new(),
+            fault_hook: None,
             params_gen: None,
             verified,
             plan_arity,
@@ -878,35 +1026,32 @@ impl<'p> Engine<'p> {
     /// [`FaultAction::Panic`] injection — and any genuine panic — still
     /// unwinds out for the caller's containment to handle.
     pub fn set_fault_hook(&mut self, hook: Option<FaultHook>) {
-        self.caches.fault_hook = hook;
+        self.fault_hook = hook;
     }
 
     /// The installed fault-injection hook, if any (cloned handle).
     pub fn fault_hook(&self) -> Option<FaultHook> {
-        self.caches.fault_hook.clone()
+        self.fault_hook.clone()
     }
 
     /// Runs `f` under the fault-injection guard: with no hook installed
     /// this is a plain call (the production path — no `catch_unwind` in
     /// the way of real panics); with a hook, typed [`InjectedFault`]
     /// unwinds convert to `Err` and every caught unwind first resets the
-    /// engine's caches, which a mid-step panic leaves swapped into a
-    /// dropped interpreter (see `run_many_cooperative`).
+    /// engine's lanes, whose caches a mid-step panic leaves swapped into
+    /// a dropped interpreter (see `run_many_cooperative`).
     fn guarded<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, ExecError>,
     ) -> Result<T, ExecError> {
-        if self.caches.fault_hook.is_none() {
+        if self.fault_hook.is_none() {
             return f(self);
         }
-        let hook = self.caches.fault_hook.clone();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self))) {
             Ok(r) => r,
             Err(payload) => {
-                self.caches = Caches {
-                    fault_hook: hook,
-                    ..Caches::default()
-                };
+                self.lanes = vec![LaneState::default()];
+                self.weight_cache().packs.clear();
                 match payload.downcast::<InjectedFault>() {
                     Ok(injected) => Err(injected.0),
                     Err(other) => std::panic::resume_unwind(other),
@@ -970,9 +1115,11 @@ impl<'p> Engine<'p> {
             // addresses of the old program's expressions — drop all
             // three so the engine is indistinguishable from a fresh
             // build with these options.
-            self.caches.weight_cache.clear();
-            self.caches.group_bufs.clear();
-            self.caches.plan_cache.clear();
+            self.weight_cache().packs.clear();
+            for lane in &mut self.lanes {
+                lane.caches.group_bufs.clear();
+                lane.caches.plan_cache.clear();
+            }
         }
     }
 
@@ -1152,12 +1299,13 @@ impl<'p> Engine<'p> {
         Ok(())
     }
 
-    /// Diagnostic counters of the most recent [`Engine::execute`] call.
-    /// The compile-time analysis fields (`dead_ops_eliminated`,
-    /// `slots_coalesced`, `par_*`) are seeded into every run, so one
-    /// read describes the engine end to end.
+    /// Diagnostic counters of the most recent [`Engine::execute`] or
+    /// [`Engine::execute_many`] call (the latter's summed over its lane
+    /// groups, in group order). The compile-time analysis fields
+    /// (`dead_ops_eliminated`, `slots_coalesced`, `par_*`) are seeded
+    /// into every run, so one read describes the engine end to end.
     pub fn stats(&self) -> ExecStats {
-        self.caches.stats
+        self.lanes[0].caches.stats
     }
 
     /// The [`ExecStats`] every run starts from: zeros for the runtime
@@ -1207,7 +1355,9 @@ impl<'p> Engine<'p> {
     ) -> Result<(HashMap<TensorId, Tensor>, Profile), ExecError> {
         self.admit(&[lin], params)?;
         self.refresh_weight_cache(params);
-        self.caches.stats = self.stats_seed();
+        let seed = self.stats_seed();
+        let lane = &mut self.lanes[0];
+        lane.caches.stats = seed;
         let mut interp = Interp::new(
             self.program,
             lin,
@@ -1215,18 +1365,19 @@ impl<'p> Engine<'p> {
             persist_active,
             self.opts,
             self.shared.clone(),
+            &self.weights,
             self.max_slots,
-            &mut self.buf_pool,
+            &mut lane.buf_pool,
         )?;
-        std::mem::swap(&mut self.caches, &mut interp.caches);
+        std::mem::swap(&mut lane.caches, &mut interp.caches);
         let result = if self.opts.interp {
             interp.run_all()
         } else {
-            interp.run_program()
+            interp.run_program(self.fault_hook.as_ref())
         };
-        std::mem::swap(&mut self.caches, &mut interp.caches);
+        std::mem::swap(&mut lane.caches, &mut interp.caches);
         result?;
-        interp.finish(&mut self.buf_pool)
+        interp.finish(&mut lane.buf_pool)
     }
 
     /// Executes the program over a *batch* of independent inputs, fusing
@@ -1236,19 +1387,32 @@ impl<'p> Engine<'p> {
     /// `Σ bs` instead of `bs`), so GEMM launches scale with the number
     /// of wave depths, not with the number of requests.
     ///
+    /// The lanes of `cortex_tensor::par` split the *batch*: the requests
+    /// are dealt into lane groups ([`Engine::batch_groups`]: balanced by
+    /// node count, one per lane), and each group runs its whole
+    /// gather → GEMM → epilogue schedule on a lane of its own, pinned to
+    /// that lane (a request's rows stay on one core, and the batch costs
+    /// one fork instead of a few per wave). Requests merge within their
+    /// group. One group — one lane, or one request — runs on the caller
+    /// with all lanes free to split its GEMM panels and epilogue rows.
+    /// With a fault hook installed the groups run one after another on
+    /// the caller, in group order.
+    ///
     /// Outputs and `Profile`s are returned per request, **exactly**
-    /// equal to running each input through [`Engine::execute`] alone:
-    /// the merged GEMM computes each output element from the same row
-    /// and weight data in the same reduction order, and all accounting
-    /// is per-request by construction (the GEMM itself is
-    /// accounting-free; counters are charged during each request's own
-    /// gather and memo-serve phases). [`Engine::stats`] afterwards
-    /// describes the whole batch (one `wave_gemms` launch may serve many
-    /// requests — that is the amortization being measured).
+    /// equal to running each input through [`Engine::execute`] alone,
+    /// on any number of lanes: the merged GEMM computes each output
+    /// element from the same row and weight data in the same reduction
+    /// order, and all accounting is per-request by construction (the
+    /// GEMM itself is accounting-free; counters are charged during each
+    /// request's own gather and memo-serve phases). [`Engine::stats`]
+    /// afterwards describes the whole batch, summed over its groups (one
+    /// `wave_gemms` launch may serve many requests — that is the
+    /// amortization being measured).
     ///
     /// # Errors
     ///
-    /// See [`execute`]; the first failing request aborts the batch.
+    /// See [`execute`]; the first failing request aborts the batch, and
+    /// of several failing groups the first in group order reports.
     pub fn execute_many(
         &mut self,
         lins: &[&Linearized],
@@ -1271,167 +1435,66 @@ impl<'p> Engine<'p> {
         // good requests solo.
         self.admit(lins, params)?;
         self.refresh_weight_cache(params);
-        self.caches.stats = self.stats_seed();
-        if lins.is_empty() {
-            return Ok(Vec::new());
+        let mut stats = self.stats_seed();
+        self.groups = lane_groups(lins, par::lanes());
+        let groups = &self.groups;
+        if self.lanes.len() < groups.len() {
+            self.lanes.resize_with(groups.len(), LaneState::default);
         }
-        let mut interps = Vec::with_capacity(lins.len());
-        for lin in lins {
-            interps.push(Interp::new(
-                self.program,
-                lin,
-                params,
-                persist_active,
-                self.opts,
-                self.shared.clone(),
-                self.max_slots,
-                &mut self.buf_pool,
-            )?);
+        let batch = Batch {
+            program: self.program,
+            shared: &self.shared,
+            weights: &self.weights,
+            opts: self.opts,
+            max_slots: self.max_slots,
+            params,
+            persist_active,
+        };
+        type Job<'j> = (
+            &'j mut LaneState,
+            Vec<&'j Linearized>,
+            Option<Result<Vec<RunOutput>, ExecError>>,
+        );
+        let mut jobs: Vec<Job<'_>> = (self.lanes.iter_mut().zip(groups))
+            .map(|(lane, group)| {
+                lane.caches.stats = ExecStats::default();
+                (lane, group.iter().map(|&r| lins[r]).collect(), None)
+            })
+            .collect();
+        match (jobs.as_mut_slice(), self.fault_hook.as_ref()) {
+            // One group keeps every lane for its own launches.
+            ([(lane, lins, out)], hook) => *out = Some(batch.run_group(lane, lins, hook)),
+            // The hook is `Rc`: the groups take turns on this thread.
+            (jobs, Some(hook)) => {
+                for (lane, lins, out) in jobs {
+                    let result = par::with_lanes(1, || batch.run_group(lane, lins, Some(hook)));
+                    let failed = result.is_err();
+                    *out = Some(result);
+                    if failed {
+                        break;
+                    }
+                }
+            }
+            (jobs, None) => par::for_each_mut(jobs, &|(lane, lins, out): &mut Job<'_>| {
+                *out = Some(par::with_lanes(1, || batch.run_group(lane, lins, None)));
+            }),
         }
-        if self.opts.interp {
-            self.run_many_interp(&mut interps)?;
-        } else {
-            self.run_many_pc(&mut interps)?;
+        let mut outputs: Vec<Option<RunOutput>> = lins.iter().map(|_| None).collect();
+        let mut verdict = Ok(());
+        for ((lane, _, out), group) in jobs.into_iter().zip(groups) {
+            stats.absorb(&lane.caches.stats);
+            match out {
+                Some(Ok(outs)) => (group.iter().zip(outs)).for_each(|(&r, o)| outputs[r] = Some(o)),
+                Some(Err(e)) if verdict.is_ok() => verdict = Err(e),
+                _ => {}
+            }
         }
-        interps
+        self.lanes[0].caches.stats = stats;
+        verdict?;
+        Ok(outputs
             .into_iter()
-            .map(|it| it.finish(&mut self.buf_pool))
-            .collect()
-    }
-
-    /// The pc runtime's batched scheduler: one [`PcCursor`] per request
-    /// through [`Engine::run_many_cooperative`].
-    fn run_many_pc(&mut self, interps: &mut [Interp<'_>]) -> Result<(), ExecError> {
-        let cursors: Vec<PcCursor> = interps
-            .iter()
-            .map(|it| PcCursor::new(it.launch_units(), it.watchdog_fuel()))
-            .collect();
-        self.run_many_cooperative(
-            interps,
-            cursors,
-            |c| c.done,
-            |it, cur, acc, r| it.step_program(cur, Some((acc, r))),
-        )
-    }
-
-    /// [`Engine::run_many_pc`]'s oracle twin over the frame-based step
-    /// machine (`interp: true`) — same scheduler, different cursor. The
-    /// oracle walks statement frames, not plan ops, so it carries no
-    /// watchdog; it is the diagnostic the pc runtime is checked against,
-    /// never the admission path.
-    fn run_many_interp(&mut self, interps: &mut [Interp<'_>]) -> Result<(), ExecError> {
-        let compiled = self.shared.compiled.clone();
-        let cursors: Vec<RunCursor<'_>> = interps
-            .iter()
-            .map(|it| RunCursor::new(it.launch_units()))
-            .collect();
-        self.run_many_cooperative(
-            interps,
-            cursors,
-            |c| c.done,
-            |it, cur, acc, r| Ok(it.step(cur, &compiled, acc, r)),
-        )
-    }
-
-    /// The cooperative round-robin shared by both batched runtimes
-    /// (parameterized over the cursor type so the park/flush/resume
-    /// protocol cannot drift between the pc runtime and its oracle):
-    /// each request runs until it parks at a planned wave loop (gathered
-    /// rows registered, GEMM pending) or completes. Once every live
-    /// request is parked, the accumulated GEMMs flush — merged across
-    /// requests — results install, and everyone resumes. Merging is
-    /// opportunistic: requests at different depths (or past their last
-    /// wave) simply stop contributing rows, so mixed-depth batches stay
-    /// correct.
-    fn run_many_cooperative<C>(
-        &mut self,
-        interps: &mut [Interp<'_>],
-        mut cursors: Vec<C>,
-        done: impl Fn(&C) -> bool,
-        mut step: impl FnMut(
-            &mut Interp<'_>,
-            &mut C,
-            &mut SuperWaveAcc,
-            usize,
-        ) -> Result<StepOutcome, ExecError>,
-    ) -> Result<(), ExecError> {
-        let mut acc = SuperWaveAcc::default();
-        let mut parked = vec![false; interps.len()];
-        loop {
-            let mut progressed = false;
-            for r in 0..interps.len() {
-                if done(&cursors[r]) || parked[r] {
-                    continue;
-                }
-                progressed = true;
-                // The shared caches (reduction plans, packed weights,
-                // scratch pools, stats) shuttle into whichever request
-                // is stepping — this is what makes weights pack once
-                // per batch instead of once per request.
-                std::mem::swap(&mut self.caches, &mut interps[r].caches);
-                let outcome = step(&mut interps[r], &mut cursors[r], &mut acc, r);
-                std::mem::swap(&mut self.caches, &mut interps[r].caches);
-                // A typed step fault (the watchdog) aborts the batch
-                // *after* the caches are back home; the serving front's
-                // isolation machinery resolves the innocent requests.
-                if matches!(outcome?, StepOutcome::Paused) {
-                    parked[r] = true;
-                }
-            }
-            if !acc.is_empty() {
-                self.flush_super_waves(&mut acc, interps);
-                parked.iter_mut().for_each(|p| *p = false);
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        debug_assert!(cursors.iter().all(done), "all requests must finish");
-        Ok(())
-    }
-
-    /// Runs every pending super-wave GEMM and hands each registered
-    /// request its block of the shared result matrix. The matrices are
-    /// the accumulator's: an earlier depth's, once its registrants have
-    /// retired it, so a flush allocates only when a depth needs more.
-    fn flush_super_waves(&mut self, acc: &mut SuperWaveAcc, interps: &mut [Interp<'_>]) {
-        for entry in acc.take_entries() {
-            let SuperEntry {
-                key,
-                weight,
-                rows,
-                total_rows,
-                registrants,
-            } = entry;
-            maybe_inject(
-                &self.caches.fault_hook,
-                FaultSite::Gemm { rows: total_rows },
-            );
-            let mut shared = acc.take_output(total_rows * key.cols);
-            let out = Arc::get_mut(&mut shared).expect("unshared");
-            let gemm_t0 = Instant::now();
-            let forked = kernels::gemm_packed_into(out, &rows, &weight, total_rows);
-            let stats = &mut self.caches.stats;
-            stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
-            stats.forked_gemms += u64::from(forked);
-            stats.wave_gemms += 1;
-            stats.gemm_rows += total_rows as u64;
-            stats.gemm_flops += 2 * (total_rows * key.cols * key.k_len) as u64;
-            if registrants.len() > 1 {
-                stats.super_gemms += 1;
-                stats.super_gemm_rows += total_rows as u64;
-                stats.super_gemm_requests += registrants.len() as u64;
-            }
-            for reg in &registrants {
-                interps[reg.request].install_wave_result(
-                    reg.group_idx,
-                    shared.clone(),
-                    reg.base_row,
-                );
-            }
-            acc.recycle(rows, shared);
-        }
+            .map(|o| o.expect("every group ran"))
+            .collect())
     }
 
     /// Packed weights are cached per `(program, params generation)` —
@@ -1450,16 +1513,30 @@ impl<'p> Engine<'p> {
     /// cap, forcing a mid-service full repack.)
     fn refresh_weight_cache(&mut self, params: &Params) {
         let gen = params.generation();
-        self.caches.run_stamp += 1;
-        if self.params_gen != Some(gen) {
-            self.caches.weight_cache.clear();
-            self.params_gen = Some(gen);
+        let stale = self.params_gen.replace(gen) != Some(gen);
+        let cache = self.weight_cache();
+        cache.run_stamp += 1;
+        if stale {
+            cache.packs.clear();
         } else {
-            for packs in &mut self.caches.weight_cache {
+            for packs in &mut cache.packs {
                 packs.retain(|w| w.params_only);
             }
-            evict_weight_cache_lru(&mut self.caches.weight_cache, WEIGHT_CACHE_CAP);
+            evict_weight_cache_lru(&mut cache.packs, WEIGHT_CACHE_CAP);
         }
+    }
+
+    /// The packed-weight cache, between runs (no lane holds it).
+    fn weight_cache(&mut self) -> &mut WeightCache {
+        (self.weights.get_mut()).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lane groups the latest [`Engine::execute_many`] ran: request
+    /// indices, ascending within each group, groups in the order their
+    /// statistics were summed. A request's wave GEMMs merged only with
+    /// the other members of its group.
+    pub fn batch_groups(&self) -> &[Vec<usize>] {
+        &self.groups
     }
 
     /// Executes against a device model, like the free [`run`] function.
@@ -1509,5 +1586,154 @@ impl<'p> Engine<'p> {
                 persist: persist.clone(),
             })
             .collect())
+    }
+}
+
+impl LaneState {
+    /// The pc runtime's batched scheduler: one [`PcCursor`] per request
+    /// through [`LaneState::run_many_cooperative`].
+    fn run_many_pc(
+        &mut self,
+        interps: &mut [Interp<'_>],
+        hook: Option<&FaultHook>,
+    ) -> Result<(), ExecError> {
+        let cursors: Vec<PcCursor> = interps
+            .iter()
+            .map(|it| PcCursor::new(it.launch_units(), it.watchdog_fuel()))
+            .collect();
+        self.run_many_cooperative(
+            interps,
+            cursors,
+            hook,
+            |c| c.done,
+            |it, cur, acc, r| it.step_program(cur, Some((acc, r)), hook),
+        )
+    }
+
+    /// [`LaneState::run_many_pc`]'s oracle twin over the frame-based step
+    /// machine (`interp: true`) — same scheduler, different cursor. The
+    /// oracle walks statement frames, not plan ops, so it carries no
+    /// watchdog; it is the diagnostic the pc runtime is checked against,
+    /// never the admission path.
+    fn run_many_interp(
+        &mut self,
+        interps: &mut [Interp<'_>],
+        compiled: &[CompiledKernel],
+        hook: Option<&FaultHook>,
+    ) -> Result<(), ExecError> {
+        let cursors: Vec<RunCursor<'_>> = interps
+            .iter()
+            .map(|it| RunCursor::new(it.launch_units()))
+            .collect();
+        self.run_many_cooperative(
+            interps,
+            cursors,
+            hook,
+            |c| c.done,
+            |it, cur, acc, r| Ok(it.step(cur, compiled, acc, r)),
+        )
+    }
+
+    /// The cooperative round-robin shared by both batched runtimes
+    /// (parameterized over the cursor type so the park/flush/resume
+    /// protocol cannot drift between the pc runtime and its oracle):
+    /// each request runs until it parks at a planned wave loop (gathered
+    /// rows registered, GEMM pending) or completes. Once every live
+    /// request is parked, the accumulated GEMMs flush — merged across
+    /// requests — results install, and everyone resumes. Merging is
+    /// opportunistic: requests at different depths (or past their last
+    /// wave) simply stop contributing rows, so mixed-depth batches stay
+    /// correct.
+    fn run_many_cooperative<C>(
+        &mut self,
+        interps: &mut [Interp<'_>],
+        mut cursors: Vec<C>,
+        hook: Option<&FaultHook>,
+        done: impl Fn(&C) -> bool,
+        mut step: impl FnMut(
+            &mut Interp<'_>,
+            &mut C,
+            &mut SuperWaveAcc,
+            usize,
+        ) -> Result<StepOutcome, ExecError>,
+    ) -> Result<(), ExecError> {
+        let mut acc = SuperWaveAcc::default();
+        let mut parked = vec![false; interps.len()];
+        loop {
+            let mut progressed = false;
+            for r in 0..interps.len() {
+                if done(&cursors[r]) || parked[r] {
+                    continue;
+                }
+                progressed = true;
+                // The lane's caches (reduction plans, the packed-weight
+                // handle, scratch pools, stats) shuttle into whichever
+                // request is stepping, so they serve the whole group.
+                std::mem::swap(&mut self.caches, &mut interps[r].caches);
+                let outcome = step(&mut interps[r], &mut cursors[r], &mut acc, r);
+                std::mem::swap(&mut self.caches, &mut interps[r].caches);
+                // A typed step fault (the watchdog) aborts the batch
+                // *after* the caches are back home; the serving front's
+                // isolation machinery resolves the innocent requests.
+                if matches!(outcome?, StepOutcome::Paused) {
+                    parked[r] = true;
+                }
+            }
+            if !acc.is_empty() {
+                self.flush_super_waves(&mut acc, interps, hook);
+                parked.iter_mut().for_each(|p| *p = false);
+                progressed = true;
+            }
+            if !progressed {
+                break;
+            }
+        }
+        debug_assert!(cursors.iter().all(done), "all requests must finish");
+        Ok(())
+    }
+
+    /// Runs every pending super-wave GEMM and hands each registered
+    /// request its block of the shared result matrix. The matrices are
+    /// the accumulator's: an earlier depth's, once its registrants have
+    /// retired it, so a flush allocates only when a depth needs more.
+    fn flush_super_waves(
+        &mut self,
+        acc: &mut SuperWaveAcc,
+        interps: &mut [Interp<'_>],
+        hook: Option<&FaultHook>,
+    ) {
+        for entry in acc.take_entries() {
+            let SuperEntry {
+                key,
+                weight,
+                rows,
+                total_rows,
+                registrants,
+            } = entry;
+            maybe_inject(hook, FaultSite::Gemm { rows: total_rows });
+            let mut shared = acc.take_output(total_rows * key.cols);
+            let out = Arc::get_mut(&mut shared).expect("unshared");
+            let gemm_t0 = Instant::now();
+            let forked = kernels::gemm_packed_into(out, &rows, &weight, total_rows);
+            let stats = &mut self.caches.stats;
+            stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
+            stats.forked_gemms += u64::from(forked);
+            stats.wave_gemms += 1;
+            stats.gemm_rows += total_rows as u64;
+            stats.gemm_flops += 2 * (total_rows * key.cols * key.k_len) as u64;
+            if registrants.len() > 1 {
+                stats.super_gemms += 1;
+                stats.super_gemm_rows += total_rows as u64;
+                stats.super_gemm_requests += registrants.len() as u64;
+            }
+            for reg in &registrants {
+                interps[reg.request].install_wave_result(
+                    reg.group_idx,
+                    shared.clone(),
+                    reg.base_row,
+                );
+            }
+            acc.recycle(rows, shared);
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! wave memo matches the same sites in this program as in the kernel
 //! trees the `interp: true` oracle walks.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr};
 use cortex_core::ilir::LaunchPattern;
@@ -137,8 +137,8 @@ pub(crate) struct Program {
     /// Fused waves carry no stored certificate: `plan_fused_wave` only
     /// builds row-disjoint ones, and [`super::verify`] re-derives that
     /// from each wave's row program.
-    pub(crate) fused: Vec<Rc<FusedWave>>,
-    pub(crate) bulks: Vec<Rc<RowProgram>>,
+    pub(crate) fused: Vec<Arc<FusedWave>>,
+    pub(crate) bulks: Vec<Arc<RowProgram>>,
     pub(crate) kernels: Vec<KernelDef>,
 }
 

@@ -16,7 +16,7 @@ use cortex_core::ilir::{DimExtent, LaunchPattern};
 
 use super::interp::Interp;
 use super::program::{Op, Pc, Program};
-use super::{checked_assert, ExecError, StepOutcome};
+use super::{checked_assert, ExecError, FaultHook, StepOutcome};
 use crate::wave::SuperWaveAcc;
 
 /// The resumable execution state of one request under the pc runtime: a
@@ -89,10 +89,10 @@ impl<'a> Interp<'a> {
     /// # Errors
     ///
     /// [`ExecError::Watchdog`] if the run exhausts its back-edge budget.
-    pub(crate) fn run_program(&mut self) -> Result<(), ExecError> {
+    pub(crate) fn run_program(&mut self, hook: Option<&FaultHook>) -> Result<(), ExecError> {
         let fuel = self.watchdog_fuel();
         let mut cur = PcCursor::new(self.launch_units(), fuel);
-        let outcome = self.step_program(&mut cur, None)?;
+        let outcome = self.step_program(&mut cur, None, hook)?;
         debug_assert_eq!(outcome, StepOutcome::Done, "solo runs never park");
         Ok(())
     }
@@ -126,7 +126,8 @@ impl<'a> Interp<'a> {
 
     /// Advances this request until it parks at a wave loop whose GEMMs
     /// were deferred into `defer` ([`StepOutcome::Paused`]) or the
-    /// launch schedule completes ([`StepOutcome::Done`]).
+    /// launch schedule completes ([`StepOutcome::Done`]), consulting
+    /// `hook` at every launch.
     ///
     /// # Errors
     ///
@@ -135,6 +136,7 @@ impl<'a> Interp<'a> {
         &mut self,
         cur: &mut PcCursor,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
+        hook: Option<&FaultHook>,
     ) -> Result<StepOutcome, ExecError> {
         let plan = self.plan.clone();
         loop {
@@ -147,7 +149,7 @@ impl<'a> Interp<'a> {
                     return Ok(StepOutcome::Done);
                 };
                 super::maybe_inject(
-                    &self.caches.fault_hook,
+                    hook,
                     super::FaultSite::Launch {
                         nodes: self.lin.num_nodes(),
                     },

@@ -188,7 +188,7 @@ impl<'a> Interp<'a> {
                     match self.caches.plan_cache.get(&key) {
                         Some(p) => p.clone(),
                         None => {
-                            let p = crate::fastdot::compile(*var, body).map(std::rc::Rc::new);
+                            let p = crate::fastdot::compile(*var, body).map(std::sync::Arc::new);
                             self.caches.plan_cache.insert(key, p.clone());
                             p
                         }

@@ -1,4 +1,5 @@
 use std::rc::Rc;
+use std::sync::Arc;
 
 use cortex_core::expr::TensorId;
 use cortex_core::lower::{lower, StructureInfo};
@@ -10,7 +11,8 @@ use cortex_tensor::kernels::PackedB;
 use cortex_tensor::Tensor;
 
 use super::gather::{evict_weight_cache_lru, StackedWeight};
-use super::{execute, Engine, ExecError, ExecOptions};
+use super::interp::Caches;
+use super::{execute, lane_groups, Engine, ExecError, ExecOptions};
 use crate::params::Params;
 
 /// The Fig. 1 model: rnn(n) = Emb[word] at leaves, tanh(l + r) inside.
@@ -280,7 +282,7 @@ fn weight_cache_eviction_is_lru_not_clear_all() {
             params_only: true,
             epoch: 0,
             last_used: if i < 5 { 1 } else { 2 },
-            data: Rc::new(PackedB::pack_nt(&[], 0, 0)),
+            data: Arc::new(PackedB::pack_nt(&[], 0, 0)),
         });
     }
     let held = |cache: &[Vec<StackedWeight>]| -> Vec<usize> {
@@ -1016,7 +1018,7 @@ fn footprint_bounds_the_packed_weights_actually_held() {
         );
         let mut engine = Engine::new(&program);
         engine.execute(&lin, &params, true).unwrap();
-        let held: u64 = (engine.caches.weight_cache.iter().flatten())
+        let held: u64 = (engine.weight_cache().packs.iter().flatten())
             .map(|w| 4 * w.data.floats() as u64)
             .sum();
         assert!(held >= 4 * (h * h) as u64, "h={h}: the matvec weight packs");
@@ -1131,7 +1133,8 @@ fn param_buffers_view_the_bound_tensors_in_place() {
     engine.execute(&lins[0], &params, true).unwrap();
     let solo = PARAM_VIEWS.take();
     let refs: Vec<&Linearized> = lins.iter().collect();
-    engine.execute_many(&refs, &params, true).unwrap();
+    // The record is per thread: one lane keeps the batch on this one.
+    cortex_tensor::par::with_lanes(1, || engine.execute_many(&refs, &params, true)).unwrap();
     let many = PARAM_VIEWS.take();
     assert_eq!((solo.len(), many.len()), (1, 3));
     for run in solo.iter().chain(&many) {
@@ -1178,6 +1181,57 @@ fn rebinding_a_param_equals_a_fresh_engine() {
     assert_eq!(got, want);
     let solo = warm.execute(&lins[0], &params, true).unwrap();
     assert_eq!(solo, want[0]);
+}
+
+/// Lane groups balance node counts, largest request first into the
+/// lightest group, and keep input order inside each; the engine reports
+/// the groups it ran.
+#[test]
+fn lane_groups_balance_nodes_and_the_engine_reports_them() {
+    let (program, lins, params) = matvec_fixture(8);
+    let sizes: Vec<usize> = lins.iter().map(Linearized::num_nodes).collect();
+    assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2], "{sizes:?}");
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    assert_eq!(lane_groups(&refs, 1), [vec![0, 1, 2]]);
+    assert_eq!(lane_groups(&refs, 2), [vec![2], vec![0, 1]]);
+    assert_eq!(lane_groups(&refs, 4), [vec![2], vec![1], vec![0]]);
+    let equal = [&lins[0]; 5];
+    assert_eq!(lane_groups(&equal, 2), [vec![0, 2, 4], vec![1, 3]]);
+    assert!(lane_groups(&[], 2).is_empty());
+
+    let mut engine = Engine::new(&program);
+    for lanes in [1, 2] {
+        cortex_tensor::par::with_lanes(lanes, || engine.execute_many(&refs, &params, true))
+            .unwrap();
+        let want = lane_groups(&refs, lanes.min(cortex_tensor::par::lanes()));
+        assert_eq!(engine.batch_groups(), want, "{lanes} lanes");
+    }
+}
+
+/// A panic out of a lane group's step with no hook installed resets
+/// nothing: each lane it hit keeps the placeholder caches of the
+/// interpreter that unwound (what this test installs by hand, as no
+/// input makes a real run panic). Such an engine still multiplies by
+/// the weights bound now, on every lane: the packs are the engine's,
+/// and a rebind clears them for all lanes at once.
+#[test]
+fn a_torn_engine_sees_a_rebind_on_every_lane() {
+    let (program, lins, mut params) = matvec_fixture(8);
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let two_lanes = |engine: &mut Engine<'_>, params: &Params| {
+        cortex_tensor::par::with_lanes(2, || engine.execute_many(&refs, params, true)).unwrap()
+    };
+    let mut torn = Engine::new(&program);
+    two_lanes(&mut torn, &params);
+    for lane in &mut torn.lanes {
+        lane.caches = Caches::default();
+    }
+    two_lanes(&mut torn, &params);
+    params.set("W", Tensor::random(&[8, 8], 0.5, 7));
+    assert_eq!(
+        two_lanes(&mut torn, &params),
+        two_lanes(&mut Engine::new(&program), &params)
+    );
 }
 
 /// Parameter sets are shared across threads once compiled models are:
@@ -1544,8 +1598,8 @@ fn certifier_rejects_overlapping_writes_with_typed_reasons() {
 /// Builds the shared plans of a model for certificate-forging tests.
 fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
     let ilir = lower(g, &RaSchedule::default(), StructureInfo { max_children: 2 }).unwrap();
-    let compiled: Rc<Vec<CompiledKernel>> =
-        Rc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
+    let compiled: Arc<Vec<CompiledKernel>> =
+        Arc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
     let (shared, _) = super::build_plans(compiled, ExecOptions::default());
     assert_eq!(verify(&shared.plan), Ok(()), "genuine plan verifies");
     shared
@@ -1555,7 +1609,7 @@ fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
 fn verify_rejects_forged_wave_certificate() {
     let (g, _) = matvec_tree(6);
     let mut shared = forgeable_plans(&g);
-    let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
     assert!(
         !plan.wave_safety.is_empty(),
         "default schedule lowers waves"
@@ -1579,7 +1633,7 @@ fn verify_rejects_forged_wave_certificate() {
 fn verify_rejects_forged_fused_certificate() {
     let (g, _) = matvec_tree(6);
     let mut shared = forgeable_plans(&g);
-    let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
     assert!(
         !plan.fused.is_empty(),
         "matvec body fuses under the default schedule"
@@ -1588,7 +1642,7 @@ fn verify_rejects_forged_fused_certificate() {
     // itself, claiming a loop variable its stores do not ride (every
     // node would write the same row).
     let genuine = &plan.fused[0];
-    plan.fused[0] = Rc::new(super::bulk::FusedWave {
+    plan.fused[0] = Arc::new(super::bulk::FusedWave {
         n_idx_slot: usize::from(u16::MAX),
         node_let: None,
         prog: super::bulk::RowProgram {
@@ -1615,7 +1669,7 @@ fn verify_rejects_stale_address_program() {
     use super::address::Coord;
     let (g, _) = matvec_tree(6);
     let mut shared = forgeable_plans(&g);
-    let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
     let forged = {
         let genuine = &plan.fused[0];
         let (slot, node) = genuine.node_let.clone().expect("the wave binds its node");
@@ -1632,7 +1686,7 @@ fn verify_rejects_stale_address_program() {
             bytes_per_row: genuine.bytes_per_row,
         }
     };
-    plan.fused[0] = Rc::new(forged);
+    plan.fused[0] = Arc::new(forged);
     let index = plan.waves.len();
     assert_eq!(
         verify(&shared.plan),
@@ -1647,7 +1701,7 @@ fn verify_rejects_stale_address_program() {
 fn verify_rejects_certificate_table_length_mismatch() {
     let (g, _) = matvec_tree(6);
     let mut shared = forgeable_plans(&g);
-    let plan = Rc::get_mut(&mut shared.plan).expect("sole owner");
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
     plan.wave_safety.pop();
     assert!(matches!(
         verify(&shared.plan),
@@ -1987,7 +2041,7 @@ fn planned_sites_never_reach_the_scalar_dot() {
         assert!(!sites.is_empty(), "{name}: sites found in the program");
         for body in sites {
             assert!(
-                !engine.caches.plan_cache.contains_key(&body),
+                (engine.lanes.iter()).all(|lane| !lane.caches.plan_cache.contains_key(&body)),
                 "{name}: a planned site's Sum missed the wave memo"
             );
         }

@@ -30,7 +30,6 @@
 //! path — see the executor's wave-memo bookkeeping.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, Ufn, ValExpr, Var};
@@ -756,7 +755,7 @@ pub(crate) struct Registrant {
 pub(crate) struct SuperEntry {
     pub key: SuperKey,
     /// The shared packed weight (from the engine's weight cache).
-    pub weight: Rc<PackedB>,
+    pub weight: Arc<PackedB>,
     /// Merged row matrix, `[total_rows][k_len]` row-major.
     pub rows: Vec<f32>,
     pub total_rows: usize,
@@ -787,11 +786,11 @@ pub(crate) fn merge_plans(
     entries: &mut Vec<SuperEntry>,
     pool: &mut Vec<Vec<f32>>,
     key: SuperKey,
-    weight: &Rc<PackedB>,
+    weight: &Arc<PackedB>,
 ) -> usize {
     if let Some(i) = entries
         .iter()
-        .position(|e| e.key == key && Rc::ptr_eq(&e.weight, weight))
+        .position(|e| e.key == key && Arc::ptr_eq(&e.weight, weight))
     {
         return i;
     }
@@ -812,7 +811,7 @@ impl SuperWaveAcc {
     pub fn register(
         &mut self,
         key: SuperKey,
-        weight: &Rc<PackedB>,
+        weight: &Arc<PackedB>,
         n_rows: usize,
         request: usize,
         group_idx: usize,
@@ -1316,8 +1315,8 @@ mod tests {
     #[test]
     fn merge_plans_fuses_same_key_and_weight_only() {
         let ones = [1.0f32; 8];
-        let w1 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
-        let w2 = Rc::new(PackedB::pack_nt(&ones, 2, 4));
+        let w1 = Arc::new(PackedB::pack_nt(&ones, 2, 4));
+        let w2 = Arc::new(PackedB::pack_nt(&ones, 2, 4));
         let key = SuperKey {
             wave: 1,
             group: 0,

@@ -1,14 +1,14 @@
 //! The machine's ceilings and the zoo's lowering facts: emits
 //! `BENCH_pipeline.json`.
 //!
-//! Nothing here times the engine: request latency and throughput, and
-//! the per-layer shares that add up to them, come from `benchmarks/`
-//! (`bash benchmarks/run.sh`). This binary records what those shares are
-//! stated against, plus what lowering produces for every model:
+//! Request latency and throughput, and the per-layer shares that add up
+//! to them, come from `benchmarks/` (`bash benchmarks/run.sh`). This
+//! binary records what those shares are stated against, what the lanes
+//! buy one batch, and what lowering produces for every model:
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v12",
+//!   "schema": "cortex-bench-pipeline/v13",
 //!   "axpy_gb_s": 38.1, "fma_peak_gflops": 166.5,
 //!   "gemm_packed_gflops_m1": 33.9, "gemm_packed_gflops_m16": 136.3,
 //!   "gemm_packed_gflops_m64": 149.1,
@@ -16,7 +16,9 @@
 //!     "fork_join_ns": 767,
 //!     "gemm_packed_gflops_all_lanes_m1": 58.7,
 //!     "gemm_packed_gflops_all_lanes_m16": 240.0,
-//!     "gemm_packed_gflops_all_lanes_m64": 251.6},
+//!     "gemm_packed_gflops_all_lanes_m64": 251.6,
+//!     "seq_burst16_ms_one_lane": 5.94, "seq_burst16_ms_all_lanes": 3.68,
+//!     "seq_burst16_all_over_one": 0.62},
 //!   "lowering": [
 //!     {"model": "treelstm", "plan_ops": 36, "lower_ms": 0.012,
 //!      "dead_ops_eliminated": 0, "slots_coalesced": 0,
@@ -34,7 +36,12 @@
 //!   packed entry on `m` rows × N=1024 × K=256 (an h=256 gate stack),
 //!   pinned to one lane.
 //! * `lanes` — the same probes on every lane of `cortex_tensor::par` at
-//!   once, and `fork_join_ns`, an empty `par::split` round trip.
+//!   once, and `fork_join_ns`, an empty `par::split` round trip. Then the
+//!   one engine timing: `Engine::execute_many` over 16 length-64
+//!   sequences of the h=256 seq-LSTM (the shape of the benchmark's
+//!   `seq_burst16` bursts), median of 9 warm batches, pinned to one lane
+//!   and on all lanes, where the batch splits into one lane group per
+//!   lane — and the ratio of the two.
 //! * `lowering` — `PlanStats` of every model of the zoo at the default
 //!   schedule: plan length, lowering time, and the dataflow optimizer's
 //!   and parallel-safety certifier's counts.
@@ -47,6 +54,8 @@ use std::fmt::Write as _;
 use cortex_backend::exec::Engine;
 use cortex_bench_harness::timing::{median_run, time_once};
 use cortex_core::ra::RaSchedule;
+use cortex_ds::datasets;
+use cortex_ds::linearizer::Linearizer;
 use cortex_models::{dagrnn, mvrnn, seq, treefc, treegru, treelstm, treernn, LeafInit};
 use cortex_tensor::par;
 
@@ -104,6 +113,25 @@ fn fork_join_ns() -> f64 {
     ns[ns.len() / 2] as f64
 }
 
+/// One warm `execute_many` of 16 length-64 sequences through the h=256
+/// seq-LSTM on at most `lanes` lanes, milliseconds (median of 9).
+fn seq_burst16_ms(lanes: usize) -> f64 {
+    let model = seq::seq_lstm(256);
+    let program = model.lower(&RaSchedule::default()).expect("lowers");
+    let lins: Vec<_> = (0..16)
+        .map(|s| Linearizer::new().linearize(&datasets::sequence(64, s)))
+        .collect::<Result<_, _>>()
+        .expect("linearizes");
+    let refs: Vec<_> = lins.iter().collect();
+    let mut engine = Engine::new(&program);
+    let burst = || {
+        engine
+            .execute_many(&refs, &model.params, true)
+            .expect("runs");
+    };
+    par::with_lanes(lanes, || median_run(9, burst).as_secs_f64() * 1e3)
+}
+
 /// The stream-rate ceiling of an elementwise pass: `y += x` over 1 Mi
 /// elements (reads `x` and `y`, writes `y` — twelve bytes per element).
 fn axpy_gb_s() -> f64 {
@@ -128,14 +156,18 @@ fn main() {
     let [packed_m1, packed_m16, packed_m64] = [1, 16, 64].map(|m| gemm_packed_gflops(m, 1));
     let [all_m1, all_m16, all_m64] = [1, 16, 64].map(|m| gemm_packed_gflops(m, lanes));
     let fork_join = fork_join_ns();
+    let (burst_one, burst_all) = (seq_burst16_ms(1), seq_burst16_ms(lanes));
+    let burst_ratio = burst_all / burst_one;
     println!(
         "ceilings: axpy {axpy:.1} GB/s, fma {fma_peak:.1} GFLOP/s; packed gemm \
          m1 {packed_m1:.1} m16 {packed_m16:.1} m64 {packed_m64:.1} GFLOP/s\n\
          on {lanes} lanes: fma {fma_peak_all:.1} GFLOP/s; packed gemm m1 {all_m1:.1} \
-         m16 {all_m16:.1} m64 {all_m64:.1} GFLOP/s; fork+join {fork_join:.0} ns"
+         m16 {all_m16:.1} m64 {all_m64:.1} GFLOP/s; fork+join {fork_join:.0} ns\n\
+         16-sequence execute_many: {burst_one:.3} ms on one lane, {burst_all:.3} ms \
+         on {lanes} ({burst_ratio:.3}x)"
     );
     let mut json = format!(
-        "{{\n  \"schema\": \"cortex-bench-pipeline/v12\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
+        "{{\n  \"schema\": \"cortex-bench-pipeline/v13\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
          \"fma_peak_gflops\": {fma_peak:.3},\n  \"gemm_packed_gflops_m1\": {packed_m1:.3},\n  \
          \"gemm_packed_gflops_m16\": {packed_m16:.3},\n  \
          \"gemm_packed_gflops_m64\": {packed_m64:.3},\n  \"lanes\": {{\n    \
@@ -143,7 +175,10 @@ fn main() {
          \"fork_join_ns\": {fork_join:.0},\n    \
          \"gemm_packed_gflops_all_lanes_m1\": {all_m1:.3}, \
          \"gemm_packed_gflops_all_lanes_m16\": {all_m16:.3}, \
-         \"gemm_packed_gflops_all_lanes_m64\": {all_m64:.3}\n  }},\n  \"lowering\": [\n"
+         \"gemm_packed_gflops_all_lanes_m64\": {all_m64:.3},\n    \
+         \"seq_burst16_ms_one_lane\": {burst_one:.3}, \
+         \"seq_burst16_ms_all_lanes\": {burst_all:.3}, \
+         \"seq_burst16_all_over_one\": {burst_ratio:.3}\n  }},\n  \"lowering\": [\n"
     );
 
     let zoo = [

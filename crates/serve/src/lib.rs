@@ -306,8 +306,11 @@ pub struct Response {
     /// How many requests shared this request's flush chunk (after any
     /// fault-isolation re-batching).
     pub batch_size: usize,
-    /// Mean merged super-wave width of the flush (from the batch's
-    /// [`DepthMap`]): the amortization actually achieved.
+    /// Mean merged super-wave width of the request's lane group (from
+    /// the group's [`DepthMap`]): the amortization actually achieved.
+    /// [`Engine::execute_many`] merges a flush's requests only within
+    /// each of its lane groups ([`Engine::batch_groups`]), so 16 equal
+    /// sequences flushed on two lanes report 8.
     pub superwave_width: f64,
     /// How long the request waited in the queue before its flush.
     pub queue_delay: Duration,
@@ -805,11 +808,19 @@ impl<'p> Batcher<'p> {
                 self.flushes += 1;
                 let now = self.clock.now();
                 let lins: Vec<&Linearized> = batch.iter().map(|p| &p.lin).collect();
-                let width = DepthMap::build(&lins).mean_super_width();
+                // Each request merged only within the lane group the
+                // engine ran it in.
+                let mut widths = vec![0.0; lins.len()];
+                for group in self.engine.batch_groups() {
+                    let members: Vec<&Linearized> = group.iter().map(|&r| lins[r]).collect();
+                    let width = DepthMap::build(&members).mean_super_width();
+                    group.iter().for_each(|&r| widths[r] = width);
+                }
                 let degraded = self.degraded();
                 let n = batch.len();
                 self.version += 1;
-                for (pending, (outputs, profile)) in batch.iter().zip(results) {
+                for ((pending, (outputs, profile)), width) in batch.iter().zip(results).zip(widths)
+                {
                     self.serve_stats.resolved_ok += 1;
                     self.ready.insert(
                         pending.ticket,
@@ -1097,6 +1108,7 @@ mod tests {
     use cortex_ds::linearizer::Linearizer;
     use cortex_ds::{datasets, RecStructure};
     use cortex_models::{treelstm, LeafInit};
+    use cortex_tensor::par;
 
     fn lin(s: &RecStructure) -> Linearized {
         Linearizer::new().linearize(s).unwrap()
@@ -1495,44 +1507,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queued_sequences_report_wide_superwaves() {
-        use cortex_models::seq;
-        let model = seq::seq_lstm(6);
+    /// 16 queued length-12 sequences for the seq-LSTM at h = 6.
+    fn sixteen_sequences() -> (cortex_models::Model, IlirProgram, Vec<Linearized>) {
+        let model = cortex_models::seq::seq_lstm(6);
         let program = model.lower(&RaSchedule::default()).unwrap();
-        let seqs: Vec<Linearized> = (0..16u64)
+        let seqs = (0..16u64)
             .map(|s| lin(&datasets::sequence(12, s)))
             .collect();
-        // Depth 1: a sequence alone launches a GEMM for every wave.
-        let mut solo = Batcher::new(&program, model.params.clone(), manual(1));
-        let t = solo.submit(seqs[0].clone()).unwrap();
-        solo.poll(t).unwrap().expect("flushed");
-        let solo_gemms = solo.stats().wave_gemms as f64;
+        (model, program, seqs)
+    }
 
-        let mut batcher = Batcher::new(&program, model.params.clone(), manual(16));
-        let tickets: Vec<Ticket> = seqs
-            .into_iter()
-            .map(|l| batcher.submit(l).unwrap())
-            .collect();
-        let r = batcher.poll(tickets[0]).unwrap().unwrap();
-        assert!(
-            (r.superwave_width - 16.0).abs() < 1e-9,
-            "16 width-1 sequence waves merge into width-16 super-waves, got {}",
-            r.superwave_width
-        );
-        let stats = batcher.stats();
-        assert!(stats.super_gemms > 0);
-        let mean_requests = stats.super_gemm_requests as f64 / stats.super_gemms as f64;
-        assert!(
-            mean_requests >= 12.0,
-            "nearly every GEMM should serve all 16 requests, got {mean_requests:.2}"
-        );
-        let gemms_per_request = stats.wave_gemms as f64 / 16.0;
-        assert!(
-            gemms_per_request * 8.0 <= solo_gemms,
-            "depth 16 must launch ≥ 8× fewer GEMMs per request than depth 1 \
-             ({gemms_per_request:.2} vs {solo_gemms})"
-        );
+    /// Merging within one schedule, so pinned to one lane: there the
+    /// whole flush is one lane group.
+    #[test]
+    fn queued_sequences_report_wide_superwaves() {
+        let (model, program, seqs) = sixteen_sequences();
+        par::with_lanes(1, || {
+            // Depth 1: a sequence alone launches a GEMM for every wave.
+            let mut solo = Batcher::new(&program, model.params.clone(), manual(1));
+            let t = solo.submit(seqs[0].clone()).unwrap();
+            solo.poll(t).unwrap().expect("flushed");
+            let solo_gemms = solo.stats().wave_gemms as f64;
+
+            let mut batcher = Batcher::new(&program, model.params.clone(), manual(16));
+            let tickets: Vec<Ticket> = seqs
+                .into_iter()
+                .map(|l| batcher.submit(l).unwrap())
+                .collect();
+            let r = batcher.poll(tickets[0]).unwrap().unwrap();
+            assert!(
+                (r.superwave_width - 16.0).abs() < 1e-9,
+                "16 width-1 sequence waves merge into width-16 super-waves, got {}",
+                r.superwave_width
+            );
+            let stats = batcher.stats();
+            assert!(stats.super_gemms > 0);
+            let mean_requests = stats.super_gemm_requests as f64 / stats.super_gemms as f64;
+            assert!(
+                mean_requests >= 12.0,
+                "nearly every GEMM should serve all 16 requests, got {mean_requests:.2}"
+            );
+            let gemms_per_request = stats.wave_gemms as f64 / 16.0;
+            assert!(
+                gemms_per_request * 8.0 <= solo_gemms,
+                "depth 16 must launch ≥ 8× fewer GEMMs per request than depth 1 \
+                 ({gemms_per_request:.2} vs {solo_gemms})"
+            );
+        });
+    }
+
+    /// On two lanes the flush splits into two lane groups of 8, and each
+    /// response reports its own group's width (16 on a one-CPU box,
+    /// where there is one group).
+    #[test]
+    fn superwave_width_is_the_lane_groups() {
+        let (model, program, seqs) = sixteen_sequences();
+        par::with_lanes(2, || {
+            let groups = par::lanes();
+            let mut batcher = Batcher::new(&program, model.params.clone(), manual(16));
+            let tickets: Vec<Ticket> = (seqs.iter())
+                .map(|l| batcher.submit(l.clone()).unwrap())
+                .collect();
+            for t in tickets {
+                let r = batcher.poll(t).unwrap().expect("flushed");
+                assert_eq!(r.batch_size, 16);
+                assert_eq!(r.superwave_width, (16 / groups) as f64);
+            }
+            if groups == 2 {
+                // Equal sizes deal alternately.
+                let halves: Vec<Vec<usize>> =
+                    vec![(0..16).step_by(2).collect(), (1..16).step_by(2).collect()];
+                assert_eq!(batcher.engine.batch_groups(), halves);
+            }
+        });
     }
 
     // -- robustness: admission, deadlines, isolation, degradation -----
@@ -1749,6 +1796,49 @@ mod tests {
         assert_eq!(stats.isolated_faults, 1);
         assert_eq!(stats.resolved_ok, 3);
         assert_eq!(stats.resolved_err, 1);
+    }
+
+    /// With a fault hook installed, an engine runs a flush's lane groups
+    /// one after another on the caller. A sticky culprit then meets the
+    /// same faults on one lane and on two: every ticket's outcome, the
+    /// serving counters and the hook's own counts are equal.
+    #[test]
+    fn fault_outcomes_do_not_depend_on_the_lane_count() {
+        silence_injected_panics();
+        let model = treelstm::tree_lstm(5, LeafInit::Embedding);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let trees: Vec<RecStructure> = [5usize, 9, 13, 17, 21, 25]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| datasets::random_binary_tree(n, i as u64))
+            .collect();
+        let culprit_nodes = lin(&trees[3]).num_nodes();
+        for action in [FaultAction::Err, FaultAction::Panic] {
+            let run = |lanes: usize| {
+                par::with_lanes(lanes, || {
+                    let mut batcher = Batcher::new(&program, model.params.clone(), manual(6));
+                    let (hook, handle) = FaultInjector::new(5)
+                        .always(action)
+                        .poison_nodes(culprit_nodes)
+                        .into_hook();
+                    batcher.set_fault_hook(Some(hook));
+                    let tickets: Vec<Ticket> = (trees.iter())
+                        .map(|t| batcher.submit(lin(t)).unwrap())
+                        .collect();
+                    let outcomes: Vec<_> = (tickets.into_iter())
+                        .map(|t| {
+                            let r = batcher.poll(t).map(|r| r.expect("flushed"));
+                            r.map(|r| (r.outputs, r.profile, r.batch_size))
+                        })
+                        .collect();
+                    let counts = (handle.consulted(), handle.fired());
+                    (outcomes, batcher.serve_stats(), counts)
+                })
+            };
+            let one = run(1);
+            assert_eq!(one.0.iter().filter(|o| o.is_err()).count(), 1);
+            assert_eq!(one, run(2), "{action:?}");
+        }
     }
 
     #[test]

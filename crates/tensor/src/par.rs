@@ -18,6 +18,11 @@
 //! inline on the calling thread, in order; so does a job of one chunk or
 //! a caller pinned to one lane by [`with_lanes`]. Results never depend on
 //! which of these happened: a chunk computes the same thing on any lane.
+//! The backend's batched executor relies on the inline rule: it forks
+//! one chunk per group of requests ([`for_each_mut`]) and every GEMM and
+//! epilogue inside a group runs inline (the group also pins itself to
+//! one lane, so it never even asks); a nested `split` that waited for
+//! the pool would wait for itself.
 //!
 //! Idle helpers poll the job word with [`std::hint::spin_loop`] for a
 //! bounded *count* of empty polls (no clock is read), then park; the
@@ -129,6 +134,16 @@ pub fn with_lanes<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// been retired; the pool stays usable.
 pub fn split(chunks: usize, f: &Chunk<'_>) {
     pool().split(chunks, f);
+}
+
+/// Calls `f(item)` for every item, one [`split`] chunk each: the items
+/// are disjoint, so each lane may mutate the ones it runs. Each item
+/// sits behind its own uncontended lock, which a chunk takes once.
+pub fn for_each_mut<T: Send>(items: &mut [T], f: &(dyn Fn(&mut T) + Sync)) {
+    let items: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    split(items.len(), &|i| {
+        f(&mut items[i].lock().unwrap_or_else(PoisonError::into_inner));
+    });
 }
 
 impl Pool {
@@ -408,6 +423,13 @@ pub struct RowWindows {
     stored: Vec<(usize, usize, usize)>,
     hulls: Vec<Hull>,
 }
+
+// SAFETY: the only pointers are in `bufs`, which `run` fills from the
+// borrows it is handed and dereferences only before it returns (through
+// a `Table` of its own making); every `run` refills `bufs` first. So the
+// pointers a `RowWindows` carries to another thread are never read
+// there, and the scratch may move with the lane group that owns it.
+unsafe impl Send for RowWindows {}
 
 impl RowWindows {
     /// Forgets every declared row.
@@ -824,6 +846,15 @@ mod tests {
         let pool = Pool::new(2);
         with_lanes(1, || assert_eq!(sum_of_squares(&pool, 10), want(10)));
         assert!(pool.threads.get().is_none());
+    }
+
+    #[test]
+    fn for_each_mut_hands_every_item_to_exactly_one_call() {
+        for n in [0, 1, 2, 5, 33] {
+            let mut items: Vec<(usize, usize)> = (0..n).map(|i| (i, 0)).collect();
+            for_each_mut(&mut items, &|(i, seen)| *seen += *i + 1);
+            assert!(items.iter().all(|&(i, seen)| seen == i + 1), "{n} items");
+        }
     }
 
     #[test]

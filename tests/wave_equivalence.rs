@@ -318,16 +318,19 @@ fn forest_of(model: &Model, parts: usize, size: usize, rng: &mut Rng) -> RecStru
 /// forks pinned to one lane (`par::with_lanes(1, ..)`) and on every
 /// lane the box has, outputs **and** `Profile` are `==`, solo and
 /// through `execute_many` of 16, for all nine models. At the paper's
-/// width the first request is a forest wide enough that wave GEMMs
-/// (split by weight panels) and fused epilogues (split by rows) really
-/// fork, solo and batched — asserted, wherever there is a second lane.
-/// At the width of the benchmark's `zoo_small`, on structures as large
-/// as its largest, no solo launch may reach a threshold (16 of them
-/// merged into one super-wave may, and gain from it). Run under
-/// `--features cortex-backend/checked` too: the shadow hooks see the
-/// same accesses in the same order on any lane count.
+/// width the first request is a forest wide enough that a solo run's
+/// wave GEMMs (split by weight panels) and fused epilogues (split by
+/// rows) really fork — asserted, wherever there is a second lane. A
+/// batch splits into lane groups instead, each pinned to its own lane,
+/// so no launch inside one forks, and the one long request beside
+/// fifteen short ones lands in a group of its own. At the width of the
+/// benchmark's `zoo_small`, on structures as large as its largest, no
+/// solo launch may reach a threshold. Run under `--features
+/// cortex-backend/checked` too: the shadow hooks see the same accesses
+/// in the same order on any lane count.
 #[test]
 fn one_lane_and_all_lanes_agree_exactly_and_large_launches_fork() {
+    use cortex::backend::exec::ExecStats;
     use cortex::tensor::par;
     let mut rng = Rng::new(0x55);
     for (h, mv_h, wide) in [(256, 64, true), (32, 16, false)] {
@@ -360,23 +363,67 @@ fn one_lane_and_all_lanes_agree_exactly_and_large_launches_fork() {
             assert_eq!(one_solo, all_solo, "solo, one lane vs all: {ctx}");
             assert_eq!(one_many, all_many, "execute_many, one lane vs all: {ctx}");
             assert_eq!(one_many[0], one_solo, "batched vs solo: {ctx}");
-            for (what, one, all) in [
-                ("solo", one_stats.0, all_stats.0),
-                ("execute_many", one_stats.1, all_stats.1),
-            ] {
-                let forks = |s: &cortex::backend::exec::ExecStats| (s.forked_gemms, s.forked_waves);
-                assert_eq!(forks(&one), (0, 0), "{what} on one lane: {ctx}");
-                if wide && par::lanes() > 1 {
-                    assert!(all.forked_gemms > 0, "{what} GEMMs: {ctx}: {all:?}");
-                    assert!(all.forked_waves > 0, "{what} waves: {ctx}: {all:?}");
-                } else if what == "solo" {
-                    assert_eq!(forks(&all), (0, 0), "{what} at zoo size: {ctx}");
-                }
-                assert_eq!(
-                    (one.wave_gemms, one.fused_waves),
-                    (all.wave_gemms, all.fused_waves),
-                    "{what}: the schedule does not depend on lanes: {ctx}"
-                );
+            let forks = |s: &ExecStats| (s.forked_gemms, s.forked_waves);
+            let ((one, one_batch), (all, all_batch)) = (one_stats, all_stats);
+            assert_eq!(forks(&one), (0, 0), "solo on one lane: {ctx}");
+            if wide && par::lanes() > 1 {
+                assert!(all.forked_gemms > 0, "solo GEMMs: {ctx}: {all:?}");
+                assert!(all.forked_waves > 0, "solo waves: {ctx}: {all:?}");
+            } else {
+                assert_eq!(forks(&all), (0, 0), "solo at zoo size: {ctx}");
+            }
+            assert_eq!(
+                (one.wave_gemms, one.fused_waves),
+                (all.wave_gemms, all.fused_waves),
+                "solo: the schedule does not depend on lanes: {ctx}"
+            );
+            assert_eq!(
+                (forks(&one_batch), forks(&all_batch)),
+                ((0, 0), (0, 0)),
+                "execute_many: nothing inside a lane group forks: {ctx}"
+            );
+            assert_eq!(
+                one_batch.fused_waves, all_batch.fused_waves,
+                "execute_many: every request fuses the same waves: {ctx}"
+            );
+        }
+    }
+}
+
+/// However the lanes split a batch, `execute_many` is solo `execute` per
+/// request, outputs and `Profile` `==`: on 1, 2 and 4 lanes, for all
+/// nine models on both runtimes, batches of 1, 2, 3 and 16 — fewer
+/// requests than lanes, and one long request among fifteen short ones.
+#[test]
+fn execute_many_equals_solo_on_every_lane_count() {
+    use cortex::tensor::par;
+    let mut rng = Rng::new(0x31);
+    for model in nine_models(16, 8) {
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let lins: Vec<_> = (0..16)
+            .map(|r| {
+                let forest = match r {
+                    0 => forest_of(&model, 6, 8, &mut rng),
+                    _ => forest_of(&model, 1, 2 + r % 5, &mut rng),
+                };
+                Linearizer::new().linearize(&forest).unwrap()
+            })
+            .collect();
+        for opts in [ExecOptions::default(), ExecOptions::interpreted()] {
+            let mut solo = Engine::with_options(&program, opts);
+            let want: Vec<_> = (lins.iter())
+                .map(|l| solo.execute(l, &model.params, true).unwrap())
+                .collect();
+            for lanes in [1, 2, 4] {
+                par::with_lanes(lanes, || {
+                    let mut engine = Engine::with_options(&program, opts);
+                    for n in [1, 2, 3, 16] {
+                        let refs: Vec<_> = lins[..n].iter().collect();
+                        let got = engine.execute_many(&refs, &model.params, true).unwrap();
+                        let ctx = format!("{} {opts:?}, {lanes} lanes, {n}", model.name);
+                        assert!(got == want[..n], "{ctx}");
+                    }
+                });
             }
         }
     }
@@ -564,25 +611,33 @@ fn execute_many_equals_independent_runs_exactly() {
     }
 }
 
-/// Merging must actually amortize: K equal-length queued sequences run
-/// ~K× fewer wave GEMMs than K solo runs, with every merged GEMM
-/// serving all K requests.
-#[test]
-fn execute_many_amortizes_gemm_launches_across_requests() {
-    let k = 8usize;
+/// The seq-LSTM at h = 12 and `k` length-40 sequences for it.
+fn equal_sequences(k: u64) -> (Model, Vec<cortex::ds::linearizer::Linearized>) {
     let model = seq::seq_lstm(12);
-    let program = model.lower(&RaSchedule::default()).unwrap();
-    let lins: Vec<_> = (0..k as u64)
+    let lins = (0..k)
         .map(|s| {
             Linearizer::new()
                 .linearize(&datasets::sequence(40, s))
                 .unwrap()
         })
         .collect();
+    (model, lins)
+}
+
+/// Merging must actually amortize: K equal-length queued sequences run
+/// ~K× fewer wave GEMMs than K solo runs, with every merged GEMM
+/// serving all K requests. Pinned to one lane, where the batch is one
+/// lane group.
+#[test]
+fn execute_many_amortizes_gemm_launches_across_requests() {
+    use cortex::tensor::par;
+    let k = 8usize;
+    let (model, lins) = equal_sequences(k as u64);
+    let program = model.lower(&RaSchedule::default()).unwrap();
     let refs: Vec<&_> = lins.iter().collect();
 
     let mut engine = Engine::new(&program);
-    engine.execute_many(&refs, &model.params, true).unwrap();
+    par::with_lanes(1, || engine.execute_many(&refs, &model.params, true)).unwrap();
     let many_stats = engine.stats();
 
     let mut solo = Engine::new(&program);
@@ -605,6 +660,46 @@ fn execute_many_amortizes_gemm_launches_across_requests() {
         k as u64 * solo_stats.gemm_rows,
         "super-waves carry Σ rows"
     );
+}
+
+/// The two-lane counterpart: the batch splits into one lane group per
+/// lane (two of 4 where the box has a second CPU), and each group's
+/// GEMMs serve all of that group's requests — one GEMM per wave per
+/// group. Outputs stay those of the one-group run.
+#[test]
+fn execute_many_merges_within_each_lane_group() {
+    use cortex::tensor::par;
+    let k = 8usize;
+    let (model, lins) = equal_sequences(k as u64);
+    let program = model.lower(&RaSchedule::default()).unwrap();
+    let refs: Vec<&_> = lins.iter().collect();
+    let mut solo = Engine::new(&program);
+    solo.execute(&lins[0], &model.params, true).unwrap();
+    let solo_stats = solo.stats();
+    let one_group = par::with_lanes(1, || {
+        Engine::new(&program).execute_many(&refs, &model.params, true)
+    });
+
+    let mut engine = Engine::new(&program);
+    let (groups, many) = par::with_lanes(2, || {
+        let groups = par::lanes();
+        (groups, engine.execute_many(&refs, &model.params, true))
+    });
+    assert_eq!(many.unwrap(), one_group.unwrap(), "groups change no output");
+    let stats = engine.stats();
+    assert_eq!(
+        stats.wave_gemms,
+        groups as u64 * solo_stats.wave_gemms,
+        "one GEMM per wave per lane group"
+    );
+    assert_eq!(
+        stats.super_gemm_requests,
+        k as u64 * solo_stats.wave_gemms,
+        "every merged GEMM serves its whole group of {}",
+        k / groups
+    );
+    assert_eq!(stats.gemm_rows, k as u64 * solo_stats.gemm_rows);
+    assert_eq!((stats.forked_gemms, stats.forked_waves), (0, 0));
 }
 
 /// Rank-2 feature sites (MV-RNN's `A(n) = W_M1·A_l + W_M2·A_r` matrix
