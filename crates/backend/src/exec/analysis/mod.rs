@@ -1,40 +1,27 @@
 //! Semantic analyses over the lowered ExecPlan IR.
 //!
-//! PR 5 flattened every kernel into a [`Program`](super::program) op
-//! stream and PR 7 gave it a *structural* verifier; this module adds
-//! the *semantic* layer a real compiler IR carries (Relay and the
-//! DL-compiler survey both treat these as table stakes):
+//! The [`Program`](super::program) op stream has a *structural*
+//! verifier ([`super::verify`]); this module adds the *semantic* layer
+//! the executor relies on:
 //!
-//! * [`cfg`] — the explicit op-level control-flow graph (successors /
-//!   predecessors per op, derived from the jump/branch/loop operands
-//!   the lowering already resolves).
-//! * [`dataflow`] — a direction- and meet-generic worklist solver over
-//!   gen/kill transfer functions on slot bit-sets.
-//! * [`effects`] — per-op effect summaries: which slots an op reads and
-//!   writes, plus the symbolic *region* model ([`effects::RegionDim`])
+//! * [`effects`] — the symbolic *region* model ([`effects::RegionDim`])
 //!   that abstracts index expressions into row descriptors
-//!   (constant / loop-counter / child-indirection chains).
-//! * [`liveness`] — backward slot liveness and its two consumers:
-//!   dead-`Let` elimination and slot coalescing
-//!   ([`liveness::optimize_kernels`], run at engine build when
-//!   [`ExecOptions::optimize`](super::ExecOptions::optimize) is on).
+//!   (constant / loop-counter / child-indirection chains), and the
+//!   free-slot walk over index expressions.
 //! * [`parsafety`] — the static parallel-safety certifier: region-based
 //!   disjointness reasoning that certifies each wave GEMM body and each
 //!   fused row pass as [`ParSafety::RowDisjoint`] or
 //!   [`ParSafety::Sequential`] with a typed reason. Certificates are
 //!   stored in the lowered [`Program`](super::program::Program) and
 //!   re-derived by [`super::verify`], so a forged certificate is
-//!   rejected before any run is admitted. The multicore roadmap item
-//!   consumes exactly these certificates.
+//!   rejected before any run is admitted. A wave body fuses, and so
+//!   may fork its row sweeps across lanes, only when `RowDisjoint`.
 //! * [`shadow`] (`checked` feature only) — the dynamic shadow-access
 //!   checker: records the rows each wave actually gathers and the rows
 //!   each fused pass actually writes, and panics the moment a runtime
 //!   access falls outside what the static summaries promised.
 
-pub(crate) mod cfg;
-pub(crate) mod dataflow;
 pub(crate) mod effects;
-pub(crate) mod liveness;
 pub(crate) mod parsafety;
 #[cfg(feature = "checked")]
 pub(crate) mod shadow;

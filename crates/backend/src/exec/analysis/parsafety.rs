@@ -197,7 +197,7 @@ impl WaveCx {
     /// Whether evaluating `e` depends on the wave iteration.
     fn uses_wave(&self, e: &IdxExpr) -> bool {
         let mut free = Vec::new();
-        effects::idx_slots(e, &mut Vec::new(), &mut free);
+        effects::idx_slots(e, &mut free);
         free.iter().any(|v| self.wave_dep.contains(v))
     }
 
@@ -227,8 +227,9 @@ fn certify_ops(
             Op::Barrier => return Err(SeqReason::Barrier),
             Op::LoopEnter(id) => {
                 // A nested counter is iteration-independent (it restarts
-                // per iteration); the coalescer keeps wave-body slots
-                // distinct, so shadowing cannot occur — drop defensively.
+                // per iteration); the kernel compiler gives every variable
+                // a slot of its own, so shadowing cannot occur — drop
+                // defensively.
                 let var = plan.loops[*id].slot as u32;
                 cx.wave_dep.remove(&var);
                 cx.row_slots.remove(&var);

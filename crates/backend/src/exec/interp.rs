@@ -3,15 +3,17 @@
 //!
 //! The [`Interp`] struct is the per-request execution state. Two
 //! front-ends drive it: the pc-based plan runtime ([`super::run`], the
-//! default) and the legacy AST-walking oracle ([`super::scalar`],
-//! `ExecOptions { interp: true }`). Both share every helper here, which
-//! is what keeps their outputs and `Profile` counters bit-identical.
+//! default, which alone parks and resumes under `execute_many`) and the
+//! legacy AST-walking oracle ([`super::scalar`],
+//! `ExecOptions { interp: true }`, one uninterrupted walk per request).
+//! Both share every helper here, which is what keeps their outputs and
+//! `Profile` counters bit-identical.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use cortex_core::expr::{BoolExpr, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
-use cortex_core::ilir::{DimExtent, IlirProgram, Stmt, StorageClass};
+use cortex_core::ilir::{DimExtent, IlirProgram, StorageClass};
 use cortex_ds::linearizer::{Batch, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::Tensor;
@@ -729,7 +731,7 @@ impl<'a> Interp<'a> {
 
     /// The flat launch schedule both runtimes execute: `Once` kernels in
     /// order, each `PerInternalBatch` run expanded over the input's batch
-    /// indices. Precomputing it lets the resumable machines treat every
+    /// indices. Precomputing it lets the resumable pc cursor treat every
     /// kernel launch uniformly.
     pub(crate) fn launch_units(&self) -> Vec<(usize, Option<i64>)> {
         launch_units(&self.compiled, self.program, self.lin)
@@ -771,21 +773,4 @@ pub(crate) fn launch_units(
         }
     }
     units
-}
-
-/// Marks every statement whose subtree contains a planned wave loop
-/// (including the loop itself). Returns whether `stmt`'s subtree does.
-pub(crate) fn collect_wave_ancestors(
-    stmt: &Stmt,
-    waves: &HashMap<usize, usize>,
-    out: &mut std::collections::HashSet<usize>,
-) -> bool {
-    let mut contains = waves.contains_key(&(stmt as *const Stmt as usize));
-    for s in stmt.children() {
-        contains |= collect_wave_ancestors(s, waves, out);
-    }
-    if contains {
-        out.insert(stmt as *const Stmt as usize);
-    }
-    contains
 }

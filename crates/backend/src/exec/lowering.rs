@@ -19,7 +19,7 @@
 //! exhaustive, so a new statement kind is a compile error here rather
 //! than a silent fallback to the AST walk.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr, Var};
@@ -195,8 +195,9 @@ fn remap_val(e: &ValExpr, m: &mut SlotMap) -> ValExpr {
 
 /// The analysis results keyed by statement address in the compiled
 /// kernels. The lowering resolves them into op operands once; the
-/// `interp: true` oracle looks them up as it walks the kernel trees.
-/// The addresses are keys only: nothing dereferences them.
+/// `interp: true` oracle looks them up at each `For` of its solo walk
+/// over the kernel trees. The addresses are keys only: nothing
+/// dereferences them.
 #[derive(Default)]
 pub(crate) struct StmtPlans {
     /// Planned `For` → its id in [`Program::waves`].
@@ -209,10 +210,6 @@ pub(crate) struct StmtPlans {
     /// Fused whole-wave epilogues: parallel `d_batch` loops whose whole
     /// body bulk-serves, keyed like `bulk`.
     pub(crate) fused: HashMap<(usize, usize), Arc<FusedWave>>,
-    /// Statements whose subtree contains a planned wave loop — the only
-    /// paths the oracle's step machine must walk frame by frame;
-    /// everything else executes atomically there.
-    pub(crate) wave_ancestors: HashSet<usize>,
 }
 
 /// Lowers every compiled kernel into one flat [`Program`], resolving the

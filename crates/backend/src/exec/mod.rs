@@ -33,13 +33,16 @@
 //!
 //! One runtime executes the verified program, and one reference checks
 //! it — bit-identical on outputs and `Profile` (property-tested across
-//! every model, solo and batched):
+//! every model, the pc runtime solo and batched against one oracle walk
+//! per request):
 //!
 //! * **pc** (default): the match-on-op dispatch loop over the `Program`
-//!   ops (`run`).
+//!   ops (`run`). It alone parks and resumes, so it alone runs the
+//!   batched super-wave schedule of [`Engine::execute_many`].
 //! * **interp** (`interp: true`): the pre-lowering recursive AST walk
 //!   (`scalar`), kept as the bit-exactness oracle — the same
-//!   cross-check pattern as `bulk: false`.
+//!   cross-check pattern as `bulk: false`. It never suspends: its
+//!   `execute_many` is one solo walk per request, in input order.
 
 pub(crate) mod address;
 mod analysis;
@@ -77,7 +80,6 @@ use gather::{evict_weight_cache_lru, WeightCache};
 use interp::{Caches, Interp};
 use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
-use scalar::RunCursor;
 
 pub use analysis::{ParSafety, SeqReason};
 pub use program::PlanStats;
@@ -288,13 +290,14 @@ impl From<VerifyError> for ExecError {
 /// An instrumented execution site a [`FaultHook`] is consulted at.
 ///
 /// The two sites cover the two failure shapes a serving layer must
-/// contain: [`FaultSite::Launch`] fires once per kernel launch of the
-/// **pc (ExecPlan) runtime only** — so an always-faulting launch hook
-/// emulates a broken lowered plan whose `interp` oracle twin still works
-/// (the circuit-breaker scenario) — while [`FaultSite::Gemm`] fires once
-/// per wave-GEMM flush, shared by both runtimes and (under
-/// [`Engine::execute_many`]) by every request parked in the super-wave,
-/// so one Gemm fault takes down a whole co-batched chunk.
+/// contain, and both belong to the **pc (ExecPlan) runtime only**: the
+/// `interp` oracle consults no site on any path, so an always-faulting
+/// hook emulates a broken lowered plan whose oracle twin still works
+/// (the circuit-breaker scenario). [`FaultSite::Launch`] fires once per
+/// kernel launch; [`FaultSite::Gemm`] fires once per super-wave flush of
+/// [`Engine::execute_many`], shared by every request parked in it, so
+/// one Gemm fault takes down a whole co-batched lane group. (A solo
+/// run's own wave GEMMs consult no site.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// One kernel launch of the pc runtime. `nodes` is the running
@@ -305,8 +308,8 @@ pub enum FaultSite {
         /// Node count of the request entering the launch.
         nodes: usize,
     },
-    /// One wave-GEMM flush over `rows` gathered rows (possibly merged
-    /// across the requests of a lane group).
+    /// One pc super-wave flush over `rows` gathered rows (possibly
+    /// merged across the requests of a lane group).
     Gemm {
         /// Total row count of the (super-)wave GEMM.
         rows: usize,
@@ -430,7 +433,11 @@ pub fn execute(
 pub struct ExecOptions {
     /// Run recognized reductions as tight strided loops
     /// ([`crate::fastdot::DotPlan`]). With this off, every `Sum` goes
-    /// through the generic interpreter. A product of two contiguous
+    /// through the generic interpreter, and `false` also turns off every
+    /// row program — bulk feature loops and fused wave epilogues —
+    /// whatever `bulk` says: both runtimes test `fastdot && bulk` before
+    /// serving one. [`ExecOptions::generic`] relies on this for its "no
+    /// reduction fast path at all". A product of two contiguous
     /// streams runs as `cortex_tensor::simd::dot_ordered` — the
     /// k-sequential chain the wave GEMM runs for the same element — so
     /// this path and `wave_gemm` agree bit for bit on such sites at any
@@ -455,9 +462,12 @@ pub struct ExecOptions {
     pub bulk: bool,
     /// Run the legacy AST-walking interpreter instead of the lowered
     /// linear plan. Outputs and `Profile`s are **bit-identical** to the
-    /// pc runtime (property-tested across every model, solo and
-    /// batched); this switch is the lowering's correctness oracle and a
-    /// diagnostic, exactly like `bulk: false` is for bulk serving.
+    /// pc runtime (property-tested across every model, the pc runtime
+    /// solo and batched); this switch is the lowering's correctness
+    /// oracle and a diagnostic, exactly like `bulk: false` is for bulk
+    /// serving, and the serving breaker's degraded rung. The oracle
+    /// never merges requests: [`Engine::execute_many`] runs one solo
+    /// walk per request.
     pub interp: bool,
     /// Which `tanh`/`sigmoid` implementation the executor applies — the
     /// paper's App. A.5 schedule choice, exposed as a per-engine knob
@@ -494,12 +504,6 @@ pub struct ExecOptions {
     /// legitimate runs never approach it. The interp oracle carries no
     /// watchdog: it is a diagnostic, never an admission path.
     pub watchdog_fuel: Option<u64>,
-    /// Run the compile-time dataflow optimizer (dead-`Let` elimination
-    /// and register-slot coalescing, `analysis::liveness`) over the
-    /// compiled kernels before analysis and lowering. Outputs and
-    /// `Profile`s are **bit-identical** either way (property-tested);
-    /// the switch exists as that claim's cross-check and a diagnostic.
-    pub optimize: bool,
 }
 
 impl Default for ExecOptions {
@@ -515,7 +519,6 @@ impl Default for ExecOptions {
             max_input_nodes: None,
             max_input_depth: None,
             watchdog_fuel: None,
-            optimize: true,
         }
     }
 }
@@ -656,16 +659,12 @@ pub struct ExecStats {
     /// wall time into its own phase, and the `interp: true` oracle
     /// lacks the loop bracket.
     pub serve_ns: u64,
-    /// Dead `Let` evaluations the dataflow optimizer removed at compile
-    /// time (0 with `optimize: false`). Compile-time facts — these four
-    /// and the reason histogram are seeded into every run's stats so
-    /// one `stats()` read describes the engine end to end.
-    pub dead_ops_eliminated: u64,
-    /// Register slots saved by liveness-based coalescing.
-    pub slots_coalesced: u64,
     /// Wave bodies (plain and fused) carrying a
     /// [`ParSafety::RowDisjoint`] certificate: their `d_batch`
-    /// iterations are statically race-free.
+    /// iterations are statically race-free. Compile-time facts — this,
+    /// `par_unsafe_waves` and its reason histogram are seeded into every
+    /// run's stats so one `stats()` read describes the engine end to
+    /// end.
     pub par_safe_waves: u64,
     /// Wave bodies certified [`ParSafety::Sequential`] — must not be
     /// dispatched concurrently.
@@ -688,8 +687,6 @@ impl ExecStats {
             ($($f:ident),*) => {{
                 let ExecStats {
                     $($f,)*
-                    dead_ops_eliminated: _,
-                    slots_coalesced: _,
                     par_safe_waves: _,
                     par_unsafe_waves: _,
                     par_unsafe_by_reason: _,
@@ -878,11 +875,7 @@ impl Batch<'_> {
                 &mut lane.buf_pool,
             )?);
         }
-        if self.opts.interp {
-            lane.run_many_interp(&mut interps, &self.shared.compiled, hook)?;
-        } else {
-            lane.run_many_pc(&mut interps, hook)?;
-        }
+        lane.run_many_cooperative(&mut interps, hook)?;
         interps
             .into_iter()
             .map(|it| it.finish(&mut lane.buf_pool))
@@ -910,11 +903,6 @@ fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (Shared
         waves: wave_ids,
         ..StmtPlans::default()
     };
-    for kernel in compiled.iter() {
-        for stmt in &kernel.body {
-            interp::collect_wave_ancestors(stmt, &stmt_plans.waves, &mut stmt_plans.wave_ancestors);
-        }
-    }
     // The row programs of feature loops and fused wave epilogues are
     // purely syntactic: lower them once here, per `(kernel, statement)`,
     // instead of caching per run. A row program names each reduction it
@@ -926,8 +914,7 @@ fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (Shared
     let plan = lowering::lower(&compiled, waves, &stmt_plans);
     let lower_ns = t0.elapsed().as_nanos() as u64;
     // The lowering certified every wave body it attached a plan to;
-    // count the verdicts here (the caller fills in the optimizer pair,
-    // which is per-compile, not per-lowering).
+    // count the verdicts here.
     let safe_wave_bodies = plan
         .wave_safety
         .iter()
@@ -953,26 +940,6 @@ fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (Shared
     )
 }
 
-/// Compiles the program's kernels and, under `opts.optimize`, runs the
-/// dataflow optimizer over them — the shared front half of
-/// [`Engine::with_options`] and of a `set_options` optimizer toggle.
-fn compile_kernels(
-    program: &IlirProgram,
-    opts: ExecOptions,
-) -> (Arc<Vec<CompiledKernel>>, analysis::liveness::OptStats) {
-    let compiled: Vec<CompiledKernel> = program
-        .kernels
-        .iter()
-        .map(CompiledKernel::compile)
-        .collect();
-    let (compiled, opt_stats) = if opts.optimize {
-        analysis::liveness::optimize_kernels(compiled)
-    } else {
-        (compiled, analysis::liveness::OptStats::default())
-    };
-    (Arc::new(compiled), opt_stats)
-}
-
 impl<'p> Engine<'p> {
     /// Builds an engine with the default options (all fast paths on).
     pub fn new(program: &'p IlirProgram) -> Self {
@@ -981,12 +948,16 @@ impl<'p> Engine<'p> {
 
     /// Builds an engine with explicit executor options.
     pub fn with_options(program: &'p IlirProgram, opts: ExecOptions) -> Self {
-        let (compiled, opt_stats) = compile_kernels(program, opts);
+        let compiled: Arc<Vec<CompiledKernel>> = Arc::new(
+            program
+                .kernels
+                .iter()
+                .map(CompiledKernel::compile)
+                .collect(),
+        );
         let max_slots = compiled.iter().map(|k| k.num_slots).max().unwrap_or(0);
         let plan_arity = verify::plan_arity_bounds(&compiled);
-        let (shared, mut plan_stats) = build_plans(compiled, opts);
-        plan_stats.dead_ops_eliminated = opt_stats.dead_lets;
-        plan_stats.slots_coalesced = opt_stats.slots_coalesced;
+        let (shared, plan_stats) = build_plans(compiled, opts);
         let verified = verify::verify(&shared.plan);
         debug_assert!(verified.is_ok(), "lowering emitted an invalid plan");
         Engine {
@@ -1061,21 +1032,20 @@ impl<'p> Engine<'p> {
     }
 
     /// Reconfigures a live engine, invalidating exactly the compiled
-    /// state the change can stale:
+    /// state the change can stale. The compiled kernels never change:
+    /// no option reaches the kernel compiler.
     ///
-    /// * `optimize` changes the **compiled kernels** themselves, so the
-    ///   kernels recompile from the source program and everything
-    ///   downstream (analyses, lowering, caches) rebuilds with them.
     /// * `wave_gemm` / `gate_stacking` change the **lowering** (which
     ///   loops are waves, how sites group, what the plan ops reference),
-    ///   so the analyses and the linear program are rebuilt and every
-    ///   grouping-shaped cache (stacked weight packs, group scratch,
-    ///   reduction plans) is dropped — a toggled engine behaves exactly
-    ///   like one freshly built with the new options (regression-tested
-    ///   per knob).
-    /// * `bulk` / `fastdot` / `interp` / `nonlinearity` are pure
-    ///   runtime dispatch: no compiled state depends on them, nothing
-    ///   invalidates.
+    ///   so the analyses and the linear program are rebuilt from the
+    ///   kept kernels and every grouping-shaped cache (stacked weight
+    ///   packs, group scratch, reduction plans) is dropped — a toggled
+    ///   engine behaves exactly like one freshly built with the new
+    ///   options (regression-tested per knob).
+    /// * `bulk` / `fastdot` / `interp` / `nonlinearity` and the
+    ///   admission limits are pure runtime dispatch: no compiled state
+    ///   depends on them, nothing invalidates. This is how the serving
+    ///   breaker demotes an engine to the oracle and back.
     ///
     /// The packed-weight cache remains keyed on `(model, params
     /// generation)` independently of all knobs.
@@ -1083,27 +1053,11 @@ impl<'p> Engine<'p> {
         if opts == self.opts {
             return;
         }
-        let optimize_changed = opts.optimize != self.opts.optimize;
-        let lowering_changed = optimize_changed
-            || opts.wave_gemm != self.opts.wave_gemm
-            || opts.gate_stacking != self.opts.gate_stacking;
+        let lowering_changed =
+            opts.wave_gemm != self.opts.wave_gemm || opts.gate_stacking != self.opts.gate_stacking;
         self.opts = opts;
         if lowering_changed {
-            let (compiled, dead, coalesced) = if optimize_changed {
-                let (compiled, opt_stats) = compile_kernels(self.program, opts);
-                self.max_slots = compiled.iter().map(|k| k.num_slots).max().unwrap_or(0);
-                self.plan_arity = verify::plan_arity_bounds(&compiled);
-                (compiled, opt_stats.dead_lets, opt_stats.slots_coalesced)
-            } else {
-                (
-                    self.shared.compiled.clone(),
-                    self.plan_stats.dead_ops_eliminated,
-                    self.plan_stats.slots_coalesced,
-                )
-            };
-            let (shared, mut plan_stats) = build_plans(compiled, opts);
-            plan_stats.dead_ops_eliminated = dead;
-            plan_stats.slots_coalesced = coalesced;
+            let (shared, plan_stats) = build_plans(self.shared.compiled.clone(), opts);
             self.shared = shared;
             self.plan_stats = plan_stats;
             // Re-verify: a rebuilt plan passes the same static checks a
@@ -1301,9 +1255,9 @@ impl<'p> Engine<'p> {
 
     /// Diagnostic counters of the most recent [`Engine::execute`] or
     /// [`Engine::execute_many`] call (the latter's summed over its lane
-    /// groups, in group order). The compile-time analysis fields
-    /// (`dead_ops_eliminated`, `slots_coalesced`, `par_*`) are seeded
-    /// into every run, so one read describes the engine end to end.
+    /// groups, in group order, or over its requests under the oracle).
+    /// The compile-time analysis fields (`par_*`) are seeded into every
+    /// run, so one read describes the engine end to end.
     pub fn stats(&self) -> ExecStats {
         self.lanes[0].caches.stats
     }
@@ -1318,8 +1272,6 @@ impl<'p> Engine<'p> {
             }
         }
         ExecStats {
-            dead_ops_eliminated: self.plan_stats.dead_ops_eliminated as u64,
-            slots_coalesced: self.plan_stats.slots_coalesced as u64,
             par_safe_waves: self.plan_stats.par_safe_waves as u64,
             par_unsafe_waves: self.plan_stats.par_unsafe_waves as u64,
             par_unsafe_by_reason,
@@ -1355,9 +1307,20 @@ impl<'p> Engine<'p> {
     ) -> Result<(HashMap<TensorId, Tensor>, Profile), ExecError> {
         self.admit(&[lin], params)?;
         self.refresh_weight_cache(params);
-        let seed = self.stats_seed();
+        self.lanes[0].caches.stats = self.stats_seed();
+        self.run_solo(lin, params, persist_active)
+    }
+
+    /// Runs one admitted request start to finish on lane 0, adding its
+    /// counters to that lane's stats: a solo [`Engine::execute`], and
+    /// each request of the oracle's [`Engine::execute_many`].
+    fn run_solo(
+        &mut self,
+        lin: &Linearized,
+        params: &Params,
+        persist_active: bool,
+    ) -> Result<RunOutput, ExecError> {
         let lane = &mut self.lanes[0];
-        lane.caches.stats = seed;
         let mut interp = Interp::new(
             self.program,
             lin,
@@ -1371,7 +1334,8 @@ impl<'p> Engine<'p> {
         )?;
         std::mem::swap(&mut lane.caches, &mut interp.caches);
         let result = if self.opts.interp {
-            interp.run_all()
+            interp.run_all();
+            Ok(())
         } else {
             interp.run_program(self.fault_hook.as_ref())
         };
@@ -1397,6 +1361,10 @@ impl<'p> Engine<'p> {
     /// with all lanes free to split its GEMM panels and epilogue rows.
     /// With a fault hook installed the groups run one after another on
     /// the caller, in group order.
+    ///
+    /// Under `interp: true` nothing merges: the oracle runs each request
+    /// as one solo walk, in input order, on the caller, and
+    /// [`Engine::batch_groups`] reports one group per request.
     ///
     /// Outputs and `Profile`s are returned per request, **exactly**
     /// equal to running each input through [`Engine::execute`] alone,
@@ -1436,6 +1404,13 @@ impl<'p> Engine<'p> {
         self.admit(lins, params)?;
         self.refresh_weight_cache(params);
         let mut stats = self.stats_seed();
+        if self.opts.interp {
+            self.groups = (0..lins.len()).map(|r| vec![r]).collect();
+            self.lanes[0].caches.stats = stats;
+            return (lins.iter())
+                .map(|lin| self.run_solo(lin, params, persist_active))
+                .collect();
+        }
         self.groups = lane_groups(lins, par::lanes());
         let groups = &self.groups;
         if self.lanes.len() < groups.len() {
@@ -1590,87 +1565,36 @@ impl<'p> Engine<'p> {
 }
 
 impl LaneState {
-    /// The pc runtime's batched scheduler: one [`PcCursor`] per request
-    /// through [`LaneState::run_many_cooperative`].
-    fn run_many_pc(
+    /// The pc runtime's batched scheduler, a cooperative round-robin
+    /// over one [`PcCursor`] per request: each request runs until it
+    /// parks at a planned wave loop (gathered rows registered, GEMM
+    /// pending) or completes. Once every live request is parked, the
+    /// accumulated GEMMs flush — merged across requests — results
+    /// install, and everyone resumes. Merging is opportunistic: requests
+    /// at different depths (or past their last wave) simply stop
+    /// contributing rows, so mixed-depth batches stay correct.
+    fn run_many_cooperative(
         &mut self,
         interps: &mut [Interp<'_>],
         hook: Option<&FaultHook>,
     ) -> Result<(), ExecError> {
-        let cursors: Vec<PcCursor> = interps
-            .iter()
+        let mut cursors: Vec<PcCursor> = (interps.iter())
             .map(|it| PcCursor::new(it.launch_units(), it.watchdog_fuel()))
             .collect();
-        self.run_many_cooperative(
-            interps,
-            cursors,
-            hook,
-            |c| c.done,
-            |it, cur, acc, r| it.step_program(cur, Some((acc, r)), hook),
-        )
-    }
-
-    /// [`LaneState::run_many_pc`]'s oracle twin over the frame-based step
-    /// machine (`interp: true`) — same scheduler, different cursor. The
-    /// oracle walks statement frames, not plan ops, so it carries no
-    /// watchdog; it is the diagnostic the pc runtime is checked against,
-    /// never the admission path.
-    fn run_many_interp(
-        &mut self,
-        interps: &mut [Interp<'_>],
-        compiled: &[CompiledKernel],
-        hook: Option<&FaultHook>,
-    ) -> Result<(), ExecError> {
-        let cursors: Vec<RunCursor<'_>> = interps
-            .iter()
-            .map(|it| RunCursor::new(it.launch_units()))
-            .collect();
-        self.run_many_cooperative(
-            interps,
-            cursors,
-            hook,
-            |c| c.done,
-            |it, cur, acc, r| Ok(it.step(cur, compiled, acc, r)),
-        )
-    }
-
-    /// The cooperative round-robin shared by both batched runtimes
-    /// (parameterized over the cursor type so the park/flush/resume
-    /// protocol cannot drift between the pc runtime and its oracle):
-    /// each request runs until it parks at a planned wave loop (gathered
-    /// rows registered, GEMM pending) or completes. Once every live
-    /// request is parked, the accumulated GEMMs flush — merged across
-    /// requests — results install, and everyone resumes. Merging is
-    /// opportunistic: requests at different depths (or past their last
-    /// wave) simply stop contributing rows, so mixed-depth batches stay
-    /// correct.
-    fn run_many_cooperative<C>(
-        &mut self,
-        interps: &mut [Interp<'_>],
-        mut cursors: Vec<C>,
-        hook: Option<&FaultHook>,
-        done: impl Fn(&C) -> bool,
-        mut step: impl FnMut(
-            &mut Interp<'_>,
-            &mut C,
-            &mut SuperWaveAcc,
-            usize,
-        ) -> Result<StepOutcome, ExecError>,
-    ) -> Result<(), ExecError> {
         let mut acc = SuperWaveAcc::default();
         let mut parked = vec![false; interps.len()];
         loop {
             let mut progressed = false;
             for r in 0..interps.len() {
-                if done(&cursors[r]) || parked[r] {
+                if cursors[r].done || parked[r] {
                     continue;
                 }
                 progressed = true;
-                // The lane's caches (reduction plans, the packed-weight
-                // handle, scratch pools, stats) shuttle into whichever
-                // request is stepping, so they serve the whole group.
+                // The lane's caches (reduction plans, scratch pools,
+                // stats) shuttle into whichever request is stepping, so
+                // they serve the whole group.
                 std::mem::swap(&mut self.caches, &mut interps[r].caches);
-                let outcome = step(&mut interps[r], &mut cursors[r], &mut acc, r);
+                let outcome = interps[r].step_program(&mut cursors[r], Some((&mut acc, r)), hook);
                 std::mem::swap(&mut self.caches, &mut interps[r].caches);
                 // A typed step fault (the watchdog) aborts the batch
                 // *after* the caches are back home; the serving front's
@@ -1688,7 +1612,7 @@ impl LaneState {
                 break;
             }
         }
-        debug_assert!(cursors.iter().all(done), "all requests must finish");
+        debug_assert!(cursors.iter().all(|c| c.done), "all requests must finish");
         Ok(())
     }
 

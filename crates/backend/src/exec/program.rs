@@ -24,9 +24,8 @@
 //! here points into the compiled kernels, and no op can name an
 //! expression the program does not hold. A wave site is named by its
 //! `Sum`'s binder slot, which the kernel compiler gives every `Sum` of
-//! its own and the coalescer keeps distinct within a wave body, so the
-//! wave memo matches the same sites in this program as in the kernel
-//! trees the `interp: true` oracle walks.
+//! its own, so the wave memo matches the same sites in this program as
+//! in the kernel trees the `interp: true` oracle walks.
 
 use std::sync::Arc;
 
@@ -161,11 +160,6 @@ pub struct PlanStats {
     pub plan_ops: usize,
     /// Wall-clock nanoseconds the lowering pass took at engine build.
     pub lower_ns: u64,
-    /// Dead `Let` bindings the liveness pass eliminated at engine build
-    /// (0 when `ExecOptions::optimize` is off).
-    pub dead_ops_eliminated: usize,
-    /// Register slots saved by liveness-based slot coalescing.
-    pub slots_coalesced: usize,
     /// Wave bodies certified row-disjoint by the static parallel-safety
     /// certifier (wave GEMM bodies plus fused row passes).
     pub par_safe_waves: usize,

@@ -3,11 +3,14 @@
 //!
 //! Since the linear-plan lowering (`ExecOptions::interp == false`, the
 //! default) the recursive walk survives as the **bit-exactness oracle**:
-//! `ExecOptions { interp: true }` runs every statement through
-//! [`Interp::exec_stmt`] and the frame-based resumable step machine,
-//! exactly the pre-lowering executor, and a property test asserts the
-//! two runtimes agree bit-for-bit (outputs *and* `Profile`s) on all
-//! models — the same cross-check pattern as `bulk: false`.
+//! `ExecOptions { interp: true }` runs every statement of one request
+//! through [`Interp::exec_stmt`], start to finish, exactly the
+//! pre-lowering executor. It never suspends: under the oracle,
+//! `Engine::execute_many` runs one solo walk per request (batched ≡ solo
+//! is the contract, so that is its batched answer). Property tests
+//! assert the pc runtime, solo and batched, agrees with these walks bit
+//! for bit (outputs *and* `Profile`s) on all models — the same
+//! cross-check pattern as `bulk: false`.
 //!
 //! The expression evaluator ([`Interp::eval_val`], [`Interp::eval_dot`])
 //! lives here too and is shared by the pc runtime: a lowered `Store` op
@@ -27,15 +30,12 @@ use cortex_core::ilir::{LaunchPattern, Stmt};
 use super::address::Resolved;
 use super::interp::Interp;
 use super::lowering::CompiledKernel;
-use super::ExecError;
-use super::StepOutcome;
 use crate::fastdot::Operand;
-use crate::wave::SuperWaveAcc;
 
 impl<'a> Interp<'a> {
     /// Runs the whole launch schedule through the recursive AST walk
-    /// (the `interp: true` oracle's solo path).
-    pub(crate) fn run_all(&mut self) -> Result<(), ExecError> {
+    /// (the `interp: true` oracle, for one request).
+    pub(crate) fn run_all(&mut self) {
         let compiled = self.compiled.clone();
         // Per-batch kernels run once per internal batch when specialized;
         // without specialization the leaf wave joins the batch table too
@@ -44,7 +44,6 @@ impl<'a> Interp<'a> {
             self.launch(ki, &compiled[ki], b);
         }
         self.finalize_run();
-        Ok(())
     }
 
     // -- launching ----------------------------------------------------
@@ -70,7 +69,7 @@ impl<'a> Interp<'a> {
     pub(crate) fn exec_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::For { var, dim, body, .. } => {
-                let (n, activated) = self.enter_loop(s, None);
+                let (n, activated) = self.enter_loop(s);
                 let slot = var.id() as usize;
                 let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
                 // Row programs: a fused wave serves its whole body row
@@ -142,6 +141,31 @@ impl<'a> Interp<'a> {
             Stmt::Barrier => {
                 self.profile.barriers_global += 1;
             }
+        }
+    }
+
+    /// The `For` entry of the walk: evaluates the extent, records the
+    /// wave width and — batched wavefront execution — if this node loop
+    /// has a wave plan, runs each stacking group of recognized reduction
+    /// sites as one packed GEMM over the whole wave, so the body's `Sum`s
+    /// serve from the result matrices. Returns the extent and the
+    /// activated `(sites, groups)`.
+    fn enter_loop(&mut self, s: &Stmt) -> (i64, (usize, usize)) {
+        let Stmt::For { extent, dim, .. } = s else {
+            unreachable!("enter_loop on a non-For statement")
+        };
+        let n = self.eval_idx(extent);
+        if matches!(dim, Some(d) if d.0 == "d_batch") {
+            if let Some(scope) = self.scopes.last_mut() {
+                scope.width = scope.width.max(n.max(0) as u64);
+            }
+        }
+        match self.stmt_plans.waves.get(&(s as *const Stmt as usize)) {
+            Some(&w) if n > 0 => {
+                let program = self.plan.clone();
+                (n, self.prepare_wave(&program.waves[w], w, n as usize, None))
+            }
+            _ => (n, (0, 0)),
         }
     }
 
@@ -338,324 +362,5 @@ impl<'a> Interp<'a> {
         acc = row.iter().fold(acc, |acc, p| acc + p);
         r.row = row;
         r.scale * acc
-    }
-
-    // -- resumable execution (the `interp: true` step machine) ---------
-
-    /// Advances this request until it parks at a planned wave loop whose
-    /// GEMMs were deferred into `acc` ([`StepOutcome::Paused`] — resume
-    /// after the flush installs results) or until the whole launch
-    /// schedule completes ([`StepOutcome::Done`]).
-    ///
-    /// The machine walks statement paths that contain planned wave loops
-    /// frame-by-frame (so it can suspend mid-loop with slot state
-    /// intact) and delegates every other subtree to the recursive
-    /// [`exec_stmt`](Self::exec_stmt) — both replicate the single-run
-    /// executor's accounting exactly.
-    pub(crate) fn step<'k>(
-        &mut self,
-        cur: &mut RunCursor<'k>,
-        compiled: &'k [CompiledKernel],
-        acc: &mut SuperWaveAcc,
-        request: usize,
-    ) -> StepOutcome {
-        loop {
-            if cur.frames.is_empty() {
-                if cur.in_launch {
-                    self.pop_scope();
-                    cur.in_launch = false;
-                    cur.unit += 1;
-                }
-                let Some(&(ki, b)) = cur.units.get(cur.unit) else {
-                    if !cur.done {
-                        cur.done = true;
-                        self.finalize_run();
-                    }
-                    return StepOutcome::Done;
-                };
-                let kernel = &compiled[ki];
-                self.cur_kernel = ki;
-                self.profile.launches += 1;
-                self.profile.host_api_calls += 1;
-                self.push_scope(kernel.launch == LaunchPattern::PerInternalBatch);
-                if let Some(bv) = kernel.batch_slot {
-                    self.slots[bv] = b.expect("per-batch kernel needs a batch index");
-                }
-                cur.in_launch = true;
-                cur.frames.push(Frame::Block {
-                    stmts: &kernel.body,
-                    idx: 0,
-                });
-                continue;
-            }
-            enum Action<'k> {
-                Exec(&'k Stmt),
-                PopBlock,
-                LoopContinue,
-                RunFused,
-            }
-            let action = match cur.frames.last_mut().expect("frame") {
-                Frame::Block { stmts, idx } => {
-                    if *idx < stmts.len() {
-                        let s = &stmts[*idx];
-                        *idx += 1;
-                        Action::Exec(s)
-                    } else {
-                        Action::PopBlock
-                    }
-                }
-                Frame::Loop { .. } => Action::LoopContinue,
-                Frame::Fused { .. } => Action::RunFused,
-            };
-            match action {
-                Action::PopBlock => {
-                    cur.frames.pop();
-                }
-                Action::LoopContinue => self.loop_continue(cur),
-                Action::RunFused => {
-                    let Some(Frame::Fused { key, n, activated }) = cur.frames.pop() else {
-                        unreachable!("fused frame")
-                    };
-                    // Resumed after the super-wave flush installed this
-                    // request's result blocks: the whole wave's epilogue
-                    // runs as its fused row program, then its sites retire.
-                    let plans = self.stmt_plans.clone();
-                    self.exec_fused_wave(&plans.fused[&key], n);
-                    if activated != (0, 0) {
-                        self.finish_wave(activated);
-                    }
-                }
-                Action::Exec(s) => {
-                    if !self
-                        .stmt_plans
-                        .wave_ancestors
-                        .contains(&(s as *const Stmt as usize))
-                    {
-                        // No planned wave loop below: run it atomically
-                        // through the ordinary recursive interpreter.
-                        self.exec_stmt(s);
-                        continue;
-                    }
-                    match s {
-                        Stmt::For { .. } => {
-                            if self.enter_for(s, cur, acc, request) {
-                                return StepOutcome::Paused;
-                            }
-                        }
-                        Stmt::Let { var, value, body } => {
-                            let v = self.eval_idx(value);
-                            self.slots[var.id() as usize] = v;
-                            cur.frames.push(Frame::Block {
-                                stmts: body,
-                                idx: 0,
-                            });
-                        }
-                        Stmt::If {
-                            cond,
-                            then_branch,
-                            else_branch,
-                        } => {
-                            self.profile.branch_checks += 1;
-                            let branch = if self.eval_bool(cond) {
-                                then_branch
-                            } else {
-                                else_branch
-                            };
-                            cur.frames.push(Frame::Block {
-                                stmts: branch,
-                                idx: 0,
-                            });
-                        }
-                        Stmt::Store { .. } | Stmt::Barrier => self.exec_stmt(s),
-                    }
-                }
-            }
-        }
-    }
-
-    /// The `For` entry shared by the recursive walk and the step machine:
-    /// evaluates the extent, records the wave width and — batched
-    /// wavefront execution — if this node loop has a wave plan, runs
-    /// each stacking group of recognized reduction sites as one packed
-    /// GEMM over the whole wave (deferred into the accumulator under
-    /// `execute_many`), so the body's `Sum`s serve from the result
-    /// matrices. Returns the extent and the activated `(sites, groups)`.
-    fn enter_loop(
-        &mut self,
-        s: &Stmt,
-        defer: Option<(&mut SuperWaveAcc, usize)>,
-    ) -> (i64, (usize, usize)) {
-        let Stmt::For { extent, dim, .. } = s else {
-            unreachable!("enter_loop on a non-For statement")
-        };
-        let n = self.eval_idx(extent);
-        if matches!(dim, Some(d) if d.0 == "d_batch") {
-            if let Some(scope) = self.scopes.last_mut() {
-                scope.width = scope.width.max(n.max(0) as u64);
-            }
-        }
-        match self.stmt_plans.waves.get(&(s as *const Stmt as usize)) {
-            Some(&w) if n > 0 => {
-                let program = self.plan.clone();
-                (
-                    n,
-                    self.prepare_wave(&program.waves[w], w, n as usize, defer),
-                )
-            }
-            _ => (n, (0, 0)),
-        }
-    }
-
-    /// The step machine's mirror of [`exec_stmt`](Self::exec_stmt)'s
-    /// `For` case: enters the loop (GEMMs deferred into `acc`) and pushes
-    /// its first iteration. Returns whether the request must park for a
-    /// super-wave flush.
-    fn enter_for<'k>(
-        &mut self,
-        s: &'k Stmt,
-        cur: &mut RunCursor<'k>,
-        acc: &mut SuperWaveAcc,
-        request: usize,
-    ) -> bool {
-        let Stmt::For { var, dim, body, .. } = s else {
-            unreachable!("enter_for on a non-For statement")
-        };
-        let (n, activated) = self.enter_loop(s, Some((acc, request)));
-        let slot = var.id() as usize;
-        let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
-        let paused = activated.1 > 0;
-        if n > 0 {
-            // A parked fusable wave runs its row program once the flush
-            // installs results, instead of resuming per-node frames.
-            if paused {
-                let key = (self.cur_kernel, s as *const Stmt as usize);
-                if let Some(fw) = self.stmt_plans.fused.get(&key) {
-                    if self.fused_servable(fw) {
-                        cur.frames.push(Frame::Fused {
-                            key,
-                            n: n as usize,
-                            activated,
-                        });
-                        return true;
-                    }
-                }
-            }
-            cur.frames.push(Frame::Loop {
-                stmt: s,
-                i: 0,
-                n,
-                is_wave,
-                activated,
-            });
-            if is_wave {
-                self.push_scope(true);
-            }
-            self.slots[slot] = 0;
-            cur.frames.push(Frame::Block {
-                stmts: body,
-                idx: 0,
-            });
-        }
-        paused
-    }
-
-    /// One loop-body completion in the step machine: close the finished
-    /// iteration's wave scope, then either start the next iteration or
-    /// pop the loop (deactivating its wave sites).
-    fn loop_continue<'k>(&mut self, cur: &mut RunCursor<'k>) {
-        let next_body: Option<&'k [Stmt]> = {
-            let Some(Frame::Loop {
-                stmt,
-                i,
-                n,
-                is_wave,
-                ..
-            }) = cur.frames.last_mut()
-            else {
-                unreachable!("loop_continue without a loop frame")
-            };
-            if *is_wave {
-                self.pop_scope();
-            }
-            *i += 1;
-            if *i < *n {
-                let Stmt::For { var, body, .. } = *stmt else {
-                    unreachable!("loop frame holds a For")
-                };
-                if *is_wave {
-                    self.push_scope(true);
-                }
-                self.slots[var.id() as usize] = *i;
-                Some(body)
-            } else {
-                None
-            }
-        };
-        match next_body {
-            Some(body) => cur.frames.push(Frame::Block {
-                stmts: body,
-                idx: 0,
-            }),
-            None => {
-                let Some(Frame::Loop { activated, .. }) = cur.frames.pop() else {
-                    unreachable!("loop frame")
-                };
-                if activated != (0, 0) {
-                    self.finish_wave(activated);
-                }
-            }
-        }
-    }
-}
-
-/// One suspended position in a kernel body (the `interp: true` oracle's
-/// suspension state; the pc runtime parks as a program counter instead).
-pub(crate) enum Frame<'k> {
-    /// Executing `stmts[idx..]` of a statement list.
-    Block { stmts: &'k [Stmt], idx: usize },
-    /// A `For` loop mid-flight: iteration `i` of `n` is on the frame
-    /// stack above (as a `Block`), with `activated` wave sites to
-    /// deactivate when the loop closes.
-    Loop {
-        stmt: &'k Stmt,
-        i: i64,
-        n: i64,
-        is_wave: bool,
-        activated: (usize, usize),
-    },
-    /// A parked fusable wave loop: once the pending super-wave flush
-    /// installs this request's result blocks, the whole body runs as
-    /// its fused row program ([`Interp::exec_fused_wave`]) and the wave's
-    /// `activated` sites retire.
-    Fused {
-        key: (usize, usize),
-        n: usize,
-        activated: (usize, usize),
-    },
-}
-
-/// The resumable execution state of one request in a batch: its launch
-/// schedule position plus the frame stack of the statement walk. Loop
-/// variables live in the interpreter's slot array (which nothing
-/// unwinds), so suspending at a wave loop and resuming after the flush
-/// needs no re-evaluation of any control expression — the counters
-/// stay exactly those of an uninterrupted run.
-pub(crate) struct RunCursor<'k> {
-    pub(crate) units: Vec<(usize, Option<i64>)>,
-    pub(crate) unit: usize,
-    pub(crate) in_launch: bool,
-    pub(crate) frames: Vec<Frame<'k>>,
-    pub(crate) done: bool,
-}
-
-impl<'k> RunCursor<'k> {
-    pub(crate) fn new(units: Vec<(usize, Option<i64>)>) -> Self {
-        RunCursor {
-            units,
-            unit: 0,
-            in_launch: false,
-            frames: Vec::new(),
-            done: false,
-        }
     }
 }

@@ -1352,23 +1352,13 @@ fn guarded_plans_admit_any_arity_and_match_the_oracle() {
     assert_eq!(got[&out], want[&out], "outputs must be bit-identical");
 }
 
-// -- static analysis: optimizer, parallel-safety certifier, shadow --
+// -- static analysis: parallel-safety certifier, shadow --
 
 use cortex_core::expr::{IdxBinOp, IdxExpr, Ufn, ValExpr, Var};
-use cortex_core::ilir::{Kernel, LaunchPattern, LoopKind, Stmt};
+use cortex_core::ilir::{LaunchPattern, LoopKind, Stmt};
 
-use super::analysis::liveness::optimize_kernels;
 use super::analysis::parsafety::{certify_fused, certify_wave};
 use super::{ParSafety, SeqReason};
-
-fn analysis_kernel(body: Vec<Stmt>) -> CompiledKernel {
-    CompiledKernel::compile(&Kernel {
-        name: "k".into(),
-        launch: LaunchPattern::Once,
-        batch_var: None,
-        body,
-    })
-}
 
 /// Lowers `for n in 0..4 { body }` (a `d_batch` loop) and certifies its
 /// body from the lowered ops, as the lowering and `verify` do.
@@ -1388,99 +1378,6 @@ fn certify_wave_body(n: Var, body: &[Stmt]) -> ParSafety {
     };
     let plan = super::lowering::lower(&[kernel], Vec::new(), &StmtPlans::default());
     certify_wave(&plan, 0, matches!(body, [Stmt::Let { .. }]))
-}
-
-#[test]
-fn optimizer_removes_dead_lets_and_coalesces_slots() {
-    let t = TensorId(0);
-    let v = Var::from_raw;
-    // `let a = 1 { t[0] = 2.0 }` — a is never read: dead.  The two
-    // following Lets have disjoint lifetimes: one slot after coloring.
-    let body = vec![
-        Stmt::Let {
-            var: v(0),
-            value: IdxExpr::Const(1),
-            body: vec![Stmt::Store {
-                tensor: t,
-                index: vec![IdxExpr::Const(0)],
-                value: ValExpr::Const(2.0),
-            }],
-        },
-        Stmt::Let {
-            var: v(1),
-            value: IdxExpr::Const(3),
-            body: vec![Stmt::Store {
-                tensor: t,
-                index: vec![IdxExpr::Var(v(1))],
-                value: ValExpr::Const(4.0),
-            }],
-        },
-        Stmt::Let {
-            var: v(2),
-            value: IdxExpr::Const(5),
-            body: vec![Stmt::Store {
-                tensor: t,
-                index: vec![IdxExpr::Var(v(2))],
-                value: ValExpr::Const(6.0),
-            }],
-        },
-    ];
-    let compiled = vec![analysis_kernel(body)];
-    assert_eq!(compiled[0].num_slots, 3);
-    let (opt, stats) = optimize_kernels(compiled);
-    assert_eq!(stats.dead_lets, 1);
-    assert_eq!(stats.slots_coalesced, 1);
-    assert_eq!(opt[0].num_slots, 1);
-    // The dead Let is gone, its body spliced in place.
-    assert!(
-        matches!(opt[0].body[0], Stmt::Store { .. }),
-        "dead Let spliced"
-    );
-    assert_eq!(opt[0].body.len(), 3);
-}
-
-#[test]
-fn optimizer_preserves_outputs_and_profile() {
-    let h = 8;
-    let (g, out) = matvec_tree(h);
-    let program = lower(
-        &g,
-        &RaSchedule::default(),
-        StructureInfo { max_children: 2 },
-    )
-    .unwrap();
-    let lin = Linearizer::new()
-        .linearize(&datasets::random_binary_tree(21, 11))
-        .unwrap();
-    let mut params = Params::new();
-    params.set("W", Tensor::random(&[h, h], 0.5, 7));
-    params.set(
-        "Emb",
-        Tensor::random(&[datasets::VOCAB_SIZE as usize, h], 0.5, 42),
-    );
-    let mut opt = Engine::new(&program);
-    let mut raw = Engine::with_options(
-        &program,
-        ExecOptions {
-            optimize: false,
-            ..ExecOptions::default()
-        },
-    );
-    let (got, prof) = opt.execute(&lin, &params, true).unwrap();
-    let (want, want_prof) = raw.execute(&lin, &params, true).unwrap();
-    assert_eq!(prof, want_prof, "profiles must be bit-identical");
-    assert_eq!(got[&out], want[&out], "outputs must be bit-identical");
-    // Toggling the optimizer on a live engine recompiles; the engine is
-    // indistinguishable from the fresh unoptimized build.
-    opt.set_options(ExecOptions {
-        optimize: false,
-        ..ExecOptions::default()
-    });
-    assert_eq!(opt.verified(), Ok(()));
-    assert_eq!(opt.stats().dead_ops_eliminated, 0, "optimizer off");
-    let (re, re_prof) = opt.execute(&lin, &params, true).unwrap();
-    assert_eq!(re_prof, want_prof);
-    assert_eq!(re[&out], want[&out]);
 }
 
 #[test]
@@ -1772,8 +1669,6 @@ fn engine_stats_surface_the_analysis_results() {
         stats.par_unsafe_waves,
         stats.par_unsafe_by_reason.iter().sum::<u64>()
     );
-    assert_eq!(stats.dead_ops_eliminated, ps.dead_ops_eliminated as u64);
-    assert_eq!(stats.slots_coalesced, ps.slots_coalesced as u64);
     if cfg!(feature = "checked") {
         assert!(super::shadow_checking_enabled());
         assert!(stats.shadow_checks > 0, "shadow hooks recorded accesses");

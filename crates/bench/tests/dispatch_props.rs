@@ -5,7 +5,7 @@
 //! AST-walking interp oracle must produce bit-identical outputs AND
 //! bit-identical `Profile` counters — both solo and through a depth-16
 //! serving batch, where the pc runtime parks and resumes at super-wave
-//! flushes.
+//! flushes while the oracle walks each request alone.
 
 use cortex_backend::exec::{Engine, ExecOptions};
 use cortex_backend::params::Params;
@@ -62,8 +62,9 @@ fn pc_runtime_matches_oracle_across_models_schedules_and_batching() {
             }
 
             // Depth-16 serving batch: a parked pc request is a plain
-            // value (pc + loop records) and must resume exactly where
-            // the oracle's frame machine does.
+            // value (pc + loop records) and must resume exactly where an
+            // uninterrupted walk would be; the oracle's `execute_many`
+            // is one solo walk per request.
             let batch_seed = rng.next_u64();
             let structures: Vec<_> = (0..16)
                 .map(|i| id.dataset(1, batch_seed.wrapping_add(i)))

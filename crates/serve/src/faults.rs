@@ -13,11 +13,11 @@
 //!   launches — a *sticky* culprit that still faults when chunk
 //!   bisection re-runs it solo, which is exactly what the isolation
 //!   machinery must prove it can contain.
-//! * **Plan-path outage** ([`FaultInjector::always`] at
-//!   [`FaultSite::Launch`]): launch sites exist only in the pc (ExecPlan)
-//!   runtime, so an always-faulting launch hook emulates a broken
-//!   lowered plan whose `interp` oracle still works — the
-//!   circuit-breaker demotion scenario.
+//! * **Plan-path outage** ([`FaultInjector::always`], typically at
+//!   [`FaultSite::Launch`]): every site exists only in the pc (ExecPlan)
+//!   runtime, so an always-faulting hook emulates a broken lowered plan
+//!   whose `interp` oracle still works — the circuit-breaker demotion
+//!   scenario.
 //!
 //! Injected panics are real unwinds; [`silence_injected_panics`]
 //! installs a process-wide panic-hook filter (once) that keeps them out
@@ -125,7 +125,8 @@ impl FaultInjector {
         self
     }
 
-    /// Restrict to wave-GEMM flush sites (both runtimes, whole batch).
+    /// Restrict to super-wave flush sites (pc runtime only, a whole lane
+    /// group).
     pub fn gemms_only(mut self) -> Self {
         self.filter = SiteFilter::GemmOnly;
         self

@@ -36,7 +36,9 @@
 //! * **Graceful degradation** — repeated ExecPlan-path faults trip a
 //!   circuit breaker that demotes the engine to the AST-walking
 //!   `interp` oracle (bit-identical results, slower) for a reset
-//!   window instead of failing traffic.
+//!   window instead of failing traffic. A degraded flush is one solo
+//!   oracle walk per request: nothing merges, and no fault site is
+//!   consulted.
 //!
 //! The [`faults`] module provides the deterministic fault-injection
 //! hooks the model-based test suites (`tests/model_based.rs`,
@@ -310,13 +312,15 @@ pub struct Response {
     /// the group's [`DepthMap`]): the amortization actually achieved.
     /// [`Engine::execute_many`] merges a flush's requests only within
     /// each of its lane groups ([`Engine::batch_groups`]), so 16 equal
-    /// sequences flushed on two lanes report 8.
+    /// sequences flushed on two lanes report 8. A degraded flush runs
+    /// each request alone, so it reports the request's own width.
     pub superwave_width: f64,
     /// How long the request waited in the queue before its flush.
     pub queue_delay: Duration,
     /// Whether the circuit breaker had demoted execution to the
     /// `interp` oracle path when this request ran. Results are
-    /// bit-identical either way; this flags the slower path.
+    /// bit-identical either way; this flags the slower, unmerged path
+    /// (one solo walk per request).
     pub degraded: bool,
 }
 
@@ -1905,6 +1909,61 @@ mod tests {
         let r = batcher.poll(t).unwrap().expect("healed");
         assert!(!r.degraded);
         assert!(!batcher.degraded());
+    }
+
+    /// The degraded rung's contract: once the breaker trips, a flush of
+    /// mixed-length sequences is one solo oracle walk per request —
+    /// every response flagged, `==` a solo run (outputs and `Profile`),
+    /// its width its own, no GEMM merged — and the fault hook, which
+    /// faults every site it is consulted at, is never consulted.
+    #[test]
+    fn degraded_flushes_are_solo_oracle_walks() {
+        let model = cortex_models::seq::seq_lstm(6);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let mut batcher = Batcher::new(
+            &program,
+            model.params.clone(),
+            BatcherOptions {
+                breaker_threshold: 1,
+                ..manual(4)
+            },
+        );
+        let (hook, handle) = FaultInjector::new(9).always(FaultAction::Err).into_hook();
+        batcher.set_fault_hook(Some(hook));
+        let t = batcher.submit(lin(&datasets::sequence(4, 0))).unwrap();
+        batcher.flush();
+        assert!(batcher.poll(t).is_err(), "the plan path faults");
+        assert!(batcher.degraded(), "one fault trips a threshold of 1");
+        let consulted = handle.consulted();
+
+        let seqs: Vec<Linearized> = [7usize, 13, 3, 10]
+            .iter()
+            .zip(1u64..)
+            .map(|(&len, seed)| lin(&datasets::sequence(len, seed)))
+            .collect();
+        let tickets: Vec<Ticket> = (seqs.iter())
+            .map(|l| batcher.submit(l.clone()).unwrap())
+            .collect();
+        assert_eq!(batcher.pending(), 0, "the fourth submit flushed");
+        assert_eq!(batcher.stats().super_gemms, 0, "nothing merges");
+        assert_eq!(batcher.engine.batch_groups(), [[0], [1], [2], [3]]);
+        assert_eq!(handle.consulted(), consulted, "the oracle consults no site");
+        let mut solo = Engine::new(&program);
+        for (l, t) in seqs.iter().zip(tickets) {
+            let r = batcher.poll(t).unwrap().expect("degraded but serving");
+            assert!(r.degraded);
+            assert_eq!(r.batch_size, 4);
+            assert_eq!(
+                r.superwave_width,
+                DepthMap::build(&[l]).mean_super_width(),
+                "a request's width is its own"
+            );
+            let (outputs, profile) = solo.execute(l, &model.params, true).unwrap();
+            assert!(
+                r.outputs == outputs && r.profile == profile,
+                "== a solo run"
+            );
+        }
     }
 
     #[test]

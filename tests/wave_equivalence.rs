@@ -958,65 +958,68 @@ fn engine_reuse_across_runs_is_stable() {
 }
 
 /// The plan runtime's correctness bar: the pc dispatch loop (the
-/// default) and the AST-walking oracle (`ExecOptions { interp: true }`)
-/// must agree **bit-for-bit** — outputs and complete `Profile`s — on
-/// every model, both solo and through a depth-16 serving batch (where
-/// the pc runtime parks/resumes at super-wave flushes).
+/// default) must agree **bit-for-bit** — outputs and complete
+/// `Profile`s — with the AST-walking oracle (`ExecOptions { interp:
+/// true }`) walking each request alone, on all nine models: solo, and
+/// through a depth-16 serving batch on one lane and on two, where the pc
+/// runtime parks and resumes at super-wave flushes inside one lane group
+/// or two. The oracle never parks, so this is batched pc against the
+/// plainest semantics.
 #[test]
 fn plan_runtime_matches_interp_oracle_on_all_models() {
+    use cortex::tensor::par;
     let mut rng = Rng::new(0x61);
     for case in 0..3 {
         let h = rng.range_usize(3, 12);
-        for model in models(h) {
+        for model in nine_models(h, h) {
             let program = model.lower(&RaSchedule::default()).unwrap();
             // One solo input and a depth-16 serving batch (mixed shapes
             // and depths), run in both nonlinearity modes.
             let structure = structure_for(&model, &mut rng);
             let lin = Linearizer::new().linearize(&structure).unwrap();
-            let structures: Vec<RecStructure> =
-                (0..16).map(|_| structure_for(&model, &mut rng)).collect();
-            let lins: Vec<_> = structures
-                .iter()
-                .map(|s| Linearizer::new().linearize(s).unwrap())
+            let lins: Vec<_> = (0..16)
+                .map(|_| {
+                    let s = structure_for(&model, &mut rng);
+                    Linearizer::new().linearize(&s).unwrap()
+                })
                 .collect();
             let refs: Vec<&_> = lins.iter().collect();
 
             for nonlinearity in NONLINEARITIES {
-                let mut pc = Engine::with_options(
-                    &program,
-                    ExecOptions {
-                        nonlinearity,
-                        ..ExecOptions::default()
-                    },
-                );
+                let ctx = format!("{} h={h} case={case} {nonlinearity:?}", model.name);
+                let opts = ExecOptions {
+                    nonlinearity,
+                    ..ExecOptions::default()
+                };
                 let mut oracle = Engine::with_options(
                     &program,
                     ExecOptions {
-                        nonlinearity,
-                        ..ExecOptions::interpreted()
+                        interp: true,
+                        ..opts
                     },
                 );
-                let ctx = format!("{} h={h} case={case} {nonlinearity:?}", model.name);
+                let solo = oracle.execute(&lin, &model.params, true).unwrap();
+                let want: Vec<_> = (lins.iter())
+                    .map(|l| oracle.execute(l, &model.params, true).unwrap())
+                    .collect();
 
+                let mut pc = Engine::with_options(&program, opts);
                 assert!(
                     pc.plan_stats().plan_ops > 0,
                     "{ctx}: kernels must lower to a plan"
                 );
-
-                let (out_p, prof_p) = pc.execute(&lin, &model.params, true).unwrap();
-                let (out_o, prof_o) = oracle.execute(&lin, &model.params, true).unwrap();
-                for (id, t_o) in &out_o {
-                    assert_eq!(&out_p[id], t_o, "{ctx}: solo pc outputs bit-exact");
-                }
-                assert_eq!(prof_p, prof_o, "{ctx}: solo pc profile identical");
-
-                let many_p = pc.execute_many(&refs, &model.params, true).unwrap();
-                let many_o = oracle.execute_many(&refs, &model.params, true).unwrap();
-                for (r, ((op_, pp), (oo, po))) in many_p.iter().zip(&many_o).enumerate() {
-                    for (id, t_o) in oo {
-                        assert_eq!(&op_[id], t_o, "{ctx}: request {r} pc outputs bit-exact");
+                let got = pc.execute(&lin, &model.params, true).unwrap();
+                assert!(got == solo, "{ctx}: solo pc outputs and profile");
+                for lanes in [1, 2] {
+                    let many = par::with_lanes(lanes, || {
+                        pc.execute_many(&refs, &model.params, true).unwrap()
+                    });
+                    for (r, (got, want)) in many.iter().zip(&want).enumerate() {
+                        assert!(
+                            got == want,
+                            "{ctx}, {lanes} lanes: request {r} pc outputs and profile"
+                        );
                     }
-                    assert_eq!(pp, po, "{ctx}: request {r} pc profile identical");
                 }
             }
         }
