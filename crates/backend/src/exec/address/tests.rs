@@ -16,7 +16,7 @@ use cortex_rng::Rng;
 use cortex_tensor::Tensor;
 
 use super::{Addr, Cond, Coord};
-use crate::exec::interp::Interp;
+use crate::exec::interp::{Interp, RunState};
 use crate::exec::lowering::CompiledKernel;
 use crate::exec::{build_plans, ExecOptions};
 use crate::params::Params;
@@ -161,12 +161,12 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             .map(CompiledKernel::compile)
             .collect(),
     );
-    let (shared, _) = build_plans(compiled, ExecOptions::default());
+    let (shared, _) = build_plans(&program, compiled, ExecOptions::default());
     let mut rng = Rng::new(0xadd7);
     let (mut coords, mut conds, mut addrs, mut in_range) = (0, 0, 0, 0);
     for case in 0..60 {
         let lin = structure(&mut rng, case);
-        let (mut pool, weights) = (Vec::new(), Mutex::default());
+        let weights = Mutex::default();
         let mut interp = Interp::new(
             &program,
             &lin,
@@ -176,7 +176,7 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             shared.clone(),
             &weights,
             8,
-            &mut pool,
+            RunState::default(),
         )
         .unwrap();
         let n = lin.num_nodes() as u32;

@@ -23,7 +23,8 @@ use cortex_core::expr::TensorId;
 
 use super::super::interp::Interp;
 
-/// Per-interpreter shadow state.
+/// Per-run shadow state, kept in the run state for its allocations and
+/// reset at every run's start ([`ShadowState::reset`]).
 #[derive(Default)]
 pub(crate) struct ShadowState {
     /// Nesting depth of active waves (gathered rows outstanding).
@@ -34,6 +35,17 @@ pub(crate) struct ShadowState {
     fused_row: Option<i64>,
     /// `(tensor, cell) → owning row` for the current fused wave.
     fused_writes: HashMap<(u32, usize), i64>,
+}
+
+impl ShadowState {
+    /// Forgets everything a previous run recorded, keeping the
+    /// allocations: a reused state audits like a fresh one.
+    pub(crate) fn reset(&mut self) {
+        self.wave_depth = 0;
+        self.gathered.clear();
+        self.fused_row = None;
+        self.fused_writes.clear();
+    }
 }
 
 impl<'a> Interp<'a> {

@@ -53,6 +53,7 @@ use super::analysis::parsafety::{certify_fused, ParSafety};
 use super::gather::{ActiveGroup, ActiveSite};
 use super::interp::{BufData, Buffer, Interp};
 use super::lowering::StmtPlans;
+use super::stopwatch::Stopwatch;
 use crate::wave::{SumSite, WavePlan};
 
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
@@ -714,9 +715,16 @@ impl<'a> Interp<'a> {
     /// Runs a fused wave: the whole body, row by row — the stand-in for
     /// the fused elementwise epilogue generated code would emit after
     /// the wave GEMMs (see [`FusedWave`]). Rows are resolved in order;
-    /// the sweeps of a large enough wave then run across lanes.
-    pub(crate) fn exec_fused_wave(&mut self, fw: &FusedWave, wave_len: usize) {
-        let t0 = std::time::Instant::now();
+    /// the sweeps of a large enough wave then run across lanes. `clock`
+    /// is the wave's, last read when its GEMMs ended, if it ran them
+    /// solo; the epilogue is timed from there, else from its own start.
+    pub(crate) fn exec_fused_wave(
+        &mut self,
+        fw: &FusedWave,
+        wave_len: usize,
+        clock: Option<Stopwatch>,
+    ) {
+        let mut clock = clock.unwrap_or_else(Stopwatch::start);
         super::checked_assert!(
             fw.n_idx_slot < self.slots.len(),
             "fused wave index slot {} out of range",
@@ -741,7 +749,7 @@ impl<'a> Interp<'a> {
         stats.fused_waves += 1;
         stats.forked_waves += u64::from(forked);
         stats.epilogue_bytes += bytes;
-        stats.epilogue_ns += t0.elapsed().as_nanos() as u64;
+        stats.epilogue_ns += clock.lap();
     }
 
     /// Runs a row program for the row the slot registers select; the

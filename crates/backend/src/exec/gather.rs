@@ -13,7 +13,6 @@
 //! the operands instead (`resolve_product`).
 
 use std::sync::{Arc, PoisonError};
-use std::time::Instant;
 
 use cortex_core::ilir::StorageClass;
 use cortex_tensor::kernels::{self, PackedB};
@@ -21,6 +20,7 @@ use cortex_tensor::kernels::{self, PackedB};
 use super::address::{Resolved, RowOperand};
 use super::checked_assert;
 use super::interp::Interp;
+use super::stopwatch::Stopwatch;
 use crate::wave::{GroupKind, InnerDim, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
 
 /// One packed (possibly vertically stacked) weight matrix of a stacking
@@ -63,9 +63,10 @@ pub(crate) struct WeightCache {
     /// ([`crate::wave::WavePlan::group_base`]): one pack per (leader,
     /// reduction extent) the group ran with. The signature (per-member
     /// site ordinal, weight window base, source-tensor store generation)
-    /// is validated on every hit and the pack rebuilt on mismatch — a
+    /// is validated on every lookup and the pack rebuilt on mismatch — a
     /// non-`Param` weight may be rewritten by a precompute kernel
-    /// mid-run.
+    /// mid-run. (A static-window group looks up once per run: see
+    /// [`RunPack`].)
     pub(crate) packs: Vec<Vec<StackedWeight>>,
     /// Monotonic execution counter, stamped onto packs on every hit or
     /// insert — the recency order the LRU eviction uses.
@@ -142,6 +143,7 @@ pub(crate) struct RowMeta {
 /// A stacking-group member that passed its runtime weight-window check:
 /// its ordinal in the plan, the resolved window base/strides and the
 /// source tensor's store generation at resolution time.
+#[derive(Clone, Copy)]
 pub(crate) struct SitePrep {
     pub(crate) ordinal: usize,
     pub(crate) wbase: usize,
@@ -150,12 +152,35 @@ pub(crate) struct SitePrep {
     pub(crate) wgen: u64,
 }
 
+/// One stacking group's packed weight in a run (the run state's
+/// `packs`, by engine-wide group id): the pack its latest wave
+/// multiplied by. A group with a static window
+/// ([`SiteGroup::static_window`]) resolves the same window and pack on
+/// every wave of a run, so once one wave has resolved them (every member
+/// passing), later waves at the same reduction extent reuse `preps` and
+/// `weight` as they are: no window resolution, no lock on the engine's
+/// [`WeightCache`], no signature check. Cleared when the run finishes.
+#[derive(Default)]
+pub(crate) struct RunPack {
+    /// The reduction extent the pack was resolved for.
+    k_len: usize,
+    /// Output columns of the group's GEMM.
+    cols: usize,
+    /// The members that passed, as resolved; kept only when `reusable`.
+    preps: Vec<SitePrep>,
+    /// Whether later waves at `k_len` may reuse this resolution.
+    reusable: bool,
+    /// The packed weight (`None` between runs).
+    pub(crate) weight: Option<Arc<PackedB>>,
+}
+
 /// Where a wave's GEMM result lives.
 pub(crate) enum GroupOut {
     /// Deferred into a super-wave GEMM that has not flushed yet; reading
     /// it is a bug (the request is parked until results install).
     Pending,
-    /// This request's own GEMM (the single-run path).
+    /// This request's own GEMM (the single-run path), computed once
+    /// every group of the wave has gathered.
     Owned(Vec<f32>),
     /// A block of a merged super-wave result shared by several requests;
     /// this request's rows start at `base`. (`Arc`, not `Rc`: the lanes
@@ -170,9 +195,12 @@ pub(crate) struct ActiveGroup {
     pub(crate) id: usize,
     /// GEMM output, `[rows][cols]` row-major (owned or a shared block).
     pub(crate) out: GroupOut,
-    /// Packed operand rows (kept only to return the buffer to the pool;
-    /// empty when the rows were gathered into a super-wave matrix).
+    /// Packed operand rows: the solo GEMM's left operand, then kept only
+    /// to return the buffer to the pool (empty when the rows were
+    /// gathered into a super-wave matrix).
     pub(crate) rows: Vec<f32>,
+    /// Row count of the group's GEMM.
+    pub(crate) n_rows: usize,
     /// Per-row metadata; sites index it via their `meta_off`.
     pub(crate) meta: Vec<RowMeta>,
     /// Output row length (ΣH of the stacked sites, or H when rows are
@@ -231,12 +259,17 @@ pub(crate) struct ActiveSite {
 impl<'a> Interp<'a> {
     /// Runs the GEMM phase for every stacking group of a wave plan,
     /// making their `Sum`s servable from result matrices. Returns the
-    /// number of `(sites, groups)` activated.
+    /// number of `(sites, groups)` activated and, for a solo wave that
+    /// ran GEMMs, its clock (last read when they ended) for the phase
+    /// that follows.
     ///
-    /// With `defer` set (the `execute_many` path), the gathered rows are
-    /// registered into the super-wave accumulator instead of running the
-    /// GEMM immediately: the caller parks this request until the merged
-    /// GEMMs flush and their results install.
+    /// A solo wave gathers every group's rows first and then runs every
+    /// group's GEMM, in group order — the order a super-wave flush runs
+    /// them in — reading the clock three times: at its start, after the
+    /// gathers and after the GEMMs. With `defer` set (the `execute_many`
+    /// path), the gathered rows are registered into the super-wave
+    /// accumulator instead: the caller parks this request until the
+    /// merged GEMMs flush and their results install.
     ///
     /// Accounting discipline: the scalar path evaluates guards, scalar
     /// factors and stream bases once per *element* (`wave_len × h` times
@@ -253,11 +286,12 @@ impl<'a> Interp<'a> {
         wave: usize,
         wave_len: usize,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
-    ) -> (usize, usize) {
+    ) -> ((usize, usize), Option<Stopwatch>) {
         // The analysis plans no wave loop inside another, so the active
         // sites are this wave's, by plan ordinal.
         debug_assert!(self.active.is_empty(), "wave activations nest");
         self.active.resize_with(plan.sites.len(), || None);
+        let mut clock = Stopwatch::start();
         let mut groups = 0usize;
         for (ordinal, group) in plan.groups.iter().enumerate() {
             let n = self.prepare_group(
@@ -270,14 +304,39 @@ impl<'a> Interp<'a> {
             );
             groups += usize::from(n > 0);
         }
+        self.caches.stats.gather_ns += clock.lap();
         if groups == 0 {
             self.active.clear();
-            return (0, 0);
+            return ((0, 0), None);
         }
         self.caches.stats.waves_batched += 1;
         #[cfg(feature = "checked")]
         self.shadow_enter_wave();
-        (plan.sites.len(), groups)
+        let activated = (plan.sites.len(), groups);
+        if defer.is_some() {
+            return (activated, None);
+        }
+        self.run_wave_gemms(groups);
+        self.caches.stats.gemm_ns += clock.lap();
+        (activated, Some(clock))
+    }
+
+    /// The solo wave's GEMM phase: one register-tiled GEMM for each of
+    /// the wave's last `groups` active groups, into its owned result.
+    /// Guard-zero rows need no special handling here: the memo hit
+    /// short-circuits to exactly 0.0 (matching the scalar path, which
+    /// never touches the weight — inf/NaN containment happens at that
+    /// early return) so their slots in the result are never read.
+    fn run_wave_gemms(&mut self, groups: usize) {
+        let from = self.active_groups.len() - groups;
+        for group in &mut self.active_groups[from..] {
+            let weight = (self.packs[group.id].weight.as_ref()).expect("packed this wave");
+            let GroupOut::Owned(out) = &mut group.out else {
+                unreachable!("a solo wave owns its results")
+            };
+            let forked = kernels::gemm_packed_into(out, &group.rows, weight, group.n_rows);
+            self.caches.stats.forked_gemms += u64::from(forked);
+        }
     }
 
     /// Resolves a site's weight window for this wave: `(base, i-stride,
@@ -320,28 +379,24 @@ impl<'a> Interp<'a> {
         Some((wbase, si, sk, self.store_gens[wt]))
     }
 
-    /// Packs one stacking group's weights and operand rows, runs its
-    /// GEMM (or registers the rows into a pending super-wave GEMM), and
-    /// activates its member sites. Returns the number of sites activated
-    /// (members that fail a runtime check fall back to the scalar path
-    /// individually).
-    fn prepare_group(
+    /// Resolves one stacking group's weight windows and packed weight
+    /// into `preps` and [`Interp::packs`] — or reuses the run's earlier
+    /// resolution of a static window — and returns the GEMM's column
+    /// count, or `None` when no member passed its window check.
+    fn resolve_group(
         &mut self,
         plan: &WavePlan,
         group: &SiteGroup,
-        wave: usize,
-        ordinal: usize,
-        wave_len: usize,
-        defer: Option<(&mut SuperWaveAcc, usize)>,
-    ) -> usize {
-        // The analyzer guarantees every member shares the reduction
-        // extent (grouping requires structurally equal extents).
-        let leader = &plan.sites[group.members[0]];
-        let k_len = self.eval_idx(&leader.extent).max(0) as usize;
-
-        // The members list is recycled: this runs once per group per wave.
-        let mut preps = std::mem::take(&mut self.caches.preps);
+        id: usize,
+        k_len: usize,
+        preps: &mut Vec<SitePrep>,
+    ) -> Option<usize> {
         preps.clear();
+        let memo = entry(&mut self.packs, id);
+        if memo.reusable && memo.k_len == k_len && memo.weight.is_some() {
+            preps.extend_from_slice(&memo.preps);
+            return Some(memo.cols);
+        }
         for &mi in &group.members {
             if let Some((wbase, si, sk, wgen)) = self.resolve_weight_window(&plan.sites[mi], k_len)
             {
@@ -356,17 +411,11 @@ impl<'a> Interp<'a> {
         }
         self.caches.stats.fallback_sites += (group.members.len() - preps.len()) as u64;
         if preps.is_empty() {
-            self.caches.preps = preps;
-            return 0;
+            return None;
         }
-        let gather_t0 = Instant::now();
-
         // Pack (or reuse) the stacked weight matrix: the members'
         // `[h][K]` windows vertically concatenated for shared-rows
         // groups, the one shared `[H][K]` window for row-stacked groups.
-        // A group keeps one pack per (leader, extent).
-        let id = plan.group_base + ordinal;
-        let leader = preps[0].ordinal;
         let to_pack = match group.kind {
             GroupKind::SharedRows => preps.len(),
             GroupKind::SharedWeight => 1,
@@ -375,6 +424,30 @@ impl<'a> Interp<'a> {
             .iter()
             .map(|p| plan.sites[p.ordinal].feat_extent)
             .sum();
+        let weight = self.cached_pack(plan, id, preps, to_pack, k_len, cols);
+        let memo = &mut self.packs[id];
+        (memo.k_len, memo.cols, memo.weight) = (k_len, cols, Some(weight));
+        memo.reusable = group.static_window && preps.len() == group.members.len();
+        memo.preps.clear();
+        if memo.reusable {
+            memo.preps.extend_from_slice(preps);
+        }
+        Some(cols)
+    }
+
+    /// The engine's pack of group `id`'s resolved windows, packed now if
+    /// the cache holds none that matches. A group keeps one pack per
+    /// (leader, extent).
+    fn cached_pack(
+        &mut self,
+        plan: &WavePlan,
+        id: usize,
+        preps: &[SitePrep],
+        to_pack: usize,
+        k_len: usize,
+        cols: usize,
+    ) -> Arc<PackedB> {
+        let leader = preps[0].ordinal;
         // Validate the cached pack without materializing a signature —
         // this is the per-wave steady state and must not allocate. The
         // lock is held through a pack, so lane groups that need the same
@@ -389,7 +462,7 @@ impl<'a> Interp<'a> {
             let w = &mut packs[at];
             let valid = (w.params_only || w.epoch == self.cache_epoch)
                 && w.sig.len() == preps.len()
-                && (w.sig.iter().zip(&preps)).all(|(s, p)| *s == (p.ordinal, p.wbase, p.wgen));
+                && (w.sig.iter().zip(preps)).all(|(s, p)| *s == (p.ordinal, p.wbase, p.wgen));
             if valid {
                 // Recency stamp for the LRU eviction: packs the current
                 // execution touches are the working set.
@@ -433,8 +506,36 @@ impl<'a> Interp<'a> {
                 packs.push(packed);
             }
         }
-        let packed_w = cache.packs[id][at].data.clone();
-        drop(cache);
+        cache.packs[id][at].data.clone()
+    }
+
+    /// Resolves one stacking group's weights and gathers its operand
+    /// rows — into a pending super-wave GEMM under `defer`, else into
+    /// the group's own row block for [`Interp::run_wave_gemms`] — and
+    /// activates its member sites. Returns the number of sites activated
+    /// (members that fail a runtime check fall back to the scalar path
+    /// individually).
+    fn prepare_group(
+        &mut self,
+        plan: &WavePlan,
+        group: &SiteGroup,
+        wave: usize,
+        ordinal: usize,
+        wave_len: usize,
+        defer: Option<(&mut SuperWaveAcc, usize)>,
+    ) -> usize {
+        // The analyzer guarantees every member shares the reduction
+        // extent (grouping requires structurally equal extents).
+        let leader = &plan.sites[group.members[0]];
+        let k_len = self.eval_idx(&leader.extent).max(0) as usize;
+        let id = plan.group_base + ordinal;
+
+        // The members list is recycled: this runs once per group per wave.
+        let mut preps = std::mem::take(&mut self.caches.preps);
+        let Some(cols) = self.resolve_group(plan, group, id, k_len, &mut preps) else {
+            self.caches.preps = preps;
+            return 0;
+        };
 
         // Gather phase: resolve guards/child-sums/scalars once per row
         // and pack the operand rows. Shared-rows groups gather one row
@@ -470,7 +571,8 @@ impl<'a> Interp<'a> {
                 cols,
                 k_len,
             };
-            let (entry, base) = acc.register(key, &packed_w, gemm_rows, request, group_idx);
+            let weight = self.packs[id].weight.as_ref().expect("resolved above");
+            let (entry, base) = acc.register(key, weight, gemm_rows, request, group_idx);
             let rows = acc.rows_mut(entry, base, gemm_rows);
             self.gather_rows(
                 plan,
@@ -482,7 +584,6 @@ impl<'a> Interp<'a> {
                 rows,
                 &mut bufs.meta,
             );
-            self.caches.stats.gather_ns += gather_t0.elapsed().as_nanos() as u64;
             true
         } else {
             bufs.rows.clear();
@@ -498,20 +599,9 @@ impl<'a> Interp<'a> {
                 rows,
                 meta,
             );
-            self.caches.stats.gather_ns += gather_t0.elapsed().as_nanos() as u64;
-            // One register-tiled GEMM for the whole group. Guard-zero
-            // rows need no special handling here: the memo hit
-            // short-circuits to exactly 0.0 (matching the scalar path,
-            // which never touches the weight — inf/NaN containment
-            // happens at that early return) so their slots in `out` are
-            // never read. The product stores every element, so only
-            // growth is filled.
+            // The product stores every element, so only growth is
+            // filled.
             bufs.out.resize(gemm_rows * cols, 0.0);
-            let gemm_t0 = Instant::now();
-            let forked = kernels::gemm_packed_into(&mut bufs.out, &bufs.rows, &packed_w, gemm_rows);
-            let stats = &mut self.caches.stats;
-            stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
-            stats.forked_gemms += u64::from(forked);
             false
         };
 
@@ -537,6 +627,7 @@ impl<'a> Interp<'a> {
                 GroupOut::Owned(std::mem::take(&mut bufs.out))
             },
             rows: std::mem::take(&mut bufs.rows),
+            n_rows: gemm_rows,
             meta: std::mem::take(&mut bufs.meta),
             cols,
         });

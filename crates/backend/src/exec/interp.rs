@@ -1,7 +1,8 @@
 //! Interpreter state shared by both runtimes: buffers, accounting
 //! scopes, engine caches, and index/boolean expression evaluation.
 //!
-//! The [`Interp`] struct is the per-request execution state. Two
+//! The [`Interp`] struct is the per-request execution state, started
+//! from the [`RunState`] its lane keeps between runs. Two
 //! front-ends drive it: the pc-based plan runtime ([`super::run`], the
 //! default, which alone parks and resumes under `execute_many`) and the
 //! legacy AST-walking oracle ([`super::scalar`],
@@ -20,10 +21,11 @@ use cortex_tensor::Tensor;
 
 use super::address::Resolved;
 use super::bulk::TileScratch;
-use super::gather::{ActiveGroup, ActiveSite, GroupBufs, SitePrep, WeightCache};
+use super::gather::{ActiveGroup, ActiveSite, GroupBufs, RunPack, SitePrep, WeightCache};
 use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::Program;
-use super::{ExecError, ExecOptions, ExecStats};
+use super::run::PcCursor;
+use super::{ExecError, ExecOptions, ExecStats, RunOutput};
 use crate::fastdot::DotPlan;
 use crate::params::Params;
 use crate::profile::{Profile, WaveStat};
@@ -104,11 +106,8 @@ impl BufData {
     }
 }
 
-/// An inline dimension (or stride) list, rank ≤ 8. Buffers are created
-/// and destroyed on every run; storing extents inline instead of in two
-/// heap `Vec`s per tensor removes ~2·tensors allocations from
-/// `Interp::new` and as many deallocations from its drop — a measurable
-/// slice of small solo-run latency.
+/// An inline dimension (or stride) list, rank ≤ 8: a buffer reshaped
+/// for each run's extents keeps them without a heap allocation.
 #[derive(Clone, Copy)]
 pub(crate) struct Dims {
     a: [usize; 8],
@@ -120,6 +119,19 @@ impl std::ops::Deref for Dims {
     #[inline]
     fn deref(&self) -> &[usize] {
         &self.a[..self.len as usize]
+    }
+}
+
+/// Row-major strides of `dims`.
+fn strides_of(dims: Dims) -> Dims {
+    let n = dims.len();
+    let mut sa = [1usize; 8];
+    for d in (0..n.saturating_sub(1)).rev() {
+        sa[d] = sa[d + 1] * dims[d + 1];
+    }
+    Dims {
+        a: sa,
+        len: n as u8,
     }
 }
 
@@ -138,18 +150,23 @@ pub(crate) struct Buffer {
 }
 
 impl Buffer {
-    /// A zeroed owned buffer, reusing an allocation from `pool` when one
-    /// with enough capacity is available. Small solo runs pay one
-    /// malloc/free pair per declared tensor otherwise.
-    pub(crate) fn new(dims: Dims, class: StorageClass, pool: &mut Vec<Vec<f32>>) -> Self {
+    /// A zeroed owned buffer.
+    pub(crate) fn zeroed(dims: Dims, class: StorageClass) -> Self {
         let len: usize = dims.iter().product::<usize>().max(1);
-        let mut v = match pool.iter().position(|p| p.capacity() >= len) {
-            Some(i) => pool.swap_remove(i),
-            None => Vec::new(),
+        Self::with_data(dims, class, BufData::Owned(vec![0.0; len]))
+    }
+
+    /// Reshapes an owned buffer to `dims` and zeroes it, in its own
+    /// allocation (grown only when `dims` need more).
+    fn rezero(&mut self, dims: Dims) {
+        let len: usize = dims.iter().product::<usize>().max(1);
+        let BufData::Owned(v) = &mut self.data else {
+            unreachable!("rezero of a shared parameter buffer")
         };
         v.clear();
         v.resize(len, 0.0);
-        Self::with_data(dims, class, BufData::Owned(v))
+        self.dims = dims;
+        self.strides = strides_of(dims);
     }
 
     /// A read-only view of a bound parameter tensor: no owned storage is
@@ -160,19 +177,10 @@ impl Buffer {
     }
 
     fn with_data(dims: Dims, class: StorageClass, data: BufData) -> Self {
-        let n = dims.len();
-        let mut sa = [1usize; 8];
-        for d in (0..n.saturating_sub(1)).rev() {
-            sa[d] = sa[d + 1] * dims[d + 1];
-        }
-        let strides = Dims {
-            a: sa,
-            len: n as u8,
-        };
         Buffer {
             data,
             dims,
-            strides,
+            strides: strides_of(dims),
             class,
         }
     }
@@ -186,6 +194,9 @@ impl Buffer {
 // Runtime environment (linearizer arrays + unrolled schedule)
 // ---------------------------------------------------------------------
 
+/// The input's batch table and unrolled schedule, refilled in place by
+/// every run ([`RtEnv::fill`]).
+#[derive(Default)]
 pub(crate) struct RtEnv {
     pub(crate) batches: Vec<Batch>,
     pub(crate) stages: Vec<Vec<u32>>,
@@ -196,8 +207,16 @@ pub(crate) struct RtEnv {
 }
 
 impl RtEnv {
-    pub(crate) fn new(program: &IlirProgram, lin: &Linearized) -> Result<Self, ExecError> {
-        let batches = lin.batches();
+    /// Rebuilds the table for `lin`, reusing the batch list's allocation.
+    pub(crate) fn fill(
+        &mut self,
+        program: &IlirProgram,
+        lin: &Linearized,
+    ) -> Result<(), ExecError> {
+        let mut batches = std::mem::take(&mut self.batches);
+        batches.clear();
+        batches.push(lin.leaf_batch());
+        batches.extend_from_slice(lin.internal_batches());
         let mut stages = Vec::new();
         let mut num_super_waves = 0;
         let mut intra_group_edges = 0;
@@ -224,14 +243,15 @@ impl RtEnv {
             .max()
             .unwrap_or(1)
             .max(1);
-        Ok(RtEnv {
+        *self = RtEnv {
             batches,
             stages,
             num_super_waves,
             intra_group_edges,
             unamortized_barriers,
             max_batch,
-        })
+        };
+        Ok(())
     }
 }
 
@@ -260,11 +280,57 @@ pub(crate) struct Scope {
 // Interpreter state
 // ---------------------------------------------------------------------
 
+/// One request's execution state, kept by its lane between runs
+/// (`LaneState::runs`: one per request of the widest lane group so far,
+/// the first also serving solo runs) so a run reuses it instead of
+/// building it. [`Interp::new`] moves it in and resets it for the new
+/// input; [`Interp::finish`] moves the outputs out and hands it back.
+///
+/// * `bufs` keeps every `Param` entry bound to the caller's tensor for
+///   the [`Params::generation`] in `bound`: a run against that
+///   generation binds nothing, any other generation rebinds every entry
+///   (name lookup, shape check, `Arc` clone). Between runs the state
+///   keeps those tensors alive.
+/// * Owned buffers keep their allocations and are resized and re-zeroed
+///   in place; output buffers leave with the outputs.
+/// * Slots, store generations, persisted loads and the batch table are
+///   re-zeroed or refilled in place; scopes, wave activations and the
+///   launch cursor are empty between runs and keep their capacity.
+/// * `packs` holds each stacking group's packed weight for the run in
+///   progress, and nothing between runs.
+///
+/// A run that fails drops its state: the lane's next run starts from a
+/// fresh one. Nothing a run computes depends on what the state held
+/// before — outputs, `Profile` and every counter equal a fresh state's.
+#[derive(Default)]
+pub(crate) struct RunState {
+    bufs: Vec<Option<Buffer>>,
+    bound: Option<u64>,
+    rt: RtEnv,
+    slots: Vec<i64>,
+    scopes: Vec<Scope>,
+    scope_pool: Vec<Vec<(u64, u64)>>,
+    persisted_loads: Vec<u64>,
+    store_gens: Vec<u64>,
+    active: Vec<Option<ActiveSite>>,
+    active_groups: Vec<ActiveGroup>,
+    packs: Vec<RunPack>,
+    cursor: PcCursor,
+    #[cfg(feature = "checked")]
+    shadow: super::analysis::shadow::ShadowState,
+}
+
+/// The per-request execution state both runtimes drive: one request's
+/// buffers, registers and accounting (moved in from its lane's
+/// [`RunState`]), the engine's plans, and the lane's shuttled caches.
 pub(crate) struct Interp<'a> {
     pub(crate) program: &'a IlirProgram,
     pub(crate) lin: &'a Linearized,
     pub(crate) rt: RtEnv,
     pub(crate) bufs: Vec<Option<Buffer>>,
+    /// The `Params::generation` the `Param` entries of `bufs` are bound
+    /// to.
+    params_gen: u64,
     pub(crate) profile: Profile,
     pub(crate) slots: Vec<i64>,
     pub(crate) scopes: Vec<Scope>,
@@ -292,6 +358,9 @@ pub(crate) struct Interp<'a> {
     /// by. Borrowed, not shuttled: the caches a torn run leaves behind
     /// never carry a private copy.
     pub(crate) weights: &'a Mutex<WeightCache>,
+    /// This run's packed weight of each stacking group, by engine-wide
+    /// group id ([`RunPack`]).
+    pub(crate) packs: Vec<RunPack>,
     /// Sites of the wave currently executing (waves do not nest), by
     /// their ordinal in its plan: `Some` when served from a GEMM
     /// result, `None` when the site fell back to the scalar path.
@@ -305,16 +374,18 @@ pub(crate) struct Interp<'a> {
     /// source tensor is written (a non-`Param` weight may legally be
     /// produced by a precompute kernel — or rewritten between waves).
     pub(crate) store_gens: Vec<u64>,
-    /// Process-unique id of this interpreter instance. Non-`Param`
-    /// packed-weight entries only validate within the epoch that packed
-    /// them: store generations are per-interpreter (all start at 0), so
-    /// two requests of one batch — or two consecutive runs — can reach
-    /// identical generation counts for a kernel-written weight holding
-    /// different values.
+    /// Process-unique id of this run. Non-`Param` packed-weight entries
+    /// only validate within the epoch that packed them: store
+    /// generations restart at 0 every run, so two requests of one batch
+    /// — or two consecutive runs — can reach identical generation counts
+    /// for a kernel-written weight holding different values.
     pub(crate) cache_epoch: u64,
+    /// The pc runtime's launch cursor, kept for its allocations (see
+    /// [`Interp::start_cursor`]).
+    pub(crate) cursor: PcCursor,
     /// Shadow-access checker state (`checked` builds only): the dynamic
     /// twin of the static effect summaries — see
-    /// [`super::analysis::shadow`].
+    /// [`super::analysis::shadow`]. Reset at every run's start.
     #[cfg(feature = "checked")]
     pub(crate) shadow: super::analysis::shadow::ShadowState,
 }
@@ -323,6 +394,15 @@ pub(crate) struct Interp<'a> {
 static NEXT_CACHE_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl<'a> Interp<'a> {
+    /// Starts a run of `lin` in `state`: binds the `Param` buffers unless
+    /// `state` is bound to `params`' generation already, and sizes and
+    /// zeroes every owned buffer for this input.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::MissingParam`] / [`ExecError::ParamShape`] for a
+    /// declared parameter `params` lacks or binds at another shape, and
+    /// [`ExecError::Unroll`] for an input the schedule cannot unroll.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         program: &'a IlirProgram,
@@ -333,11 +413,29 @@ impl<'a> Interp<'a> {
         shared: super::SharedPlans,
         weights: &'a Mutex<WeightCache>,
         max_slots: usize,
-        buf_pool: &mut Vec<Vec<f32>>,
+        state: RunState,
     ) -> Result<Self, ExecError> {
-        let rt = RtEnv::new(program, lin)?;
+        let RunState {
+            mut bufs,
+            bound,
+            mut rt,
+            mut slots,
+            scopes,
+            scope_pool,
+            mut persisted_loads,
+            mut store_gens,
+            active,
+            active_groups,
+            packs,
+            cursor,
+            #[cfg(feature = "checked")]
+            mut shadow,
+        } = state;
+        rt.fill(program, lin)?;
         let n_tensors = program.tensors.len();
-        let mut bufs: Vec<Option<Buffer>> = vec![None; n_tensors];
+        bufs.resize_with(n_tensors, || None);
+        let params_gen = params.generation();
+        let rebind = bound != Some(params_gen);
         let mut profile = Profile::new();
         for decl in program.declared_tensors() {
             assert!(decl.dims.len() <= 8, "tensor rank > 8 unsupported");
@@ -353,39 +451,42 @@ impl<'a> Interp<'a> {
                 a: da,
                 len: decl.dims.len() as u8,
             };
-            let buf = if decl.class == StorageClass::Param {
-                let bound = params
-                    .get_shared(&decl.name)
-                    .ok_or_else(|| ExecError::MissingParam(decl.name.clone()))?;
-                if bound.shape().dims() != &*dims {
-                    return Err(ExecError::ParamShape {
-                        name: decl.name.clone(),
-                        expected: dims.to_vec(),
-                        found: bound.shape().dims().to_vec(),
-                    });
-                }
-                // Parameters are read-only to the generated code: the
-                // buffer is the caller's tensor, bound in place.
-                Buffer::shared(dims, decl.class, Arc::clone(bound))
-            } else {
-                Buffer::new(dims, decl.class, buf_pool)
-            };
+            let slot = &mut bufs[decl.id.0 as usize];
+            let param = decl.class == StorageClass::Param;
+            match slot {
+                Some(buf) if !param => buf.rezero(dims),
+                None if !param => *slot = Some(Buffer::zeroed(dims, decl.class)),
+                // A binding stands while the generation and extents do.
+                Some(buf) if !rebind && *buf.dims == *dims => {}
+                _ => *slot = Some(bind_param(params, decl, dims)?),
+            }
+            let buf = slot.as_ref().expect("bound above");
             if decl.class == StorageClass::Scratch {
                 profile.scratch_allocated_bytes += buf.bytes();
             }
             profile.allocated_bytes += buf.bytes();
-            bufs[decl.id.0 as usize] = Some(buf);
         }
+        slots.clear();
+        slots.resize(max_slots, 0);
+        persisted_loads.clear();
+        persisted_loads.resize(n_tensors, 0);
+        store_gens.clear();
+        store_gens.resize(n_tensors, 0);
+        // Empty after every completed run; a failed run drops its state.
+        debug_assert!(scopes.is_empty() && active.is_empty() && active_groups.is_empty());
+        #[cfg(feature = "checked")]
+        shadow.reset();
         Ok(Interp {
             program,
             lin,
             rt,
             bufs,
+            params_gen,
             profile,
-            slots: vec![0; max_slots],
-            scopes: Vec::new(),
-            persisted_loads: vec![0; n_tensors],
-            store_gens: vec![0; n_tensors],
+            slots,
+            scopes,
+            persisted_loads,
+            store_gens,
             persist_active,
             // The rational substitution is a schedule choice either side
             // can make: the engine option or the program's schedule.
@@ -401,15 +502,16 @@ impl<'a> Interp<'a> {
             cur_kernel: 0,
             caches: Caches::default(),
             weights,
-            active: Vec::new(),
-            active_groups: Vec::new(),
-            scope_pool: Vec::new(),
+            packs,
+            active,
+            active_groups,
+            scope_pool,
             cache_epoch: NEXT_CACHE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            cursor,
             #[cfg(feature = "checked")]
-            shadow: Default::default(),
+            shadow,
         })
     }
-
     /// Post-run accounting shared by both runtimes' completion paths.
     pub(crate) fn finalize_run(&mut self) {
         // Unrolled schedules: reclassify stage barriers and credit cache
@@ -467,10 +569,13 @@ impl<'a> Interp<'a> {
         }
     }
 
-    pub(crate) fn finish(
-        mut self,
-        buf_pool: &mut Vec<Vec<f32>>,
-    ) -> Result<(HashMap<TensorId, Tensor>, Profile), ExecError> {
+    /// Ends the run: moves the outputs out with the `Profile`, and hands
+    /// back the [`RunState`] for the lane's next run.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Internal`] if an output has no buffer.
+    pub(crate) fn finish(mut self) -> Result<(RunOutput, RunState), ExecError> {
         #[cfg(test)]
         super::tests::note_param_views(&self);
         let mut outputs = HashMap::new();
@@ -482,22 +587,26 @@ impl<'a> Interp<'a> {
                 .map_err(|e| ExecError::Internal(e.to_string()))?;
             outputs.insert(*id, t);
         }
-        // Recycle the non-output allocations (outputs left via
-        // `into_vec` above). Capped so one oversized structure cannot
-        // pin memory forever.
-        const POOL_CAP: usize = 256;
-        for slot in &mut self.bufs {
-            if let Some(Buffer {
-                data: BufData::Owned(v),
-                ..
-            }) = slot.take()
-            {
-                if buf_pool.len() < POOL_CAP && v.capacity() > 0 {
-                    buf_pool.push(v);
-                }
-            }
-        }
-        Ok((outputs, self.profile))
+        // A state at rest holds no pack: the engine's cache decides what
+        // stays packed.
+        self.packs.iter_mut().for_each(|p| p.weight = None);
+        let state = RunState {
+            bufs: self.bufs,
+            bound: Some(self.params_gen),
+            rt: self.rt,
+            slots: self.slots,
+            scopes: self.scopes,
+            scope_pool: self.scope_pool,
+            persisted_loads: self.persisted_loads,
+            store_gens: self.store_gens,
+            active: self.active,
+            active_groups: self.active_groups,
+            packs: self.packs,
+            cursor: self.cursor,
+            #[cfg(feature = "checked")]
+            shadow: self.shadow,
+        };
+        Ok(((outputs, self.profile), state))
     }
 
     // -- accounting ---------------------------------------------------
@@ -729,28 +838,54 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// The flat launch schedule both runtimes execute: `Once` kernels in
-    /// order, each `PerInternalBatch` run expanded over the input's batch
-    /// indices. Precomputing it lets the resumable pc cursor treat every
-    /// kernel launch uniformly.
-    pub(crate) fn launch_units(&self) -> Vec<(usize, Option<i64>)> {
-        launch_units(&self.compiled, self.program, self.lin)
+    /// The pc runtime's cursor for this run, at its first launch: the
+    /// run state's cursor with the launch schedule refilled and the
+    /// watchdog budget set. Put it back in [`Interp::cursor`] when done.
+    pub(crate) fn start_cursor(&mut self) -> PcCursor {
+        let mut cur = std::mem::take(&mut self.cursor);
+        launch_units(&self.compiled, self.program, self.lin, &mut cur.units);
+        cur.restart(self.watchdog_fuel());
+        cur
     }
 }
 
-/// See [`Interp::launch_units`].
+/// A `Param` buffer: the caller's tensor for `decl`, bound in place
+/// (parameters are read-only to the generated code).
+fn bind_param(
+    params: &Params,
+    decl: &cortex_core::ilir::TensorDecl,
+    dims: Dims,
+) -> Result<Buffer, ExecError> {
+    let bound = params
+        .get_shared(&decl.name)
+        .ok_or_else(|| ExecError::MissingParam(decl.name.clone()))?;
+    if bound.shape().dims() != &*dims {
+        return Err(ExecError::ParamShape {
+            name: decl.name.clone(),
+            expected: dims.to_vec(),
+            found: bound.shape().dims().to_vec(),
+        });
+    }
+    Ok(Buffer::shared(dims, decl.class, Arc::clone(bound)))
+}
+
+/// The flat launch schedule both runtimes execute, into `units`:
+/// `Once` kernels in order, each `PerInternalBatch` run expanded over
+/// the input's batch indices. Precomputing it lets the resumable pc
+/// cursor treat every kernel launch uniformly.
 pub(crate) fn launch_units(
     compiled: &[CompiledKernel],
     program: &IlirProgram,
     lin: &Linearized,
-) -> Vec<(usize, Option<i64>)> {
+    units: &mut Vec<(usize, Option<i64>)>,
+) {
     use cortex_core::ilir::LaunchPattern;
     let num_internal_batches = if program.meta.schedule.specialize {
         lin.internal_batches().len() as i64
     } else {
         lin.internal_batches().len() as i64 + 1
     };
-    let mut units = Vec::new();
+    units.clear();
     let mut i = 0;
     while i < compiled.len() {
         match compiled[i].launch {
@@ -772,5 +907,4 @@ pub(crate) fn launch_units(
             }
         }
     }
-    units
 }

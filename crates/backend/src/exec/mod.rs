@@ -53,6 +53,7 @@ mod lowering;
 mod program;
 mod run;
 mod scalar;
+mod stopwatch;
 #[cfg(test)]
 mod tests;
 mod verify;
@@ -61,7 +62,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use cortex_core::expr::TensorId;
 use cortex_core::ilir::{IlirProgram, StorageClass};
@@ -77,9 +77,10 @@ use crate::profile::Profile;
 use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
 
 use gather::{evict_weight_cache_lru, WeightCache};
-use interp::{Caches, Interp};
+use interp::{Caches, Interp, RunState};
 use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
+use stopwatch::Stopwatch;
 
 pub use analysis::{ParSafety, SeqReason};
 pub use program::PlanStats;
@@ -630,11 +631,14 @@ pub struct ExecStats {
     /// enough, on more than one lane, and verified row-disjoint at run
     /// time (`cortex_tensor::par::RowWindows`).
     pub forked_waves: u64,
-    /// Wall-clock nanoseconds spent in **fused wave** epilogues — the
-    /// post-GEMM serve/nonlinearity cost. Timed at wave granularity
-    /// only: per-node row programs outside fused waves are not counted
-    /// (a clock read per row would distort both the metric and the
-    /// path).
+    /// Wall-clock nanoseconds in **fused wave** epilogues — the
+    /// post-GEMM serve/nonlinearity cost. Per fused wave: from the end
+    /// of the wave's GEMMs when it ran them solo (the GEMM phase's last
+    /// clock read, shared), else from the epilogue's start (a wave
+    /// parked for a super-wave flush, or one without GEMMs), to the end
+    /// of its last row's sweeps, forked sweeps included. Per-node row
+    /// programs outside fused waves are not counted (a clock read per
+    /// row would distort both the metric and the path).
     pub epilogue_ns: u64,
     /// Bytes the **fused wave** row programs stream in and out of their
     /// tile registers: a per-row count fixed at lowering (tensor and
@@ -644,20 +648,28 @@ pub struct ExecStats {
     /// epilogue's achieved bandwidth — its ceiling is the box's stream
     /// rate.
     pub epilogue_bytes: u64,
-    /// Wall-clock nanoseconds in the wave gather phase, timed per
-    /// stacking group: weight packing (or the cached pack's check), then
-    /// each operand row resolved through its compiled address program
-    /// and copied into the GEMM's row block.
+    /// Wall-clock nanoseconds in the wave gather phase. Per planned
+    /// wave: from its start to the end of its last stacking group's
+    /// gather — for each group, the weight windows resolved (or the
+    /// run's earlier resolution reused) and the pack looked up or
+    /// built, then each operand row resolved through its compiled
+    /// address program and copied into the GEMM's row block (or this
+    /// request's block of a super-wave matrix). Waves whose every site
+    /// fell back are included.
     pub gather_ns: u64,
-    /// Wall-clock nanoseconds in wave GEMM kernels (own launches and
-    /// super-wave flushes).
+    /// Wall-clock nanoseconds in the GEMM phase. A solo wave: from the
+    /// end of its gathers to the end of its last group's GEMM, the
+    /// groups' GEMMs back to back. A super-wave flush of
+    /// [`Engine::execute_many`]: from the flush's start to the end of
+    /// its last GEMM, the fault-site consults, result matrices and
+    /// result installs between its GEMMs included.
     pub gemm_ns: u64,
     /// Wall-clock nanoseconds serving a wave's per-element epilogue
-    /// (memo hits, lone row programs) when the body does **not** fuse.
-    /// Timed at wave granularity by the pc runtime on solo runs only:
-    /// under `execute_many` a parked wave would count other requests'
-    /// wall time into its own phase, and the `interp: true` oracle
-    /// lacks the loop bracket.
+    /// (memo hits, lone row programs) when the body does **not** fuse:
+    /// from the end of the wave's GEMMs to the loop's exit. Timed by
+    /// the pc runtime on solo runs only: under `execute_many` a parked
+    /// wave would count other requests' wall time into its own phase,
+    /// and the `interp: true` oracle lacks the loop bracket.
     pub serve_ns: u64,
     /// Wave bodies (plain and fused) carrying a
     /// [`ParSafety::RowDisjoint`] certificate: their `d_batch`
@@ -751,11 +763,13 @@ pub(crate) enum StepOutcome {
 /// Compiling kernels (dense slot remapping), analyzing wave plans,
 /// pattern-matching reduction bodies, and lowering everything to the
 /// linear `program::Program` are all done **once** here and then
-/// reused by every run. Every run binds its `Param` buffers to the
-/// caller's [`Params`] tensors in place, so the engine holds no copy of
-/// the parameters. Packed weight matrices are cached across runs and
-/// the requests of a batch until the params generation changes;
-/// per-site scratch buffers persist. Use this instead of the free
+/// reused by every run. `Param` buffers view the caller's [`Params`]
+/// tensors in place, so the engine holds no copy of the parameters; a
+/// lane keeps each request's run state between calls, bound to the
+/// params generation it last ran against, and rebinds only when that
+/// changes (see `LaneState`). Packed weight matrices are cached across
+/// runs and the requests of a batch until the params generation
+/// changes; per-site scratch buffers persist. Use this instead of the free
 /// [`execute`] function when running the same program many times
 /// (benchmarks, serving loops):
 ///
@@ -772,8 +786,9 @@ pub struct Engine<'p> {
     plan_stats: PlanStats,
     max_slots: usize,
     /// One [`LaneState`] per lane group of the widest `execute_many` so
-    /// far (never empty). Lane 0 also serves solo runs and holds the
-    /// [`Engine::stats`] of the latest call.
+    /// far (never empty), reset to one fresh lane after a caught unwind.
+    /// Lane 0 also serves solo runs and holds the [`Engine::stats`] of
+    /// the latest call.
     lanes: Vec<LaneState>,
     /// The packed weights, one copy for every lane: each interpreter
     /// borrows it for its run.
@@ -802,17 +817,18 @@ pub struct Engine<'p> {
     params_validated: Option<u64>,
 }
 
-/// What one lane group of [`Engine::execute_many`] runs with, kept
-/// across calls: the scratch caches its requests shuttle and the pool
-/// of owned-buffer allocations — [`Interp::finish`] returns a completed
-/// run's non-output buffers here and the next [`Interp::new`] reuses any
-/// with sufficient capacity, so steady-state serving allocates (almost)
-/// nothing per run. Buffers are re-zeroed on reuse: pooling is invisible
-/// to execution.
+/// What a lane keeps between calls: the scratch caches its requests
+/// shuttle, and one [`RunState`] per request it runs — the `i`-th
+/// request of a lane group runs in `runs[i]`, a solo run in `runs[0]`.
+/// A run binds its parameters only when the params generation changed
+/// since its state's last run, and resizes and re-zeroes the state's
+/// buffers in place, so a steady-state run allocates little beyond its
+/// outputs. Reuse is invisible to execution: outputs, `Profile` and
+/// every counter equal a fresh state's.
 #[derive(Default)]
 struct LaneState {
     caches: Caches,
-    buf_pool: Vec<Vec<f32>>,
+    runs: Vec<RunState>,
 }
 
 /// A group's state moves to the lane that runs it.
@@ -861,8 +877,11 @@ impl Batch<'_> {
         lins: &[&Linearized],
         hook: Option<&FaultHook>,
     ) -> Result<Vec<RunOutput>, ExecError> {
+        if lane.runs.len() < lins.len() {
+            lane.runs.resize_with(lins.len(), RunState::default);
+        }
         let mut interps = Vec::with_capacity(lins.len());
-        for lin in lins {
+        for (lin, state) in lins.iter().zip(&mut lane.runs) {
             interps.push(Interp::new(
                 self.program,
                 lin,
@@ -872,13 +891,16 @@ impl Batch<'_> {
                 self.shared.clone(),
                 self.weights,
                 self.max_slots,
-                &mut lane.buf_pool,
+                std::mem::take(state),
             )?);
         }
         lane.run_many_cooperative(&mut interps, hook)?;
-        interps
-            .into_iter()
-            .map(|it| it.finish(&mut lane.buf_pool))
+        (interps.into_iter().zip(&mut lane.runs))
+            .map(|(it, state)| {
+                let (out, kept) = it.finish()?;
+                *state = kept;
+                Ok(out)
+            })
             .collect()
     }
 }
@@ -891,14 +913,33 @@ const WEIGHT_CACHE_CAP: usize = 64;
 /// Builds every per-engine compile artifact for `opts`: compiled-kernel
 /// analyses (wave plans honor `gate_stacking`/`wave_gemm`) plus the
 /// lowered program with those plans resolved into operands.
-fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (SharedPlans, PlanStats) {
-    let (waves, wave_ids) = if opts.wave_gemm {
+fn build_plans(
+    program: &IlirProgram,
+    compiled: Arc<Vec<CompiledKernel>>,
+    opts: ExecOptions,
+) -> (SharedPlans, PlanStats) {
+    let (mut waves, wave_ids) = if opts.wave_gemm {
         let bodies: Vec<&[cortex_core::ilir::Stmt]> =
             compiled.iter().map(|k| k.body.as_slice()).collect();
         crate::wave::analyze(&bodies, opts.gate_stacking)
     } else {
         Default::default()
     };
+    // Which groups resolve their window and pack once per run instead
+    // of once per wave (see `SiteGroup::static_window`).
+    let is_param = |t: TensorId| {
+        program.tensors[t.0 as usize]
+            .as_ref()
+            .is_some_and(|d| d.class == StorageClass::Param)
+    };
+    for plan in &mut waves {
+        for group in &mut plan.groups {
+            group.static_window = group.members.iter().all(|&m| {
+                let w = &plan.sites[m].weight;
+                w.index.len() == 2 && is_param(w.tensor)
+            });
+        }
+    }
     let mut stmt_plans = StmtPlans {
         waves: wave_ids,
         ..StmtPlans::default()
@@ -910,9 +951,9 @@ fn build_plans(compiled: Arc<Vec<CompiledKernel>>, opts: ExecOptions) -> (Shared
     for (ki, kernel) in compiled.iter().enumerate() {
         bulk::collect_row_programs(&kernel.body, ki, &[], &waves, &mut stmt_plans);
     }
-    let t0 = Instant::now();
+    let mut clock = Stopwatch::start();
     let plan = lowering::lower(&compiled, waves, &stmt_plans);
-    let lower_ns = t0.elapsed().as_nanos() as u64;
+    let lower_ns = clock.lap();
     // The lowering certified every wave body it attached a plan to;
     // count the verdicts here.
     let safe_wave_bodies = plan
@@ -957,7 +998,7 @@ impl<'p> Engine<'p> {
         );
         let max_slots = compiled.iter().map(|k| k.num_slots).max().unwrap_or(0);
         let plan_arity = verify::plan_arity_bounds(&compiled);
-        let (shared, plan_stats) = build_plans(compiled, opts);
+        let (shared, plan_stats) = build_plans(program, compiled, opts);
         let verified = verify::verify(&shared.plan);
         debug_assert!(verified.is_ok(), "lowering emitted an invalid plan");
         Engine {
@@ -1057,7 +1098,8 @@ impl<'p> Engine<'p> {
             opts.wave_gemm != self.opts.wave_gemm || opts.gate_stacking != self.opts.gate_stacking;
         self.opts = opts;
         if lowering_changed {
-            let (shared, plan_stats) = build_plans(self.shared.compiled.clone(), opts);
+            let (shared, plan_stats) =
+                build_plans(self.program, self.shared.compiled.clone(), opts);
             self.shared = shared;
             self.plan_stats = plan_stats;
             // Re-verify: a rebuilt plan passes the same static checks a
@@ -1321,6 +1363,9 @@ impl<'p> Engine<'p> {
         persist_active: bool,
     ) -> Result<RunOutput, ExecError> {
         let lane = &mut self.lanes[0];
+        if lane.runs.is_empty() {
+            lane.runs.push(RunState::default());
+        }
         let mut interp = Interp::new(
             self.program,
             lin,
@@ -1330,7 +1375,7 @@ impl<'p> Engine<'p> {
             self.shared.clone(),
             &self.weights,
             self.max_slots,
-            &mut lane.buf_pool,
+            std::mem::take(&mut lane.runs[0]),
         )?;
         std::mem::swap(&mut lane.caches, &mut interp.caches);
         let result = if self.opts.interp {
@@ -1341,7 +1386,9 @@ impl<'p> Engine<'p> {
         };
         std::mem::swap(&mut lane.caches, &mut interp.caches);
         result?;
-        interp.finish(&mut lane.buf_pool)
+        let (out, kept) = interp.finish()?;
+        lane.runs[0] = kept;
+        Ok(out)
     }
 
     /// Executes the program over a *batch* of independent inputs, fusing
@@ -1578,9 +1625,7 @@ impl LaneState {
         interps: &mut [Interp<'_>],
         hook: Option<&FaultHook>,
     ) -> Result<(), ExecError> {
-        let mut cursors: Vec<PcCursor> = (interps.iter())
-            .map(|it| PcCursor::new(it.launch_units(), it.watchdog_fuel()))
-            .collect();
+        let mut cursors: Vec<PcCursor> = interps.iter_mut().map(Interp::start_cursor).collect();
         let mut acc = SuperWaveAcc::default();
         let mut parked = vec![false; interps.len()];
         loop {
@@ -1613,6 +1658,9 @@ impl LaneState {
             }
         }
         debug_assert!(cursors.iter().all(|c| c.done), "all requests must finish");
+        for (it, cur) in interps.iter_mut().zip(cursors) {
+            it.cursor = cur;
+        }
         Ok(())
     }
 
@@ -1620,12 +1668,15 @@ impl LaneState {
     /// request its block of the shared result matrix. The matrices are
     /// the accumulator's: an earlier depth's, once its registrants have
     /// retired it, so a flush allocates only when a depth needs more.
+    /// One clock read starts the flush and one ends each GEMM, so each
+    /// lap also covers the installs of the entry before it.
     fn flush_super_waves(
         &mut self,
         acc: &mut SuperWaveAcc,
         interps: &mut [Interp<'_>],
         hook: Option<&FaultHook>,
     ) {
+        let mut clock = Stopwatch::start();
         for entry in acc.take_entries() {
             let SuperEntry {
                 key,
@@ -1637,10 +1688,9 @@ impl LaneState {
             maybe_inject(hook, FaultSite::Gemm { rows: total_rows });
             let mut shared = acc.take_output(total_rows * key.cols);
             let out = Arc::get_mut(&mut shared).expect("unshared");
-            let gemm_t0 = Instant::now();
             let forked = kernels::gemm_packed_into(out, &rows, &weight, total_rows);
             let stats = &mut self.caches.stats;
-            stats.gemm_ns += gemm_t0.elapsed().as_nanos() as u64;
+            stats.gemm_ns += clock.lap();
             stats.forked_gemms += u64::from(forked);
             stats.wave_gemms += 1;
             stats.gemm_rows += total_rows as u64;

@@ -10,19 +10,20 @@
 //! that pc with no re-evaluation of any control expression, so the
 //! `Profile` is exactly that of an uninterrupted run.
 
-use std::time::Instant;
-
 use cortex_core::ilir::{DimExtent, LaunchPattern};
 
 use super::interp::Interp;
 use super::program::{Op, Pc, Program};
+use super::stopwatch::Stopwatch;
 use super::{checked_assert, ExecError, FaultHook, StepOutcome};
 use crate::wave::SuperWaveAcc;
 
 /// The resumable execution state of one request under the pc runtime: a
 /// program counter plus its loop records. Slot values (loop variables,
 /// `let` bindings) live in the interpreter's register file and are never
-/// unwound, so this is the *entire* suspension state.
+/// unwound, so this is the *entire* suspension state. A run state keeps
+/// one between runs for its allocations ([`Interp::start_cursor`]).
+#[derive(Default)]
 pub(crate) struct PcCursor {
     pub(crate) units: Vec<(usize, Option<i64>)>,
     pub(crate) unit: usize,
@@ -41,17 +42,15 @@ pub(crate) struct PcCursor {
 }
 
 impl PcCursor {
-    pub(crate) fn new(units: Vec<(usize, Option<i64>)>, fuel: u64) -> Self {
-        PcCursor {
-            units,
-            unit: 0,
-            in_launch: false,
-            pc: 0,
-            recs: Vec::new(),
-            done: false,
-            fuel,
-            fuel_limit: fuel,
-        }
+    /// Rewinds to the first launch unit, with `fuel` back-edges.
+    pub(crate) fn restart(&mut self, fuel: u64) {
+        self.unit = 0;
+        self.in_launch = false;
+        self.pc = 0;
+        self.recs.clear();
+        self.done = false;
+        self.fuel = fuel;
+        self.fuel_limit = fuel;
     }
 }
 
@@ -65,11 +64,12 @@ pub(crate) enum LoopRec {
         /// Wave `(sites, groups)` to retire when the loop closes.
         activated: (usize, usize),
         /// Set when this is a wave-served loop running its per-element
-        /// serve phase in a solo run: the elapsed time at exit is the
-        /// post-GEMM serve cost ([`super::ExecStats::serve_ns`]).
-        /// `None` under `execute_many` — a park would count other
-        /// requests' wall time into this request's phase.
-        serve_t0: Option<Instant>,
+        /// serve phase in a solo run: the wave's clock, last read when
+        /// its GEMMs ended, so the lap at loop exit is the post-GEMM
+        /// serve cost ([`super::ExecStats::serve_ns`]). `None` under
+        /// `execute_many` — a park would count other requests' wall time
+        /// into this request's phase.
+        serve: Option<Stopwatch>,
     },
     /// A fusable wave waiting at its [`Op::FusedEpilogue`] (either
     /// reached directly in a solo run, or parked there until the
@@ -78,6 +78,9 @@ pub(crate) enum LoopRec {
         id: usize,
         n: usize,
         activated: (usize, usize),
+        /// The wave's clock when it ran its GEMMs solo (the epilogue's
+        /// start); `None` when parked or without GEMMs.
+        clock: Option<Stopwatch>,
     },
 }
 
@@ -90,10 +93,10 @@ impl<'a> Interp<'a> {
     ///
     /// [`ExecError::Watchdog`] if the run exhausts its back-edge budget.
     pub(crate) fn run_program(&mut self, hook: Option<&FaultHook>) -> Result<(), ExecError> {
-        let fuel = self.watchdog_fuel();
-        let mut cur = PcCursor::new(self.launch_units(), fuel);
+        let mut cur = self.start_cursor();
         let outcome = self.step_program(&mut cur, None, hook)?;
         debug_assert_eq!(outcome, StepOutcome::Done, "solo runs never park");
+        self.cursor = cur;
         Ok(())
     }
 
@@ -243,12 +246,12 @@ impl<'a> Interp<'a> {
                 scope.width = scope.width.max(n.max(0) as u64);
             }
         }
-        let mut activated = (0usize, 0usize);
+        let (mut activated, mut clock) = ((0usize, 0usize), None);
         let mut paused = false;
         if n > 0 {
             if let Some(w) = d.wave {
                 let deferring = defer.is_some();
-                activated = self.prepare_wave(&plan.waves[w], w, n as usize, defer);
+                (activated, clock) = self.prepare_wave(&plan.waves[w], w, n as usize, defer);
                 paused = deferring && activated.1 > 0;
             }
         }
@@ -265,19 +268,20 @@ impl<'a> Interp<'a> {
                     id,
                     n: n as usize,
                     activated,
+                    clock,
                 });
                 cur.pc = d.fused_pc;
                 return paused;
             }
         }
         // Per-element body: serve-phase timing only on solo wave-served
-        // loops (see [`LoopRec::Iter::serve_t0`]).
-        let serve_t0 = (!paused && activated.1 > 0).then(Instant::now);
+        // loops, which are the ones whose wave returned its clock (see
+        // [`LoopRec::Iter::serve`]).
         cur.recs.push(LoopRec::Iter {
             i: 0,
             n,
             activated,
-            serve_t0,
+            serve: clock,
         });
         if d.is_wave {
             self.push_scope(true);
@@ -311,9 +315,7 @@ impl<'a> Interp<'a> {
             cur.pc = d.body;
         } else {
             let Some(LoopRec::Iter {
-                activated,
-                serve_t0,
-                ..
+                activated, serve, ..
             }) = cur.recs.pop()
             else {
                 unreachable!("checked above")
@@ -321,8 +323,8 @@ impl<'a> Interp<'a> {
             if activated != (0, 0) {
                 self.finish_wave(activated);
             }
-            if let Some(t0) = serve_t0 {
-                self.caches.stats.serve_ns += t0.elapsed().as_nanos() as u64;
+            if let Some(mut clock) = serve {
+                self.caches.stats.serve_ns += clock.lap();
             }
             cur.pc = d.exit;
         }
@@ -331,11 +333,17 @@ impl<'a> Interp<'a> {
     /// [`Op::FusedEpilogue`]: run the whole parked/fusable wave as its
     /// row program, retire its sites, and exit the loop.
     fn op_fused_epilogue(&mut self, plan: &Program, cur: &mut PcCursor) {
-        let Some(LoopRec::Fused { id, n, activated }) = cur.recs.pop() else {
+        let Some(LoopRec::Fused {
+            id,
+            n,
+            activated,
+            clock,
+        }) = cur.recs.pop()
+        else {
             unreachable!("FusedEpilogue without its loop record")
         };
         let d = &plan.loops[id];
-        self.exec_fused_wave(&plan.fused[d.fused.expect("fused loop def")], n);
+        self.exec_fused_wave(&plan.fused[d.fused.expect("fused loop def")], n, clock);
         if activated != (0, 0) {
             self.finish_wave(activated);
         }

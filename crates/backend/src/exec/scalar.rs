@@ -28,8 +28,9 @@ use cortex_core::expr::ValExpr;
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
 use super::address::Resolved;
-use super::interp::Interp;
+use super::interp::{launch_units, Interp};
 use super::lowering::CompiledKernel;
+use super::stopwatch::Stopwatch;
 use crate::fastdot::Operand;
 
 impl<'a> Interp<'a> {
@@ -39,10 +40,13 @@ impl<'a> Interp<'a> {
         let compiled = self.compiled.clone();
         // Per-batch kernels run once per internal batch when specialized;
         // without specialization the leaf wave joins the batch table too
-        // (see [`super::interp::launch_units`]).
-        for (ki, b) in self.launch_units() {
+        // (see [`launch_units`]). The schedule borrows the cursor's list.
+        let mut units = std::mem::take(&mut self.cursor.units);
+        launch_units(&compiled, self.program, self.lin, &mut units);
+        for &(ki, b) in &units {
             self.launch(ki, &compiled[ki], b);
         }
+        self.cursor.units = units;
         self.finalize_run();
     }
 
@@ -69,7 +73,7 @@ impl<'a> Interp<'a> {
     pub(crate) fn exec_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::For { var, dim, body, .. } => {
-                let (n, activated) = self.enter_loop(s);
+                let (n, activated, clock) = self.enter_loop(s);
                 let slot = var.id() as usize;
                 let is_wave = matches!(dim, Some(d) if d.0 == "d_all_batches");
                 // Row programs: a fused wave serves its whole body row
@@ -81,7 +85,7 @@ impl<'a> Interp<'a> {
                     let plans = self.stmt_plans.clone();
                     if let Some(fw) = plans.fused.get(&key) {
                         if self.fused_servable(fw) {
-                            self.exec_fused_wave(fw, n as usize);
+                            self.exec_fused_wave(fw, n as usize, clock);
                             served = true;
                         }
                     } else if let Some(plan) = plans.bulk.get(&key) {
@@ -148,9 +152,10 @@ impl<'a> Interp<'a> {
     /// wave width and — batched wavefront execution — if this node loop
     /// has a wave plan, runs each stacking group of recognized reduction
     /// sites as one packed GEMM over the whole wave, so the body's `Sum`s
-    /// serve from the result matrices. Returns the extent and the
-    /// activated `(sites, groups)`.
-    fn enter_loop(&mut self, s: &Stmt) -> (i64, (usize, usize)) {
+    /// serve from the result matrices. Returns the extent, the
+    /// activated `(sites, groups)` and the wave's clock (see
+    /// [`Interp::prepare_wave`]).
+    fn enter_loop(&mut self, s: &Stmt) -> (i64, (usize, usize), Option<Stopwatch>) {
         let Stmt::For { extent, dim, .. } = s else {
             unreachable!("enter_loop on a non-For statement")
         };
@@ -163,9 +168,10 @@ impl<'a> Interp<'a> {
         match self.stmt_plans.waves.get(&(s as *const Stmt as usize)) {
             Some(&w) if n > 0 => {
                 let program = self.plan.clone();
-                (n, self.prepare_wave(&program.waves[w], w, n as usize, None))
+                let (activated, clock) = self.prepare_wave(&program.waves[w], w, n as usize, None);
+                (n, activated, clock)
             }
-            _ => (n, (0, 0)),
+            _ => (n, (0, 0), None),
         }
     }
 

@@ -1497,7 +1497,7 @@ fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
     let ilir = lower(g, &RaSchedule::default(), StructureInfo { max_children: 2 }).unwrap();
     let compiled: Arc<Vec<CompiledKernel>> =
         Arc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
-    let (shared, _) = super::build_plans(compiled, ExecOptions::default());
+    let (shared, _) = super::build_plans(&ilir, compiled, ExecOptions::default());
     assert_eq!(verify(&shared.plan), Ok(()), "genuine plan verifies");
     shared
 }

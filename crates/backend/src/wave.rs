@@ -79,6 +79,12 @@ pub(crate) struct SiteGroup {
     pub kind: GroupKind,
     /// Indices into [`WavePlan::sites`].
     pub members: Vec<usize>,
+    /// Whether every member reads a `Param` weight through a static
+    /// window — one whose index has no position besides `i` and `k` — so
+    /// the group resolves the same window and pack on every wave of a
+    /// run. Decided at engine build (the analysis does not know storage
+    /// classes); the executor then resolves them once per run.
+    pub static_window: bool,
 }
 
 /// The second (row-side) feature dimension of a rank-2 site: in
@@ -309,6 +315,7 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
             .map(|i| SiteGroup {
                 kind: GroupKind::SharedRows,
                 members: vec![i],
+                static_window: false,
             })
             .collect();
     }
@@ -331,6 +338,7 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
             groups.push(SiteGroup {
                 kind: GroupKind::SharedRows,
                 members,
+                static_window: false,
             });
         } else {
             singles.push(i);
@@ -365,6 +373,7 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
                 GroupKind::SharedRows
             },
             members,
+            static_window: false,
         });
     }
     groups
