@@ -43,14 +43,14 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use cortex_core::expr::{IdxExpr, TensorId, ValExpr, Var};
-use cortex_core::ilir::Stmt;
+use cortex_core::ilir::{DimExtent, Stmt, TensorDecl};
 use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::par::{self, Buf, RowAccess, RowWindows, Window};
 use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
 use super::address::{Addr, Cond, Coord};
 use super::analysis::parsafety::{certify_fused, ParSafety};
-use super::gather::{ActiveGroup, ActiveSite};
+use super::gather::ActiveGroup;
 use super::interp::{BufData, Buffer, Interp};
 use super::lowering::StmtPlans;
 use super::stopwatch::Stopwatch;
@@ -59,29 +59,58 @@ use crate::wave::{SumSite, WavePlan};
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
 type Reg = u16;
 
+/// How the lanes of a pass map onto a statement's feature indices.
+#[derive(Clone, Copy)]
+struct Lanes<'d> {
+    /// The feature variable the lanes ride (`j` of a plane).
+    feat: Var,
+    /// A plane's outer variable `i`, its lane width `H_j`, and the
+    /// declared tensors, whose dimensions show an access contiguous over
+    /// `(i, j)`.
+    plane: Option<(Var, usize, &'d [Option<TensorDecl>])>,
+}
+
 /// The cells `tensor[index]` one row streams, as a compiled address
-/// whose hole is the position the feature variable `i` rides (none: a
-/// loop-invariant broadcast), where `index` holds a placeholder — so
-/// equal cells address the same cell for equal feature indices,
-/// whatever each loop calls its `i`.
+/// whose hole is the position the lanes ride (none: a loop-invariant
+/// broadcast), where `index` holds a placeholder — so equal cells
+/// address the same cell for equal feature indices, whatever each loop
+/// calls its `i`.
 ///
 /// Validates the access for row serving: at most one position is the
 /// plain variable `i`; every other position must be `i`-free and
-/// counter-free (it is evaluated once instead of once per element).
-fn cells(tensor: TensorId, index: &[IdxExpr], feat: Var) -> Option<Addr> {
+/// counter-free (it is evaluated once instead of once per element). In
+/// a plane, `i` and `j` must instead ride the last two positions over
+/// an `H_j`-wide last dimension — row-major, so the plane's lanes are
+/// one unit-stride run from `(0, 0)` — or neither may appear.
+fn cells(tensor: TensorId, index: &[IdxExpr], lanes: Lanes<'_>) -> Option<Addr> {
+    let (feat, mut index) = (lanes.feat, index.to_vec());
+    let uses = |e: &IdxExpr, v: Var| crate::fastdot::idx_uses_var(e, v);
+    if let Some((i, hj, decls)) = lanes.plane {
+        let last_dim = decls.get(tensor.0 as usize).and_then(Option::as_ref);
+        let n = index.len();
+        let contiguous = n >= 2
+            && index[n - 2] == IdxExpr::Var(i)
+            && index[n - 1] == IdxExpr::Var(feat)
+            && last_dim.is_some_and(|d| d.dims.last() == Some(&DimExtent::Fixed(hj)));
+        if contiguous {
+            index[n - 2] = IdxExpr::Const(0);
+        }
+        if index
+            .iter()
+            .any(|e| uses(e, i) || (!contiguous && uses(e, feat)))
+        {
+            return None;
+        }
+    }
     let mut i_pos = None;
     for (d, e) in index.iter().enumerate() {
         let rides = matches!(e, IdxExpr::Var(v) if *v == feat);
         if rides && i_pos.is_none() {
             i_pos = Some(d);
-        } else if rides
-            || crate::fastdot::idx_uses_var(e, feat)
-            || crate::wave::idx_has_counting_ufn(e)
-        {
+        } else if rides || uses(e, feat) || crate::wave::idx_has_counting_ufn(e) {
             return None;
         }
     }
-    let mut index = index.to_vec();
     if let Some(d) = i_pos {
         index[d] = IdxExpr::Const(i64::MIN); // no real coordinate; never evaluated
     }
@@ -135,11 +164,12 @@ pub(crate) enum Instr {
 /// Body statements that run together, tile by tile, in one sweep over
 /// the row.
 pub(crate) struct RowPass {
-    /// Loop extent `H`.
+    /// Lanes: the loop extent `H`, or `H_i·H_j` for a *plane*, a rank-2
+    /// store (`for i { for j { A[n,i,j] = … } }`) whose every access is
+    /// contiguous over `(i, j)`, swept as one run.
     pub(crate) h: usize,
-    /// `(slot, extent)` of the outer feature loop wrapping a rank-2
-    /// store (`for i { for j { A[n,i,j] = … } }`): the pass repeats once
-    /// per `i`.
+    /// `(slot, extent)` of the outer feature loop wrapping any other
+    /// rank-2 store: the pass repeats once per `i`.
     pub(crate) outer: Option<(usize, usize)>,
     pub(crate) instrs: Vec<Instr>,
     /// The pass's straight-line arithmetic, fixed at lowering: per row
@@ -261,13 +291,6 @@ enum Source {
     Splat(f32),
     /// `scale · rows[at + i]` of a wave GEMM result.
     Memo { group: usize, at: usize, scale: f32 },
-    /// A rank-2 site whose row-side dimension rides this loop: element
-    /// `i` comes from result row `row0 + i`, each with its own metadata.
-    MemoColumn {
-        site: usize,
-        row0: usize,
-        col: usize,
-    },
 }
 
 impl FusedWave {
@@ -287,21 +310,25 @@ impl FusedWave {
 /// every fusable wave loop into `plans.fused`, keyed by `(kernel index,
 /// statement address)` for the engine's lifetime. `sites` are the sites
 /// of the wave plan enclosing `body` (none outside any); `waves` are the
-/// plans `plans.waves` names.
+/// plans `plans.waves` names; `tensors` the program's declarations.
 pub(crate) fn collect_row_programs(
     body: &[Stmt],
     kernel: usize,
     sites: &[SumSite],
     waves: &[WavePlan],
+    tensors: &[Option<TensorDecl>],
     plans: &mut StmtPlans,
 ) {
     for s in body {
         let key = (kernel, s as *const Stmt as usize);
+        if plans.bulk.contains_key(&key) {
+            continue; // a fused wave's view, which serves all of `s`
+        }
         let sites = match plans.waves.get(&key.1) {
             Some(&w) => &waves[w].sites[..],
             None => sites,
         };
-        if let Some((fw, loops)) = plan_fused_wave(s, sites) {
+        if let Some((fw, loops)) = plan_fused_wave(s, sites, tensors) {
             // The wave's feature loops, served on their own when the
             // wave cannot fuse at run time, share its instructions.
             for (view, l) in fw.prog.statements().zip(loops) {
@@ -309,20 +336,26 @@ pub(crate) fn collect_row_programs(
                 plans.bulk.insert(at, Arc::new(view));
             }
             plans.fused.insert(key, Arc::new(fw));
-        } else if matches!(s, Stmt::For { .. }) && !plans.bulk.contains_key(&key) {
-            if let Some(prog) = lower_row_program(&[(None, s)], sites) {
+        } else if matches!(s, Stmt::For { .. }) {
+            if let Some(prog) = lower_row_program(&[(None, s)], sites, tensors) {
                 plans.bulk.insert(key, Arc::new(prog));
             }
         }
         for child in s.children() {
-            collect_row_programs(std::slice::from_ref(child), kernel, sites, waves, plans);
+            let child = std::slice::from_ref(child);
+            collect_row_programs(child, kernel, sites, waves, tensors, plans);
         }
     }
 }
 
 /// Tries to compile a parallel `d_batch` loop into a [`FusedWave`];
-/// also returns the body's feature loops, in statement order.
-fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, Vec<&'s Stmt>)> {
+/// also returns, in statement order, the loop each statement's view
+/// serves: its feature loop, or the outer loop of a plane.
+fn plan_fused_wave<'s>(
+    stmt: &'s Stmt,
+    sites: &[SumSite],
+    tensors: &[Option<TensorDecl>],
+) -> Option<(FusedWave, Vec<&'s Stmt>)> {
     let Stmt::For {
         var,
         kind: cortex_core::ilir::LoopKind::Parallel,
@@ -350,7 +383,7 @@ fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, 
         .iter()
         .map(|s| match s {
             // A rank-2 store nest: the *inner* loop is the feature loop,
-            // served once per outer feature index.
+            // swept as a plane or served once per outer feature index.
             Stmt::For {
                 var: ov,
                 extent: IdxExpr::Const(oh),
@@ -362,7 +395,19 @@ fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, 
             _ => (None, s),
         })
         .collect();
-    let prog = lower_row_program(&loops, sites)?;
+    let prog = lower_row_program(&loops, sites, tensors)?;
+    // A plane's view serves its whole nest; any other view serves its
+    // feature loop, inside the per-element outer loop.
+    let served = (prog.statements().zip(stmts).zip(&loops))
+        .map(|((view, s), &(outer, l))| {
+            let (p, ..) = view.only.expect("a statement view");
+            if outer.is_some() && view.passes[p].outer.is_none() {
+                s
+            } else {
+                l
+            }
+        })
+        .collect();
     let fw = FusedWave {
         n_idx_slot: var.id() as usize,
         node_let,
@@ -371,8 +416,7 @@ fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, 
     };
     // Only row-disjoint bodies fuse: sharing a sweep, and sweeping rows
     // in parallel, need the certificate.
-    let loops = loops.into_iter().map(|(_, l)| l).collect();
-    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, loops))
+    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, served))
 }
 
 /// Lowers a list of `(outer loop, feature loop)` body statements into
@@ -385,10 +429,13 @@ fn plan_fused_wave<'s>(stmt: &'s Stmt, sites: &[SumSite]) -> Option<(FusedWave, 
 /// earlier statement stored) or rides `i` in the stored dimension and
 /// comes *before* the store in body order (a tile-local
 /// read-then-write). Anything else starts a new pass, which runs after
-/// the previous one has stored the whole row.
+/// the previous one has stored the whole row. A rank-2 statement whose
+/// accesses all lie contiguously over `(i, j)` starts a pass of its own,
+/// a plane (see [`RowPass::h`]).
 pub(crate) fn lower_row_program(
     loops: &[(Option<(usize, usize)>, &Stmt)],
     sites: &[SumSite],
+    tensors: &[Option<TensorDecl>],
 ) -> Option<RowProgram> {
     let mut passes: Vec<RowPass> = Vec::new();
     let mut memos = Vec::new();
@@ -410,9 +457,32 @@ pub(crate) fn lower_row_program(
         else {
             return None;
         };
-        // The store must ride `i`.
-        let store = cells(*tensor, index, *feat).filter(|c| c.hole.is_some() && *h > 0)?;
+        if *h <= 0 {
+            return None;
+        }
         let h = *h as usize;
+        if let Some((slot, ho)) = outer {
+            let lanes = Lanes {
+                feat: *feat,
+                plane: Some((Var::from_raw(slot as u32), h, tensors)),
+            };
+            let mut plane = RowPass::new(ho * h, None);
+            let mark = memos.len();
+            let store = cells(*tensor, index, lanes).filter(|c| c.hole.is_some());
+            if store.is_some_and(|store| {
+                lower_stmt(&mut plane, &mut memos, sites, lanes, &store, value) == Some(true)
+            }) {
+                passes.push(plane);
+                continue;
+            }
+            memos.truncate(mark);
+        }
+        let lanes = Lanes {
+            feat: *feat,
+            plane: None,
+        };
+        // The store must ride `i`.
+        let store = cells(*tensor, index, lanes).filter(|c| c.hole.is_some())?;
         let joined = match passes.last_mut() {
             // An earlier read of this store's tensor must be tile-local.
             Some(p)
@@ -424,21 +494,14 @@ pub(crate) fn lower_row_program(
                         _ => true,
                     }) =>
             {
-                lower_stmt(p, &mut memos, sites, *feat, &store, value)?
+                lower_stmt(p, &mut memos, sites, lanes, &store, value)?
             }
             _ => false,
         };
         if !joined {
-            passes.push(RowPass {
-                h,
-                outer,
-                instrs: Vec::new(),
-                ops: Vec::new(),
-                stores: Vec::new(),
-                regs: 0,
-            });
+            passes.push(RowPass::new(h, outer));
             let fresh = passes.last_mut().expect("pushed above");
-            lower_stmt(fresh, &mut memos, sites, *feat, &store, value)?;
+            lower_stmt(fresh, &mut memos, sites, lanes, &store, value)?;
         }
     }
     (!loops.is_empty()).then_some(RowProgram {
@@ -446,6 +509,19 @@ pub(crate) fn lower_row_program(
         only: None,
         sites: memos,
     })
+}
+
+impl RowPass {
+    fn new(h: usize, outer: Option<(usize, usize)>) -> RowPass {
+        RowPass {
+            h,
+            outer,
+            instrs: Vec::new(),
+            ops: Vec::new(),
+            stores: Vec::new(),
+            regs: 0,
+        }
+    }
 }
 
 impl RowProgram {
@@ -499,7 +575,7 @@ fn lower_stmt(
     pass: &mut RowPass,
     sums: &mut Vec<usize>,
     sites: &[SumSite],
-    feat: Var,
+    lanes: Lanes<'_>,
     store: &Addr,
     value: &ValExpr,
 ) -> Option<bool> {
@@ -508,7 +584,7 @@ fn lower_stmt(
         pass,
         sums,
         sites,
-        feat,
+        lanes,
         store,
         hidden_read: false,
         join: usize::MAX,
@@ -534,7 +610,7 @@ struct Emit<'p> {
     /// the enclosing wave plan they index.
     sums: &'p mut Vec<usize>,
     sites: &'p [SumSite],
-    feat: Var,
+    lanes: Lanes<'p>,
     /// The statement's store.
     store: &'p Addr,
     /// Set by a read of a tensor the pass stores that cannot be
@@ -590,7 +666,7 @@ impl Emit<'_> {
                 value: *c,
             },
             ValExpr::Load { tensor, index } => {
-                let cells = cells(*tensor, index, self.feat)?;
+                let cells = cells(*tensor, index, self.lanes)?;
                 // A read of the statement's own store tensor must ride
                 // `i` in the stored dimension: then each tile reads its
                 // cells before writing them, like the per-element walk.
@@ -621,12 +697,24 @@ impl Emit<'_> {
                 let site = (self.sites.iter())
                     .position(|s| s.binder == binder)
                     .unwrap_or(usize::MAX);
+                // A per-node product's result row is `i`-major: a pass
+                // reads it along `j`, or a plane along its own `(i, j)`,
+                // never along `i` alone.
+                let ij = (self.sites.get(site))
+                    .and_then(|s| Some((s.feat_slot, s.per_node.as_ref()?.j?.0)));
+                let feat = self.lanes.feat.id() as usize;
+                let feat_slot = match self.lanes.plane {
+                    Some((i, ..)) if ij == Some((i.id() as usize, feat)) => i.id() as usize,
+                    Some(_) => return None,
+                    None if ij.is_some_and(|(i, _)| i == feat) => return None,
+                    None => feat,
+                };
                 self.sums.push(site);
                 let dst = self.alloc();
                 self.pass.instrs.push(Instr::Memo {
                     dst,
                     site,
-                    feat_slot: self.feat.id() as usize,
+                    feat_slot,
                 });
                 return Some((dst, false));
             }
@@ -662,7 +750,10 @@ impl Emit<'_> {
                 then,
                 otherwise,
             } => {
-                if crate::fastdot::bool_uses_var(cond, self.feat) {
+                let plane = self.lanes.plane.map(|(i, ..)| i);
+                if (std::iter::once(self.lanes.feat).chain(plane))
+                    .any(|v| crate::fastdot::bool_uses_var(cond, v))
+                {
                     return None;
                 }
                 let dst = self.alloc();
@@ -805,7 +896,6 @@ impl<'a> Interp<'a> {
                 Sweeper {
                     passes: &prog.passes,
                     streams: &s.streams,
-                    sites: &self.active,
                     groups: &self.active_groups,
                     nonlin: self.nonlin,
                 }
@@ -826,7 +916,6 @@ impl<'a> Interp<'a> {
         let sweeper = Sweeper {
             passes,
             streams: &s.streams,
-            sites: &self.active,
             groups: &self.active_groups,
             nonlin: self.nonlin,
         };
@@ -972,70 +1061,47 @@ impl<'a> Interp<'a> {
             .as_ref()
             .expect("memo-active (checked by bulk_servable)");
         let group = &self.active_groups[site.group];
-        let profile = &mut self.profile;
-        let mut scope = self.scopes.last_mut();
         let r = self.slots[site.n_idx_slot] as usize;
-        // One served element: the weight stream plus the row-side ones.
-        let mut charge = |m: &super::gather::RowMeta, elems: u64| {
-            let loads = site.k * elems;
-            profile.flops += loads * (m.streams + 2);
-            if let Some(scope) = scope.as_deref_mut() {
-                scope.touch[site.weight_tensor as usize].0 += loads;
-                for &t in &m.tensors {
-                    scope.touch[t as usize].0 += loads;
-                }
-            }
-        };
-        if let Some(d) = site.inner.filter(|d| d.slot == feat_slot) {
-            // Rank-2 site whose row-side dimension rides this loop: one
-            // result element per `(node, j)` row, each with its **own**
-            // metadata (guards may differ per row); a zeroed row
-            // short-circuits before any accounting, like the scalar
-            // path.
-            let row0 = r * d.extent;
-            for m in group.meta[site.meta_off + row0..][..h]
-                .iter()
-                .filter(|m| !m.zero)
-            {
-                charge(m, 1);
-            }
-            let col = site.col_off + self.slots[site.feat_slot] as usize;
-            let site = idx;
-            s.streams
-                .loads
-                .push((dst, Source::MemoColumn { site, row0, col }));
-            return;
-        }
-        // Rank-1 sites (one row per node) and rank-2 sites whose
-        // row-side variable is bound outside this loop share one row —
-        // and one metadata entry — for the whole extent.
-        let row = match site.inner {
-            None => r,
-            Some(d) => r * d.extent + self.slots[d.slot] as usize,
-        };
-        let m = &group.meta[site.meta_off + row];
+        let m = &group.meta[site.meta_off + r];
         if m.zero {
             // The scalar path short-circuits before accounting.
             s.streams.loads.push((dst, Source::Splat(0.0)));
             return;
         }
-        charge(m, h as u64);
-        let grow = site.row_off + row;
-        if site.feat_slot == feat_slot {
-            // The site's columns are contiguous in the result row.
-            let source = Source::Memo {
-                group: site.group,
-                at: grow * group.cols + site.col_off,
-                scale: m.scale,
-            };
-            s.streams.loads.push((dst, source));
-        } else {
-            // The site's feature variable is bound outside this loop:
-            // one column, broadcast.
-            let col = site.col_off + self.slots[site.feat_slot] as usize;
-            let value = m.scale * group.value(grow, col);
-            s.streams.loads.push((dst, Source::Splat(value)));
+        // `h` served elements, each the weight stream plus the row-side
+        // ones.
+        let loads = site.k * h as u64;
+        self.profile.flops += loads * (m.streams + 2);
+        if let Some(scope) = self.scopes.last_mut() {
+            scope.touch[site.weight_tensor as usize].0 += loads;
+            for &t in &m.tensors {
+                scope.touch[t as usize].0 += loads;
+            }
         }
+        // The site's first result column in this node's row.
+        let first = (site.row_off + r) * group.cols + site.col_off;
+        let source = if feat_slot == site.feat_slot {
+            // The pass rides the site's `i` (a plane, its `(i, j)`): the
+            // site's columns are contiguous in the result row.
+            Source::Memo {
+                group: site.group,
+                at: first,
+                scale: m.scale,
+            }
+        } else if let Some((_, hj)) = site.j.filter(|&(j, _)| j == feat_slot) {
+            // A per-node product along `j`: one `i`-row of the block.
+            let i = self.slots[site.feat_slot] as usize;
+            Source::Memo {
+                group: site.group,
+                at: first + i * hj,
+                scale: m.scale,
+            }
+        } else {
+            // The site's feature variables are bound outside this loop:
+            // one column, broadcast.
+            Source::Splat(m.scale * group.value(site.row_off + r, site.col(&self.slots)))
+        };
+        s.streams.loads.push((dst, source));
     }
 }
 
@@ -1099,7 +1165,6 @@ impl TileMem for RowAccess<'_> {
 struct Sweeper<'a> {
     passes: &'a [RowPass],
     streams: &'a Streams,
-    sites: &'a [Option<ActiveSite>],
     groups: &'a [ActiveGroup],
     nonlin: NonlinearityMode,
 }
@@ -1130,21 +1195,6 @@ impl Sweeper<'_> {
                             out.copy_from_slice(rows); // 1·v is v, bit for bit
                         } else {
                             out.iter_mut().zip(rows).for_each(|(o, v)| *o = scale * v);
-                        }
-                    }
-                    Source::MemoColumn { site, row0, col } => {
-                        let site = self.sites[*site].as_ref().expect("memo-active");
-                        let group = &self.groups[site.group];
-                        for (jj, o) in out.iter_mut().enumerate() {
-                            let row = row0 + t0 + jj;
-                            let m = &group.meta[site.meta_off + row];
-                            // A zeroed row short-circuits to 0, like
-                            // the scalar path.
-                            *o = if m.zero {
-                                0.0
-                            } else {
-                                m.scale * group.value(site.row_off + row, *col)
-                            };
                         }
                     }
                 }

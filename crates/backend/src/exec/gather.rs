@@ -2,9 +2,10 @@
 //!
 //! Runs each stacking group of a planned wave as one packed tile GEMM
 //! (or registers its rows into a pending super-wave GEMM during
-//! `execute_many`), and activates the group's member sites so `Sum`
-//! evaluations — interpreted, bulk, or fused — serve from the result
-//! matrices with the scalar path's exact accounting. Each gathered row
+//! `execute_many`), or a per-node product group as one small GEMM per
+//! node, and activates the group's member sites so `Sum` evaluations —
+//! interpreted, bulk, or fused — serve from the result matrices with
+//! the scalar path's exact accounting. Each gathered row
 //! resolves through its site's compiled address program
 //! ([`RowOperand`], built at engine build): no row walks an index tree
 //! or allocates. Everything here — weight packing, the row gather, site
@@ -21,7 +22,7 @@ use super::address::{Resolved, RowOperand};
 use super::checked_assert;
 use super::interp::Interp;
 use super::stopwatch::Stopwatch;
-use crate::wave::{GroupKind, InnerDim, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
+use crate::wave::{GroupKind, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
 
 /// One packed (possibly vertically stacked) weight matrix of a stacking
 /// group, for one reduction extent.
@@ -106,7 +107,7 @@ fn entry<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     &mut v[i]
 }
 
-/// Reusable buffers for one stacking group. All three vectors are
+/// Reusable buffers for one stacking group. All of them are
 /// engine-lifetime scratch: they round-trip through [`ActiveGroup`] and
 /// back into the cache after each wave, so steady-state waves allocate
 /// nothing (the `RowMeta` entries are recycled in place, `tensors`
@@ -119,6 +120,8 @@ pub(crate) struct GroupBufs {
     pub(crate) out: Vec<f32>,
     /// Per-row accounting metadata.
     pub(crate) meta: Vec<RowMeta>,
+    /// A per-node product's `Y` panel, repacked node after node.
+    pub(crate) panel: PackedB,
 }
 
 /// Accounting metadata for one packed row, mirroring exactly what the
@@ -143,7 +146,7 @@ pub(crate) struct RowMeta {
 /// A stacking-group member that passed its runtime weight-window check:
 /// its ordinal in the plan, the resolved window base/strides and the
 /// source tensor's store generation at resolution time.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) struct SitePrep {
     pub(crate) ordinal: usize,
     pub(crate) wbase: usize,
@@ -182,6 +185,9 @@ pub(crate) enum GroupOut {
     /// This request's own GEMM (the single-run path), computed once
     /// every group of the wave has gathered.
     Owned(Vec<f32>),
+    /// A [`GroupKind::PerNode`] group's products, computed node by node
+    /// as it gathered (never deferred: there is nothing to merge).
+    PerNode(Vec<f32>),
     /// A block of a merged super-wave result shared by several requests;
     /// this request's rows start at `base`. (`Arc`, not `Rc`: the lanes
     /// of a forked epilogue read it.)
@@ -203,6 +209,8 @@ pub(crate) struct ActiveGroup {
     pub(crate) n_rows: usize,
     /// Per-row metadata; sites index it via their `meta_off`.
     pub(crate) meta: Vec<RowMeta>,
+    /// A per-node product's `Y` panel, kept to return it to the pool.
+    pub(crate) panel: PackedB,
     /// Output row length (ΣH of the stacked sites, or H when rows are
     /// stacked instead).
     pub(crate) cols: usize,
@@ -213,7 +221,7 @@ impl ActiveGroup {
     #[inline]
     pub(crate) fn rows(&self) -> &[f32] {
         match &self.out {
-            GroupOut::Owned(v) => v,
+            GroupOut::Owned(v) | GroupOut::PerNode(v) => v,
             GroupOut::Shared { buf, base } => &buf[base * self.cols..],
             GroupOut::Pending => unreachable!("wave GEMM result read before its flush"),
         }
@@ -250,18 +258,32 @@ pub(crate) struct ActiveSite {
     /// Weight tensor id, charged per element at memo-hit time.
     pub(crate) weight_tensor: u32,
     pub(crate) feat_slot: usize,
-    /// Row-side feature dimension of a rank-2 site: the served row is
-    /// `n_idx · extent + j` instead of `n_idx`.
-    pub(crate) inner: Option<InnerDim>,
+    /// `(slot, extent H_j)` of a per-node product's column variable
+    /// ([`crate::wave::NodeProduct::j`]): element `(i, j)` of a node is
+    /// column `i·H_j + j` of its result row.
+    pub(crate) j: Option<(usize, usize)>,
     pub(crate) n_idx_slot: usize,
+}
+
+impl ActiveSite {
+    /// The result column of the element the slots select.
+    #[inline]
+    pub(crate) fn col(&self, slots: &[i64]) -> usize {
+        let i = slots[self.feat_slot] as usize;
+        self.col_off
+            + match self.j {
+                None => i,
+                Some((slot, hj)) => i * hj + slots[slot] as usize,
+            }
+    }
 }
 
 impl<'a> Interp<'a> {
     /// Runs the GEMM phase for every stacking group of a wave plan,
     /// making their `Sum`s servable from result matrices. Returns the
-    /// number of `(sites, groups)` activated and, for a solo wave that
-    /// ran GEMMs, its clock (last read when they ended) for the phase
-    /// that follows.
+    /// number of `(sites, groups)` activated, the wave's clock (last read
+    /// when its GEMMs ended) for the phase that follows unless it
+    /// deferred any, and whether it did.
     ///
     /// A solo wave gathers every group's rows first and then runs every
     /// group's GEMM, in group order — the order a super-wave flush runs
@@ -269,7 +291,9 @@ impl<'a> Interp<'a> {
     /// gathers and after the GEMMs. With `defer` set (the `execute_many`
     /// path), the gathered rows are registered into the super-wave
     /// accumulator instead: the caller parks this request until the
-    /// merged GEMMs flush and their results install.
+    /// merged GEMMs flush and their results install. A per-node group
+    /// computes its products as it gathers, deferred or not, so a wave of
+    /// those alone never parks.
     ///
     /// Accounting discipline: the scalar path evaluates guards, scalar
     /// factors and stream bases once per *element* (`wave_len × h` times
@@ -286,13 +310,13 @@ impl<'a> Interp<'a> {
         wave: usize,
         wave_len: usize,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
-    ) -> ((usize, usize), Option<Stopwatch>) {
+    ) -> ((usize, usize), Option<Stopwatch>, bool) {
         // The analysis plans no wave loop inside another, so the active
         // sites are this wave's, by plan ordinal.
         debug_assert!(self.active.is_empty(), "wave activations nest");
         self.active.resize_with(plan.sites.len(), || None);
         let mut clock = Stopwatch::start();
-        let mut groups = 0usize;
+        let (mut groups, mut deferred) = (0usize, false);
         for (ordinal, group) in plan.groups.iter().enumerate() {
             let n = self.prepare_group(
                 plan,
@@ -303,22 +327,23 @@ impl<'a> Interp<'a> {
                 defer.as_mut().map(|(acc, req)| (&mut **acc, *req)),
             );
             groups += usize::from(n > 0);
+            deferred |= n > 0 && defer.is_some() && group.kind != GroupKind::PerNode;
         }
         self.caches.stats.gather_ns += clock.lap();
         if groups == 0 {
             self.active.clear();
-            return ((0, 0), None);
+            return ((0, 0), None, false);
         }
         self.caches.stats.waves_batched += 1;
         #[cfg(feature = "checked")]
         self.shadow_enter_wave();
         let activated = (plan.sites.len(), groups);
-        if defer.is_some() {
-            return (activated, None);
+        if deferred {
+            return (activated, None, true);
         }
         self.run_wave_gemms(groups);
         self.caches.stats.gemm_ns += clock.lap();
-        (activated, Some(clock))
+        (activated, Some(clock), false)
     }
 
     /// The solo wave's GEMM phase: one register-tiled GEMM for each of
@@ -330,10 +355,14 @@ impl<'a> Interp<'a> {
     fn run_wave_gemms(&mut self, groups: usize) {
         let from = self.active_groups.len() - groups;
         for group in &mut self.active_groups[from..] {
-            let weight = (self.packs[group.id].weight.as_ref()).expect("packed this wave");
-            let GroupOut::Owned(out) = &mut group.out else {
-                unreachable!("a solo wave owns its results")
+            let out = match &mut group.out {
+                GroupOut::Owned(out) => out,
+                GroupOut::PerNode(_) => continue, // computed as it gathered
+                GroupOut::Pending | GroupOut::Shared { .. } => {
+                    unreachable!("a solo wave owns its results")
+                }
             };
+            let weight = (self.packs[group.id].weight.as_ref()).expect("packed this wave");
             let forked = kernels::gemm_packed_into(out, &group.rows, weight, group.n_rows);
             self.caches.stats.forked_gemms += u64::from(forked);
         }
@@ -417,8 +446,8 @@ impl<'a> Interp<'a> {
         // `[h][K]` windows vertically concatenated for shared-rows
         // groups, the one shared `[H][K]` window for row-stacked groups.
         let to_pack = match group.kind {
-            GroupKind::SharedRows => preps.len(),
             GroupKind::SharedWeight => 1,
+            _ => preps.len(),
         };
         let cols: usize = preps[..to_pack]
             .iter()
@@ -532,7 +561,18 @@ impl<'a> Interp<'a> {
 
         // The members list is recycled: this runs once per group per wave.
         let mut preps = std::mem::take(&mut self.caches.preps);
-        let Some(cols) = self.resolve_group(plan, group, id, k_len, &mut preps) else {
+        let cols = match group.kind {
+            GroupKind::PerNode => self.rows_in_place(leader, k_len).then(|| {
+                preps.clear();
+                preps.push(SitePrep {
+                    ordinal: group.members[0],
+                    ..SitePrep::default()
+                });
+                leader.cols()
+            }),
+            _ => self.resolve_group(plan, group, id, k_len, &mut preps),
+        };
+        let Some(cols) = cols else {
             self.caches.preps = preps;
             return 0;
         };
@@ -541,16 +581,9 @@ impl<'a> Interp<'a> {
         // and pack the operand rows. Shared-rows groups gather one row
         // per node (serving every member); row-stacked groups gather one
         // block of rows per member.
-        // Rank-2 sites gather one row per (node, j) pair; the analyzer
-        // guarantees a shared-rows group agrees on the inner dimension
-        // and keeps rank-2 sites out of row-stacked groups.
-        let rows_per_node = match group.kind {
-            GroupKind::SharedRows => plan.sites[preps[0].ordinal].inner.map_or(1, |d| d.extent),
-            GroupKind::SharedWeight => 1,
-        };
         let gemm_rows = match group.kind {
-            GroupKind::SharedRows => wave_len * rows_per_node,
             GroupKind::SharedWeight => preps.len() * wave_len,
+            _ => wave_len,
         };
         let mut bufs = entry(&mut self.caches.group_bufs, id)
             .pop()
@@ -562,7 +595,16 @@ impl<'a> Interp<'a> {
         }
 
         let group_idx = self.active_groups.len();
-        let deferred = if let Some((acc, request)) = defer {
+        let stats = &mut self.caches.stats;
+        stats.sites_batched += preps.len() as u64;
+        if preps.len() > 1 {
+            stats.stacked_groups += 1;
+            stats.stacked_sites += preps.len() as u64;
+        }
+        let out = if group.kind == GroupKind::PerNode {
+            self.node_products(plan, leader, k_len, wave_len, &mut bufs);
+            GroupOut::PerNode(std::mem::take(&mut bufs.out))
+        } else if let Some((acc, request)) = defer {
             // Register this request's block of the merged super-wave
             // GEMM and gather straight into it; the GEMM runs at flush.
             let key = SuperKey {
@@ -579,63 +621,42 @@ impl<'a> Interp<'a> {
                 group.kind,
                 &preps,
                 k_len,
-                rows_per_node,
                 wave_len,
                 rows,
                 &mut bufs.meta,
             );
-            true
+            GroupOut::Pending
         } else {
             bufs.rows.clear();
             bufs.rows.resize(gemm_rows * k_len, 0.0);
             let GroupBufs { rows, meta, .. } = &mut bufs;
-            self.gather_rows(
-                plan,
-                group.kind,
-                &preps,
-                k_len,
-                rows_per_node,
-                wave_len,
-                rows,
-                meta,
-            );
+            self.gather_rows(plan, group.kind, &preps, k_len, wave_len, rows, meta);
             // The product stores every element, so only growth is
             // filled.
             bufs.out.resize(gemm_rows * cols, 0.0);
-            false
-        };
-
-        let stats = &mut self.caches.stats;
-        if !deferred {
             // Deferred GEMMs are counted at flush time, where several
             // requests' waves may share one launch.
+            let stats = &mut self.caches.stats;
             stats.wave_gemms += 1;
             stats.gemm_rows += gemm_rows as u64;
             stats.gemm_flops += 2 * (gemm_rows * cols * k_len) as u64;
-        }
-        stats.sites_batched += preps.len() as u64;
-        if preps.len() > 1 {
-            stats.stacked_groups += 1;
-            stats.stacked_sites += preps.len() as u64;
-        }
+            GroupOut::Owned(std::mem::take(&mut bufs.out))
+        };
 
         self.active_groups.push(ActiveGroup {
             id,
-            out: if deferred {
-                GroupOut::Pending
-            } else {
-                GroupOut::Owned(std::mem::take(&mut bufs.out))
-            },
+            out,
             rows: std::mem::take(&mut bufs.rows),
             n_rows: gemm_rows,
             meta: std::mem::take(&mut bufs.meta),
+            panel: std::mem::take(&mut bufs.panel),
             cols,
         });
         let mut col_off = 0usize;
         for (g, p) in preps.iter().enumerate() {
             let (row_off, c_off, meta_off) = match group.kind {
-                GroupKind::SharedRows => (0, col_off, 0),
                 GroupKind::SharedWeight => (g * wave_len, 0, g * wave_len),
+                _ => (0, col_off, 0),
             };
             let site = &plan.sites[p.ordinal];
             col_off += site.feat_extent;
@@ -648,7 +669,7 @@ impl<'a> Interp<'a> {
                 k: k_len as u64,
                 weight_tensor: site.weight.tensor.0,
                 feat_slot: site.feat_slot,
-                inner: site.inner,
+                j: site.per_node.as_ref().and_then(|p| p.j),
                 n_idx_slot: plan.n_idx_slot,
             });
         }
@@ -670,7 +691,6 @@ impl<'a> Interp<'a> {
         kind: GroupKind,
         preps: &[SitePrep],
         k_len: usize,
-        rows_per_node: usize,
         wave_len: usize,
         rows: &mut [f32],
         meta: &mut [RowMeta],
@@ -681,7 +701,8 @@ impl<'a> Interp<'a> {
             plan.n_idx_slot
         );
         let (blocks, shared_replay) = match kind {
-            GroupKind::SharedRows => (
+            GroupKind::SharedWeight => (preps, None),
+            _ => (
                 &preps[..1],
                 Some(
                     preps
@@ -690,7 +711,6 @@ impl<'a> Interp<'a> {
                         .sum(),
                 ),
             ),
-            GroupKind::SharedWeight => (preps, None),
         };
         let mut resolved = std::mem::take(&mut self.caches.resolved);
         for (g, p) in blocks.iter().enumerate() {
@@ -699,43 +719,40 @@ impl<'a> Interp<'a> {
             let before = (p0.flops, p0.leaf_check_loads, p0.branch_checks);
             for r in 0..wave_len {
                 self.enter_row(plan.n_idx_slot, &plan.node_let, r);
-                // Rank-2 sites gather one row per (node, j) pair; the
-                // analyzer keeps them out of row-stacked groups.
-                for jv in 0..rows_per_node {
-                    if let Some(d) = site.inner {
-                        self.slots[d.slot] = jv as i64;
-                    }
-                    let at = (g * wave_len + r) * rows_per_node + jv;
-                    let row = &mut rows[at * k_len..(at + 1) * k_len];
-                    self.gather_row(&site.row, k_len, row, &mut meta[at], &mut resolved);
+                let at = g * wave_len + r;
+                if self.resolve_row_meta(&site.row, k_len, &mut meta[at], &mut resolved) {
+                    self.pack_row(&mut resolved, &mut rows[at * k_len..(at + 1) * k_len]);
                 }
             }
-            // The per-element walk would repeat each row's resolution for
-            // every element the row serves: replay the block's counter
-            // deltas that many times over (the node binding charges
-            // nothing, the select guards are evaluated silently).
-            let extra = shared_replay
-                .unwrap_or(site.served_per_row as u64)
-                .saturating_sub(1);
-            let p1 = &mut self.profile;
-            p1.flops += (p1.flops - before.0) * extra;
-            p1.leaf_check_loads += (p1.leaf_check_loads - before.1) * extra;
-            p1.branch_checks += (p1.branch_checks - before.2) * extra;
+            let served = shared_replay.unwrap_or(site.served_per_row as u64);
+            self.replay_row_counters(before, served);
         }
         self.caches.resolved = resolved;
     }
 
-    /// Resolves one row through its compiled address program and packs
-    /// its reduction row. The metadata entry is rewritten in place so its
-    /// `tensors` allocation is recycled across waves.
-    fn gather_row(
+    /// The per-element walk would repeat each row's resolution for every
+    /// element the row serves: replays the counter deltas since `before`
+    /// `served - 1` more times (the node binding charges nothing, the
+    /// select guards are evaluated silently).
+    fn replay_row_counters(&mut self, before: (u64, u64, u64), served: u64) {
+        let extra = served.saturating_sub(1);
+        let p = &mut self.profile;
+        p.flops += (p.flops - before.0) * extra;
+        p.leaf_check_loads += (p.leaf_check_loads - before.1) * extra;
+        p.branch_checks += (p.branch_checks - before.2) * extra;
+    }
+
+    /// Resolves one row through its compiled address program into `r`
+    /// and its metadata entry, rewritten in place so its `tensors`
+    /// allocation is recycled across waves. Returns whether the row is
+    /// live, i.e. has a reduction row to pack.
+    fn resolve_row_meta(
         &mut self,
         row: &RowOperand,
         k_len: usize,
-        out_row: &mut [f32],
         meta: &mut RowMeta,
         r: &mut Resolved,
-    ) {
+    ) -> bool {
         meta.tensors.clear();
         // Value-level `Select` guards: when one fails, the scalar path
         // never reaches this reduction for this node — no resolution,
@@ -745,28 +762,110 @@ impl<'a> Interp<'a> {
             meta.scale = 0.0;
             meta.zero = true;
             meta.streams = 0;
-            return;
+            return false;
         }
         self.resolve_row(row, r);
         meta.scale = r.scale;
         meta.zero = r.zero || k_len == 0;
         if meta.zero {
             meta.streams = 0;
-            return;
+            return false;
         }
         meta.streams = r.streams.len() as u64;
         meta.tensors
             .extend(r.streams.iter().map(|&(t, _, _)| t as u32));
         #[cfg(feature = "checked")]
         self.shadow_record_row(&r.streams, k_len);
+        true
+    }
+
+    /// Packs a resolved row's reduction elements into `out_row`.
+    fn pack_row(&self, r: &mut Resolved, out_row: &mut [f32]) {
         // The matvec row is a plain copy; any other product is folded a
         // factor at a time.
         if let Some(&[(t, b, 1)]) = r.plain() {
             let data = &self.bufs[t].as_ref().expect("allocated").data;
-            out_row.copy_from_slice(&data[b..b + k_len]);
+            out_row.copy_from_slice(&data[b..b + out_row.len()]);
         } else {
             r.pack(&self.bufs, out_row);
         }
+    }
+
+    /// Whether a per-node product's `X` can be read in place as `K`-wide
+    /// rows this wave: its reduction position must be the unit-stride
+    /// last one, its feature position `K` apart. If not, the site falls
+    /// back for the wave.
+    fn rows_in_place(&mut self, site: &SumSite, k_len: usize) -> bool {
+        let w = &site.weight;
+        let x = self.bufs[w.tensor.0 as usize]
+            .as_ref()
+            .expect("X allocated");
+        let fits = k_len == 0
+            || (x.strides[w.k_pos] == 1
+                && x.strides[w.i_pos] == k_len
+                && x.dims[w.i_pos] >= site.feat_extent);
+        self.caches.stats.fallback_sites += u64::from(!fits);
+        fits
+    }
+
+    /// Gathers and multiplies a per-node product `site`, node by node,
+    /// into `bufs`: `Y` resolves like any gathered row, its `[k][j]` block
+    /// is packed into the group's recycled panel, and `X`'s `[i][k]` block,
+    /// read in place as rows, is multiplied into the node's result row.
+    /// Each element is the same k-sequential chain as the per-element dot
+    /// (`fma(x, y, acc)` is `fma(y, x, acc)` bit for bit).
+    fn node_products(
+        &mut self,
+        plan: &WavePlan,
+        site: &SumSite,
+        k_len: usize,
+        wave_len: usize,
+        bufs: &mut GroupBufs,
+    ) {
+        let product = site.per_node.as_ref().expect("a per-node site");
+        let (hi, cols, xt) = (site.feat_extent, site.cols(), site.weight.tensor.0 as usize);
+        let hj = cols / hi;
+        bufs.rows.resize(k_len, 0.0);
+        bufs.out.resize(wave_len * cols, 0.0);
+        let mut resolved = std::mem::take(&mut self.caches.resolved);
+        let p0 = &self.profile;
+        let before = (p0.flops, p0.leaf_check_loads, p0.branch_checks);
+        if let Some((slot, _)) = product.j {
+            self.slots[slot] = 0; // `Y` resolves at its first column
+        }
+        for r in 0..wave_len {
+            self.enter_row(plan.n_idx_slot, &plan.node_let, r);
+            if !self.resolve_row_meta(&site.row, k_len, &mut bufs.meta[r], &mut resolved) {
+                continue; // a zeroed row's results are never read
+            }
+            if let Some(&[(t, b, s)]) = resolved.plain() {
+                let data = &self.bufs[t].as_ref().expect("Y allocated").data;
+                bufs.panel.pack_nn_into(&data[b..], s, hj, k_len);
+            } else {
+                // Only a matvec's `Y` may be more than one load.
+                self.pack_row(&mut resolved, &mut bufs.rows);
+                bufs.panel.pack_nn_into(&bufs.rows, 1, 1, k_len);
+            }
+            let (xb, _) = self.addr(&product.x);
+            #[cfg(feature = "checked")]
+            {
+                // `X`'s rows are one run; `Y`'s first column was recorded
+                // as it resolved.
+                self.shadow_record_row(&[(xt, xb, 1)], hi * k_len);
+                if let Some(&(t, b, s)) = resolved.streams.first() {
+                    for jj in 1..hj {
+                        self.shadow_record_row(&[(t, b + jj, s)], k_len);
+                    }
+                }
+            }
+            let x = &self.bufs[xt].as_ref().expect("X allocated").data;
+            let out = &mut bufs.out[r * cols..(r + 1) * cols];
+            let x = &x[xb..xb + hi * k_len];
+            let forked = kernels::gemm_packed_into(out, x, &bufs.panel, hi);
+            self.caches.stats.forked_gemms += u64::from(forked);
+        }
+        self.replay_row_counters(before, site.served_per_row as u64);
+        self.caches.resolved = resolved;
     }
 
     /// Deactivates the last `(sites, groups)` of a wave, returning the
@@ -782,13 +881,14 @@ impl<'a> Interp<'a> {
             // Shared (super-wave) results are dropped with their `Rc`;
             // only owned output buffers return to the pool.
             let out = match group.out {
-                GroupOut::Owned(v) => v,
+                GroupOut::Owned(v) | GroupOut::PerNode(v) => v,
                 GroupOut::Shared { .. } | GroupOut::Pending => Vec::new(),
             };
             entry(&mut self.caches.group_bufs, group.id).push(GroupBufs {
                 rows: group.rows,
                 out,
                 meta: group.meta,
+                panel: group.panel,
             });
         }
     }

@@ -57,6 +57,10 @@ pub(crate) struct Caches {
     /// group would churn allocations.
     pub(crate) group_bufs: Vec<Vec<GroupBufs>>,
     pub(crate) stats: ExecStats,
+    /// Per-element dots [`Interp::eval_dot`] ran: test builds count
+    /// them, so a test can pin which sums leave the compiled paths.
+    #[cfg(test)]
+    pub(crate) dots: u64,
 }
 
 // ---------------------------------------------------------------------

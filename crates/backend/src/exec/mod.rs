@@ -74,7 +74,7 @@ use crate::device::{DeviceSpec, LatencyEstimate};
 use crate::params::Params;
 use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
-use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
+use crate::wave::{GroupKind, SumSite, SuperEntry, SuperWaveAcc};
 
 use gather::{evict_weight_cache_lru, WeightCache};
 use interp::{Caches, Interp, RunState};
@@ -581,7 +581,9 @@ impl ExecOptions {
 /// are identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Wave GEMM launches.
+    /// Wave GEMM launches. A per-node product's small GEMMs (MV-RNN's
+    /// child-matrix sums) run inside the gather: they are timed as
+    /// gather work and not counted here or in the next two fields.
     pub wave_gemms: u64,
     /// Total rows across all wave GEMMs.
     pub gemm_rows: u64,
@@ -619,10 +621,11 @@ pub struct ExecStats {
     /// `super_gemm_requests / super_gemms` is the mean merge width, at
     /// most the largest lane group).
     pub super_gemm_requests: u64,
-    /// Wave GEMM launches large enough to be split, by weight-panel
-    /// ranges, across the lanes of `cortex_tensor::par` (0 on a one-CPU
-    /// box or under `par::with_lanes(1, ..)`). Outputs and `Profile` do
-    /// not depend on it.
+    /// Wave GEMM launches, and per-node products, large enough to be
+    /// split, by weight-panel ranges, across the lanes of
+    /// `cortex_tensor::par` (0 on a one-CPU box or under
+    /// `par::with_lanes(1, ..)`). Outputs and `Profile` do not depend on
+    /// it.
     pub forked_gemms: u64,
     /// Waves whose whole body ran as the fused epilogue (one flat row
     /// program per node instead of a per-element body walk).
@@ -934,10 +937,11 @@ fn build_plans(
     };
     for plan in &mut waves {
         for group in &mut plan.groups {
-            group.static_window = group.members.iter().all(|&m| {
-                let w = &plan.sites[m].weight;
-                w.index.len() == 2 && is_param(w.tensor)
-            });
+            group.static_window = group.kind != GroupKind::PerNode
+                && group.members.iter().all(|&m| {
+                    let w = &plan.sites[m].weight;
+                    w.index.len() == 2 && is_param(w.tensor)
+                });
         }
     }
     let mut stmt_plans = StmtPlans {
@@ -949,7 +953,14 @@ fn build_plans(
     // instead of caching per run. A row program names each reduction it
     // reads by the site's ordinal in its wave plan.
     for (ki, kernel) in compiled.iter().enumerate() {
-        bulk::collect_row_programs(&kernel.body, ki, &[], &waves, &mut stmt_plans);
+        bulk::collect_row_programs(
+            &kernel.body,
+            ki,
+            &[],
+            &waves,
+            &program.tensors,
+            &mut stmt_plans,
+        );
     }
     let mut clock = Stopwatch::start();
     let plan = lowering::lower(&compiled, waves, &stmt_plans);
@@ -1173,11 +1184,12 @@ impl<'p> Engine<'p> {
             }
         }
         // Wave scratch per site: gathered rows (R×K) and the group
-        // output (R×H) at the widest batch, plus the packed weights.
+        // output (R×H, or R×H_i·H_j for a per-node product) at the widest
+        // batch, plus the packed weights.
         for (site, k) in self.wave_sites() {
-            let rows = max_batch as u64 * site.inner.map(|i| i.extent.max(1) as u64).unwrap_or(1);
-            let h = site.feat_extent.max(1) as u64;
-            bytes += 4 * (rows * k + rows * h);
+            let rows = max_batch as u64;
+            let cols = site.cols().max(1) as u64;
+            bytes += 4 * (rows * k + rows * cols);
         }
         bytes += self.footprint_weights();
         // Linearized arrays: child slots plus ~6 u32 metadata arrays.

@@ -250,9 +250,8 @@ impl<'a> Interp<'a> {
         let mut paused = false;
         if n > 0 {
             if let Some(w) = d.wave {
-                let deferring = defer.is_some();
-                (activated, clock) = self.prepare_wave(&plan.waves[w], w, n as usize, defer);
-                paused = deferring && activated.1 > 0;
+                (activated, clock, paused) =
+                    self.prepare_wave(&plan.waves[w], w, n as usize, defer);
             }
         }
         if n <= 0 {

@@ -168,7 +168,8 @@ impl<'a> Interp<'a> {
         match self.stmt_plans.waves.get(&(s as *const Stmt as usize)) {
             Some(&w) if n > 0 => {
                 let program = self.plan.clone();
-                let (activated, clock) = self.prepare_wave(&program.waves[w], w, n as usize, None);
+                let (activated, clock, _) =
+                    self.prepare_wave(&program.waves[w], w, n as usize, None);
                 (n, activated, clock)
             }
             _ => (n, (0, 0), None),
@@ -261,19 +262,13 @@ impl<'a> Interp<'a> {
         let site = self.active[idx].as_ref().expect("memo-active site");
         let group = &self.active_groups[site.group];
         let r = self.slots[site.n_idx_slot] as usize;
-        // Rank-2 sites gather one row per (node, j) pair.
-        let row = match site.inner {
-            None => r,
-            Some(d) => r * d.extent + self.slots[d.slot] as usize,
-        };
-        let m = &group.meta[site.meta_off + row];
+        let m = &group.meta[site.meta_off + r];
         if m.zero {
             // The scalar path short-circuits before any accounting when
             // a guard kills the product.
             return 0.0;
         }
-        let i = self.slots[site.feat_slot] as usize;
-        let value = m.scale * group.value(site.row_off + row, site.col_off + i);
+        let value = m.scale * group.value(site.row_off + r, site.col(&self.slots));
         // `m.streams` excludes the weight stream: `+1` for the weight,
         // `+1` for the accumulate — the scalar path's
         // `flops += k·(streams+1)` with the weight included.
@@ -323,6 +318,10 @@ impl<'a> Interp<'a> {
 
     /// Executes a compiled reduction as tight strided loops.
     pub(crate) fn eval_dot(&mut self, plan: &crate::fastdot::DotPlan, n: i64) -> f32 {
+        #[cfg(test)]
+        {
+            self.caches.dots += 1;
+        }
         let mut r = std::mem::take(&mut self.caches.resolved);
         self.resolve_product(&plan.operands, &mut r);
         let value = self.dot_resolved(&mut r, n);

@@ -1696,7 +1696,7 @@ fn certify_fused_rejects_overlapping_row_passes() {
                 value,
             }],
         };
-        let prog = super::bulk::lower_row_program(&[(None, &s)], &[]).expect("row-serves");
+        let prog = super::bulk::lower_row_program(&[(None, &s)], &[], &[]).expect("row-serves");
         certify_fused(&prog, n, None)
     };
     let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(i)];
@@ -1939,6 +1939,68 @@ fn planned_sites_never_reach_the_scalar_dot() {
                 (engine.lanes.iter()).all(|lane| !lane.caches.plan_cache.contains_key(&body)),
                 "{name}: a planned site's Sum missed the wave memo"
             );
+        }
+    }
+}
+
+/// Which sums leave the compiled paths: at default options no sum of the
+/// nine models (h = 8) reaches the per-element [`Interp::eval_dot`] —
+/// solo, in a batch of 4, on one lane and on two — while
+/// `ExecOptions::scalar()` runs every one there, which shows the count
+/// is live.
+///
+/// [`Interp::eval_dot`]: super::interp::Interp::eval_dot
+#[test]
+fn default_options_make_no_per_element_dots() {
+    use cortex_models::{dagrnn, mvrnn, seq, treefc, treegru, treelstm, treernn, LeafInit};
+    use cortex_tensor::par;
+    let h = 8;
+    let models = [
+        treernn::tree_rnn(h, LeafInit::Embedding),
+        treefc::tree_fc(h, LeafInit::Embedding),
+        treegru::tree_gru(h, LeafInit::Embedding),
+        treegru::simple_tree_gru(h, LeafInit::Embedding),
+        treelstm::tree_lstm(h, LeafInit::Zero),
+        mvrnn::mv_rnn(h),
+        dagrnn::dag_rnn(h),
+        seq::seq_lstm(h),
+        seq::seq_gru(h),
+    ];
+    for model in models {
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let mut params = Params::new();
+        for (name, t) in model.params.iter() {
+            params.set(name, t.clone());
+        }
+        let lins: Vec<Linearized> = (0..4u64)
+            .map(|s| {
+                let structure = match model.name.as_str() {
+                    "DAG-RNN" => datasets::grid_dag(3, 2 + s as usize, s),
+                    "LSTM" | "GRU" => datasets::sequence(5 + 3 * s as usize, s),
+                    _ => datasets::random_binary_tree(4 + 3 * s as usize, s),
+                };
+                Linearizer::new().linearize(&structure).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Linearized> = lins.iter().collect();
+        for lanes in [1, 2] {
+            for (opts, dots) in [
+                (ExecOptions::default(), false),
+                (ExecOptions::scalar(), true),
+            ] {
+                let mut engine = Engine::with_options(&program, opts);
+                par::with_lanes(lanes, || {
+                    engine.execute(&lins[0], &params, true).unwrap();
+                    engine.execute_many(&refs, &params, true).unwrap();
+                });
+                let made: u64 = engine.lanes.iter().map(|lane| lane.caches.dots).sum();
+                let name = &model.name;
+                assert_eq!(
+                    made > 0,
+                    dots,
+                    "{name}, {lanes} lanes, {opts:?}: {made} dots"
+                );
+            }
         }
     }
 }

@@ -329,8 +329,10 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
                 Instr::Memo { .. } | Instr::Ops { .. } | Instr::Jump(_) => true,
             })
     };
-    let waves = (plan.waves.iter())
-        .map(|w| node_ok(&w.node_let) && w.sites.iter().all(|s| s.row.is_fresh()));
+    let site_ok = |s: &crate::wave::SumSite| {
+        s.row.is_fresh() && s.per_node.as_ref().is_none_or(|p| p.x.is_fresh())
+    };
+    let waves = (plan.waves.iter()).map(|w| node_ok(&w.node_let) && w.sites.iter().all(site_ok));
     let fused = plan.fused.iter().map(|fw| (Some(&fw.node_let), &fw.prog));
     let bulks = plan.bulks.iter().map(|b| (None, &**b));
     let rows = (fused.chain(bulks)).map(|(node, prog)| node.is_none_or(node_ok) && rows_ok(prog));

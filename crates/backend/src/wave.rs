@@ -14,7 +14,7 @@
 //!     t[…, i] = f( Σ_k W[i,k] · X(node, k), … )
 //! ```
 //!
-//! and emits a [`SumSite`]: the node-invariant *weight* operand `W`
+//! and emits a [`SumSite`]: the feature-dependent *weight* operand `W`
 //! (packed once into the tile kernel's column panels) and the
 //! node-dependent *row* operands `X` (guards and child-sums resolved once
 //! per node, gathered into a packed `[R][K]` matrix). The executor then
@@ -22,12 +22,19 @@
 //! `cortex-tensor` instead of `R·H` interpreted dots, and serves each
 //! `Sum` evaluation from the result matrix.
 //!
+//! When no one weight serves every node — the weight's index varies per
+//! node (MV-RNN's `Σ_k A[child₁(n), i, k]·a[child₀(n), k]`), or the row
+//! operands ride a second feature loop `j` (its `Σ_k W_M[i,k]·A[child(n),
+//! k, j]`) — the site is a [`NodeProduct`]: one small GEMM per node,
+//! `C_n[i][j] = Σ_k X_n[i,k]·Y_n[k,j]`.
+//!
 //! The analysis is purely syntactic and conservative: any shape outside
-//! the recognized form (rank-2 features, feature-dependent guards, loads
-//! in reduction-invariant factors, …) is skipped, and the executor falls
-//! back to the scalar interpreter for that site. Crucially, every
-//! accepted site preserves the *exact* `Profile` accounting of the scalar
-//! path — see the executor's wave-memo bookkeeping.
+//! the recognized forms (feature-dependent guards, loads in
+//! reduction-invariant factors, two operands riding `i`, …) is skipped,
+//! and the executor falls back to the scalar interpreter for that site.
+//! Crucially, every accepted site preserves the *exact* `Profile`
+//! accounting of the scalar path — see the executor's wave-memo
+//! bookkeeping.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,7 +43,7 @@ use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, Ufn, ValExpr, Var};
 use cortex_core::ilir::{LoopKind, Stmt};
 use cortex_tensor::kernels::PackedB;
 
-use crate::exec::address::{Coord, RowOperand};
+use crate::exec::address::{Addr, Coord, RowOperand};
 use crate::fastdot::{self, bool_uses_var, idx_uses_var, val_uses_var, Operand};
 
 /// A batched execution plan for one `d_batch` parallel node loop.
@@ -70,6 +77,9 @@ pub(crate) enum GroupKind {
     /// are stacked into one `[G·R]×[K]` matrix against the one packed
     /// weight.
     SharedWeight,
+    /// One [`NodeProduct`] site: one small GEMM per node, with nothing
+    /// packed or merged across nodes or requests.
+    PerNode,
 }
 
 /// A set of sites executed as one stacked GEMM.
@@ -87,19 +97,6 @@ pub(crate) struct SiteGroup {
     pub static_window: bool,
 }
 
-/// The second (row-side) feature dimension of a rank-2 site: in
-/// `Σ_k W[i,k]·M(n,k,j)` the `j` loop rides the *gathered rows*, not the
-/// packed weight, so the site gathers `wave_len·H_j` rows and runs one
-/// GEMM per wave where the scalar path would run a per-node matrix
-/// product (MV-RNN's `A(n) = W_M·A_child` recursions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct InnerDim {
-    /// Slot of the row-side feature variable (`j`).
-    pub slot: usize,
-    /// Its extent `H_j`.
-    pub extent: usize,
-}
-
 /// One batched reduction site.
 #[derive(Debug)]
 pub(crate) struct SumSite {
@@ -113,24 +110,56 @@ pub(crate) struct SumSite {
     pub feat_slot: usize,
     /// Feature extent `H`.
     pub feat_extent: usize,
-    /// Row-side feature dimension of a rank-2 site, if any.
-    pub inner: Option<InnerDim>,
     /// How many stored elements the scalar path serves from one gathered
-    /// row: `H_i` for rank-1 and rank-2 sites, `H_i·H_j` for a
-    /// `j`-invariant reduction nested under a two-level feature loop
-    /// (one row per node serves the whole `i×j` tile). This is the
-    /// accounting replay factor for the packing phase.
+    /// row: `H_i` for a rank-1 site, `H_i·H_j` for a site nested under a
+    /// two-level feature loop (one row per node serves the whole `i×j`
+    /// tile). This is the accounting replay factor for the packing phase.
     pub served_per_row: usize,
-    /// The feature-dependent operand, packed once per run.
+    /// The feature-dependent operand: packed once per run, or read in
+    /// place per node by a [`NodeProduct`] site.
     pub weight: WeightRef,
-    /// The remaining (node-dependent or invariant) operands and the
-    /// value-level `Select` guards wrapping this `Sum`, compiled into the
-    /// address program the gather resolves each node's row with.
+    /// The remaining operands and the value-level `Select` guards
+    /// wrapping this `Sum`, compiled into the address program the
+    /// gather resolves each node's row with.
     pub row: RowOperand,
+    /// Set when the operands vary per node in a way one shared weight
+    /// cannot serve: the site then runs one product per node.
+    pub per_node: Option<NodeProduct>,
 }
 
-/// The node-invariant, feature-dependent operand of a site: a plain load
-/// `W[…, i, …, k, …]` whose other indices are wave-invariant.
+/// A per-node product site, `C_n[i][j] = Σ_k X_n[i,k]·Y_n[k,j]`: MV-RNN's
+/// `A_child·a_child` matvecs (`X` varies per node, no `j`) and its
+/// `W_M·A_child` recursions (`Y` rides a second feature loop `j`). The
+/// gather runs one GEMM per node: `X`'s `[i][k]` block read in place as
+/// rows, `Y`'s `[k][j]` block packed as `H_j` columns, and the node's
+/// `H_i·H_j` results stored as one result row, `i`-major.
+#[derive(Debug)]
+pub(crate) struct NodeProduct {
+    /// `X` with its feature position zeroed and its reduction position
+    /// the hole: each node's `[i][k]` block starts at this address.
+    pub x: Addr,
+    /// `(slot, extent H_j)` of the feature variable `Y` rides, if any
+    /// (none: a matvec, `H_j = 1`). `Y` is then one load with `j` in its
+    /// last (unit-stride) index position.
+    pub j: Option<(usize, usize)>,
+}
+
+impl SumSite {
+    /// Columns of the site's result row: `H_i·H_j` for a per-node
+    /// product, `H_i` otherwise.
+    pub(crate) fn cols(&self) -> usize {
+        let hj = self
+            .per_node
+            .as_ref()
+            .and_then(|p| p.j)
+            .map_or(1, |(_, hj)| hj);
+        self.feat_extent * hj
+    }
+}
+
+/// The feature-dependent operand of a site: a plain load
+/// `W[…, i, …, k, …]` whose other indices are counter-free and, unless
+/// the site is a [`NodeProduct`], wave-invariant.
 #[derive(Debug)]
 pub(crate) struct WeightRef {
     /// The parameter (or global) tensor read.
@@ -310,15 +339,20 @@ fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool, group_base: usize) -> Optio
 /// gathers). Whatever remains is a singleton `SharedRows` group, which
 /// the executor runs exactly like the pre-stacking per-site GEMM.
 fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
+    let group = |kind, members| SiteGroup {
+        kind,
+        members,
+        static_window: false,
+    };
+    // A per-node product shares nothing: it is always its own group.
+    let single = |i: usize| match sites[i].per_node {
+        Some(_) => group(GroupKind::PerNode, vec![i]),
+        None => group(GroupKind::SharedRows, vec![i]),
+    };
     if !stack {
-        return (0..sites.len())
-            .map(|i| SiteGroup {
-                kind: GroupKind::SharedRows,
-                members: vec![i],
-                static_window: false,
-            })
-            .collect();
+        return (0..sites.len()).map(single).collect();
     }
+    let stacks = |i: usize| sites[i].per_node.is_none();
     let mut groups = Vec::new();
     let mut grouped = vec![false; sites.len()];
     let mut singles = Vec::new();
@@ -328,18 +362,14 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
         }
         let mut members = vec![i];
         for j in i + 1..sites.len() {
-            if !grouped[j] && rows_sig_equal(&sites[i], &sites[j]) {
+            if !grouped[j] && stacks(i) && stacks(j) && rows_sig_equal(&sites[i], &sites[j]) {
                 grouped[j] = true;
                 members.push(j);
             }
         }
         grouped[i] = true;
         if members.len() > 1 {
-            groups.push(SiteGroup {
-                kind: GroupKind::SharedRows,
-                members,
-                static_window: false,
-            });
+            groups.push(group(GroupKind::SharedRows, members));
         } else {
             singles.push(i);
         }
@@ -351,44 +381,33 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
         }
         let i = singles[a];
         let mut members = vec![i];
-        // Rank-2 sites gather `wave_len·H_j` rows per member; stacking
-        // them row-wise would break the fixed `member·wave_len` block
-        // layout, so they stay singleton (their GEMM is already large).
-        if sites[i].inner.is_none() {
-            for (b, &j) in singles.iter().enumerate().skip(a + 1) {
-                if !single_grouped[b]
-                    && sites[j].inner.is_none()
-                    && weight_sig_equal(&sites[i], &sites[j])
-                {
-                    single_grouped[b] = true;
-                    members.push(j);
-                }
+        for (b, &j) in singles.iter().enumerate().skip(a + 1) {
+            if !single_grouped[b]
+                && stacks(i)
+                && stacks(j)
+                && weight_sig_equal(&sites[i], &sites[j])
+            {
+                single_grouped[b] = true;
+                members.push(j);
             }
         }
         single_grouped[a] = true;
-        groups.push(SiteGroup {
-            kind: if members.len() > 1 {
-                GroupKind::SharedWeight
-            } else {
-                GroupKind::SharedRows
-            },
-            members,
-            static_window: false,
+        groups.push(if members.len() > 1 {
+            group(GroupKind::SharedWeight, members)
+        } else {
+            single(i)
         });
     }
     groups
 }
 
 /// Whether two sites gather identical operand rows: equal reduction
-/// extents, the same row-side feature dimension (rank-2 sites gather one
-/// row per `(node, j)` pair — they may only share rows with sites using
-/// the *same* `j` loop), and the same row operands
-/// ([`RowOperand::same_rows`]). Such sites share one packed row matrix;
-/// their weights stack vertically. Shared-rows members share one per-row
-/// metadata entry, so their zero patterns — and therefore their `Select`
-/// guards — must coincide too.
+/// extents and the same row operands ([`RowOperand::same_rows`]). Such
+/// sites share one packed row matrix; their weights stack vertically.
+/// Shared-rows members share one per-row metadata entry, so their zero
+/// patterns — and therefore their `Select` guards — must coincide too.
 fn rows_sig_equal(a: &SumSite, b: &SumSite) -> bool {
-    a.extent == b.extent && a.inner == b.inner && a.row.same_rows(&b.row)
+    a.extent == b.extent && a.row.same_rows(&b.row)
 }
 
 /// Whether two sites read the same weight window: same tensor, same
@@ -489,7 +508,7 @@ pub(crate) fn is_wave_child_indirection(e: &IdxExpr, n_idx: Var, node: Option<Va
 /// `outer`/`inner` are the feature loop variables of the store's loop
 /// nest (with extents). Which of them is the weight-side feature `i` is
 /// decided per site: the variable the weight operand rides; the other
-/// (if used) becomes the row-side `j` of a rank-2 site.
+/// (if used) becomes the column variable `j` of a per-node product.
 ///
 /// `guards` is the stack of value-level `Select` conditions (with the
 /// branch taken) on the path from the store's root to the current
@@ -572,8 +591,8 @@ fn collect_sites(
 /// Tries to turn one `Sum` into a [`SumSite`] with `feat` as the
 /// weight-side feature variable. `other` is the remaining loop variable
 /// of a two-level feature nest, if any: the weight must not ride it, and
-/// if the row operands do, the site is rank-2 (`inner` set) and gathers
-/// one row per `(node, j)` pair.
+/// if the row operands do, the site is a [`NodeProduct`] with `other` as
+/// its column variable `j`.
 #[allow(clippy::too_many_arguments)]
 fn plan_site(
     k: Var,
@@ -614,8 +633,9 @@ fn plan_site(
         return None;
     }
     // Exactly one operand may depend on the feature variable, and it must
-    // be a plain strided load — the weight matrix.
+    // be a plain strided load: `X`, the weight matrix.
     let mut weight: Option<WeightRef> = None;
+    let mut node_dep = false;
     let mut rest = Vec::new();
     for op in plan.operands {
         if !operand_uses_var(&op, feat) {
@@ -631,7 +651,7 @@ fn plan_site(
             continue;
         }
         if weight.is_some() {
-            return None; // two feature-dependent operands (e.g. MV-RNN)
+            return None; // two operands ride `i` (an elementwise `A[i,k]·B[i,k]`)
         }
         let Operand::Load {
             tensor,
@@ -654,19 +674,19 @@ fn plan_site(
                     i_pos = Some(d);
                 }
                 ix_other => {
-                    // Remaining positions must be wave- and row-feature-
-                    // invariant so the packed weight is shared by every
-                    // node (and every `j` row) of every wave, and
-                    // counter-free because the packing phase evaluates
-                    // them outside the scalar path's cadence.
+                    // Remaining positions must be free of both feature
+                    // variables, and counter-free because the packing
+                    // phase evaluates them outside the scalar path's
+                    // cadence. One that varies per node (MV-RNN's
+                    // `A[child(n), i, k]`) makes this a per-node product.
                     if idx_uses_var(ix_other, feat)
-                        || idx_uses_var(ix_other, n_idx)
-                        || node.is_some_and(|nv| idx_uses_var(ix_other, nv))
                         || other.is_some_and(|(jv, _)| idx_uses_var(ix_other, jv))
                         || idx_has_counting_ufn(ix_other)
                     {
                         return None;
                     }
+                    node_dep |= idx_uses_var(ix_other, n_idx)
+                        || node.is_some_and(|nv| idx_uses_var(ix_other, nv));
                 }
             }
         }
@@ -677,33 +697,50 @@ fn plan_site(
             k_pos,
         });
     }
-    // Row operands riding the other feature loop make this a rank-2
-    // site: one gathered row per `(node, j)`. A `j`-invariant reduction
-    // under a two-level nest gathers one row per node but serves the
-    // whole `i×j` tile from it (the scalar path re-resolves per
-    // element, hence the larger replay factor).
-    let uses_other = other.is_some_and(|(jv, _)| rest.iter().any(|op| operand_uses_var(op, jv)));
-    let (inner, served_per_row) = match (other, uses_other) {
-        (Some((jv, hj)), true) => (
-            Some(InnerDim {
-                slot: jv.id() as usize,
-                extent: hj,
-            }),
-            h,
-        ),
-        (Some((_, hj)), false) => (None, h * hj),
-        (None, _) => (None, h),
+    let weight = weight?;
+    // A site under a two-level feature nest serves its whole `i×j` tile
+    // from one gathered row per node (the scalar path re-resolves per
+    // element, hence the replay factor). If its row operands ride the
+    // other loop, or its weight varies per node, one shared weight cannot
+    // serve it: it becomes a per-node product.
+    let j = other.filter(|(jv, _)| rest.iter().any(|op| operand_uses_var(op, *jv)));
+    let per_node = if node_dep || j.is_some() {
+        if j.is_some_and(|(jv, _)| !rides_last(&rest, jv)) {
+            return None;
+        }
+        let mut x = weight.index.clone();
+        x[weight.i_pos] = IdxExpr::Const(0);
+        Some(NodeProduct {
+            x: Addr::new(weight.tensor, x, Some(weight.k_pos)),
+            j: j.map(|(jv, hj)| (jv.id() as usize, hj)),
+        })
+    } else {
+        None
     };
     Some(SumSite {
         binder: k.id() as usize,
         extent: extent.clone(),
         feat_slot: feat.id() as usize,
         feat_extent: h,
-        inner,
-        served_per_row,
-        weight: weight?,
+        served_per_row: h * other.map_or(1, |(_, hj)| hj),
+        weight,
         row: RowOperand::new(rest, guards),
+        per_node,
     })
+}
+
+/// Whether the row operands of a per-node product are one load (besides
+/// pure scalars) that `j` rides in its last index position and nowhere
+/// else: the node's `Y` is then a `[k][j]` block with unit-stride rows.
+fn rides_last(rest: &[Operand], j: Var) -> bool {
+    let mut loads = rest.iter().filter(|op| !matches!(op, Operand::Scalar(_)));
+    let (Some(Operand::Load { index, k_pos, .. }), None) = (loads.next(), loads.next()) else {
+        return false;
+    };
+    let Some((last, before)) = index.split_last() else {
+        return false;
+    };
+    *k_pos != before.len() && *last == IdxExpr::Var(j) && !before.iter().any(|e| idx_uses_var(e, j))
 }
 
 fn operand_uses_var(op: &Operand, v: Var) -> bool {
@@ -895,10 +932,46 @@ mod tests {
         Var::from_raw(id)
     }
 
+    /// `for n_idx(v0) in 0..4 { let node(v1) = n_idx; body }`.
+    fn node_loop(body: Vec<Stmt>) -> Stmt {
+        Stmt::For {
+            var: v(0),
+            extent: IdxExpr::Const(4),
+            kind: LoopKind::Parallel,
+            dim: Some(DimName::batch()),
+            body: vec![Stmt::Let {
+                var: v(1),
+                value: IdxExpr::Var(v(0)),
+                body,
+            }],
+        }
+    }
+
+    /// `for var in 0..extent { body }` over feature dimension `d`.
+    fn feature_loop(var: Var, extent: i64, d: usize, body: Stmt) -> Stmt {
+        Stmt::For {
+            var,
+            extent: IdxExpr::Const(extent),
+            kind: LoopKind::Vectorized,
+            dim: Some(DimName::feature(d)),
+            body: vec![body],
+        }
+    }
+
+    /// `t[vars…] = value`.
+    fn store(t: u32, vars: &[Var], value: ValExpr) -> Stmt {
+        let index = vars.iter().map(|&x| IdxExpr::Var(x)).collect();
+        Stmt::Store {
+            tensor: TensorId(t),
+            index,
+            value,
+        }
+    }
+
     /// Builds the canonical wave loop: for n_idx { let node = n_idx {
     /// for i in 0..h { t[node,i] = tanh(sum_k W[i,k] * s[node,k] + b[i]) } } }
     fn wave_loop(h: i64, k_extent: i64) -> Stmt {
-        let (n_idx, node, i, k) = (v(0), v(1), v(2), v(3));
+        let (node, i, k) = (v(1), v(2), v(3));
         let sum = ValExpr::Sum {
             var: k,
             extent: IdxExpr::Const(k_extent),
@@ -911,27 +984,7 @@ mod tests {
         let value = sum
             .add(ValExpr::load(TensorId(2), vec![IdxExpr::Var(i)]))
             .tanh();
-        Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body: vec![Stmt::For {
-                    var: i,
-                    extent: IdxExpr::Const(h),
-                    kind: LoopKind::Vectorized,
-                    dim: Some(DimName::feature(0)),
-                    body: vec![Stmt::Store {
-                        tensor: TensorId(3),
-                        index: vec![IdxExpr::Var(node), IdxExpr::Var(i)],
-                        value,
-                    }],
-                }],
-            }],
-        }
+        node_loop(vec![feature_loop(i, h, 0, store(3, &[node, i], value))])
     }
 
     #[test]
@@ -941,7 +994,7 @@ mod tests {
         // with the condition recorded as a select guard, so the gather
         // phase zero-fills (and never resolves) rows whose guard fails —
         // child indirections that are NO_CHILD there are never touched.
-        let (n_idx, node, i, k) = (v(0), v(1), v(2), v(3));
+        let (node, i, k) = (v(1), v(2), v(3));
         let child = IdxExpr::Ufn(Ufn::Child(1), vec![IdxExpr::Var(node)]);
         let sum = ValExpr::Sum {
             var: k,
@@ -960,27 +1013,7 @@ mod tests {
             then: Box::new(sum),
             otherwise: Box::new(ValExpr::Const(0.0)),
         };
-        let stmt = Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body: vec![Stmt::For {
-                    var: i,
-                    extent: IdxExpr::Const(4),
-                    kind: LoopKind::Vectorized,
-                    dim: Some(DimName::feature(0)),
-                    body: vec![Stmt::Store {
-                        tensor: TensorId(2),
-                        index: vec![IdxExpr::Var(node), IdxExpr::Var(i)],
-                        value,
-                    }],
-                }],
-            }],
-        };
+        let stmt = node_loop(vec![feature_loop(i, 4, 0, store(2, &[node, i], value))]);
         let body = [stmt];
         let (plans, _) = analyze(&[&body], true);
         assert_eq!(plans.len(), 1, "the guarded sum must be planned");
@@ -996,7 +1029,7 @@ mod tests {
         // select(i < 2, sum_k …, 0): the guard rides the feature
         // variable, so one evaluation cannot decide the whole row — the
         // site stays on the scalar path.
-        let (n_idx, node, i, k) = (v(0), v(1), v(2), v(3));
+        let (node, i, k) = (v(1), v(2), v(3));
         let sum = ValExpr::Sum {
             var: k,
             extent: IdxExpr::Const(4),
@@ -1015,27 +1048,7 @@ mod tests {
             then: Box::new(sum),
             otherwise: Box::new(ValExpr::Const(0.0)),
         };
-        let stmt = Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body: vec![Stmt::For {
-                    var: i,
-                    extent: IdxExpr::Const(4),
-                    kind: LoopKind::Vectorized,
-                    dim: Some(DimName::feature(0)),
-                    body: vec![Stmt::Store {
-                        tensor: TensorId(2),
-                        index: vec![IdxExpr::Var(node), IdxExpr::Var(i)],
-                        value,
-                    }],
-                }],
-            }],
-        };
+        let stmt = node_loop(vec![feature_loop(i, 4, 0, store(2, &[node, i], value))]);
         let body = [stmt];
         assert!(analyze(&[&body], true).0.is_empty());
     }
@@ -1110,7 +1123,7 @@ mod tests {
     /// weight tensor over different child rows. Each site has its own
     /// feature/reduction variables, as slot remapping produces.
     fn multi_gate_loop(gates: usize, forgets: usize, k_extent: i64) -> Stmt {
-        let (n_idx, node) = (v(0), v(1));
+        let node = v(1);
         let mut body = Vec::new();
         let mut next_var = 2u32;
         for g in 0..gates + forgets {
@@ -1136,29 +1149,10 @@ mod tests {
                 extent: IdxExpr::Const(k_extent),
                 body: Box::new(weight.mul(row)),
             };
-            body.push(Stmt::For {
-                var: i,
-                extent: IdxExpr::Const(4),
-                kind: LoopKind::Vectorized,
-                dim: Some(DimName::feature(0)),
-                body: vec![Stmt::Store {
-                    tensor: TensorId(30 + g as u32),
-                    index: vec![IdxExpr::Var(node), IdxExpr::Var(i)],
-                    value: sum.tanh(),
-                }],
-            });
+            let stmt = store(30 + g as u32, &[node, i], sum.tanh());
+            body.push(feature_loop(i, 4, 0, stmt));
         }
-        Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body,
-            }],
-        }
+        node_loop(body)
     }
 
     #[test]
@@ -1213,7 +1207,7 @@ mod tests {
     /// Builds an MV-RNN-shaped rank-2 wave loop:
     /// `for i { for j { A[node,i,j] = sum_k WM[i,k] * M[child0(node),k,j] } }`.
     fn rank2_loop(hi: i64, hj: i64, k_extent: i64) -> Stmt {
-        let (n_idx, node, i, j, k) = (v(0), v(1), v(2), v(3), v(4));
+        let (node, i, j, k) = (v(1), v(2), v(3), v(4));
         let child = IdxExpr::Ufn(Ufn::Child(0), vec![IdxExpr::Var(node)]);
         let sum = ValExpr::Sum {
             var: k,
@@ -1224,33 +1218,8 @@ mod tests {
                 ),
             ),
         };
-        Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body: vec![Stmt::For {
-                    var: i,
-                    extent: IdxExpr::Const(hi),
-                    kind: LoopKind::Serial,
-                    dim: Some(DimName::feature(0)),
-                    body: vec![Stmt::For {
-                        var: j,
-                        extent: IdxExpr::Const(hj),
-                        kind: LoopKind::Vectorized,
-                        dim: Some(DimName::feature(1)),
-                        body: vec![Stmt::Store {
-                            tensor: TensorId(1),
-                            index: vec![IdxExpr::Var(node), IdxExpr::Var(i), IdxExpr::Var(j)],
-                            value: sum,
-                        }],
-                    }],
-                }],
-            }],
-        }
+        let stmt = store(1, &[node, i, j], sum);
+        node_loop(vec![feature_loop(i, hi, 0, feature_loop(j, hj, 1, stmt))])
     }
 
     #[test]
@@ -1263,20 +1232,52 @@ mod tests {
         let site = &plan.sites[0];
         assert_eq!(site.feat_extent, 5);
         assert_eq!(site.weight.tensor, TensorId(0));
-        let inner = site.inner.expect("row-side feature dimension");
-        assert_eq!(inner.extent, 7);
-        assert_eq!(inner.slot, 3);
-        assert_eq!(site.served_per_row, 5, "one (n,j) row serves H_i elements");
-        // Rank-2 sites stay singleton groups.
+        let product = site.per_node.as_ref().expect("a per-node product");
+        assert_eq!(product.j, Some((3, 7)), "Y rides j, H_j = 7");
+        assert_eq!(site.cols(), 35);
+        assert_eq!(site.served_per_row, 35, "one Y per node serves H_i·H_j");
+        // The shared W is read in place from its `[0, k]` address.
+        assert_eq!(product.x.index, vec![IdxExpr::Const(0), IdxExpr::Var(v(4))]);
+        assert_eq!(product.x.hole, Some(1));
         assert_eq!(plan.groups.len(), 1);
-        assert_eq!(plan.groups[0].members, vec![0]);
+        assert_eq!(plan.groups[0].kind, GroupKind::PerNode);
+    }
+
+    /// An MV-RNN-shaped matvec: `t[node, i] = Σ_k M[child1(node), i, k] ·
+    /// a[child0(node), k]`, where the feature operand's matrix is the
+    /// child's — it varies per node.
+    #[test]
+    fn node_dependent_feature_operand_is_planned() {
+        let (node, i, k) = (v(1), v(2), v(3));
+        let child = |c| IdxExpr::Ufn(Ufn::Child(c), vec![IdxExpr::Var(node)]);
+        let sum = ValExpr::Sum {
+            var: k,
+            extent: IdxExpr::Const(6),
+            body: Box::new(
+                ValExpr::load(
+                    TensorId(0),
+                    vec![child(1), IdxExpr::Var(i), IdxExpr::Var(k)],
+                )
+                .mul(ValExpr::load(TensorId(1), vec![child(0), IdxExpr::Var(k)])),
+            ),
+        };
+        let stmt = node_loop(vec![feature_loop(i, 6, 0, store(2, &[node, i], sum))]);
+        let body = [stmt];
+        let (plans, _) = analyze(&[&body], true);
+        assert_eq!(plans.len(), 1, "the matvec must be planned");
+        let site = &plans[0].sites[0];
+        let product = site.per_node.as_ref().expect("a per-node product");
+        assert_eq!(product.j, None, "a matvec has no column variable");
+        assert_eq!(product.x.index[0], child(1));
+        assert_eq!((site.cols(), site.served_per_row), (6, 6));
+        assert_eq!(plans[0].groups[0].kind, GroupKind::PerNode);
     }
 
     #[test]
     fn j_invariant_sum_under_two_level_nest_serves_full_tile() {
         // for i { for j { t[n,i,j] = sum_k W[i,k]·s[node,k] } }: the sum
         // ignores j, so one row per node serves the whole H_i×H_j tile.
-        let (n_idx, node, i, j, k) = (v(0), v(1), v(2), v(3), v(4));
+        let (node, i, j, k) = (v(1), v(2), v(3), v(4));
         let sum = ValExpr::Sum {
             var: k,
             extent: IdxExpr::Const(6),
@@ -1286,38 +1287,13 @@ mod tests {
                 ),
             ),
         };
-        let stmt = Stmt::For {
-            var: n_idx,
-            extent: IdxExpr::Const(4),
-            kind: LoopKind::Parallel,
-            dim: Some(DimName::batch()),
-            body: vec![Stmt::Let {
-                var: node,
-                value: IdxExpr::Var(n_idx),
-                body: vec![Stmt::For {
-                    var: i,
-                    extent: IdxExpr::Const(3),
-                    kind: LoopKind::Serial,
-                    dim: Some(DimName::feature(0)),
-                    body: vec![Stmt::For {
-                        var: j,
-                        extent: IdxExpr::Const(5),
-                        kind: LoopKind::Vectorized,
-                        dim: Some(DimName::feature(1)),
-                        body: vec![Stmt::Store {
-                            tensor: TensorId(2),
-                            index: vec![IdxExpr::Var(node), IdxExpr::Var(i), IdxExpr::Var(j)],
-                            value: sum,
-                        }],
-                    }],
-                }],
-            }],
-        };
+        let stmt = store(2, &[node, i, j], sum);
+        let stmt = node_loop(vec![feature_loop(i, 3, 0, feature_loop(j, 5, 1, stmt))]);
         let body = [stmt];
         let (plans, _) = analyze(&[&body], true);
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
-        assert!(plan.sites[0].inner.is_none());
+        assert!(plan.sites[0].per_node.is_none());
         assert_eq!(plan.sites[0].served_per_row, 15);
     }
 

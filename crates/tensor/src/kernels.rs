@@ -100,16 +100,30 @@ impl PackedB {
     /// Packs a row-major `[k][n]` matrix (the NN layout): each panel row
     /// is a plain slice of a `B` row.
     pub fn pack_nn(b: &[f32], n: usize, k: usize) -> Self {
-        let level = simd::level();
-        let w = simd::panel_width(level);
-        let mut data = vec![0.0f32; Self::padded_len(level, n, k)];
-        for (p, panel) in data.chunks_exact_mut((w * k).max(1)).enumerate() {
+        let mut packed = PackedB::default();
+        packed.pack_nn_into(b, n, n, k);
+        packed
+    }
+
+    /// Repacks `self`, at the detected level and in its own allocation,
+    /// as [`PackedB::pack_nn`] of the `[k][n]` matrix whose row `kk`
+    /// starts at `b[kk·ld]`. A recycled pack allocates only to grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is shorter than `(k - 1)·ld + n`.
+    pub fn pack_nn_into(&mut self, b: &[f32], ld: usize, n: usize, k: usize) {
+        self.level = simd::level();
+        (self.n, self.k) = (n, k);
+        let w = simd::panel_width(self.level);
+        self.data.clear();
+        self.data.resize(Self::padded_len(self.level, n, k), 0.0);
+        for (p, panel) in self.data.chunks_exact_mut((w * k).max(1)).enumerate() {
             let jb = w.min(n - p * w);
             for (kk, row) in panel.chunks_exact_mut(w).enumerate() {
-                row[..jb].copy_from_slice(&b[kk * n + p * w..][..jb]);
+                row[..jb].copy_from_slice(&b[kk * ld + p * w..][..jb]);
             }
         }
-        PackedB { level, n, k, data }
     }
 
     /// Floats a pack of `n` columns × `k` holds at `level`, padding
@@ -127,6 +141,18 @@ impl PackedB {
     /// Floats held, padding included.
     pub fn floats(&self) -> usize {
         self.data.len()
+    }
+}
+
+/// An empty pack (no columns), ready to be repacked.
+impl Default for PackedB {
+    fn default() -> Self {
+        PackedB {
+            level: simd::level(),
+            n: 0,
+            k: 0,
+            data: Vec::new(),
+        }
     }
 }
 

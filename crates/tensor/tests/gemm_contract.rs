@@ -152,6 +152,31 @@ fn conveniences_agree_bitwise_with_the_packed_entry() {
 }
 
 #[test]
+fn a_recycled_strided_nn_pack_equals_a_fresh_one() {
+    // A pack reused across shapes, read from a matrix whose rows are
+    // further apart than its width (a window of a wider tensor), packs
+    // the same panels as a fresh pack of the dense copy.
+    let mut recycled = PackedB::default();
+    for (m, n, k, ld) in [
+        (16, 16, 16, 16),
+        (4, 1, 9, 1),
+        (33, 33, 33, 40),
+        (3, 50, 5, 64),
+    ] {
+        let b = random((k - 1) * ld + n, 11);
+        let dense: Vec<f32> = (0..k).flat_map(|kk| b[kk * ld..][..n].to_vec()).collect();
+        recycled.pack_nn_into(&b, ld, n, k);
+        let a = random(m * k, 12);
+        let want = product(&a, &PackedB::pack_nn(&dense, n, k), m);
+        assert_eq!(
+            bits(&product(&a, &recycled, m)),
+            bits(&want),
+            "{m}x{n}x{k} ld {ld}"
+        );
+    }
+}
+
+#[test]
 fn a_large_product_equals_its_rows_computed_one_at_a_time() {
     // This shape is split across lanes where there are any; one-row
     // products of it never are. Either way: the same bits.

@@ -20,7 +20,7 @@ use cortex::backend::params::Params;
 use cortex::core::ilir::IlirProgram;
 use cortex::ds::datasets;
 use cortex::ds::linearizer::{Linearized, Linearizer};
-use cortex::models::{treelstm, treernn, LeafInit, Model};
+use cortex::models::{mvrnn, treelstm, treernn, LeafInit, Model};
 use cortex::tensor::par;
 
 thread_local! {
@@ -117,4 +117,12 @@ fn a_warm_tree_rnn_run_allocates_only_its_results() {
 #[test]
 fn a_warm_tree_lstm_run_allocates_only_its_results() {
     check(treelstm::tree_lstm(8, LeafInit::Embedding));
+}
+
+/// MV-RNN's per-node products pack each node's `Y` into the lane's one
+/// recycled panel and write into recycled group buffers: no per-node
+/// allocation either.
+#[test]
+fn a_warm_mv_rnn_run_allocates_only_its_results() {
+    check(mvrnn::mv_rnn(8));
 }

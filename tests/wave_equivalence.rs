@@ -298,6 +298,16 @@ fn nine_models(h: usize, mv_h: usize) -> Vec<Model> {
     all
 }
 
+/// MV-RNN where its per-node products fill whole tiles and panels
+/// (h = 16) and where they leave partial ones (h = 33): the first case of
+/// each bit-identity suite runs them too.
+fn wide_mv_rnns(case: u64) -> Vec<Model> {
+    match case {
+        0 => vec![mvrnn::mv_rnn(16), mvrnn::mv_rnn(33)],
+        _ => Vec::new(),
+    }
+}
+
 /// A forest of `parts` structures for `model`, each of `size`: leaves
 /// of a tree, steps of a sequence, columns of a three-row grid.
 fn forest_of(model: &Model, parts: usize, size: usize, rng: &mut Rng) -> RecStructure {
@@ -537,6 +547,112 @@ fn guard_outside_reduction_batches_and_agrees_exactly() {
     }
 }
 
+/// An MV-RNN-like cell whose only reduction is a per-node product:
+/// `rec(n)[i] = tanh(Σ_k Emb_M[word(n) % 64, i, k] · (h[child₀(n), k] +
+/// (1 < nc(n) ? h[child₁(n), k] : 0)))` — the matrix varies per node, and
+/// the vector side is a sum of two child rows, one behind a guard whose
+/// `num_children` loads the gather replays per served element.
+fn per_node_only_model(
+    h: usize,
+) -> (
+    cortex::core::ilir::IlirProgram,
+    cortex::backend::params::Params,
+) {
+    use cortex::backend::params::Params;
+    use cortex::core::expr::{BoolExpr, CmpOp, IdxBinOp, IdxExpr, Ufn, ValExpr};
+    use cortex::core::lower::{lower, StructureInfo};
+    use cortex::core::ra::RaGraph;
+    use cortex::tensor::Tensor;
+
+    let vocab = datasets::VOCAB_SIZE as usize;
+    let mut g = RaGraph::new();
+    let emb = g.input("Emb", &[vocab, h]);
+    let emb_m = g.input("Emb_M", &[64, h, h]);
+    let ph = g.placeholder("ph", &[h]);
+    let leaf = g.compute("leaf", &[h], |c| c.read(emb, &[c.node().word(), c.axis(0)]));
+    let rec = g.compute("rec", &[h], |c| {
+        let i = c.axis(0);
+        let node = c.node();
+        let row = IdxExpr::Bin(
+            IdxBinOp::Rem,
+            Box::new(node.clone().word()),
+            Box::new(IdxExpr::Const(64)),
+        );
+        c.sum(h, |c, k| {
+            let second = ValExpr::Select {
+                cond: BoolExpr::Cmp(
+                    CmpOp::Lt,
+                    IdxExpr::Const(1),
+                    IdxExpr::Ufn(Ufn::NumChildren, vec![node.clone()]),
+                ),
+                then: Box::new(c.read(ph, &[node.clone().child(1), k.clone()])),
+                otherwise: Box::new(ValExpr::Const(0.0)),
+            };
+            let y = c.read(ph, &[node.clone().child(0), k.clone()]).add(second);
+            c.read(emb_m, &[row.clone(), i.clone(), k]).mul(y)
+        })
+        .tanh()
+    });
+    let body = g.if_then_else("body", leaf, rec).unwrap();
+    let rnn = g.recursion(ph, body).unwrap();
+    g.mark_output(rnn);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+    let mut params = Params::new();
+    params.set("Emb", Tensor::random(&[vocab, h], 0.4, 3));
+    params.set("Emb_M", Tensor::random(&[64, h, h], 0.4, 4));
+    (program, params)
+}
+
+/// A wave whose sites are all per-node products defers nothing, so it
+/// never parks under `execute_many`: a batch of such requests runs no
+/// wave GEMM and no super-wave, and still equals its solo runs and the
+/// oracle's, on one lane and on two — and the scalar path's `Profile`.
+#[test]
+fn per_node_product_waves_never_park() {
+    use cortex::tensor::par;
+    for h in [5, 16, 33] {
+        let (program, params) = per_node_only_model(h);
+        let lins: Vec<_> = (0..6u64)
+            .map(|s| {
+                let tree = datasets::random_binary_tree(2 + 3 * s as usize, 40 + s);
+                Linearizer::new().linearize(&tree).unwrap()
+            })
+            .collect();
+        let refs: Vec<_> = lins.iter().collect();
+        let mut solo = Engine::new(&program);
+        let want: Vec<_> = (lins.iter())
+            .map(|l| solo.execute(l, &params, true).unwrap())
+            .collect();
+        let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
+        let mut scalar = Engine::with_options(&program, ExecOptions::scalar());
+        for (l, (out, prof)) in lins.iter().zip(&want) {
+            assert!(oracle.execute(l, &params, true).unwrap() == (out.clone(), prof.clone()));
+            let (out_s, prof_s) = scalar.execute(l, &params, true).unwrap();
+            for (id, t_s) in &out_s {
+                assert!(out[id].all_close(t_s, 1e-5), "h={h}: wave vs scalar");
+            }
+            assert_profiles_identical(&prof_s, prof, &format!("per-node only h={h}"));
+        }
+        for lanes in [1, 2] {
+            let mut engine = Engine::new(&program);
+            let got = par::with_lanes(lanes, || engine.execute_many(&refs, &params, true).unwrap());
+            assert!(got == want, "h={h}, {lanes} lanes: batched equals solo");
+            let stats = engine.stats();
+            assert!(stats.sites_batched > 0, "h={h}: {stats:?}");
+            assert_eq!(
+                (stats.wave_gemms, stats.super_gemms, stats.fallback_sites),
+                (0, 0, 0),
+                "h={h}: nothing deferred, nothing merged"
+            );
+        }
+    }
+}
+
 /// The cross-request super-wave tentpole: `run_many` over K random
 /// inputs must produce outputs **bit-for-bit** equal and `Profile`
 /// counters **exactly** equal to K independent `run` calls — the merged
@@ -550,13 +666,14 @@ fn execute_many_equals_independent_runs_exactly() {
     let mut rng = Rng::new(0x56);
     for case in 0..4 {
         let h = rng.range_usize(3, 10);
-        for model in [
+        let zoo = [
             treelstm::tree_lstm(h, LeafInit::Embedding),
             treegru::tree_gru(h, LeafInit::Embedding),
             mvrnn::mv_rnn(h),
             seq::seq_lstm(h),
             dagrnn::dag_rnn(h),
-        ] {
+        ];
+        for model in zoo.into_iter().chain(wide_mv_rnns(case)) {
             let k = rng.range_usize(2, 6);
             let structures: Vec<RecStructure> = (0..k)
                 .map(|i| {
@@ -702,11 +819,12 @@ fn execute_many_merges_within_each_lane_group() {
     assert_eq!((stats.forked_gemms, stats.forked_waves), (0, 0));
 }
 
-/// Rank-2 feature sites (MV-RNN's `A(n) = W_M1·A_l + W_M2·A_r` matrix
-/// recursions) must run as wave GEMMs now instead of falling back to
-/// the scalar path: 4 batched sites per wave (2 vector gates + 2
-/// matrix products), with the matrix sites contributing `wave_len·H`
-/// GEMM rows each.
+/// Every MV-RNN sum is a wave site. Its first loop holds four per-node
+/// products (`mva`/`mvb`'s child-matrix matvecs `A_r·a_l`, `A_l·a_r` and
+/// `A_rec`'s `W_M1·A_l`, `W_M2·A_r`), each one small GEMM per node; its
+/// second loop holds `a_rec`'s two gates, one wave GEMM each. So 6 sites
+/// batch per depth, only `W_1` and `W_2` pack, and the wave GEMMs
+/// gather one row per node.
 #[test]
 fn mvrnn_rank2_sites_batch_as_wave_gemms() {
     let h = 8;
@@ -717,9 +835,6 @@ fn mvrnn_rank2_sites_batch_as_wave_gemms() {
     let mut engine = Engine::new(&program);
     let (_, _) = engine.execute(&lin, &model.params, true).unwrap();
     let stats = engine.stats();
-    // Each wave depth runs two batched loops (the mva/mvb + A_rec loop,
-    // then the a_rec loop), together serving 4 sites: a_rec's two
-    // vector gates and A_rec's two rank-2 matrix products.
     let depths = lin.internal_batches().len() as u64;
     assert!(depths > 0);
     assert_eq!(
@@ -729,22 +844,21 @@ fn mvrnn_rank2_sites_batch_as_wave_gemms() {
     );
     assert_eq!(
         stats.sites_batched,
-        4 * depths,
-        "a_rec's two gates + A_rec's two rank-2 products all batch"
+        6 * depths,
+        "mva, mvb, A_rec's two products and a_rec's two gates all batch"
     );
+    assert_eq!(stats.fallback_sites, 0);
     assert_eq!(
-        stats.weight_packs, 4,
-        "W_1, W_2 and the rank-2 W_M1, W_M2 all pack"
+        stats.weight_packs, 2,
+        "W_1 and W_2 pack; a per-node product packs only run scratch"
     );
-    // Rank-2 sites gather wave_len·H rows each, so total GEMM rows far
-    // exceed the 4·Σwave_len a rank-1-only engine would gather.
+    // Per-node products run in the gather: the wave GEMMs are the two
+    // gates of each depth, one row per node.
     let internal_nodes: u64 = lin.internal_batches().iter().map(|b| b.len() as u64).sum();
-    assert!(
-        stats.gemm_rows >= 2 * (h as u64) * internal_nodes,
-        "matrix sites contribute H rows per node: {} rows for {} nodes",
-        stats.gemm_rows,
-        internal_nodes
-    );
+    assert_eq!(stats.wave_gemms, 2 * depths);
+    assert_eq!(stats.gemm_rows, 2 * internal_nodes);
+    engine.execute(&lin, &model.params, true).unwrap();
+    assert_eq!(engine.stats().weight_packs, 0, "a warm run packs nothing");
 }
 
 /// The packed-weight cache persists per `(model, params generation)`:
@@ -797,7 +911,7 @@ fn bulk_serving_is_bit_identical_to_per_element_serving() {
     let mut rng = Rng::new(0x59);
     for case in 0..6 {
         let h = rng.range_usize(3, 14);
-        for model in nine_models(h, h) {
+        for model in nine_models(h, h).into_iter().chain(wide_mv_rnns(case)) {
             let structure = structure_for(&model, &mut rng);
             let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
@@ -827,9 +941,11 @@ fn bulk_serving_is_bit_identical_to_per_element_serving() {
     }
 }
 
-/// Rank-2 store loops (MV-RNN's matrix recursions) now bulk-serve as
-/// strided row passes per trailing index instead of per-element
-/// interpretation, and the tanh epilogue wave fuses.
+/// With every sum wave-served, both MV-RNN loops of each depth fuse, and
+/// the rank-2 stores (`A_rec`, `A_leaf`) sweep as planes: one `H·H`-lane
+/// pass per node. The per-node products run the per-element walk's
+/// k-sequential chains, so the outputs agree with the scalar path's and
+/// the `Profile`s are equal.
 #[test]
 fn mvrnn_rank2_store_loops_bulk_serve() {
     let h = 10;
@@ -841,8 +957,23 @@ fn mvrnn_rank2_store_loops_bulk_serve() {
     let mut engine = Engine::new(&program);
     let (out_b, prof_b) = engine.execute(&lin, &model.params, true).unwrap();
     let stats = engine.stats();
-    assert!(stats.fused_waves > 0, "tanh epilogue waves must fuse");
+    let depths = lin.internal_batches().len() as u64;
+    assert_eq!(
+        stats.fused_waves,
+        2 * depths + 1,
+        "both loops of every depth and the leaf wave fuse"
+    );
     assert!(stats.epilogue_ns > 0, "epilogue time must be accounted");
+    // A node's row streams, at 4 bytes a lane: `A_rec` is one plane (two
+    // product blocks in, the matrix out) beside the four `H`-wide
+    // mva/mvb rows; `a_rec` reads two gate rows and `b`, stores `a`;
+    // a leaf copies its `a` and its `A` plane.
+    let h2 = (h * h) as u64;
+    let internal: u64 = lin.internal_batches().iter().map(|b| b.len() as u64).sum();
+    let leaves = lin.leaf_batch().len() as u64;
+    let want =
+        4 * (internal * (4 * h as u64 + 3 * h2 + 4 * h as u64) + leaves * (2 * h as u64 + 2 * h2));
+    assert_eq!(stats.epilogue_bytes, want, "one plane per rank-2 store");
 
     let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
         .execute(&lin, &model.params, true)
@@ -971,7 +1102,7 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
     let mut rng = Rng::new(0x61);
     for case in 0..3 {
         let h = rng.range_usize(3, 12);
-        for model in nine_models(h, h) {
+        for model in nine_models(h, h).into_iter().chain(wide_mv_rnns(case)) {
             let program = model.lower(&RaSchedule::default()).unwrap();
             // One solo input and a depth-16 serving batch (mixed shapes
             // and depths), run in both nonlinearity modes.
