@@ -166,11 +166,9 @@ pub(crate) enum Instr {
 pub(crate) struct RowPass {
     /// Lanes: the loop extent `H`, or `H_i·H_j` for a *plane*, a rank-2
     /// store (`for i { for j { A[n,i,j] = … } }`) whose every access is
-    /// contiguous over `(i, j)`, swept as one run.
+    /// contiguous over `(i, j)`, swept as one run. No other rank-2
+    /// store row-serves as a nest.
     pub(crate) h: usize,
-    /// `(slot, extent)` of the outer feature loop wrapping any other
-    /// rank-2 store: the pass repeats once per `i`.
-    pub(crate) outer: Option<(usize, usize)>,
     pub(crate) instrs: Vec<Instr>,
     /// The pass's straight-line arithmetic, fixed at lowering: per row
     /// only *which* [`Instr::Ops`] runs execute is decided (selects).
@@ -189,9 +187,8 @@ pub(crate) struct RowProgram {
     pub(crate) passes: Arc<[RowPass]>,
     /// `Some((pass, start, end))` makes this the stand-alone program of
     /// one statement of a fused wave — a view of the wave's own
-    /// instructions `start..end` (nothing is lowered twice), run
-    /// without the outer repeat and with forwarded loads read from
-    /// memory.
+    /// instructions `start..end` (nothing is lowered twice), run with
+    /// forwarded loads read from memory.
     pub(crate) only: Option<(usize, usize, usize)>,
     /// Plan ordinals of the sites that must be memo-active for the
     /// program to run.
@@ -242,7 +239,7 @@ pub(crate) struct TileScratch {
     regs: Vec<f32>,
     streams: Streams,
     /// What a wave that is resolved whole before it is swept adds: one
-    /// [`Sweep`] per `(row, pass, outer index)`, in resolve order, where
+    /// [`Sweep`] per `(row, pass)`, in resolve order, where
     /// each row's sweeps end, and the tensor windows of every sweep,
     /// declared row by row for [`RowWindows::run`] to verify.
     sweeps: Vec<Sweep>,
@@ -328,10 +325,10 @@ pub(crate) fn collect_row_programs(
             Some(&w) => &waves[w].sites[..],
             None => sites,
         };
-        if let Some((fw, loops)) = plan_fused_wave(s, sites, tensors) {
-            // The wave's feature loops, served on their own when the
-            // wave cannot fuse at run time, share its instructions.
-            for (view, l) in fw.prog.statements().zip(loops) {
+        if let Some((fw, stmts)) = plan_fused_wave(s, sites, tensors) {
+            // The wave's statements, served on their own when the wave
+            // cannot fuse at run time, share its instructions.
+            for (view, l) in fw.prog.statements().zip(stmts) {
                 let at = (kernel, l as *const Stmt as usize);
                 plans.bulk.insert(at, Arc::new(view));
             }
@@ -349,13 +346,13 @@ pub(crate) fn collect_row_programs(
 }
 
 /// Tries to compile a parallel `d_batch` loop into a [`FusedWave`];
-/// also returns, in statement order, the loop each statement's view
-/// serves: its feature loop, or the outer loop of a plane.
+/// also returns its body statements, in the order of their views: a
+/// feature loop, or the nest of a plane.
 fn plan_fused_wave<'s>(
     stmt: &'s Stmt,
     sites: &[SumSite],
     tensors: &[Option<TensorDecl>],
-) -> Option<(FusedWave, Vec<&'s Stmt>)> {
+) -> Option<(FusedWave, &'s [Stmt])> {
     let Stmt::For {
         var,
         kind: cortex_core::ilir::LoopKind::Parallel,
@@ -383,7 +380,7 @@ fn plan_fused_wave<'s>(
         .iter()
         .map(|s| match s {
             // A rank-2 store nest: the *inner* loop is the feature loop,
-            // swept as a plane or served once per outer feature index.
+            // swept as a plane.
             Stmt::For {
                 var: ov,
                 extent: IdxExpr::Const(oh),
@@ -396,18 +393,6 @@ fn plan_fused_wave<'s>(
         })
         .collect();
     let prog = lower_row_program(&loops, sites, tensors)?;
-    // A plane's view serves its whole nest; any other view serves its
-    // feature loop, inside the per-element outer loop.
-    let served = (prog.statements().zip(stmts).zip(&loops))
-        .map(|((view, s), &(outer, l))| {
-            let (p, ..) = view.only.expect("a statement view");
-            if outer.is_some() && view.passes[p].outer.is_none() {
-                s
-            } else {
-                l
-            }
-        })
-        .collect();
     let fw = FusedWave {
         n_idx_slot: var.id() as usize,
         node_let,
@@ -416,22 +401,24 @@ fn plan_fused_wave<'s>(
     };
     // Only row-disjoint bodies fuse: sharing a sweep, and sweeping rows
     // in parallel, need the certificate.
-    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, served))
+    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, stmts))
 }
 
-/// Lowers a list of `(outer loop, feature loop)` body statements into
-/// one [`RowProgram`], or `None` if any of them does not row-serve.
+/// Lowers a list of body statements — feature loops, each with the
+/// `(slot, extent)` of its outer loop if it is the inner loop of a
+/// rank-2 nest — into one [`RowProgram`], or `None` if any of them does
+/// not row-serve.
 ///
 /// Statements share a pass — one tile sweep, inputs hoisted to the
 /// front of each tile, stores deferred to its end — while that
-/// reordering is invisible: same extent, no outer loop, and every read
-/// of a tensor the pass stores is either forwarded (the very cells an
-/// earlier statement stored) or rides `i` in the stored dimension and
-/// comes *before* the store in body order (a tile-local
-/// read-then-write). Anything else starts a new pass, which runs after
-/// the previous one has stored the whole row. A rank-2 statement whose
-/// accesses all lie contiguously over `(i, j)` starts a pass of its own,
-/// a plane (see [`RowPass::h`]).
+/// reordering is invisible: same extent, and every read of a tensor the
+/// pass stores is either forwarded (the very cells an earlier statement
+/// stored) or rides `i` in the stored dimension and comes *before* the
+/// store in body order (a tile-local read-then-write). Anything else
+/// starts a new pass, which runs after the previous one has stored the
+/// whole row. A rank-2 statement starts a pass of its own, a plane (see
+/// [`RowPass::h`]), if its accesses all lie contiguously over `(i, j)`;
+/// otherwise it does not row-serve.
 pub(crate) fn lower_row_program(
     loops: &[(Option<(usize, usize)>, &Stmt)],
     sites: &[SumSite],
@@ -466,16 +453,11 @@ pub(crate) fn lower_row_program(
                 feat: *feat,
                 plane: Some((Var::from_raw(slot as u32), h, tensors)),
             };
-            let mut plane = RowPass::new(ho * h, None);
-            let mark = memos.len();
-            let store = cells(*tensor, index, lanes).filter(|c| c.hole.is_some());
-            if store.is_some_and(|store| {
-                lower_stmt(&mut plane, &mut memos, sites, lanes, &store, value) == Some(true)
-            }) {
-                passes.push(plane);
-                continue;
-            }
-            memos.truncate(mark);
+            let mut plane = RowPass::new(ho * h);
+            let store = cells(*tensor, index, lanes).filter(|c| c.hole.is_some())?;
+            lower_stmt(&mut plane, &mut memos, sites, lanes, &store, value)?;
+            passes.push(plane);
+            continue;
         }
         let lanes = Lanes {
             feat: *feat,
@@ -486,7 +468,7 @@ pub(crate) fn lower_row_program(
         let joined = match passes.last_mut() {
             // An earlier read of this store's tensor must be tile-local.
             Some(p)
-                if (p.outer.is_none() && outer.is_none() && p.h == h)
+                if p.h == h
                     && p.instrs.iter().all(|ins| match ins {
                         Instr::Load { cells, .. } => {
                             cells.tensor != store.tensor || cells.hole == store.hole
@@ -499,7 +481,7 @@ pub(crate) fn lower_row_program(
             _ => false,
         };
         if !joined {
-            passes.push(RowPass::new(h, outer));
+            passes.push(RowPass::new(h));
             let fresh = passes.last_mut().expect("pushed above");
             lower_stmt(fresh, &mut memos, sites, lanes, &store, value)?;
         }
@@ -512,10 +494,9 @@ pub(crate) fn lower_row_program(
 }
 
 impl RowPass {
-    fn new(h: usize, outer: Option<(usize, usize)>) -> RowPass {
+    fn new(h: usize) -> RowPass {
         RowPass {
             h,
-            outer,
             instrs: Vec::new(),
             ops: Vec::new(),
             stores: Vec::new(),
@@ -527,8 +508,7 @@ impl RowPass {
 impl RowProgram {
     /// Bytes one row streams in and out of the tile registers: `4·H` per
     /// tensor-row load, memo row and store instruction (both arms of a
-    /// select; forwarded reads and broadcasts move nothing), times the
-    /// outer repeat.
+    /// select; forwarded reads and broadcasts move nothing).
     fn stream_bytes(&self) -> u64 {
         let pass_bytes = |p: &RowPass| {
             let streams = p.instrs.iter().filter(|ins| match ins {
@@ -538,7 +518,7 @@ impl RowProgram {
                 Instr::Memo { .. } | Instr::Store { .. } => true,
                 _ => false,
             });
-            (streams.count() * p.h * 4 * p.outer.map_or(1, |(_, extent)| extent)) as u64
+            (streams.count() * p.h * 4) as u64
         };
         self.passes.iter().map(pass_bytes).sum()
     }
@@ -862,46 +842,38 @@ impl<'a> Interp<'a> {
             None => (0..prog.passes.len(), None),
         };
         for p in passes {
-            let pass = &prog.passes[p];
-            // A view's outer loop is driven by the caller.
-            let outer = pass.outer.filter(|_| span.is_none());
-            for i in 0..outer.map_or(1, |(_, extent)| extent) {
-                if let Some((slot, _)) = outer {
-                    self.slots[slot] = i as i64;
-                }
-                let st = &s.streams;
-                let from = (st.loads.len(), st.runs.len(), st.stores.len());
-                self.resolve_pass(pass, span, s);
-                let st = &s.streams;
-                let mut sweep = Sweep {
-                    pass: p,
-                    loads: from.0..st.loads.len(),
-                    runs: from.1..st.runs.len(),
-                    stores: from.2..st.stores.len(),
-                    first_window: 0,
-                };
-                if defer {
-                    sweep.first_window = s.windows.declared();
-                    for (_, source) in &st.loads[sweep.loads.clone()] {
-                        if let Source::Tensor(w) = source {
-                            s.windows.load(*w);
-                        }
+            let st = &s.streams;
+            let from = (st.loads.len(), st.runs.len(), st.stores.len());
+            self.resolve_pass(&prog.passes[p], span, s);
+            let st = &s.streams;
+            let mut sweep = Sweep {
+                pass: p,
+                loads: from.0..st.loads.len(),
+                runs: from.1..st.runs.len(),
+                stores: from.2..st.stores.len(),
+                first_window: 0,
+            };
+            if defer {
+                sweep.first_window = s.windows.declared();
+                for (_, source) in &st.loads[sweep.loads.clone()] {
+                    if let Source::Tensor(w) = source {
+                        s.windows.load(*w);
                     }
-                    for (_, w) in &st.stores[sweep.stores.clone()] {
-                        s.windows.store(*w);
-                    }
-                    s.sweeps.push(sweep);
-                    continue;
                 }
-                Sweeper {
-                    passes: &prog.passes,
-                    streams: &s.streams,
-                    groups: &self.active_groups,
-                    nonlin: self.nonlin,
+                for (_, w) in &st.stores[sweep.stores.clone()] {
+                    s.windows.store(*w);
                 }
-                .sweep(&sweep, &mut Direct(&mut self.bufs), &mut s.regs);
-                s.streams.clear();
+                s.sweeps.push(sweep);
+                continue;
             }
+            Sweeper {
+                passes: &prog.passes,
+                streams: &s.streams,
+                groups: &self.active_groups,
+                nonlin: self.nonlin,
+            }
+            .sweep(&sweep, &mut Direct(&mut self.bufs), &mut s.regs);
+            s.streams.clear();
         }
         if defer {
             s.row_ends.push(s.sweeps.len());

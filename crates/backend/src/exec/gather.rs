@@ -183,11 +183,10 @@ pub(crate) enum GroupOut {
     /// it is a bug (the request is parked until results install).
     Pending,
     /// This request's own GEMM (the single-run path), computed once
-    /// every group of the wave has gathered.
+    /// every group of the wave has gathered — or, for a
+    /// [`GroupKind::PerNode`] group, node by node as it gathered (never
+    /// deferred: there is nothing to merge).
     Owned(Vec<f32>),
-    /// A [`GroupKind::PerNode`] group's products, computed node by node
-    /// as it gathered (never deferred: there is nothing to merge).
-    PerNode(Vec<f32>),
     /// A block of a merged super-wave result shared by several requests;
     /// this request's rows start at `base`. (`Arc`, not `Rc`: the lanes
     /// of a forked epilogue read it.)
@@ -221,7 +220,7 @@ impl ActiveGroup {
     #[inline]
     pub(crate) fn rows(&self) -> &[f32] {
         match &self.out {
-            GroupOut::Owned(v) | GroupOut::PerNode(v) => v,
+            GroupOut::Owned(v) => v,
             GroupOut::Shared { buf, base } => &buf[base * self.cols..],
             GroupOut::Pending => unreachable!("wave GEMM result read before its flush"),
         }
@@ -341,7 +340,7 @@ impl<'a> Interp<'a> {
         if deferred {
             return (activated, None, true);
         }
-        self.run_wave_gemms(groups);
+        self.run_wave_gemms(plan, groups);
         self.caches.stats.gemm_ns += clock.lap();
         (activated, Some(clock), false)
     }
@@ -352,15 +351,14 @@ impl<'a> Interp<'a> {
     /// short-circuits to exactly 0.0 (matching the scalar path, which
     /// never touches the weight — inf/NaN containment happens at that
     /// early return) so their slots in the result are never read.
-    fn run_wave_gemms(&mut self, groups: usize) {
+    fn run_wave_gemms(&mut self, plan: &WavePlan, groups: usize) {
         let from = self.active_groups.len() - groups;
         for group in &mut self.active_groups[from..] {
-            let out = match &mut group.out {
-                GroupOut::Owned(out) => out,
-                GroupOut::PerNode(_) => continue, // computed as it gathered
-                GroupOut::Pending | GroupOut::Shared { .. } => {
-                    unreachable!("a solo wave owns its results")
-                }
+            if plan.groups[group.id - plan.group_base].kind == GroupKind::PerNode {
+                continue; // computed as it gathered
+            }
+            let GroupOut::Owned(out) = &mut group.out else {
+                unreachable!("a solo wave owns its results")
             };
             let weight = (self.packs[group.id].weight.as_ref()).expect("packed this wave");
             let forked = kernels::gemm_packed_into(out, &group.rows, weight, group.n_rows);
@@ -603,7 +601,7 @@ impl<'a> Interp<'a> {
         }
         let out = if group.kind == GroupKind::PerNode {
             self.node_products(plan, leader, k_len, wave_len, &mut bufs);
-            GroupOut::PerNode(std::mem::take(&mut bufs.out))
+            GroupOut::Owned(std::mem::take(&mut bufs.out))
         } else if let Some((acc, request)) = defer {
             // Register this request's block of the merged super-wave
             // GEMM and gather straight into it; the GEMM runs at flush.
@@ -881,7 +879,7 @@ impl<'a> Interp<'a> {
             // Shared (super-wave) results are dropped with their `Rc`;
             // only owned output buffers return to the pool.
             let out = match group.out {
-                GroupOut::Owned(v) | GroupOut::PerNode(v) => v,
+                GroupOut::Owned(v) => v,
                 GroupOut::Shared { .. } | GroupOut::Pending => Vec::new(),
             };
             entry(&mut self.caches.group_bufs, group.id).push(GroupBufs {

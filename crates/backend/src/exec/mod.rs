@@ -74,7 +74,7 @@ use crate::device::{DeviceSpec, LatencyEstimate};
 use crate::params::Params;
 use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
-use crate::wave::{GroupKind, SumSite, SuperEntry, SuperWaveAcc};
+use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
 
 use gather::{evict_weight_cache_lru, WeightCache};
 use interp::{Caches, Interp, RunState};
@@ -937,11 +937,10 @@ fn build_plans(
     };
     for plan in &mut waves {
         for group in &mut plan.groups {
-            group.static_window = group.kind != GroupKind::PerNode
-                && group.members.iter().all(|&m| {
-                    let w = &plan.sites[m].weight;
-                    w.index.len() == 2 && is_param(w.tensor)
-                });
+            group.static_window = group.members.iter().all(|&m| {
+                let w = &plan.sites[m].weight;
+                w.index.len() == 2 && is_param(w.tensor)
+            });
         }
     }
     let mut stmt_plans = StmtPlans {

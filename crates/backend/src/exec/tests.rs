@@ -1725,6 +1725,46 @@ fn certify_fused_rejects_overlapping_row_passes() {
     );
 }
 
+/// A rank-2 store nest row-serves only as a plane: one `H_i·H_j`-lane
+/// pass when every access is contiguous over `(i, j)`, nothing (the
+/// per-element walk) otherwise.
+#[test]
+fn rank2_nests_row_serve_only_as_planes() {
+    use cortex_core::ilir::{DimExtent, DimName, StorageClass, TensorDecl};
+    let (n, i, j) = (Var::from_raw(0), Var::from_raw(1), Var::from_raw(2));
+    let decl = |t: u32, (hi, hj): (usize, usize)| {
+        Some(TensorDecl {
+            id: TensorId(t),
+            name: format!("t{t}"),
+            dims: vec![DimExtent::Nodes, DimExtent::Fixed(hi), DimExtent::Fixed(hj)],
+            dim_names: vec![DimName::node(), DimName::feature(0), DimName::feature(1)],
+            class: StorageClass::Global,
+            persist: false,
+            is_output: false,
+        })
+    };
+    // `a[n, i, j] = t[index]` over `i < 3`, `j < 5`; `c` is `b` transposed.
+    let tensors = [decl(0, (3, 5)), decl(1, (3, 5)), decl(2, (5, 3))];
+    let lower = |t: u32, index: [Var; 3]| {
+        let inner = Stmt::For {
+            var: j,
+            extent: IdxExpr::Const(5),
+            kind: LoopKind::Vectorized,
+            dim: None,
+            body: vec![Stmt::Store {
+                tensor: TensorId(0),
+                index: [n, i, j].map(IdxExpr::Var).to_vec(),
+                value: ValExpr::load(TensorId(t), index.map(IdxExpr::Var).to_vec()),
+            }],
+        };
+        super::bulk::lower_row_program(&[(Some((i.id() as usize, 3)), &inner)], &[], &tensors)
+    };
+    let plane = lower(1, [n, i, j]).expect("a contiguous nest is a plane");
+    assert_eq!(plane.passes.len(), 1);
+    assert_eq!(plane.passes[0].h, 15);
+    assert!(lower(2, [n, j, i]).is_none(), "a transposed read");
+}
+
 // -- wave site identity: binder slots --
 
 /// `(binder slot, body address)` of every `Sum` under `e`.
