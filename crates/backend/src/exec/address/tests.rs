@@ -161,7 +161,7 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             .map(CompiledKernel::compile)
             .collect(),
     );
-    let (shared, _) = build_plans(&program, compiled, ExecOptions::default());
+    let (shared, _) = build_plans(&program, compiled, true);
     let mut rng = Rng::new(0xadd7);
     let (mut coords, mut conds, mut addrs, mut in_range) = (0, 0, 0, 0);
     for case in 0..60 {

@@ -780,7 +780,7 @@ impl<'a> Interp<'a> {
     /// Whether a fused wave can serve right now: bulk serving enabled
     /// and every referenced reduction memo-active.
     pub(crate) fn fused_servable(&self, fw: &FusedWave) -> bool {
-        self.opts.fastdot && self.opts.bulk && self.bulk_servable(&fw.prog)
+        self.opts.bulk && self.bulk_servable(&fw.prog)
     }
 
     /// Runs a fused wave: the whole body, row by row — the stand-in for

@@ -492,13 +492,8 @@ impl<'a> Interp<'a> {
             persisted_loads,
             store_gens,
             persist_active,
-            // The rational substitution is a schedule choice either side
-            // can make: the engine option or the program's schedule.
-            nonlin: if opts.nonlinearity == NonlinearityMode::Rational {
-                NonlinearityMode::Rational
-            } else {
-                program.meta.schedule.nonlinearity
-            },
+            // The rational substitution is the schedule's choice (App. A.5).
+            nonlin: program.meta.schedule.nonlinearity,
             opts,
             compiled: shared.compiled,
             stmt_plans: shared.stmt_plans,

@@ -31,6 +31,14 @@
 //! outputs + exact `Profile`
 //! ```
 //!
+//! The lowering is fixed when the engine is built: [`Engine::new`] (and
+//! [`Engine::with_options`]) plan reduction waves as stacked GEMMs,
+//! [`Engine::per_element`] plans none, so each reduction runs as its
+//! own strided dot — the reference the wave path's `Profile` accounting
+//! is checked against. [`ExecOptions`] holds runtime switches and
+//! admission limits only; [`Engine::set_options`] swaps them without
+//! touching the plan.
+//!
 //! One runtime executes the verified program, and one reference checks
 //! it — bit-identical on outputs and `Profile` (property-tested across
 //! every model, the pc runtime solo and batched against one oracle walk
@@ -66,7 +74,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use cortex_core::expr::TensorId;
 use cortex_core::ilir::{IlirProgram, StorageClass};
 use cortex_ds::linearizer::{LinearizeError, Linearized};
-use cortex_tensor::approx::NonlinearityMode;
 use cortex_tensor::kernels::{self, PackedB};
 use cortex_tensor::{par, Tensor};
 
@@ -425,97 +432,65 @@ pub fn execute(
 // Options and stats
 // ---------------------------------------------------------------------
 
-/// Which executor paths are enabled.
+/// The runtime switches and admission limits of an [`Engine`].
 ///
-/// All configurations compute identical results (a property test
-/// asserts agreement on random programs); they differ in speed and serve
-/// as each other's cross-checks.
+/// None of these reaches the lowering: an engine's plan is fixed when
+/// it is built ([`Engine::new`] for the batched wavefront lowering,
+/// [`Engine::per_element`] for its reference), and
+/// [`Engine::set_options`] swaps these fields on a live engine without
+/// touching it. The nonlinearity mode is the program's schedule choice
+/// (`RaSchedule::nonlinearity`, App. A.5), not an option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run recognized reductions as tight strided loops
-    /// ([`crate::fastdot::DotPlan`]). With this off, every `Sum` goes
-    /// through the generic interpreter, and `false` also turns off every
-    /// row program — bulk feature loops and fused wave epilogues —
-    /// whatever `bulk` says: both runtimes test `fastdot && bulk` before
-    /// serving one. [`ExecOptions::generic`] relies on this for its "no
-    /// reduction fast path at all". A product of two contiguous
-    /// streams runs as `cortex_tensor::simd::dot_ordered` — the
-    /// k-sequential chain the wave GEMM runs for the same element — so
-    /// this path and `wave_gemm` agree bit for bit on such sites at any
-    /// reduction length and SIMD level. One chain per element is
-    /// latency-bound: this is the ablation preset, not a fast path.
-    pub fastdot: bool,
-    /// Execute recognized reduction *waves* as register-tiled GEMMs over
-    /// packed weight panels (the batched wavefront engine). A result row
-    /// does not depend on the launch it was computed in: solo, batched
-    /// and super-wave execution give identical bits by construction.
-    pub wave_gemm: bool,
-    /// Stack compatible sites of a wave into one GEMM per group (shared
-    /// gathered rows → vertically stacked weights; shared weight →
-    /// row-stacked gathers). With this off every site runs its own GEMM
-    /// (the pre-stacking path, kept as a cross-check).
-    pub gate_stacking: bool,
     /// Serve store loops as compiled row programs (tiled rows, fused
     /// whole-wave epilogues) instead of interpreting them per element.
     /// Results are **bit-identical** either way, in both nonlinearity
-    /// modes, and the `Profile` counters are exactly equal; this switch
-    /// exists as the cross-check for that claim and as a diagnostic.
+    /// modes, and the `Profile` counters are exactly equal; `false` is
+    /// the per-element reference for that claim
+    /// (`tests/wave_equivalence.rs`'s
+    /// `bulk_serving_is_bit_identical_to_per_element_serving`).
     pub bulk: bool,
-    /// Run the legacy AST-walking interpreter instead of the lowered
-    /// linear plan. Outputs and `Profile`s are **bit-identical** to the
-    /// pc runtime (property-tested across every model, the pc runtime
-    /// solo and batched); this switch is the lowering's correctness
-    /// oracle and a diagnostic, exactly like `bulk: false` is for bulk
-    /// serving, and the serving breaker's degraded rung. The oracle
-    /// never merges requests: [`Engine::execute_many`] runs one solo
-    /// walk per request.
+    /// Run the AST-walking interpreter instead of the lowered linear
+    /// plan. Outputs and `Profile`s are **bit-identical** to the pc
+    /// runtime (property-tested across every model, the pc runtime solo
+    /// and batched); this switch is the lowering's correctness oracle
+    /// and the serving breaker's degraded rung. The oracle never merges
+    /// requests: [`Engine::execute_many`] runs one solo walk per
+    /// request.
     pub interp: bool,
-    /// Which `tanh`/`sigmoid` implementation the executor applies — the
-    /// paper's App. A.5 schedule choice, exposed as a per-engine knob
-    /// (TVM-style: exact vs approximate nonlinearities are a scheduling
-    /// decision, not a model property).
-    ///
-    /// [`Exact`](NonlinearityMode::Exact) (the default) is the
-    /// deterministic ≤ 2 ulp definition of `cortex_tensor::approx`;
-    /// [`Rational`](NonlinearityMode::Rational) substitutes the rational
-    /// approximations, with end-to-end error ≤ 1e-4 against the exact
-    /// results (property-tested). Either way every executor
-    /// configuration evaluates the one lane-generic routine — scalar per
-    /// element, vectorized over row-program tiles — so all of them stay
-    /// bit-identical, and `Profile` counters are unaffected: the modes
-    /// differ in arithmetic, never in accounting. A program whose
-    /// schedule already requests `Rational` keeps it regardless of this
-    /// option.
-    pub nonlinearity: NonlinearityMode,
     /// Refuse runs whose plan-time memory estimate
     /// ([`Engine::footprint`]) exceeds this many bytes
     /// ([`ExecError::OverBudget`]). `None` (the default) admits
     /// everything. Enforced at admission only — accepted runs pay no
-    /// per-op cost.
+    /// per-op cost. Needed by the serving front's over-budget refusal
+    /// (`cortex-serve`'s `fuzz_structures`) and
+    /// `memory_budget_refuses_over_budget_runs`.
     pub memory_budget: Option<u64>,
     /// Refuse inputs with more nodes than this
     /// ([`InvalidInput::NodesOverLimit`]). `None` admits any size.
+    /// Needed by the intake ladder's node cap
+    /// (`input_size_and_depth_limits_are_enforced`).
     pub max_input_nodes: Option<usize>,
     /// Refuse inputs with more wavefront depths (height batches) than
     /// this ([`InvalidInput::DepthOverLimit`]). `None` admits any depth.
+    /// Needed by the intake ladder's depth cap
+    /// (`input_size_and_depth_limits_are_enforced`).
     pub max_input_depth: Option<usize>,
     /// Override the pc runtime's op-count watchdog budget (back-edges
     /// per run before [`ExecError::Watchdog`]). `None` (the default)
     /// derives a generous budget from plan size and input extents —
     /// legitimate runs never approach it. The interp oracle carries no
-    /// watchdog: it is a diagnostic, never an admission path.
+    /// watchdog: it is a diagnostic, never an admission path. Needed by
+    /// the runtime rung's test, which trips it on a zero budget
+    /// (`watchdog_converts_runaway_into_typed_fault`).
     pub watchdog_fuel: Option<u64>,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            fastdot: true,
-            wave_gemm: true,
-            gate_stacking: true,
             bulk: true,
             interp: false,
-            nonlinearity: NonlinearityMode::Exact,
             memory_budget: None,
             max_input_nodes: None,
             max_input_depth: None,
@@ -525,44 +500,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The generic interpreter: no reduction fast paths at all.
-    pub fn generic() -> Self {
-        ExecOptions {
-            fastdot: false,
-            wave_gemm: false,
-            gate_stacking: false,
-            bulk: false,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The scalar fast path: per-element strided dots, no wave batching.
-    pub fn scalar() -> Self {
-        ExecOptions {
-            wave_gemm: false,
-            gate_stacking: false,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The default batched engine with the rational-nonlinearity
-    /// epilogue (App. A.5) enabled.
-    pub fn rational() -> Self {
-        ExecOptions {
-            nonlinearity: NonlinearityMode::Rational,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The batched engine with gate stacking disabled: one GEMM per site
-    /// per wave, exactly the pre-stacking executor.
-    pub fn unstacked() -> Self {
-        ExecOptions {
-            gate_stacking: false,
-            ..ExecOptions::default()
-        }
-    }
-
     /// The AST-walking oracle: identical semantics to the lowered plan
     /// runtime, re-dispatched per statement instead of per op.
     pub fn interpreted() -> Self {
@@ -805,9 +742,8 @@ pub struct Engine<'p> {
     /// The `Params::generation` the packed-weight cache was built
     /// against; a different generation invalidates it.
     params_gen: Option<u64>,
-    /// Static verification verdict of the lowered plan, refreshed on
-    /// every [`build_plans`] (fresh build and `set_options` rebuild).
-    /// `Err` makes every execute call refuse with
+    /// Static verification verdict of the lowered plan, computed once
+    /// at build. `Err` makes every execute call refuse with
     /// [`ExecError::Verify`].
     verified: Result<(), VerifyError>,
     /// Child-arity bounds the plan's kernels address (`max` over every
@@ -913,18 +849,19 @@ impl Batch<'_> {
 /// program produces more distinct stacked-weight windows than this.
 const WEIGHT_CACHE_CAP: usize = 64;
 
-/// Builds every per-engine compile artifact for `opts`: compiled-kernel
-/// analyses (wave plans honor `gate_stacking`/`wave_gemm`) plus the
-/// lowered program with those plans resolved into operands.
+/// Builds every per-engine compile artifact: the compiled-kernel
+/// analyses (with `waves`, the wave plans and their stacking groups;
+/// without, none — the per-element lowering) plus the lowered program
+/// with those plans resolved into operands.
 fn build_plans(
     program: &IlirProgram,
     compiled: Arc<Vec<CompiledKernel>>,
-    opts: ExecOptions,
+    waves: bool,
 ) -> (SharedPlans, PlanStats) {
-    let (mut waves, wave_ids) = if opts.wave_gemm {
+    let (mut waves, wave_ids) = if waves {
         let bodies: Vec<&[cortex_core::ilir::Stmt]> =
             compiled.iter().map(|k| k.body.as_slice()).collect();
-        crate::wave::analyze(&bodies, opts.gate_stacking)
+        crate::wave::analyze(&bodies)
     } else {
         Default::default()
     };
@@ -997,8 +934,26 @@ impl<'p> Engine<'p> {
         Engine::with_options(program, ExecOptions::default())
     }
 
-    /// Builds an engine with explicit executor options.
+    /// Builds an engine with explicit executor options over the batched
+    /// wavefront lowering: reduction waves run as stacked GEMMs.
     pub fn with_options(program: &'p IlirProgram, opts: ExecOptions) -> Self {
+        Engine::build(program, opts, true)
+    }
+
+    /// Builds an engine over the per-element lowering: no loop is a
+    /// wave, and every reduction element is evaluated on its own (a
+    /// strided dot where `fastdot::compile` matches the body, a per-`k`
+    /// sum where it does not). `Profile`s equal the batched engine's
+    /// exactly and outputs agree to rounding; its [`ExecStats`] count no
+    /// wave GEMM. It is the one independent check of the wave path's
+    /// `Profile` accounting (`tests/wave_equivalence.rs`).
+    pub fn per_element(program: &'p IlirProgram, opts: ExecOptions) -> Self {
+        Engine::build(program, opts, false)
+    }
+
+    /// Compiles, lowers (with or without wave plans) and verifies once;
+    /// the plan never changes afterwards.
+    fn build(program: &'p IlirProgram, opts: ExecOptions, waves: bool) -> Self {
         let compiled: Arc<Vec<CompiledKernel>> = Arc::new(
             program
                 .kernels
@@ -1008,7 +963,7 @@ impl<'p> Engine<'p> {
         );
         let max_slots = compiled.iter().map(|k| k.num_slots).max().unwrap_or(0);
         let plan_arity = verify::plan_arity_bounds(&compiled);
-        let (shared, plan_stats) = build_plans(program, compiled, opts);
+        let (shared, plan_stats) = build_plans(program, compiled, waves);
         let verified = verify::verify(&shared.plan);
         debug_assert!(verified.is_ok(), "lowering emitted an invalid plan");
         Engine {
@@ -1028,16 +983,32 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// The options this engine was built with.
+    /// The options in effect.
     pub fn options(&self) -> ExecOptions {
         self.opts
     }
 
-    /// The program this engine serves — lets owners (a serving front)
-    /// rebuild an equivalent engine after containing a panic, without
-    /// holding the program reference separately.
-    pub fn program(&self) -> &'p IlirProgram {
-        self.program
+    /// An engine equivalent to a fresh build of this one — the same
+    /// program, lowering, plan and options — with cold caches and no
+    /// fault hook. The lowered plan is immutable and shared, so nothing
+    /// is compiled again; a serving front replaces an engine with this
+    /// after containing a panic, keeping its build kind.
+    pub fn rebuilt(&self) -> Engine<'p> {
+        Engine {
+            program: self.program,
+            opts: self.opts,
+            shared: self.shared.clone(),
+            plan_stats: self.plan_stats,
+            max_slots: self.max_slots,
+            lanes: vec![LaneState::default()],
+            weights: Mutex::default(),
+            groups: Vec::new(),
+            fault_hook: None,
+            params_gen: None,
+            verified: self.verified.clone(),
+            plan_arity: self.plan_arity,
+            params_validated: None,
+        }
     }
 
     /// Installs (or removes) the deterministic fault-injection hook.
@@ -1082,51 +1053,13 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Reconfigures a live engine, invalidating exactly the compiled
-    /// state the change can stale. The compiled kernels never change:
-    /// no option reaches the kernel compiler.
-    ///
-    /// * `wave_gemm` / `gate_stacking` change the **lowering** (which
-    ///   loops are waves, how sites group, what the plan ops reference),
-    ///   so the analyses and the linear program are rebuilt from the
-    ///   kept kernels and every grouping-shaped cache (stacked weight
-    ///   packs, group scratch, reduction plans) is dropped — a toggled
-    ///   engine behaves exactly like one freshly built with the new
-    ///   options (regression-tested per knob).
-    /// * `bulk` / `fastdot` / `interp` / `nonlinearity` and the
-    ///   admission limits are pure runtime dispatch: no compiled state
-    ///   depends on them, nothing invalidates. This is how the serving
-    ///   breaker demotes an engine to the oracle and back.
-    ///
-    /// The packed-weight cache remains keyed on `(model, params
-    /// generation)` independently of all knobs.
+    /// Swaps a live engine's runtime switches and admission limits.
+    /// The lowered plan and every cache keyed on it stay as they are:
+    /// no option reaches the lowering, so a reconfigured engine runs
+    /// exactly like one freshly built with `opts`. This is how the
+    /// serving breaker demotes an engine to the oracle and back.
     pub fn set_options(&mut self, opts: ExecOptions) {
-        if opts == self.opts {
-            return;
-        }
-        let lowering_changed =
-            opts.wave_gemm != self.opts.wave_gemm || opts.gate_stacking != self.opts.gate_stacking;
         self.opts = opts;
-        if lowering_changed {
-            let (shared, plan_stats) =
-                build_plans(self.program, self.shared.compiled.clone(), opts);
-            self.shared = shared;
-            self.plan_stats = plan_stats;
-            // Re-verify: a rebuilt plan passes the same static checks a
-            // fresh build does before any run is admitted against it.
-            self.verified = verify::verify(&self.shared.plan);
-            debug_assert!(self.verified.is_ok(), "rebuild emitted an invalid plan");
-            // Stacked-weight packs and group scratch are indexed by the
-            // previous grouping's ids; reduction plans are keyed by the
-            // addresses of the old program's expressions — drop all
-            // three so the engine is indistinguishable from a fresh
-            // build with these options.
-            self.weight_cache().packs.clear();
-            for lane in &mut self.lanes {
-                lane.caches.group_bufs.clear();
-                lane.caches.plan_cache.clear();
-            }
-        }
     }
 
     /// Number of `d_batch` loops that will execute as batched GEMM waves.
@@ -1134,9 +1067,9 @@ impl<'p> Engine<'p> {
         self.shared.plan.waves.len()
     }
 
-    /// The static verification verdict of the engine's lowered plan
-    /// (recomputed after every `set_options` rebuild). `Err` means every
-    /// execute call refuses with [`ExecError::Verify`].
+    /// The static verification verdict of the engine's lowered plan,
+    /// computed once at build. `Err` means every execute call refuses
+    /// with [`ExecError::Verify`].
     pub fn verified(&self) -> Result<(), VerifyError> {
         self.verified.clone()
     }

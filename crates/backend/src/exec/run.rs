@@ -201,7 +201,7 @@ impl<'a> Interp<'a> {
                 }
                 Op::BulkPass { id, done } => {
                     let bulk = &plan.bulks[*id];
-                    if self.opts.fastdot && self.opts.bulk && self.bulk_servable(bulk) {
+                    if self.opts.bulk && self.bulk_servable(bulk) {
                         self.exec_row_program(bulk);
                         cur.pc = *done;
                     } else {
@@ -262,7 +262,7 @@ impl<'a> Interp<'a> {
         // FusedEpilogue op — immediately in a solo run, after the flush
         // installs results when parked.
         if let Some(f) = d.fused {
-            if self.opts.fastdot && self.opts.bulk && self.fused_servable(&plan.fused[f]) {
+            if self.fused_servable(&plan.fused[f]) {
                 cur.recs.push(LoopRec::Fused {
                     id,
                     n: n as usize,

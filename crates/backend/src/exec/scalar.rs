@@ -17,12 +17,15 @@
 //! evaluates its own clone of the `ValExpr` tree the oracle walks, with
 //! the same code, so the two runtimes cannot diverge on arithmetic or
 //! accounting.
+//! Every `Sum` tries `fastdot::compile` first: a recognized body runs
+//! as one strided dot ([`Interp::eval_dot`]), a rejected one (a
+//! nonlinearity or guard around the reduction variable) sums per `k`
+//! through [`Interp::eval_val`].
 //! [`Interp::resolve_product`] walks a reduction's operands for
-//! `eval_dot` only — the per-element path of `ExecOptions::scalar()`,
-//! `wave_gemm: false` and `bulk: false`. The wave gather resolves the
-//! same operands through compiled address programs
-//! ([`super::address`]) into the same [`Resolved`] form, and the
-//! equivalence suites compare the two.
+//! `eval_dot` only — the path of `Engine::per_element` engines and of
+//! `bulk: false`. The wave gather resolves the same operands through
+//! compiled address programs ([`super::address`]) into the same
+//! [`Resolved`] form, and the equivalence suites compare the two.
 
 use cortex_core::expr::ValExpr;
 use cortex_core::ilir::{LaunchPattern, Stmt};
@@ -80,7 +83,7 @@ impl<'a> Interp<'a> {
                 // by row, a lone feature loop its one row; values and
                 // counters are identical to per-element interpretation.
                 let mut served = false;
-                if n > 0 && !is_wave && self.opts.fastdot && self.opts.bulk {
+                if n > 0 && !is_wave && self.opts.bulk {
                     let key = (self.cur_kernel, s as *const Stmt as usize);
                     let plans = self.stmt_plans.clone();
                     if let Some(fw) = plans.fused.get(&key) {
@@ -215,21 +218,20 @@ impl<'a> Interp<'a> {
                     return self.serve_memo_element(idx);
                 }
                 let key = &**body as *const ValExpr as usize;
-                let plan = if self.opts.fastdot {
-                    match self.caches.plan_cache.get(&key) {
-                        Some(p) => p.clone(),
-                        None => {
-                            let p = crate::fastdot::compile(*var, body).map(std::sync::Arc::new);
-                            self.caches.plan_cache.insert(key, p.clone());
-                            p
-                        }
+                let plan = match self.caches.plan_cache.get(&key) {
+                    Some(p) => p.clone(),
+                    None => {
+                        let p = crate::fastdot::compile(*var, body).map(std::sync::Arc::new);
+                        self.caches.plan_cache.insert(key, p.clone());
+                        p
                     }
-                } else {
-                    None
                 };
                 if let Some(plan) = plan {
                     self.eval_dot(&plan, n)
                 } else {
+                    // A body `fastdot::compile` rejects (a nonlinearity
+                    // or a guard around the reduction variable) sums
+                    // per k through the generic evaluator.
                     let slot = var.id() as usize;
                     let mut acc = 0.0f32;
                     for k in 0..n {

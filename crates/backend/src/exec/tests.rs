@@ -392,16 +392,17 @@ fn pc_runtime_matches_interp_oracle_exactly() {
     .iter()
     .enumerate()
     {
-        let program = lower(&g, schedule, StructureInfo { max_children: 2 }).unwrap();
         let tree = datasets::random_binary_tree(17, 11 + si as u64);
         let lin = Linearizer::new().linearize(&tree).unwrap();
-        // Both nonlinearity modes, against the oracle and against
-        // per-element serving (`bulk: false`).
+        // Both nonlinearity modes (each its own lowering), against the
+        // oracle and against per-element serving (`bulk: false`).
         for nonlinearity in [NonlinearityMode::Exact, NonlinearityMode::Rational] {
-            let on = ExecOptions {
+            let schedule = RaSchedule {
                 nonlinearity,
-                ..ExecOptions::default()
+                ..schedule.clone()
             };
+            let program = lower(&g, &schedule, StructureInfo { max_children: 2 }).unwrap();
+            let on = ExecOptions::default();
             let run = |opts| {
                 Engine::with_options(&program, opts)
                     .execute(&lin, &params, true)
@@ -695,14 +696,23 @@ fn verify_accepts_every_lowered_schedule_and_rebuild() {
     ];
     for schedule in &schedules {
         let program = lower(&g, schedule, StructureInfo { max_children: 2 }).unwrap();
-        let mut engine = Engine::new(&program);
+        let engine = Engine::new(&program);
         assert_eq!(engine.verified(), Ok(()), "fresh build ({schedule:?})");
         assert_eq!(engine.plan_arity(), 2, "tree model reads children 0..2");
-        // A `set_options` rebuild re-verifies the new plan.
-        engine.set_options(ExecOptions::generic());
-        assert_eq!(engine.verified(), Ok(()), "rebuild ({schedule:?})");
-        engine.set_options(ExecOptions::default());
-        assert_eq!(engine.verified(), Ok(()), "second rebuild ({schedule:?})");
+        // The per-element lowering verifies too, and a rebuilt engine
+        // keeps its plan's verdict.
+        let per_element = Engine::per_element(&program, ExecOptions::default());
+        assert_eq!(per_element.verified(), Ok(()), "per-element ({schedule:?})");
+        assert_eq!(
+            engine.rebuilt().verified(),
+            Ok(()),
+            "rebuilt ({schedule:?})"
+        );
+        assert_eq!(
+            per_element.rebuilt().num_wave_plans(),
+            0,
+            "rebuilt keeps the lowering"
+        );
     }
 }
 
@@ -1497,7 +1507,7 @@ fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
     let ilir = lower(g, &RaSchedule::default(), StructureInfo { max_children: 2 }).unwrap();
     let compiled: Arc<Vec<CompiledKernel>> =
         Arc::new(ilir.kernels.iter().map(CompiledKernel::compile).collect());
-    let (shared, _) = super::build_plans(&ilir, compiled, ExecOptions::default());
+    let (shared, _) = super::build_plans(&ilir, compiled, true);
     assert_eq!(verify(&shared.plan), Ok(()), "genuine plan verifies");
     shared
 }
@@ -1908,15 +1918,19 @@ fn one_var_binding_two_sums_compiles_to_two_sites() {
         2 * lin.internal_batches().len() as u64
     );
     let want_many = pc.execute_many(&lins, &params, true).unwrap();
-    for opts in [ExecOptions::interpreted(), ExecOptions::scalar()] {
-        let mut other = Engine::with_options(&program, opts);
-        assert_eq!(
-            other.execute(&lin, &params, true).unwrap(),
-            want,
-            "{opts:?}"
-        );
+    for (name, mut other) in [
+        (
+            "oracle",
+            Engine::with_options(&program, ExecOptions::interpreted()),
+        ),
+        (
+            "per-element",
+            Engine::per_element(&program, ExecOptions::default()),
+        ),
+    ] {
+        assert_eq!(other.execute(&lin, &params, true).unwrap(), want, "{name}");
         let many = other.execute_many(&lins, &params, true).unwrap();
-        assert_eq!(many, want_many, "{opts:?}");
+        assert_eq!(many, want_many, "{name}");
     }
 }
 
@@ -1985,9 +1999,9 @@ fn planned_sites_never_reach_the_scalar_dot() {
 
 /// Which sums leave the compiled paths: at default options no sum of the
 /// nine models (h = 8) reaches the per-element [`Interp::eval_dot`] —
-/// solo, in a batch of 4, on one lane and on two — while
-/// `ExecOptions::scalar()` runs every one there, which shows the count
-/// is live.
+/// solo, in a batch of 4, on one lane and on two — while an
+/// [`Engine::per_element`] engine runs every one there, which shows the
+/// count is live.
 ///
 /// [`Interp::eval_dot`]: super::interp::Interp::eval_dot
 #[test]
@@ -2024,11 +2038,11 @@ fn default_options_make_no_per_element_dots() {
             .collect();
         let refs: Vec<&Linearized> = lins.iter().collect();
         for lanes in [1, 2] {
-            for (opts, dots) in [
-                (ExecOptions::default(), false),
-                (ExecOptions::scalar(), true),
+            let opts = ExecOptions::default();
+            for (mut engine, dots) in [
+                (Engine::new(&program), false),
+                (Engine::per_element(&program, opts), true),
             ] {
-                let mut engine = Engine::with_options(&program, opts);
                 par::with_lanes(lanes, || {
                     engine.execute(&lins[0], &params, true).unwrap();
                     engine.execute_many(&refs, &params, true).unwrap();
@@ -2038,9 +2052,121 @@ fn default_options_make_no_per_element_dots() {
                 assert_eq!(
                     made > 0,
                     dots,
-                    "{name}, {lanes} lanes, {opts:?}: {made} dots"
+                    "{name}, {lanes} lanes, per-element {dots}: {made} dots"
                 );
             }
         }
+    }
+}
+
+/// Sums whose bodies `fastdot::compile` rejects run the per-`k` loop of
+/// the generic evaluator on every path: `rec(n)[i] = Σ_k tanh(h[c₀,k]) +
+/// Σ_k W[i,k]·(h[c₁,k] + 1)` — a nonlinearity around the reduction
+/// variable, and a product whose addend mixes a stream with a constant.
+/// Neither is a wave site or a strided dot. The pc runtime equals the
+/// oracle (outputs and `Profile`), solo and batched on one lane and on
+/// two, and both equal a hand computation in the same summation order.
+#[test]
+fn rejected_sum_bodies_run_the_per_k_loop_on_every_path() {
+    use cortex_core::expr::ValExpr;
+    use cortex_tensor::approx::tanh_exact;
+    use cortex_tensor::par;
+    let h = 6;
+    let vocab = datasets::VOCAB_SIZE as usize;
+    let mut g = RaGraph::new();
+    let emb_t = g.input("Emb", &[vocab, h]);
+    let w_t = g.input("W", &[h, h]);
+    let ph = g.placeholder("ph", &[h]);
+    let leaf = g.compute("leaf", &[h], |c| {
+        c.read(emb_t, &[c.node().word(), c.axis(0)])
+    });
+    let rec = g.compute("rec", &[h], |c| {
+        let (node, i) = (c.node(), c.axis(0));
+        let squashed = c.sum(h, |c, k| c.read(ph, &[node.clone().child(0), k]).tanh());
+        let shifted = c.sum(h, |c, k| {
+            let row = c.read(ph, &[node.clone().child(1), k.clone()]);
+            c.read(w_t, &[i.clone(), k])
+                .mul(row.add(ValExpr::Const(1.0)))
+        });
+        squashed.add(shifted)
+    });
+    let body = g.if_then_else("body", leaf, rec).unwrap();
+    let rnn = g.recursion(ph, body).unwrap();
+    g.mark_output(rnn);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+    let (emb, w) = (
+        Tensor::random(&[vocab, h], 0.5, 7),
+        Tensor::random(&[h, h], 0.5, 8),
+    );
+    let mut params = Params::new();
+    params.set("Emb", emb.clone());
+    params.set("W", w.clone());
+    let lins: Vec<Linearized> = (0..5u64)
+        .map(|s| {
+            let tree = datasets::random_binary_tree(3 + 4 * s as usize, 60 + s);
+            Linearizer::new().linearize(&tree).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+
+    let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
+    let want: Vec<_> = (lins.iter())
+        .map(|l| oracle.execute(l, &params, true).unwrap())
+        .collect();
+    for (lin, (out, _)) in lins.iter().zip(&want) {
+        let mut hand = vec![vec![0.0f32; h]; lin.num_nodes()];
+        for &n in lin.post_order() {
+            let n = n as usize;
+            if lin.is_leaf(n as u32) {
+                hand[n] = emb.row(lin.word(n as u32) as usize).to_vec();
+                continue;
+            }
+            let (c0, c1) = (
+                lin.child(0, n as u32).unwrap() as usize,
+                lin.child(1, n as u32).unwrap() as usize,
+            );
+            for i in 0..h {
+                let (mut squashed, mut shifted) = (0.0f32, 0.0f32);
+                for k in 0..h {
+                    squashed += tanh_exact(hand[c0][k]);
+                    shifted += w[[i, k]] * (hand[c1][k] + 1.0);
+                }
+                hand[n][i] = squashed + shifted;
+            }
+        }
+        for (n, row) in hand.iter().enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                assert_eq!(
+                    out[&rnn.id()][[n, i]].to_bits(),
+                    v.to_bits(),
+                    "node {n} elem {i}"
+                );
+            }
+        }
+    }
+    for lanes in [1, 2] {
+        par::with_lanes(lanes, || {
+            let mut pc = Engine::new(&program);
+            for (lin, want) in lins.iter().zip(&want) {
+                assert!(
+                    pc.execute(lin, &params, true).unwrap() == *want,
+                    "{lanes} lanes: solo"
+                );
+            }
+            let many = pc.execute_many(&refs, &params, true).unwrap();
+            assert!(many == want, "{lanes} lanes: batched");
+            assert_eq!(pc.stats().sites_batched, 0, "neither sum is a wave site");
+            let lanes_of = || pc.lanes.iter().map(|lane| &lane.caches);
+            assert_eq!(lanes_of().map(|c| c.dots).sum::<u64>(), 0, "no strided dot");
+            assert!(
+                lanes_of().any(|c| c.plan_cache.values().any(Option::is_none)),
+                "a rejected body is cached as rejected"
+            );
+        });
     }
 }

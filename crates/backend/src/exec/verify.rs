@@ -1,7 +1,7 @@
 //! Static verification of a lowered [`Program`].
 //!
-//! Runs once per [`super::build_plans`] (fresh engine builds *and*
-//! `set_options` rebuilds) and turns every invariant the pc runtime
+//! Runs once per engine build, after [`super::build_plans`] (the plan
+//! never changes afterwards), and turns every invariant the pc runtime
 //! assumes — documented on [`super::program`] — into a checked one:
 //!
 //! * every jump/branch/loop/kernel pc operand lands inside the op

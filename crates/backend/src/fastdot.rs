@@ -9,9 +9,10 @@
 //! the executor runs as a tight multiply-accumulate loop, exactly what
 //! generated code would do.
 //!
-//! The match is best-effort: anything outside the recognized shapes falls
-//! back to the generic interpreter, and a property test asserts the two
-//! paths agree bit-for-bit on random programs.
+//! The match is best-effort: anything outside the recognized shapes sums
+//! per `k` through the generic evaluator, and every `Sum` tries this
+//! match first. The executor's tests pin that fallback against a hand
+//! computation (`rejected_sum_bodies_run_the_per_k_loop_on_every_path`).
 
 use cortex_core::expr::{BinOp, BoolExpr, IdxExpr, TensorId, ValExpr, Var};
 

@@ -175,25 +175,23 @@ pub(crate) struct WeightRef {
 
 /// Analyzes compiled kernel bodies, returning the wave plans by wave id
 /// and the map from each planned `For` statement's address to its id.
-/// With `stack` set, sites with compatible signatures are grouped into
-/// stacked GEMMs; without it each site forms its own singleton group
-/// (the pre-stacking behavior, kept as an executor option so the two
-/// paths can cross-check each other).
+/// Sites with compatible signatures are grouped into stacked GEMMs
+/// (`group_sites`).
 ///
 /// The addresses are lookup keys for walks over these same kernels (the
 /// lowering, the `interp: true` oracle), stable because the bodies are
 /// never mutated; nothing dereferences them.
-pub(crate) fn analyze(bodies: &[&[Stmt]], stack: bool) -> (Vec<WavePlan>, HashMap<usize, usize>) {
+pub(crate) fn analyze(bodies: &[&[Stmt]]) -> (Vec<WavePlan>, HashMap<usize, usize>) {
     let mut plans = (Vec::new(), HashMap::new());
     for body in bodies {
         for stmt in *body {
-            visit(stmt, stack, &mut plans);
+            visit(stmt, &mut plans);
         }
     }
     plans
 }
 
-fn visit(stmt: &Stmt, stack: bool, plans: &mut (Vec<WavePlan>, HashMap<usize, usize>)) {
+fn visit(stmt: &Stmt, plans: &mut (Vec<WavePlan>, HashMap<usize, usize>)) {
     if let Stmt::For {
         var,
         kind: LoopKind::Parallel,
@@ -204,7 +202,7 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut (Vec<WavePlan>, HashMap<usize, us
     {
         if d.0 == "d_batch" {
             let group_base = plans.0.last().map_or(0, |p| p.group_base + p.groups.len());
-            if let Some(plan) = plan_wave(*var, body, stack, group_base) {
+            if let Some(plan) = plan_wave(*var, body, group_base) {
                 plans.1.insert(stmt as *const Stmt as usize, plans.0.len());
                 plans.0.push(plan);
                 return; // sites under this loop are covered by the plan
@@ -213,15 +211,15 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut (Vec<WavePlan>, HashMap<usize, us
     }
     match stmt {
         Stmt::For { body, .. } | Stmt::Let { body, .. } => {
-            body.iter().for_each(|s| visit(s, stack, plans));
+            body.iter().for_each(|s| visit(s, plans));
         }
         Stmt::If {
             then_branch,
             else_branch,
             ..
         } => {
-            then_branch.iter().for_each(|s| visit(s, stack, plans));
-            else_branch.iter().for_each(|s| visit(s, stack, plans));
+            then_branch.iter().for_each(|s| visit(s, plans));
+            else_branch.iter().for_each(|s| visit(s, plans));
         }
         Stmt::Store { .. } | Stmt::Barrier => {}
     }
@@ -229,7 +227,7 @@ fn visit(stmt: &Stmt, stack: bool, plans: &mut (Vec<WavePlan>, HashMap<usize, us
 
 /// Builds a plan for one `d_batch` loop body, or `None` if nothing under
 /// it batches.
-fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool, group_base: usize) -> Option<WavePlan> {
+fn plan_wave(n_idx: Var, body: &[Stmt], group_base: usize) -> Option<WavePlan> {
     let (node_let, stmts): (Option<(usize, &IdxExpr)>, &[Stmt]) = match body {
         [Stmt::Let { var, value, body }] => (Some((var.id() as usize, value)), body.as_slice()),
         other => (None, other),
@@ -314,7 +312,7 @@ fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool, group_base: usize) -> Optio
     if sites.is_empty() {
         None
     } else {
-        let groups = group_sites(&sites, stack);
+        let groups = group_sites(&sites);
         Some(WavePlan {
             n_idx_slot: n_idx.id() as usize,
             node_let: node_let.map(|(slot, value)| (slot, Coord::new(value))),
@@ -336,9 +334,9 @@ fn plan_wave(n_idx: Var, body: &[Stmt], stack: bool, group_base: usize) -> Optio
 /// ([`GroupKind::SharedRows`] — one gather, vertically stacked weights).
 /// Pass 2 groups leftover singletons that read the same weight window
 /// ([`GroupKind::SharedWeight`] — one packed weight, row-stacked
-/// gathers). Whatever remains is a singleton `SharedRows` group, which
-/// the executor runs exactly like the pre-stacking per-site GEMM.
-fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
+/// gathers). Whatever remains is a singleton `SharedRows` group (one
+/// GEMM for its one site), or a `PerNode` group for a per-node product.
+fn group_sites(sites: &[SumSite]) -> Vec<SiteGroup> {
     let group = |kind, members| SiteGroup {
         kind,
         members,
@@ -349,9 +347,6 @@ fn group_sites(sites: &[SumSite], stack: bool) -> Vec<SiteGroup> {
         Some(_) => group(GroupKind::PerNode, vec![i]),
         None => group(GroupKind::SharedRows, vec![i]),
     };
-    if !stack {
-        return (0..sites.len()).map(single).collect();
-    }
     let stacks = |i: usize| sites[i].per_node.is_none();
     let mut groups = Vec::new();
     let mut grouped = vec![false; sites.len()];
@@ -1015,7 +1010,7 @@ mod tests {
         };
         let stmt = node_loop(vec![feature_loop(i, 4, 0, store(2, &[node, i], value))]);
         let body = [stmt];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         assert_eq!(plans.len(), 1, "the guarded sum must be planned");
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
@@ -1050,7 +1045,7 @@ mod tests {
         };
         let stmt = node_loop(vec![feature_loop(i, 4, 0, store(2, &[node, i], value))]);
         let body = [stmt];
-        assert!(analyze(&[&body], true).0.is_empty());
+        assert!(analyze(&[&body]).0.is_empty());
     }
 
     #[test]
@@ -1079,7 +1074,7 @@ mod tests {
     fn canonical_gate_loop_is_planned() {
         let stmt = wave_loop(8, 8);
         let body = [stmt];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         assert_eq!(plans.len(), 1);
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
@@ -1114,7 +1109,7 @@ mod tests {
         let body = [serial];
         // The inner feature loop is reachable but the loop itself is not a
         // d_batch parallel loop, so nothing batches.
-        assert!(analyze(&[&body], true).0.is_empty());
+        assert!(analyze(&[&body]).0.is_empty());
     }
 
     /// Builds a TreeLSTM-shaped wave loop: `gates` sites reading the
@@ -1158,7 +1153,7 @@ mod tests {
     #[test]
     fn gates_sharing_rows_stack_and_forget_gates_share_weight() {
         let body = [multi_gate_loop(3, 2, 8)];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 5);
         let shared_rows: Vec<_> = plan
@@ -1184,21 +1179,9 @@ mod tests {
     }
 
     #[test]
-    fn stacking_disabled_yields_singleton_groups() {
-        let body = [multi_gate_loop(3, 2, 8)];
-        let (plans, _) = analyze(&[&body], false);
-        let plan = &plans[0];
-        assert_eq!(plan.groups.len(), 5);
-        assert!(plan
-            .groups
-            .iter()
-            .all(|g| g.kind == GroupKind::SharedRows && g.members.len() == 1));
-    }
-
-    #[test]
     fn canonical_single_gate_is_a_singleton_group() {
         let body = [wave_loop(8, 8)];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         let plan = &plans[0];
         assert_eq!(plan.groups.len(), 1);
         assert_eq!(plan.groups[0].members, vec![0]);
@@ -1225,7 +1208,7 @@ mod tests {
     #[test]
     fn rank2_matrix_site_is_planned() {
         let body = [rank2_loop(5, 7, 5)];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         assert_eq!(plans.len(), 1);
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
@@ -1263,7 +1246,7 @@ mod tests {
         };
         let stmt = node_loop(vec![feature_loop(i, 6, 0, store(2, &[node, i], sum))]);
         let body = [stmt];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         assert_eq!(plans.len(), 1, "the matvec must be planned");
         let site = &plans[0].sites[0];
         let product = site.per_node.as_ref().expect("a per-node product");
@@ -1290,7 +1273,7 @@ mod tests {
         let stmt = store(2, &[node, i, j], sum);
         let stmt = node_loop(vec![feature_loop(i, 3, 0, feature_loop(j, 5, 1, stmt))]);
         let body = [stmt];
-        let (plans, _) = analyze(&[&body], true);
+        let (plans, _) = analyze(&[&body]);
         let plan = &plans[0];
         assert_eq!(plan.sites.len(), 1);
         assert!(plan.sites[0].per_node.is_none());
@@ -1377,6 +1360,6 @@ mod tests {
             }],
         };
         let body = [stmt];
-        assert!(analyze(&[&body], true).0.is_empty());
+        assert!(analyze(&[&body]).0.is_empty());
     }
 }

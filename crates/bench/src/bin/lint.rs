@@ -29,6 +29,12 @@
 //!    keeps the execution paths bit-identical by construction. The
 //!    `[libm]` allowlist names the modelled vendor kernels, the files
 //!    where `.tanh()` is the `ValExpr` builder, and test-only files.
+//! 6. **Size budgets** — the `[budget]` table caps the non-test lines of
+//!    a directory: every line of its `.rs` files (recursively) before
+//!    the file's first `#[cfg(test)]` that opens an inline module,
+//!    `tests.rs` files excluded. A directory over its cap fails, and so
+//!    does a cap without a `#` reason line directly above it: raising a
+//!    cap means writing down why, in the same change.
 //!
 //! Run with `cargo run --release -p cortex-bench-harness --bin lint`;
 //! CI runs it as part of the `analysis-gates` job. Exit code 1 on any
@@ -266,11 +272,92 @@ const GATED_RULES: [GatedRule; 3] = [
 ];
 
 /// The 1-based line of a file's first `#[cfg(test)]` (everything from
-/// there on is test code), or `usize::MAX`.
+/// there on is test code), or `usize::MAX`. A `#[cfg(test)]` on a
+/// module declaration (`mod tests;`, whose body is its own file) does
+/// not count: the code after it is not test code.
 fn test_start(text: &str) -> usize {
-    text.lines()
-        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+    let lines: Vec<&str> = text.lines().collect();
+    let declares_module = |next: Option<&&str>| {
+        next.is_some_and(|l| {
+            let l = l.trim();
+            l.starts_with("mod ") && l.ends_with(';')
+        })
+    };
+    (0..lines.len())
+        .find(|&i| {
+            lines[i].trim_start().starts_with("#[cfg(test)]") && !declares_module(lines.get(i + 1))
+        })
         .map_or(usize::MAX, |i| i + 1)
+}
+
+/// One `[budget]` entry: a repo-relative directory and its cap.
+#[derive(Debug, PartialEq)]
+struct Budget {
+    dir: String,
+    cap: usize,
+}
+
+/// The `[budget]` table of the allowlist text. Every entry must be
+/// `<dir> <cap>` with a `#` reason line directly above it; each entry
+/// that is not is returned as a violation.
+fn parse_budgets(text: &str) -> (Vec<Budget>, Vec<String>) {
+    let (mut budgets, mut violations) = (Vec::new(), Vec::new());
+    let (mut in_budget, mut reasoned) = (false, false);
+    for line in text.lines().map(str::trim) {
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            in_budget = name == "budget";
+        } else if line.starts_with('#') {
+            reasoned = true;
+            continue;
+        } else if in_budget && !line.is_empty() {
+            let mut fields = line.split_whitespace();
+            let entry = match (fields.next(), fields.next().map(str::parse), fields.next()) {
+                (Some(dir), Some(Ok(cap)), None) => Some(Budget {
+                    dir: dir.trim_end_matches('/').to_string(),
+                    cap,
+                }),
+                _ => None,
+            };
+            match entry {
+                None => violations.push(format!(
+                    "lint-allow.txt: [budget] entry `{line}` is not `<dir> <cap>`"
+                )),
+                Some(b) if !reasoned => violations.push(format!(
+                    "lint-allow.txt: [budget] cap for {} has no `#` reason line above it",
+                    b.dir
+                )),
+                Some(b) => budgets.push(b),
+            }
+        }
+        reasoned = false;
+    }
+    (budgets, violations)
+}
+
+/// Every directory over its budget, as a violation. The count is the
+/// non-test lines of the `.rs` files under the directory, `tests.rs`
+/// files excluded; a budget naming no file is stale.
+fn over_budget(files: &[(String, String)], budgets: &[Budget]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for Budget { dir, cap } in budgets {
+        let prefix = format!("{dir}/");
+        let counted: Vec<usize> = (files.iter())
+            .filter(|(rel, _)| rel.starts_with(&prefix) && !rel.ends_with("/tests.rs"))
+            .map(|(_, text)| text.lines().count().min(test_start(text) - 1))
+            .collect();
+        let lines: usize = counted.iter().sum();
+        if counted.is_empty() {
+            violations.push(format!(
+                "lint-allow.txt: stale [budget] entry {dir} (no source file under it; delete the line)"
+            ));
+        } else if lines > *cap {
+            violations.push(format!(
+                "{dir}: {lines} non-test lines, over its [budget] cap of {cap} (delete code, \
+                 or raise the cap in lint-allow.txt with a reason line above it)"
+            ));
+        }
+    }
+    violations
 }
 
 /// Every violation in `files` (`(repo-relative path, source text)`
@@ -357,10 +444,10 @@ fn main() {
         .expect("repo root")
         .to_path_buf();
     let allow_path = root.join("lint-allow.txt");
-    let allow = parse_allowlist(
-        &std::fs::read_to_string(&allow_path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", allow_path.display())),
-    );
+    let allow_text = std::fs::read_to_string(&allow_path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", allow_path.display()));
+    let allow = parse_allowlist(&allow_text);
+    let (budgets, mut budget_violations) = parse_budgets(&allow_text);
 
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
@@ -377,7 +464,9 @@ fn main() {
         })
         .collect();
     let scanned = files.len();
-    let violations = lint(&files, &allow);
+    let mut violations = lint(&files, &allow);
+    violations.append(&mut budget_violations);
+    violations.extend(over_budget(&files, &budgets));
 
     if violations.is_empty() {
         println!("lint: {scanned} files clean");
@@ -445,6 +534,49 @@ mod tests {
         let violations = lint(&files, &allow);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("stale [libm] entry crates/backend/src/tested.rs"));
+    }
+
+    #[test]
+    fn size_budgets_count_non_test_lines_and_need_a_reason() {
+        let files = [
+            // 3 lines, then an inline test module: 3 count.
+            file(
+                "crates/a/src/exec/mod.rs",
+                "#[cfg(test)]\nmod tests;\nfn f() {}\n#[cfg(test)]\nmod t {\n}\n",
+            ),
+            // A test file counts nothing, wherever it sits.
+            file("crates/a/src/exec/tests.rs", "fn t() {}\nfn u() {}\n"),
+            file("crates/a/src/exec/deep/run.rs", "fn g() {}\nfn h() {}\n"),
+            file("crates/a/src/other.rs", "fn o() {}\n"),
+        ];
+        let check = |table: &str| {
+            let (budgets, mut violations) = parse_budgets(table);
+            violations.extend(over_budget(&files, &budgets));
+            violations
+        };
+        assert_eq!(
+            check("[budget]\n# why\ncrates/a/src/exec 5\n"),
+            Vec::<String>::new()
+        );
+        let over = check("[budget]\n# why\ncrates/a/src/exec/ 4\n");
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert!(
+            over[0].starts_with("crates/a/src/exec: 5 non-test lines, over its [budget] cap of 4")
+        );
+        let bare = check("[budget]\n# why\ncrates/a/src/exec 5\ncrates/a/src 9\nnonsense\n");
+        assert_eq!(bare.len(), 2, "{bare:?}");
+        assert!(bare[0].contains("cap for crates/a/src has no `#` reason line"));
+        assert!(bare[1].contains("entry `nonsense` is not `<dir> <cap>`"));
+        let stale = check("[budget]\n# gone\ncrates/b/src 1\n");
+        assert!(
+            stale[0].contains("stale [budget] entry crates/b/src"),
+            "{stale:?}"
+        );
+        // Entries of other sections are not budgets.
+        assert_eq!(
+            parse_budgets("[clock]\ncrates/a/src/other.rs\n").0,
+            Vec::new()
+        );
     }
 
     #[test]

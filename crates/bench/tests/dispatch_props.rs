@@ -176,18 +176,15 @@ fn row_programs_match_the_per_element_walk_on_random_statement_lists() {
     for case in 0..24 {
         let h = [3, 8, 17, 64, 70, 131][case % 6];
         let (g, out, params) = random_cell(&mut rng, h);
-        let program = lower(
-            &g,
-            &RaSchedule::default(),
-            StructureInfo { max_children: 2 },
-        )
-        .unwrap_or_else(|e| panic!("case {case}: lower failed: {e}"));
+        let schedule = RaSchedule {
+            nonlinearity: [NonlinearityMode::Exact, NonlinearityMode::Rational][case / 6 % 2],
+            ..RaSchedule::default()
+        };
+        let program = lower(&g, &schedule, StructureInfo { max_children: 2 })
+            .unwrap_or_else(|e| panic!("case {case}: lower failed: {e}"));
         let tree = cortex_ds::datasets::random_binary_tree(rng.range_usize(2, 12), rng.next_u64());
         let lin = Linearizer::new().linearize(&tree).unwrap();
-        let on = ExecOptions {
-            nonlinearity: [NonlinearityMode::Exact, NonlinearityMode::Rational][case / 6 % 2],
-            ..ExecOptions::default()
-        };
+        let on = ExecOptions::default();
         let mut flat = Engine::with_options(&program, on);
         let (out_f, prof_f) = flat.execute(&lin, &params, true).unwrap();
         assert!(flat.stats().fused_waves > 0, "case {case}: body must fuse");
@@ -200,23 +197,13 @@ fn row_programs_match_the_per_element_walk_on_random_statement_lists() {
         // run per element, but the combining statement (no reduction) still
         // row-serves — as a one-statement view of the fused program,
         // its forwarded gate reads now real loads.
-        let solo = ExecOptions {
-            wave_gemm: false,
-            ..on
-        };
-        let mut view = Engine::with_options(&program, solo);
+        let mut view = Engine::per_element(&program, on);
         let (out_v, prof_v) = view.execute(&lin, &params, true).unwrap();
         let fused = (view.stats().fused_waves, flat.stats().fused_waves);
         assert!(fused.0 < fused.1, "case {case}: only the leaf wave fuses");
-        let (out_s, prof_s) = Engine::with_options(
-            &program,
-            ExecOptions {
-                bulk: false,
-                ..solo
-            },
-        )
-        .execute(&lin, &params, true)
-        .unwrap();
+        let (out_s, prof_s) = Engine::per_element(&program, ExecOptions { bulk: false, ..on })
+            .execute(&lin, &params, true)
+            .unwrap();
         assert_eq!(out_v[&out], out_s[&out], "case {case} h={h}: view outputs");
         assert_eq!(prof_v, prof_s, "case {case} h={h}: view Profile");
     }

@@ -1,7 +1,8 @@
 //! Acceptance gate for the compile-pipeline verifier: every Table 2
 //! model's lowered ExecPlan passes `Program::verify()` with zero
-//! findings — at engine build and again after every `set_options`
-//! rebuild — and admits its own Table 2 dataset through intake
+//! findings — for both lowerings (the batched wavefront engine and the
+//! per-element one), and on the engine a serving front rebuilds after a
+//! contained panic — and admits its own Table 2 dataset through intake
 //! validation.
 
 use cortex_backend::exec::{Engine, ExecOptions};
@@ -41,20 +42,26 @@ fn every_model_plan_verifies_at_build_and_after_rebuilds() {
             engine.plan_arity(),
             model.max_children
         );
-        // Every option change that rebuilds the plan must re-verify it.
+        // The per-element lowering verifies too, under the runtime
+        // switches, and a rebuilt engine keeps its plan's verdict.
         for opts in [
-            ExecOptions::generic(),
-            ExecOptions::unstacked(),
             ExecOptions::default(),
+            ExecOptions {
+                bulk: false,
+                ..ExecOptions::default()
+            },
         ] {
-            engine.set_options(opts);
+            let per_element = Engine::per_element(&program, opts);
             assert_eq!(
-                engine.verified(),
+                per_element.verified(),
                 Ok(()),
-                "{}: rebuild under {opts:?} must verify",
+                "{}: per-element build under {opts:?} must verify",
                 model.name
             );
+            assert_eq!(per_element.rebuilt().verified(), Ok(()), "{}", model.name);
         }
+        engine.set_options(ExecOptions::interpreted());
+        assert_eq!(engine.rebuilt().verified(), Ok(()), "{}", model.name);
     }
 }
 

@@ -554,7 +554,10 @@ pub struct RaSchedule {
     pub barrier: BarrierMode,
     /// Loop peeling factor for variable-bound loops (Appendix A.5).
     pub peel: Option<usize>,
-    /// Nonlinearity implementation for generated code.
+    /// Nonlinearity implementation for generated code — exact or the
+    /// rational approximations (App. A.5). This is the one place the
+    /// mode is chosen: the executor reads it from the lowered program's
+    /// schedule, so running one graph in both modes lowers it twice.
     pub nonlinearity: NonlinearityMode,
 }
 

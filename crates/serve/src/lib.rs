@@ -428,7 +428,6 @@ enum ChunkOutcome {
 /// chunk is bisected until the fault is isolated to the request(s) that
 /// actually carry it.
 pub struct Batcher<'p> {
-    program: &'p IlirProgram,
     engine: Engine<'p>,
     /// The healthy (non-degraded) engine options; the circuit breaker
     /// restores these when its reset window elapses.
@@ -488,7 +487,6 @@ impl<'p> Batcher<'p> {
     /// [`ExecOptions`]).
     pub fn with_engine(engine: Engine<'p>, params: Params, opts: BatcherOptions) -> Self {
         Batcher {
-            program: engine.program(),
             base_opts: engine.options(),
             fault_hook: engine.fault_hook(),
             engine,
@@ -527,12 +525,13 @@ impl<'p> Batcher<'p> {
         self.engine.set_fault_hook(hook);
     }
 
-    /// Reconfigures the underlying engine's executor options while
-    /// requests may be queued. Safe by construction: queued requests
-    /// have not started executing (a flush chunk runs to completion
-    /// within one [`Batcher::flush`] call), and [`Engine::set_options`]
-    /// rebuilds analyses and drops grouping-shaped caches so the next
-    /// flush behaves exactly like a freshly built engine — results stay
+    /// Reconfigures the underlying engine's runtime switches and
+    /// admission limits while requests may be queued. Safe by
+    /// construction: queued requests have not started executing (a
+    /// flush chunk runs to completion within one [`Batcher::flush`]
+    /// call), and no option reaches the engine's lowered plan
+    /// ([`Engine::set_options`]), so the next flush behaves exactly like
+    /// a freshly built engine with these options — results stay
     /// bit-identical (regression-tested).
     pub fn set_exec_options(&mut self, opts: ExecOptions) {
         self.base_opts = opts;
@@ -888,11 +887,10 @@ impl<'p> Batcher<'p> {
     }
 
     /// Replaces the engine after a contained panic: same program, same
-    /// options (including any degradation in effect), same fault hook,
-    /// cold caches.
+    /// lowering ([`Engine::rebuilt`]), same options (including any
+    /// degradation in effect), same fault hook, cold caches.
     fn rebuild_engine(&mut self) {
-        let opts = self.engine.options();
-        self.engine = Engine::with_options(self.program, opts);
+        self.engine = self.engine.rebuilt();
         self.engine.set_fault_hook(self.fault_hook.clone());
     }
 
@@ -1802,6 +1800,69 @@ mod tests {
         assert_eq!(stats.resolved_err, 1);
     }
 
+    /// The engine a contained panic forces the batcher to rebuild keeps
+    /// its build kind: a per-element engine comes back per-element (no
+    /// wave GEMM), a batched one batched, and every healthy request's
+    /// response is bit-identical to a solo run on a fresh engine of that
+    /// kind, before and after the rebuild.
+    #[test]
+    fn a_rebuilt_engine_keeps_its_build_kind() {
+        silence_injected_panics();
+        let model = treelstm::tree_lstm(5, LeafInit::Embedding);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let trees: Vec<RecStructure> = [5usize, 9, 13, 17]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| datasets::random_binary_tree(n, i as u64))
+            .collect();
+        let culprit_nodes = lin(&trees[1]).num_nodes();
+        let opts = ExecOptions::default();
+        for per_element in [true, false] {
+            let build = || match per_element {
+                true => Engine::per_element(&program, opts),
+                false => Engine::with_options(&program, opts),
+            };
+            let mut batcher = Batcher::with_engine(build(), model.params.clone(), manual(4));
+            let (hook, _) = FaultInjector::new(3)
+                .always(FaultAction::Panic)
+                .poison_nodes(culprit_nodes)
+                .into_hook();
+            batcher.set_fault_hook(Some(hook));
+            let tickets: Vec<Ticket> = (trees.iter())
+                .map(|t| batcher.submit(lin(t)).unwrap())
+                .collect();
+            assert!(
+                batcher.serve_stats().panics_contained >= 1,
+                "the engine was rebuilt"
+            );
+            batcher.set_fault_hook(None);
+            let again: Vec<Ticket> = (trees.iter())
+                .map(|t| batcher.submit(lin(t)).unwrap())
+                .collect();
+            assert_eq!(
+                batcher.stats().wave_gemms == 0,
+                per_element,
+                "per-element {per_element}: the rebuilt engine keeps its lowering"
+            );
+            let mut solo = build();
+            for (i, t) in trees.iter().enumerate() {
+                let want = solo.execute(&lin(t), &model.params, true).unwrap();
+                for ticket in [tickets[i], again[i]] {
+                    match batcher.poll(ticket) {
+                        Err(ServeError::Poisoned { .. }) if i == 1 && ticket == tickets[i] => {}
+                        outcome => {
+                            let response = outcome.unwrap().expect("served");
+                            assert!(
+                                (response.outputs, response.profile) == want,
+                                "per-element {per_element}, tree {i}: bit-identical"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// With a fault hook installed, an engine runs a flush's lane groups
     /// one after another on the caller. A sticky culprit then meets the
     /// same faults on one lane and on two: every ticket's outcome, the
@@ -1971,19 +2032,15 @@ mod tests {
         // Satellite regression: `set_exec_options` while requests are
         // queued (they have not started executing) must either serve
         // them bit-identically under the new configuration or reject
-        // them — never corrupt. The engine rebuilds analyses and drops
-        // grouping-shaped caches on reconfiguration, so the flush after
-        // the switch behaves exactly like a freshly built engine.
+        // them — never corrupt. No option reaches the lowered plan, so
+        // the flush after the switch behaves exactly like a freshly
+        // built engine.
         let model = treelstm::tree_lstm(6, LeafInit::Embedding);
         let program = model.lower(&RaSchedule::default()).unwrap();
         let trees: Vec<RecStructure> = (0..4u64)
             .map(|s| datasets::random_binary_tree(5 + 2 * s as usize, 90 + s))
             .collect();
         let flips = [
-            ExecOptions {
-                gate_stacking: false,
-                ..ExecOptions::default()
-            },
             ExecOptions {
                 bulk: false,
                 ..ExecOptions::default()

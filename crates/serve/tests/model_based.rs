@@ -211,10 +211,7 @@ fn run_interleaving(model: &Model, gen_input: &dyn Fn(&mut Rng) -> RecStructure,
                         bulk: false,
                         ..ExecOptions::default()
                     },
-                    _ => ExecOptions {
-                        gate_stacking: false,
-                        ..ExecOptions::default()
-                    },
+                    _ => ExecOptions::interpreted(),
                 });
             }
         }

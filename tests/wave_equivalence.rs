@@ -1,18 +1,19 @@
 //! Equivalence of the executor configurations.
 //!
-//! The batched wavefront engine (`wave_gemm`, with and without gate
-//! stacking), the scalar reduction fast path (`fastdot`), and the fully
-//! generic interpreter must agree on every model, schedule, and input
-//! structure:
+//! The batched wavefront engine (`Engine::new`: stacked wave GEMMs), the
+//! per-element engine (`Engine::per_element`: one strided dot per
+//! reduction element) and the AST-walking oracle (`interp: true`) must
+//! agree on every model, schedule, and input structure:
 //!
 //! * outputs within 1e-5 (different summation orders, same math), and
-//! * **identical** `Profile` counters between the scalar and batched
-//!   paths — the wave engine replays the exact per-element accounting it
-//!   optimizes away, whether a site runs its own GEMM or shares a
-//!   stacked one.
+//! * **identical** `Profile` counters between the per-element and
+//!   batched engines — the wave engine replays the exact per-element
+//!   accounting it optimizes away, whether a site runs its own GEMM or
+//!   shares a stacked one.
 
 use cortex::backend::exec::{Engine, ExecOptions};
 use cortex::backend::profile::Profile;
+use cortex::core::ilir::IlirProgram;
 use cortex::core::ra::RaSchedule;
 use cortex::ds::linearizer::Linearizer;
 use cortex::ds::{datasets, RecStructure};
@@ -22,6 +23,16 @@ use cortex_rng::Rng;
 
 /// Both nonlinearity modes: every bit-identity contract holds in each.
 const NONLINEARITIES: [NonlinearityMode; 2] = [NonlinearityMode::Exact, NonlinearityMode::Rational];
+
+/// `model` lowered with the default schedule in `nonlinearity` mode —
+/// the schedule is where the mode is chosen (App. A.5).
+fn lower_in(model: &Model, nonlinearity: NonlinearityMode) -> IlirProgram {
+    let schedule = RaSchedule {
+        nonlinearity,
+        ..RaSchedule::default()
+    };
+    model.lower(&schedule).unwrap()
+}
 
 fn models(h: usize) -> Vec<Model> {
     vec![
@@ -96,29 +107,23 @@ fn three_executors_agree_on_random_models_and_trees() {
             let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
 
-            let (out_g, _) = Engine::with_options(&program, ExecOptions::generic())
-                .execute(&lin, &model.params, true)
-                .unwrap();
-            let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
+            let (out_s, prof_s) = Engine::per_element(&program, ExecOptions::default())
                 .execute(&lin, &model.params, true)
                 .unwrap();
             let (out_w, prof_w) = Engine::new(&program)
                 .execute(&lin, &model.params, true)
                 .unwrap();
+            let oracle = Engine::with_options(&program, ExecOptions::interpreted())
+                .execute(&lin, &model.params, true)
+                .unwrap();
 
             let ctx = format!("{} h={h} case={case}", model.name);
-            for (id, t_g) in &out_g {
-                let t_s = &out_s[id];
-                let t_w = &out_w[id];
+            assert!(oracle == (out_w.clone(), prof_w.clone()), "oracle ({ctx})");
+            for (id, t_s) in &out_s {
                 assert!(
-                    t_s.all_close(t_g, 1e-5),
-                    "scalar vs generic diverge ({ctx}): {:?}",
-                    t_s.max_abs_diff(t_g)
-                );
-                assert!(
-                    t_w.all_close(t_g, 1e-5),
-                    "batched vs generic diverge ({ctx}): {:?}",
-                    t_w.max_abs_diff(t_g)
+                    out_w[id].all_close(t_s, 1e-5),
+                    "batched vs per-element diverge ({ctx}): {:?}",
+                    out_w[id].max_abs_diff(t_s)
                 );
             }
             assert_profiles_identical(&prof_s, &prof_w, &ctx);
@@ -126,11 +131,11 @@ fn three_executors_agree_on_random_models_and_trees() {
     }
 }
 
-/// Property test for the gate-stacking tentpole: on randomized
-/// TreeLSTM/TreeGRU forests the stacked path must match the per-site
-/// path element-for-element **exactly** (an element's k-sequential
-/// chain does not depend on which columns share its GEMM) and
-/// counter-for-counter exactly, while actually issuing fewer GEMMs.
+/// Gate stacking on randomized TreeLSTM/TreeGRU forests: the stacked
+/// wave GEMMs must match the per-element engine, which computes every
+/// site alone — outputs within 1e-5, counters exactly — while sites
+/// actually share GEMMs: every TreeLSTM site is a member of a stacked
+/// group, and TreeGRU's r/z gates stack.
 #[test]
 fn stacked_path_matches_per_site_path_on_random_forests() {
     let mut rng = Rng::new(0x54);
@@ -146,29 +151,37 @@ fn stacked_path_matches_per_site_path_on_random_forests() {
             let lin = Linearizer::new().linearize(&structure).unwrap();
 
             let mut stacked = Engine::new(&program);
-            let mut per_site = Engine::with_options(&program, ExecOptions::unstacked());
+            let mut per_site = Engine::per_element(&program, ExecOptions::default());
             let (out_g, prof_g) = stacked.execute(&lin, &model.params, true).unwrap();
             let (out_u, prof_u) = per_site.execute(&lin, &model.params, true).unwrap();
 
             let ctx = format!("{} h={h} case={case}", model.name);
             for (id, t_g) in &out_g {
-                assert_eq!(&out_u[id], t_g, "stacked vs per-site diverge ({ctx})");
+                assert!(
+                    out_u[id].all_close(t_g, 1e-5),
+                    "stacked vs per-site diverge ({ctx})"
+                );
             }
             assert_profiles_identical(&prof_u, &prof_g, &ctx);
-            // Stacking must actually reduce GEMM launches: TreeLSTM's
-            // i/o/u gates share one GEMM and its forget gates another;
-            // TreeGRU's r/z gates stack likewise.
-            let (sg, su) = (stacked.stats(), per_site.stats());
-            assert_eq!(su.stacked_groups, 0, "{ctx}: unstacked ran stacked GEMMs");
-            if su.wave_gemms > 0 {
+            // TreeLSTM's i/o/u gates share one GEMM and its forget
+            // gates another; TreeGRU's r/z gates stack likewise.
+            let sg = stacked.stats();
+            assert_eq!(
+                per_site.stats().wave_gemms,
+                0,
+                "{ctx}: per-element ran a GEMM"
+            );
+            if sg.wave_gemms > 0 {
                 assert!(
-                    sg.stacked_groups > 0 && sg.wave_gemms < su.wave_gemms,
-                    "{ctx}: stacking did not engage ({sg:?} vs {su:?})"
+                    sg.stacked_groups > 0,
+                    "{ctx}: stacking did not engage ({sg:?})"
                 );
-                assert_eq!(
-                    sg.sites_batched, su.sites_batched,
-                    "{ctx}: stacking changed which sites batch"
-                );
+                if model.name == "TreeLSTM" {
+                    assert_eq!(
+                        sg.stacked_sites, sg.sites_batched,
+                        "{ctx}: every site stacks"
+                    );
+                }
             }
         }
     }
@@ -189,22 +202,19 @@ fn treelstm_gemm_count_drops_three_fold_with_stacking() {
     let lin = Linearizer::new().linearize(&forest).unwrap();
 
     let mut stacked = Engine::new(&program);
-    let mut per_site = Engine::with_options(&program, ExecOptions::unstacked());
     let (out_s, _) = stacked.execute(&lin, &model.params, true).unwrap();
-    let (out_u, _) = per_site.execute(&lin, &model.params, true).unwrap();
+    let (out_u, _) = Engine::per_element(&program, ExecOptions::default())
+        .execute(&lin, &model.params, true)
+        .unwrap();
     for (id, t) in &out_s {
         assert!(out_u[id].all_close(t, 1e-4));
     }
-    let (sg, su) = (stacked.stats(), per_site.stats());
+    let sg = stacked.stats();
     // 5 sites per wave (i, o, u, f0, f1) → 2 GEMMs (i/o/u weight-stacked,
     // f0/f1 row-stacked): a 2.5× launch reduction, every site served.
-    assert_eq!(
-        su.wave_gemms,
-        5 * su.waves_batched,
-        "per-site: 5 GEMMs/wave"
-    );
+    assert!(sg.waves_batched > 0);
+    assert_eq!(sg.sites_batched, 5 * sg.waves_batched, "5 sites/wave");
     assert_eq!(sg.wave_gemms, 2 * sg.waves_batched, "stacked: 2 GEMMs/wave");
-    assert_eq!(sg.sites_batched, su.sites_batched);
     assert_eq!(
         sg.stacked_sites, sg.sites_batched,
         "all 5 sites share GEMMs"
@@ -242,7 +252,7 @@ fn executors_agree_across_random_schedules() {
         let structure = structure_for(&model, &mut rng);
         let program = model.lower(&schedule).unwrap();
         let lin = Linearizer::new().linearize(&structure).unwrap();
-        let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
+        let (out_s, prof_s) = Engine::per_element(&program, ExecOptions::default())
             .execute(&lin, &model.params, true)
             .unwrap();
         let (out_w, prof_w) = Engine::new(&program)
@@ -525,7 +535,7 @@ fn guard_outside_reduction_batches_and_agrees_exactly() {
         let d = datasets::grid_dag(rng.range_usize(2, 7), rng.range_usize(2, 7), 3 + case);
         let lin = Linearizer::new().linearize(&d).unwrap();
 
-        let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
+        let (out_s, prof_s) = Engine::per_element(&program, ExecOptions::default())
             .execute(&lin, &params, true)
             .unwrap();
         let mut batched = Engine::new(&program);
@@ -629,7 +639,7 @@ fn per_node_product_waves_never_park() {
             .map(|l| solo.execute(l, &params, true).unwrap())
             .collect();
         let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
-        let mut scalar = Engine::with_options(&program, ExecOptions::scalar());
+        let mut scalar = Engine::per_element(&program, ExecOptions::default());
         for (l, (out, prof)) in lins.iter().zip(&want) {
             assert!(oracle.execute(l, &params, true).unwrap() == (out.clone(), prof.clone()));
             let (out_s, prof_s) = scalar.execute(l, &params, true).unwrap();
@@ -690,7 +700,6 @@ fn execute_many_equals_independent_runs_exactly() {
                     }
                 })
                 .collect();
-            let program = model.lower(&RaSchedule::default()).unwrap();
             let lins: Vec<_> = structures
                 .iter()
                 .map(|s| Linearizer::new().linearize(s).unwrap())
@@ -698,15 +707,12 @@ fn execute_many_equals_independent_runs_exactly() {
             let refs: Vec<&_> = lins.iter().collect();
 
             for nonlinearity in NONLINEARITIES {
-                let opts = ExecOptions {
-                    nonlinearity,
-                    ..ExecOptions::default()
-                };
-                let mut engine = Engine::with_options(&program, opts);
+                let program = lower_in(&model, nonlinearity);
+                let mut engine = Engine::new(&program);
                 let many = engine.execute_many(&refs, &model.params, true).unwrap();
                 assert_eq!(many.len(), k);
 
-                let mut solo_engine = Engine::with_options(&program, opts);
+                let mut solo_engine = Engine::new(&program);
                 for (r, (out_m, prof_m)) in many.iter().enumerate() {
                     let (out_s, prof_s) =
                         solo_engine.execute(&lins[r], &model.params, true).unwrap();
@@ -913,16 +919,13 @@ fn bulk_serving_is_bit_identical_to_per_element_serving() {
         let h = rng.range_usize(3, 14);
         for model in nine_models(h, h).into_iter().chain(wide_mv_rnns(case)) {
             let structure = structure_for(&model, &mut rng);
-            let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
 
             // Both nonlinearity modes: the row programs and the
             // per-element walk share one lane definition of each.
             for nonlinearity in NONLINEARITIES {
-                let on = ExecOptions {
-                    nonlinearity,
-                    ..ExecOptions::default()
-                };
+                let program = lower_in(&model, nonlinearity);
+                let on = ExecOptions::default();
                 let mut bulk = Engine::with_options(&program, on);
                 let (out_b, prof_b) = bulk.execute(&lin, &model.params, true).unwrap();
                 let mut per_elem =
@@ -975,7 +978,7 @@ fn mvrnn_rank2_store_loops_bulk_serve() {
         4 * (internal * (4 * h as u64 + 3 * h2 + 4 * h as u64) + leaves * (2 * h as u64 + 2 * h2));
     assert_eq!(stats.epilogue_bytes, want, "one plane per rank-2 store");
 
-    let (out_s, prof_s) = Engine::with_options(&program, ExecOptions::scalar())
+    let (out_s, prof_s) = Engine::per_element(&program, ExecOptions::default())
         .execute(&lin, &model.params, true)
         .unwrap();
     for (id, t_s) in &out_s {
@@ -984,7 +987,7 @@ fn mvrnn_rank2_store_loops_bulk_serve() {
     assert_profiles_identical(&prof_s, &prof_b, "MV-RNN rank-2 bulk");
 }
 
-/// The `Rational` nonlinearity mode (App. A.5, `ExecOptions::rational`)
+/// The `Rational` nonlinearity mode (App. A.5, `RaSchedule::nonlinearity`)
 /// must stay within 1e-4 of the exact-mode results end-to-end on every
 /// model — including 100-step sequences and 10×10 grid DAGs, where
 /// per-application error could compound — while leaving every `Profile`
@@ -997,13 +1000,12 @@ fn rational_nonlinearity_bounds_error_and_keeps_profile_exact() {
         let h = rng.range_usize(4, 20);
         for model in models(h) {
             let structure = structure_for(&model, &mut rng);
-            let program = model.lower(&RaSchedule::default()).unwrap();
             let lin = Linearizer::new().linearize(&structure).unwrap();
 
-            let (out_e, prof_e) = Engine::new(&program)
+            let (out_e, prof_e) = Engine::new(&lower_in(&model, NonlinearityMode::Exact))
                 .execute(&lin, &model.params, true)
                 .unwrap();
-            let (out_r, prof_r) = Engine::with_options(&program, ExecOptions::rational())
+            let (out_r, prof_r) = Engine::new(&lower_in(&model, NonlinearityMode::Rational))
                 .execute(&lin, &model.params, true)
                 .unwrap();
             let ctx = format!("{} h={h} case={case}", model.name);
@@ -1103,7 +1105,6 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
     for case in 0..3 {
         let h = rng.range_usize(3, 12);
         for model in nine_models(h, h).into_iter().chain(wide_mv_rnns(case)) {
-            let program = model.lower(&RaSchedule::default()).unwrap();
             // One solo input and a depth-16 serving batch (mixed shapes
             // and depths), run in both nonlinearity modes.
             let structure = structure_for(&model, &mut rng);
@@ -1118,23 +1119,14 @@ fn plan_runtime_matches_interp_oracle_on_all_models() {
 
             for nonlinearity in NONLINEARITIES {
                 let ctx = format!("{} h={h} case={case} {nonlinearity:?}", model.name);
-                let opts = ExecOptions {
-                    nonlinearity,
-                    ..ExecOptions::default()
-                };
-                let mut oracle = Engine::with_options(
-                    &program,
-                    ExecOptions {
-                        interp: true,
-                        ..opts
-                    },
-                );
+                let program = lower_in(&model, nonlinearity);
+                let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
                 let solo = oracle.execute(&lin, &model.params, true).unwrap();
                 let want: Vec<_> = (lins.iter())
                     .map(|l| oracle.execute(l, &model.params, true).unwrap())
                     .collect();
 
-                let mut pc = Engine::with_options(&program, opts);
+                let mut pc = Engine::new(&program);
                 assert!(
                     pc.plan_stats().plan_ops > 0,
                     "{ctx}: kernels must lower to a plan"
@@ -1206,12 +1198,11 @@ fn pc_suspension_parks_mid_wave_and_resumes_exactly() {
 }
 
 /// Reconfiguring a live engine must behave exactly like building a
-/// fresh engine with the new options: lowering-relevant knobs
-/// (`wave_gemm`, `gate_stacking`) rebuild the plans and drop
-/// grouping-shaped caches, and runtime knobs (`bulk`, `nonlinearity`,
-/// `interp`) switch paths without stale compiled state. Every knob —
-/// `fastdot` included, via the generic configuration — is flipped on
-/// one engine whose caches were warmed under the previous configuration.
+/// fresh engine of the same build kind with the new options: every
+/// option is a runtime switch or limit (`bulk`, `interp`, the admission
+/// limits), so no plan or cache goes stale. Each is flipped on one
+/// engine of each build kind whose caches were warmed under the
+/// previous configuration.
 #[test]
 fn set_options_matches_fresh_engine_for_every_knob() {
     let model = treelstm::tree_lstm(10, LeafInit::Embedding);
@@ -1220,10 +1211,6 @@ fn set_options_matches_fresh_engine_for_every_knob() {
     let lin = Linearizer::new().linearize(&tree).unwrap();
 
     let flips: Vec<(&str, ExecOptions)> = vec![
-        ("gate_stacking off", ExecOptions::unstacked()),
-        ("wave_gemm off", ExecOptions::scalar()),
-        ("fastdot off (generic)", ExecOptions::generic()),
-        ("back to default", ExecOptions::default()),
         (
             "bulk off",
             ExecOptions {
@@ -1231,55 +1218,66 @@ fn set_options_matches_fresh_engine_for_every_knob() {
                 ..ExecOptions::default()
             },
         ),
-        ("nonlinearity rational", ExecOptions::rational()),
+        ("back to default", ExecOptions::default()),
+        ("interp oracle", ExecOptions::interpreted()),
         (
-            "interp oracle",
+            "admission limits",
             ExecOptions {
-                interp: true,
+                memory_budget: Some(1 << 30),
+                max_input_nodes: Some(1 << 20),
+                max_input_depth: Some(1 << 20),
+                watchdog_fuel: Some(1 << 40),
                 ..ExecOptions::default()
             },
         ),
         ("default again", ExecOptions::default()),
     ];
 
-    let mut live = Engine::new(&program);
-    // Warm every cache under the initial configuration.
-    live.execute(&lin, &model.params, true).unwrap();
-    live.execute(&lin, &model.params, true).unwrap();
+    let build = |per_element: bool, opts| match per_element {
+        false => Engine::with_options(&program, opts),
+        true => Engine::per_element(&program, opts),
+    };
+    for (kind, per_element) in [("batched", false), ("per-element", true)] {
+        let mut live = build(per_element, ExecOptions::default());
+        // Warm every cache under the initial configuration.
+        live.execute(&lin, &model.params, true).unwrap();
+        live.execute(&lin, &model.params, true).unwrap();
 
-    for (name, opts) in flips {
-        live.set_options(opts);
-        let (out_l, prof_l) = live.execute(&lin, &model.params, true).unwrap();
-        let live_stats = live.stats();
+        for (name, opts) in &flips {
+            let (name, opts) = (format!("{kind}, {name}"), *opts);
+            live.set_options(opts);
+            let (out_l, prof_l) = live.execute(&lin, &model.params, true).unwrap();
+            let live_stats = live.stats();
 
-        let mut fresh = Engine::with_options(&program, opts);
-        let (out_f, prof_f) = fresh.execute(&lin, &model.params, true).unwrap();
-        let fresh_stats = fresh.stats();
+            let mut fresh = build(per_element, opts);
+            let (out_f, prof_f) = fresh.execute(&lin, &model.params, true).unwrap();
+            let fresh_stats = fresh.stats();
 
-        for (id, t_f) in &out_f {
-            assert_eq!(&out_l[id], t_f, "{name}: outputs must be bit-equal");
+            for (id, t_f) in &out_f {
+                assert_eq!(&out_l[id], t_f, "{name}: outputs must be bit-equal");
+            }
+            assert_eq!(prof_l, prof_f, "{name}: profiles must be identical");
+            // Strategy counters prove the live engine actually switched
+            // paths instead of reusing stale compiled state (weight_packs
+            // legitimately differs: the fresh engine packs, the live one
+            // may reuse params-keyed packs — that cache is
+            // options-independent by design).
+            assert_eq!(
+                live_stats.wave_gemms, fresh_stats.wave_gemms,
+                "{name}: wave GEMM schedule must match a fresh engine"
+            );
+            assert_eq!(
+                live_stats.stacked_groups, fresh_stats.stacked_groups,
+                "{name}: stacking must match a fresh engine"
+            );
+            assert_eq!(
+                live_stats.sites_batched, fresh_stats.sites_batched,
+                "{name}: site serving must match a fresh engine"
+            );
+            assert_eq!(
+                live_stats.fused_waves, fresh_stats.fused_waves,
+                "{name}: fused epilogues must match a fresh engine"
+            );
         }
-        assert_eq!(prof_l, prof_f, "{name}: profiles must be identical");
-        // Strategy counters prove the live engine actually switched
-        // paths instead of reusing stale compiled state (weight_packs
-        // legitimately differs: the fresh engine packs, the live one
-        // may reuse params-keyed packs — that cache is
-        // options-independent by design).
-        assert_eq!(
-            live_stats.wave_gemms, fresh_stats.wave_gemms,
-            "{name}: wave GEMM schedule must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.stacked_groups, fresh_stats.stacked_groups,
-            "{name}: stacking must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.sites_batched, fresh_stats.sites_batched,
-            "{name}: site serving must match a fresh engine"
-        );
-        assert_eq!(
-            live_stats.fused_waves, fresh_stats.fused_waves,
-            "{name}: fused epilogues must match a fresh engine"
-        );
     }
 }
