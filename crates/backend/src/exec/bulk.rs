@@ -49,7 +49,6 @@ use cortex_tensor::par::{self, Buf, RowAccess, RowWindows, Window};
 use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
 use super::address::{Addr, Cond, Coord};
-use super::analysis::parsafety::{certify_fused, ParSafety};
 use super::gather::ActiveGroup;
 use super::interp::{BufData, Buffer, Interp};
 use super::lowering::StmtPlans;
@@ -198,10 +197,11 @@ pub(crate) struct RowProgram {
 /// A parallel `d_batch` (wave) loop whose **whole body** lowers into one
 /// [`RowProgram`], served row by row — node order, like per-node
 /// interpretation — with statements that read each other's own-row
-/// stores sharing a tile sweep. That is valid because [`certify_fused`]
-/// restricts cross-statement reads to each node's own rows or
-/// strictly-earlier-wave rows (child indirections); profile counters
-/// are order-independent sums, so the `Profile` is bit-identical too.
+/// stores sharing a tile sweep. That is valid because only waves whose
+/// rows are disjoint ([`FusedWave::rows_disjoint`]) fuse: cross-statement
+/// reads stay on each node's own rows or strictly-earlier-wave rows
+/// (child indirections); profile counters are order-independent sums,
+/// so the `Profile` is bit-identical too.
 pub(crate) struct FusedWave {
     /// Slot of the wave loop variable.
     pub(crate) n_idx_slot: usize,
@@ -212,6 +212,68 @@ pub(crate) struct FusedWave {
     /// Bytes one node's row streams through the tile registers, counted
     /// at lowering (see [`RowProgram::stream_bytes`]).
     pub(crate) bytes_per_row: u64,
+}
+
+impl FusedWave {
+    /// Whether serving the body's statements together, tile by tile
+    /// within each node's row, is observationally identical to per-node
+    /// interpretation — the same condition under which the wave's rows
+    /// may be swept concurrently. It holds when
+    ///
+    /// * every store targets a node-unique row (some non-feature index
+    ///   position rides the wave variable or the node binding), so no two
+    ///   nodes write the same cell;
+    /// * statements storing one tensor share one index pattern;
+    /// * every load of a body-stored tensor either stays within its own
+    ///   node's row (non-feature index positions structurally equal to
+    ///   the store's) or reads a strictly-earlier wave's row through a
+    ///   child indirection rooted at the wave node.
+    ///
+    /// [`plan_fused_wave`] only fuses a wave for which this holds, and
+    /// [`super::verify`] re-derives it for every stored fused wave.
+    pub(crate) fn rows_disjoint(&self) -> bool {
+        use crate::fastdot::idx_uses_var;
+        let n_idx = Var::from_raw(self.n_idx_slot as u32);
+        let node = (self.node_let.as_ref()).map(|(slot, _)| Var::from_raw(*slot as u32));
+        let instrs = || self.prog.passes.iter().flat_map(|p| &p.instrs);
+        // The first store of every stored tensor (a handful: no map needed).
+        let mut stores: Vec<&Addr> = Vec::new();
+        for ins in instrs() {
+            let Instr::Store { cells, .. } = ins else {
+                continue;
+            };
+            let node_dep = cells.index.iter().enumerate().any(|(d, e)| {
+                Some(d) != cells.hole
+                    && (idx_uses_var(e, n_idx) || node.is_some_and(|nv| idx_uses_var(e, nv)))
+            });
+            if !node_dep {
+                return false;
+            }
+            match stores.iter().find(|s| s.tensor == cells.tensor) {
+                None => stores.push(cells),
+                Some(first) if *first != cells => return false,
+                Some(_) => {}
+            }
+        }
+        instrs().all(|ins| {
+            let Instr::Load { cells, .. } = ins else {
+                return true; // constants, memo rows and guards load no tensors
+            };
+            let Some(store) = stores.iter().find(|s| s.tensor == cells.tensor) else {
+                return true; // not written by this wave body
+            };
+            cells.index.len() == store.index.len()
+                && cells.index.iter().enumerate().all(|(d, ix)| {
+                    // Within the stored row's feature dimension, any
+                    // element is same-row; elsewhere the coordinate must
+                    // match the store's (same node row) or be an
+                    // earlier-wave child row.
+                    Some(d) == store.hole
+                        || *ix == store.index[d]
+                        || crate::wave::is_wave_child_indirection(ix, n_idx, node)
+                })
+        })
+    }
 }
 
 /// Bytes of tile streams (`rows × bytes_per_row`) from which a fused
@@ -288,15 +350,6 @@ enum Source {
     Splat(f32),
     /// `scale · rows[at + i]` of a wave GEMM result.
     Memo { group: usize, at: usize, scale: f32 },
-}
-
-impl FusedWave {
-    /// Derives the parallel-safety certificate of the wave's row program.
-    pub(crate) fn certify(&self) -> ParSafety {
-        let node = self.node_let.as_ref().map(|(slot, _)| *slot as u32);
-        let n_idx = Var::from_raw(self.n_idx_slot as u32);
-        certify_fused(&self.prog, n_idx, node.map(Var::from_raw))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -400,8 +453,8 @@ fn plan_fused_wave<'s>(
         prog,
     };
     // Only row-disjoint bodies fuse: sharing a sweep, and sweeping rows
-    // in parallel, need the certificate.
-    (fw.certify() == ParSafety::RowDisjoint).then_some((fw, stmts))
+    // in parallel, need it.
+    fw.rows_disjoint().then_some((fw, stmts))
 }
 
 /// Lowers a list of body statements — feature loops, each with the

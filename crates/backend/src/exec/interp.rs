@@ -321,7 +321,7 @@ pub(crate) struct RunState {
     packs: Vec<RunPack>,
     cursor: PcCursor,
     #[cfg(feature = "checked")]
-    shadow: super::analysis::shadow::ShadowState,
+    shadow: super::shadow::ShadowState,
 }
 
 /// The per-request execution state both runtimes drive: one request's
@@ -388,10 +388,10 @@ pub(crate) struct Interp<'a> {
     /// [`Interp::start_cursor`]).
     pub(crate) cursor: PcCursor,
     /// Shadow-access checker state (`checked` builds only): the dynamic
-    /// twin of the static effect summaries — see
-    /// [`super::analysis::shadow`]. Reset at every run's start.
+    /// twin of the wave and fusion legality checks — see
+    /// [`super::shadow`]. Reset at every run's start.
     #[cfg(feature = "checked")]
-    pub(crate) shadow: super::analysis::shadow::ShadowState,
+    pub(crate) shadow: super::shadow::ShadowState,
 }
 
 /// Source of [`Interp::cache_epoch`] values.

@@ -25,7 +25,6 @@ use std::sync::Arc;
 use cortex_core::expr::{BoolExpr, IdxExpr, ValExpr, Var};
 use cortex_core::ilir::{LaunchPattern, Stmt};
 
-use super::analysis::parsafety;
 use super::bulk::{FusedWave, RowProgram};
 use super::program::{KernelDef, LoopDef, Op, Pc, Program, StoreOp};
 use crate::wave::WavePlan;
@@ -244,23 +243,15 @@ pub(crate) fn lower(
             num_slots: kernel.num_slots,
         });
     }
-    let mut program = Program {
+    Program {
         ops: lw.ops,
         loops: lw.loops,
         stores: lw.stores,
         waves,
-        wave_safety: Vec::new(),
         fused: lw.fused,
         bulks: lw.bulks,
         kernels,
-    };
-    // The static parallel-safety certificate of every wave's body, which
-    // `verify` re-derives the same way.
-    program.wave_safety = parsafety::wave_certificates(&program)
-        .into_iter()
-        .map(|cert| cert.expect("every wave plan names a lowered loop"))
-        .collect();
-    program
+    }
 }
 
 struct Lowerer<'e> {

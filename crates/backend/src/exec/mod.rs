@@ -53,7 +53,6 @@
 //!   `execute_many` is one solo walk per request, in input order.
 
 pub(crate) mod address;
-mod analysis;
 mod bulk;
 mod gather;
 mod interp;
@@ -61,6 +60,8 @@ mod lowering;
 mod program;
 mod run;
 mod scalar;
+#[cfg(feature = "checked")]
+mod shadow;
 mod stopwatch;
 #[cfg(test)]
 mod tests;
@@ -89,13 +90,14 @@ use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
 use stopwatch::Stopwatch;
 
-pub use analysis::{ParSafety, SeqReason};
 pub use program::PlanStats;
 pub use verify::VerifyError;
 
 /// Whether this build records every runtime access into the dynamic
-/// shadow checker and asserts it against the static effect summaries
-/// (the `checked` cargo feature). Default builds pay nothing.
+/// shadow checker and asserts it against what lowering promised: no
+/// wave stores a cell its gathers read, no fused row touches another
+/// row's cells (the `checked` cargo feature). Default builds pay
+/// nothing.
 pub fn shadow_checking_enabled() -> bool {
     cfg!(feature = "checked")
 }
@@ -611,38 +613,19 @@ pub struct ExecStats {
     /// wave would count other requests' wall time into its own phase,
     /// and the `interp: true` oracle lacks the loop bracket.
     pub serve_ns: u64,
-    /// Wave bodies (plain and fused) carrying a
-    /// [`ParSafety::RowDisjoint`] certificate: their `d_batch`
-    /// iterations are statically race-free. Compile-time facts — this,
-    /// `par_unsafe_waves` and its reason histogram are seeded into every
-    /// run's stats so one `stats()` read describes the engine end to
-    /// end.
-    pub par_safe_waves: u64,
-    /// Wave bodies certified [`ParSafety::Sequential`] — must not be
-    /// dispatched concurrently.
-    pub par_unsafe_waves: u64,
-    /// `par_unsafe_waves` split by [`SeqReason`], indexed by
-    /// [`SeqReason::index`].
-    pub par_unsafe_by_reason: [u64; 6],
     /// Dynamic shadow-checker assertions executed (0 unless the
     /// `checked` feature is on — see [`shadow_checking_enabled`]).
     pub shadow_checks: u64,
 }
 
 impl ExecStats {
-    /// Adds one lane group's run counters to these; the compile-time
-    /// fields stay this side's. The destructuring is exhaustive, so a
-    /// new field must be named here as one or the other. The `*_ns`
+    /// Adds one lane group's run counters to these. The destructuring
+    /// is exhaustive, so a new field must be named here. The `*_ns`
     /// fields sum over lanes: lane time, not wall time.
     fn absorb(&mut self, group: &ExecStats) {
         macro_rules! sum {
             ($($f:ident),*) => {{
-                let ExecStats {
-                    $($f,)*
-                    par_safe_waves: _,
-                    par_unsafe_waves: _,
-                    par_unsafe_by_reason: _,
-                } = *group;
+                let ExecStats { $($f,)* } = *group;
                 $(self.$f += $f;)*
             }};
         }
@@ -900,22 +883,9 @@ fn build_plans(
     }
     let mut clock = Stopwatch::start();
     let plan = lowering::lower(&compiled, waves, &stmt_plans);
-    let lower_ns = clock.lap();
-    // The lowering certified every wave body it attached a plan to;
-    // count the verdicts here.
-    let safe_wave_bodies = plan
-        .wave_safety
-        .iter()
-        .filter(|c| matches!(c, ParSafety::RowDisjoint))
-        .count();
-    // Every fused wave is row-disjoint (only those fuse).
-    let par_safe_waves = safe_wave_bodies + plan.fused.len();
-    let par_unsafe_waves = plan.wave_safety.len() - safe_wave_bodies;
     let stats = PlanStats {
         plan_ops: plan.ops.len(),
-        lower_ns,
-        par_safe_waves,
-        par_unsafe_waves,
+        lower_ns: clock.lap(),
         ..PlanStats::default()
     };
     (
@@ -1242,31 +1212,12 @@ impl<'p> Engine<'p> {
     /// Diagnostic counters of the most recent [`Engine::execute`] or
     /// [`Engine::execute_many`] call (the latter's summed over its lane
     /// groups, in group order, or over its requests under the oracle).
-    /// The compile-time analysis fields (`par_*`) are seeded into every
-    /// run, so one read describes the engine end to end.
     pub fn stats(&self) -> ExecStats {
         self.lanes[0].caches.stats
     }
 
-    /// The [`ExecStats`] every run starts from: zeros for the runtime
-    /// counters, the engine's static-analysis results pre-filled.
-    fn stats_seed(&self) -> ExecStats {
-        let mut par_unsafe_by_reason = [0u64; 6];
-        for cert in &self.shared.plan.wave_safety {
-            if let ParSafety::Sequential { reason } = cert {
-                par_unsafe_by_reason[reason.index()] += 1;
-            }
-        }
-        ExecStats {
-            par_safe_waves: self.plan_stats.par_safe_waves as u64,
-            par_unsafe_waves: self.plan_stats.par_unsafe_waves as u64,
-            par_unsafe_by_reason,
-            ..ExecStats::default()
-        }
-    }
-
-    /// Compile-time facts about the lowered plan: instruction count,
-    /// lowering time and the static-analysis verdicts.
+    /// Compile-time facts about the lowered plan: instruction count and
+    /// lowering time.
     pub fn plan_stats(&self) -> PlanStats {
         self.plan_stats
     }
@@ -1293,7 +1244,7 @@ impl<'p> Engine<'p> {
     ) -> Result<(HashMap<TensorId, Tensor>, Profile), ExecError> {
         self.admit(&[lin], params)?;
         self.refresh_weight_cache(params);
-        self.lanes[0].caches.stats = self.stats_seed();
+        self.lanes[0].caches.stats = ExecStats::default();
         self.run_solo(lin, params, persist_active)
     }
 
@@ -1394,7 +1345,7 @@ impl<'p> Engine<'p> {
         // good requests solo.
         self.admit(lins, params)?;
         self.refresh_weight_cache(params);
-        let mut stats = self.stats_seed();
+        let mut stats = ExecStats::default();
         if self.opts.interp {
             self.groups = (0..lins.len()).map(|r| vec![r]).collect();
             self.lanes[0].caches.stats = stats;

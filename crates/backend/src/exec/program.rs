@@ -32,7 +32,6 @@ use std::sync::Arc;
 use cortex_core::expr::{BoolExpr, IdxExpr, TensorId, ValExpr};
 use cortex_core::ilir::LaunchPattern;
 
-use super::analysis::ParSafety;
 use super::bulk::{FusedWave, RowProgram};
 use crate::wave::WavePlan;
 
@@ -128,14 +127,8 @@ pub(crate) struct Program {
     pub(crate) stores: Vec<StoreOp>,
     /// The wave GEMM plans, by wave id ([`LoopDef::wave`]).
     pub(crate) waves: Vec<WavePlan>,
-    /// Parallel-safety certificate of each wave's `d_batch` body,
-    /// aligned with `waves`. Derived from the body's ops by the static
-    /// certifier at lowering ([`super::analysis::parsafety`]), re-derived
-    /// and compared by [`super::verify`] so a forged entry is rejected.
-    pub(crate) wave_safety: Vec<ParSafety>,
-    /// Fused waves carry no stored certificate: `plan_fused_wave` only
-    /// builds row-disjoint ones, and [`super::verify`] re-derives that
-    /// from each wave's row program.
+    /// The fused waves: only row-disjoint ones are built, and
+    /// [`super::verify`] re-derives that from each wave's row program.
     pub(crate) fused: Vec<Arc<FusedWave>>,
     pub(crate) bulks: Vec<Arc<RowProgram>>,
     pub(crate) kernels: Vec<KernelDef>,
@@ -160,12 +153,6 @@ pub struct PlanStats {
     pub plan_ops: usize,
     /// Wall-clock nanoseconds the lowering pass took at engine build.
     pub lower_ns: u64,
-    /// Wave bodies certified row-disjoint by the static parallel-safety
-    /// certifier (wave GEMM bodies plus fused row passes).
-    pub par_safe_waves: usize,
-    /// Wave bodies the certifier refused (see
-    /// `ExecStats::par_unsafe_by_reason` for the breakdown).
-    pub par_unsafe_waves: usize,
     /// Always 0: the direct-threaded tier is gone; `benchmarks/` still
     /// reads this field and `specialize_ns` by name.
     pub threaded_ops: usize,

@@ -8,8 +8,8 @@
 //! *during* the wave, exactly the intra-wave dependence `plan_wave`
 //! statically rules out. Likewise each fused row pass records which
 //! wave row wrote each cell and asserts that no other row writes or
-//! reads it — the runtime twin of the
-//! [`ParSafety::RowDisjoint`](super::parsafety::ParSafety) certificate.
+//! reads it — the runtime twin of the row-disjointness check that gates
+//! fusion ([`FusedWave::rows_disjoint`](super::bulk::FusedWave::rows_disjoint)).
 //!
 //! The hooks live behind `--features checked` and are exercised by the
 //! cross-model suites (every model × every schedule, both runtimes);
@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 
 use cortex_core::expr::TensorId;
 
-use super::super::interp::Interp;
+use super::interp::Interp;
 
 /// Per-run shadow state, kept in the run state for its allocations and
 /// reset at every run's start ([`ShadowState::reset`]).
@@ -119,7 +119,7 @@ impl<'a> Interp<'a> {
                 assert!(
                     owner == row,
                     "shadow violation: fused rows {owner} and {row} both wrote \
-                     {tensor}[{off}] (RowDisjoint certificate broken)"
+                     {tensor}[{off}] (fused rows not disjoint)"
                 );
             }
         }
@@ -145,7 +145,7 @@ impl<'a> Interp<'a> {
                 assert!(
                     owner == row,
                     "shadow violation: fused row {row} read {tensor}[{off}] \
-                     written by row {owner} (RowDisjoint certificate broken)"
+                     written by row {owner} (fused rows not disjoint)"
                 );
             }
         }

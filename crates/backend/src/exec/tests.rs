@@ -1362,145 +1362,10 @@ fn guarded_plans_admit_any_arity_and_match_the_oracle() {
     assert_eq!(got[&out], want[&out], "outputs must be bit-identical");
 }
 
-// -- static analysis: parallel-safety certifier, shadow --
+// -- static checks: fused-wave row-disjointness, verify, shadow --
 
-use cortex_core::expr::{IdxBinOp, IdxExpr, Ufn, ValExpr, Var};
-use cortex_core::ilir::{LaunchPattern, LoopKind, Stmt};
-
-use super::analysis::parsafety::{certify_fused, certify_wave};
-use super::{ParSafety, SeqReason};
-
-/// Lowers `for n in 0..4 { body }` (a `d_batch` loop) and certifies its
-/// body from the lowered ops, as the lowering and `verify` do.
-fn certify_wave_body(n: Var, body: &[Stmt]) -> ParSafety {
-    let wave = Stmt::For {
-        var: n,
-        extent: IdxExpr::Const(4),
-        kind: LoopKind::Parallel,
-        dim: Some(cortex_core::ilir::DimName::batch()),
-        body: body.to_vec(),
-    };
-    let kernel = CompiledKernel {
-        launch: LaunchPattern::Once,
-        batch_slot: None,
-        body: vec![wave],
-        num_slots: 8,
-    };
-    let plan = super::lowering::lower(&[kernel], Vec::new(), &StmtPlans::default());
-    certify_wave(&plan, 0, matches!(body, [Stmt::Let { .. }]))
-}
-
-#[test]
-fn certifier_accepts_own_row_writes_and_child_reads() {
-    let t = TensorId(7);
-    let n = Var::from_raw(0);
-    let j = Var::from_raw(1);
-    // for j { t[n][j] = t[child(0, n)][j] } — own-row write, strictly
-    // earlier row read through the child indirection: race-free.
-    let body = vec![Stmt::For {
-        var: j,
-        extent: IdxExpr::Const(4),
-        kind: LoopKind::Serial,
-        dim: None,
-        body: vec![Stmt::Store {
-            tensor: t,
-            index: vec![IdxExpr::Var(n), IdxExpr::Var(j)],
-            value: ValExpr::Load {
-                tensor: t,
-                index: vec![
-                    IdxExpr::Ufn(Ufn::Child(0), vec![IdxExpr::Var(n)]),
-                    IdxExpr::Var(j),
-                ],
-            },
-        }],
-    }];
-    assert_eq!(certify_wave_body(n, &body), ParSafety::RowDisjoint);
-}
-
-#[test]
-fn certifier_accepts_the_node_alias_binding() {
-    let t = TensorId(3);
-    let n = Var::from_raw(0);
-    let b = Var::from_raw(1);
-    // let node = batch_begin[b] + n { t[node] = 1.0 } — the lowered
-    // d_batch shape: the alias enumerates distinct rows per iteration.
-    let body = vec![Stmt::Let {
-        var: Var::from_raw(2),
-        value: IdxExpr::Ufn(Ufn::BatchBegin, vec![IdxExpr::Var(b)]).add(IdxExpr::Var(n)),
-        body: vec![Stmt::Store {
-            tensor: t,
-            index: vec![IdxExpr::Var(Var::from_raw(2))],
-            value: ValExpr::Const(1.0),
-        }],
-    }];
-    assert_eq!(certify_wave_body(n, &body), ParSafety::RowDisjoint);
-}
-
-#[test]
-fn certifier_rejects_overlapping_writes_with_typed_reasons() {
-    let t = TensorId(7);
-    let n = Var::from_raw(0);
-    let j = Var::from_raw(1);
-    let store = |row: IdxExpr, value: ValExpr| Stmt::Store {
-        tensor: t,
-        index: vec![row, IdxExpr::Var(j)],
-        value,
-    };
-    let seq = |reason| ParSafety::Sequential { reason };
-    // Every iteration writes row 0: a guaranteed write-write race.
-    assert_eq!(
-        certify_wave_body(n, &[store(IdxExpr::Const(0), ValExpr::Const(1.0))]),
-        seq(SeqReason::WriteRowShared)
-    );
-    // Row n/2: iterations 2k and 2k+1 collide.
-    assert_eq!(
-        certify_wave_body(
-            n,
-            &[store(
-                IdxExpr::Bin(
-                    IdxBinOp::Div,
-                    Box::new(IdxExpr::Var(n)),
-                    Box::new(IdxExpr::Const(2))
-                ),
-                ValExpr::Const(1.0)
-            )]
-        ),
-        seq(SeqReason::WriteRowAliased)
-    );
-    // t[n] = t[n + 1]: reads a row a *later* iteration writes.
-    assert_eq!(
-        certify_wave_body(
-            n,
-            &[store(
-                IdxExpr::Var(n),
-                ValExpr::Load {
-                    tensor: t,
-                    index: vec![IdxExpr::Var(n).add(IdxExpr::Const(1)), IdxExpr::Var(j)],
-                }
-            )]
-        ),
-        seq(SeqReason::ReadOverlapsWrites)
-    );
-    // t[n] = t[0]: the fixed row is some iteration's own write target.
-    assert_eq!(
-        certify_wave_body(
-            n,
-            &[store(
-                IdxExpr::Var(n),
-                ValExpr::Load {
-                    tensor: t,
-                    index: vec![IdxExpr::Const(0), IdxExpr::Var(j)],
-                }
-            )]
-        ),
-        seq(SeqReason::FixedRowOfStored)
-    );
-    // An explicit Barrier stages its own ordering.
-    assert_eq!(
-        certify_wave_body(n, &[Stmt::Barrier]),
-        seq(SeqReason::Barrier)
-    );
-}
+use cortex_core::expr::{IdxExpr, ValExpr, Var};
+use cortex_core::ilir::{LoopKind, Stmt};
 
 /// Builds the shared plans of a model for certificate-forging tests.
 fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
@@ -1510,30 +1375,6 @@ fn forgeable_plans(g: &RaGraph) -> super::SharedPlans {
     let (shared, _) = super::build_plans(&ilir, compiled, true);
     assert_eq!(verify(&shared.plan), Ok(()), "genuine plan verifies");
     shared
-}
-
-#[test]
-fn verify_rejects_forged_wave_certificate() {
-    let (g, _) = matvec_tree(6);
-    let mut shared = forgeable_plans(&g);
-    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
-    assert!(
-        !plan.wave_safety.is_empty(),
-        "default schedule lowers waves"
-    );
-    plan.wave_safety[0] = match plan.wave_safety[0] {
-        ParSafety::RowDisjoint => ParSafety::Sequential {
-            reason: SeqReason::WriteRowShared,
-        },
-        ParSafety::Sequential { .. } => ParSafety::RowDisjoint,
-    };
-    assert_eq!(
-        verify(&shared.plan),
-        Err(VerifyError::CertificateMismatch {
-            what: "wave",
-            index: 0
-        })
-    );
 }
 
 #[test]
@@ -1604,18 +1445,6 @@ fn verify_rejects_stale_address_program() {
     );
 }
 
-#[test]
-fn verify_rejects_certificate_table_length_mismatch() {
-    let (g, _) = matvec_tree(6);
-    let mut shared = forgeable_plans(&g);
-    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
-    plan.wave_safety.pop();
-    assert!(matches!(
-        verify(&shared.plan),
-        Err(VerifyError::CertificateMismatch { what: "wave", .. })
-    ));
-}
-
 /// An engine whose plan failed verification refuses every run with a
 /// typed error — a rejected plan is never executed.
 #[test]
@@ -1647,7 +1476,7 @@ fn demoted_engine_refuses_execution_typed() {
 }
 
 #[test]
-fn engine_stats_surface_the_analysis_results() {
+fn shadow_checks_count_only_under_the_checked_feature() {
     let h = 8;
     let (g, _) = matvec_tree(h);
     let program = lower(
@@ -1668,17 +1497,6 @@ fn engine_stats_surface_the_analysis_results() {
     let mut engine = Engine::new(&program);
     engine.execute(&lin, &params, true).unwrap();
     let stats = engine.stats();
-    let ps = engine.plan_stats();
-    assert_eq!(stats.par_safe_waves, ps.par_safe_waves as u64);
-    assert_eq!(stats.par_unsafe_waves, ps.par_unsafe_waves as u64);
-    assert!(
-        stats.par_safe_waves > 0,
-        "the matvec wave certifies row-disjoint"
-    );
-    assert_eq!(
-        stats.par_unsafe_waves,
-        stats.par_unsafe_by_reason.iter().sum::<u64>()
-    );
     if cfg!(feature = "checked") {
         assert!(super::shadow_checking_enabled());
         assert!(stats.shadow_checks > 0, "shadow hooks recorded accesses");
@@ -1693,8 +1511,9 @@ fn certify_fused_rejects_overlapping_row_passes() {
     let n = Var::from_raw(0);
     let i = Var::from_raw(1);
     let t = TensorId(4);
-    // `for i in 0..4 { t[index] = value }`, lowered and certified.
-    let certify = |index: Vec<IdxExpr>, value: ValExpr| {
+    // `for i in 0..4 { t[index] = value }`, lowered as the whole body of
+    // the wave over `n` and checked.
+    let rows_disjoint = |index: Vec<IdxExpr>, value: ValExpr| {
         let s = Stmt::For {
             var: i,
             extent: IdxExpr::Const(4),
@@ -1707,32 +1526,25 @@ fn certify_fused_rejects_overlapping_row_passes() {
             }],
         };
         let prog = super::bulk::lower_row_program(&[(None, &s)], &[], &[]).expect("row-serves");
-        certify_fused(&prog, n, None)
+        let fw = super::bulk::FusedWave {
+            n_idx_slot: n.id() as usize,
+            node_let: None,
+            bytes_per_row: 0,
+            prog,
+        };
+        fw.rows_disjoint()
     };
     let own_row = vec![IdxExpr::Var(n), IdxExpr::Var(i)];
     // Pass writes t[0][i] — every row of the wave hits the same cells.
-    assert_eq!(
-        certify(
-            vec![IdxExpr::Const(0), IdxExpr::Var(i)],
-            ValExpr::Const(1.0)
-        ),
-        ParSafety::Sequential {
-            reason: SeqReason::WriteRowShared
-        }
-    );
+    assert!(!rows_disjoint(
+        vec![IdxExpr::Const(0), IdxExpr::Var(i)],
+        ValExpr::Const(1.0)
+    ));
     // Pass reads its own tensor at the *next* row: cross-row overlap.
     let next_row = vec![IdxExpr::Var(n).add(IdxExpr::Const(1)), IdxExpr::Var(i)];
-    assert_eq!(
-        certify(own_row.clone(), ValExpr::load(t, next_row)),
-        ParSafety::Sequential {
-            reason: SeqReason::ReadOverlapsWrites
-        }
-    );
+    assert!(!rows_disjoint(own_row.clone(), ValExpr::load(t, next_row)));
     // Own-row read is fine.
-    assert_eq!(
-        certify(own_row.clone(), ValExpr::load(t, own_row)),
-        ParSafety::RowDisjoint
-    );
+    assert!(rows_disjoint(own_row.clone(), ValExpr::load(t, own_row)));
 }
 
 /// A rank-2 store nest row-serves only as a plane: one `H_i·H_j`-lane

@@ -17,10 +17,10 @@
 //! * every `d_all_batches` wave loop that drives a wave-GEMM loop
 //!   contains a `Barrier` separating its iterations
 //!   ([`VerifyError::MissingBarrier`]);
-//! * every stored parallel-safety certificate matches what the static
-//!   certifier derives from the wave body's ops, and every fused wave's
-//!   is `RowDisjoint` — a forged or stale certificate is rejected before
-//!   any run is admitted ([`VerifyError::CertificateMismatch`]);
+//! * every fused wave's row program is row-disjoint, the condition it
+//!   was fused under — a forged or stale fused wave is rejected before
+//!   any run is admitted ([`VerifyError::CertificateMismatch`] with
+//!   `what: "fused"`);
 //! * every stored address program (a gathered row operand, a node
 //!   binding, a row program's load, store or select) is what the
 //!   address compiler makes of its source expressions
@@ -113,14 +113,12 @@ pub enum VerifyError {
         /// Which field disagrees.
         what: &'static str,
     },
-    /// A stored parallel-safety certificate disagrees with the one the
-    /// certifier re-derives from the wave body's ops (or a fused wave
-    /// carries anything other than `RowDisjoint`), or a stored address
-    /// program with the one the address compiler derives from its
-    /// source: the plan was forged or tampered with after lowering.
+    /// A fused wave's row program is not row-disjoint, or a stored
+    /// address program disagrees with the one the address compiler
+    /// derives from its source: the plan was forged or tampered with
+    /// after lowering.
     CertificateMismatch {
-        /// Which table (`"wave"` / `"fused"` certificates, or
-        /// `"address"` programs).
+        /// Which table (`"fused"` waves or `"address"` programs).
         what: &'static str,
         /// Index into that table; address programs are numbered by
         /// their wave plan, then fused wave, then bulk pass.
@@ -170,7 +168,7 @@ impl std::fmt::Display for VerifyError {
             VerifyError::CertificateMismatch { what, index } => {
                 let analysis = match *what {
                     "address" => "address compile",
-                    _ => "parallel-safety analysis",
+                    _ => "row-disjointness check",
                 };
                 write!(
                     f,
@@ -301,7 +299,7 @@ pub(crate) fn verify(plan: &Program) -> Result<(), VerifyError> {
         let end = plan.kernels.get(ki + 1).map(|k| k.entry).unwrap_or(n_ops);
         verify_kernel(plan, ki, kd.entry..end)?;
     }
-    verify_certificates(plan)?;
+    verify_fused(plan)?;
     verify_addresses(plan)
 }
 
@@ -345,32 +343,17 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
     }
 }
 
-/// Re-derives every parallel-safety certificate from the ops of its
-/// wave body and compares it with the stored one, so a forged or stale
-/// certificate never reaches a consumer (the multicore dispatcher
-/// trusts `RowDisjoint` blindly — this is where that trust is earned).
-fn verify_certificates(plan: &Program) -> Result<(), VerifyError> {
-    use super::analysis::parsafety::{self, ParSafety};
-    let derived = parsafety::wave_certificates(plan);
-    let stored = &plan.wave_safety;
-    if let Some(index) = (0..derived.len().max(stored.len()))
-        .find(|&i| derived.get(i).copied().flatten() != stored.get(i).copied())
-    {
-        return Err(VerifyError::CertificateMismatch {
-            what: "wave",
+/// Re-derives the row-disjointness of every fused wave: only
+/// row-disjoint bodies may fuse at all, so a fused wave that is not
+/// would share tile sweeps (and fork rows) unsoundly.
+fn verify_fused(plan: &Program) -> Result<(), VerifyError> {
+    match plan.fused.iter().position(|fw| !fw.rows_disjoint()) {
+        Some(index) => Err(VerifyError::CertificateMismatch {
+            what: "fused",
             index,
-        });
+        }),
+        None => Ok(()),
     }
-    for (i, fw) in plan.fused.iter().enumerate() {
-        // Only row-disjoint bodies may fuse at all.
-        if fw.certify() != ParSafety::RowDisjoint {
-            return Err(VerifyError::CertificateMismatch {
-                what: "fused",
-                index: i,
-            });
-        }
-    }
-    Ok(())
 }
 
 fn verify_kernel(
@@ -420,7 +403,7 @@ fn verify_kernel(
                     jump_to(target)?;
                 }
                 // The body runs from the op after the enter up to the
-                // exit (the ops the certifier reads as the body).
+                // exit.
                 let misplaced = [(d.body != pc + 1, "body pc"), (d.exit <= pc, "exit pc")];
                 if let Some(&(_, what)) = misplaced.iter().find(|(bad, _)| *bad) {
                     return Err(VerifyError::BadLoopShape {

@@ -8,7 +8,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "cortex-bench-pipeline/v14",
+//!   "schema": "cortex-bench-pipeline/v15",
 //!   "axpy_gb_s": 38.1, "fma_peak_gflops": 166.5,
 //!   "gemm_packed_gflops_m1": 33.9, "gemm_packed_gflops_m16": 136.3,
 //!   "gemm_packed_gflops_m64": 149.1,
@@ -20,8 +20,7 @@
 //!     "seq_burst16_ms_one_lane": 5.94, "seq_burst16_ms_all_lanes": 3.68,
 //!     "seq_burst16_all_over_one": 0.62},
 //!   "lowering": [
-//!     {"model": "treelstm", "plan_ops": 36, "lower_ms": 0.012,
-//!      "par_safe_waves": 2, "par_unsafe_waves": 0}
+//!     {"model": "treelstm", "plan_ops": 36, "lower_ms": 0.012}
 //!   ]
 //! }
 //! ```
@@ -42,8 +41,7 @@
 //!   and on all lanes, where the batch splits into one lane group per
 //!   lane — and the ratio of the two.
 //! * `lowering` — `PlanStats` of every model of the zoo at the default
-//!   schedule: plan length, lowering time, and the parallel-safety
-//!   certifier's counts.
+//!   schedule: plan length and lowering time.
 //!
 //! Run with `cargo run --release -p cortex-bench-harness --bin
 //! bench_pipeline [-- output.json]`.
@@ -166,7 +164,7 @@ fn main() {
          on {lanes} ({burst_ratio:.3}x)"
     );
     let mut json = format!(
-        "{{\n  \"schema\": \"cortex-bench-pipeline/v14\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
+        "{{\n  \"schema\": \"cortex-bench-pipeline/v15\",\n  \"axpy_gb_s\": {axpy:.3},\n  \
          \"fma_peak_gflops\": {fma_peak:.3},\n  \"gemm_packed_gflops_m1\": {packed_m1:.3},\n  \
          \"gemm_packed_gflops_m16\": {packed_m16:.3},\n  \
          \"gemm_packed_gflops_m64\": {packed_m64:.3},\n  \"lanes\": {{\n    \
@@ -193,21 +191,15 @@ fn main() {
         let program = model.lower(&RaSchedule::default()).expect("lowers");
         let plan = Engine::new(&program).plan_stats();
         println!(
-            "lowering {name:<10} plan_ops={:<5} lower={:.3}ms \
-             par_safe={} par_unsafe={}",
+            "lowering {name:<10} plan_ops={:<5} lower={:.3}ms",
             plan.plan_ops,
             plan.lower_ns as f64 / 1e6,
-            plan.par_safe_waves,
-            plan.par_unsafe_waves,
         );
         let _ = write!(
             json,
-            "    {{\"model\": \"{name}\", \"plan_ops\": {}, \"lower_ms\": {:.4}, \
-             \"par_safe_waves\": {}, \"par_unsafe_waves\": {}}}{}",
+            "    {{\"model\": \"{name}\", \"plan_ops\": {}, \"lower_ms\": {:.4}}}{}",
             plan.plan_ops,
             plan.lower_ns as f64 / 1e6,
-            plan.par_safe_waves,
-            plan.par_unsafe_waves,
             if i + 1 < zoo.len() { ",\n" } else { "\n" }
         );
     }

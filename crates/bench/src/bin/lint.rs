@@ -271,22 +271,21 @@ const GATED_RULES: [GatedRule; 3] = [
     },
 ];
 
-/// The 1-based line of a file's first `#[cfg(test)]` (everything from
-/// there on is test code), or `usize::MAX`. A `#[cfg(test)]` on a
-/// module declaration (`mod tests;`, whose body is its own file) does
-/// not count: the code after it is not test code.
+/// The 1-based line of a file's first `#[cfg(test)]` that opens an
+/// inline test module (everything from there on is test code), or
+/// `usize::MAX`: its next line that is not an attribute is `mod NAME {`.
+/// A `#[cfg(test)]` on anything else — a module declaration (`mod
+/// tests;`, whose body is its own file), a field, a block, a function —
+/// does not count: the code after it is not test code.
 fn test_start(text: &str) -> usize {
-    let lines: Vec<&str> = text.lines().collect();
-    let declares_module = |next: Option<&&str>| {
-        next.is_some_and(|l| {
-            let l = l.trim();
-            l.starts_with("mod ") && l.ends_with(';')
-        })
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let opens_module = |after: usize| {
+        (lines[after..].iter())
+            .find(|l| !l.starts_with("#["))
+            .is_some_and(|l| l.starts_with("mod ") && l.ends_with('{'))
     };
     (0..lines.len())
-        .find(|&i| {
-            lines[i].trim_start().starts_with("#[cfg(test)]") && !declares_module(lines.get(i + 1))
-        })
+        .find(|&i| lines[i].starts_with("#[cfg(test)]") && opens_module(i + 1))
         .map_or(usize::MAX, |i| i + 1)
 }
 
@@ -544,6 +543,13 @@ mod tests {
                 "crates/a/src/exec/mod.rs",
                 "#[cfg(test)]\nmod tests;\nfn f() {}\n#[cfg(test)]\nmod t {\n}\n",
             ),
+            // A test-only field and a test-only block are not test
+            // modules: all 9 lines before the module count.
+            file(
+                "crates/a/src/exec/interp.rs",
+                "struct S {\n    #[cfg(test)]\n    dots: u64,\n}\nfn g() {\n    #[cfg(test)]\n    \
+                 {}\n}\nfn h() {}\n#[cfg(test)]\n#[allow(dead_code)]\nmod tests {\n}\n",
+            ),
             // A test file counts nothing, wherever it sits.
             file("crates/a/src/exec/tests.rs", "fn t() {}\nfn u() {}\n"),
             file("crates/a/src/exec/deep/run.rs", "fn g() {}\nfn h() {}\n"),
@@ -555,15 +561,14 @@ mod tests {
             violations
         };
         assert_eq!(
-            check("[budget]\n# why\ncrates/a/src/exec 5\n"),
+            check("[budget]\n# why\ncrates/a/src/exec 14\n"),
             Vec::<String>::new()
         );
-        let over = check("[budget]\n# why\ncrates/a/src/exec/ 4\n");
+        let over = check("[budget]\n# why\ncrates/a/src/exec/ 13\n");
         assert_eq!(over.len(), 1, "{over:?}");
-        assert!(
-            over[0].starts_with("crates/a/src/exec: 5 non-test lines, over its [budget] cap of 4")
-        );
-        let bare = check("[budget]\n# why\ncrates/a/src/exec 5\ncrates/a/src 9\nnonsense\n");
+        assert!(over[0]
+            .starts_with("crates/a/src/exec: 14 non-test lines, over its [budget] cap of 13"));
+        let bare = check("[budget]\n# why\ncrates/a/src/exec 14\ncrates/a/src 9\nnonsense\n");
         assert_eq!(bare.len(), 2, "{bare:?}");
         assert!(bare[0].contains("cap for crates/a/src has no `#` reason line"));
         assert!(bare[1].contains("entry `nonsense` is not `<dir> <cap>`"));

@@ -1,4 +1,4 @@
-//! Soundness suite for the static effect summaries: with the `checked`
+//! Soundness suite for the wave and fusion legality checks: with the `checked`
 //! feature, the runtime records every wave gather, store, and fused
 //! row-pass access into a shadow state and asserts it stays inside what
 //! the static analyses claimed (gathered cells are never stored by the
