@@ -30,29 +30,30 @@
 //! select-free pass), results copied out. A later statement's read of an
 //! earlier statement's own-row store (LSTM `c` → `h`) is forwarded from
 //! the register that still holds it. Normally a sweep follows its
-//! resolve at once. A fused wave that is large enough is instead
-//! resolved whole, and its sweeps then run row-parallel across the
-//! lanes of [`cortex_tensor::par`], through [`RowWindows::run`], which
-//! first verifies that the rows really are disjoint. Values are
+//! resolve at once. A large enough fused wave in block form is instead
+//! resolved whole, and its sweeps then run row-parallel across the lanes
+//! of [`cortex_tensor::par`], each chunk of rows on its own `&mut` piece
+//! of the stored rows ([`Interp::sweep_deferred`]). Values are
 //! bit-identical to per-element evaluation either way and on any number
 //! of lanes: each element comes from the same operation tree, and every
 //! operator is the one lane-generic definition of
 //! [`cortex_tensor::approx`].
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use cortex_core::expr::{IdxExpr, TensorId, ValExpr, Var};
+use cortex_core::expr::{IdxBinOp, IdxExpr, TensorId, ValExpr, Var};
 use cortex_core::ilir::{DimExtent, Stmt, TensorDecl};
 use cortex_tensor::approx::NonlinearityMode;
-use cortex_tensor::par::{self, Buf, RowAccess, RowWindows, Window};
+use cortex_tensor::par;
 use cortex_tensor::simd::{TileOp, TileUnary, TILE};
 
 use super::address::{Addr, Cond, Coord};
 use super::gather::ActiveGroup;
-use super::interp::{BufData, Buffer, Interp};
+use super::interp::{Buffer, Interp};
 use super::lowering::StmtPlans;
 use super::stopwatch::Stopwatch;
+use crate::fastdot::idx_uses_var as uses;
 use crate::wave::{SumSite, WavePlan};
 
 /// A tile register (an index into the scratch's [`TILE`]-lane columns).
@@ -83,7 +84,6 @@ struct Lanes<'d> {
 /// one unit-stride run from `(0, 0)` — or neither may appear.
 fn cells(tensor: TensorId, index: &[IdxExpr], lanes: Lanes<'_>) -> Option<Addr> {
     let (feat, mut index) = (lanes.feat, index.to_vec());
-    let uses = |e: &IdxExpr, v: Var| crate::fastdot::idx_uses_var(e, v);
     if let Some((i, hj, decls)) = lanes.plane {
         let last_dim = decls.get(tensor.0 as usize).and_then(Option::as_ref);
         let n = index.len();
@@ -212,13 +212,14 @@ pub(crate) struct FusedWave {
     /// Bytes one node's row streams through the tile registers, counted
     /// at lowering (see [`RowProgram::stream_bytes`]).
     pub(crate) bytes_per_row: u64,
+    /// [`FusedWave::block_form`]: the rows may be swept across lanes.
+    pub(crate) block: bool,
 }
 
 impl FusedWave {
     /// Whether serving the body's statements together, tile by tile
     /// within each node's row, is observationally identical to per-node
-    /// interpretation — the same condition under which the wave's rows
-    /// may be swept concurrently. It holds when
+    /// interpretation. It holds when
     ///
     /// * every store targets a node-unique row (some non-feature index
     ///   position rides the wave variable or the node binding), so no two
@@ -232,7 +233,6 @@ impl FusedWave {
     /// [`plan_fused_wave`] only fuses a wave for which this holds, and
     /// [`super::verify`] re-derives it for every stored fused wave.
     pub(crate) fn rows_disjoint(&self) -> bool {
-        use crate::fastdot::idx_uses_var;
         let n_idx = Var::from_raw(self.n_idx_slot as u32);
         let node = (self.node_let.as_ref()).map(|(slot, _)| Var::from_raw(*slot as u32));
         let instrs = || self.prog.passes.iter().flat_map(|p| &p.instrs);
@@ -243,8 +243,7 @@ impl FusedWave {
                 continue;
             };
             let node_dep = cells.index.iter().enumerate().any(|(d, e)| {
-                Some(d) != cells.hole
-                    && (idx_uses_var(e, n_idx) || node.is_some_and(|nv| idx_uses_var(e, nv)))
+                Some(d) != cells.hole && (uses(e, n_idx) || node.is_some_and(|nv| uses(e, nv)))
             });
             if !node_dep {
                 return false;
@@ -274,17 +273,37 @@ impl FusedWave {
                 })
         })
     }
+
+    /// Whether the wave is in *block form*: any node binding is `base +
+    /// n_idx` (`base` wave-invariant: `batch_begin[b]`, `leaf_begin`, `0`)
+    /// and every store indexes `[n_idx or node, …]`, the rest row-invariant:
+    /// row `r` stores within `base + r·stride .. base + (r + 1)·stride`.
+    pub(crate) fn block_form(&self) -> bool {
+        let n_idx = Var::from_raw(self.n_idx_slot as u32);
+        let node = (self.node_let.as_ref()).map(|(slot, c)| (Var::from_raw(*slot as u32), &c.src));
+        let row = |v: &Var| *v == n_idx || node.is_some_and(|(nv, _)| nv == *v);
+        let moves = |e: &IdxExpr| uses(e, n_idx) || node.is_some_and(|(v, _)| uses(e, v));
+        let mut instrs = self.prog.passes.iter().flat_map(|p| &p.instrs);
+        node.is_none_or(|(_, e)| {
+            matches!(e, IdxExpr::Bin(IdxBinOp::Add, base, v)
+                if **v == IdxExpr::Var(n_idx) && !uses(base, n_idx))
+        }) && instrs.all(|ins| match ins {
+            Instr::Store { cells, .. } => matches!(cells.index.split_first(),
+                Some((IdxExpr::Var(v), rest)) if row(v) && !rest.iter().any(moves)),
+            _ => true,
+        })
+    }
 }
 
 /// Bytes of tile streams (`rows × bytes_per_row`) from which a fused
 /// wave's sweeps are spread over lanes: 64 KiB, where forking breaks
 /// even on this 2-core box. Measured (PR 19) on the waves of an `h = 256`
 /// TreeLSTM (14 KiB and ≈ 3 µs a row; a fork and join costs ≈ 0.8 µs,
-/// `lanes.fork_join_ns` of `BENCH_pipeline.json`, the window check ≈ 0.1 µs a
-/// row, and two lanes sweep ≈ 1.45× as fast as one, not 2×): 5 rows
-/// (70 KiB) take 13–15 µs on one lane and 13 µs forked, 12 rows 35 → 26
-/// µs, 58 rows 183 → 121 µs. Every wave of the `h = 32` models (at most
-/// 18 rows of ≈ 2.4 KiB) stays below and is swept where it was resolved.
+/// `lanes.fork_join_ns` of `BENCH_pipeline.json`, and two lanes sweep
+/// ≈ 1.45× as fast as one, not 2×): 5 rows (70 KiB) take 13–15 µs on one
+/// lane and 13 µs forked, 12 rows 35 → 26 µs, 58 rows 183 → 121 µs.
+/// Every wave of an `h = 32` zoo-sized request (at most 18 rows of
+/// ≈ 2.4 KiB) stays below and is swept where it was resolved.
 const EPILOGUE_FORK_MIN_BYTES: u64 = 64 << 10;
 
 thread_local! {
@@ -301,12 +320,26 @@ pub(crate) struct TileScratch {
     regs: Vec<f32>,
     streams: Streams,
     /// What a wave that is resolved whole before it is swept adds: one
-    /// [`Sweep`] per `(row, pass)`, in resolve order, where
-    /// each row's sweeps end, and the tensor windows of every sweep,
-    /// declared row by row for [`RowWindows::run`] to verify.
+    /// [`Sweep`] per `(row, pass)`, in resolve order.
     sweeps: Vec<Sweep>,
-    row_ends: Vec<usize>,
-    windows: RowWindows,
+    /// [`Interp::sweep_deferred`]'s tables, kept empty ([`recycle`]).
+    reach: Vec<Reach<'static>>,
+    chunks: Vec<Mutex<&'static mut [Reach<'static>]>>,
+}
+
+/// `len` cells `base + i·stride` of buffer `buf` (stride 0: one cell).
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    buf: usize,
+    base: usize,
+    stride: usize,
+    len: usize,
+}
+
+impl Window {
+    fn at(&self, i: usize) -> usize {
+        self.base + i * self.stride
+    }
 }
 
 /// Input streams, runs of the pass's ops and stores of the resolved
@@ -333,10 +366,6 @@ struct Sweep {
     loads: std::ops::Range<usize>,
     runs: std::ops::Range<usize>,
     stores: std::ops::Range<usize>,
-    /// Id, in [`TileScratch::windows`], of the first of the sweep's
-    /// windows: those of its tensor loads, then of its stores, in stream
-    /// order (unused by a sweep that runs where it was resolved).
-    first_window: usize,
 }
 
 /// A resolved input stream of one row.
@@ -446,14 +475,15 @@ fn plan_fused_wave<'s>(
         })
         .collect();
     let prog = lower_row_program(&loops, sites, tensors)?;
-    let fw = FusedWave {
+    let mut fw = FusedWave {
         n_idx_slot: var.id() as usize,
         node_let,
         bytes_per_row: prog.stream_bytes(),
         prog,
+        block: false,
     };
-    // Only row-disjoint bodies fuse: sharing a sweep, and sweeping rows
-    // in parallel, need it.
+    fw.block = fw.block_form();
+    // Only row-disjoint bodies fuse: sharing a sweep needs it.
     fw.rows_disjoint().then_some((fw, stmts))
 }
 
@@ -857,7 +887,7 @@ impl<'a> Interp<'a> {
         // A wave worth forking is resolved whole and then swept across
         // lanes; any other is swept as it is resolved.
         let bytes = fw.bytes_per_row * wave_len as u64;
-        let fork = bytes >= EPILOGUE_FORK_MIN_BYTES && par::lanes() > 1;
+        let fork = fw.block && wave_len > 1 && bytes >= EPILOGUE_FORK_MIN_BYTES && par::lanes() > 1;
         let mut s = self.caches.tile.take().unwrap_or_default();
         for r in 0..wave_len {
             #[cfg(feature = "checked")]
@@ -867,11 +897,13 @@ impl<'a> Interp<'a> {
         }
         #[cfg(feature = "checked")]
         self.shadow_end_fused();
-        let forked = fork && self.sweep_deferred(&fw.prog.passes, &mut s);
+        if fork {
+            self.sweep_deferred(&fw.prog.passes, wave_len, &mut s);
+        }
         self.caches.tile = Some(s);
         let stats = &mut self.caches.stats;
         stats.fused_waves += 1;
-        stats.forked_waves += u64::from(forked);
+        stats.forked_waves += u64::from(fork);
         stats.epilogue_bytes += bytes;
         stats.epilogue_ns += clock.lap();
     }
@@ -899,23 +931,13 @@ impl<'a> Interp<'a> {
             let from = (st.loads.len(), st.runs.len(), st.stores.len());
             self.resolve_pass(&prog.passes[p], span, s);
             let st = &s.streams;
-            let mut sweep = Sweep {
+            let sweep = Sweep {
                 pass: p,
                 loads: from.0..st.loads.len(),
                 runs: from.1..st.runs.len(),
                 stores: from.2..st.stores.len(),
-                first_window: 0,
             };
             if defer {
-                sweep.first_window = s.windows.declared();
-                for (_, source) in &st.loads[sweep.loads.clone()] {
-                    if let Source::Tensor(w) = source {
-                        s.windows.load(*w);
-                    }
-                }
-                for (_, w) in &st.stores[sweep.stores.clone()] {
-                    s.windows.store(*w);
-                }
                 s.sweeps.push(sweep);
                 continue;
             }
@@ -925,51 +947,64 @@ impl<'a> Interp<'a> {
                 groups: &self.active_groups,
                 nonlin: self.nonlin,
             }
-            .sweep(&sweep, &mut Direct(&mut self.bufs), &mut s.regs);
+            .sweep(&sweep, &mut Cells::Own(&mut self.bufs), &mut s.regs);
             s.streams.clear();
-        }
-        if defer {
-            s.row_ends.push(s.sweeps.len());
-            s.windows.end_row();
         }
     }
 
-    /// Sweeps the rows of a wave resolved with `defer`, and forgets them,
-    /// through [`RowWindows::run`]: across lanes if the rows' windows
-    /// verify as disjoint (the return value), else here, in row order.
-    fn sweep_deferred(&mut self, passes: &[RowPass], s: &mut TileScratch) -> bool {
+    /// Sweeps the `rows` rows of a block-form wave resolved with `defer`
+    /// across `rows.min(4 · lanes)` chunks of rows, and forgets them. Each
+    /// stored buffer splits at the rows' stores (every row resolves the
+    /// same ones) into `before | a piece per chunk | after` ([`Reach`]).
+    fn sweep_deferred(&mut self, passes: &[RowPass], rows: usize, s: &mut TileScratch) {
+        let (chunks, bufs) = (rows.min(4 * par::lanes()), self.bufs.len());
+        let first_row = |c: usize| c * rows / chunks;
+        let (stores, per_row) = (&s.streams.stores, s.streams.stores.len() / rows);
+        let start = |r: usize, j: usize| stores[r * per_row + j].1.base;
+        let mut reach: Vec<Reach<'_>> = recycle(std::mem::take(&mut s.reach));
+        reach.resize_with(chunks * bufs, Reach::default);
+        for (b, buf) in self.bufs.iter_mut().enumerate() {
+            let j = stores[..per_row].iter().position(|(_, w)| w.buf == b);
+            let (mut block, mut shared) = (&mut [][..], Reach::default());
+            match (buf, j) {
+                (Some(buf), Some(j)) => {
+                    let last = stores[(rows - 1) * per_row..].iter();
+                    let ends = last.filter(|(_, w)| w.buf == b);
+                    shared.end = ends.fold(0, |end, (_, w)| end.max(w.at(w.len - 1) + 1));
+                    let (before, rest) = buf.data.as_mut().split_at_mut(start(0, j));
+                    (block, shared.after) = rest.split_at_mut(shared.end - before.len());
+                    shared.before = before;
+                }
+                (buf, _) => shared.after = buf.as_ref().map_or(&[][..], |buf| &buf.data[..]),
+            }
+            for c in (0..chunks).rev() {
+                let at = j.map_or(0, |j| start(first_row(c), j));
+                let (rest, rows) =
+                    std::mem::take(&mut block).split_at_mut(at - shared.before.len());
+                (reach[c * bufs + b], block) = (Reach { at, rows, ..shared }, rest);
+            }
+        }
+        let mut locks: Vec<Mutex<&mut [Reach<'_>]>> = recycle(std::mem::take(&mut s.chunks));
+        locks.extend(reach.chunks_mut(bufs).map(Mutex::new));
         let sweeper = Sweeper {
             passes,
             streams: &s.streams,
             groups: &self.active_groups,
             nonlin: self.nonlin,
         };
-        let (sweeps, row_ends) = (&s.sweeps, &s.row_ends);
-        let tensors = self.bufs.iter_mut().map(|b| match b {
-            Some(Buffer {
-                data: BufData::Owned(v),
-                ..
-            }) => Buf::Write(v),
-            Some(Buffer {
-                data: BufData::Shared(t),
-                ..
-            }) => Buf::Read(t.as_slice()),
-            None => Buf::Read(&[]),
-        });
-        let forked = s.windows.run(tensors, &|row, access| {
-            let from = if row == 0 { 0 } else { row_ends[row - 1] };
+        par::split(chunks, &|c| {
+            let mut mine = locks[c].lock().unwrap_or_else(PoisonError::into_inner);
+            let sweeps = &s.sweeps[first_row(c) * passes.len()..first_row(c + 1) * passes.len()];
             // Every lane has its own tile registers.
             LANE_REGS.with_borrow_mut(|regs| {
-                for sweep in &sweeps[from..row_ends[row]] {
-                    sweeper.sweep(sweep, access, regs);
+                for sweep in sweeps {
+                    sweeper.sweep(sweep, &mut Cells::Lane(&mut mine), regs);
                 }
             });
         });
+        (s.chunks, s.reach) = (recycle(locks), recycle(reach));
         s.streams.clear();
         s.sweeps.clear();
-        s.row_ends.clear();
-        s.windows.clear();
-        forked
     }
 
     /// Resolves one pass for the current row: evaluates addresses and
@@ -1134,55 +1169,65 @@ impl<'a> Interp<'a> {
 // The sweep
 // ---------------------------------------------------------------------
 
-/// Where a sweep's tensor windows live. A window comes with the id it
-/// was declared under, if it was.
-trait TileMem {
+/// Where a sweep loads and stores tensor cells: the interpreter's own
+/// buffers, or one chunk's [`Reach`] of each in a forked wave.
+enum Cells<'c, 'p> {
+    Own(&'c mut [Option<Buffer>]),
+    Lane(&'c mut [Reach<'p>]),
+}
+
+/// A buffer as one chunk of a forked wave reaches it: `before` and `after`
+/// (from `end`; all of an unstored buffer) shared, `rows` from `at` its own.
+#[derive(Default)]
+struct Reach<'a> {
+    before: &'a [f32],
+    end: usize,
+    after: &'a [f32],
+    at: usize,
+    rows: &'a mut [f32],
+}
+
+/// `v`'s allocation, emptied, for another lifetime: an in-place collect
+/// reuses it, so a warm fork allocates no table.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+impl Cells<'_, '_> {
     /// Copies elements `at..at + out.len()` of window `w` into `out`.
-    fn load(&self, id: usize, w: &Window, at: usize, out: &mut [f32]);
-    /// Copies `src` over elements `at..at + src.len()` of window `w`.
-    fn store(&mut self, id: usize, w: &Window, at: usize, src: &[f32]);
-}
-
-/// The interpreter's own buffers, indexed directly: the one-lane form.
-struct Direct<'i>(&'i mut [Option<Buffer>]);
-
-impl TileMem for Direct<'_> {
-    fn load(&self, _: usize, w: &Window, at: usize, out: &mut [f32]) {
-        let data = &self.0[w.buf].as_ref().expect("allocated").data;
-        let from = w.base + at * w.stride;
+    /// Panics on a lane if they reach into another chunk's rows.
+    fn load(&self, w: &Window, at: usize, out: &mut [f32]) {
+        let (from, last) = (w.at(at), w.at(at + out.len() - 1));
+        let (data, start) = match self {
+            Cells::Own(bufs) => (&bufs[w.buf].as_ref().expect("allocated").data[..], 0),
+            Cells::Lane(reach) => match &reach[w.buf] {
+                r if last < r.before.len() => (r.before, 0),
+                r if from >= r.end => (r.after, r.end),
+                r => (&r.rows[..], r.at),
+            },
+        };
+        let cells = &data[from - start..=last - start];
         match w.stride {
-            1 => out.copy_from_slice(&data[from..from + out.len()]),
-            0 => out.fill(data[from]),
-            stride => {
-                for (jj, o) in out.iter_mut().enumerate() {
-                    *o = data[from + jj * stride];
-                }
-            }
+            0 => out.fill(cells[0]),
+            1 => out.copy_from_slice(cells),
+            stride => (out.iter_mut().zip(cells.iter().step_by(stride))).for_each(|(o, v)| *o = *v),
         }
     }
 
-    fn store(&mut self, _: usize, w: &Window, at: usize, src: &[f32]) {
-        let data = self.0[w.buf].as_mut().expect("allocated").data.as_mut();
-        let from = w.base + at * w.stride;
-        if w.stride == 1 {
-            data[from..from + src.len()].copy_from_slice(src);
-        } else {
-            for (jj, v) in src.iter().enumerate() {
-                data[from + jj * w.stride] = *v;
-            }
+    /// Copies `src` over elements `at..at + src.len()` of window `w`.
+    /// Panics on a lane if they lie outside the chunk's own rows.
+    fn store(&mut self, w: &Window, at: usize, src: &[f32]) {
+        let (from, last) = (w.at(at), w.at(at + src.len() - 1));
+        let (data, start) = match self {
+            Cells::Own(bufs) => (bufs[w.buf].as_mut().expect("allocated").data.as_mut(), 0),
+            Cells::Lane(reach) => (&mut reach[w.buf].rows[..], reach[w.buf].at),
+        };
+        let cells = &mut data[from - start..=last - start];
+        match w.stride {
+            1 => cells.copy_from_slice(src),
+            stride => (cells.iter_mut().step_by(stride).zip(src)).for_each(|(c, v)| *c = *v),
         }
-    }
-}
-
-/// One row's verified reach into the buffers, by the ids its windows
-/// were declared under: the form any lane may use.
-impl TileMem for RowAccess<'_> {
-    fn load(&self, id: usize, _: &Window, at: usize, out: &mut [f32]) {
-        RowAccess::load(self, id, at, out);
-    }
-
-    fn store(&mut self, id: usize, _: &Window, at: usize, src: &[f32]) {
-        RowAccess::store(self, id, at, src);
     }
 }
 
@@ -1197,7 +1242,7 @@ struct Sweeper<'a> {
 impl Sweeper<'_> {
     /// One resolved pass, tile by tile: inputs in, one vectorized
     /// tile-program call per run of ops, results out.
-    fn sweep(&self, sweep: &Sweep, mem: &mut impl TileMem, regs: &mut Vec<f32>) {
+    fn sweep(&self, sweep: &Sweep, cells: &mut Cells<'_, '_>, regs: &mut Vec<f32>) {
         let pass = &self.passes[sweep.pass];
         let file = usize::from(pass.regs) * TILE;
         if regs.len() < file {
@@ -1205,14 +1250,10 @@ impl Sweeper<'_> {
         }
         for t0 in (0..pass.h).step_by(TILE) {
             let len = TILE.min(pass.h - t0);
-            let mut id = sweep.first_window;
             for (dst, src) in &self.streams.loads[sweep.loads.clone()] {
                 let out = &mut regs[usize::from(*dst) * TILE..][..len];
                 match src {
-                    Source::Tensor(w) => {
-                        mem.load(id, w, t0, out);
-                        id += 1;
-                    }
+                    Source::Tensor(w) => cells.load(w, t0, out),
                     Source::Splat(value) => out.fill(*value),
                     Source::Memo { group, at, scale } => {
                         let rows = &self.groups[*group].rows()[at + t0..][..len];
@@ -1228,8 +1269,7 @@ impl Sweeper<'_> {
                 cortex_tensor::simd::run_tile(&pass.ops[from..to], regs, len, self.nonlin);
             }
             for (src, w) in &self.streams.stores[sweep.stores.clone()] {
-                mem.store(id, w, t0, &regs[usize::from(*src) * TILE..][..len]);
-                id += 1;
+                cells.store(w, t0, &regs[usize::from(*src) * TILE..][..len]);
             }
         }
     }

@@ -569,9 +569,9 @@ pub struct ExecStats {
     /// Waves whose whole body ran as the fused epilogue (one flat row
     /// program per node instead of a per-element body walk).
     pub fused_waves: u64,
-    /// Fused waves whose tile sweeps ran row-parallel across lanes: big
-    /// enough, on more than one lane, and verified row-disjoint at run
-    /// time (`cortex_tensor::par::RowWindows`).
+    /// Fused waves whose tile sweeps ran row-parallel across lanes: in
+    /// block form (stores filling one block of rows, checked at plan
+    /// time), of two rows or more, big enough, and on more than one lane.
     pub forked_waves: u64,
     /// Wall-clock nanoseconds in **fused wave** epilogues — the
     /// post-GEMM serve/nonlinearity cost. Per fused wave: from the end

@@ -1388,25 +1388,32 @@ fn verify_rejects_forged_fused_certificate() {
     );
     // A fused wave carries no stored certificate to flip: forge the wave
     // itself, claiming a loop variable its stores do not ride (every
-    // node would write the same row).
-    let genuine = &plan.fused[0];
-    plan.fused[0] = Arc::new(super::bulk::FusedWave {
-        n_idx_slot: usize::from(u16::MAX),
-        node_let: None,
+    // node would write the same row), or the wrong block form.
+    let genuine = plan.fused[0].clone();
+    assert!(genuine.block, "the matvec waves are in block form");
+    let forge = |n_idx_slot: usize, node_let, block: bool| super::bulk::FusedWave {
+        n_idx_slot,
+        node_let,
         prog: super::bulk::RowProgram {
             passes: genuine.prog.passes.clone(),
             only: None,
             sites: genuine.prog.sites.clone(),
         },
         bytes_per_row: genuine.bytes_per_row,
-    });
-    assert_eq!(
-        verify(&shared.plan),
-        Err(VerifyError::CertificateMismatch {
-            what: "fused",
-            index: 0
-        })
-    );
+        block,
+    };
+    let stray = forge(usize::from(u16::MAX), None, true);
+    let unblocked = forge(genuine.n_idx_slot, genuine.node_let.clone(), false);
+    for forged in [stray, unblocked] {
+        Arc::get_mut(&mut shared.plan).expect("sole owner").fused[0] = Arc::new(forged);
+        assert_eq!(
+            verify(&shared.plan),
+            Err(VerifyError::CertificateMismatch {
+                what: "fused",
+                index: 0
+            })
+        );
+    }
 }
 
 /// A stored address program is re-derived from its source: a fused
@@ -1432,6 +1439,7 @@ fn verify_rejects_stale_address_program() {
                 sites: genuine.prog.sites.clone(),
             },
             bytes_per_row: genuine.bytes_per_row,
+            block: genuine.block,
         }
     };
     plan.fused[0] = Arc::new(forged);
@@ -1531,6 +1539,7 @@ fn certify_fused_rejects_overlapping_row_passes() {
             node_let: None,
             bytes_per_row: 0,
             prog,
+            block: false,
         };
         fw.rows_disjoint()
     };
@@ -1981,4 +1990,139 @@ fn rejected_sum_bodies_run_the_per_k_loop_on_every_path() {
             );
         });
     }
+}
+
+// -- the fork decision of a fused wave --
+
+/// A hand-built one-kernel program at `h = 256`: one wave of 64 rows
+/// over a forest of 128 lone leaves, `let node = bind(n_idx); t[node, i]
+/// = tanh(x[node, i]) (+ t[node + 1, i] with `sibling`)`, whose 2 KiB
+/// rows stream 128 KiB in all, twice the fork threshold.
+fn leaf_wave(
+    bind: impl Fn(IdxExpr) -> IdxExpr,
+    sibling: bool,
+) -> (cortex_core::ilir::IlirProgram, Linearized, Params) {
+    use cortex_core::expr::VarGen;
+    use cortex_core::ilir::{
+        DimExtent, DimName, IlirProgram, Kernel, LaunchPattern, ProgramMeta, StorageClass,
+        TensorDecl,
+    };
+    let h = 256;
+    let mut vg = VarGen::new();
+    let (n_idx, node, i) = (vg.fresh("n_idx"), vg.fresh("node"), vg.fresh("i"));
+    let (x, t) = (TensorId(0), TensorId(1));
+    let decl = |id, name: &str, rows, class| TensorDecl {
+        id,
+        name: name.to_string(),
+        dims: vec![rows, DimExtent::Fixed(h)],
+        dim_names: vec![DimName::node(), DimName::feature(0)],
+        class,
+        persist: false,
+        is_output: class == StorageClass::Global,
+    };
+    let row = |node: IdxExpr| vec![node, IdxExpr::Var(i)];
+    let mut value = ValExpr::load(x, row(IdxExpr::Var(node))).tanh();
+    if sibling {
+        value = value.add(ValExpr::load(
+            t,
+            row(IdxExpr::Var(node).add(IdxExpr::Const(1))),
+        ));
+    }
+    let body = vec![Stmt::For {
+        var: n_idx,
+        extent: IdxExpr::Const(64),
+        kind: LoopKind::Parallel,
+        dim: Some(DimName::batch()),
+        body: vec![Stmt::Let {
+            var: node,
+            value: bind(IdxExpr::Var(n_idx)),
+            body: vec![Stmt::For {
+                var: i,
+                extent: IdxExpr::Const(h as i64),
+                kind: LoopKind::Vectorized,
+                dim: Some(DimName::feature(0)),
+                body: vec![Stmt::Store {
+                    tensor: t,
+                    index: row(IdxExpr::Var(node)),
+                    value,
+                }],
+            }],
+        }],
+    }];
+    let program = IlirProgram {
+        tensors: vec![
+            Some(decl(x, "X", DimExtent::Fixed(128), StorageClass::Param)),
+            Some(decl(t, "t", DimExtent::Nodes, StorageClass::Global)),
+        ],
+        kernels: vec![Kernel {
+            name: "leaves".to_string(),
+            launch: LaunchPattern::Once,
+            batch_var: None,
+            body,
+        }],
+        outputs: vec![t],
+        meta: ProgramMeta {
+            schedule: RaSchedule::default(),
+            sync_depth: 1,
+            crossing_tensors: Vec::new(),
+            leaf_hoisted: false,
+            leaf_zero: false,
+        },
+        vg,
+    };
+    let leaves = datasets::batch_of(|s| datasets::random_binary_tree(1, s), 128, 1);
+    let lin = Linearizer::new().linearize(&leaves).unwrap();
+    let mut params = Params::new();
+    params.set("X", Tensor::random(&[128, h], 0.5, 3));
+    (program, lin, params)
+}
+
+/// Runs `program` solo on one lane and on all, checks outputs and
+/// `Profile` bit for bit against the per-element walk, and returns the
+/// all-lanes run's stats.
+fn fork_decision(
+    (program, lin, params): (cortex_core::ilir::IlirProgram, Linearized, Params),
+) -> super::ExecStats {
+    use cortex_tensor::par;
+    let per_element = ExecOptions {
+        bulk: false,
+        ..ExecOptions::interpreted()
+    };
+    let want = Engine::with_options(&program, per_element)
+        .execute(&lin, &params, true)
+        .unwrap();
+    let mut stats = Vec::new();
+    for lanes in [1, par::MAX_LANES] {
+        par::with_lanes(lanes, || {
+            let mut engine = Engine::new(&program);
+            assert!(
+                engine.execute(&lin, &params, true).unwrap() == want,
+                "{lanes} lanes"
+            );
+            stats.push(engine.stats());
+        });
+    }
+    assert_eq!(stats[0].forked_waves, 0, "one lane never forks");
+    assert_eq!(stats[0].fused_waves, stats[1].fused_waves);
+    stats[1]
+}
+
+#[test]
+fn a_block_form_wave_forks_across_lanes() {
+    let stats = fork_decision(leaf_wave(|n| IdxExpr::Const(0).add(n), false));
+    assert_eq!(stats.fused_waves, 1);
+    let lanes = cortex_tensor::par::lanes();
+    assert_eq!(stats.forked_waves, u64::from(lanes > 1), "{lanes} lanes");
+}
+
+#[test]
+fn a_wave_not_in_block_form_fuses_but_runs_unforked() {
+    let stats = fork_decision(leaf_wave(|n| n.mul(IdxExpr::Const(2)), false));
+    assert_eq!((stats.fused_waves, stats.forked_waves), (1, 0));
+}
+
+#[test]
+fn a_wave_reading_its_sibling_row_is_refused_fusion() {
+    let stats = fork_decision(leaf_wave(|n| IdxExpr::Const(0).add(n), true));
+    assert_eq!((stats.fused_waves, stats.forked_waves), (0, 0));
 }

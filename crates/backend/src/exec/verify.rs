@@ -17,9 +17,9 @@
 //! * every `d_all_batches` wave loop that drives a wave-GEMM loop
 //!   contains a `Barrier` separating its iterations
 //!   ([`VerifyError::MissingBarrier`]);
-//! * every fused wave's row program is row-disjoint, the condition it
-//!   was fused under — a forged or stale fused wave is rejected before
-//!   any run is admitted ([`VerifyError::CertificateMismatch`] with
+//! * every fused wave's row program is row-disjoint and its block form
+//!   re-derives — a forged or stale fused wave is rejected before any
+//!   run is admitted ([`VerifyError::CertificateMismatch`] with
 //!   `what: "fused"`);
 //! * every stored address program (a gathered row operand, a node
 //!   binding, a row program's load, store or select) is what the
@@ -113,10 +113,10 @@ pub enum VerifyError {
         /// Which field disagrees.
         what: &'static str,
     },
-    /// A fused wave's row program is not row-disjoint, or a stored
-    /// address program disagrees with the one the address compiler
-    /// derives from its source: the plan was forged or tampered with
-    /// after lowering.
+    /// A fused wave is not row-disjoint or not of its recorded block
+    /// form, or a stored address program disagrees with the one the
+    /// address compiler derives from its source: the plan was forged or
+    /// tampered with after lowering.
     CertificateMismatch {
         /// Which table (`"fused"` waves or `"address"` programs).
         what: &'static str,
@@ -343,11 +343,11 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
     }
 }
 
-/// Re-derives the row-disjointness of every fused wave: only
-/// row-disjoint bodies may fuse at all, so a fused wave that is not
-/// would share tile sweeps (and fork rows) unsoundly.
+/// Re-derives the row-disjointness (only row-disjoint bodies may share
+/// tile sweeps) and the block form (only block-form waves fork) of every
+/// fused wave.
 fn verify_fused(plan: &Program) -> Result<(), VerifyError> {
-    match plan.fused.iter().position(|fw| !fw.rows_disjoint()) {
+    match (plan.fused.iter()).position(|fw| !fw.rows_disjoint() || fw.block != fw.block_form()) {
         Some(index) => Err(VerifyError::CertificateMismatch {
             what: "fused",
             index,

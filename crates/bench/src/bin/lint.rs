@@ -4,10 +4,12 @@
 //! literals stripped, so prose never trips a rule) and fails the build
 //! on:
 //!
-//! 1. **`unsafe`** outside the allowlist in `lint-allow.txt` — every
+//! 1. **`unsafe`** outside the allowlist in `lint-allow.txt`, or more
+//!    of it in a file than its entry's count (`<path> <count>`) — every
 //!    `unsafe` block in this repo carries a verifier- or
 //!    analysis-backed invariant; new ones must be added to the
-//!    allowlist deliberately, in the same PR that argues their safety.
+//!    allowlist deliberately, in the same change that argues their
+//!    safety, and the count keeps a file's share from growing silently.
 //! 2. **Raw clock reads** (the paths `Instant::now` / `SystemTime::now`,
 //!    called or passed as a function value) outside the allowlist —
 //!    serving code must go through the `Clock` abstraction so tests and
@@ -34,7 +36,8 @@
 //!    the file's first `#[cfg(test)]` that opens an inline module,
 //!    `tests.rs` files excluded. A directory over its cap fails, and so
 //!    does a cap without a `#` reason line directly above it: raising a
-//!    cap means writing down why, in the same change.
+//!    cap means writing down why, in the same change. `[unsafe]` counts
+//!    need their reason line the same way.
 //!
 //! Run with `cargo run --release -p cortex-bench-harness --bin lint`;
 //! CI runs it as part of the `analysis-gates` job. Exit code 1 on any
@@ -209,9 +212,11 @@ fn parse_allowlist(text: &str) -> Allowlist {
             section = name.to_string();
         } else {
             assert!(!section.is_empty(), "allowlist entry before any [section]");
+            // A capped entry's path is its first field.
+            let path = line.split_whitespace().next().unwrap_or(line);
             out.entry(section.clone())
                 .or_default()
-                .insert(line.to_string());
+                .insert(path.to_string());
         }
     }
     out
@@ -289,56 +294,75 @@ fn test_start(text: &str) -> usize {
         .map_or(usize::MAX, |i| i + 1)
 }
 
-/// One `[budget]` entry: a repo-relative directory and its cap.
+/// One capped entry: a repo-relative path and its cap (a `[budget]`
+/// directory's non-test lines, an `[unsafe]` file's `unsafe` count).
 #[derive(Debug, PartialEq)]
-struct Budget {
-    dir: String,
+struct Cap {
+    path: String,
     cap: usize,
 }
 
-/// The `[budget]` table of the allowlist text. Every entry must be
-/// `<dir> <cap>` with a `#` reason line directly above it; each entry
+/// The entries of the allowlist's `[section]`. Every entry must be
+/// `<path> <cap>` with a `#` reason line directly above it; each entry
 /// that is not is returned as a violation.
-fn parse_budgets(text: &str) -> (Vec<Budget>, Vec<String>) {
-    let (mut budgets, mut violations) = (Vec::new(), Vec::new());
-    let (mut in_budget, mut reasoned) = (false, false);
+fn parse_caps(text: &str, section: &str) -> (Vec<Cap>, Vec<String>) {
+    let (mut caps, mut violations) = (Vec::new(), Vec::new());
+    let (mut inside, mut reasoned) = (false, false);
     for line in text.lines().map(str::trim) {
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            in_budget = name == "budget";
+            inside = name == section;
         } else if line.starts_with('#') {
             reasoned = true;
             continue;
-        } else if in_budget && !line.is_empty() {
+        } else if inside && !line.is_empty() {
             let mut fields = line.split_whitespace();
             let entry = match (fields.next(), fields.next().map(str::parse), fields.next()) {
-                (Some(dir), Some(Ok(cap)), None) => Some(Budget {
-                    dir: dir.trim_end_matches('/').to_string(),
+                (Some(path), Some(Ok(cap)), None) => Some(Cap {
+                    path: path.trim_end_matches('/').to_string(),
                     cap,
                 }),
                 _ => None,
             };
             match entry {
                 None => violations.push(format!(
-                    "lint-allow.txt: [budget] entry `{line}` is not `<dir> <cap>`"
+                    "lint-allow.txt: [{section}] entry `{line}` is not `<path> <cap>`"
                 )),
-                Some(b) if !reasoned => violations.push(format!(
-                    "lint-allow.txt: [budget] cap for {} has no `#` reason line above it",
-                    b.dir
+                Some(c) if !reasoned => violations.push(format!(
+                    "lint-allow.txt: [{section}] cap for {} has no `#` reason line above it",
+                    c.path
                 )),
-                Some(b) => budgets.push(b),
+                Some(c) => caps.push(c),
             }
         }
         reasoned = false;
     }
-    (budgets, violations)
+    (caps, violations)
+}
+
+/// Every `[unsafe]` file with more `unsafe` than its entry allows, as a
+/// violation (a listed file that is gone is stale under rule 4).
+fn over_unsafe_counts(files: &[(String, String)], counts: &[Cap]) -> Vec<String> {
+    let count_of = |path: &String| {
+        let (_, text) = files.iter().find(|(rel, _)| rel == path)?;
+        Some(find_lines(&strip(text), "unsafe", true).len())
+    };
+    (counts.iter())
+        .filter_map(|Cap { path, cap }| match count_of(path) {
+            Some(n) if n > *cap => Some(format!(
+                "{path}: {n} `unsafe`, over its [unsafe] count of {cap} (remove one, or raise \
+                 the count in lint-allow.txt with the safety argument above it)"
+            )),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Every directory over its budget, as a violation. The count is the
 /// non-test lines of the `.rs` files under the directory, `tests.rs`
 /// files excluded; a budget naming no file is stale.
-fn over_budget(files: &[(String, String)], budgets: &[Budget]) -> Vec<String> {
+fn over_budget(files: &[(String, String)], budgets: &[Cap]) -> Vec<String> {
     let mut violations = Vec::new();
-    for Budget { dir, cap } in budgets {
+    for Cap { path: dir, cap } in budgets {
         let prefix = format!("{dir}/");
         let counted: Vec<usize> = (files.iter())
             .filter(|(rel, _)| rel.starts_with(&prefix) && !rel.ends_with("/tests.rs"))
@@ -446,7 +470,9 @@ fn main() {
     let allow_text = std::fs::read_to_string(&allow_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", allow_path.display()));
     let allow = parse_allowlist(&allow_text);
-    let (budgets, mut budget_violations) = parse_budgets(&allow_text);
+    let (budgets, mut cap_violations) = parse_caps(&allow_text, "budget");
+    let (unsafe_counts, mut count_violations) = parse_caps(&allow_text, "unsafe");
+    cap_violations.append(&mut count_violations);
 
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
@@ -464,8 +490,9 @@ fn main() {
         .collect();
     let scanned = files.len();
     let mut violations = lint(&files, &allow);
-    violations.append(&mut budget_violations);
+    violations.append(&mut cap_violations);
     violations.extend(over_budget(&files, &budgets));
+    violations.extend(over_unsafe_counts(&files, &unsafe_counts));
 
     if violations.is_empty() {
         println!("lint: {scanned} files clean");
@@ -556,7 +583,7 @@ mod tests {
             file("crates/a/src/other.rs", "fn o() {}\n"),
         ];
         let check = |table: &str| {
-            let (budgets, mut violations) = parse_budgets(table);
+            let (budgets, mut violations) = parse_caps(table, "budget");
             violations.extend(over_budget(&files, &budgets));
             violations
         };
@@ -571,7 +598,7 @@ mod tests {
         let bare = check("[budget]\n# why\ncrates/a/src/exec 14\ncrates/a/src 9\nnonsense\n");
         assert_eq!(bare.len(), 2, "{bare:?}");
         assert!(bare[0].contains("cap for crates/a/src has no `#` reason line"));
-        assert!(bare[1].contains("entry `nonsense` is not `<dir> <cap>`"));
+        assert!(bare[1].contains("entry `nonsense` is not `<path> <cap>`"));
         let stale = check("[budget]\n# gone\ncrates/b/src 1\n");
         assert!(
             stale[0].contains("stale [budget] entry crates/b/src"),
@@ -579,9 +606,36 @@ mod tests {
         );
         // Entries of other sections are not budgets.
         assert_eq!(
-            parse_budgets("[clock]\ncrates/a/src/other.rs\n").0,
+            parse_caps("[clock]\ncrates/a/src/other.rs\n", "budget").0,
             Vec::new()
         );
+    }
+
+    #[test]
+    fn unsafe_counts_cap_each_file_and_need_a_reason() {
+        let files = [file(
+            "crates/a/src/live.rs",
+            "fn f() { unsafe { g() } }\n// unsafe in prose\nfn h() { unsafe { g() } }\n",
+        )];
+        let check = |table: &str| {
+            let (counts, mut violations) = parse_caps(table, "unsafe");
+            violations.extend(over_unsafe_counts(&files, &counts));
+            violations.extend(lint(&files, &parse_allowlist(table)));
+            violations
+        };
+        assert_eq!(
+            check("[unsafe]\n# why\ncrates/a/src/live.rs 2\n"),
+            Vec::<String>::new()
+        );
+        let over = check("[unsafe]\n# why\ncrates/a/src/live.rs 1\n");
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert!(
+            over[0].starts_with("crates/a/src/live.rs: 2 `unsafe`, over its [unsafe] count of 1")
+        );
+        let bare = check("[unsafe]\ncrates/a/src/live.rs 2\n# why\ncrates/a/src/live.rs\n");
+        assert_eq!(bare.len(), 2, "{bare:?}");
+        assert!(bare[0].contains("[unsafe] cap for crates/a/src/live.rs has no `#` reason line"));
+        assert!(bare[1].contains("[unsafe] entry `crates/a/src/live.rs` is not `<path> <cap>`"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! | Module | Crate | Contents |
 //! | --- | --- | --- |
-//! | [`tensor`] | `cortex-tensor` | dense tensors, layouts, kernels |
+//! | [`tensor`] | `cortex-tensor` | dense tensors, kernels, the lane pool |
 //! | [`ds`] | `cortex-ds` | recursive structures, datasets, the linearizer |
 //! | [`core`] | `cortex-core` | the RA, the ILIR, lowering and passes |
 //! | [`backend`] | `cortex-backend` | executor, device models, profiling |

@@ -5,9 +5,6 @@
 //! provides:
 //!
 //! * [`Shape`] — tensor extents with row-major index arithmetic,
-//! * [`Layout`] — strided layouts supporting the split / reorder / fuse
-//!   dimension transformations that the ILIR exposes as data-layout
-//!   scheduling primitives (§5.1 of the paper),
 //! * [`Tensor`] — an owned dense `f32` tensor,
 //! * [`kernels`] — the numeric kernels (gemm, gemv, elementwise, concat)
 //!   used both by Cortex-generated code and by the baseline frameworks'
@@ -17,8 +14,7 @@
 //!   kernels bottom out in,
 //! * [`approx`] — rational approximations of `tanh`/`sigmoid` (App. A.5),
 //! * [`par`] — the process-wide fork/join lane pool that large matrix
-//!   products and row sweeps are spread over, and the verified
-//!   row-window access that lets safe code do the latter.
+//!   products and row sweeps are spread over.
 //!
 //! # Example
 //!
@@ -33,13 +29,11 @@
 
 pub mod approx;
 pub mod kernels;
-pub mod layout;
 pub mod par;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use layout::Layout;
 pub use shape::Shape;
 pub use tensor::{Tensor, TensorError};
 

@@ -29,16 +29,9 @@
 //! next fork unparks them. `split` is scoped: it returns — or unwinds —
 //! only after the job is closed and every helper that joined it has left
 //! the closure, and it re-raises a helper lane's panic on the caller.
-//!
-//! The second half of the module, [`RowWindows`], is the one way safe
-//! code may let lanes write into shared buffers: rows declare the strided
-//! windows they load and store, `run` verifies that no row stores into or
-//! loads from a window another row stores, and only then fans the rows
-//! out.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -357,353 +350,6 @@ fn helper(s: &Shared, h: usize) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Row windows: verified row-parallel access to shared buffers
-// ---------------------------------------------------------------------
-
-/// A strided window of one buffer: elements `base + i·stride`, `i < len`
-/// (stride 0 is one cell read `len` times).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Window {
-    /// Index of the buffer among those handed to [`RowWindows::run`].
-    pub buf: usize,
-    /// Offset of element 0.
-    pub base: usize,
-    /// Distance between consecutive elements.
-    pub stride: usize,
-    /// Elements.
-    pub len: usize,
-}
-
-impl Window {
-    /// The last offset the window touches (`len > 0`).
-    fn last(&self) -> usize {
-        ((self.len - 1).checked_mul(self.stride))
-            .and_then(|span| span.checked_add(self.base))
-            .expect("window extent overflows")
-    }
-}
-
-/// One buffer of a [`RowWindows::run`]: rows may store only into `Write`
-/// buffers.
-pub enum Buf<'a> {
-    /// Loaded from, never stored to.
-    Read(&'a [f32]),
-    /// Loaded from and stored to.
-    Write(&'a mut [f32]),
-}
-
-#[derive(Clone, Copy)]
-struct RawBuf {
-    ptr: *mut f32,
-    len: usize,
-    writable: bool,
-}
-
-/// The extent of one row's stores in one buffer.
-#[derive(Clone, Copy)]
-struct Hull {
-    lo: usize,
-    hi: usize,
-    row: usize,
-}
-
-/// The windows a batch of *rows* loads and stores, declared row by row,
-/// and the recycled scratch of [`RowWindows::run`].
-#[derive(Default)]
-pub struct RowWindows {
-    /// `(window, stored)`, rows back to back.
-    wins: Vec<(Window, bool)>,
-    /// Where each declared row's windows end.
-    row_ends: Vec<usize>,
-    bufs: Vec<RawBuf>,
-    /// Buffers rows store to — `(buffer, rows storing to it, last offset
-    /// any of them stores)` — and per such buffer one [`Hull`] per row,
-    /// sorted by `lo`.
-    stored: Vec<(usize, usize, usize)>,
-    hulls: Vec<Hull>,
-}
-
-// SAFETY: the only pointers are in `bufs`, which `run` fills from the
-// borrows it is handed and dereferences only before it returns (through
-// a `Table` of its own making); every `run` refills `bufs` first. So the
-// pointers a `RowWindows` carries to another thread are never read
-// there, and the scratch may move with the lane group that owns it.
-unsafe impl Send for RowWindows {}
-
-impl RowWindows {
-    /// Forgets every declared row.
-    pub fn clear(&mut self) {
-        self.wins.clear();
-        self.row_ends.clear();
-    }
-
-    /// Declares a window the current row loads; returns its id.
-    pub fn load(&mut self, w: Window) -> usize {
-        self.wins.push((w, false));
-        self.wins.len() - 1
-    }
-
-    /// Declares a window the current row stores (and may load); returns
-    /// its id.
-    pub fn store(&mut self, w: Window) -> usize {
-        self.wins.push((w, true));
-        self.wins.len() - 1
-    }
-
-    /// Ends the current row: windows declared from here on are the next
-    /// row's.
-    pub fn end_row(&mut self) {
-        self.row_ends.push(self.wins.len());
-    }
-
-    /// Rows declared so far.
-    pub fn rows(&self) -> usize {
-        self.row_ends.len()
-    }
-
-    /// Windows declared so far: the id of the next one.
-    pub fn declared(&self) -> usize {
-        self.wins.len()
-    }
-
-    /// Calls `body(row, access)` once for every declared row, where
-    /// `access` reaches exactly that row's windows of `bufs`. If no row
-    /// stores into, or loads from, the extent of another row's stores in
-    /// the same buffer (checked here, in time linear in the windows when
-    /// rows come in address order), the rows are spread over the lanes
-    /// of [`split`] and this returns `true`. Otherwise — and for a
-    /// caller on one lane — they run on the calling thread in
-    /// declaration order, each row seeing the stores of the rows before
-    /// it, and this returns `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window lies outside its buffer or is stored to a
-    /// [`Buf::Read`] buffer.
-    pub fn run<'a>(
-        &mut self,
-        bufs: impl IntoIterator<Item = Buf<'a>>,
-        body: &(dyn Fn(usize, &mut RowAccess<'_>) + Sync),
-    ) -> bool {
-        self.bufs.clear();
-        self.bufs.extend(bufs.into_iter().map(|b| match b {
-            Buf::Read(s) => RawBuf {
-                ptr: s.as_ptr().cast_mut(),
-                len: s.len(),
-                writable: false,
-            },
-            Buf::Write(s) => RawBuf {
-                ptr: s.as_mut_ptr(),
-                len: s.len(),
-                writable: true,
-            },
-        }));
-        for (w, stored) in &self.wins {
-            let buf = &self.bufs[w.buf];
-            assert!(
-                w.len == 0 || w.last() < buf.len,
-                "window {w:?} outside its {}-float buffer",
-                buf.len
-            );
-            assert!(
-                !stored || buf.writable,
-                "store window {w:?} on a read-only buffer"
-            );
-        }
-        let rows = self.rows();
-        let forked = rows > 1 && lanes() > 1 && self.rows_are_disjoint();
-        let table = Table {
-            wins: &self.wins,
-            row_ends: &self.row_ends,
-            bufs: &self.bufs,
-        };
-        let serve = |row: usize| {
-            let mut access = RowAccess {
-                table: &table,
-                wins: row_wins(table.row_ends, row),
-            };
-            body(row, &mut access);
-        };
-        if forked {
-            // A few chunks per lane: a late helper costs one of them.
-            let chunks = rows.min(4 * lanes());
-            split(chunks, &|c| {
-                (c * rows / chunks..(c + 1) * rows / chunks).for_each(&serve);
-            });
-        } else {
-            (0..rows).for_each(serve);
-        }
-        // The pointers die with the borrows they came from.
-        self.bufs.clear();
-        forked
-    }
-
-    /// Whether rows may run concurrently: per stored buffer, the rows'
-    /// store extents are pairwise disjoint, and no load window of a row
-    /// overlaps the store extent of another row. Rows are expected to
-    /// store to the buffers the first row stores to (they run one
-    /// program); a row that does not is reason enough for one lane.
-    fn rows_are_disjoint(&mut self) -> bool {
-        const NONE: usize = usize::MAX;
-        let rows = self.rows();
-        self.stored.clear();
-        for (w, stored) in &self.wins[row_wins(&self.row_ends, 0)] {
-            if *stored && w.len > 0 && !self.stored.iter().any(|s| s.0 == w.buf) {
-                self.stored.push((w.buf, 0, 0));
-            }
-        }
-        self.hulls.clear();
-        self.hulls.resize(
-            self.stored.len() * rows,
-            Hull {
-                lo: NONE,
-                hi: 0,
-                row: 0,
-            },
-        );
-        let mut start = 0;
-        for (row, end) in self.row_ends.iter().enumerate() {
-            for (w, stored) in &self.wins[start..*end] {
-                if *stored && w.len > 0 {
-                    let Some(b) = self.stored.iter().position(|s| s.0 == w.buf) else {
-                        return false;
-                    };
-                    let hull = &mut self.hulls[b * rows + row];
-                    *hull = Hull {
-                        lo: hull.lo.min(w.base),
-                        hi: hull.hi.max(w.last()),
-                        row,
-                    };
-                }
-            }
-            start = *end;
-        }
-        // Rows of a wave come in address order, which the sort detects
-        // in one pass. Rows that store nothing to a buffer sort last.
-        for (of_buf, extent) in self.hulls.chunks_exact_mut(rows).zip(&mut self.stored) {
-            of_buf.sort_unstable_by_key(|h| h.lo);
-            if of_buf
-                .windows(2)
-                .any(|p| p[1].lo != NONE && p[0].hi >= p[1].lo)
-            {
-                return false;
-            }
-            let storing = of_buf.partition_point(|h| h.lo != NONE);
-            (extent.1, extent.2) = (storing, of_buf[storing - 1].hi);
-        }
-        let mut start = 0;
-        for (row, end) in self.row_ends.iter().enumerate() {
-            for (w, stored) in &self.wins[start..*end] {
-                if *stored || w.len == 0 {
-                    continue;
-                }
-                let Some(b) = self.stored.iter().position(|s| s.0 == w.buf) else {
-                    continue;
-                };
-                let of_buf = &self.hulls[b * rows..][..self.stored[b].1];
-                let (lo, hi) = (w.base, w.last());
-                // Most loads of a stored buffer read rows of earlier
-                // waves, outside everything this batch stores.
-                if hi < of_buf[0].lo || lo > self.stored[b].2 {
-                    continue;
-                }
-                let first = of_buf.partition_point(|h| h.hi < lo);
-                if of_buf[first..]
-                    .iter()
-                    .take_while(|h| h.lo <= hi)
-                    .any(|h| h.row != row)
-                {
-                    return false;
-                }
-            }
-            start = *end;
-        }
-        true
-    }
-}
-
-/// The windows of declared row `row`.
-fn row_wins(row_ends: &[usize], row: usize) -> Range<usize> {
-    let start = if row == 0 { 0 } else { row_ends[row - 1] };
-    start..row_ends[row]
-}
-
-/// What the lanes of one [`RowWindows::run`] share.
-struct Table<'t> {
-    wins: &'t [(Window, bool)],
-    row_ends: &'t [usize],
-    /// Pointers into the buffers `run`'s caller lent it for the call.
-    bufs: &'t [RawBuf],
-}
-
-// SAFETY: the raw buffer pointers are dereferenced only through a
-// `RowAccess`, inside windows of its one row. `run` hands a row to one
-// lane at a time, and rows on different lanes were verified to store to
-// pairwise disjoint extents that no other row loads from — so no two
-// threads ever touch the same float unless both only read it.
-unsafe impl Sync for Table<'_> {}
-
-/// One row's reach into the buffers of a [`RowWindows::run`]: loads and
-/// stores by window id, bounds-checked against the window. Storing takes
-/// `&mut self`: a row's windows have one writer at a time.
-pub struct RowAccess<'r> {
-    table: &'r Table<'r>,
-    wins: Range<usize>,
-}
-
-impl RowAccess<'_> {
-    fn window(&self, id: usize, at: usize, n: usize) -> (Window, bool, RawBuf) {
-        assert!(self.wins.contains(&id), "window {id} is not this row's");
-        let (w, stored) = self.table.wins[id];
-        assert!(
-            at.checked_add(n).is_some_and(|end| end <= w.len),
-            "elements {at}..+{n} outside {w:?}"
-        );
-        (w, stored, self.table.bufs[w.buf])
-    }
-
-    /// Copies elements `at..at + out.len()` of window `id` into `out`.
-    pub fn load(&self, id: usize, at: usize, out: &mut [f32]) {
-        let (w, _, buf) = self.window(id, at, out.len());
-        // SAFETY: `run` checked the whole window against the buffer's
-        // length and `window` the elements against the window; no other
-        // lane stores to them (see `Table`).
-        unsafe {
-            let src = buf.ptr.add(w.base + at * w.stride);
-            if w.stride == 1 {
-                std::ptr::copy_nonoverlapping(src, out.as_mut_ptr(), out.len());
-            } else {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = *src.add(i * w.stride);
-                }
-            }
-        }
-    }
-
-    /// Copies `src` over elements `at..at + src.len()` of window `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window was declared with [`RowWindows::load`].
-    pub fn store(&mut self, id: usize, at: usize, src: &[f32]) {
-        let (w, stored, buf) = self.window(id, at, src.len());
-        assert!(stored, "store to load window {w:?}");
-        // SAFETY: as in `load`; the buffer is a `Buf::Write` (checked by
-        // `run`), and this row is the only one that touches the window.
-        unsafe {
-            let dst = buf.ptr.add(w.base + at * w.stride);
-            if w.stride == 1 {
-                std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
-            } else {
-                for (i, v) in src.iter().enumerate() {
-                    *dst.add(i * w.stride) = *v;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,133 +515,5 @@ mod tests {
         pool.split(2, &|_| {
             meet.wait();
         });
-    }
-
-    /// `rows` rows over the 4-float slots of one buffer: row `r` loads
-    /// slot `load(r)` and stores slot `r + 1`.
-    fn slot_rows(rows: usize, load: impl Fn(usize) -> usize) -> RowWindows {
-        let mut t = RowWindows::default();
-        for r in 0..rows {
-            for (slot, stored) in [(load(r), false), (r + 1, true)] {
-                let w = Window {
-                    buf: 0,
-                    base: slot * 4,
-                    stride: 1,
-                    len: 4,
-                };
-                if stored {
-                    t.store(w);
-                } else {
-                    t.load(w);
-                }
-            }
-            t.end_row();
-        }
-        t
-    }
-
-    /// Row r: stored slot = loaded slot + 1, elementwise — through `run`.
-    fn add_one(t: &mut RowWindows, data: &mut [f32]) -> bool {
-        t.run([Buf::Write(data)], &|row, access| {
-            let mut v = [0.0f32; 4];
-            access.load(2 * row, 0, &mut v);
-            v.iter_mut().for_each(|x| *x += 1.0);
-            access.store(2 * row + 1, 0, &v);
-        })
-    }
-
-    #[test]
-    fn disjoint_rows_fork_and_overlapping_rows_fall_back_to_the_sequential_result() {
-        let rows = 64;
-        let init: Vec<f32> = (0..(rows + 1) * 4).map(|i| i as f32).collect();
-
-        // Own-slot reads: disjoint, forks wherever there is a second lane.
-        let mut data = init.clone();
-        let forked = add_one(&mut slot_rows(rows, |r| r + 1), &mut data);
-        assert_eq!(forked, lanes() > 1);
-        assert!(data[4..].iter().zip(&init[4..]).all(|(d, i)| *d == i + 1.0));
-
-        // Row r reads the slot row r − 1 stored: one lane, declaration
-        // order — every slot is the first one plus its distance.
-        let mut data = init.clone();
-        assert!(!add_one(&mut slot_rows(rows, |r| r), &mut data));
-        for (slot, got) in data.chunks_exact(4).enumerate() {
-            let want: Vec<f32> = init[..4].iter().map(|v| v + slot as f32).collect();
-            assert_eq!(got, want, "slot {slot}");
-        }
-
-        // Two rows store the same window: one lane, last row wins.
-        let mut t = slot_rows(2, |r| r + 1);
-        t.wins[3].0.base = 4;
-        let mut data = init.clone();
-        assert!(!add_one(&mut t, &mut data));
-        assert_eq!(data[4..8], [9.0, 10.0, 11.0, 12.0]);
-
-        // Rows in descending address order are still disjoint.
-        let mut t = RowWindows::default();
-        for r in (0..rows).rev() {
-            t.store(Window {
-                buf: 0,
-                base: r * 4,
-                stride: 2,
-                len: 2,
-            });
-            t.end_row();
-        }
-        let mut data = init.clone();
-        let forked = t.run([Buf::Write(&mut data)], &|row, access| {
-            access.store(row, 0, &[-1.0, -2.0]);
-        });
-        assert_eq!(forked, lanes() > 1);
-        assert_eq!(data[..6], [-1.0, 1.0, -2.0, 3.0, -1.0, 5.0]);
-    }
-
-    #[test]
-    fn access_is_confined_to_the_rows_own_windows_and_buffers() {
-        let mut data = vec![0.0f32; 16];
-        let shared = [7.0f32; 4];
-        let mut t = slot_rows(2, |r| r + 1);
-        let foreign =
-            |t: &mut RowWindows, data: &mut [f32], f: &(dyn Fn(&mut RowAccess<'_>) + Sync)| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    with_lanes(1, || {
-                        t.run([Buf::Write(data), Buf::Read(&shared)], &|row, access| {
-                            if row == 0 {
-                                f(access);
-                            }
-                        })
-                    })
-                }))
-                .is_err()
-            };
-        assert!(!foreign(&mut t, &mut data, &|a| a.store(1, 1, &[1.0; 3])));
-        assert!(
-            foreign(&mut t, &mut data, &|a| a.store(3, 0, &[1.0])),
-            "row 1's window"
-        );
-        assert!(
-            foreign(&mut t, &mut data, &|a| a.store(0, 0, &[1.0])),
-            "a load window"
-        );
-        assert!(
-            foreign(&mut t, &mut data, &|a| a.store(1, 2, &[1.0; 3])),
-            "past the end"
-        );
-        t.store(Window {
-            buf: 1,
-            base: 0,
-            stride: 1,
-            len: 1,
-        });
-        t.end_row();
-        assert!(
-            foreign(&mut t, &mut data, &|_| ()),
-            "store window on a read buffer"
-        );
-        let mut t = slot_rows(5, |r| r + 1);
-        assert!(
-            foreign(&mut t, &mut data, &|_| ()),
-            "window outside the buffer"
-        );
     }
 }

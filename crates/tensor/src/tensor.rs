@@ -57,8 +57,7 @@ impl Error for TensorError {}
 /// An owned, row-major dense tensor of `f32` values.
 ///
 /// This is deliberately simple: all the clever layout work in Cortex happens
-/// in the compiler ([`crate::Layout`] + the ILIR), while runtime storage is a
-/// flat buffer.
+/// in the compiler (the ILIR), while runtime storage is a flat buffer.
 ///
 /// # Example
 ///

@@ -6,7 +6,7 @@
 //! build has no registry dependencies.
 
 use cortex_rng::Rng;
-use cortex_tensor::{kernels, Layout, Shape, Tensor};
+use cortex_tensor::{kernels, Shape, Tensor};
 
 const CASES: usize = 200;
 
@@ -23,40 +23,6 @@ fn linearize_delinearize_roundtrip() {
         let flat = rng.below_usize(shape.len());
         let ix = shape.delinearize(flat);
         assert_eq!(shape.linearize(&ix), flat);
-    }
-}
-
-#[test]
-fn layout_split_is_injective() {
-    let mut rng = Rng::new(0x12);
-    for _ in 0..CASES {
-        let extent = rng.range_usize(1, 40);
-        let factor = rng.range_usize(1, 9);
-        let shape = Shape::new(&[extent]);
-        let layout = Layout::row_major(shape.clone()).split(0, factor);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..extent {
-            assert!(seen.insert(layout.offset(&[i])), "collision at {i}");
-        }
-    }
-}
-
-#[test]
-fn layout_reorder_is_bijective() {
-    let mut rng = Rng::new(0x13);
-    for _ in 0..CASES {
-        let (a, b, c) = (
-            rng.range_usize(1, 6),
-            rng.range_usize(1, 6),
-            rng.range_usize(1, 6),
-        );
-        let shape = Shape::new(&[a, b, c]);
-        let layout = Layout::row_major(shape.clone()).reorder(&[2, 0, 1]);
-        let mut seen = std::collections::HashSet::new();
-        for ix in shape.indices() {
-            assert!(seen.insert(layout.offset(&ix)));
-        }
-        assert_eq!(seen.len(), shape.len());
     }
 }
 

@@ -8,18 +8,19 @@
 //! output map, and the `Profile::waves` list.
 //!
 //! The counting allocator is thread-local: it counts only the calls made
-//! on the test's own thread, and the runs are pinned to one lane, so
-//! nothing else the harness does lands in the count. This asserts a
-//! count, never a time.
+//! on the test's own thread, so nothing else the harness does lands in
+//! the count, nor does a helper lane's share of a forked run. Most runs
+//! are pinned to one lane; the forked one is compared with the same run
+//! pinned to one lane. This asserts a count, never a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cortex::backend::exec::{Engine, ExecOptions, RunOutput};
+use cortex::backend::exec::{Engine, ExecOptions, ExecStats, RunOutput};
 use cortex::backend::params::Params;
 use cortex::core::ilir::IlirProgram;
-use cortex::ds::datasets;
 use cortex::ds::linearizer::{Linearized, Linearizer};
+use cortex::ds::{datasets, RecStructure};
 use cortex::models::{mvrnn, treelstm, treernn, LeafInit, Model};
 use cortex::tensor::par;
 
@@ -73,13 +74,19 @@ fn allocs_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCS.with(Cell::get) - before)
 }
 
-/// A warm engine's second solo run of `lin`: its result and allocator
-/// calls.
-fn warm_run(program: &IlirProgram, lin: &Linearized, params: &Params) -> (RunOutput, u64) {
-    par::with_lanes(1, || {
+/// A warm engine's second solo run of `lin` on `lanes` lanes: its
+/// result, allocator calls and stats.
+fn warm_run(
+    program: &IlirProgram,
+    lin: &Linearized,
+    params: &Params,
+    lanes: usize,
+) -> (RunOutput, u64, ExecStats) {
+    par::with_lanes(lanes, || {
         let mut engine = Engine::with_options(program, ExecOptions::default());
         engine.execute(lin, params, true).expect("warm-up run");
-        allocs_of(|| engine.execute(lin, params, true).expect("counted run"))
+        let (out, allocs) = allocs_of(|| engine.execute(lin, params, true).expect("counted run"));
+        (out, allocs, engine.stats())
     })
 }
 
@@ -97,7 +104,7 @@ fn check(model: Model) {
     let program = model.lower(&Default::default()).expect("lowers");
     let tree = datasets::random_binary_tree(6, 3);
     let lin = Linearizer::new().linearize(&tree).expect("linearizes");
-    let (out, allocs) = warm_run(&program, &lin, &model.params);
+    let (out, allocs, _) = warm_run(&program, &lin, &model.params, 1);
     let bound = result_allocs(&out);
     assert!(
         allocs <= bound,
@@ -125,4 +132,29 @@ fn a_warm_tree_lstm_run_allocates_only_its_results() {
 #[test]
 fn a_warm_mv_rnn_run_allocates_only_its_results() {
     check(mvrnn::mv_rnn(8));
+}
+
+/// A forked fused epilogue hands each chunk of rows borrowed pieces of
+/// the stored buffers through tables the lane keeps between runs: a warm
+/// run that forks makes no more allocator calls on the caller's thread
+/// than the same run on one lane.
+#[test]
+fn a_warm_forked_tree_lstm_run_allocates_no_more_than_on_one_lane() {
+    let model = treelstm::tree_lstm(256, LeafInit::Embedding);
+    let program = model.lower(&Default::default()).expect("lowers");
+    let trees: Vec<_> = (0..16)
+        .map(|s| datasets::random_binary_tree(6, s))
+        .collect();
+    let forest = RecStructure::merge(&trees.iter().collect::<Vec<_>>());
+    let lin = Linearizer::new().linearize(&forest).expect("linearizes");
+    let (one, one_allocs, _) = warm_run(&program, &lin, &model.params, 1);
+    let (all, all_allocs, stats) = warm_run(&program, &lin, &model.params, par::MAX_LANES);
+    assert!(one == all, "one lane and all agree");
+    assert!(
+        all_allocs <= one_allocs,
+        "{all_allocs} allocator calls on all lanes, {one_allocs} on one"
+    );
+    if par::lanes() > 1 {
+        assert!(stats.forked_waves > 0, "the epilogue forks: {stats:?}");
+    }
 }
