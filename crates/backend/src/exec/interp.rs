@@ -838,12 +838,12 @@ impl<'a> Interp<'a> {
     }
 
     /// The pc runtime's cursor for this run, at its first launch: the
-    /// run state's cursor with the launch schedule refilled and the
-    /// watchdog budget set. Put it back in [`Interp::cursor`] when done.
+    /// run state's cursor with the launch schedule refilled. Put it back
+    /// in [`Interp::cursor`] when done.
     pub(crate) fn start_cursor(&mut self) -> PcCursor {
         let mut cur = std::mem::take(&mut self.cursor);
         launch_units(&self.compiled, self.program, self.lin, &mut cur.units);
-        cur.restart(self.watchdog_fuel());
+        cur.restart();
         cur
     }
 }

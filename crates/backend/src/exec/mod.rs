@@ -223,13 +223,6 @@ pub enum ExecError {
         /// The configured budget.
         budget: u64,
     },
-    /// The op-count watchdog tripped: the run executed more loop
-    /// iterations than the plan-derived limit allows (a runaway loop —
-    /// converted into a typed fault instead of spinning forever).
-    Watchdog {
-        /// The plan-derived iteration limit that was exhausted.
-        limit: u64,
-    },
     /// The lowered plan failed static verification — the engine refuses
     /// to run it (see [`VerifyError`]).
     Verify(VerifyError),
@@ -262,9 +255,6 @@ impl std::fmt::Display for ExecError {
                     f,
                     "estimated footprint {needed} bytes exceeds the {budget}-byte budget"
                 )
-            }
-            ExecError::Watchdog { limit } => {
-                write!(f, "watchdog: run exceeded {limit} loop iterations")
             }
             ExecError::Verify(e) => write!(f, "plan verification failed: {e}"),
             ExecError::Internal(msg) => write!(f, "internal executor error: {msg}"),
@@ -478,14 +468,6 @@ pub struct ExecOptions {
     /// Needed by the intake ladder's depth cap
     /// (`input_size_and_depth_limits_are_enforced`).
     pub max_input_depth: Option<usize>,
-    /// Override the pc runtime's op-count watchdog budget (back-edges
-    /// per run before [`ExecError::Watchdog`]). `None` (the default)
-    /// derives a generous budget from plan size and input extents —
-    /// legitimate runs never approach it. The interp oracle carries no
-    /// watchdog: it is a diagnostic, never an admission path. Needed by
-    /// the runtime rung's test, which trips it on a zero budget
-    /// (`watchdog_converts_runaway_into_typed_fault`).
-    pub watchdog_fuel: Option<u64>,
 }
 
 impl Default for ExecOptions {
@@ -496,7 +478,6 @@ impl Default for ExecOptions {
             memory_budget: None,
             max_input_nodes: None,
             max_input_depth: None,
-            watchdog_fuel: None,
         }
     }
 }
@@ -816,7 +797,7 @@ impl Batch<'_> {
                 std::mem::take(state),
             )?);
         }
-        lane.run_many_cooperative(&mut interps, hook)?;
+        lane.run_many_cooperative(&mut interps, hook);
         (interps.into_iter().zip(&mut lane.runs))
             .map(|(it, state)| {
                 let (out, kept) = it.finish()?;
@@ -1273,14 +1254,12 @@ impl<'p> Engine<'p> {
             std::mem::take(&mut lane.runs[0]),
         )?;
         std::mem::swap(&mut lane.caches, &mut interp.caches);
-        let result = if self.opts.interp {
+        if self.opts.interp {
             interp.run_all();
-            Ok(())
         } else {
-            interp.run_program(self.fault_hook.as_ref())
-        };
+            interp.run_program(self.fault_hook.as_ref());
+        }
         std::mem::swap(&mut lane.caches, &mut interp.caches);
-        result?;
         let (out, kept) = interp.finish()?;
         lane.runs[0] = kept;
         Ok(out)
@@ -1515,11 +1494,7 @@ impl LaneState {
     /// install, and everyone resumes. Merging is opportunistic: requests
     /// at different depths (or past their last wave) simply stop
     /// contributing rows, so mixed-depth batches stay correct.
-    fn run_many_cooperative(
-        &mut self,
-        interps: &mut [Interp<'_>],
-        hook: Option<&FaultHook>,
-    ) -> Result<(), ExecError> {
+    fn run_many_cooperative(&mut self, interps: &mut [Interp<'_>], hook: Option<&FaultHook>) {
         let mut cursors: Vec<PcCursor> = interps.iter_mut().map(Interp::start_cursor).collect();
         let mut acc = SuperWaveAcc::default();
         let mut parked = vec![false; interps.len()];
@@ -1536,10 +1511,7 @@ impl LaneState {
                 std::mem::swap(&mut self.caches, &mut interps[r].caches);
                 let outcome = interps[r].step_program(&mut cursors[r], Some((&mut acc, r)), hook);
                 std::mem::swap(&mut self.caches, &mut interps[r].caches);
-                // A typed step fault (the watchdog) aborts the batch
-                // *after* the caches are back home; the serving front's
-                // isolation machinery resolves the innocent requests.
-                if matches!(outcome?, StepOutcome::Paused) {
+                if matches!(outcome, StepOutcome::Paused) {
                     parked[r] = true;
                 }
             }
@@ -1556,7 +1528,6 @@ impl LaneState {
         for (it, cur) in interps.iter_mut().zip(cursors) {
             it.cursor = cur;
         }
-        Ok(())
     }
 
     /// Runs every pending super-wave GEMM and hands each registered

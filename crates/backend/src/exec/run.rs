@@ -10,19 +10,22 @@
 //! that pc with no re-evaluation of any control expression, so the
 //! `Profile` is exactly that of an uninterrupted run.
 
-use cortex_core::ilir::{DimExtent, LaunchPattern};
+use cortex_core::ilir::LaunchPattern;
 
 use super::interp::Interp;
 use super::program::{Op, Pc, Program};
 use super::stopwatch::Stopwatch;
-use super::{checked_assert, ExecError, FaultHook, StepOutcome};
+use super::{checked_assert, FaultHook, StepOutcome};
 use crate::wave::SuperWaveAcc;
 
 /// The resumable execution state of one request under the pc runtime: a
 /// program counter plus its loop records. Slot values (loop variables,
 /// `let` bindings) live in the interpreter's register file and are never
-/// unwound, so this is the *entire* suspension state. A run state keeps
-/// one between runs for its allocations ([`Interp::start_cursor`]).
+/// unwound, so this is the *entire* suspension state. It carries no
+/// step budget: [`super::verify`] admits only forward, nest-preserving
+/// jumps, so every run of a verified plan is bounded by its loops'
+/// extents. A run state keeps one between runs for its allocations
+/// ([`Interp::start_cursor`]).
 #[derive(Default)]
 pub(crate) struct PcCursor {
     pub(crate) units: Vec<(usize, Option<i64>)>,
@@ -31,26 +34,16 @@ pub(crate) struct PcCursor {
     pub(crate) pc: Pc,
     pub(crate) recs: Vec<LoopRec>,
     pub(crate) done: bool,
-    /// Remaining back-edge budget: decremented at every [`Op::LoopNext`]
-    /// (the IR's only back-edge), so a runaway loop becomes
-    /// [`ExecError::Watchdog`] instead of a hang. Sized from the plan
-    /// and input (see [`Interp::watchdog_fuel`]) so legitimate runs
-    /// never come close.
-    pub(crate) fuel: u64,
-    /// The starting budget, reported in the watchdog fault.
-    pub(crate) fuel_limit: u64,
 }
 
 impl PcCursor {
-    /// Rewinds to the first launch unit, with `fuel` back-edges.
-    pub(crate) fn restart(&mut self, fuel: u64) {
+    /// Rewinds to the first launch unit.
+    pub(crate) fn restart(&mut self) {
         self.unit = 0;
         self.in_launch = false;
         self.pc = 0;
         self.recs.clear();
         self.done = false;
-        self.fuel = fuel;
-        self.fuel_limit = fuel;
     }
 }
 
@@ -87,60 +80,26 @@ pub(crate) enum LoopRec {
 impl<'a> Interp<'a> {
     /// Runs the whole launch schedule to completion through the pc
     /// runtime (the solo path — without a deferral accumulator nothing
-    /// ever parks).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Watchdog`] if the run exhausts its back-edge budget.
-    pub(crate) fn run_program(&mut self, hook: Option<&FaultHook>) -> Result<(), ExecError> {
+    /// ever parks). A verified plan always gets there: its only
+    /// back-edge is [`Op::LoopNext`], whose trip count was fixed at the
+    /// loop's entry ([`super::verify`]).
+    pub(crate) fn run_program(&mut self, hook: Option<&FaultHook>) {
         let mut cur = self.start_cursor();
-        let outcome = self.step_program(&mut cur, None, hook)?;
+        let outcome = self.step_program(&mut cur, None, hook);
         debug_assert_eq!(outcome, StepOutcome::Done, "solo runs never park");
         self.cursor = cur;
-        Ok(())
-    }
-
-    /// The op-count watchdog budget for one run of this input
-    /// ([`super::ExecOptions::watchdog_fuel`] override, or derived): a
-    /// generous multiple of plan size × node count × the largest fixed
-    /// tensor dimension, so any legitimate schedule (including deep
-    /// sequences iterating rank-2 stores per node) stays far below it
-    /// while a non-terminating loop trips in bounded time.
-    pub(crate) fn watchdog_fuel(&self) -> u64 {
-        if let Some(fuel) = self.opts.watchdog_fuel {
-            return fuel;
-        }
-        let max_dim = self
-            .program
-            .declared_tensors()
-            .flat_map(|t| t.dims.iter())
-            .filter_map(|d| match d {
-                DimExtent::Fixed(n) => Some(*n as u64),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        64u64
-            .saturating_mul(self.plan.ops.len() as u64)
-            .saturating_mul(self.lin.num_nodes() as u64 + 1)
-            .saturating_mul(max_dim + 1)
     }
 
     /// Advances this request until it parks at a wave loop whose GEMMs
     /// were deferred into `defer` ([`StepOutcome::Paused`]) or the
     /// launch schedule completes ([`StepOutcome::Done`]), consulting
     /// `hook` at every launch.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Watchdog`] if the cursor's back-edge budget runs out.
     pub(crate) fn step_program(
         &mut self,
         cur: &mut PcCursor,
         mut defer: Option<(&mut SuperWaveAcc, usize)>,
         hook: Option<&FaultHook>,
-    ) -> Result<StepOutcome, ExecError> {
+    ) -> StepOutcome {
         let plan = self.plan.clone();
         loop {
             if !cur.in_launch {
@@ -149,7 +108,7 @@ impl<'a> Interp<'a> {
                         cur.done = true;
                         self.finalize_run();
                     }
-                    return Ok(StepOutcome::Done);
+                    return StepOutcome::Done;
                 };
                 super::maybe_inject(
                     hook,
@@ -211,20 +170,10 @@ impl<'a> Interp<'a> {
                 Op::LoopEnter(id) => {
                     let deferring = defer.as_mut().map(|(acc, req)| (&mut **acc, *req));
                     if self.op_loop_enter(*id, &plan, cur, deferring) {
-                        return Ok(StepOutcome::Paused);
+                        return StepOutcome::Paused;
                     }
                 }
-                Op::LoopNext(id) => {
-                    // The IR's only back-edge: charge the watchdog here
-                    // so a non-terminating loop becomes a typed fault.
-                    if cur.fuel == 0 {
-                        return Err(ExecError::Watchdog {
-                            limit: cur.fuel_limit,
-                        });
-                    }
-                    cur.fuel -= 1;
-                    self.op_loop_next(*id, &plan, cur);
-                }
+                Op::LoopNext(id) => self.op_loop_next(*id, &plan, cur),
                 Op::FusedEpilogue => self.op_fused_epilogue(&plan, cur),
             }
         }

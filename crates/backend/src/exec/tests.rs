@@ -651,7 +651,7 @@ fn hookless_engines_pay_no_guard() {
     assert_eq!(got[&out], want[&out]);
 }
 
-// -- pipeline hardening: verifier, intake validation, budgets, watchdog --
+// -- pipeline hardening: verifier, intake validation, budgets --
 
 use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::{Op, Program};
@@ -736,6 +736,110 @@ fn verify_rejects_dangling_jump() {
         Err(VerifyError::DanglingJump {
             op: at,
             target: bad
+        })
+    );
+}
+
+/// The first `Store` of the Fig. 1 plan and the `LoopNext` closing
+/// its innermost loop.
+fn first_store_and_its_loop_next(plan: &Program) -> (usize, usize) {
+    let at = (plan.ops.iter())
+        .position(|op| matches!(op, Op::Store(_)))
+        .expect("the lowering emits stores");
+    let mut depth = 0usize;
+    for (pc, op) in plan.ops.iter().enumerate().skip(at) {
+        match op {
+            Op::LoopEnter(_) => depth += 1,
+            Op::LoopNext(_) if depth == 0 => return (at, pc),
+            Op::LoopNext(_) => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("the store at {at} sits in no loop")
+}
+
+/// A jump that is not forward, or that leaves its loop, is refused:
+/// with `LoopNext` the only back-edge, every verified run ends.
+#[test]
+fn verify_rejects_unstructured_jumps() {
+    use cortex_core::expr::{BoolExpr, CmpOp};
+    let (at, next) = first_store_and_its_loop_next(&owned_plan());
+    let taken = || BoolExpr::Cmp(CmpOp::Lt, IdxExpr::Const(0), IdxExpr::Const(1));
+    let forgeries = [
+        // A self-loop.
+        (Op::Jump(at), at),
+        // Out of the loop body, past its `LoopNext`.
+        (Op::Jump(next + 1), next + 1),
+        // A branch joining at itself or earlier.
+        (
+            Op::Branch {
+                cond: taken(),
+                on_false: at,
+            },
+            at,
+        ),
+        (
+            Op::Branch {
+                cond: taken(),
+                on_false: at - 1,
+            },
+            at - 1,
+        ),
+    ];
+    for (op, target) in forgeries {
+        let mut plan = owned_plan();
+        plan.ops[at] = op;
+        assert_eq!(
+            verify(&plan),
+            Err(VerifyError::UnstructuredJump { op: at, target })
+        );
+    }
+}
+
+/// A bulk pass must skip the whole loop it guards: a `done` inside the
+/// loop would enter its body with no loop record.
+#[test]
+fn verify_rejects_bulk_done_inside_its_loop() {
+    let (g, _) = tree_rnn(6);
+    let mut shared = forgeable_plans(&g);
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
+    let at = (plan.ops.iter())
+        .position(|op| matches!(op, Op::BulkPass { .. }))
+        .expect("a feature loop bulk-serves");
+    assert!(matches!(plan.ops[at + 1], Op::LoopEnter(_)));
+    let Op::BulkPass { done, .. } = &mut plan.ops[at] else {
+        unreachable!()
+    };
+    *done = at + 2;
+    assert_eq!(
+        verify(&shared.plan),
+        Err(VerifyError::UnstructuredJump {
+            op: at,
+            target: at + 2
+        })
+    );
+}
+
+/// A fused loop's epilogue sits right after its `LoopNext`: pointing
+/// `fused_pc` back at the `LoopEnter` would re-enter the loop forever.
+#[test]
+fn verify_rejects_fused_pc_before_its_loop_next() {
+    let (g, _) = tree_rnn(6);
+    let mut shared = forgeable_plans(&g);
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
+    let (at, id) = (plan.ops.iter().enumerate())
+        .find_map(|(pc, op)| match op {
+            Op::LoopEnter(id) if plan.loops[*id].fused.is_some() => Some((pc, *id)),
+            _ => None,
+        })
+        .expect("a node loop fuses");
+    plan.loops[id].fused_pc = at;
+    assert_eq!(
+        verify(&shared.plan),
+        Err(VerifyError::BadLoopShape {
+            op: at,
+            loop_id: id,
+            what: "fused pc"
         })
     );
 }
@@ -955,40 +1059,6 @@ fn input_size_and_depth_limits_are_enforced() {
             ..
         }))
     ));
-}
-
-#[test]
-fn watchdog_converts_runaway_into_typed_fault() {
-    let (program, lin, params, _) = fault_fixture();
-    // Zero fuel: the very first back-edge trips the watchdog — standing
-    // in for a non-terminating loop, which cannot be lowered from any
-    // well-formed schedule.
-    let mut engine = Engine::with_options(
-        &program,
-        ExecOptions {
-            watchdog_fuel: Some(0),
-            ..ExecOptions::default()
-        },
-    );
-    assert_eq!(
-        engine.execute(&lin, &params, true).unwrap_err(),
-        ExecError::Watchdog { limit: 0 }
-    );
-    // The derived default budget is far above what real runs spend: the
-    // same input executes untouched.
-    let mut healthy = Engine::new(&program);
-    healthy.execute(&lin, &params, true).unwrap();
-    // The interp oracle is a diagnostic, never an admission path — it
-    // carries no watchdog even with an (ignored) zero budget.
-    let mut oracle = Engine::with_options(
-        &program,
-        ExecOptions {
-            watchdog_fuel: Some(0),
-            interp: true,
-            ..ExecOptions::default()
-        },
-    );
-    oracle.execute(&lin, &params, true).unwrap();
 }
 
 #[test]
@@ -1416,6 +1486,30 @@ fn verify_rejects_forged_fused_certificate() {
     }
 }
 
+/// A wave loop that drives a wave GEMM must barrier every iteration:
+/// jumping over its only `Barrier` is refused.
+#[test]
+fn verify_rejects_wave_loop_without_barrier() {
+    let (g, _) = matvec_tree(6);
+    let mut shared = forgeable_plans(&g);
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
+    let at = (plan.ops.iter())
+        .position(|op| matches!(op, Op::Barrier))
+        .expect("the wave loop barriers");
+    let Op::LoopEnter(id) = plan.ops[at - 1] else {
+        panic!("the barrier opens its wave loop's body")
+    };
+    assert!(plan.loops[id].is_wave);
+    plan.ops[at] = Op::Jump(at + 1);
+    assert_eq!(
+        verify(&shared.plan),
+        Err(VerifyError::MissingBarrier {
+            op: at - 1,
+            loop_id: id
+        })
+    );
+}
+
 /// A stored address program is re-derived from its source: a fused
 /// wave's node binding compiled from another expression than the one it
 /// carries is refused.
@@ -1449,6 +1543,51 @@ fn verify_rejects_stale_address_program() {
         Err(VerifyError::CertificateMismatch {
             what: "address",
             index
+        })
+    );
+}
+
+/// A row program's `Select`/`Jump` goes forward within its pass: a
+/// backward jump in a fused wave's pass would spin its row sweep.
+#[test]
+fn verify_rejects_backward_row_jump() {
+    use super::bulk::{Instr, RowPass, RowProgram};
+    let (g, _) = tree_rnn(6);
+    let mut shared = forgeable_plans(&g);
+    let plan = Arc::get_mut(&mut shared.plan).expect("sole owner");
+    let genuine = plan.fused[0].clone();
+    let spin = RowPass {
+        h: genuine.prog.passes[0].h,
+        instrs: vec![
+            Instr::Ops {
+                from: 0,
+                to: 0,
+                flops: 0,
+            },
+            Instr::Jump(0),
+        ],
+        ops: Vec::new(),
+        stores: Vec::new(),
+        regs: 0,
+    };
+    let mut forged = super::bulk::FusedWave {
+        n_idx_slot: genuine.n_idx_slot,
+        node_let: genuine.node_let.clone(),
+        prog: RowProgram {
+            passes: Arc::from(vec![spin]),
+            only: None,
+            sites: genuine.prog.sites.clone(),
+        },
+        bytes_per_row: genuine.bytes_per_row,
+        block: genuine.block,
+    };
+    forged.block = forged.block_form();
+    plan.fused[0] = Arc::new(forged);
+    assert_eq!(
+        verify(&shared.plan),
+        Err(VerifyError::CertificateMismatch {
+            what: "row jump",
+            index: 0
         })
     );
 }

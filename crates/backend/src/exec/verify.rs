@@ -8,7 +8,15 @@
 //!   stream ([`VerifyError::DanglingJump`]);
 //! * `LoopEnter`/`LoopNext` pair up and nest properly within each
 //!   kernel ([`VerifyError::UnpairedLoopNext`],
-//!   [`VerifyError::UnclosedLoop`]);
+//!   [`VerifyError::UnclosedLoop`]), and each loop's body, fused
+//!   epilogue and exit sit where the runtime jumps
+//!   ([`VerifyError::BadLoopShape`]);
+//! * every `Jump`, `Branch` join and bulk `done` goes forward to an op
+//!   of its kernel in the loop it leaves, never a fused epilogue
+//!   ([`VerifyError::UnstructuredJump`]), and every row-program jump
+//!   forward within its pass (`what: "row jump"`). So `LoopNext` is the
+//!   only back-edge, with a trip count fixed at loop entry: every run of
+//!   a verified plan is bounded by its loops' extents;
 //! * every register slot is written (by a `Let`, a loop header, or the
 //!   kernel's batch binding) before any expression reads it
 //!   ([`VerifyError::UseBeforeDef`], [`VerifyError::SlotOutOfRange`]);
@@ -27,8 +35,9 @@
 //!   ([`VerifyError::CertificateMismatch`] with `what: "address"`).
 //!
 //! The scan is textual (it does not follow jumps): the lowering emits
-//! defs lexically before their uses and brackets loops in op order, so
-//! a linear walk checks exactly the shape the runtime executes. It reads
+//! defs lexically before their uses and brackets loops in op order, and
+//! since no jump can leave or enter a loop (the rule above), a linear
+//! walk checks exactly the shape the runtime executes. It reads
 //! the program alone: the ops own every expression they evaluate and
 //! each kernel entry declares its slot file.
 //! Verification is build-time only — the runtime's dispatch loop is
@@ -102,9 +111,10 @@ pub enum VerifyError {
         /// Its loop id.
         loop_id: usize,
     },
-    /// A loop's static shape disagrees with its op placement (body must
-    /// immediately follow the `LoopEnter`, the fused epilogue its
-    /// `LoopNext`).
+    /// A loop's static shape disagrees with its op placement: the body
+    /// must immediately follow the `LoopEnter`, `fused_pc` the
+    /// `LoopNext`, a `FusedEpilogue` op must sit there exactly when
+    /// the loop is fused, and the exit must be the op after both.
     BadLoopShape {
         /// The loop's `LoopEnter` op.
         op: usize,
@@ -113,15 +123,27 @@ pub enum VerifyError {
         /// Which field disagrees.
         what: &'static str,
     },
+    /// A `Jump`, `Branch` join or bulk `done` that does not go forward
+    /// to an op of its own kernel in the same innermost loop, or that
+    /// lands on a fused epilogue (entered only from its `LoopEnter`).
+    UnstructuredJump {
+        /// The jumping op.
+        op: usize,
+        /// Its target.
+        target: usize,
+    },
     /// A fused wave is not row-disjoint or not of its recorded block
-    /// form, or a stored address program disagrees with the one the
-    /// address compiler derives from its source: the plan was forged or
-    /// tampered with after lowering.
+    /// form, a stored address program disagrees with the one the
+    /// address compiler derives from its source, or a row program jumps
+    /// backwards or past its pass: the plan was forged or tampered with
+    /// after lowering.
     CertificateMismatch {
-        /// Which table (`"fused"` waves or `"address"` programs).
+        /// Which table (`"fused"` waves, `"address"` programs or
+        /// `"row jump"` programs).
         what: &'static str,
         /// Index into that table; address programs are numbered by
-        /// their wave plan, then fused wave, then bulk pass.
+        /// their wave plan, then fused wave, then bulk pass, row-jump
+        /// programs by fused wave, then bulk pass.
         index: usize,
     },
 }
@@ -165,9 +187,13 @@ impl std::fmt::Display for VerifyError {
             VerifyError::BadLoopShape { op, loop_id, what } => {
                 write!(f, "op {op}: loop {loop_id} has inconsistent {what}")
             }
+            VerifyError::UnstructuredJump { op, target } => {
+                write!(f, "op {op}: jump to {target} leaves its loop or goes back")
+            }
             VerifyError::CertificateMismatch { what, index } => {
                 let analysis = match *what {
                     "address" => "address compile",
+                    "row jump" => "forward-jump rule",
                     _ => "row-disjointness check",
                 };
                 write!(
@@ -300,6 +326,7 @@ pub(crate) fn verify(plan: &Program) -> Result<(), VerifyError> {
         verify_kernel(plan, ki, kd.entry..end)?;
     }
     verify_fused(plan)?;
+    verify_row_jumps(plan)?;
     verify_addresses(plan)
 }
 
@@ -334,24 +361,40 @@ fn verify_addresses(plan: &Program) -> Result<(), VerifyError> {
     let fused = plan.fused.iter().map(|fw| (Some(&fw.node_let), &fw.prog));
     let bulks = plan.bulks.iter().map(|b| (None, &**b));
     let rows = (fused.chain(bulks)).map(|(node, prog)| node.is_none_or(node_ok) && rows_ok(prog));
-    match waves.chain(rows).position(|ok| !ok) {
-        Some(index) => Err(VerifyError::CertificateMismatch {
-            what: "address",
-            index,
-        }),
-        None => Ok(()),
-    }
+    first_mismatch("address", waves.chain(rows))
 }
 
 /// Re-derives the row-disjointness (only row-disjoint bodies may share
 /// tile sweeps) and the block form (only block-form waves fork) of every
 /// fused wave.
 fn verify_fused(plan: &Program) -> Result<(), VerifyError> {
-    match (plan.fused.iter()).position(|fw| !fw.rows_disjoint() || fw.block != fw.block_form()) {
-        Some(index) => Err(VerifyError::CertificateMismatch {
-            what: "fused",
-            index,
-        }),
+    let ok = (plan.fused.iter()).map(|fw| fw.rows_disjoint() && fw.block == fw.block_form());
+    first_mismatch("fused", ok)
+}
+
+/// Checks that every row-program `Select`/`Jump` goes forward and at
+/// most to the end of its pass, so each sweep of a pass ends.
+fn verify_row_jumps(plan: &Program) -> Result<(), VerifyError> {
+    let forward = |pass: &RowPass| {
+        (pass.instrs.iter().enumerate()).all(|(i, ins)| match ins {
+            Instr::Select { else_at: to, .. } | Instr::Jump(to) => {
+                (i + 1..=pass.instrs.len()).contains(to)
+            }
+            _ => true,
+        })
+    };
+    let progs = (plan.fused.iter().map(|fw| &fw.prog)).chain(plan.bulks.iter().map(|b| &**b));
+    first_mismatch("row jump", progs.map(|p| p.passes.iter().all(forward)))
+}
+
+/// [`VerifyError::CertificateMismatch`] naming the first entry of the
+/// `what` table whose check failed.
+fn first_mismatch(
+    what: &'static str,
+    mut ok: impl Iterator<Item = bool>,
+) -> Result<(), VerifyError> {
+    match ok.position(|ok| !ok) {
+        Some(index) => Err(VerifyError::CertificateMismatch { what, index }),
         None => Ok(()),
     }
 }
@@ -368,13 +411,30 @@ fn verify_kernel(
         env.op = range.start;
         env.define(bv)?;
     }
-    // Open `LoopEnter`s, innermost last: (op pc, loop id).
-    let mut open: Vec<(usize, usize)> = Vec::new();
-    // Wave loops driving a wave-GEMM loop must barrier each iteration:
-    // (enter pc, loop id, exit pc, saw_gemm, saw_barrier).
-    let mut wave_watch: Vec<(usize, usize, usize, bool, bool)> = Vec::new();
+    // Open `LoopEnter`s, innermost last: (op pc, loop id, saw_gemm,
+    // saw_barrier). A wave loop driving a wave-GEMM loop must barrier
+    // each iteration.
+    let mut open: Vec<(usize, usize, bool, bool)> = Vec::new();
+    // Forward jumps not reached yet: (target, jumping op, innermost open
+    // loop at that op).
+    let mut pending: Vec<(usize, usize, Option<usize>)> = Vec::new();
+    // The first failed placement check of a loop's shape.
+    let shape = |op, loop_id, ok: [(bool, &'static str); 2]| match ok.iter().find(|c| !c.0) {
+        Some(&(_, what)) => Err(VerifyError::BadLoopShape { op, loop_id, what }),
+        None => Ok(()),
+    };
     for pc in range {
         env.op = pc;
+        // The innermost open loop at this op: a `LoopEnter` sits in its
+        // parent, a `LoopNext` in its own loop and a `FusedEpilogue`
+        // (after its `LoopNext` closed the loop) in the parent.
+        let here = open.last().map(|o| o.0);
+        let epilogue = matches!(plan.ops[pc], Op::FusedEpilogue);
+        let stray = (pending.iter()).find(|p| p.0 == pc && (p.2 != here || epilogue));
+        if let Some(&(_, op, _)) = stray {
+            return Err(VerifyError::UnstructuredJump { op, target: pc });
+        }
+        pending.retain(|p| p.0 != pc);
         // A plan id must name an entry of its table, a pc operand an op.
         let plan_ref = |what: &'static str, index: usize, len: usize| {
             let err = VerifyError::PlanRefOutOfBounds {
@@ -388,13 +448,16 @@ fn verify_kernel(
             let err = VerifyError::DanglingJump { op: pc, target };
             (target < n_ops).then_some(()).ok_or(err)
         };
+        // A `Jump`, `Branch` join or bulk `done`: checked when the scan
+        // reaches its target.
+        let mut jump = |target: usize| {
+            jump_to(target)?;
+            pending.push((target, pc, here));
+            let err = VerifyError::UnstructuredJump { op: pc, target };
+            (target > pc).then_some(()).ok_or(err)
+        };
         match &plan.ops[pc] {
-            Op::KernelEnd => {
-                if let Some(&(at, loop_id)) = open.last() {
-                    return Err(VerifyError::UnclosedLoop { op: at, loop_id });
-                }
-                break;
-            }
+            Op::KernelEnd => break,
             Op::LoopEnter(id) => {
                 plan_ref("loop", *id, plan.loops.len())?;
                 let d = &plan.loops[*id];
@@ -404,45 +467,41 @@ fn verify_kernel(
                 }
                 // The body runs from the op after the enter up to the
                 // exit.
-                let misplaced = [(d.body != pc + 1, "body pc"), (d.exit <= pc, "exit pc")];
-                if let Some(&(_, what)) = misplaced.iter().find(|(bad, _)| *bad) {
-                    return Err(VerifyError::BadLoopShape {
-                        op: pc,
-                        loop_id: *id,
-                        what,
-                    });
-                }
+                let placed = [(d.body == pc + 1, "body pc"), (d.exit > pc, "exit pc")];
+                shape(pc, *id, placed)?;
                 if let Some(w) = d.wave {
                     plan_ref("wave", w, plan.waves.len())?;
-                    for watch in wave_watch.iter_mut() {
-                        watch.3 = true;
-                    }
+                    open.iter_mut().for_each(|o| o.2 = true);
                 }
                 if let Some(fu) = d.fused {
                     plan_ref("fused", fu, plan.fused.len())?;
                 }
                 env.define(d.slot)?;
-                open.push((pc, *id));
-                if d.is_wave {
-                    wave_watch.push((pc, *id, d.exit, false, false));
-                }
+                open.push((pc, *id, false, false));
             }
             Op::LoopNext(id) => {
                 plan_ref("loop", *id, plan.loops.len())?;
-                match open.pop() {
-                    Some((_, open_id)) if open_id == *id => {}
+                let (enter, saw_gemm, saw_barrier) = match open.pop() {
+                    Some((at, open_id, gemm, barrier)) if open_id == *id => (at, gemm, barrier),
                     _ => {
                         return Err(VerifyError::UnpairedLoopNext {
                             op: pc,
                             loop_id: *id,
                         })
                     }
-                }
-                if let Some(at) = wave_watch.iter().position(|&(_, lid, ..)| lid == *id) {
-                    let (enter, loop_id, _, saw_gemm, saw_barrier) = wave_watch.remove(at);
-                    if saw_gemm && !saw_barrier {
-                        return Err(VerifyError::MissingBarrier { op: enter, loop_id });
-                    }
+                };
+                // The loop's other exits: its fused epilogue right here,
+                // then the exit.
+                let d = &plan.loops[*id];
+                let fused = matches!(plan.ops.get(pc + 1), Some(Op::FusedEpilogue));
+                let fused_ok = d.fused_pc == pc + 1 && fused == d.fused.is_some();
+                let exit_ok = d.exit == pc + 1 + usize::from(fused);
+                shape(enter, *id, [(fused_ok, "fused pc"), (exit_ok, "exit pc")])?;
+                if d.is_wave && saw_gemm && !saw_barrier {
+                    return Err(VerifyError::MissingBarrier {
+                        op: enter,
+                        loop_id: *id,
+                    });
                 }
             }
             Op::FusedEpilogue => {}
@@ -458,24 +517,23 @@ fn verify_kernel(
             }
             Op::Branch { cond, on_false } => {
                 env.check_bool(cond)?;
-                jump_to(*on_false)?;
+                jump(*on_false)?;
             }
-            Op::Jump(target) => jump_to(*target)?,
-            Op::Barrier => {
-                for watch in wave_watch.iter_mut() {
-                    watch.4 = true;
-                }
-            }
+            Op::Jump(target) => jump(*target)?,
+            Op::Barrier => open.iter_mut().for_each(|o| o.3 = true),
             Op::BulkPass { id, done } => {
                 plan_ref("bulk", *id, plan.bulks.len())?;
-                jump_to(*done)?;
+                jump(*done)?;
             }
         }
     }
-    if let Some(&(at, loop_id)) = open.last() {
+    if let Some(&(at, loop_id, ..)) = open.last() {
         return Err(VerifyError::UnclosedLoop { op: at, loop_id });
     }
-    Ok(())
+    // A target past the kernel's end was never reached.
+    pending.first().map_or(Ok(()), |&(target, op, _)| {
+        Err(VerifyError::UnstructuredJump { op, target })
+    })
 }
 
 /// Child-arity bounds the plan was lowered for, scanned from the

@@ -265,8 +265,8 @@ impl StructureFuzzer {
     }
 
     /// A unary chain of maximal depth: structurally valid, but every
-    /// node sits in its own wavefront, so depth limits and watchdog
-    /// budgets see their worst case.
+    /// node sits in its own wavefront, so depth limits see their worst
+    /// case.
     pub fn deep_chain(&mut self) -> FuzzCase {
         let depth = 2 * self.max_leaves + self.rng.below_usize(self.max_leaves);
         let children = (0..depth)

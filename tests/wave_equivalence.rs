@@ -1226,7 +1226,6 @@ fn set_options_matches_fresh_engine_for_every_knob() {
                 memory_budget: Some(1 << 30),
                 max_input_nodes: Some(1 << 20),
                 max_input_depth: Some(1 << 20),
-                watchdog_fuel: Some(1 << 40),
                 ..ExecOptions::default()
             },
         ),
