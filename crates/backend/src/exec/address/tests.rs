@@ -177,6 +177,7 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             &weights,
             8,
             RunState::default(),
+            false,
         )
         .unwrap();
         let n = lin.num_nodes() as u32;

@@ -878,7 +878,7 @@ impl<'a> Interp<'a> {
         wave_len: usize,
         clock: Option<Stopwatch>,
     ) {
-        let mut clock = clock.unwrap_or_else(Stopwatch::start);
+        let mut clock = clock.unwrap_or_else(|| Stopwatch::start(self.timed));
         super::checked_assert!(
             fw.n_idx_slot < self.slots.len(),
             "fused wave index slot {} out of range",

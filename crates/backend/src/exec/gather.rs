@@ -314,7 +314,7 @@ impl<'a> Interp<'a> {
         // sites are this wave's, by plan ordinal.
         debug_assert!(self.active.is_empty(), "wave activations nest");
         self.active.resize_with(plan.sites.len(), || None);
-        let mut clock = Stopwatch::start();
+        let mut clock = Stopwatch::start(self.timed);
         let (mut groups, mut deferred) = (0usize, false);
         for (ordinal, group) in plan.groups.iter().enumerate() {
             let n = self.prepare_group(

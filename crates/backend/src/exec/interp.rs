@@ -344,6 +344,9 @@ pub(crate) struct Interp<'a> {
     pub(crate) persist_active: bool,
     pub(crate) nonlin: NonlinearityMode,
     pub(crate) opts: ExecOptions,
+    /// Whether the phase timers read the clock: the engine was observed
+    /// ([`super::Engine::stats`]) before this run.
+    pub(crate) timed: bool,
     /// The compiled kernel trees the `interp: true` oracle walks, and
     /// its statement-address lookups into the plans.
     pub(crate) compiled: Arc<Vec<CompiledKernel>>,
@@ -400,7 +403,8 @@ static NEXT_CACHE_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 impl<'a> Interp<'a> {
     /// Starts a run of `lin` in `state`: binds the `Param` buffers unless
     /// `state` is bound to `params`' generation already, and sizes and
-    /// zeroes every owned buffer for this input.
+    /// zeroes every owned buffer for this input. With `timed` the run's
+    /// phase timers read the clock.
     ///
     /// # Errors
     ///
@@ -418,6 +422,7 @@ impl<'a> Interp<'a> {
         weights: &'a Mutex<WeightCache>,
         max_slots: usize,
         state: RunState,
+        timed: bool,
     ) -> Result<Self, ExecError> {
         let RunState {
             mut bufs,
@@ -495,6 +500,7 @@ impl<'a> Interp<'a> {
             // The rational substitution is the schedule's choice (App. A.5).
             nonlin: program.meta.schedule.nonlinearity,
             opts,
+            timed,
             compiled: shared.compiled,
             stmt_plans: shared.stmt_plans,
             plan: shared.plan,

@@ -70,6 +70,7 @@ mod verify;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use cortex_core::expr::TensorId;
@@ -498,7 +499,9 @@ impl ExecOptions {
 /// strategy* (how many GEMMs served the run, how much stacking engaged),
 /// not the modeled device work — the scalar and batched paths
 /// intentionally report different [`ExecStats`] while their `Profile`s
-/// are identical.
+/// are identical. The four `*_ns` phase timers run only on an observed
+/// engine, one whose [`Engine::stats`] was read before the run; on an
+/// unobserved one they read no clock and stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Wave GEMM launches. A per-node product's small GEMMs (MV-RNN's
@@ -561,7 +564,8 @@ pub struct ExecStats {
     /// parked for a super-wave flush, or one without GEMMs), to the end
     /// of its last row's sweeps, forked sweeps included. Per-node row
     /// programs outside fused waves are not counted (a clock read per
-    /// row would distort both the metric and the path).
+    /// row would distort both the metric and the path). 0 on an
+    /// unobserved engine.
     pub epilogue_ns: u64,
     /// Bytes the **fused wave** row programs stream in and out of their
     /// tile registers: a per-row count fixed at lowering (tensor and
@@ -578,21 +582,23 @@ pub struct ExecStats {
     /// built, then each operand row resolved through its compiled
     /// address program and copied into the GEMM's row block (or this
     /// request's block of a super-wave matrix). Waves whose every site
-    /// fell back are included.
+    /// fell back are included. 0 on an unobserved engine.
     pub gather_ns: u64,
     /// Wall-clock nanoseconds in the GEMM phase. A solo wave: from the
     /// end of its gathers to the end of its last group's GEMM, the
     /// groups' GEMMs back to back. A super-wave flush of
     /// [`Engine::execute_many`]: from the flush's start to the end of
     /// its last GEMM, the fault-site consults, result matrices and
-    /// result installs between its GEMMs included.
+    /// result installs between its GEMMs included. 0 on an unobserved
+    /// engine.
     pub gemm_ns: u64,
     /// Wall-clock nanoseconds serving a wave's per-element epilogue
     /// (memo hits, lone row programs) when the body does **not** fuse:
     /// from the end of the wave's GEMMs to the loop's exit. Timed by
     /// the pc runtime on solo runs only: under `execute_many` a parked
     /// wave would count other requests' wall time into its own phase,
-    /// and the `interp: true` oracle lacks the loop bracket.
+    /// and the `interp: true` oracle lacks the loop bracket. 0 on an
+    /// unobserved engine.
     pub serve_ns: u64,
     /// Dynamic shadow-checker assertions executed (0 unless the
     /// `checked` feature is on — see [`shadow_checking_enabled`]).
@@ -718,6 +724,9 @@ pub struct Engine<'p> {
     /// The `Params::generation` most recently proven finite — parameter
     /// validation runs once per binding state, not once per run.
     params_validated: Option<u64>,
+    /// Set by the first [`Engine::stats`] read: from then on every run
+    /// times its phases; before, no run reads the clock.
+    observed: AtomicBool,
 }
 
 /// What a lane keeps between calls: the scratch caches its requests
@@ -769,6 +778,7 @@ struct Batch<'e> {
     max_slots: usize,
     params: &'e Params,
     persist_active: bool,
+    timed: bool,
 }
 
 impl Batch<'_> {
@@ -795,6 +805,7 @@ impl Batch<'_> {
                 self.weights,
                 self.max_slots,
                 std::mem::take(state),
+                self.timed,
             )?);
         }
         lane.run_many_cooperative(&mut interps, hook);
@@ -862,7 +873,7 @@ fn build_plans(
             &mut stmt_plans,
         );
     }
-    let mut clock = Stopwatch::start();
+    let mut clock = Stopwatch::start(true);
     let plan = lowering::lower(&compiled, waves, &stmt_plans);
     let stats = PlanStats {
         plan_ops: plan.ops.len(),
@@ -931,6 +942,7 @@ impl<'p> Engine<'p> {
             verified,
             plan_arity,
             params_validated: None,
+            observed: AtomicBool::new(false),
         }
     }
 
@@ -940,10 +952,11 @@ impl<'p> Engine<'p> {
     }
 
     /// An engine equivalent to a fresh build of this one — the same
-    /// program, lowering, plan and options — with cold caches and no
-    /// fault hook. The lowered plan is immutable and shared, so nothing
-    /// is compiled again; a serving front replaces an engine with this
-    /// after containing a panic, keeping its build kind.
+    /// program, lowering, plan, options and observed state (see
+    /// [`Engine::stats`]) — with cold caches and no fault hook. The
+    /// lowered plan is immutable and shared, so nothing is compiled
+    /// again; a serving front replaces an engine with this after
+    /// containing a panic, keeping its build kind.
     pub fn rebuilt(&self) -> Engine<'p> {
         Engine {
             program: self.program,
@@ -959,6 +972,7 @@ impl<'p> Engine<'p> {
             verified: self.verified.clone(),
             plan_arity: self.plan_arity,
             params_validated: None,
+            observed: AtomicBool::new(self.observed()),
         }
     }
 
@@ -1193,8 +1207,19 @@ impl<'p> Engine<'p> {
     /// Diagnostic counters of the most recent [`Engine::execute`] or
     /// [`Engine::execute_many`] call (the latter's summed over its lane
     /// groups, in group order, or over its requests under the oracle).
+    ///
+    /// The first read marks the engine observed: every later run times
+    /// its phases into the `*_ns` fields. Until then no run reads the
+    /// clock and those fields stay 0; the other fields never depend on
+    /// it.
     pub fn stats(&self) -> ExecStats {
+        self.observed.store(true, Ordering::Relaxed);
         self.lanes[0].caches.stats
+    }
+
+    /// Whether [`Engine::stats`] was read: runs time their phases.
+    fn observed(&self) -> bool {
+        self.observed.load(Ordering::Relaxed)
     }
 
     /// Compile-time facts about the lowered plan: instruction count and
@@ -1238,6 +1263,7 @@ impl<'p> Engine<'p> {
         params: &Params,
         persist_active: bool,
     ) -> Result<RunOutput, ExecError> {
+        let timed = self.observed();
         let lane = &mut self.lanes[0];
         if lane.runs.is_empty() {
             lane.runs.push(RunState::default());
@@ -1252,6 +1278,7 @@ impl<'p> Engine<'p> {
             &self.weights,
             self.max_slots,
             std::mem::take(&mut lane.runs[0]),
+            timed,
         )?;
         std::mem::swap(&mut lane.caches, &mut interp.caches);
         if self.opts.interp {
@@ -1345,6 +1372,7 @@ impl<'p> Engine<'p> {
             max_slots: self.max_slots,
             params,
             persist_active,
+            timed: self.observed(),
         };
         type Job<'j> = (
             &'j mut LaneState,
@@ -1542,7 +1570,7 @@ impl LaneState {
         interps: &mut [Interp<'_>],
         hook: Option<&FaultHook>,
     ) {
-        let mut clock = Stopwatch::start();
+        let mut clock = Stopwatch::start(interps.first().is_some_and(|it| it.timed));
         for entry in acc.take_entries() {
             let SuperEntry {
                 key,

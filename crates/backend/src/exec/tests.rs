@@ -844,6 +844,51 @@ fn verify_rejects_fused_pc_before_its_loop_next() {
     );
 }
 
+/// A fused epilogue runs only as its fused loop's exit: one anywhere
+/// else would pop a loop record it does not own.
+#[test]
+fn verify_rejects_stray_fused_epilogue() {
+    let mut plan = owned_plan();
+    let at = (plan.ops.iter())
+        .position(|op| matches!(op, Op::Store(_)))
+        .expect("the lowering emits stores");
+    plan.ops[at] = Op::FusedEpilogue;
+    assert_eq!(
+        verify(&plan),
+        Err(VerifyError::UnstructuredJump { op: at, target: at })
+    );
+}
+
+/// A launch runs to its `KernelEnd`: without one the first kernel
+/// would run on into the second, and the last off the op stream.
+#[test]
+fn verify_rejects_kernel_without_its_end() {
+    let ends = |plan: &Program| -> Vec<usize> {
+        (plan.ops.iter().enumerate())
+            .filter_map(|(pc, op)| matches!(op, Op::KernelEnd).then_some(pc))
+            .collect()
+    };
+    let mut plan = owned_plan();
+    let kernels = plan.kernels.len();
+    assert!(kernels >= 2, "the Fig. 1 plan launches several kernels");
+    let first = ends(&plan)[0];
+    plan.ops[first] = Op::Barrier;
+    assert_eq!(
+        verify(&plan),
+        Err(VerifyError::MissingKernelEnd { kernel: 0 })
+    );
+    let mut plan = owned_plan();
+    let last = *ends(&plan).last().expect("kernels end");
+    assert_eq!(last, plan.ops.len() - 1, "the last kernel ends the stream");
+    plan.ops.pop();
+    assert_eq!(
+        verify(&plan),
+        Err(VerifyError::MissingKernelEnd {
+            kernel: kernels - 1
+        })
+    );
+}
+
 /// The certifier reads a wave body as the ops from its enter to its
 /// exit: an exit at or before the enter is refused, not sliced.
 #[test]
@@ -2264,4 +2309,82 @@ fn a_wave_not_in_block_form_fuses_but_runs_unforked() {
 fn a_wave_reading_its_sibling_row_is_refused_fusion() {
     let stats = fork_decision(leaf_wave(|n| IdxExpr::Const(0).add(n), true));
     assert_eq!((stats.fused_waves, stats.forked_waves), (0, 0));
+}
+
+/// The phase timers run only on an observed engine. A warm engine whose
+/// [`Engine::stats`] nobody read makes no clock read — solo, in a batch
+/// of 4 and under the `interp: true` oracle, on one lane and on two —
+/// and its `*_ns` fields stay 0. Once read, the same runs time their
+/// gather, GEMM and epilogue phases, and every other output, `Profile`
+/// and counter is unchanged. A rebuilt engine keeps the observed state.
+#[test]
+fn unobserved_engines_read_no_clock() {
+    use super::stopwatch::reads;
+    use super::{ExecStats, RunOutput};
+    use cortex_models::{treelstm, LeafInit};
+    use cortex_tensor::par;
+    let model = treelstm::tree_lstm(16, LeafInit::Zero);
+    let program = model.lower(&RaSchedule::default()).unwrap();
+    let mut params = Params::new();
+    for (name, t) in model.params.iter() {
+        params.set(name, t.clone());
+    }
+    let lins: Vec<Linearized> = (0..4u64)
+        .map(|s| {
+            let tree = datasets::random_binary_tree(5 + 3 * s as usize, s);
+            Linearizer::new().linearize(&tree).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let untimed = |s: ExecStats| ExecStats {
+        gather_ns: 0,
+        gemm_ns: 0,
+        epilogue_ns: 0,
+        serve_ns: 0,
+        ..s
+    };
+    let oracle = ExecOptions {
+        interp: true,
+        ..ExecOptions::default()
+    };
+    for lanes in [1, 2] {
+        for (path, opts, batch) in [
+            ("solo", ExecOptions::default(), 1),
+            ("batch of 4", ExecOptions::default(), 4),
+            ("oracle", oracle, 4),
+        ] {
+            let ctx = format!("{path}, {lanes} lanes");
+            // One run, with the clock reads it made on this thread.
+            let run = |engine: &mut Engine| -> (Vec<RunOutput>, u64) {
+                let before = reads();
+                let outs = par::with_lanes(lanes, || match batch {
+                    1 => vec![engine.execute(&lins[0], &params, true).unwrap()],
+                    _ => engine.execute_many(&refs[..batch], &params, true).unwrap(),
+                });
+                (outs, reads() - before)
+            };
+            let mut engine = Engine::with_options(&program, opts);
+            run(&mut engine);
+            let (quiet, quiet_reads) = run(&mut engine);
+            assert_eq!(quiet_reads, 0, "{ctx}: unobserved");
+            let quiet_stats = engine.stats();
+            assert_eq!(quiet_stats, untimed(quiet_stats), "{ctx}: no phase timed");
+            let (timed, timed_reads) = run(&mut engine);
+            let stats = engine.stats();
+            assert!(
+                stats.gather_ns > 0 && stats.gemm_ns > 0 && stats.epilogue_ns > 0,
+                "{ctx}: observed phases timed, {stats:?}"
+            );
+            // On one lane every timer runs on this thread.
+            assert!(lanes > 1 || timed_reads > 0, "{ctx}: observed");
+            assert!(timed == quiet, "{ctx}: outputs and Profiles");
+            assert_eq!(untimed(stats), quiet_stats, "{ctx}: counters");
+            let mut rebuilt = engine.rebuilt();
+            run(&mut rebuilt);
+            assert!(rebuilt.stats().gather_ns > 0, "{ctx}: rebuilt observed");
+            let mut fresh = Engine::with_options(&program, opts).rebuilt();
+            run(&mut fresh);
+            assert_eq!(run(&mut fresh).1, 0, "{ctx}: rebuilt unobserved");
+        }
+    }
 }

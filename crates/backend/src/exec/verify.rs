@@ -17,6 +17,9 @@
 //!   forward within its pass (`what: "row jump"`). So `LoopNext` is the
 //!   only back-edge, with a trip count fixed at loop entry: every run of
 //!   a verified plan is bounded by its loops' extents;
+//! * a `FusedEpilogue` sits only right after the `LoopNext` of its
+//!   fused loop ([`VerifyError::UnstructuredJump`]), and every kernel's
+//!   op range holds its `KernelEnd` ([`VerifyError::MissingKernelEnd`]);
 //! * every register slot is written (by a `Let`, a loop header, or the
 //!   kernel's batch binding) before any expression reads it
 //!   ([`VerifyError::UseBeforeDef`], [`VerifyError::SlotOutOfRange`]);
@@ -125,12 +128,21 @@ pub enum VerifyError {
     },
     /// A `Jump`, `Branch` join or bulk `done` that does not go forward
     /// to an op of its own kernel in the same innermost loop, or that
-    /// lands on a fused epilogue (entered only from its `LoopEnter`).
+    /// lands on a fused epilogue (entered only from its `LoopEnter`);
+    /// also a `FusedEpilogue` op anywhere but right after the `LoopNext`
+    /// of its fused loop (`target == op`: it would exit a loop it has no
+    /// record of).
     UnstructuredJump {
         /// The jumping op.
         op: usize,
         /// Its target.
         target: usize,
+    },
+    /// A kernel's op range holds no `KernelEnd`: its launch would run on
+    /// into the next kernel, or off the end of the op stream.
+    MissingKernelEnd {
+        /// The kernel.
+        kernel: usize,
     },
     /// A fused wave is not row-disjoint or not of its recorded block
     /// form, a stored address program disagrees with the one the
@@ -189,6 +201,9 @@ impl std::fmt::Display for VerifyError {
             }
             VerifyError::UnstructuredJump { op, target } => {
                 write!(f, "op {op}: jump to {target} leaves its loop or goes back")
+            }
+            VerifyError::MissingKernelEnd { kernel } => {
+                write!(f, "kernel {kernel} has no KernelEnd in its op range")
             }
             VerifyError::CertificateMismatch { what, index } => {
                 let analysis = match *what {
@@ -405,6 +420,11 @@ fn verify_kernel(
     range: std::ops::Range<usize>,
 ) -> Result<(), VerifyError> {
     let n_ops = plan.ops.len();
+    // A launch runs up to its first `KernelEnd`, and the scan with it.
+    let ops = plan.ops.get(range.clone()).unwrap_or_default();
+    if !ops.iter().any(|op| matches!(op, Op::KernelEnd)) {
+        return Err(VerifyError::MissingKernelEnd { kernel: ki });
+    }
     let mut env = SlotEnv::new(plan.kernels[ki].num_slots);
     // The launch prologue binds the kernel's batch slot before any op.
     if let Some(bv) = plan.kernels[ki].batch_slot {
@@ -423,6 +443,7 @@ fn verify_kernel(
         Some(&(_, what)) => Err(VerifyError::BadLoopShape { op, loop_id, what }),
         None => Ok(()),
     };
+    let start = range.start;
     for pc in range {
         env.op = pc;
         // The innermost open loop at this op: a `LoopEnter` sits in its
@@ -504,7 +525,10 @@ fn verify_kernel(
                     });
                 }
             }
-            Op::FusedEpilogue => {}
+            // Reached only by falling out of its loop's `LoopNext`,
+            // which checked that the loop is fused.
+            Op::FusedEpilogue if pc > start && matches!(plan.ops[pc - 1], Op::LoopNext(_)) => {}
+            Op::FusedEpilogue => return Err(VerifyError::UnstructuredJump { op: pc, target: pc }),
             Op::Let { slot, value } => {
                 env.check_idx(value)?;
                 env.define(*slot)?;

@@ -958,6 +958,8 @@ fn mvrnn_rank2_store_loops_bulk_serve() {
     let lin = Linearizer::new().linearize(&tree).unwrap();
 
     let mut engine = Engine::new(&program);
+    // Observed before the run, so the run times its phases.
+    engine.stats();
     let (out_b, prof_b) = engine.execute(&lin, &model.params, true).unwrap();
     let stats = engine.stats();
     let depths = lin.internal_batches().len() as u64;
