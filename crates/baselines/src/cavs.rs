@@ -10,9 +10,8 @@
 //! copies, and it cannot specialize leaf checks (§7.2 notes the open
 //! source version lacks specialization).
 
-use std::time::Instant;
-
 use cortex_backend::device::DeviceSpec;
+use cortex_ds::linearizer::time_fastest;
 use cortex_ds::{NodeId, RecStructure};
 use cortex_models::Model;
 
@@ -35,24 +34,27 @@ pub fn run(model: &Model, structure: &RecStructure, device: &DeviceSpec) -> Fram
 
     // --- Vertex-function "compilation": once, proportional to the cell's
     // operator count, not to the input size (measured).
-    let t0 = Instant::now();
-    let vertex_ops: Vec<u16> =
-        (0..cell.ops_per_internal(structure.max_children()) as u16).collect();
-    std::hint::black_box(&vertex_ops);
-    ctx.profile.graph_construction_time = t0.elapsed();
+    let (vertex_ops, compile_time) = time_fastest(|| {
+        let vertex_ops: Vec<u16> =
+            (0..cell.ops_per_internal(structure.max_children()) as u16).collect();
+        std::hint::black_box(vertex_ops)
+    });
+    ctx.profile.graph_construction_time = compile_time;
 
     // --- Runtime batching over the *data-structure* graph (measured):
     // gather nodes into height levels, Cavs's scheduling unit.
-    let t1 = Instant::now();
-    let mut by_height: Vec<Vec<NodeId>> = Vec::new();
-    for node in structure.iter() {
-        let height = structure.height(node) as usize;
-        if by_height.len() <= height {
-            by_height.resize(height + 1, Vec::new());
+    let (by_height, batching_time) = time_fastest(|| {
+        let mut by_height: Vec<Vec<NodeId>> = Vec::new();
+        for node in structure.iter() {
+            let height = structure.height(node) as usize;
+            if by_height.len() <= height {
+                by_height.resize(height + 1, Vec::new());
+            }
+            by_height[height].push(node);
         }
-        by_height[height].push(node);
-    }
-    ctx.profile.dynamic_batching_time = t1.elapsed();
+        by_height
+    });
+    ctx.profile.dynamic_batching_time = batching_time;
 
     // --- Batched vertex execution, level by level.
     let mut states = vec![NodeState::default(); structure.num_nodes()];
@@ -62,9 +64,8 @@ pub fn run(model: &Model, structure: &RecStructure, device: &DeviceSpec) -> Fram
         }
         // Per-level gather-list construction is runtime batching work
         // (measured), as in Cavs's scheduler.
-        let tg = Instant::now();
-        let wave = WaveNode::from_structure(structure, nodes);
-        ctx.profile.dynamic_batching_time += tg.elapsed();
+        let (wave, gather_time) = time_fastest(|| WaveNode::from_structure(structure, nodes));
+        ctx.profile.dynamic_batching_time += gather_time;
         let new_states = if height == 0 {
             cell.leaf_wave(&model.params, &wave, h, model.leaf, &mut ctx)
         } else {

@@ -5,12 +5,13 @@
 //! vertex per tensor operator per data-structure node — "a much larger
 //! graph" (§7.2, Table 6). Both the graph construction and the
 //! signature/depth-based batching pass are executed for real here and
-//! timed with wall clocks; execution then issues one vendor call per
-//! operator batch with gather/scatter contiguity copies.
-
-use std::time::Instant;
+//! timed with wall clocks (each at its fastest of
+//! [`TIMING_RUNS`](cortex_ds::linearizer::TIMING_RUNS) runs); execution
+//! then issues one vendor call per operator batch with gather/scatter
+//! contiguity copies.
 
 use cortex_backend::device::DeviceSpec;
+use cortex_ds::linearizer::time_fastest;
 use cortex_ds::{NodeId, RecStructure};
 use cortex_models::Model;
 
@@ -62,47 +63,51 @@ pub fn run(
 
     // --- 1. Runtime graph construction (measured). -------------------
     let ops_per_internal = cell.ops_per_internal(structure.max_children()) as u16;
-    let t0 = Instant::now();
-    let mut graph: Vec<OpVertex> = Vec::new();
-    for node in structure.iter() {
-        let height = structure.height(node);
-        let n_ops = if structure.is_leaf(node) {
-            1
-        } else {
-            ops_per_internal
-        };
-        for sig in 0..n_ops {
-            graph.push(OpVertex {
-                sig,
-                depth: height * ops_per_internal as u32 + sig as u32,
-                node: node.index() as u32,
-            });
+    let (graph, graph_time) = time_fastest(|| {
+        let mut graph: Vec<OpVertex> = Vec::new();
+        for node in structure.iter() {
+            let height = structure.height(node);
+            let n_ops = if structure.is_leaf(node) {
+                1
+            } else {
+                ops_per_internal
+            };
+            for sig in 0..n_ops {
+                graph.push(OpVertex {
+                    sig,
+                    depth: height * ops_per_internal as u32 + sig as u32,
+                    node: node.index() as u32,
+                });
+            }
         }
-    }
-    ctx.profile.graph_construction_time = t0.elapsed();
+        graph
+    });
+    ctx.profile.graph_construction_time = graph_time;
 
     // --- 2. On-the-fly batching over the op graph (measured). --------
     // The published algorithm batches ops with identical signatures at
     // compatible depths; for uniform recursive cells this groups each
     // operator across all nodes of one structure level.
-    let t1 = Instant::now();
-    let mut order: Vec<usize> = (0..graph.len()).collect();
-    order.sort_by_key(|&i| (graph[i].depth, graph[i].sig));
-    let mut groups: Vec<(u16, Vec<u32>)> = Vec::new();
-    for &i in &order {
-        let v = graph[i];
-        match groups.last_mut() {
-            Some((sig, nodes))
-                if *sig == v.sig
-                    && graph[order[0]].depth <= v.depth // same agenda round
-                    && nodes.last() != Some(&v.node) =>
-            {
-                nodes.push(v.node);
+    let (groups, batching_time) = time_fastest(|| {
+        let mut order: Vec<usize> = (0..graph.len()).collect();
+        order.sort_by_key(|&i| (graph[i].depth, graph[i].sig));
+        let mut groups: Vec<(u16, Vec<u32>)> = Vec::new();
+        for &i in &order {
+            let v = graph[i];
+            match groups.last_mut() {
+                Some((sig, nodes))
+                    if *sig == v.sig
+                        && graph[order[0]].depth <= v.depth // same agenda round
+                        && nodes.last() != Some(&v.node) =>
+                {
+                    nodes.push(v.node);
+                }
+                _ => groups.push((v.sig, vec![v.node])),
             }
-            _ => groups.push((v.sig, vec![v.node])),
         }
-    }
-    ctx.profile.dynamic_batching_time = t1.elapsed();
+        groups
+    });
+    ctx.profile.dynamic_batching_time = batching_time;
     // `groups` is what the agenda would execute; our cell functions issue
     // the identical per-op batched calls level by level below, so the
     // group list is used only for its (measured) construction cost.
@@ -124,9 +129,8 @@ pub fn run(
         }
         // Building the per-batch gather lists is part of the runtime
         // batching work (measured).
-        let tg = Instant::now();
-        let wave = WaveNode::from_structure(structure, nodes);
-        ctx.profile.dynamic_batching_time += tg.elapsed();
+        let (wave, gather_time) = time_fastest(|| WaveNode::from_structure(structure, nodes));
+        ctx.profile.dynamic_batching_time += gather_time;
         let new_states = if height == 0 {
             cell.leaf_wave(&model.params, &wave, h, model.leaf, &mut ctx)
         } else {

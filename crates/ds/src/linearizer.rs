@@ -212,7 +212,8 @@ impl Linearizer {
         })
     }
 
-    /// Linearizes and reports the wall-clock time spent doing so, for the
+    /// Linearizes and reports the wall-clock time spent doing so (the
+    /// fastest of [`TIMING_RUNS`] runs, see [`time_fastest`]), for the
     /// §7.5 linearization-overhead experiment.
     ///
     /// # Errors
@@ -222,10 +223,33 @@ impl Linearizer {
         &self,
         s: &RecStructure,
     ) -> Result<(Linearized, Duration), LinearizeError> {
-        let start = Instant::now();
-        let lin = self.linearize(s)?;
-        Ok((lin, start.elapsed()))
+        let (lin, dur) = time_fastest(|| self.linearize(s));
+        Ok((lin?, dur))
     }
+}
+
+/// How many times [`time_fastest`] runs a host phase.
+pub const TIMING_RUNS: usize = 5;
+
+/// Runs `f` [`TIMING_RUNS`] times and returns the last result with the
+/// fastest run's wall-clock time.
+///
+/// This is the stopwatch of every measured host overhead that enters a
+/// modelled latency: Cortex's linearization here, and the baselines'
+/// graph construction and runtime batching. A phase is priced at its
+/// fastest run, so a preemption that lands in one run does not reach the
+/// latency it is added to.
+pub fn time_fastest<R>(mut f: impl FnMut() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let mut out = f();
+    let mut best = start.elapsed();
+    for _ in 1..TIMING_RUNS {
+        let start = Instant::now();
+        let r = f();
+        best = best.min(start.elapsed());
+        out = r;
+    }
+    (out, best)
 }
 
 /// The output of linearization: the flat arrays the generated loop-based
