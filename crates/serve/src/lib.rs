@@ -18,14 +18,13 @@
 //!
 //! * **Typed outcomes** — every failure is a [`ServeError`], never a
 //!   string: admission refusals ([`ServeError::QueueFull`],
-//!   [`ServeError::DeadlineExceeded`]), load-shedding
-//!   ([`ServeError::Shed`]), typed engine errors
+//!   [`ServeError::DeadlineExceeded`]), typed engine errors
 //!   ([`ServeError::EngineFault`]) and contained panics
 //!   ([`ServeError::Poisoned`]).
 //! * **Bounded admission** — the queue holds at most
-//!   [`BatcherOptions::queue_cap`] requests; a full queue applies the
-//!   explicit [`WhenFull`] policy (reject, shed-oldest, shed-newest)
-//!   instead of growing without bound.
+//!   [`BatcherOptions::queue_cap`] requests; a full queue refuses the
+//!   next submission with [`ServeError::QueueFull`] instead of growing
+//!   without bound.
 //! * **Deadlines** — per-request deadlines are checked at admission and
 //!   at every flush boundary; an expired request resolves
 //!   [`ServeError::DeadlineExceeded`] without executing.
@@ -93,9 +92,7 @@ pub mod router;
 pub use clock::{Clock, MonotonicClock, TestClock};
 pub use health::{BreakerState, HealthPolicy, HealthSnapshot};
 pub use retry::RetryPolicy;
-pub use router::{
-    AimdDepth, HedgePolicy, ModelId, Placement, Router, RouterOptions, RouterStats, RouterTicket,
-};
+pub use router::{AimdDepth, ModelId, Router, RouterOptions, RouterStats, RouterTicket};
 
 // ---------------------------------------------------------------------
 // Typed errors
@@ -105,15 +102,14 @@ pub use router::{
 /// once: with a [`Response`] or with one of these.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// Admission refused: the queue is at [`BatcherOptions::queue_cap`]
-    /// under [`WhenFull::Reject`]. No ticket was issued — retry later.
+    /// Admission refused: the queue is at [`BatcherOptions::queue_cap`].
+    /// No ticket was issued — retry later.
     QueueFull,
     /// The request's deadline expired: at admission (zero budget) or at
     /// a flush boundary before it executed.
     DeadlineExceeded,
-    /// The request was evicted by the [`WhenFull`] shedding policy to
-    /// admit newer traffic (or was itself shed on arrival under
-    /// [`WhenFull::ShedNewest`]).
+    /// [`Router::shutdown`] ran out of its budget before the request
+    /// resolved.
     Shed,
     /// Admission refused: the input failed the engine's untrusted-input
     /// validation (arity over the lowered plan, size/depth over the
@@ -170,7 +166,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::QueueFull => write!(f, "admission queue is full"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded before execution"),
-            ServeError::Shed => write!(f, "shed by the queue's when-full policy"),
+            ServeError::Shed => write!(f, "shed at shutdown before it resolved"),
             ServeError::InvalidInput { source } => {
                 write!(f, "invalid input refused at admission: {source}")
             }
@@ -218,22 +214,6 @@ impl From<ExecError> for ServeError {
 // Options
 // ---------------------------------------------------------------------
 
-/// What a full admission queue does with the next submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WhenFull {
-    /// Refuse it: [`Batcher::submit`] returns
-    /// [`ServeError::QueueFull`] and no ticket is issued. The blockless
-    /// backpressure policy — the caller decides whether to retry.
-    Reject,
-    /// Admit it by evicting the *oldest* queued request, which resolves
-    /// [`ServeError::Shed`]. Freshest-traffic-wins (a latency-sensitive
-    /// front prefers new requests, whose deadlines are furthest away).
-    ShedOldest,
-    /// Issue a ticket but immediately resolve it [`ServeError::Shed`];
-    /// queued requests keep their place. Oldest-traffic-wins.
-    ShedNewest,
-}
-
 /// Flush, admission, deadline and degradation policy of a [`Batcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherOptions {
@@ -251,13 +231,11 @@ pub struct BatcherOptions {
     /// recurrent weights pinned on-chip).
     pub persist: bool,
     /// Bounded admission: at most this many requests wait in the queue
-    /// (clamped to ≥ 1). Beyond it, [`BatcherOptions::when_full`]
-    /// applies. The default (1024) never engages under the default
-    /// `max_batch` (the queue flushes at 16) — it is the safety net for
-    /// configurations that defer flushing.
+    /// (clamped to ≥ 1); a submission beyond it is refused with
+    /// [`ServeError::QueueFull`]. The default (1024) never engages under
+    /// the default `max_batch` (the queue flushes at 16) — it is the
+    /// safety net for configurations that defer flushing.
     pub queue_cap: usize,
-    /// Policy for submissions arriving at a full queue.
-    pub when_full: WhenFull,
     /// Default per-request deadline budget, from admission: a request
     /// still queued when its budget elapses resolves
     /// [`ServeError::DeadlineExceeded`] at the next flush boundary or
@@ -281,7 +259,6 @@ impl Default for BatcherOptions {
             max_delay: Duration::from_millis(2),
             persist: true,
             queue_cap: 1024,
-            when_full: WhenFull::Reject,
             deadline: None,
             breaker_threshold: 3,
             breaker_reset: Duration::from_secs(1),
@@ -335,11 +312,11 @@ pub struct Response {
 /// ([`FAILED_RETENTION_CAP`]) never un-counts anything.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Tickets issued (admitted requests, including shed-on-arrival).
+    /// Tickets issued (admitted requests).
     pub submitted: u64,
-    /// Submissions refused without a ticket ([`ServeError::QueueFull`]
-    /// under [`WhenFull::Reject`], a zero deadline budget, an invalid
-    /// input, or an over-budget input at admission).
+    /// Submissions refused without a ticket ([`ServeError::QueueFull`],
+    /// a zero deadline budget, an invalid input, or an over-budget input
+    /// at admission).
     pub rejected: u64,
     /// Submissions refused because the input failed untrusted-input
     /// validation ([`ServeError::InvalidInput`]); also counted in
@@ -351,11 +328,9 @@ pub struct ServeStats {
     pub over_budget: u64,
     /// Tickets resolved with a [`Response`].
     pub resolved_ok: u64,
-    /// Tickets resolved with a [`ServeError`] (shed and deadline
-    /// outcomes included).
+    /// Tickets resolved with a [`ServeError`] (deadline outcomes
+    /// included).
     pub resolved_err: u64,
-    /// Tickets resolved [`ServeError::Shed`] by the when-full policy.
-    pub shed: u64,
     /// Tickets resolved [`ServeError::DeadlineExceeded`].
     pub deadline_misses: u64,
     /// Faulted requests isolated out of a multi-request chunk by
@@ -557,11 +532,10 @@ impl<'p> Batcher<'p> {
     /// # Errors
     ///
     /// [`ServeError::QueueFull`] when the queue is at
-    /// [`BatcherOptions::queue_cap`] under [`WhenFull::Reject`] (no
-    /// ticket is issued), [`ServeError::DeadlineExceeded`] for a zero
-    /// deadline budget. Execution failures are **not** reported here:
-    /// they resolve per ticket through [`Batcher::poll`] /
-    /// [`Batcher::drain`].
+    /// [`BatcherOptions::queue_cap`] (no ticket is issued),
+    /// [`ServeError::DeadlineExceeded`] for a zero deadline budget.
+    /// Execution failures are **not** reported here: they resolve per
+    /// ticket through [`Batcher::poll`] / [`Batcher::drain`].
     pub fn submit(&mut self, lin: Linearized) -> Result<Ticket, ServeError> {
         self.submit_with_deadline(lin, self.opts.deadline)
     }
@@ -601,24 +575,12 @@ impl<'p> Batcher<'p> {
             });
         }
         if self.queue.len() >= self.opts.queue_cap.max(1) {
-            match self.opts.when_full {
-                WhenFull::Reject => {
-                    self.serve_stats.rejected += 1;
-                    return Err(ServeError::QueueFull);
-                }
-                WhenFull::ShedOldest => {
-                    let victim = self.queue.pop_front().expect("full queue is non-empty");
-                    self.refresh_due();
-                    self.record_failure(victim.ticket, ServeError::Shed);
-                }
-                WhenFull::ShedNewest => {
-                    let ticket = self.alloc_ticket();
-                    self.record_failure(ticket, ServeError::Shed);
-                    return Ok(Ticket(ticket));
-                }
-            }
+            self.serve_stats.rejected += 1;
+            return Err(ServeError::QueueFull);
         }
-        let ticket = self.alloc_ticket();
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.serve_stats.submitted += 1;
         let pending = PendingRequest {
             ticket,
             lin,
@@ -741,13 +703,6 @@ impl<'p> Batcher<'p> {
     }
 
     // -- internals ----------------------------------------------------
-
-    fn alloc_ticket(&mut self) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.serve_stats.submitted += 1;
-        ticket
-    }
 
     /// Removes `ticket`'s outcome, if it has one.
     fn take_outcome(&mut self, ticket: u64) -> Option<Result<Response, ServeError>> {
@@ -937,10 +892,8 @@ impl<'p> Batcher<'p> {
     fn record_failure(&mut self, ticket: u64, e: ServeError) {
         self.version += 1;
         self.serve_stats.resolved_err += 1;
-        match &e {
-            ServeError::Shed => self.serve_stats.shed += 1,
-            ServeError::DeadlineExceeded => self.serve_stats.deadline_misses += 1,
-            _ => {}
+        if matches!(e, ServeError::DeadlineExceeded) {
+            self.serve_stats.deadline_misses += 1;
         }
         let prev = self.failed.insert(ticket, e);
         debug_assert!(prev.is_none(), "ticket {ticket} resolved twice");
@@ -1035,7 +988,7 @@ impl<'p> Batcher<'p> {
         self.engine.stats()
     }
 
-    /// Cumulative robustness counters (admission, shedding, deadlines,
+    /// Cumulative robustness counters (admission, deadlines,
     /// isolation, degradation).
     pub fn serve_stats(&self) -> ServeStats {
         self.serve_stats
@@ -1597,7 +1550,6 @@ mod tests {
                 max_batch: 64, // never auto-flushes in this test
                 max_delay: Duration::from_secs(3600),
                 queue_cap: 2,
-                when_full: WhenFull::Reject,
                 ..BatcherOptions::default()
             },
         );
@@ -1618,74 +1570,6 @@ mod tests {
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.resolved_ok, 2);
-        assert_eq!(stats.shed, 0);
-    }
-
-    #[test]
-    fn shed_oldest_evicts_the_head_and_resolves_it_shed() {
-        let model = treelstm::tree_lstm(3, LeafInit::Zero);
-        let program = model.lower(&RaSchedule::default()).unwrap();
-        let mut batcher = Batcher::new(
-            &program,
-            model.params.clone(),
-            BatcherOptions {
-                max_batch: 64,
-                max_delay: Duration::from_secs(3600),
-                queue_cap: 2,
-                when_full: WhenFull::ShedOldest,
-                ..BatcherOptions::default()
-            },
-        );
-        let structure = datasets::random_binary_tree(4, 2);
-        let t0 = batcher.submit(lin(&structure)).unwrap();
-        let t1 = batcher.submit(lin(&structure)).unwrap();
-        let t2 = batcher.submit(lin(&structure)).unwrap();
-        // t0 was evicted to admit t2; it resolves Shed immediately.
-        assert_eq!(batcher.poll(t0), Err(ServeError::Shed));
-        let outcomes: HashMap<Ticket, bool> = batcher
-            .drain()
-            .into_iter()
-            .map(|(t, r)| (t, r.is_ok()))
-            .collect();
-        assert!(outcomes[&t1]);
-        assert!(outcomes[&t2], "freshest traffic wins");
-        let stats = batcher.serve_stats();
-        assert_eq!(stats.submitted, 3);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.resolved_ok + stats.resolved_err, stats.submitted);
-    }
-
-    #[test]
-    fn shed_newest_keeps_the_queue_and_sheds_the_arrival() {
-        let model = treelstm::tree_lstm(3, LeafInit::Zero);
-        let program = model.lower(&RaSchedule::default()).unwrap();
-        let mut batcher = Batcher::new(
-            &program,
-            model.params.clone(),
-            BatcherOptions {
-                max_batch: 64,
-                max_delay: Duration::from_secs(3600),
-                queue_cap: 2,
-                when_full: WhenFull::ShedNewest,
-                ..BatcherOptions::default()
-            },
-        );
-        let structure = datasets::random_binary_tree(4, 2);
-        let t0 = batcher.submit(lin(&structure)).unwrap();
-        let t1 = batcher.submit(lin(&structure)).unwrap();
-        // The arrival gets a ticket (so the caller can observe the shed
-        // outcome) but never queues.
-        let t2 = batcher.submit(lin(&structure)).unwrap();
-        assert_eq!(batcher.pending(), 2);
-        assert_eq!(batcher.poll(t2), Err(ServeError::Shed));
-        for t in [t0, t1] {
-            assert!(batcher.poll(t).unwrap().is_none(), "still queued");
-        }
-        for (_, result) in batcher.drain() {
-            result.expect("oldest traffic wins");
-        }
-        assert_eq!(batcher.serve_stats().shed, 1);
     }
 
     #[test]

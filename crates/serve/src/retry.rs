@@ -23,8 +23,7 @@ use std::time::Duration;
 pub struct RetryPolicy {
     /// Total dispatch budget, the initial dispatch included: 1 means
     /// never retry; 3 means up to two re-dispatches after faults.
-    /// (Hedge duplicates don't count — they are concurrency, not
-    /// retries.)
+    /// (Failovers off a killed shard don't count.)
     pub max_attempts: u32,
     /// Backoff before the first re-dispatch; doubles per subsequent
     /// attempt. `Duration::ZERO` retries immediately at the next pump.

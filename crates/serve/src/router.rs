@@ -5,11 +5,10 @@
 //! single-queue robustness substrate the shards provide, the router
 //! adds the *topology*-level behaviors a production front needs:
 //!
-//! * **Health-aware placement** — a [`Placement`] strategy
-//!   (deterministic least-loaded, power-of-two-choices, round-robin,
-//!   or primary-with-spill) picks among *healthy* shards: alive,
-//!   breaker not [`BreakerState::Open`], rolling error rate within the
-//!   [`HealthPolicy`]. A shard refusing with
+//! * **Health-aware placement** — a request goes to the *healthy*
+//!   shard (alive, breaker not [`BreakerState::Open`], rolling error
+//!   rate within the [`HealthPolicy`]) with the fewest queued requests,
+//!   ties to the lowest index. A shard refusing with
 //!   [`ServeError::QueueFull`] spills to the next sibling instead of
 //!   bouncing the caller.
 //! * **Budgeted retries** — a leg that fails with a fault-shaped error
@@ -17,11 +16,6 @@
 //!   [`ServeError::ResultExpired`]) is re-dispatched to a healthy
 //!   sibling under the [`RetryPolicy`]'s deterministic backoff;
 //!   exhaustion resolves [`ServeError::RetriesExhausted`].
-//! * **Hedged dispatch** — with a [`HedgePolicy`], a deadline-carrying
-//!   request still unresolved after the hedge delay is duplicated to a
-//!   second shard; the first result wins. Because shard execution is
-//!   bit-identical to a solo run, the winner provably does not matter
-//!   (the placement-independence suite asserts it).
 //! * **Failover** — killing a shard ([`Router::kill_shard`]) moves its
 //!   outstanding legs to live siblings *without* consuming retry
 //!   budget; a request only resolves [`ServeError::Unavailable`] when
@@ -37,18 +31,16 @@
 //!   decrease the moment a window sees one. The depth-16 constant the
 //!   bench curve questioned becomes a live tradeoff.
 //!
-//! Determinism is load-bearing everywhere: placement draws come from a
-//! seeded in-repo RNG, backoff is computed (never slept) on the
-//! injected [`Clock`], and shard outputs are bit-identical to solo
-//! runs — so the router-level model-based suite can assert
-//! exactly-once resolution *and* bitwise-equal survivors across
-//! arbitrary fault/kill interleavings. How often a caller polls does
-//! not change any of it: a [`Router::poll`] that skips its pump skips
-//! a no-op (the pump before it changed nothing, nothing has mutated
-//! since, and no time-driven condition has come due), and a failed
-//! hedge waits one more hedge delay instead of drawing again on every
-//! pump. Debug builds run every skipped pump anyway and assert that it
-//! changed nothing.
+//! Determinism is load-bearing everywhere: placement reads only queue
+//! depths and health, backoff is computed (never slept) on the injected
+//! [`Clock`], and shard outputs are bit-identical to solo runs — so the
+//! router-level model-based suite can assert exactly-once resolution
+//! *and* bitwise-equal survivors across arbitrary fault/kill
+//! interleavings. How often a caller polls does not change any of it: a
+//! [`Router::poll`] that skips its pump skips a no-op (the pump before
+//! it changed nothing, nothing has mutated since, and no time-driven
+//! condition has come due). Debug builds run every skipped pump anyway
+//! and assert that it changed nothing.
 //!
 //! [`BreakerState::Open`]: crate::BreakerState::Open
 //! [`ServeError::QueueFull`]: crate::ServeError::QueueFull
@@ -68,7 +60,6 @@ use cortex_backend::exec::FaultHook;
 use cortex_backend::params::Params;
 use cortex_core::ilir::IlirProgram;
 use cortex_ds::linearizer::Linearized;
-use cortex_rng::Rng;
 
 use crate::health::{BreakerState, HealthPolicy, HealthSnapshot, RollingWindow};
 use crate::retry::RetryPolicy;
@@ -84,38 +75,6 @@ pub struct ModelId(pub(crate) usize);
 /// the per-shard [`Ticket`]s its legs hold internally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouterTicket(pub(crate) u64);
-
-/// How the router places a request on one of its model's shards. Every
-/// strategy is deterministic (power-of-two draws from the router's
-/// seeded RNG) and consults shard health first; a placed shard that
-/// refuses with [`ServeError::QueueFull`] spills to the next candidate
-/// in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// The healthy shard with the fewest queued requests; ties break
-    /// toward the lowest shard index.
-    LeastLoaded,
-    /// Power-of-two-choices: draw two distinct healthy shards from the
-    /// seeded RNG, keep the less loaded. O(1) decision cost with
-    /// near-least-loaded balance — the classic serving tradeoff.
-    PowerOfTwo,
-    /// Strict rotation over the healthy shards.
-    RoundRobin,
-    /// Always the lowest-indexed healthy shard, spilling rightward only
-    /// on [`ServeError::QueueFull`] — the primary/standby topology.
-    PrimarySpill,
-}
-
-/// When to duplicate a request to a second shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgePolicy {
-    /// How long a *deadline-carrying* request may stay unresolved after
-    /// its latest dispatch before a duplicate leg is sent to a
-    /// different shard. First leg to resolve wins; the loser is
-    /// discarded (its result, bit-identical anyway, is dropped). A
-    /// hedge that no other shard takes is tried again one delay later.
-    pub delay: Duration,
-}
 
 /// AIMD controller for a shard's flush depth (`max_batch`): every
 /// `window` resolutions, halve the depth if the window saw a deadline
@@ -147,14 +106,8 @@ impl Default for AimdDepth {
 /// Topology-level policy of a [`Router`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterOptions {
-    /// Shard selection strategy.
-    pub placement: Placement,
-    /// Seed for the placement RNG (power-of-two draws).
-    pub seed: u64,
     /// Retry budget and backoff for fault-shaped leg failures.
     pub retry: RetryPolicy,
-    /// Hedged dispatch for deadline-carrying requests (`None` = off).
-    pub hedge: Option<HedgePolicy>,
     /// Adaptive per-shard flush depth (`None` = shards keep their
     /// configured fixed `max_batch`).
     pub adaptive_depth: Option<AimdDepth>,
@@ -165,10 +118,7 @@ pub struct RouterOptions {
 impl Default for RouterOptions {
     fn default() -> Self {
         RouterOptions {
-            placement: Placement::LeastLoaded,
-            seed: 0,
             retry: RetryPolicy::default(),
-            hedge: None,
             adaptive_depth: Some(AimdDepth::default()),
             health: HealthPolicy::default(),
         }
@@ -179,8 +129,8 @@ impl Default for RouterOptions {
 /// lifetime. The router-level accounting invariant:
 /// `submitted == resolved_ok + resolved_err + pending()` at every
 /// quiescent point (after [`Router::drain`] / [`Router::shutdown`],
-/// `pending() == 0`). Retries, failovers and hedges are *legs* of one
-/// ticket — they never double-count a resolution.
+/// `pending() == 0`). Retries and failovers are *legs* of one ticket —
+/// they never double-count a resolution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Router tickets issued.
@@ -204,12 +154,11 @@ pub struct RouterStats {
     /// Tickets that resolved [`ServeError::RetriesExhausted`].
     pub retries_exhausted: u64,
     /// Dispatches that landed on a non-first-choice shard because the
-    /// preferred shard was at queue cap.
+    /// preferred shard was at queue cap. Only a re-dispatch can spill:
+    /// every shard of a model has the same cap, so the least-loaded one
+    /// is full only when all are, but a retry puts the shard it failed
+    /// on behind its siblings.
     pub spills: u64,
-    /// Duplicate legs launched by the hedge policy.
-    pub hedges_launched: u64,
-    /// Tickets whose *hedge* leg produced the winning response.
-    pub hedges_won: u64,
     /// Legs moved off a killed shard without consuming retry budget.
     pub failovers: u64,
     /// Shards killed via [`Router::kill_shard`].
@@ -220,7 +169,7 @@ pub struct RouterStats {
     pub depth_decreases: u64,
 }
 
-/// One dispatched copy of a request on a specific shard.
+/// One dispatch of a request to a specific shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Leg {
     shard: usize,
@@ -237,15 +186,6 @@ enum LegPoll {
     ShardDead,
 }
 
-/// A leg whose router ticket already resolved (hedge loser, or a leg
-/// superseded by failover) — polled until its shard-level ticket
-/// resolves, then discarded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Orphan {
-    model: usize,
-    leg: Leg,
-}
-
 /// Router-side state of one in-flight ticket.
 struct InFlight {
     /// The router ticket id.
@@ -254,19 +194,15 @@ struct InFlight {
     input: Linearized,
     /// Absolute clock time after which the ticket must not execute.
     deadline: Option<Duration>,
-    /// Start of the hedge delay: the latest primary dispatch, or the
-    /// latest hedge attempt that found no shard to take it.
-    hedge_since: Duration,
-    /// Primary dispatches made (retry budget consumed). Hedges and
-    /// failovers are free.
+    /// Dispatches made (retry budget consumed). Failovers are free.
     attempts: u32,
     /// Consecutive re-dispatch attempts that found every shard full.
     redispatch_stalls: u32,
     /// The next re-dispatch is a failover (shard died under the leg):
     /// it does not consume retry budget.
     free_redispatch: bool,
-    primary: Option<Leg>,
-    hedge: Option<Leg>,
+    /// The leg in flight, if any.
+    leg: Option<Leg>,
     /// Absolute clock time the scheduled re-dispatch becomes due.
     retry_due: Option<Duration>,
     /// The most recent leg failure (reported by
@@ -296,24 +232,20 @@ struct ModelEntry<'p> {
     name: String,
     shard_opts: BatcherOptions,
     shards: Vec<Shard<'p>>,
-    /// Round-robin cursor.
-    rr: usize,
 }
 
 /// A multi-model registry of [`Batcher`] shards with health-aware
-/// dispatch, budgeted retries, hedging, failover and a graceful
-/// lifecycle. See the [module docs](self) for the full semantics.
+/// dispatch, budgeted retries, failover and a graceful lifecycle. See
+/// the [module docs](self) for the full semantics.
 pub struct Router<'p> {
     opts: RouterOptions,
     clock: Rc<dyn Clock>,
-    rng: Rng,
     models: Vec<ModelEntry<'p>>,
     /// In ticket order (tickets are issued in increasing order and
     /// pushed), which is the order a pump steps them in.
     in_flight: Vec<InFlight>,
     /// Resolved-but-unclaimed outcomes ([`Router::poll`] removes).
     done: HashMap<u64, Result<Response, ServeError>>,
-    orphans: Vec<Orphan>,
     next_ticket: u64,
     next_shard_uid: u64,
     stats: RouterStats,
@@ -328,9 +260,9 @@ pub struct Router<'p> {
     /// Set by a pump that changed nothing, to the instants from that
     /// pump's up to the earliest one at which a time-driven condition
     /// can fire. A [`Router::poll`] inside it skips its pump; every
-    /// other mutation clears it. A [`TestClock`](crate::TestClock) set
-    /// back before the start pumps again: a hedge's `now < deadline`
-    /// can turn true as time goes back.
+    /// other mutation clears it. A poll outside it pumps, also one at
+    /// an instant before the start (a [`TestClock`](crate::TestClock)
+    /// set back).
     idle: Option<Range<Duration>>,
     /// Pumps [`Router::poll`] ran rather than skipped.
     #[cfg(test)]
@@ -358,13 +290,11 @@ impl<'p> Router<'p> {
     /// clock.
     pub fn new(opts: RouterOptions) -> Self {
         Router {
-            rng: Rng::new(opts.seed),
             opts,
             clock: Rc::new(MonotonicClock::new()),
             models: Vec::new(),
             in_flight: Vec::new(),
             done: HashMap::new(),
-            orphans: Vec::new(),
             next_ticket: 0,
             next_shard_uid: 0,
             stats: RouterStats::default(),
@@ -407,7 +337,6 @@ impl<'p> Router<'p> {
             name: name.to_string(),
             shard_opts,
             shards: Vec::with_capacity(shards),
-            rr: 0,
         };
         for _ in 0..shards {
             let uid = self.next_shard_uid;
@@ -478,7 +407,7 @@ impl<'p> Router<'p> {
             return Err(ServeError::DeadlineExceeded);
         }
         let now = self.clock.now();
-        match self.dispatch(model.0, &input, budget, None, false, true) {
+        match self.dispatch(model.0, &input, budget, None) {
             Ok(leg) => {
                 let rt = self.next_ticket;
                 self.next_ticket += 1;
@@ -488,13 +417,11 @@ impl<'p> Router<'p> {
                     model,
                     input,
                     deadline: budget.map(|b| now + b),
-                    hedge_since: now,
                     attempts: 1,
                     redispatch_stalls: 0,
                     free_redispatch: false,
                     last_shard: Some(leg.shard),
-                    primary: Some(leg),
-                    hedge: None,
+                    leg: Some(leg),
                     retry_due: None,
                     last_err: None,
                 });
@@ -509,16 +436,16 @@ impl<'p> Router<'p> {
 
     /// Retrieves a finished outcome, first pumping the topology one
     /// step — leg polls (which drive each shard's own flush/deadline
-    /// policies), retries, failovers, hedge launches, and the AIMD
-    /// depth controller — unless that pump would do nothing.
+    /// policies), retries, failovers and the AIMD depth controller —
+    /// unless that pump would do nothing.
     ///
     /// The pump is skipped when the last pump changed nothing, no other
     /// `&mut` method has run since, and the clock has not reached the
     /// earliest instant at which something can fall due: a shard's
-    /// `max_delay` flush or queued deadline, a ticket's retry or
-    /// deadline while it has no leg out, or its hedge instant. Such a
-    /// pump would re-evaluate every condition to the same value, so
-    /// polling N outstanding tickets costs one or two pumps, not N.
+    /// `max_delay` flush or queued deadline, or a ticket's retry or
+    /// deadline while it has no leg out. Such a pump would re-evaluate
+    /// every condition to the same value, so polling N outstanding
+    /// tickets costs one or two pumps, not N.
     ///
     /// Returns `Ok(None)` while the ticket is in flight (and for
     /// unknown/already-claimed tickets).
@@ -569,7 +496,7 @@ impl<'p> Router<'p> {
             self.flush_shards();
             self.pump(true);
         }
-        self.discard_orphans();
+        self.drain_shards();
         self.idle = None;
         self.take_done()
     }
@@ -595,7 +522,7 @@ impl<'p> Router<'p> {
         for f in std::mem::take(&mut self.in_flight) {
             self.finish(&f, Err(ServeError::Shed));
         }
-        self.discard_orphans();
+        self.drain_shards();
         self.idle = None;
         self.take_done()
     }
@@ -718,10 +645,10 @@ impl<'p> Router<'p> {
 
     // -- internals ----------------------------------------------------
 
-    /// One step of the whole topology: poll orphans, then every
-    /// in-flight ticket (in ticket order, for determinism), then the
-    /// AIMD controller. `ignore_backoff` makes due-dated retries fire
-    /// immediately (drain/shutdown don't wait out backoff windows).
+    /// One step of the whole topology: every in-flight ticket (in
+    /// ticket order, for determinism), then the AIMD controller.
+    /// `ignore_backoff` makes due-dated retries fire immediately
+    /// (drain/shutdown don't wait out backoff windows).
     ///
     /// A pump that changed nothing leaves `idle` set until the earliest
     /// instant after `now` at which one of its time-driven conditions
@@ -729,7 +656,6 @@ impl<'p> Router<'p> {
     fn pump(&mut self, ignore_backoff: bool) {
         let now = self.clock.now();
         let before = self.versions();
-        self.poll_orphans();
         let mut next_due = None;
         let mut in_flight = std::mem::take(&mut self.in_flight);
         in_flight.retain_mut(|f| match self.step_ticket(f, now, ignore_backoff) {
@@ -738,7 +664,7 @@ impl<'p> Router<'p> {
                 false
             }
             None => {
-                next_due = earliest_after(now, next_due, self.ticket_due(f));
+                next_due = earliest_after(now, next_due, Self::ticket_due(f));
                 true
             }
         });
@@ -764,17 +690,11 @@ impl<'p> Router<'p> {
     }
 
     /// When `f`'s next pump acts on it without a leg resolving: its
-    /// retry or deadline while it has no leg out, or its hedge instant
-    /// while only the primary is out.
-    fn ticket_due(&self, f: &InFlight) -> Option<Duration> {
-        match (f.primary, f.hedge) {
-            (None, None) => f.retry_due.into_iter().chain(f.deadline).min(),
-            (Some(_), None) => self
-                .opts
-                .hedge
-                .filter(|_| f.deadline.is_some())
-                .map(|hp| f.hedge_since + hp.delay),
-            _ => None,
+    /// retry or deadline while it has no leg out.
+    fn ticket_due(f: &InFlight) -> Option<Duration> {
+        match f.leg {
+            None => f.retry_due.into_iter().chain(f.deadline).min(),
+            Some(_) => None,
         }
     }
 
@@ -798,9 +718,9 @@ impl<'p> Router<'p> {
     }
 
     /// Everything a pump can change, read without the version counters:
-    /// router counters and RNG; per shard its liveness, counters, queue,
-    /// ready and failed sizes, breaker, depth and health window; per
-    /// ticket its legs and retry state; the done and orphan sets.
+    /// router counters; per shard its liveness, counters, queue, ready
+    /// and failed sizes, breaker, depth and health window; per ticket
+    /// its leg and retry state; the done set.
     #[cfg(debug_assertions)]
     fn observed(&self) -> impl PartialEq + std::fmt::Debug {
         let shards: Vec<_> = self
@@ -820,16 +740,14 @@ impl<'p> Router<'p> {
             .in_flight
             .iter()
             .map(|f| {
-                let legs = (f.primary, f.hedge, f.last_shard);
                 let retry = (f.retry_due, f.attempts, f.redispatch_stalls);
-                let flags = (f.free_redispatch, f.hedge_since, f.last_err.clone());
-                (f.id, legs, retry, flags)
+                let flags = (f.free_redispatch, f.last_err.clone());
+                (f.id, f.leg, f.last_shard, retry, flags)
             })
             .collect();
         let mut done: Vec<u64> = self.done.keys().copied().collect();
         done.sort_unstable();
-        let orphans = self.orphans.clone();
-        (self.stats, shards, tickets, done, orphans, self.rng.clone())
+        (self.stats, shards, tickets, done)
     }
 
     /// Advances one ticket; `Some` is its terminal outcome.
@@ -839,131 +757,86 @@ impl<'p> Router<'p> {
         now: Duration,
         ignore_backoff: bool,
     ) -> Option<Result<Response, ServeError>> {
-        // Poll the outstanding legs. A winning leg is cleared before
-        // returning so `finish` only orphans the *loser*.
-        if let Some(leg) = f.primary {
+        if let Some(leg) = f.leg {
             match self.poll_leg(f.model.0, leg) {
-                LegPoll::Pending => {}
+                LegPoll::Pending => return None,
                 LegPoll::Done(res) => {
-                    f.primary = None;
+                    f.leg = None;
                     match *res {
                         Ok(r) => return Some(Ok(r)),
                         Err(e) => f.last_err = Some(e),
                     }
                 }
                 LegPoll::ShardDead => {
-                    f.primary = None;
+                    f.leg = None;
                     f.free_redispatch = true;
                 }
             }
         }
-        if let Some(leg) = f.hedge {
-            match self.poll_leg(f.model.0, leg) {
-                LegPoll::Pending => {}
-                LegPoll::Done(res) => {
-                    f.hedge = None;
-                    match *res {
-                        Ok(r) => {
-                            self.stats.hedges_won += 1;
-                            return Some(Ok(r));
-                        }
-                        Err(e) => f.last_err = Some(e),
+
+        // No leg in flight: classify the failure once…
+        if f.retry_due.is_none() {
+            self.version += 1;
+            if f.free_redispatch {
+                f.retry_due = Some(now);
+            } else {
+                match f.last_err.clone() {
+                    Some(e) if is_fault(&e) && self.opts.retry.allows(f.attempts) => {
+                        f.retry_due = Some(now + self.opts.retry.backoff_for(f.attempts));
                     }
-                }
-                LegPoll::ShardDead => {
-                    f.hedge = None;
+                    Some(e) if is_fault(&e) => {
+                        return Some(Err(ServeError::RetriesExhausted {
+                            attempts: f.attempts,
+                            last: Box::new(e),
+                        }));
+                    }
+                    Some(e) => return Some(Err(e)),
+                    // A leg vanished without an error (defensive):
+                    // failover rather than lose the ticket.
+                    None => {
+                        f.free_redispatch = true;
+                        f.retry_due = Some(now);
+                    }
                 }
             }
         }
-
-        if f.primary.is_none() && f.hedge.is_none() {
-            // No legs in flight: classify the failure once…
-            if f.retry_due.is_none() {
-                self.version += 1;
-                if f.free_redispatch {
-                    f.retry_due = Some(now);
-                } else {
-                    match f.last_err.clone() {
-                        Some(e) if is_fault(&e) && self.opts.retry.allows(f.attempts) => {
-                            f.retry_due = Some(now + self.opts.retry.backoff_for(f.attempts));
+        // …expire a ticket that outwaited its deadline…
+        if f.deadline.is_some_and(|d| now >= d) {
+            return Some(Err(ServeError::DeadlineExceeded));
+        }
+        // …and re-dispatch when the backoff is due.
+        if let Some(due) = f.retry_due {
+            if ignore_backoff || now >= due {
+                f.retry_due = None;
+                let budget = f.deadline.map(|d| d.saturating_sub(now));
+                let free = f.free_redispatch;
+                match self.dispatch(f.model.0, &f.input, budget, f.last_shard) {
+                    Ok(leg) => {
+                        f.free_redispatch = false;
+                        f.redispatch_stalls = 0;
+                        if free {
+                            self.stats.failovers += 1;
+                        } else {
+                            f.attempts += 1;
+                            self.stats.retries += 1;
                         }
-                        Some(e) if is_fault(&e) => {
+                        f.last_shard = Some(leg.shard);
+                        f.leg = Some(leg);
+                    }
+                    Err(ServeError::QueueFull) => {
+                        // Every candidate at cap: wait out one more
+                        // backoff (bounded — a stalled topology must
+                        // not spin a ticket forever).
+                        f.redispatch_stalls += 1;
+                        if f.redispatch_stalls > 3 * self.opts.retry.max_attempts.max(1) {
                             return Some(Err(ServeError::RetriesExhausted {
                                 attempts: f.attempts,
-                                last: Box::new(e),
+                                last: Box::new(ServeError::QueueFull),
                             }));
                         }
-                        Some(e) => return Some(Err(e)),
-                        // A leg vanished without an error (defensive):
-                        // failover rather than lose the ticket.
-                        None => {
-                            f.free_redispatch = true;
-                            f.retry_due = Some(now);
-                        }
+                        f.retry_due = Some(now + self.opts.retry.backoff_for(f.attempts.max(1)));
                     }
-                }
-            }
-            // …expire a ticket that outwaited its deadline…
-            if f.deadline.is_some_and(|d| now >= d) {
-                return Some(Err(ServeError::DeadlineExceeded));
-            }
-            // …and re-dispatch when the backoff is due.
-            if let Some(due) = f.retry_due {
-                if ignore_backoff || now >= due {
-                    f.retry_due = None;
-                    let budget = f.deadline.map(|d| d.saturating_sub(now));
-                    let free = f.free_redispatch;
-                    match self.dispatch(f.model.0, &f.input, budget, f.last_shard, false, false) {
-                        Ok(leg) => {
-                            f.free_redispatch = false;
-                            f.redispatch_stalls = 0;
-                            if free {
-                                self.stats.failovers += 1;
-                            } else {
-                                f.attempts += 1;
-                                self.stats.retries += 1;
-                            }
-                            f.last_shard = Some(leg.shard);
-                            f.hedge_since = now;
-                            f.primary = Some(leg);
-                        }
-                        Err(ServeError::QueueFull) => {
-                            // Every candidate at cap: wait out one more
-                            // backoff (bounded — a stalled topology must
-                            // not spin a ticket forever).
-                            f.redispatch_stalls += 1;
-                            if f.redispatch_stalls > 3 * self.opts.retry.max_attempts.max(1) {
-                                return Some(Err(ServeError::RetriesExhausted {
-                                    attempts: f.attempts,
-                                    last: Box::new(ServeError::QueueFull),
-                                }));
-                            }
-                            f.retry_due =
-                                Some(now + self.opts.retry.backoff_for(f.attempts.max(1)));
-                        }
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-            }
-            return None;
-        }
-
-        // A primary is in flight: maybe hedge a deadline-risk request.
-        if f.hedge.is_none() && f.primary.is_some() {
-            if let (Some(hp), Some(deadline)) = (self.opts.hedge, f.deadline) {
-                if now >= f.hedge_since + hp.delay && now < deadline {
-                    let remaining = deadline - now;
-                    let avoid = f.primary.map(|l| l.shard);
-                    match self.dispatch(f.model.0, &f.input, Some(remaining), avoid, true, false) {
-                        Ok(leg) => {
-                            f.hedge = Some(leg);
-                            self.stats.hedges_launched += 1;
-                        }
-                        // No other shard took it: try again one hedge
-                        // delay later, not on every pump (each attempt
-                        // can draw from the placement RNG).
-                        Err(_) => f.hedge_since = now,
-                    }
+                    Err(e) => return Some(Err(e)),
                 }
             }
         }
@@ -1000,27 +873,22 @@ impl<'p> Router<'p> {
         }
     }
 
-    /// Places one request copy on a shard of `model`.
+    /// Places one request on a shard of `model`.
     ///
     /// Candidates are the healthy shards (alive, breaker not open,
     /// window within policy) — or every alive shard when none is
-    /// healthy (serving sick beats not serving). They are ordered by
-    /// the placement strategy; `avoid` (the last failed shard) moves to
-    /// the back, or is excluded entirely under `strict_avoid` (hedges
-    /// must land elsewhere). [`ServeError::QueueFull`] walks to the
-    /// next candidate; `record_spill` counts those walks for first-time
-    /// submissions.
+    /// healthy (serving sick beats not serving) — ordered by queued
+    /// requests, ties to the lowest index. `avoid` (the last failed
+    /// shard) moves to the back. [`ServeError::QueueFull`] walks to the
+    /// next candidate, counted in [`RouterStats::spills`].
     fn dispatch(
         &mut self,
         model: usize,
         input: &Linearized,
         budget: Option<Duration>,
         avoid: Option<usize>,
-        strict_avoid: bool,
-        record_spill: bool,
     ) -> Result<Leg, ServeError> {
         self.version += 1;
-        let placement = self.opts.placement;
         let health = self.opts.health;
         let entry = &mut self.models[model];
         // Candidates in shard-index order: the healthy shards, or every
@@ -1040,51 +908,14 @@ impl<'p> Router<'p> {
                 return Err(ServeError::Unavailable);
             }
         }
-        if strict_avoid {
-            if let Some(a) = avoid {
-                ordered.retain(|&i| i != a);
-                if ordered.is_empty() {
-                    return Err(ServeError::Unavailable);
-                }
-            }
-        }
-        let load = |entry: &ModelEntry<'_>, i: usize| {
-            entry.shards[i]
-                .batcher
-                .as_ref()
-                .map_or(usize::MAX, |b| b.pending())
-        };
-        // The (load, index) keys are distinct, so an unstable sort
-        // orders exactly as a stable one would.
-        match placement {
-            Placement::LeastLoaded => {
-                ordered.sort_unstable_by_key(|&i| (load(entry, i), i));
-            }
-            Placement::PrimarySpill => {}
-            Placement::RoundRobin => {
-                let start = entry.rr % ordered.len();
-                entry.rr = entry.rr.wrapping_add(1);
-                ordered.rotate_left(start);
-            }
-            Placement::PowerOfTwo => {
-                ordered.sort_unstable_by_key(|&i| (load(entry, i), i));
-                if ordered.len() >= 2 {
-                    let a = self.rng.below_usize(ordered.len());
-                    let mut b = self.rng.below_usize(ordered.len() - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    let (x, y) = (ordered[a], ordered[b]);
-                    let first = if (load(entry, x), x) <= (load(entry, y), y) {
-                        a
-                    } else {
-                        b
-                    };
-                    ordered[..=first].rotate_right(1);
-                }
-            }
-        }
-        if !strict_avoid && ordered.len() > 1 {
+        // Every candidate is alive. The (load, index) keys are
+        // distinct, so an unstable sort orders exactly as a stable one
+        // would.
+        ordered.sort_unstable_by_key(|&i| {
+            let b = entry.shards[i].batcher.as_ref();
+            (b.expect("candidate shard is alive").pending(), i)
+        });
+        if ordered.len() > 1 {
             if let Some(pos) = avoid.and_then(|a| ordered.iter().position(|&i| i == a)) {
                 ordered[pos..].rotate_left(1);
             }
@@ -1095,7 +926,7 @@ impl<'p> Router<'p> {
             let b = shard.batcher.as_mut().expect("candidate shard is alive");
             match b.submit_with_deadline(input.clone(), budget) {
                 Ok(ticket) => {
-                    if rank > 0 && record_spill {
+                    if rank > 0 {
                         self.stats.spills += 1;
                     }
                     return Ok(Leg {
@@ -1113,22 +944,10 @@ impl<'p> Router<'p> {
         Err(ServeError::QueueFull)
     }
 
-    /// Records a ticket's terminal outcome: counters, orphaning of any
-    /// leftover legs, and the unclaimed-outcome slot.
+    /// Records a ticket's terminal outcome: counters and the
+    /// unclaimed-outcome slot.
     fn finish(&mut self, f: &InFlight, outcome: Result<Response, ServeError>) {
         self.version += 1;
-        if let Some(leg) = f.primary {
-            self.orphans.push(Orphan {
-                model: f.model.0,
-                leg,
-            });
-        }
-        if let Some(leg) = f.hedge {
-            self.orphans.push(Orphan {
-                model: f.model.0,
-                leg,
-            });
-        }
         match &outcome {
             Ok(_) => self.stats.resolved_ok += 1,
             Err(e) => {
@@ -1143,44 +962,6 @@ impl<'p> Router<'p> {
         }
         let prev = self.done.insert(f.id, outcome);
         debug_assert!(prev.is_none(), "router ticket {} resolved twice", f.id);
-    }
-
-    /// Polls discarded legs until their shard-level tickets resolve
-    /// (still feeding the health windows), dropping the resolved.
-    fn poll_orphans(&mut self) {
-        let mut kept = std::mem::take(&mut self.orphans);
-        let before = kept.len();
-        kept.retain(|o| {
-            let Some(entry) = self.models.get_mut(o.model) else {
-                return false;
-            };
-            let Some(shard) = entry.shards.get_mut(o.leg.shard) else {
-                return false;
-            };
-            if shard.uid != o.leg.uid {
-                return false;
-            }
-            let Some(b) = shard.batcher.as_mut() else {
-                return false;
-            };
-            match b.poll(o.leg.ticket) {
-                Ok(None) => true,
-                Ok(Some(_)) => {
-                    shard.window.record(true);
-                    false
-                }
-                Err(e) => {
-                    if is_fault(&e) {
-                        shard.window.record(false);
-                    }
-                    false
-                }
-            }
-        });
-        if kept.len() != before {
-            self.version += 1;
-        }
-        self.orphans = kept;
     }
 
     /// The AIMD depth controller: per shard, every
@@ -1232,9 +1013,10 @@ impl<'p> Router<'p> {
         }
     }
 
-    /// Drops every orphan by draining their shard batchers' resolved
-    /// sets (used once all router tickets are settled).
-    fn discard_orphans(&mut self) {
+    /// Drains every alive shard batcher, dropping what it resolved:
+    /// the legs of tickets [`Router::shutdown`] shed (used once all
+    /// router tickets are settled).
+    fn drain_shards(&mut self) {
         for entry in &mut self.models {
             for shard in &mut entry.shards {
                 if let Some(b) = shard.batcher.as_mut() {
@@ -1242,7 +1024,6 @@ impl<'p> Router<'p> {
                 }
             }
         }
-        self.orphans.clear();
     }
 
     fn take_done(&mut self) -> Vec<(RouterTicket, Result<Response, ServeError>)> {
@@ -1314,50 +1095,6 @@ mod tests {
         }
         assert_eq!(router.pending(), 0);
         assert_eq!(router.stats().resolved_ok, 32);
-    }
-
-    /// Every other shard is at its queue cap, so each hedge attempt
-    /// fails after drawing from the power-of-two RNG. A failed hedge
-    /// waits one more hedge delay, so polling four times as often
-    /// draws exactly as often.
-    #[test]
-    fn failed_hedges_draw_the_same_however_often_tickets_are_polled() {
-        let model = treelstm::tree_lstm(8, LeafInit::Embedding);
-        let program = model.lower(&RaSchedule::default()).unwrap();
-        let run = |polls_per_step: usize| {
-            let clock = TestClock::new();
-            let mut router = Router::new(RouterOptions {
-                placement: Placement::PowerOfTwo,
-                hedge: Some(HedgePolicy {
-                    delay: Duration::from_millis(1),
-                }),
-                adaptive_depth: None,
-                ..RouterOptions::default()
-            })
-            .with_clock(Rc::new(clock.clone()));
-            let opts = BatcherOptions {
-                max_batch: 64,
-                max_delay: Duration::from_secs(3600),
-                queue_cap: 1,
-                ..BatcherOptions::default()
-            };
-            let id = router.add_model("lstm", &program, &model.params, 3, opts);
-            let budget = Some(Duration::from_secs(1));
-            let tickets: Vec<RouterTicket> = (0..3)
-                .map(|s| router.submit_with_deadline(id, tree(s), budget).unwrap())
-                .collect();
-            for step in 1..=20 {
-                clock.set(Duration::from_micros(250 * step));
-                for _ in 0..polls_per_step {
-                    for &t in &tickets {
-                        assert_eq!(router.poll(t), Ok(None));
-                    }
-                }
-            }
-            assert_eq!(router.stats().hedges_launched, 0, "every hedge failed");
-            router.rng.clone()
-        };
-        assert_eq!(run(1), run(4));
     }
 
     /// Shards share the caller's parameter storage: a model added with

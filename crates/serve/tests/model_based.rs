@@ -7,8 +7,8 @@
 //! against an in-memory oracle holding three invariants:
 //!
 //! 1. **Exactly-once resolution** — every accepted ticket resolves
-//!    exactly once: with a [`Response`], a typed [`ServeError`], or a
-//!    shed; no ticket is lost, none resolves twice.
+//!    exactly once: with a [`Response`] or a typed [`ServeError`]; no
+//!    ticket is lost, none resolves twice.
 //! 2. **Bit-identical survivors** — every `Ok` response (including
 //!    responses served while the circuit breaker holds the engine
 //!    degraded, and responses re-run after a chunk-mate's contained
@@ -34,7 +34,7 @@ use cortex_ds::{datasets, RecStructure};
 use cortex_models::{seq, treegru, treelstm, LeafInit, Model};
 use cortex_rng::Rng;
 use cortex_serve::faults::{silence_injected_panics, FaultInjector};
-use cortex_serve::{Batcher, BatcherOptions, Response, ServeError, TestClock, Ticket, WhenFull};
+use cortex_serve::{Batcher, BatcherOptions, Response, ServeError, TestClock, Ticket};
 
 /// Seeds to sweep: `CORTEX_FAULT_SEEDS=1,2,3` overrides the default.
 fn seeds() -> Vec<u64> {
@@ -109,12 +109,10 @@ fn run_interleaving(model: &Model, gen_input: &dyn Fn(&mut Rng) -> RecStructure,
     let mut rng = Rng::new(seed);
 
     // Random (but seed-deterministic) serving configuration.
-    let when_full = *rng.pick(&[WhenFull::Reject, WhenFull::ShedOldest, WhenFull::ShedNewest]);
     let opts = BatcherOptions {
         max_batch: 2 + rng.below_usize(6),
         max_delay: Duration::from_millis(rng.below_usize(8) as u64),
         queue_cap: 2 + rng.below_usize(6),
-        when_full,
         deadline: if rng.bool() {
             Some(Duration::from_millis(1 + rng.below_usize(20) as u64))
         } else {

@@ -6,8 +6,7 @@
 //! own deterministic fault stream (typed errors *and* panics), while a
 //! seeded interleaving of `submit` / `poll` / `flush` / clock advances
 //! / **shard kills** / health probes runs against it. The oracle holds
-//! the same three invariants, now across retries, failovers, spills and
-//! hedges:
+//! the same three invariants, now across retries, failovers and spills:
 //!
 //! 1. **Exactly-once resolution** — every accepted router ticket
 //!    resolves exactly once, with a [`Response`] or a typed
@@ -21,9 +20,9 @@
 //!
 //! Seeds come from `CORTEX_FAULT_SEEDS` (comma-separated, for CI
 //! sweeps) with a fixed default set. A block of deterministic
-//! lifecycle tests (spill, failover, exhaustion, shutdown shedding,
-//! hedging, AIMD) pins the individual behaviors the random suite
-//! exercises in aggregate.
+//! lifecycle tests (least-loaded placement, spill, failover,
+//! exhaustion, shutdown shedding, AIMD) pins the individual behaviors
+//! the random suite exercises in aggregate.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -38,8 +37,8 @@ use cortex_models::{seq, treegru, treelstm, LeafInit, Model};
 use cortex_rng::Rng;
 use cortex_serve::faults::{silence_injected_panics, FaultInjector};
 use cortex_serve::{
-    AimdDepth, BatcherOptions, HealthPolicy, HedgePolicy, ModelId, Placement, Response,
-    RetryPolicy, Router, RouterOptions, RouterStats, RouterTicket, ServeError, TestClock, WhenFull,
+    AimdDepth, BatcherOptions, BreakerState, HealthPolicy, ModelId, Response, RetryPolicy, Router,
+    RouterOptions, RouterStats, RouterTicket, ServeError, TestClock,
 };
 
 /// Seeds to sweep: `CORTEX_FAULT_SEEDS=1,2,3` overrides the default.
@@ -141,38 +140,21 @@ fn run_router_interleaving(seed: u64) -> u64 {
     let mut rng = Rng::new(seed);
     let clock = TestClock::new();
 
-    // Random (seed-deterministic) topology configuration. Shards
-    // reject when full so overload spills across the topology instead
-    // of shedding inside a shard.
+    // Random (seed-deterministic) topology configuration.
     let shard_opts = BatcherOptions {
         max_batch: 2 + rng.below_usize(6),
         max_delay: Duration::from_millis(rng.below_usize(8) as u64),
         queue_cap: 2 + rng.below_usize(6),
-        when_full: WhenFull::Reject,
         deadline: None,
         breaker_threshold: rng.below_usize(4) as u32, // 0 disables
         breaker_reset: Duration::from_millis(1 + rng.below_usize(50) as u64),
         ..BatcherOptions::default()
     };
     let ropts = RouterOptions {
-        placement: *rng.pick(&[
-            Placement::LeastLoaded,
-            Placement::PowerOfTwo,
-            Placement::RoundRobin,
-            Placement::PrimarySpill,
-        ]),
-        seed: seed ^ 0xD117,
         retry: RetryPolicy {
             max_attempts: 1 + rng.below_usize(3) as u32,
             backoff: Duration::from_millis(rng.below_usize(5) as u64),
             max_backoff: Duration::from_millis(100),
-        },
-        hedge: if rng.bool() {
-            Some(HedgePolicy {
-                delay: Duration::from_millis(rng.below_usize(6) as u64),
-            })
-        } else {
-            None
         },
         adaptive_depth: if rng.bool() {
             Some(AimdDepth {
@@ -256,7 +238,7 @@ fn run_router_interleaving(seed: u64) -> u64 {
             }
             // flush the whole topology
             6 => router.flush(),
-            // advance time (deadlines, backoff, hedge delays, breaker)
+            // advance time (deadlines, backoff, breaker)
             7 => clock.advance(Duration::from_millis(rng.below_usize(12) as u64)),
             // kill a shard — but never a model's last one
             8 => {
@@ -339,17 +321,156 @@ fn quiet_opts() -> BatcherOptions {
         max_batch: 64,
         max_delay: Duration::from_secs(3600),
         queue_cap: 64,
-        when_full: WhenFull::Reject,
         breaker_threshold: 0,
         ..BatcherOptions::default()
     }
 }
 
+/// Queued requests per shard of `id`.
+fn queued(router: &Router<'_>, id: ModelId) -> Vec<usize> {
+    router.health(id).iter().map(|h| h.queued).collect()
+}
+
+/// A hook that fails every launch of the shard it is installed on.
+fn always_faulting() -> cortex_backend::exec::FaultHook {
+    FaultInjector::new(7)
+        .always(FaultAction::Err)
+        .launches_only()
+        .into_hook()
+        .0
+}
+
+/// Least-loaded placement, case by case: ties go to the lowest index; a
+/// full shard spills to the next; a retry goes behind the shard it
+/// failed on; an open breaker is skipped until no shard is healthy.
+#[test]
+fn placement_is_least_loaded_among_healthy_shards() {
+    silence_injected_panics();
+    let (program, model) = one_model();
+    let no_aimd = RouterOptions {
+        adaptive_depth: None,
+        ..RouterOptions::default()
+    };
+
+    // Equal queues pick the lowest index.
+    let mut router = Router::new(no_aimd);
+    let id = router.add_model("m", &program, &model.params, 3, quiet_opts());
+    let wants = [[1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 1]];
+    for (i, want) in wants.iter().enumerate() {
+        router.submit(id, tree_input(i as u64)).expect("admitted");
+        assert_eq!(queued(&router, id), want, "after submit {i}");
+    }
+    assert_eq!(router.stats().spills, 0);
+    assert!(router.drain().iter().all(|(_, o)| o.is_ok()));
+
+    // A shard at queue_cap spills to the next one. B faults on shard 1
+    // and waits out a 1 ms backoff while shard 0 fills to its cap of 2;
+    // the retry tries shard 0 first (shard 1 failed last) and spills
+    // back to shard 1.
+    let clock = TestClock::new();
+    let mut router = Router::new(RouterOptions {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+        },
+        ..no_aimd
+    })
+    .with_clock(Rc::new(clock.clone()));
+    let capped = BatcherOptions {
+        queue_cap: 2,
+        ..quiet_opts()
+    };
+    let id = router.add_model("m", &program, &model.params, 2, capped);
+    assert!(router.set_shard_fault_hook(id, 1, Some(always_faulting())));
+    router.submit(id, tree_input(1)).expect("admitted");
+    let b = router.submit(id, tree_input(2)).expect("admitted");
+    router.flush();
+    assert_eq!(router.stats().resolved_ok, 1, "A ran on shard 0");
+    assert!(router.set_shard_fault_hook(id, 1, None));
+    for i in 3..6 {
+        router.submit(id, tree_input(i)).expect("admitted");
+    }
+    assert_eq!(queued(&router, id), [2, 1]);
+    clock.advance(Duration::from_millis(1));
+    assert_eq!(router.poll(b), Ok(None), "B is queued again");
+    assert_eq!(queued(&router, id), [2, 2]);
+    let stats = router.stats();
+    assert_eq!((stats.retries, stats.spills), (1, 1));
+    assert!(router.drain().iter().all(|(_, o)| o.is_ok()));
+
+    // A retry avoids the shard that last failed when a sibling exists:
+    // the tie would pick shard 0, where the request just faulted.
+    let mut router = Router::new(RouterOptions {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        },
+        ..no_aimd
+    });
+    let id = router.add_model("m", &program, &model.params, 2, quiet_opts());
+    assert!(router.set_shard_fault_hook(id, 0, Some(always_faulting())));
+    router.submit(id, tree_input(1)).expect("admitted");
+    assert_eq!(queued(&router, id), [1, 0]);
+    router.flush();
+    assert_eq!(queued(&router, id), [0, 1], "the retry went to shard 1");
+    assert_eq!(router.stats().retries, 1);
+    assert!(router.drain().iter().all(|(_, o)| o.is_ok()));
+
+    // A shard with an open breaker is skipped unless no shard is
+    // healthy. One fault trips a shard's breaker for an hour (the
+    // clock stands still), and one attempt means no retry.
+    let mut router = Router::new(RouterOptions {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..no_aimd
+    })
+    .with_clock(Rc::new(TestClock::new()));
+    let tripping = BatcherOptions {
+        breaker_threshold: 1,
+        breaker_reset: Duration::from_secs(3600),
+        ..quiet_opts()
+    };
+    let id = router.add_model("m", &program, &model.params, 2, tripping);
+    let breakers = |router: &Router<'_>| -> Vec<BreakerState> {
+        router.health(id).iter().map(|h| h.breaker).collect()
+    };
+    for shard in 0..2 {
+        assert!(router.set_shard_fault_hook(id, shard, Some(always_faulting())));
+        router
+            .submit(id, tree_input(shard as u64))
+            .expect("admitted");
+        assert_eq!(
+            queued(&router, id)[shard],
+            1,
+            "shard {shard} is the lowest-indexed shard with a closed breaker"
+        );
+        router.flush();
+    }
+    assert_eq!(breakers(&router), [BreakerState::Open, BreakerState::Open]);
+    // No shard is healthy: every alive shard is a candidate again.
+    router.submit(id, tree_input(7)).expect("admitted");
+    router.submit(id, tree_input(8)).expect("admitted");
+    assert_eq!(queued(&router, id), [1, 1]);
+    let stats = router.stats();
+    assert_eq!((stats.retries, stats.retries_exhausted), (0, 2));
+    // The drain hands back the two exhausted tickets too.
+    let outcomes = router.drain();
+    let ok = outcomes.iter().filter(|(_, o)| o.is_ok()).count();
+    assert_eq!((outcomes.len(), ok), (4, 2), "degraded shards serve");
+}
+
+/// Two cap-2 shards take four requests, two each, and refuse the fifth.
+/// Least-loaded placement never leaves one shard hot: the least-loaded
+/// shard is full only when both are, so a first dispatch never spills
+/// (a retry can; see `placement_is_least_loaded_among_healthy_shards`).
 #[test]
 fn hot_shard_spills_before_rejecting() {
     let (program, model) = one_model();
     let mut router = Router::new(RouterOptions {
-        placement: Placement::PrimarySpill,
         adaptive_depth: None,
         ..RouterOptions::default()
     });
@@ -367,8 +488,9 @@ fn hot_shard_spills_before_rejecting() {
         Err(ServeError::QueueFull),
         "both shards at cap"
     );
+    assert_eq!(queued(&router, id), [2, 2]);
     let stats = router.stats();
-    assert_eq!(stats.spills, 2, "requests 3 and 4 spilled to shard 1");
+    assert_eq!(stats.spills, 0, "placement alternated; nothing spilled");
     assert_eq!(stats.rejected, 1);
     let outcomes = router.drain();
     assert_eq!(outcomes.len(), 4);
@@ -380,7 +502,6 @@ fn hot_shard_spills_before_rejecting() {
 fn kill_shard_fails_over_without_consuming_retry_budget() {
     let (program, model) = one_model();
     let mut router = Router::new(RouterOptions {
-        placement: Placement::PrimarySpill,
         adaptive_depth: None,
         ..RouterOptions::default()
     });
@@ -388,12 +509,17 @@ fn kill_shard_fails_over_without_consuming_retry_budget() {
     for i in 0..5 {
         router.submit(id, tree_input(i)).expect("admitted");
     }
+    assert_eq!(queued(&router, id), [3, 2]);
     assert!(router.kill_shard(id, 0), "shard 0 was alive");
     assert!(!router.kill_shard(id, 0), "second kill is a no-op");
     assert_eq!(router.alive_shards(id), 1);
+    assert_eq!(queued(&router, id), [0, 5]);
     let stats = router.stats();
     assert_eq!(stats.shard_kills, 1);
-    assert_eq!(stats.failovers, 5, "every queued leg moved to shard 1");
+    assert_eq!(
+        stats.failovers, 3,
+        "every leg queued on shard 0 moved to shard 1"
+    );
     assert_eq!(stats.retries, 0, "failover is free");
     let outcomes = router.drain();
     assert_eq!(outcomes.len(), 5);
@@ -431,10 +557,10 @@ fn killing_the_last_shard_surfaces_unavailable() {
 fn faulted_requests_retry_on_a_sibling_and_exhaust_typed() {
     silence_injected_panics();
     let (program, model) = one_model();
-    // Shard 0 faults every launch; shard 1 is clean. One retry
-    // rescues the ticket.
+    // Shard 0 faults every launch; shard 1 is clean. The ticket lands
+    // on shard 0 (the tie goes to the lowest index), and one retry on
+    // shard 1 rescues it.
     let mut router = Router::new(RouterOptions {
-        placement: Placement::PrimarySpill,
         retry: RetryPolicy {
             max_attempts: 2,
             backoff: Duration::ZERO,
@@ -444,11 +570,7 @@ fn faulted_requests_retry_on_a_sibling_and_exhaust_typed() {
         ..RouterOptions::default()
     });
     let id = router.add_model("m", &program, &model.params, 2, quiet_opts());
-    let (hook, _h) = FaultInjector::new(7)
-        .always(FaultAction::Err)
-        .launches_only()
-        .into_hook();
-    assert!(router.set_shard_fault_hook(id, 0, Some(hook)));
+    assert!(router.set_shard_fault_hook(id, 0, Some(always_faulting())));
     let t = router.submit(id, tree_input(1)).expect("admitted");
     let outcomes = router.drain();
     assert_eq!(outcomes.len(), 1);
@@ -460,7 +582,6 @@ fn faulted_requests_retry_on_a_sibling_and_exhaust_typed() {
 
     // Both shards broken: the budget runs out, typed.
     let mut router = Router::new(RouterOptions {
-        placement: Placement::PrimarySpill,
         retry: RetryPolicy {
             max_attempts: 2,
             backoff: Duration::ZERO,
@@ -471,11 +592,7 @@ fn faulted_requests_retry_on_a_sibling_and_exhaust_typed() {
     });
     let id = router.add_model("m", &program, &model.params, 2, quiet_opts());
     for s in 0..2 {
-        let (hook, _h) = FaultInjector::new(7)
-            .always(FaultAction::Err)
-            .launches_only()
-            .into_hook();
-        assert!(router.set_shard_fault_hook(id, s, Some(hook)));
+        assert!(router.set_shard_fault_hook(id, s, Some(always_faulting())));
     }
     router.submit(id, tree_input(1)).expect("admitted");
     let outcomes = router.drain();
@@ -535,35 +652,6 @@ fn deadline_misses_resolve_at_the_router() {
     clock.advance(Duration::from_millis(6));
     assert_eq!(router.poll(t), Err(ServeError::DeadlineExceeded));
     assert_eq!(router.stats().deadline_misses, 1);
-}
-
-#[test]
-fn hedged_dispatch_duplicates_to_a_second_shard() {
-    let (program, model) = one_model();
-    let clock = TestClock::new();
-    let mut router = Router::new(RouterOptions {
-        placement: Placement::PrimarySpill,
-        hedge: Some(HedgePolicy {
-            delay: Duration::ZERO,
-        }),
-        adaptive_depth: None,
-        ..RouterOptions::default()
-    })
-    .with_clock(Rc::new(clock.clone()));
-    let id = router.add_model("m", &program, &model.params, 2, quiet_opts());
-    let t = router
-        .submit_with_deadline(id, tree_input(1), Some(Duration::from_secs(3600)))
-        .expect("admitted");
-    assert_eq!(router.poll(t), Ok(None), "still queued; hedge launched");
-    let stats = router.stats();
-    assert_eq!(stats.hedges_launched, 1);
-    let health = router.health(id);
-    assert_eq!(health[0].queued, 1, "primary leg on shard 0");
-    assert_eq!(health[1].queued, 1, "hedge leg on shard 1");
-    let outcomes = router.drain();
-    assert_eq!(outcomes.len(), 1);
-    assert!(outcomes[0].1.is_ok());
-    assert_eq!(router.stats().resolved_ok, 1, "one ticket, one resolution");
 }
 
 #[test]
