@@ -5,7 +5,7 @@
 //! change the `Profile`'s `leaf_check_loads`, `flops` and
 //! `branch_checks` by exactly what the walk does. Bounded by counts.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cortex_core::expr::{BoolExpr, CmpOp, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn, Var};
 use cortex_core::lower::{lower, StructureInfo};
@@ -166,7 +166,6 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
     let (mut coords, mut conds, mut addrs, mut in_range) = (0, 0, 0, 0);
     for case in 0..60 {
         let lin = structure(&mut rng, case);
-        let weights = Mutex::default();
         let mut interp = Interp::new(
             &program,
             &lin,
@@ -174,7 +173,7 @@ fn compiled_addressing_equals_the_walk_on_random_index_lists() {
             false,
             ExecOptions::default(),
             shared.clone(),
-            &weights,
+            &[],
             8,
             RunState::default(),
             false,

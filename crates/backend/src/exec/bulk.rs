@@ -1076,7 +1076,6 @@ impl<'a> Interp<'a> {
                     let w = self.window(cells, pass.h);
                     #[cfg(feature = "checked")]
                     self.shadow_check_bulk_store(cells.tensor, w.base, w.stride, pass.h);
-                    self.store_gens[w.buf] += h;
                     if let Some(scope) = self.scopes.last_mut() {
                         scope.touch[w.buf].1 += h;
                     }

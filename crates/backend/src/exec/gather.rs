@@ -13,9 +13,8 @@
 //! `interp: true` oracle; only the per-element `eval_dot` path walks
 //! the operands instead (`resolve_product`).
 
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use cortex_core::ilir::StorageClass;
 use cortex_tensor::kernels::{self, PackedB};
 
 use super::address::{Resolved, RowOperand};
@@ -23,81 +22,6 @@ use super::checked_assert;
 use super::interp::Interp;
 use super::stopwatch::Stopwatch;
 use crate::wave::{GroupKind, SiteGroup, SumSite, SuperKey, SuperWaveAcc, WavePlan};
-
-/// One packed (possibly vertically stacked) weight matrix of a stacking
-/// group, for one reduction extent.
-pub(crate) struct StackedWeight {
-    /// The reduction extent `K` it was packed for: a site's extent may
-    /// legally vary between waves (it is only required to be invariant
-    /// *within* one), and a group keeps one pack per extent instead of
-    /// repacking every wave.
-    pub(crate) k_len: usize,
-    /// Per-member `(site ordinal, window base, store generation)`; the
-    /// first member is the group's leader.
-    pub(crate) sig: Vec<(usize, usize, u64)>,
-    /// Whether every packed window reads a `Param`-class tensor: only
-    /// such packs may cross an interpreter boundary (non-`Param`
-    /// weights can be rewritten with input-dependent values between
-    /// runs — or between the requests of a batch — without a
-    /// store-generation change being observable across fresh interps,
-    /// whose generations all start at zero).
-    pub(crate) params_only: bool,
-    /// The [`Interp::cache_epoch`] that packed this entry. Non-`Param`
-    /// packs only validate within the same epoch: two equal-sized
-    /// requests of one batch drive identical store counts to a
-    /// kernel-written weight tensor, so the store-generation signature
-    /// alone cannot tell their (possibly different) values apart.
-    pub(crate) epoch: u64,
-    /// [`WeightCache::run_stamp`] of the last execution that used this
-    /// pack; eviction removes the stalest entries first.
-    pub(crate) last_used: u64,
-    /// The `ΣH` stacked columns × `K`, in the tile kernel's panels.
-    pub(crate) data: Arc<PackedB>,
-}
-
-/// The packed weights of an engine, shared by every lane group of an
-/// `execute_many` behind one lock: a weight is packed once, whichever
-/// lane needs it first, and every lane multiplies by that one copy.
-#[derive(Default)]
-pub(crate) struct WeightCache {
-    /// Stacked packed weights by engine-wide group id
-    /// ([`crate::wave::WavePlan::group_base`]): one pack per (leader,
-    /// reduction extent) the group ran with. The signature (per-member
-    /// site ordinal, weight window base, source-tensor store generation)
-    /// is validated on every lookup and the pack rebuilt on mismatch — a
-    /// non-`Param` weight may be rewritten by a precompute kernel
-    /// mid-run. (A static-window group looks up once per run: see
-    /// [`RunPack`].)
-    pub(crate) packs: Vec<Vec<StackedWeight>>,
-    /// Monotonic execution counter, stamped onto packs on every hit or
-    /// insert — the recency order the LRU eviction uses.
-    pub(crate) run_stamp: u64,
-}
-
-/// Evicts the least-recently-used packs of the packed-weight cache (one
-/// list per stacking group) down to `cap` in all. Entries stamped by the
-/// most recent execution (the in-flight working set) are the newest and
-/// go last — they are only evicted when a single run's working set
-/// itself exceeds the cap.
-pub(crate) fn evict_weight_cache_lru(cache: &mut [Vec<StackedWeight>], cap: usize) {
-    let total: usize = cache.iter().map(Vec::len).sum();
-    if total <= cap {
-        return;
-    }
-    let mut stamps: Vec<(u64, usize, usize)> = (cache.iter().enumerate())
-        .flat_map(|(g, packs)| (packs.iter().enumerate()).map(move |(i, w)| (w.last_used, g, i)))
-        .collect();
-    stamps.sort_unstable();
-    let mut doomed: Vec<(usize, usize)> = stamps[..total - cap]
-        .iter()
-        .map(|&(_, g, i)| (g, i))
-        .collect();
-    // Highest index first, so each removal leaves the others in place.
-    doomed.sort_unstable_by(|a, b| b.cmp(a));
-    for (g, i) in doomed {
-        cache[g].swap_remove(i);
-    }
-}
 
 /// Entry `i` of a cache indexed by group id, grown on first use.
 fn entry<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
@@ -141,40 +65,6 @@ pub(crate) struct RowMeta {
     /// Touched row-side tensor ids (with multiplicity); the weight
     /// tensor is *not* included.
     pub(crate) tensors: Vec<u32>,
-}
-
-/// A stacking-group member that passed its runtime weight-window check:
-/// its ordinal in the plan, the resolved window base/strides and the
-/// source tensor's store generation at resolution time.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct SitePrep {
-    pub(crate) ordinal: usize,
-    pub(crate) wbase: usize,
-    pub(crate) si: usize,
-    pub(crate) sk: usize,
-    pub(crate) wgen: u64,
-}
-
-/// One stacking group's packed weight in a run (the run state's
-/// `packs`, by engine-wide group id): the pack its latest wave
-/// multiplied by. A group with a static window
-/// ([`SiteGroup::static_window`]) resolves the same window and pack on
-/// every wave of a run, so once one wave has resolved them (every member
-/// passing), later waves at the same reduction extent reuse `preps` and
-/// `weight` as they are: no window resolution, no lock on the engine's
-/// [`WeightCache`], no signature check. Cleared when the run finishes.
-#[derive(Default)]
-pub(crate) struct RunPack {
-    /// The reduction extent the pack was resolved for.
-    k_len: usize,
-    /// Output columns of the group's GEMM.
-    cols: usize,
-    /// The members that passed, as resolved; kept only when `reusable`.
-    preps: Vec<SitePrep>,
-    /// Whether later waves at `k_len` may reuse this resolution.
-    reusable: bool,
-    /// The packed weight (`None` between runs).
-    pub(crate) weight: Option<Arc<PackedB>>,
 }
 
 /// Where a wave's GEMM result lives.
@@ -360,188 +250,54 @@ impl<'a> Interp<'a> {
             let GroupOut::Owned(out) = &mut group.out else {
                 unreachable!("a solo wave owns its results")
             };
-            let weight = (self.packs[group.id].weight.as_ref()).expect("packed this wave");
+            let weight = self.packs[group.id].get().expect("packed this wave");
             let forked = kernels::gemm_packed_into(out, &group.rows, weight, group.n_rows);
             self.caches.stats.forked_gemms += u64::from(forked);
         }
     }
 
-    /// Resolves a site's weight window for this wave: `(base, i-stride,
-    /// k-stride, store generation)`, or `None` when the window falls
-    /// outside its buffer (scalar fallback, bit-identical results).
-    ///
-    /// The analysis guarantees the non-`(i,k)` index positions are
-    /// wave-invariant and counter-free, so evaluating them here is
-    /// invisible to the `Profile`.
-    fn resolve_weight_window(
-        &mut self,
-        site: &SumSite,
-        k_len: usize,
-    ) -> Option<(usize, usize, usize, u64)> {
-        let wt = site.weight.tensor.0 as usize;
-        let mut coords = [0i64; 8];
-        for (d, e) in site.weight.index.iter().enumerate() {
-            if d == site.weight.i_pos || d == site.weight.k_pos {
-                continue;
-            }
-            coords[d] = self.eval_idx(e);
-            if coords[d] < 0 {
-                return None;
-            }
-        }
-        let buf = self.bufs[wt].as_ref().expect("weight allocated");
-        let mut wbase = 0usize;
-        for (d, _) in site.weight.index.iter().enumerate() {
-            if d == site.weight.i_pos || d == site.weight.k_pos {
-                continue;
-            }
-            wbase += coords[d] as usize * buf.strides[d];
-        }
-        let si = buf.strides[site.weight.i_pos];
-        let sk = buf.strides[site.weight.k_pos];
-        let h = site.feat_extent;
-        if k_len > 0 && h > 0 && wbase + (h - 1) * si + (k_len - 1) * sk >= buf.data.len() {
-            return None; // out-of-window weight: leave it to the scalar path
-        }
-        Some((wbase, si, sk, self.store_gens[wt]))
-    }
-
-    /// Resolves one stacking group's weight windows and packed weight
-    /// into `preps` and [`Interp::packs`] — or reuses the run's earlier
-    /// resolution of a static window — and returns the GEMM's column
-    /// count, or `None` when no member passed its window check.
-    fn resolve_group(
+    /// Group `id`'s packed weight: its members' `[H][K]` windows stacked
+    /// vertically for a shared-rows group, the one shared window for a
+    /// row-stacked one. Packed by whichever run, on whichever lane, needs
+    /// it first after the params generation changed; every other run
+    /// multiplies by that one copy. Only a
+    /// [`SiteGroup::static_window`] group is packed: its window is the
+    /// whole of a 2-D `Param`, so the pack depends on nothing else.
+    fn packed_weight(
         &mut self,
         plan: &WavePlan,
         group: &SiteGroup,
         id: usize,
         k_len: usize,
-        preps: &mut Vec<SitePrep>,
-    ) -> Option<usize> {
-        preps.clear();
-        let memo = entry(&mut self.packs, id);
-        if memo.reusable && memo.k_len == k_len && memo.weight.is_some() {
-            preps.extend_from_slice(&memo.preps);
-            return Some(memo.cols);
-        }
-        for &mi in &group.members {
-            if let Some((wbase, si, sk, wgen)) = self.resolve_weight_window(&plan.sites[mi], k_len)
-            {
-                preps.push(SitePrep {
-                    ordinal: mi,
-                    wbase,
-                    si,
-                    sk,
-                    wgen,
-                });
-            }
-        }
-        self.caches.stats.fallback_sites += (group.members.len() - preps.len()) as u64;
-        if preps.is_empty() {
-            return None;
-        }
-        // Pack (or reuse) the stacked weight matrix: the members'
-        // `[h][K]` windows vertically concatenated for shared-rows
-        // groups, the one shared `[H][K]` window for row-stacked groups.
-        let to_pack = match group.kind {
-            GroupKind::SharedWeight => 1,
-            _ => preps.len(),
-        };
-        let cols: usize = preps[..to_pack]
-            .iter()
-            .map(|p| plan.sites[p.ordinal].feat_extent)
-            .sum();
-        let weight = self.cached_pack(plan, id, preps, to_pack, k_len, cols);
-        let memo = &mut self.packs[id];
-        (memo.k_len, memo.cols, memo.weight) = (k_len, cols, Some(weight));
-        memo.reusable = group.static_window && preps.len() == group.members.len();
-        memo.preps.clear();
-        if memo.reusable {
-            memo.preps.extend_from_slice(preps);
-        }
-        Some(cols)
-    }
-
-    /// The engine's pack of group `id`'s resolved windows, packed now if
-    /// the cache holds none that matches. A group keeps one pack per
-    /// (leader, extent).
-    fn cached_pack(
-        &mut self,
-        plan: &WavePlan,
-        id: usize,
-        preps: &[SitePrep],
-        to_pack: usize,
-        k_len: usize,
-        cols: usize,
-    ) -> Arc<PackedB> {
-        let leader = preps[0].ordinal;
-        // Validate the cached pack without materializing a signature —
-        // this is the per-wave steady state and must not allocate. The
-        // lock is held through a pack, so lane groups that need the same
-        // weight wait for one pack instead of making two.
-        let mut cache = (self.weights.lock()).unwrap_or_else(PoisonError::into_inner);
-        let run_stamp = cache.run_stamp;
-        let packs = entry(&mut cache.packs, id);
-        let slot = packs
-            .iter()
-            .position(|w| w.k_len == k_len && w.sig[0].0 == leader);
-        let cached = slot.is_some_and(|at| {
-            let w = &mut packs[at];
-            let valid = (w.params_only || w.epoch == self.cache_epoch)
-                && w.sig.len() == preps.len()
-                && (w.sig.iter().zip(preps)).all(|(s, p)| *s == (p.ordinal, p.wbase, p.wgen));
-            if valid {
-                // Recency stamp for the LRU eviction: packs the current
-                // execution touches are the working set.
-                w.last_used = run_stamp;
-            }
-            valid
-        });
-        let at = slot.unwrap_or(packs.len());
-        if !cached {
+    ) -> &'a Arc<PackedB> {
+        let packs: &'a [OnceLock<Arc<PackedB>>] = self.packs;
+        packs[id].get_or_init(|| {
             self.caches.stats.weight_packs += 1;
-            let sig: Vec<(usize, usize, u64)> =
-                preps.iter().map(|p| (p.ordinal, p.wbase, p.wgen)).collect();
-            let params_only = preps[..to_pack].iter().all(|p| {
-                self.bufs[plan.sites[p.ordinal].weight.tensor.0 as usize]
-                    .as_ref()
-                    .expect("weight allocated")
-                    .class
-                    == StorageClass::Param
-            });
+            let stacked = match group.kind {
+                GroupKind::SharedWeight => &group.members[..1],
+                _ => &group.members[..],
+            };
+            let cols = stacked.iter().map(|&m| plan.sites[m].feat_extent).sum();
             // One k-stream per stacked column, in member order.
-            let streams = preps[..to_pack].iter().flat_map(|p| {
-                let site = &plan.sites[p.ordinal];
-                let buf = self.bufs[site.weight.tensor.0 as usize]
+            let columns = stacked.iter().flat_map(|&m| {
+                let w = &plan.sites[m].weight;
+                let buf = self.bufs[w.tensor.0 as usize]
                     .as_ref()
                     .expect("weight allocated");
-                (0..site.feat_extent)
-                    .map(move |i| (buf.data.get(p.wbase + i * p.si..).unwrap_or(&[]), p.sk))
+                let (si, sk) = (buf.strides[w.i_pos], buf.strides[w.k_pos]);
+                (0..plan.sites[m].feat_extent).map(move |i| (&buf.data[i * si..], sk))
             });
-            let packed = StackedWeight {
-                k_len,
-                sig,
-                params_only,
-                epoch: self.cache_epoch,
-                last_used: run_stamp,
-                data: Arc::new(PackedB::pack(cols, k_len, streams)),
-            };
-            let packs = &mut cache.packs[id];
-            if at < packs.len() {
-                packs[at] = packed;
-            } else {
-                packs.push(packed);
-            }
-        }
-        cache.packs[id][at].data.clone()
+            Arc::new(PackedB::pack(cols, k_len, columns))
+        })
     }
 
-    /// Resolves one stacking group's weights and gathers its operand
-    /// rows — into a pending super-wave GEMM under `defer`, else into
+    /// Gathers one stacking group's operand rows against its packed
+    /// weight — into a pending super-wave GEMM under `defer`, else into
     /// the group's own row block for [`Interp::run_wave_gemms`] — and
-    /// activates its member sites. Returns the number of sites activated
-    /// (members that fail a runtime check fall back to the scalar path
-    /// individually).
+    /// activates its member sites. Returns the number of sites activated:
+    /// none for a group that is not [`SiteGroup::static_window`] or a
+    /// per-node product whose `X` cannot be read in place, whose sites
+    /// run per element instead.
     fn prepare_group(
         &mut self,
         plan: &WavePlan,
@@ -553,34 +309,26 @@ impl<'a> Interp<'a> {
     ) -> usize {
         // The analyzer guarantees every member shares the reduction
         // extent (grouping requires structurally equal extents).
-        let leader = &plan.sites[group.members[0]];
+        let (members, leader) = (&group.members, &plan.sites[group.members[0]]);
         let k_len = self.eval_idx(&leader.extent).max(0) as usize;
         let id = plan.group_base + ordinal;
-
-        // The members list is recycled: this runs once per group per wave.
-        let mut preps = std::mem::take(&mut self.caches.preps);
-        let cols = match group.kind {
-            GroupKind::PerNode => self.rows_in_place(leader, k_len).then(|| {
-                preps.clear();
-                preps.push(SitePrep {
-                    ordinal: group.members[0],
-                    ..SitePrep::default()
-                });
-                leader.cols()
-            }),
-            _ => self.resolve_group(plan, group, id, k_len, &mut preps),
+        let weight = match group.kind {
+            GroupKind::PerNode if self.rows_in_place(leader, k_len) => None,
+            GroupKind::PerNode => return 0,
+            _ if group.static_window => Some(self.packed_weight(plan, group, id, k_len)),
+            _ => {
+                self.caches.stats.fallback_sites += members.len() as u64;
+                return 0;
+            }
         };
-        let Some(cols) = cols else {
-            self.caches.preps = preps;
-            return 0;
-        };
+        let cols = weight.map_or_else(|| leader.cols(), |w| w.shape().0);
 
         // Gather phase: resolve guards/child-sums/scalars once per row
         // and pack the operand rows. Shared-rows groups gather one row
         // per node (serving every member); row-stacked groups gather one
         // block of rows per member.
         let gemm_rows = match group.kind {
-            GroupKind::SharedWeight => preps.len() * wave_len,
+            GroupKind::SharedWeight => members.len() * wave_len,
             _ => wave_len,
         };
         let mut bufs = entry(&mut self.caches.group_bufs, id)
@@ -594,10 +342,10 @@ impl<'a> Interp<'a> {
 
         let group_idx = self.active_groups.len();
         let stats = &mut self.caches.stats;
-        stats.sites_batched += preps.len() as u64;
-        if preps.len() > 1 {
+        stats.sites_batched += members.len() as u64;
+        if members.len() > 1 {
             stats.stacked_groups += 1;
-            stats.stacked_sites += preps.len() as u64;
+            stats.stacked_sites += members.len() as u64;
         }
         let out = if group.kind == GroupKind::PerNode {
             self.node_products(plan, leader, k_len, wave_len, &mut bufs);
@@ -608,16 +356,14 @@ impl<'a> Interp<'a> {
             let key = SuperKey {
                 wave,
                 group: ordinal,
-                cols,
-                k_len,
             };
-            let weight = self.packs[id].weight.as_ref().expect("resolved above");
+            let weight = weight.expect("a packed group");
             let (entry, base) = acc.register(key, weight, gemm_rows, request, group_idx);
             let rows = acc.rows_mut(entry, base, gemm_rows);
             self.gather_rows(
                 plan,
                 group.kind,
-                &preps,
+                members,
                 k_len,
                 wave_len,
                 rows,
@@ -628,7 +374,7 @@ impl<'a> Interp<'a> {
             bufs.rows.clear();
             bufs.rows.resize(gemm_rows * k_len, 0.0);
             let GroupBufs { rows, meta, .. } = &mut bufs;
-            self.gather_rows(plan, group.kind, &preps, k_len, wave_len, rows, meta);
+            self.gather_rows(plan, group.kind, members, k_len, wave_len, rows, meta);
             // The product stores every element, so only growth is
             // filled.
             bufs.out.resize(gemm_rows * cols, 0.0);
@@ -651,14 +397,14 @@ impl<'a> Interp<'a> {
             cols,
         });
         let mut col_off = 0usize;
-        for (g, p) in preps.iter().enumerate() {
+        for (g, &m) in members.iter().enumerate() {
             let (row_off, c_off, meta_off) = match group.kind {
                 GroupKind::SharedWeight => (g * wave_len, 0, g * wave_len),
                 _ => (0, col_off, 0),
             };
-            let site = &plan.sites[p.ordinal];
+            let site = &plan.sites[m];
             col_off += site.feat_extent;
-            self.active[p.ordinal] = Some(ActiveSite {
+            self.active[m] = Some(ActiveSite {
                 binder: site.binder,
                 group: group_idx,
                 row_off,
@@ -671,9 +417,7 @@ impl<'a> Interp<'a> {
                 n_idx_slot: plan.n_idx_slot,
             });
         }
-        let activated = preps.len();
-        self.caches.preps = preps;
-        activated
+        members.len()
     }
 
     /// Gathers a group's operand rows into `rows`/`meta`. Shared-rows
@@ -687,7 +431,7 @@ impl<'a> Interp<'a> {
         &mut self,
         plan: &WavePlan,
         kind: GroupKind,
-        preps: &[SitePrep],
+        members: &[usize],
         k_len: usize,
         wave_len: usize,
         rows: &mut [f32],
@@ -699,20 +443,19 @@ impl<'a> Interp<'a> {
             plan.n_idx_slot
         );
         let (blocks, shared_replay) = match kind {
-            GroupKind::SharedWeight => (preps, None),
+            GroupKind::SharedWeight => (members, None),
             _ => (
-                &preps[..1],
+                &members[..1],
                 Some(
-                    preps
-                        .iter()
-                        .map(|p| plan.sites[p.ordinal].served_per_row as u64)
+                    (members.iter())
+                        .map(|&m| plan.sites[m].served_per_row as u64)
                         .sum(),
                 ),
             ),
         };
         let mut resolved = std::mem::take(&mut self.caches.resolved);
-        for (g, p) in blocks.iter().enumerate() {
-            let site = &plan.sites[p.ordinal];
+        for (g, &m) in blocks.iter().enumerate() {
+            let site = &plan.sites[m];
             let p0 = &self.profile;
             let before = (p0.flops, p0.leaf_check_loads, p0.branch_checks);
             for r in 0..wave_len {

@@ -11,17 +11,18 @@
 //! `Profile` counters bit-identical.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use cortex_core::expr::{BoolExpr, IdxBinOp, IdxExpr, RtScalar, TensorId, Ufn};
 use cortex_core::ilir::{DimExtent, IlirProgram, StorageClass};
 use cortex_ds::linearizer::{Batch, Linearized};
 use cortex_tensor::approx::NonlinearityMode;
+use cortex_tensor::kernels::PackedB;
 use cortex_tensor::Tensor;
 
 use super::address::Resolved;
 use super::bulk::TileScratch;
-use super::gather::{ActiveGroup, ActiveSite, GroupBufs, RunPack, SitePrep, WeightCache};
+use super::gather::{ActiveGroup, ActiveSite, GroupBufs};
 use super::lowering::{CompiledKernel, StmtPlans};
 use super::program::Program;
 use super::run::PcCursor;
@@ -33,7 +34,7 @@ use crate::profile::{Profile, WaveStat};
 /// State one lane of an engine keeps across runs: memoized reduction
 /// plans and the per-group gather/output scratch buffers. (The packed
 /// weights are the engine's, lent to every interpreter: see
-/// [`Interp::weights`].)
+/// [`Interp::packs`].)
 #[derive(Default)]
 pub(crate) struct Caches {
     /// The scalar reduction plan of each `Sum` a run evaluated outside
@@ -48,9 +49,6 @@ pub(crate) struct Caches {
     /// The resolved operand of the row being gathered or the element
     /// being dotted, recycled.
     pub(crate) resolved: Resolved,
-    /// The members of the stacking group being prepared that passed
-    /// their weight-window checks, recycled.
-    pub(crate) preps: Vec<SitePrep>,
     /// Reusable gather/output buffers by group id. A stack per group:
     /// during `execute_many` several requests hold the same group's
     /// buffers at once (their waves overlap in time), so one slot per
@@ -297,11 +295,9 @@ pub(crate) struct Scope {
 ///   keeps those tensors alive.
 /// * Owned buffers keep their allocations and are resized and re-zeroed
 ///   in place; output buffers leave with the outputs.
-/// * Slots, store generations, persisted loads and the batch table are
-///   re-zeroed or refilled in place; scopes, wave activations and the
-///   launch cursor are empty between runs and keep their capacity.
-/// * `packs` holds each stacking group's packed weight for the run in
-///   progress, and nothing between runs.
+/// * Slots, persisted loads and the batch table are re-zeroed or
+///   refilled in place; scopes, wave activations and the launch cursor
+///   are empty between runs and keep their capacity.
 ///
 /// A run that fails drops its state: the lane's next run starts from a
 /// fresh one. Nothing a run computes depends on what the state held
@@ -315,10 +311,8 @@ pub(crate) struct RunState {
     scopes: Vec<Scope>,
     scope_pool: Vec<Vec<(u64, u64)>>,
     persisted_loads: Vec<u64>,
-    store_gens: Vec<u64>,
     active: Vec<Option<ActiveSite>>,
     active_groups: Vec<ActiveGroup>,
-    packs: Vec<RunPack>,
     cursor: PcCursor,
     #[cfg(feature = "checked")]
     shadow: super::shadow::ShadowState,
@@ -361,13 +355,11 @@ pub(crate) struct Interp<'a> {
     /// (the running one), which is how the requests of a lane group
     /// share reduction plans and scratch pools without aliasing.
     pub(crate) caches: Caches,
-    /// The engine's packed weights, the one copy every lane multiplies
-    /// by. Borrowed, not shuttled: the caches a torn run leaves behind
+    /// The engine's packed weight of each stacking group, by engine-wide
+    /// group id: the one copy every lane multiplies by, packed on first
+    /// use. Borrowed, not shuttled: the caches a torn run leaves behind
     /// never carry a private copy.
-    pub(crate) weights: &'a Mutex<WeightCache>,
-    /// This run's packed weight of each stacking group, by engine-wide
-    /// group id ([`RunPack`]).
-    pub(crate) packs: Vec<RunPack>,
+    pub(crate) packs: &'a [OnceLock<Arc<PackedB>>],
     /// Sites of the wave currently executing (waves do not nest), by
     /// their ordinal in its plan: `Some` when served from a GEMM
     /// result, `None` when the site fell back to the scalar path.
@@ -376,17 +368,6 @@ pub(crate) struct Interp<'a> {
     pub(crate) active_groups: Vec<ActiveGroup>,
     /// Zeroed per-tensor touch arrays, recycled across scopes.
     pub(crate) scope_pool: Vec<Vec<(u64, u64)>>,
-    /// Per-tensor store generation: bumped on every interpreted store, so
-    /// packed-weight cache entries are invalidated the moment their
-    /// source tensor is written (a non-`Param` weight may legally be
-    /// produced by a precompute kernel — or rewritten between waves).
-    pub(crate) store_gens: Vec<u64>,
-    /// Process-unique id of this run. Non-`Param` packed-weight entries
-    /// only validate within the epoch that packed them: store
-    /// generations restart at 0 every run, so two requests of one batch
-    /// — or two consecutive runs — can reach identical generation counts
-    /// for a kernel-written weight holding different values.
-    pub(crate) cache_epoch: u64,
     /// The pc runtime's launch cursor, kept for its allocations (see
     /// [`Interp::start_cursor`]).
     pub(crate) cursor: PcCursor,
@@ -396,9 +377,6 @@ pub(crate) struct Interp<'a> {
     #[cfg(feature = "checked")]
     pub(crate) shadow: super::shadow::ShadowState,
 }
-
-/// Source of [`Interp::cache_epoch`] values.
-static NEXT_CACHE_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl<'a> Interp<'a> {
     /// Starts a run of `lin` in `state`: binds the `Param` buffers unless
@@ -419,7 +397,7 @@ impl<'a> Interp<'a> {
         persist_active: bool,
         opts: ExecOptions,
         shared: super::SharedPlans,
-        weights: &'a Mutex<WeightCache>,
+        packs: &'a [OnceLock<Arc<PackedB>>],
         max_slots: usize,
         state: RunState,
         timed: bool,
@@ -432,10 +410,8 @@ impl<'a> Interp<'a> {
             scopes,
             scope_pool,
             mut persisted_loads,
-            mut store_gens,
             active,
             active_groups,
-            packs,
             cursor,
             #[cfg(feature = "checked")]
             mut shadow,
@@ -479,8 +455,6 @@ impl<'a> Interp<'a> {
         slots.resize(max_slots, 0);
         persisted_loads.clear();
         persisted_loads.resize(n_tensors, 0);
-        store_gens.clear();
-        store_gens.resize(n_tensors, 0);
         // Empty after every completed run; a failed run drops its state.
         debug_assert!(scopes.is_empty() && active.is_empty() && active_groups.is_empty());
         #[cfg(feature = "checked")]
@@ -495,7 +469,6 @@ impl<'a> Interp<'a> {
             slots,
             scopes,
             persisted_loads,
-            store_gens,
             persist_active,
             // The rational substitution is the schedule's choice (App. A.5).
             nonlin: program.meta.schedule.nonlinearity,
@@ -506,12 +479,10 @@ impl<'a> Interp<'a> {
             plan: shared.plan,
             cur_kernel: 0,
             caches: Caches::default(),
-            weights,
             packs,
             active,
             active_groups,
             scope_pool,
-            cache_epoch: NEXT_CACHE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             cursor,
             #[cfg(feature = "checked")]
             shadow,
@@ -592,9 +563,6 @@ impl<'a> Interp<'a> {
                 .map_err(|e| ExecError::Internal(e.to_string()))?;
             outputs.insert(*id, t);
         }
-        // A state at rest holds no pack: the engine's cache decides what
-        // stays packed.
-        self.packs.iter_mut().for_each(|p| p.weight = None);
         let state = RunState {
             bufs: self.bufs,
             bound: Some(self.params_gen),
@@ -603,10 +571,8 @@ impl<'a> Interp<'a> {
             scopes: self.scopes,
             scope_pool: self.scope_pool,
             persisted_loads: self.persisted_loads,
-            store_gens: self.store_gens,
             active: self.active,
             active_groups: self.active_groups,
-            packs: self.packs,
             cursor: self.cursor,
             #[cfg(feature = "checked")]
             shadow: self.shadow,
@@ -695,7 +661,6 @@ impl<'a> Interp<'a> {
 
     #[inline]
     pub(crate) fn record_store(&mut self, tensor: TensorId) {
-        self.store_gens[tensor.0 as usize] += 1;
         if let Some(scope) = self.scopes.last_mut() {
             scope.touch[tensor.0 as usize].1 += 1;
         }

@@ -71,10 +71,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use cortex_core::expr::TensorId;
-use cortex_core::ilir::{IlirProgram, StorageClass};
+use cortex_core::expr::{IdxExpr, TensorId};
+use cortex_core::ilir::{DimExtent, IlirProgram, StorageClass};
 use cortex_ds::linearizer::{LinearizeError, Linearized};
 use cortex_tensor::kernels::{self, PackedB};
 use cortex_tensor::{par, Tensor};
@@ -85,7 +85,6 @@ use crate::persist::{check_persistence, PersistDecision};
 use crate::profile::Profile;
 use crate::wave::{SumSite, SuperEntry, SuperWaveAcc};
 
-use gather::{evict_weight_cache_lru, WeightCache};
 use interp::{Caches, Interp, RunState};
 use lowering::{CompiledKernel, StmtPlans};
 use run::PcCursor;
@@ -522,12 +521,15 @@ pub struct ExecStats {
     pub stacked_groups: u64,
     /// Sites that shared a stacked GEMM (members of the above).
     pub stacked_sites: u64,
-    /// Sites that failed a runtime check (weight window) and fell back
-    /// to the scalar path.
+    /// Planned sites that ran per element instead, counted each wave:
+    /// the members of a stacking group whose weight is not a 2-D
+    /// `Param` window with a constant extent (decided at engine build,
+    /// see `SiteGroup::static_window`), and a per-node product whose
+    /// `X` cannot be read in place that wave.
     pub fallback_sites: u64,
-    /// Stacked-weight matrices (re)packed: 0 in the steady state of a
-    /// serving engine, whose packs persist per `(model, params
-    /// generation)` across runs and across a batch's requests.
+    /// Stacked-weight matrices packed: at most one per stacking group
+    /// per params generation, by whichever lane needs it first, so 0 on
+    /// an engine that already ran against the bound [`Params`].
     pub weight_packs: u64,
     /// Merged super-wave GEMMs (one GEMM serving the same wave depth of
     /// several queued requests) executed by [`Engine::execute_many`].
@@ -577,9 +579,8 @@ pub struct ExecStats {
     pub epilogue_bytes: u64,
     /// Wall-clock nanoseconds in the wave gather phase. Per planned
     /// wave: from its start to the end of its last stacking group's
-    /// gather — for each group, the weight windows resolved (or the
-    /// run's earlier resolution reused) and the pack looked up or
-    /// built, then each operand row resolved through its compiled
+    /// gather — for each group, its packed weight fetched (packed on
+    /// first use), then each operand row resolved through its compiled
     /// address program and copied into the GEMM's row block (or this
     /// request's block of a super-wave matrix). Waves whose every site
     /// fell back are included. 0 on an unobserved engine.
@@ -677,11 +678,11 @@ pub(crate) enum StepOutcome {
 /// tensors in place, so the engine holds no copy of the parameters; a
 /// lane keeps each request's run state between calls, bound to the
 /// params generation it last ran against, and rebinds only when that
-/// changes (see `LaneState`). Packed weight matrices are cached across
-/// runs and the requests of a batch until the params generation
-/// changes; per-site scratch buffers persist. Use this instead of the free
-/// [`execute`] function when running the same program many times
-/// (benchmarks, serving loops):
+/// changes (see `LaneState`). Each stacking group's weight is packed
+/// once per params generation and shared by every run, lane and request
+/// of a batch; per-site scratch buffers persist. Use this instead of
+/// the free [`execute`] function when running the same program many
+/// times (benchmarks, serving loops):
 ///
 /// ```ignore
 /// let mut engine = Engine::new(&program);
@@ -700,17 +701,20 @@ pub struct Engine<'p> {
     /// Lane 0 also serves solo runs and holds the [`Engine::stats`] of
     /// the latest call.
     lanes: Vec<LaneState>,
-    /// The packed weights, one copy for every lane: each interpreter
-    /// borrows it for its run.
-    weights: Mutex<WeightCache>,
+    /// Each stacking group's packed weight, by engine-wide group id
+    /// ([`crate::wave::WavePlan::group_base`]): a pure function of the
+    /// plan and the bound [`Params`], packed on first use by whichever
+    /// lane needs it and emptied when the params generation changes.
+    /// Every lane borrows the one copy.
+    packs: Vec<OnceLock<Arc<PackedB>>>,
     /// The lane groups the latest `execute_many` ran
     /// ([`Engine::batch_groups`]).
     groups: Vec<Vec<usize>>,
     /// Deterministic fault-injection hook ([`FaultHook`]), consulted at
     /// instrumented sites.
     fault_hook: Option<FaultHook>,
-    /// The `Params::generation` the packed-weight cache was built
-    /// against; a different generation invalidates it.
+    /// The `Params::generation` the packs were built against; a
+    /// different generation empties them.
     params_gen: Option<u64>,
     /// Static verification verdict of the lowered plan, computed once
     /// at build. `Err` makes every execute call refuse with
@@ -773,7 +777,7 @@ pub(crate) fn lane_groups(lins: &[&Linearized], lanes: usize) -> Vec<Vec<usize>>
 struct Batch<'e> {
     program: &'e IlirProgram,
     shared: &'e SharedPlans,
-    weights: &'e Mutex<WeightCache>,
+    packs: &'e [OnceLock<Arc<PackedB>>],
     opts: ExecOptions,
     max_slots: usize,
     params: &'e Params,
@@ -802,7 +806,7 @@ impl Batch<'_> {
                 self.persist_active,
                 self.opts,
                 self.shared.clone(),
-                self.weights,
+                self.packs,
                 self.max_slots,
                 std::mem::take(state),
                 self.timed,
@@ -819,10 +823,22 @@ impl Batch<'_> {
     }
 }
 
-/// Packed-weight cache eviction bound: a long-lived serving engine
-/// re-packs (cheap, amortized) rather than growing without limit when a
-/// program produces more distinct stacked-weight windows than this.
-const WEIGHT_CACHE_CAP: usize = 64;
+/// Whether `site` reads a 2-D `Param` as `[i, k]` (in either order)
+/// over a constant extent that fits its declared dims: then its weight
+/// window is fixed by the plan and the pack by the bound [`Params`]
+/// (see `SiteGroup::static_window`).
+fn packs_whole(program: &IlirProgram, site: &SumSite) -> bool {
+    let w = &site.weight;
+    let Some(decl) = &program.tensors[w.tensor.0 as usize] else {
+        return false;
+    };
+    let fits =
+        |d: usize, n: usize| matches!(decl.dims.get(d), Some(&DimExtent::Fixed(e)) if n <= e);
+    decl.class == StorageClass::Param
+        && w.index.len() == 2
+        && fits(w.i_pos, site.feat_extent)
+        && matches!(site.extent, IdxExpr::Const(k) if fits(w.k_pos, k.max(0) as usize))
+}
 
 /// Builds every per-engine compile artifact: the compiled-kernel
 /// analyses (with `waves`, the wave plans and their stacking groups;
@@ -840,19 +856,10 @@ fn build_plans(
     } else {
         Default::default()
     };
-    // Which groups resolve their window and pack once per run instead
-    // of once per wave (see `SiteGroup::static_window`).
-    let is_param = |t: TensorId| {
-        program.tensors[t.0 as usize]
-            .as_ref()
-            .is_some_and(|d| d.class == StorageClass::Param)
-    };
     for plan in &mut waves {
         for group in &mut plan.groups {
-            group.static_window = group.members.iter().all(|&m| {
-                let w = &plan.sites[m].weight;
-                w.index.len() == 2 && is_param(w.tensor)
-            });
+            let sites = &plan.sites;
+            group.static_window = (group.members.iter()).all(|&m| packs_whole(program, &sites[m]));
         }
     }
     let mut stmt_plans = StmtPlans {
@@ -928,6 +935,7 @@ impl<'p> Engine<'p> {
         let (shared, plan_stats) = build_plans(program, compiled, waves);
         let verified = verify::verify(&shared.plan);
         debug_assert!(verified.is_ok(), "lowering emitted an invalid plan");
+        let groups = (shared.plan.waves.last()).map_or(0, |w| w.group_base + w.groups.len());
         Engine {
             program,
             opts,
@@ -935,7 +943,7 @@ impl<'p> Engine<'p> {
             plan_stats,
             max_slots,
             lanes: vec![LaneState::default()],
-            weights: Mutex::default(),
+            packs: (0..groups).map(|_| OnceLock::new()).collect(),
             groups: Vec::new(),
             fault_hook: None,
             params_gen: None,
@@ -965,7 +973,7 @@ impl<'p> Engine<'p> {
             plan_stats: self.plan_stats,
             max_slots: self.max_slots,
             lanes: vec![LaneState::default()],
-            weights: Mutex::default(),
+            packs: self.packs.iter().map(|_| OnceLock::new()).collect(),
             groups: Vec::new(),
             fault_hook: None,
             params_gen: None,
@@ -1009,7 +1017,7 @@ impl<'p> Engine<'p> {
             Ok(r) => r,
             Err(payload) => {
                 self.lanes = vec![LaneState::default()];
-                self.weight_cache().packs.clear();
+                self.params_gen = None; // the next run starts from no pack
                 match payload.downcast::<InjectedFault>() {
                     Ok(injected) => Err(injected.0),
                     Err(other) => std::panic::resume_unwind(other),
@@ -1111,7 +1119,7 @@ impl<'p> Engine<'p> {
     /// The packed-weight term of [`Engine::footprint`] (bytes): every
     /// site's `H×K` window at the *padded* size its panels occupy. Sites
     /// stacked into one pack share its last panel, so the per-site sum
-    /// bounds what `weight_cache` holds from above.
+    /// bounds what the engine's packs hold from above.
     pub(crate) fn footprint_weights(&self) -> u64 {
         let level = cortex_tensor::simd::level();
         self.wave_sites()
@@ -1275,7 +1283,7 @@ impl<'p> Engine<'p> {
             persist_active,
             self.opts,
             self.shared.clone(),
-            &self.weights,
+            &self.packs,
             self.max_slots,
             std::mem::take(&mut lane.runs[0]),
             timed,
@@ -1367,7 +1375,7 @@ impl<'p> Engine<'p> {
         let batch = Batch {
             program: self.program,
             shared: &self.shared,
-            weights: &self.weights,
+            packs: &self.packs,
             opts: self.opts,
             max_slots: self.max_slots,
             params,
@@ -1421,38 +1429,15 @@ impl<'p> Engine<'p> {
             .collect())
     }
 
-    /// Packed weights are cached per `(program, params generation)` —
-    /// i.e. once per model per binding state, across runs and across the
-    /// requests of a serving batch — instead of being rebuilt every run.
-    /// Packs of non-`Param` weights (tensors a kernel may rewrite with
-    /// input-dependent values) never survive a run boundary, and the
-    /// whole cache is bounded by [`WEIGHT_CACHE_CAP`] with
-    /// least-recently-used eviction: packs touched by the most recent
-    /// run (the in-flight working set — during `run_many` that is every
-    /// request of the batch, since eviction only runs between
-    /// executions) carry the newest stamp and are evicted last, so a
-    /// program whose working set fits the cap repacks **nothing** in
-    /// the steady state even when its lifetime-distinct pack count
-    /// exceeds the cap. (The old policy cleared the whole cache at the
-    /// cap, forcing a mid-service full repack.)
+    /// Empties the packs when the params generation changed since the
+    /// last run: a group's packed weight depends on nothing else, so it
+    /// stands across runs and the requests of a batch while the binding
+    /// does.
     fn refresh_weight_cache(&mut self, params: &Params) {
         let gen = params.generation();
-        let stale = self.params_gen.replace(gen) != Some(gen);
-        let cache = self.weight_cache();
-        cache.run_stamp += 1;
-        if stale {
-            cache.packs.clear();
-        } else {
-            for packs in &mut cache.packs {
-                packs.retain(|w| w.params_only);
-            }
-            evict_weight_cache_lru(&mut cache.packs, WEIGHT_CACHE_CAP);
+        if self.params_gen.replace(gen) != Some(gen) {
+            self.packs.iter_mut().for_each(|p| drop(p.take()));
         }
-    }
-
-    /// The packed-weight cache, between runs (no lane holds it).
-    fn weight_cache(&mut self) -> &mut WeightCache {
-        (self.weights.get_mut()).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The lane groups the latest [`Engine::execute_many`] ran: request
@@ -1573,14 +1558,15 @@ impl LaneState {
         let mut clock = Stopwatch::start(interps.first().is_some_and(|it| it.timed));
         for entry in acc.take_entries() {
             let SuperEntry {
-                key,
+                key: _,
                 weight,
                 rows,
                 total_rows,
                 registrants,
             } = entry;
             maybe_inject(hook, FaultSite::Gemm { rows: total_rows });
-            let mut shared = acc.take_output(total_rows * key.cols);
+            let (cols, k_len) = weight.shape();
+            let mut shared = acc.take_output(total_rows * cols);
             let out = Arc::get_mut(&mut shared).expect("unshared");
             let forked = kernels::gemm_packed_into(out, &rows, &weight, total_rows);
             let stats = &mut self.caches.stats;
@@ -1588,7 +1574,7 @@ impl LaneState {
             stats.forked_gemms += u64::from(forked);
             stats.wave_gemms += 1;
             stats.gemm_rows += total_rows as u64;
-            stats.gemm_flops += 2 * (total_rows * key.cols * key.k_len) as u64;
+            stats.gemm_flops += 2 * (total_rows * cols * k_len) as u64;
             if registrants.len() > 1 {
                 stats.super_gemms += 1;
                 stats.super_gemm_rows += total_rows as u64;

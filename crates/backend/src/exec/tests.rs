@@ -7,10 +7,8 @@ use cortex_core::ra::{RaGraph, RaSchedule};
 use cortex_ds::datasets;
 use cortex_ds::linearizer::{Linearized, Linearizer};
 use cortex_tensor::approx::NonlinearityMode;
-use cortex_tensor::kernels::PackedB;
 use cortex_tensor::Tensor;
 
-use super::gather::{evict_weight_cache_lru, StackedWeight};
 use super::interp::Caches;
 use super::{execute, lane_groups, Engine, ExecError, ExecOptions};
 use crate::params::Params;
@@ -268,43 +266,6 @@ fn param_shape_is_checked() {
 }
 
 #[test]
-fn weight_cache_eviction_is_lru_not_clear_all() {
-    // A working set stamped by the latest run must survive eviction
-    // even when the cache's lifetime population exceeds the cap —
-    // the old clear-at-cap policy forced a full steady-state repack.
-    // Ten packs over five groups, two extents each: packs 0..4 are
-    // stale, 5..9 the current working set.
-    let mut cache: Vec<Vec<StackedWeight>> = (0..5).map(|_| Vec::new()).collect();
-    for i in 0..10usize {
-        cache[i % 5].push(StackedWeight {
-            k_len: i,
-            sig: Vec::new(),
-            params_only: true,
-            epoch: 0,
-            last_used: if i < 5 { 1 } else { 2 },
-            data: Arc::new(PackedB::pack_nt(&[], 0, 0)),
-        });
-    }
-    let held = |cache: &[Vec<StackedWeight>]| -> Vec<usize> {
-        let mut ks: Vec<usize> = cache.iter().flatten().map(|w| w.k_len).collect();
-        ks.sort_unstable();
-        ks
-    };
-    evict_weight_cache_lru(&mut cache, 7);
-    let kept = held(&cache);
-    assert_eq!(kept.len(), 7);
-    for i in 5..10 {
-        assert!(kept.contains(&i), "working-set entry {i} must survive");
-    }
-    // Under-cap caches are untouched.
-    evict_weight_cache_lru(&mut cache, 64);
-    assert_eq!(held(&cache), kept);
-    // A working set larger than the cap still shrinks to the cap.
-    evict_weight_cache_lru(&mut cache, 3);
-    assert_eq!(held(&cache).len(), 3);
-}
-
-#[test]
 fn leaf_check_modes_differ_in_loads() {
     let h = 4;
     let (g, _) = tree_rnn(h);
@@ -521,15 +482,24 @@ fn silence_injected(f: impl FnOnce()) {
 /// the super-wave flush — and its `Gemm` fault site — engages under
 /// `execute_many`.
 fn matvec_tree(h: usize) -> (RaGraph, TensorId) {
+    matvec_twin(h, &[h, h], |i, k| vec![i, k])
+}
+
+/// [`matvec_tree`] with its weight `W` of `shape`, read at `at(i, k)`.
+fn matvec_twin(
+    h: usize,
+    shape: &[usize],
+    at: impl Fn(IdxExpr, IdxExpr) -> Vec<IdxExpr>,
+) -> (RaGraph, TensorId) {
     let mut g = RaGraph::new();
-    let w = g.input("W", &[h, h]);
+    let w = g.input("W", shape);
     let emb = g.input("Emb", &[datasets::VOCAB_SIZE as usize, h]);
     let ph = g.placeholder("mv_ph", &[h]);
     let leaf = g.compute("leaf", &[h], |c| c.read(emb, &[c.node().word(), c.axis(0)]));
     let rec = g.compute("rec", &[h], |c| {
         let i = c.axis(0);
         c.sum(h, |c, k| {
-            c.read(w, &[i.clone(), k.clone()]).mul(
+            c.read(w, &at(i.clone(), k.clone())).mul(
                 c.read(ph, &[c.node().child(0), k.clone()])
                     .add(c.read(ph, &[c.node().child(1), k.clone()])),
             )
@@ -540,6 +510,69 @@ fn matvec_tree(h: usize) -> (RaGraph, TensorId) {
     let mv = g.recursion(ph, body).unwrap();
     g.mark_output(mv);
     (g, mv.id())
+}
+
+/// A weight the engine does not pack runs per element: [`matvec_tree`]'s
+/// twin reads `W[1, i, k]` of a 3-D `Param`. The analysis plans the wave
+/// site, but its group is not `static_window`, so the site falls back
+/// every wave — counted in `fallback_sites` each wave, nothing packed,
+/// no wave GEMM — and outputs and `Profile` equal the oracle's and
+/// per-element serving's, solo and batched, on one lane and on two.
+#[test]
+fn an_unpackable_weight_runs_per_element_every_wave() {
+    use cortex_tensor::par;
+    let h = 8;
+    let (g, _) = matvec_twin(h, &[2, h, h], |i, k| vec![IdxExpr::Const(1), i, k]);
+    let program = lower(
+        &g,
+        &RaSchedule::default(),
+        StructureInfo { max_children: 2 },
+    )
+    .unwrap();
+    let mut params = Params::new();
+    params.set("W", Tensor::random(&[2, h, h], 0.5, 41));
+    params.set(
+        "Emb",
+        Tensor::random(&[datasets::VOCAB_SIZE as usize, h], 0.5, 42),
+    );
+    let lins: Vec<Linearized> = (0..4u64)
+        .map(|s| {
+            let tree = datasets::random_binary_tree(5 + 4 * s as usize, s);
+            Linearizer::new().linearize(&tree).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let waves = |lin: &Linearized| lin.internal_batches().len() as u64;
+    let mut oracle = Engine::with_options(&program, ExecOptions::interpreted());
+    let want: Vec<_> = (lins.iter())
+        .map(|lin| oracle.execute(lin, &params, true).unwrap())
+        .collect();
+    let per_element = ExecOptions {
+        bulk: false,
+        ..ExecOptions::default()
+    };
+    for lanes in [1, 2] {
+        par::with_lanes(lanes, || {
+            for mut engine in [
+                Engine::new(&program),
+                Engine::with_options(&program, per_element),
+            ] {
+                assert_eq!(engine.num_wave_plans(), 1, "the site is planned");
+                for (lin, want) in lins.iter().zip(&want) {
+                    assert!(engine.execute(lin, &params, true).unwrap() == *want);
+                    let stats = engine.stats();
+                    assert_eq!(stats.fallback_sites, waves(lin), "{lanes} lanes");
+                    let work = (stats.weight_packs, stats.wave_gemms, stats.sites_batched);
+                    assert_eq!(work, (0, 0, 0), "{lanes} lanes");
+                }
+                assert!(engine.execute_many(&refs, &params, true).unwrap() == want);
+                let stats = engine.stats();
+                let all: u64 = lins.iter().map(waves).sum();
+                assert_eq!(stats.fallback_sites, all, "{lanes} lanes");
+                assert_eq!((stats.weight_packs, stats.wave_gemms), (0, 0));
+            }
+        });
+    }
 }
 
 /// Shared fixture for the hook tests: program, a linearized tree, and
@@ -1121,7 +1154,7 @@ fn footprint_scales_with_input_size() {
 
 /// Packed weights are zero-padded to whole panels, so a narrow site
 /// holds several times `h·k` floats; the footprint charges the padded
-/// size and stays an upper bound on what the cache really keeps.
+/// size and stays an upper bound on what the engine really keeps.
 #[test]
 fn footprint_bounds_the_packed_weights_actually_held() {
     for h in [3, 8, 33, 100] {
@@ -1143,8 +1176,8 @@ fn footprint_bounds_the_packed_weights_actually_held() {
         );
         let mut engine = Engine::new(&program);
         engine.execute(&lin, &params, true).unwrap();
-        let held: u64 = (engine.weight_cache().packs.iter().flatten())
-            .map(|w| 4 * w.data.floats() as u64)
+        let held: u64 = (engine.packs.iter().filter_map(|p| p.get()))
+            .map(|w| 4 * w.floats() as u64)
             .sum();
         assert!(held >= 4 * (h * h) as u64, "h={h}: the matvec weight packs");
         assert!(
@@ -1330,6 +1363,39 @@ fn lane_groups_balance_nodes_and_the_engine_reports_them() {
             .unwrap();
         let want = lane_groups(&refs, lanes.min(cortex_tensor::par::lanes()));
         assert_eq!(engine.batch_groups(), want, "{lanes} lanes");
+    }
+}
+
+/// A stacking group's weight is packed once per params binding, by
+/// whichever lane needs it first: a cold `execute_many` of 16 TreeLSTM
+/// requests on two lanes packs exactly what a cold solo run packs, and
+/// a warm batch packs nothing.
+#[test]
+fn a_cold_batch_on_two_lanes_packs_each_weight_once() {
+    use cortex_models::{treelstm, LeafInit};
+    let model = treelstm::tree_lstm(16, LeafInit::Embedding);
+    let program = model.lower(&RaSchedule::default()).unwrap();
+    let mut params = Params::new();
+    for (name, t) in model.params.iter() {
+        params.set(name, t.clone());
+    }
+    let lins: Vec<Linearized> = (0..16u64)
+        .map(|s| {
+            let tree = datasets::random_binary_tree(4 + s as usize, s);
+            Linearizer::new().linearize(&tree).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Linearized> = lins.iter().collect();
+    let mut solo = Engine::new(&program);
+    solo.execute(&lins[15], &params, true).unwrap();
+    let packs = solo.stats().weight_packs;
+    assert!(packs > 0, "TreeLSTM packs its gate weights");
+    let mut engine = Engine::new(&program);
+    for (pass, want) in [("cold", packs), ("warm", 0)] {
+        cortex_tensor::par::with_lanes(2, || engine.execute_many(&refs, &params, true)).unwrap();
+        let groups = engine.batch_groups().len();
+        let made = engine.stats().weight_packs;
+        assert_eq!(made, want, "{pass} batch, {groups} lane groups");
     }
 }
 

@@ -34,7 +34,7 @@ pub struct Params {
 /// Process-wide generation counter: every mutation of any `Params` gets
 /// a fresh value, so a generation uniquely identifies one binding state
 /// (clones share it until either side mutates — which is exactly the
-/// sharing the packed-weight cache wants to recognize).
+/// sharing the engine's packed weights want to recognize).
 static NEXT_GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl Params {
@@ -53,9 +53,9 @@ impl Params {
 
     /// An identity for the current binding state. Two calls return the
     /// same value iff no [`set`](Self::set) happened in between, which
-    /// lets the executor keep packed-weight caches across runs (and
-    /// across requests of a serving batch) instead of repacking every
-    /// run — and invalidate them the moment a binding changes.
+    /// lets the executor keep each stacking group's packed weight across
+    /// runs (and across requests of a serving batch) instead of
+    /// repacking every run — and drop them the moment a binding changes.
     pub fn generation(&self) -> u64 {
         self.generation
     }

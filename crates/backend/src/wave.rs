@@ -89,11 +89,14 @@ pub(crate) struct SiteGroup {
     pub kind: GroupKind,
     /// Indices into [`WavePlan::sites`].
     pub members: Vec<usize>,
-    /// Whether every member reads a `Param` weight through a static
-    /// window — one whose index has no position besides `i` and `k` — so
-    /// the group resolves the same window and pack on every wave of a
-    /// run. Decided at engine build (the analysis does not know storage
-    /// classes); the executor then resolves them once per run.
+    /// Whether the group runs as one packed GEMM: every member reads a
+    /// 2-D `Param` whose index is just `i` and `k`, and the reduction
+    /// extent is a constant that fits the parameter's declared dims. Its
+    /// packed weight is then a pure function of the group and the bound
+    /// [`crate::params::Params`], packed once per params generation.
+    /// Decided at engine build (the analysis does not know storage
+    /// classes or dims); the sites of any other stacking group run per
+    /// element every wave, counted in `ExecStats::fallback_sites`.
     pub static_window: bool,
 }
 
@@ -115,8 +118,9 @@ pub(crate) struct SumSite {
     /// two-level feature loop (one row per node serves the whole `i×j`
     /// tile). This is the accounting replay factor for the packing phase.
     pub served_per_row: usize,
-    /// The feature-dependent operand: packed once per run, or read in
-    /// place per node by a [`NodeProduct`] site.
+    /// The feature-dependent operand: packed once per params binding
+    /// (see [`SiteGroup::static_window`]), or read in place per node by
+    /// a [`NodeProduct`] site.
     pub weight: WeightRef,
     /// The remaining operands and the value-level `Select` guards
     /// wrapping this `Sum`, compiled into the address program the
@@ -159,10 +163,12 @@ impl SumSite {
 
 /// The feature-dependent operand of a site: a plain load
 /// `W[…, i, …, k, …]` whose other indices are counter-free and, unless
-/// the site is a [`NodeProduct`], wave-invariant.
+/// the site is a [`NodeProduct`], wave-invariant. The analysis accepts
+/// any such tensor; only a 2-D `Param` read as `[i, k]` is packed
+/// ([`SiteGroup::static_window`]).
 #[derive(Debug)]
 pub(crate) struct WeightRef {
-    /// The parameter (or global) tensor read.
+    /// The tensor read.
     pub tensor: TensorId,
     /// Full index expressions; positions `i_pos` / `k_pos` are the
     /// feature and reduction variables.
@@ -764,20 +770,15 @@ fn val_is_pure(e: &ValExpr) -> bool {
 
 /// Identity of a mergeable wave GEMM: two requests' wave instances fuse
 /// into one super-wave GEMM exactly when they are the *same* stacking
-/// group of the *same* planned loop with the same packed-weight shape —
-/// the result matrices then differ only in which rows belong to whom.
-/// (Which members passed their weight-window check is settled by the
-/// packed weight itself: [`merge_plans`] also requires the same pack.)
+/// group of the *same* planned loop — the result matrices then differ
+/// only in which rows belong to whom. The GEMM's shape is the group's
+/// packed weight's ([`PackedB::shape`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SuperKey {
     /// Id of the wave plan.
     pub wave: usize,
     /// Ordinal of the stacking group within its [`WavePlan`].
     pub group: usize,
-    /// GEMM output columns (ΣH of the stacked sites).
-    pub cols: usize,
-    /// Reduction extent.
-    pub k_len: usize,
 }
 
 /// One request's share of a super-wave GEMM.
@@ -795,9 +796,9 @@ pub(crate) struct Registrant {
 /// registered request against one shared packed weight.
 pub(crate) struct SuperEntry {
     pub key: SuperKey,
-    /// The shared packed weight (from the engine's weight cache).
+    /// The group's packed weight, the one every request multiplies by.
     pub weight: Arc<PackedB>,
-    /// Merged row matrix, `[total_rows][k_len]` row-major.
+    /// Merged row matrix, `[total_rows][K]` row-major.
     pub rows: Vec<f32>,
     pub total_rows: usize,
     pub registrants: Vec<Registrant>,
@@ -820,9 +821,9 @@ pub(crate) struct SuperWaveAcc {
 
 /// Finds the entry a wave instance merges into, or opens a new one.
 /// Merging requires the same [`SuperKey`] *and* the same packed-weight
-/// allocation (`Rc` identity): requests whose weights diverged (a
-/// precompute-written weight with different store generations) keep
-/// separate GEMMs, which is always correct — merging is opportunistic.
+/// allocation (`Arc` identity): a group has one pack per params
+/// generation, so within one call the second holds whenever the first
+/// does; two packs never share a GEMM.
 pub(crate) fn merge_plans(
     entries: &mut Vec<SuperEntry>,
     pool: &mut Vec<Vec<f32>>,
@@ -861,7 +862,7 @@ impl SuperWaveAcc {
         let entry = &mut self.entries[e];
         let base = entry.total_rows;
         entry.total_rows += n_rows;
-        entry.rows.resize(entry.total_rows * key.k_len, 0.0);
+        entry.rows.resize(entry.total_rows * weight.shape().1, 0.0);
         entry.registrants.push(Registrant {
             request,
             group_idx,
@@ -872,7 +873,7 @@ impl SuperWaveAcc {
 
     /// The mutable row block `[base..base+n_rows]` of an entry.
     pub fn rows_mut(&mut self, entry: usize, base: usize, n_rows: usize) -> &mut [f32] {
-        let k = self.entries[entry].key.k_len;
+        let k = self.entries[entry].weight.shape().1;
         &mut self.entries[entry].rows[base * k..(base + n_rows) * k]
     }
 
@@ -1285,12 +1286,7 @@ mod tests {
         let ones = [1.0f32; 8];
         let w1 = Arc::new(PackedB::pack_nt(&ones, 2, 4));
         let w2 = Arc::new(PackedB::pack_nt(&ones, 2, 4));
-        let key = SuperKey {
-            wave: 1,
-            group: 0,
-            cols: 2,
-            k_len: 4,
-        };
+        let key = SuperKey { wave: 1, group: 0 };
         let other_key = SuperKey { group: 1, ..key };
         let mut acc = SuperWaveAcc::default();
         let (e0, b0) = acc.register(key, &w1, 3, 0, 0);

@@ -1408,8 +1408,8 @@ mod tests {
     #[test]
     fn steady_state_serving_repacks_no_weights() {
         // Weight packs are pinned across a serving engine's lifetime
-        // (LRU eviction, keyed per params generation): after the first
-        // flush, no flush may repack anything.
+        // (one per stacking group per params generation): after the
+        // first flush, no flush may repack anything.
         let model = treelstm::tree_lstm(8, LeafInit::Embedding);
         let program = model.lower(&RaSchedule::default()).unwrap();
         let mut batcher = Batcher::new(&program, model.params.clone(), manual(3));

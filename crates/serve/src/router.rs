@@ -496,7 +496,6 @@ impl<'p> Router<'p> {
             self.flush_shards();
             self.pump(true);
         }
-        self.drain_shards();
         self.idle = None;
         self.take_done()
     }
@@ -522,7 +521,9 @@ impl<'p> Router<'p> {
         for f in std::mem::take(&mut self.in_flight) {
             self.finish(&f, Err(ServeError::Shed));
         }
-        self.drain_shards();
+        // The shed tickets' legs may still be queued: drop what they
+        // resolve to.
+        self.batchers().for_each(|b| drop(b.drain()));
         self.idle = None;
         self.take_done()
     }
@@ -632,6 +633,13 @@ impl<'p> Router<'p> {
     /// Resolved outcomes nobody has claimed via [`Router::poll`] yet.
     pub fn unclaimed(&self) -> usize {
         self.done.len()
+    }
+
+    /// Whether no alive shard of `model` tracks a ticket
+    /// ([`Batcher::is_empty`]), as after [`Router::drain`].
+    pub fn shards_empty(&self, model: ModelId) -> bool {
+        let shards = &self.models[model.0].shards;
+        (shards.iter()).all(|s| s.batcher.as_ref().is_none_or(Batcher::is_empty))
     }
 
     /// How many shards of `model` are still alive.
@@ -1003,26 +1011,15 @@ impl<'p> Router<'p> {
         }
     }
 
-    fn flush_shards(&mut self) {
-        for entry in &mut self.models {
-            for shard in &mut entry.shards {
-                if let Some(b) = shard.batcher.as_mut() {
-                    b.flush();
-                }
-            }
-        }
+    /// Every alive shard batcher, model by model.
+    fn batchers(&mut self) -> impl Iterator<Item = &mut Batcher<'p>> {
+        let shards = self.models.iter_mut().flat_map(|e| &mut e.shards);
+        shards.filter_map(|s| s.batcher.as_mut())
     }
 
-    /// Drains every alive shard batcher, dropping what it resolved:
-    /// the legs of tickets [`Router::shutdown`] shed (used once all
-    /// router tickets are settled).
-    fn drain_shards(&mut self) {
-        for entry in &mut self.models {
-            for shard in &mut entry.shards {
-                if let Some(b) = shard.batcher.as_mut() {
-                    let _ = b.drain();
-                }
-            }
+    fn flush_shards(&mut self) {
+        for b in self.batchers() {
+            b.flush();
         }
     }
 

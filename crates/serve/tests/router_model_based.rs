@@ -15,7 +15,8 @@
 //!    run on a clean engine exactly (outputs *and* `Profile`), no
 //!    matter which shard served it, how many legs it took, or what
 //!    faults its chunk-mates raised.
-//! 3. **Accounting** — after a final drain nothing is pending and
+//! 3. **Accounting** — after a final drain nothing is pending, no
+//!    shard batcher tracks a ticket, and
 //!    `submitted == resolved_ok + resolved_err` in [`RouterStats`].
 //!
 //! Seeds come from `CORTEX_FAULT_SEEDS` (comma-separated, for CI
@@ -278,6 +279,9 @@ fn run_router_interleaving(seed: u64) -> u64 {
     );
     assert_eq!(router.pending(), 0, "drain must settle every ticket");
     assert_eq!(router.unclaimed(), 0, "drain must hand every outcome back");
+    for &id in &ids {
+        assert!(router.shards_empty(id), "drain leaves no shard work behind");
+    }
     let stats = router.stats();
     assert_eq!(
         stats.resolved_ok + stats.resolved_err,

@@ -133,9 +133,9 @@ impl PackedB {
         n.div_ceil(w) * w * k
     }
 
-    /// Output columns.
-    pub fn n(&self) -> usize {
-        self.n
+    /// Output columns and reduction extent, `(n, k)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.n, self.k)
     }
 
     /// Floats held, padding included.
@@ -157,7 +157,7 @@ impl Default for PackedB {
 }
 
 /// The packed product: `c[i·n + j] = Σ_k a[i·k + k']·B[j][k']` for `m`
-/// rows of `a` against the `n = b.n()` columns of `b`. Returns whether
+/// rows of `a` against the `n = b.shape().0` columns of `b`. Returns whether
 /// the launch was split across lanes (see [`simd::gemm_panels`]); every
 /// element is the same k-sequential chain either way.
 ///

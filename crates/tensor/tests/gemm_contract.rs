@@ -23,7 +23,7 @@ fn pack_nt(l: Level, b: &[f32], n: usize, k: usize) -> PackedB {
 
 fn product(a: &[f32], b: &PackedB, m: usize) -> Vec<f32> {
     // A poisoned output shows any element the kernel fails to store.
-    let mut c = vec![f32::NAN; m * b.n()];
+    let mut c = vec![f32::NAN; m * b.shape().0];
     kernels::gemm_packed_into(&mut c, a, b, m);
     c
 }
