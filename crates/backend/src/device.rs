@@ -112,7 +112,7 @@ impl DeviceSpec {
     }
 
     /// Fraction of the device kept busy by a wave `width` nodes wide.
-    pub fn utilization(&self, width: u64) -> f64 {
+    pub(crate) fn utilization(&self, width: u64) -> f64 {
         ((width as f64 * NODE_LANES) / self.parallel_lanes).clamp(1.0 / self.parallel_lanes, 1.0)
     }
 

@@ -93,15 +93,6 @@ use stopwatch::Stopwatch;
 pub use program::PlanStats;
 pub use verify::VerifyError;
 
-/// Whether this build records every runtime access into the dynamic
-/// shadow checker and asserts it against what lowering promised: no
-/// wave stores a cell its gathers read, no fused row touches another
-/// row's cells (the `checked` cargo feature). Default builds pay
-/// nothing.
-pub fn shadow_checking_enabled() -> bool {
-    cfg!(feature = "checked")
-}
-
 /// Slot/pc/bounds assertions in the pc runtime's hot loops, compiled in
 /// only under the `checked` cargo feature (CI runs the suite with it
 /// on; default builds pay nothing). Results are bit-identical either
@@ -602,7 +593,7 @@ pub struct ExecStats {
     /// unobserved engine.
     pub serve_ns: u64,
     /// Dynamic shadow-checker assertions executed (0 unless the
-    /// `checked` feature is on — see [`shadow_checking_enabled`]).
+    /// `checked` cargo feature is on).
     pub shadow_checks: u64,
 }
 
@@ -1468,33 +1459,6 @@ impl<'p> Engine<'p> {
             latency,
             persist,
         })
-    }
-
-    /// Batched counterpart of [`Engine::run`]: executes a queue of
-    /// independent inputs through one merged super-wave schedule (see
-    /// [`Engine::execute_many`]) and returns one [`RunResult`] per
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// See [`run`].
-    pub fn run_many(
-        &mut self,
-        lins: &[&Linearized],
-        params: &Params,
-        device: &DeviceSpec,
-    ) -> Result<Vec<RunResult>, ExecError> {
-        let persist = check_persistence(self.program, device);
-        let results = self.execute_many(lins, params, persist.active())?;
-        Ok(results
-            .into_iter()
-            .map(|(outputs, profile)| RunResult {
-                latency: device.latency(&profile),
-                outputs,
-                profile,
-                persist: persist.clone(),
-            })
-            .collect())
     }
 }
 

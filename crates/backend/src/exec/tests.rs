@@ -1177,7 +1177,13 @@ fn footprint_bounds_the_packed_weights_actually_held() {
         let mut engine = Engine::new(&program);
         engine.execute(&lin, &params, true).unwrap();
         let held: u64 = (engine.packs.iter().filter_map(|p| p.get()))
-            .map(|w| 4 * w.floats() as u64)
+            .map(|w| {
+                4 * cortex_tensor::kernels::PackedB::padded_len(
+                    cortex_tensor::simd::level(),
+                    w.shape().0,
+                    w.shape().1,
+                ) as u64
+            })
             .sum();
         assert!(held >= 4 * (h * h) as u64, "h={h}: the matvec weight packs");
         assert!(
@@ -1756,10 +1762,8 @@ fn shadow_checks_count_only_under_the_checked_feature() {
     engine.execute(&lin, &params, true).unwrap();
     let stats = engine.stats();
     if cfg!(feature = "checked") {
-        assert!(super::shadow_checking_enabled());
         assert!(stats.shadow_checks > 0, "shadow hooks recorded accesses");
     } else {
-        assert!(!super::shadow_checking_enabled());
         assert_eq!(stats.shadow_checks, 0);
     }
 }

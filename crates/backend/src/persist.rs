@@ -47,21 +47,12 @@ impl PersistDecision {
     }
 }
 
-/// Bytes of `Param` storage declared by a program.
-pub fn param_bytes(program: &IlirProgram) -> u64 {
-    program
-        .declared_tensors()
-        .filter(|t| t.class == StorageClass::Param)
-        .map(|t| t.len(0, 0) as u64 * 4) // params are fully static
-        .sum()
-}
-
 /// Bytes of *recurrent* parameters: those read inside the wave loops (or
 /// per-batch kernels) and therefore re-read every iteration without
 /// persistence. One-shot parameters (embedding tables gathered once in
 /// leaf/precompute kernels) are excluded — persistent-RNN systems pin
 /// only the recurrent weights.
-pub fn recurrent_param_bytes(program: &IlirProgram) -> u64 {
+fn recurrent_param_bytes(program: &IlirProgram) -> u64 {
     let mut recurrent: HashSet<TensorId> = HashSet::new();
     for kernel in &program.kernels {
         let in_wave_kernel = kernel.launch == LaunchPattern::PerInternalBatch;

@@ -5,8 +5,8 @@
 //! vertex per tensor operator per data-structure node — "a much larger
 //! graph" (§7.2, Table 6). Both the graph construction and the
 //! signature/depth-based batching pass are executed for real here and
-//! timed with wall clocks (each at its fastest of
-//! [`TIMING_RUNS`](cortex_ds::linearizer::TIMING_RUNS) runs); execution
+//! timed with wall clocks (each at its fastest of five runs, see
+//! [`time_fastest`]); execution
 //! then issues one vendor call per operator batch with gather/scatter
 //! contiguity copies.
 

@@ -57,13 +57,8 @@ impl MemoryMeter {
         }
     }
 
-    /// Grows the reusable contiguity workspace to at least `bytes`.
-    pub fn reserve_pool(&mut self, bytes: u64) {
-        self.pool = self.pool.max(bytes);
-    }
-
     /// Peak bytes observed (live allocations plus the workspace pool).
-    pub fn peak(&self) -> u64 {
+    pub(crate) fn peak(&self) -> u64 {
         self.peak + self.pool
     }
 }
@@ -190,7 +185,7 @@ impl VendorCtx {
     pub fn contiguity_copy(&mut self, bytes: u64) {
         self.profile.memcpy_bytes += bytes;
         self.profile.host_api_calls += 1;
-        self.memory.reserve_pool(bytes);
+        self.memory.pool = self.memory.pool.max(bytes);
         self.profile.allocated_bytes = self.memory.peak();
     }
 

@@ -38,6 +38,16 @@
 //!    does a cap without a `#` reason line directly above it: raising a
 //!    cap means writing down why, in the same change. `[unsafe]` counts
 //!    need their reason line the same way.
+//! 7. **Unreached public surface** — a bare `pub` `fn`, `struct`,
+//!    `enum`, `trait`, `type`, `const` or `static` (inherent methods
+//!    included) in a library crate's non-test code whose name no other
+//!    file's non-test code mentions. Users are searched in every other
+//!    file under `crates/*/src` (bins included), `benchmarks/src` and
+//!    `examples/`; `use` items, `tests.rs` files, inline test modules,
+//!    `crates/*/tests` and the root `tests/` are no users. Delete the
+//!    item, narrow it, or list it under `[surface]` (`<path> <name>`, or
+//!    `<path>` for a whole test-support file) with a `#` reason line
+//!    above it; an entry that exempts nothing is stale.
 //!
 //! Run with `cargo run --release -p cortex-bench-harness --bin lint`;
 //! CI runs it as part of the `analysis-gates` job. Exit code 1 on any
@@ -122,7 +132,12 @@ fn strip(source: &str) -> String {
                 i += 1;
                 while i < b.len() {
                     if b[i] == '\\' {
-                        out.push_str("  ");
+                        // An escaped newline (a line continuation) stays
+                        // a newline, so line numbers hold.
+                        out.push(' ');
+                        if i + 1 < b.len() {
+                            out.push(if b[i + 1] == '\n' { '\n' } else { ' ' });
+                        }
                         i += 2;
                     } else if b[i] == '"' {
                         out.push(' ');
@@ -302,11 +317,10 @@ struct Cap {
     cap: usize,
 }
 
-/// The entries of the allowlist's `[section]`. Every entry must be
-/// `<path> <cap>` with a `#` reason line directly above it; each entry
-/// that is not is returned as a violation.
-fn parse_caps(text: &str, section: &str) -> (Vec<Cap>, Vec<String>) {
-    let (mut caps, mut violations) = (Vec::new(), Vec::new());
+/// The lines of the allowlist's `[section]`, each with whether a `#`
+/// reason line sits directly above it.
+fn section_lines<'a>(text: &'a str, section: &str) -> Vec<(&'a str, bool)> {
+    let mut lines = Vec::new();
     let (mut inside, mut reasoned) = (false, false);
     for line in text.lines().map(str::trim) {
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
@@ -315,28 +329,55 @@ fn parse_caps(text: &str, section: &str) -> (Vec<Cap>, Vec<String>) {
             reasoned = true;
             continue;
         } else if inside && !line.is_empty() {
-            let mut fields = line.split_whitespace();
-            let entry = match (fields.next(), fields.next().map(str::parse), fields.next()) {
-                (Some(path), Some(Ok(cap)), None) => Some(Cap {
-                    path: path.trim_end_matches('/').to_string(),
-                    cap,
-                }),
-                _ => None,
-            };
-            match entry {
-                None => violations.push(format!(
-                    "lint-allow.txt: [{section}] entry `{line}` is not `<path> <cap>`"
-                )),
-                Some(c) if !reasoned => violations.push(format!(
-                    "lint-allow.txt: [{section}] cap for {} has no `#` reason line above it",
-                    c.path
-                )),
-                Some(c) => caps.push(c),
-            }
+            lines.push((line, reasoned));
         }
         reasoned = false;
     }
+    lines
+}
+
+/// A violation for an allowlist entry (`what`) with no reason line.
+fn unreasoned(section: &str, what: &str, path: &str) -> String {
+    format!("lint-allow.txt: [{section}] {what} for {path} has no `#` reason line above it")
+}
+
+/// The entries of the allowlist's `[section]`. Every entry must be
+/// `<path> <cap>` with a `#` reason line directly above it; each entry
+/// that is not is returned as a violation.
+fn parse_caps(text: &str, section: &str) -> (Vec<Cap>, Vec<String>) {
+    let (mut caps, mut violations) = (Vec::new(), Vec::new());
+    for (line, reasoned) in section_lines(text, section) {
+        let mut fields = line.split_whitespace();
+        match (fields.next(), fields.next().map(str::parse), fields.next()) {
+            (Some(path), Some(Ok(cap)), None) if reasoned => caps.push(Cap {
+                path: path.trim_end_matches('/').to_string(),
+                cap,
+            }),
+            (Some(path), Some(Ok(_)), None) => {
+                violations.push(unreasoned(section, "cap", path.trim_end_matches('/')));
+            }
+            _ => violations.push(format!(
+                "lint-allow.txt: [{section}] entry `{line}` is not `<path> <cap>`"
+            )),
+        }
+    }
     (caps, violations)
+}
+
+/// The `[surface]` entries, `<path> <name>` or `<path>` (a whole file),
+/// each needing a `#` reason line directly above it.
+fn parse_surface(text: &str) -> (Vec<(String, Option<String>)>, Vec<String>) {
+    let (mut entries, mut violations) = (Vec::new(), Vec::new());
+    for (line, reasoned) in section_lines(text, "surface") {
+        let mut fields = line.split_whitespace().map(str::to_string);
+        let path = fields.next().unwrap_or_default();
+        if reasoned {
+            entries.push((path, fields.next()));
+        } else {
+            violations.push(unreasoned("surface", "entry", &path));
+        }
+    }
+    (entries, violations)
 }
 
 /// Every `[unsafe]` file with more `unsafe` than its entry allows, as a
@@ -377,6 +418,152 @@ fn over_budget(files: &[(String, String)], budgets: &[Cap]) -> Vec<String> {
             violations.push(format!(
                 "{dir}: {lines} non-test lines, over its [budget] cap of {cap} (delete code, \
                  or raise the cap in lint-allow.txt with a reason line above it)"
+            ));
+        }
+    }
+    violations
+}
+
+/// The stripped text with every `use` item (`use …;`, `pub use …;`,
+/// `pub(crate) use …;`) blanked: importing a name does not use it.
+fn strip_uses(stripped: &str) -> String {
+    let mut out = String::with_capacity(stripped.len());
+    let mut inside = false;
+    for line in stripped.split_inclusive('\n') {
+        let item = line.trim_start();
+        let item = item.strip_prefix("pub").map_or(item, |rest| {
+            let rest = rest.trim_start();
+            let rest = rest
+                .strip_prefix('(')
+                .map_or(rest, |r| r.split_once(')').map_or(r, |p| p.1));
+            rest.trim_start()
+        });
+        inside |= item.starts_with("use ");
+        if !inside {
+            out.push_str(line);
+            continue;
+        }
+        let blank = line.find(';').map_or(line.len(), |end| {
+            inside = false;
+            end + 1
+        });
+        out.extend(
+            line[..blank]
+                .chars()
+                .map(|c| if c == '\n' { c } else { ' ' }),
+        );
+        out.push_str(&line[blank..]);
+    }
+    out
+}
+
+/// A bare `pub` item's kind and name, if `line` (stripped) declares one:
+/// `pub [const|unsafe|async|extern] fn|struct|enum|trait|type|const|static NAME`.
+fn pub_item(line: &str) -> Option<(&str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = rest
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .peekable();
+    let mut kind = words.next()?;
+    while matches!(kind, "const" | "unsafe" | "async" | "extern")
+        && words
+            .peek()
+            .is_some_and(|w| matches!(*w, "fn" | "trait" | "unsafe" | "async" | "extern"))
+    {
+        kind = words.next()?;
+    }
+    if !matches!(
+        kind,
+        "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static"
+    ) {
+        return None;
+    }
+    let name = words.next()?;
+    let name = if kind == "static" && name == "mut" {
+        words.next()?
+    } else {
+        name
+    };
+    Some((kind, name))
+}
+
+/// The path of `rel` inside its crate's `src/`, if it is under one.
+fn crate_src(rel: &str) -> Option<&str> {
+    let (_, path) = rel.strip_prefix("crates/")?.split_once('/')?;
+    path.strip_prefix("src/")
+}
+
+/// Rule 7: every bare `pub` item in a library crate's non-test code
+/// (`crates/*/src`, bins and `tests.rs` files excluded) whose name no
+/// other file's non-test code mentions. `files` are the crates' sources;
+/// `users` are the other files whose code counts (`benchmarks/src`,
+/// `examples/`). `use` items are no use, and neither is test code.
+/// `allowed` holds the `[surface]` entries, `(path, None)` exempting a
+/// whole file; an entry that exempts nothing is stale.
+fn unreached_surface(
+    files: &[(String, String)],
+    users: &[(String, String)],
+    allowed: &[(String, Option<String>)],
+) -> Vec<String> {
+    // The non-test code of every file, stripped of comments, strings
+    // and `use` items.
+    let code: Vec<(&String, String)> = (files.iter())
+        .filter(|(rel, _)| crate_src(rel).is_some())
+        .chain(users)
+        .filter(|(rel, _)| !rel.ends_with("/tests.rs"))
+        .map(|(rel, text)| {
+            let stripped = strip(text);
+            let end = test_start(text).saturating_sub(1);
+            let kept: String = stripped.split_inclusive('\n').take(end).collect();
+            (rel, strip_uses(&kept))
+        })
+        .collect();
+    let words: Vec<HashSet<&str>> = (code.iter())
+        .map(|(_, text)| {
+            (text.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+                .filter(|w| !w.is_empty())
+                .collect()
+        })
+        .collect();
+    let library = |rel: &str| crate_src(rel).is_some_and(|path| !path.starts_with("bin/"));
+    let mut violations = Vec::new();
+    let mut used_entries = HashSet::new();
+    for (i, (rel, text)) in code.iter().enumerate() {
+        if !library(rel) {
+            continue;
+        }
+        for (n, line) in text.lines().enumerate() {
+            let Some((kind, name)) = pub_item(line) else {
+                continue;
+            };
+            let reached = (words.iter().enumerate()).any(|(j, w)| j != i && w.contains(name));
+            if reached {
+                continue;
+            }
+            let entry = (allowed.iter()).position(|(path, item)| {
+                path == *rel && item.as_deref().is_none_or(|item| item == name)
+            });
+            match entry {
+                Some(e) => {
+                    used_entries.insert(e);
+                }
+                None => violations.push(format!(
+                    "{rel}:{}: `pub {kind} {name}` is reached from no other file's non-test \
+                     code (delete it, narrow it, or allowlist it under [surface] with a reason)",
+                    n + 1
+                )),
+            }
+        }
+    }
+    for (e, (path, item)) in allowed.iter().enumerate() {
+        if !used_entries.contains(&e) {
+            let what = item
+                .as_ref()
+                .map_or(String::new(), |name| format!(" {name}"));
+            violations.push(format!(
+                "lint-allow.txt: stale [surface] entry {path}{what} (it exempts no unreached \
+                 `pub` item; delete the line)"
             ));
         }
     }
@@ -473,26 +660,33 @@ fn main() {
     let (budgets, mut cap_violations) = parse_caps(&allow_text, "budget");
     let (unsafe_counts, mut count_violations) = parse_caps(&allow_text, "unsafe");
     cap_violations.append(&mut count_violations);
+    let (surface, mut surface_violations) = parse_surface(&allow_text);
+    cap_violations.append(&mut surface_violations);
 
-    let mut sources = Vec::new();
-    rust_sources(&root.join("crates"), &mut sources);
-    sources.sort();
-    let files: Vec<(String, String)> = sources
-        .iter()
-        .map(|path| {
-            let rel = path
-                .strip_prefix(&root)
-                .expect("under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            (rel, std::fs::read_to_string(path).expect("readable source"))
-        })
-        .collect();
+    let read_sources = |dir: &str| {
+        let mut sources = Vec::new();
+        rust_sources(&root.join(dir), &mut sources);
+        sources.sort();
+        (sources.iter())
+            .map(|path| {
+                let rel = path
+                    .strip_prefix(&root)
+                    .expect("under root")
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                (rel, std::fs::read_to_string(path).expect("readable source"))
+            })
+            .collect::<Vec<(String, String)>>()
+    };
+    let files = read_sources("crates");
+    let mut users = read_sources("benchmarks/src");
+    users.extend(read_sources("examples"));
     let scanned = files.len();
     let mut violations = lint(&files, &allow);
     violations.append(&mut cap_violations);
     violations.extend(over_budget(&files, &budgets));
     violations.extend(over_unsafe_counts(&files, &unsafe_counts));
+    violations.extend(unreached_surface(&files, &users, &surface));
 
     if violations.is_empty() {
         println!("lint: {scanned} files clean");
@@ -653,5 +847,96 @@ mod tests {
         assert!(violations[0].contains("stale [unsafe] entry crates/a/src/cleaned.rs"));
         assert!(violations[1].contains("stale [unsafe] entry crates/a/src/deleted.rs"));
         assert!(violations[2].contains("stale [clock] entry crates/a/src/live.rs"));
+    }
+
+    /// The `[surface]` findings for `files` (crate sources) and `users`
+    /// (`benchmarks/src`, `examples/`) under the allowlist `table`.
+    fn surface(files: &[(String, String)], users: &[(String, String)], table: &str) -> Vec<String> {
+        let (entries, mut violations) = parse_surface(table);
+        violations.extend(unreached_surface(files, users, &entries));
+        violations
+    }
+
+    const LIB: &str = "pub fn lonely() {}\npub(crate) fn narrow() {}\nfn private() {}\n";
+
+    #[test]
+    fn an_unreached_pub_fn_is_flagged() {
+        let files = [file("crates/a/src/lib.rs", LIB)];
+        let found = surface(&files, &[], "");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("crates/a/src/lib.rs:1: `pub fn lonely` is reached from no"));
+    }
+
+    #[test]
+    fn a_user_in_another_crate_or_the_benchmark_passes() {
+        let files = [
+            file("crates/a/src/lib.rs", LIB),
+            file("crates/b/src/lib.rs", "fn f() { a::lonely(); }\n"),
+        ];
+        assert_eq!(surface(&files, &[], ""), Vec::<String>::new());
+        let bench = [file(
+            "benchmarks/src/main.rs",
+            "fn main() { a::lonely(); }\n",
+        )];
+        let files = [file("crates/a/src/lib.rs", LIB)];
+        assert_eq!(surface(&files, &bench, ""), Vec::<String>::new());
+        // A bin of the crate itself is a user too.
+        let files = [
+            file("crates/a/src/lib.rs", LIB),
+            file("crates/a/src/bin/tool.rs", "fn main() { a::lonely(); }\n"),
+        ];
+        assert_eq!(surface(&files, &[], ""), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_user_only_in_tests_does_not_count() {
+        let files = [
+            file("crates/a/src/lib.rs", LIB),
+            file(
+                "crates/b/src/lib.rs",
+                "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { a::lonely(); }\n}\n",
+            ),
+            file("crates/b/src/exec/tests.rs", "fn t() { a::lonely(); }\n"),
+            file("crates/b/tests/it.rs", "fn t() { a::lonely(); }\n"),
+            file(
+                "crates/b/src/prose.rs",
+                "// a::lonely() in prose\nfn g() { \"lonely\"; }\n",
+            ),
+        ];
+        assert_eq!(surface(&files, &[], "").len(), 1);
+    }
+
+    #[test]
+    fn a_use_item_does_not_count() {
+        let files = [
+            file("crates/a/src/lib.rs", LIB),
+            file(
+                "crates/b/src/lib.rs",
+                "use a::lonely;\npub use a::{\n    lonely as alone,\n};\nfn f() {}\n",
+            ),
+        ];
+        assert_eq!(surface(&files, &[], "").len(), 1);
+    }
+
+    #[test]
+    fn surface_allowlist_lines_need_a_reason_and_must_exempt_something() {
+        let files = [file("crates/a/src/lib.rs", LIB)];
+        let reasoned = "[surface]\n# why\ncrates/a/src/lib.rs lonely\n";
+        assert_eq!(surface(&files, &[], reasoned), Vec::<String>::new());
+        let whole = "[surface]\n# test support\ncrates/a/src/lib.rs\n";
+        assert_eq!(surface(&files, &[], whole), Vec::<String>::new());
+
+        let bare = surface(&files, &[], "[surface]\ncrates/a/src/lib.rs lonely\n");
+        assert_eq!(bare.len(), 2, "{bare:?}");
+        assert!(bare[0].contains("[surface] entry for crates/a/src/lib.rs has no `#` reason line"));
+        assert!(bare[1].starts_with("crates/a/src/lib.rs:1: `pub fn lonely`"));
+
+        let stale = surface(
+            &files,
+            &[],
+            "[surface]\n# why\ncrates/a/src/lib.rs lonely\n# gone\ncrates/a/src/lib.rs narrow\n",
+        );
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert!(stale[0].contains("stale [surface] entry crates/a/src/lib.rs narrow"));
     }
 }

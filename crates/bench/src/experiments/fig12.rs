@@ -3,7 +3,7 @@
 use cortex_backend::device::DeviceSpec;
 use cortex_core::ra::RaSchedule;
 
-use crate::registry::{ModelId, MAIN_MODELS};
+use crate::registry::MAIN_MODELS;
 use crate::runner::{baseline, cortex, Baseline};
 use crate::table::Table;
 use crate::Scale;
@@ -46,33 +46,35 @@ pub fn run(scale: Scale) -> String {
     t.render()
 }
 
-/// Peak bytes per framework for one model (used by tests).
-pub fn peaks(id: ModelId, scale: Scale) -> [u64; 5] {
-    let gpu = DeviceSpec::v100();
-    let model = id.build(id.hs(scale));
-    let data = id.dataset(10, super::SEED);
-    [
-        baseline(Baseline::PyTorch, &model, &data, &gpu)
-            .profile
-            .allocated_bytes,
-        baseline(Baseline::DyNet, &model, &data, &gpu)
-            .profile
-            .allocated_bytes,
-        baseline(Baseline::DyNetInference, &model, &data, &gpu)
-            .profile
-            .allocated_bytes,
-        baseline(Baseline::Cavs, &model, &data, &gpu)
-            .profile
-            .allocated_bytes,
-        cortex(&model, &data, &RaSchedule::default(), &gpu)
-            .profile
-            .allocated_bytes,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::SEED;
+    use crate::registry::ModelId;
+
+    /// Peak bytes per framework for one model.
+    fn peaks(id: ModelId, scale: Scale) -> [u64; 5] {
+        let gpu = DeviceSpec::v100();
+        let model = id.build(id.hs(scale));
+        let data = id.dataset(10, SEED);
+        [
+            baseline(Baseline::PyTorch, &model, &data, &gpu)
+                .profile
+                .allocated_bytes,
+            baseline(Baseline::DyNet, &model, &data, &gpu)
+                .profile
+                .allocated_bytes,
+            baseline(Baseline::DyNetInference, &model, &data, &gpu)
+                .profile
+                .allocated_bytes,
+            baseline(Baseline::Cavs, &model, &data, &gpu)
+                .profile
+                .allocated_bytes,
+            cortex(&model, &data, &RaSchedule::default(), &gpu)
+                .profile
+                .allocated_bytes,
+        ]
+    }
 
     #[test]
     fn memory_ordering_matches_paper() {

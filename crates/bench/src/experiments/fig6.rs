@@ -9,7 +9,7 @@ use crate::table::{speedup, Table};
 use crate::Scale;
 
 /// Batch sizes sampled along the figure's x-axis.
-pub const BATCH_SIZES: [usize; 4] = [1, 4, 7, 10];
+pub(crate) const BATCH_SIZES: [usize; 4] = [1, 4, 7, 10];
 
 /// Regenerates the Fig. 6 series.
 pub fn run(scale: Scale) -> String {

@@ -15,7 +15,7 @@ use crate::Scale;
 
 /// Measured linearization time in microseconds for a model's dataset at a
 /// batch size (median of `reps` runs for stability).
-pub fn linearize_us(id: ModelId, bs: usize, reps: usize) -> f64 {
+pub(crate) fn linearize_us(id: ModelId, bs: usize, reps: usize) -> f64 {
     let data = id.dataset(bs, super::SEED);
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {

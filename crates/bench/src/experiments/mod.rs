@@ -18,7 +18,7 @@ use crate::Scale;
 pub const SEED: u64 = 2021;
 
 /// An experiment: the formatted table at a scale.
-pub type Experiment = fn(Scale) -> String;
+pub(crate) type Experiment = fn(Scale) -> String;
 
 /// Every experiment under its `all_experiments` name, in print order.
 pub const ALL: [(&str, Experiment); 12] = [

@@ -35,7 +35,7 @@ pub fn measure(scale: Scale, bs: usize) -> (f64, f64, f64) {
 }
 
 /// The paper's analytic approximations (Fig. 14 with N ≈ H = N0).
-pub fn analytic(n0: f64, b: f64) -> (f64, f64, f64) {
+pub(crate) fn analytic(n0: f64, b: f64) -> (f64, f64, f64) {
     (
         b * n0 / (3.0 * b + 2.0),
         b * n0 / (5.0 * b + 8.0 * n0.log2()),

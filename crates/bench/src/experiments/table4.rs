@@ -14,10 +14,10 @@ use crate::table::{ms, speedup, Table};
 use crate::Scale;
 
 /// The models Table 4 covers.
-pub const MODELS: [ModelId; 3] = [ModelId::TreeFc, ModelId::TreeGru, ModelId::TreeLstm];
+pub(crate) const MODELS: [ModelId; 3] = [ModelId::TreeFc, ModelId::TreeGru, ModelId::TreeLstm];
 
 /// The Cortex schedule for the Cavs comparison: specialization off.
-pub fn fair_schedule() -> RaSchedule {
+pub(crate) fn fair_schedule() -> RaSchedule {
     RaSchedule {
         specialize: false,
         ..RaSchedule::default()

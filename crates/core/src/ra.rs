@@ -103,7 +103,7 @@ pub struct RaOp {
 
 impl RaOp {
     /// Whether this op's tensor has the implicit leading node dimension.
-    pub fn is_node_major(&self) -> bool {
+    pub(crate) fn is_node_major(&self) -> bool {
         !matches!(self.kind, RaOpKind::Input)
     }
 }
@@ -452,19 +452,6 @@ impl RaGraph {
         Ok(())
     }
 
-    /// The recursion op tying `placeholder`, if any.
-    pub fn recursion_for(&self, placeholder: TensorId) -> Option<TensorId> {
-        self.ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, op)| match op.kind {
-                RaOpKind::Recursion {
-                    placeholder: ph, ..
-                } if ph == placeholder => Some(TensorId(i as u32)),
-                _ => None,
-            })
-    }
-
     /// Tensors read by op `id` (direct dependencies).
     pub fn reads_of(&self, id: TensorId) -> Vec<TensorId> {
         match &self.ops[id.0 as usize].kind {
@@ -477,11 +464,6 @@ impl RaGraph {
             RaOpKind::IfThenElse { then, otherwise } => vec![*then, *otherwise],
             RaOpKind::Recursion { body, .. } => vec![*body],
         }
-    }
-
-    /// Fresh-variable generator access for lowering.
-    pub fn var_gen_mut(&mut self) -> &mut VarGen {
-        &mut self.vg
     }
 }
 

@@ -107,7 +107,7 @@ pub fn simplify_bool(e: &BoolExpr) -> BoolExpr {
 }
 
 /// Canonical constant-true/false encodings (`0 == 0` / `0 == 1`).
-pub fn constant_bool(v: bool) -> BoolExpr {
+pub(crate) fn constant_bool(v: bool) -> BoolExpr {
     BoolExpr::Cmp(
         CmpOp::Eq,
         IdxExpr::Const(0),
@@ -117,7 +117,7 @@ pub fn constant_bool(v: bool) -> BoolExpr {
 
 /// Recognizes the canonical constant encodings (and any decided constant
 /// comparison).
-pub fn is_constant_bool(e: &BoolExpr) -> Option<bool> {
+pub(crate) fn is_constant_bool(e: &BoolExpr) -> Option<bool> {
     if let BoolExpr::Cmp(op, IdxExpr::Const(x), IdxExpr::Const(y)) = e {
         return Some(op.apply(*x, *y));
     }
@@ -272,7 +272,7 @@ mod tests {
     fn decides_constant_comparisons() {
         let t = BoolExpr::lt(IdxExpr::Const(1), IdxExpr::Const(2));
         assert_eq!(is_constant_bool(&simplify_bool(&t)), Some(true));
-        let f = BoolExpr::ge(IdxExpr::Const(1), IdxExpr::Const(2));
+        let f = BoolExpr::Cmp(CmpOp::Ge, IdxExpr::Const(1), IdxExpr::Const(2));
         assert_eq!(is_constant_bool(&simplify_bool(&f)), Some(false));
     }
 

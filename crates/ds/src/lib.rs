@@ -47,10 +47,8 @@
 
 pub mod datasets;
 pub mod linearizer;
-pub mod merge;
 pub mod node;
 pub mod structure;
 
-pub use merge::{DepthMap, TaggedId};
 pub use node::NodeId;
 pub use structure::{RecStructure, StructureBuilder, StructureError, StructureKind};

@@ -149,7 +149,6 @@ impl Linearizer {
             };
             next += height_counts[h as usize];
         }
-        let mut new_to_old = vec![0u32; n];
         let mut old_to_new = vec![0u32; n];
         let leaf_begin = next;
         debug_assert_eq!(leaf_begin as usize, num_internal);
@@ -164,7 +163,6 @@ impl Linearizer {
                 offsets[h] += 1;
                 v
             };
-            new_to_old[slot as usize] = node.index() as u32;
             old_to_new[node.index()] = slot;
         }
         let leaf_batch = Batch {
@@ -199,7 +197,6 @@ impl Linearizer {
             num_nodes: n,
             num_internal,
             max_children: slots,
-            new_to_old,
             old_to_new,
             child,
             no_child_row: vec![NO_CHILD; n],
@@ -213,7 +210,7 @@ impl Linearizer {
     }
 
     /// Linearizes and reports the wall-clock time spent doing so (the
-    /// fastest of [`TIMING_RUNS`] runs, see [`time_fastest`]), for the
+    /// fastest of five runs, see [`time_fastest`]), for the
     /// §7.5 linearization-overhead experiment.
     ///
     /// # Errors
@@ -229,9 +226,9 @@ impl Linearizer {
 }
 
 /// How many times [`time_fastest`] runs a host phase.
-pub const TIMING_RUNS: usize = 5;
+pub(crate) const TIMING_RUNS: usize = 5;
 
-/// Runs `f` [`TIMING_RUNS`] times and returns the last result with the
+/// Runs `f` five times and returns the last result with the
 /// fastest run's wall-clock time.
 ///
 /// This is the stopwatch of every measured host overhead that enters a
@@ -260,7 +257,6 @@ pub struct Linearized {
     num_nodes: usize,
     num_internal: usize,
     max_children: usize,
-    new_to_old: Vec<u32>,
     old_to_new: Vec<u32>,
     /// `child[slot][id]` = the id of `id`'s `slot`-th child or [`NO_CHILD`].
     child: Vec<Vec<u32>>,
@@ -379,17 +375,6 @@ impl Linearized {
     /// Leaf check via the Appendix-B numbering: one integer comparison.
     pub fn is_leaf(&self, node: u32) -> bool {
         node as usize >= self.num_internal
-    }
-
-    /// Leaf check via a memory load of the child count — the scheme the
-    /// Appendix-B numbering replaces; kept for the ablation micro-bench.
-    pub fn is_leaf_by_load(&self, node: u32) -> bool {
-        self.num_children[node as usize] == 0
-    }
-
-    /// Translates a new id back to the original structure's node id.
-    pub fn to_structure_id(&self, node: u32) -> NodeId {
-        NodeId::new(self.new_to_old[node as usize])
     }
 
     /// Translates a structure node id to the linearized numbering.
@@ -535,12 +520,6 @@ pub struct UnrolledSchedule {
 }
 
 impl UnrolledSchedule {
-    /// Number of barrier-separated stages across the whole schedule
-    /// (the quantity Fig. 11 illustrates growing under unrolling).
-    pub fn total_stages(&self) -> usize {
-        self.super_waves.iter().map(|w| w.stages.len()).sum()
-    }
-
     /// Barrier count when barriers cannot be amortized across the groups
     /// of a super wave (Fig. 11: each unrolled call region synchronizes
     /// its own stages). This is what a global-barrier schedule pays after
@@ -555,17 +534,6 @@ impl UnrolledSchedule {
     /// case in §7.4).
     pub fn num_super_waves(&self) -> usize {
         self.super_waves.len()
-    }
-
-    /// Every node mentioned by the schedule, for invariant checks.
-    pub fn all_nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .super_waves
-            .iter()
-            .flat_map(|w| w.stages.iter().flatten().copied())
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -614,7 +582,7 @@ mod tests {
         let lin = Linearizer::new().linearize(&t).unwrap();
         assert_eq!(lin.num_internal(), 4);
         for id in 0..lin.num_nodes() as u32 {
-            assert_eq!(lin.is_leaf(id), lin.is_leaf_by_load(id));
+            assert_eq!(lin.is_leaf(id), lin.num_children_of(id) == 0);
             assert_eq!(lin.is_leaf(id), id >= 4);
         }
     }
@@ -711,7 +679,9 @@ mod tests {
         let t = datasets::random_binary_tree(12, 9);
         let lin = Linearizer::new().linearize(&t).unwrap();
         for node in t.iter() {
-            assert_eq!(lin.to_structure_id(lin.from_structure_id(node)), node);
+            let id = lin.from_structure_id(node);
+            assert_eq!(lin.word(id), t.word(node));
+            assert_eq!(lin.num_children_of(id), t.children(node).len());
         }
     }
 
@@ -753,8 +723,10 @@ mod tests {
         let t = datasets::perfect_binary_tree(5, 0);
         let lin = Linearizer::new().linearize(&t).unwrap();
         let sched = lin.unrolled(2).unwrap();
-        let nodes = sched.all_nodes();
-        assert_eq!(nodes.len(), lin.num_internal());
+        let mut nodes: Vec<u32> = (sched.super_waves.iter())
+            .flat_map(|w| w.stages.iter().flatten().copied())
+            .collect();
+        nodes.sort_unstable();
         assert_eq!(nodes, (0..lin.num_internal() as u32).collect::<Vec<_>>());
     }
 
@@ -801,11 +773,10 @@ mod tests {
         let lin = Linearizer::new().linearize(&f).unwrap();
         let plain_barriers = lin.internal_batches().len();
         let sched = lin.unrolled(2).unwrap();
+        let stages: usize = sched.super_waves.iter().map(|w| w.stages.len()).sum();
         assert!(
-            sched.total_stages() >= plain_barriers,
-            "expected unrolling to add barrier stages: {} vs {}",
-            sched.total_stages(),
-            plain_barriers
+            stages >= plain_barriers,
+            "expected unrolling to add barrier stages: {stages} vs {plain_barriers}"
         );
         // ... while reducing the number of super waves (fewer kernel
         // regions), which is what per-node-block schedules exploit.

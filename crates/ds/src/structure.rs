@@ -64,7 +64,7 @@ pub enum StructureError {
         /// Entries in the words table.
         words: usize,
     },
-    /// [`RecStructure::try_merge`] was given parts of different kinds.
+    /// [`RecStructure::merge`] was given parts of different kinds.
     MixedKinds {
         /// Kind of the first part.
         first: StructureKind,
@@ -416,9 +416,7 @@ impl RecStructure {
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is empty or the kinds disagree. Serving fronts
-    /// merging co-batched *requests* should use [`RecStructure::try_merge`],
-    /// which refuses instead.
+    /// Panics if `parts` is empty or the kinds disagree.
     pub fn merge(parts: &[&RecStructure]) -> RecStructure {
         match Self::try_merge(parts) {
             Ok(s) => s,
@@ -426,14 +424,13 @@ impl RecStructure {
         }
     }
 
-    /// Fallible [`merge`](RecStructure::merge): one request with a
-    /// mismatched kind must not bring down the whole batch.
+    /// Fallible [`merge`](RecStructure::merge).
     ///
     /// # Errors
     ///
     /// [`StructureError::Empty`] if `parts` is empty,
     /// [`StructureError::MixedKinds`] if the kinds disagree.
-    pub fn try_merge(parts: &[&RecStructure]) -> Result<RecStructure, StructureError> {
+    fn try_merge(parts: &[&RecStructure]) -> Result<RecStructure, StructureError> {
         let first = match parts.first() {
             Some(f) => f,
             None => return Err(StructureError::Empty),

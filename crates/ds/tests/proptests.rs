@@ -41,7 +41,6 @@ fn linearizer_is_a_bijection() {
             let new = lin.from_structure_id(node);
             assert!(!seen[new as usize]);
             seen[new as usize] = true;
-            assert_eq!(lin.to_structure_id(new), node);
         }
     }
 }
@@ -61,7 +60,7 @@ fn appendix_b_numbering_invariants() {
         // (2) Leaves numbered after all internal nodes, so the one-compare
         // leaf check agrees with the memory-load leaf check everywhere.
         for id in 0..lin.num_nodes() as u32 {
-            assert_eq!(lin.is_leaf(id), lin.is_leaf_by_load(id));
+            assert_eq!(lin.is_leaf(id), lin.num_children_of(id) == 0);
         }
         // (3) Batches partition the nodes.
         let covered: usize = lin.batches().iter().map(|b| b.len()).sum();
@@ -162,8 +161,6 @@ fn unrolled_schedule_is_complete_and_ordered() {
         let t = datasets::random_binary_tree(n, seed);
         let lin = Linearizer::new().linearize(&t).unwrap();
         let sched = lin.unrolled(depth).unwrap();
-        let nodes = sched.all_nodes();
-        assert_eq!(nodes.len(), lin.num_internal());
         // Dependence: internal children execute in a strictly earlier
         // global stage than their parents.
         let mut stage_of = std::collections::HashMap::new();
@@ -171,11 +168,12 @@ fn unrolled_schedule_is_complete_and_ordered() {
         for w in &sched.super_waves {
             for stage in &w.stages {
                 for &node in stage {
-                    stage_of.insert(node, idx);
+                    assert!(stage_of.insert(node, idx).is_none(), "{node} twice");
                 }
                 idx += 1;
             }
         }
+        assert_eq!(stage_of.len(), lin.num_internal());
         for id in 0..lin.num_internal() as u32 {
             for c in lin.children_of(id) {
                 if !lin.is_leaf(c) {

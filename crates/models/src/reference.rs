@@ -12,7 +12,7 @@
 
 use cortex_backend::params::Params;
 use cortex_ds::{RecStructure, StructureKind};
-use cortex_tensor::approx::{sigmoid_exact as sigmoid, tanh_exact as tanh};
+use cortex_tensor::approx::{sigmoid_exact, tanh_exact};
 use cortex_tensor::{kernels, Tensor};
 
 use crate::model::LeafInit;
@@ -74,7 +74,7 @@ pub fn tree_rnn(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) -> 
             mv(w, &hs)
                 .iter()
                 .zip(b.as_slice())
-                .map(|(x, bias)| tanh(x + bias))
+                .map(|(x, bias)| tanh_exact(x + bias))
                 .collect()
         };
     }
@@ -97,7 +97,7 @@ pub fn tree_fc(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) -> V
             let r = mv(wr, &vals[kids[1].index()]);
             add3(&l, &r, b.as_slice())
                 .iter()
-                .map(|&x| tanh(x))
+                .map(|&x| tanh_exact(x))
                 .collect()
         };
     }
@@ -129,18 +129,18 @@ pub fn tree_gru(
             let r: Vec<f32> = mv(ur, &hs)
                 .iter()
                 .zip(br.as_slice())
-                .map(|(x, b)| sigmoid(x + b))
+                .map(|(x, b)| sigmoid_exact(x + b))
                 .collect();
             let z: Vec<f32> = mv(uz, &hs)
                 .iter()
                 .zip(bz.as_slice())
-                .map(|(x, b)| sigmoid(x + b))
+                .map(|(x, b)| sigmoid_exact(x + b))
                 .collect();
             let gated: Vec<f32> = r.iter().zip(&hs).map(|(rv, hv)| rv * hv).collect();
             let hp: Vec<f32> = mv(uh, &gated)
                 .iter()
                 .zip(bh.as_slice())
-                .map(|(x, b)| tanh(x + b))
+                .map(|(x, b)| tanh_exact(x + b))
                 .collect();
             (0..h)
                 .map(|i| {
@@ -190,17 +190,17 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
             let ig: Vec<f32> = mv(ui, &hs)
                 .iter()
                 .zip(bi.as_slice())
-                .map(|(x, b)| sigmoid(x + b))
+                .map(|(x, b)| sigmoid_exact(x + b))
                 .collect();
             let og: Vec<f32> = mv(uo, &hs)
                 .iter()
                 .zip(bo.as_slice())
-                .map(|(x, b)| sigmoid(x + b))
+                .map(|(x, b)| sigmoid_exact(x + b))
                 .collect();
             let ug: Vec<f32> = mv(uu, &hs)
                 .iter()
                 .zip(bu.as_slice())
-                .map(|(x, b)| tanh(x + b))
+                .map(|(x, b)| tanh_exact(x + b))
                 .collect();
             let fgs: Vec<Vec<f32>> = kids
                 .iter()
@@ -208,7 +208,7 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
                     mv(uf, &hv[c])
                         .iter()
                         .zip(bf.as_slice())
-                        .map(|(x, b)| sigmoid(x + b))
+                        .map(|(x, b)| sigmoid_exact(x + b))
                         .collect()
                 })
                 .collect();
@@ -221,7 +221,7 @@ pub fn tree_lstm(s: &RecStructure, params: &Params, h: usize, leaf: LeafInit) ->
                     acc
                 })
                 .collect();
-            let h_new: Vec<f32> = (0..h).map(|i| og[i] * tanh(c_new[i])).collect();
+            let h_new: Vec<f32> = (0..h).map(|i| og[i] * tanh_exact(c_new[i])).collect();
             cv[n.index()] = c_new;
             hv[n.index()] = h_new;
         }
@@ -277,7 +277,7 @@ pub fn mv_rnn(s: &RecStructure, params: &Params, h: usize) -> MvRef {
             let p2 = mv(w2, &ab);
             av[n.index()] = add3(&p1, &p2, b.as_slice())
                 .iter()
-                .map(|&x| tanh(x))
+                .map(|&x| tanh_exact(x))
                 .collect();
             // A(n)[i][j] = Σ_k WM1[i,k] A_l[k,j] + Σ_k WM2[i,k] A_r[k,j]
             let mut m_new = vec![0.0f32; h * h];
@@ -321,7 +321,7 @@ pub fn dag_rnn(s: &RecStructure, params: &Params, h: usize) -> Vec<Vec<f32>> {
                 for (d, c) in kids.iter().enumerate() {
                     acc += kernels::dot(us[d].row(i), &vals[c.index()]);
                 }
-                tanh(acc)
+                tanh_exact(acc)
             })
             .collect();
     }

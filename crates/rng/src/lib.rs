@@ -45,11 +45,6 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    /// The next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `0..n`.
     ///
     /// # Panics

@@ -79,7 +79,6 @@ use cortex_backend::profile::Profile;
 use cortex_core::expr::TensorId;
 use cortex_core::ilir::IlirProgram;
 use cortex_ds::linearizer::Linearized;
-use cortex_ds::merge::DepthMap;
 use cortex_tensor::Tensor;
 
 mod clock;
@@ -285,8 +284,8 @@ pub struct Response {
     /// How many requests shared this request's flush chunk (after any
     /// fault-isolation re-batching).
     pub batch_size: usize,
-    /// Mean merged super-wave width of the request's lane group (from
-    /// the group's [`DepthMap`]): the amortization actually achieved.
+    /// Mean merged super-wave width of the request's lane group (its
+    /// internal nodes per wave): the amortization actually achieved.
     /// [`Engine::execute_many`] merges a flush's requests only within
     /// each of its lane groups ([`Engine::batch_groups`]), so 16 equal
     /// sequences flushed on two lanes report 8. A degraded flush runs
@@ -458,9 +457,8 @@ impl<'p> Batcher<'p> {
         Batcher::with_engine(Engine::new(program), params, opts)
     }
 
-    /// Builds a batcher over a pre-configured engine (e.g. with explicit
-    /// [`ExecOptions`]).
-    pub fn with_engine(engine: Engine<'p>, params: Params, opts: BatcherOptions) -> Self {
+    /// Builds a batcher over a pre-configured engine.
+    pub(crate) fn with_engine(engine: Engine<'p>, params: Params, opts: BatcherOptions) -> Self {
         Batcher {
             base_opts: engine.options(),
             fault_hook: engine.fault_hook(),
@@ -521,7 +519,7 @@ impl<'p> Batcher<'p> {
 
     /// Whether the circuit breaker currently holds the engine on the
     /// degraded `interp` oracle path.
-    pub fn degraded(&self) -> bool {
+    pub(crate) fn degraded(&self) -> bool {
         self.degraded_until.is_some()
     }
 
@@ -765,13 +763,14 @@ impl<'p> Batcher<'p> {
                 self.note_engine_success();
                 self.flushes += 1;
                 let now = self.clock.now();
-                let lins: Vec<&Linearized> = batch.iter().map(|p| &p.lin).collect();
-                // Each request merged only within the lane group the
-                // engine ran it in.
-                let mut widths = vec![0.0; lins.len()];
+                // Each request merged only within its lane group: the group's
+                // internal nodes per wave of its deepest request (or 0).
+                let mut widths = vec![0.0; batch.len()];
                 for group in self.engine.batch_groups() {
-                    let members: Vec<&Linearized> = group.iter().map(|&r| lins[r]).collect();
-                    let width = DepthMap::build(&members).mean_super_width();
+                    let lins = || group.iter().map(|&r| &batch[r].lin);
+                    let nodes: usize = lins().map(Linearized::num_internal).sum();
+                    let depth = lins().map(|l| l.internal_batches().len()).max();
+                    let width = nodes as f64 / depth.unwrap_or(0).max(1) as f64;
                     group.iter().for_each(|&r| widths[r] = width);
                 }
                 let degraded = self.degraded();
@@ -1537,6 +1536,37 @@ mod tests {
         });
     }
 
+    /// Mixed depths merge wave by wave: a lane group's width is its
+    /// internal nodes over its deepest request's waves. Sequences of 7,
+    /// 13, 3 and 10 nodes have 6, 12, 2 and 9 one-node internal waves,
+    /// so their 12 super-waves carry 29 nodes.
+    #[test]
+    fn mixed_depth_widths_spread_over_the_deepest_request() {
+        let model = cortex_models::seq::seq_lstm(6);
+        let program = model.lower(&RaSchedule::default()).unwrap();
+        let seqs: Vec<Linearized> = [7usize, 13, 3, 10]
+            .iter()
+            .zip(1u64..)
+            .map(|(&len, seed)| lin(&datasets::sequence(len, seed)))
+            .collect();
+        let waves: Vec<usize> = seqs.iter().map(|l| l.internal_batches().len()).collect();
+        assert_eq!(waves, [6, 12, 2, 9], "a length-L sequence has L − 1 waves");
+        assert!(seqs
+            .iter()
+            .all(|l| l.internal_batches().iter().all(|b| b.len() == 1)));
+        par::with_lanes(1, || {
+            let mut batcher = Batcher::new(&program, model.params.clone(), manual(4));
+            let tickets: Vec<Ticket> = (seqs.iter())
+                .map(|l| batcher.submit(l.clone()).unwrap())
+                .collect();
+            assert_eq!(batcher.engine.batch_groups(), [[0, 1, 2, 3]]);
+            for t in tickets {
+                let r = batcher.poll(t).unwrap().expect("flushed");
+                assert_eq!(r.superwave_width, 29.0 / 12.0);
+            }
+        });
+    }
+
     // -- robustness: admission, deadlines, isolation, degradation -----
 
     #[test]
@@ -1899,9 +1929,8 @@ mod tests {
             assert!(r.degraded);
             assert_eq!(r.batch_size, 4);
             assert_eq!(
-                r.superwave_width,
-                DepthMap::build(&[l]).mean_super_width(),
-                "a request's width is its own"
+                r.superwave_width, 1.0,
+                "a request's width is its own: a sequence's waves are one node wide"
             );
             let (outputs, profile) = solo.execute(l, &model.params, true).unwrap();
             assert!(

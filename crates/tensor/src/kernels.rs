@@ -1,4 +1,4 @@
-//! Numeric kernels: matrix products, elementwise operators, concatenation.
+//! Numeric kernels: matrix products and elementwise operators.
 //!
 //! These kernels play two roles in the reproduction:
 //!
@@ -16,16 +16,15 @@
 //! broadcast of `A[i,k]` per row — no horizontal sums, and every output
 //! element is a single k-sequential chain whatever the tile shape (the
 //! numerics paragraph of [`crate::simd`]). [`gemm_packed_into`] is the
-//! entry for a weight that outlives the call; [`gemm_nt_into`],
-//! [`gemm_into`], [`gemm`], [`gemm_nt`] and [`gemv`] pack their `B`
-//! and call it. [`dot`] and [`axpy`] dispatch to explicit AVX2/FMA or
+//! entry for a weight that outlives the call; [`gemm_nt_into`] and
+//! [`gemm`] pack their `B` and call it. [`dot`] and [`axpy`] dispatch to explicit AVX2/FMA or
 //! AVX-512 kernels when the CPU supports them, with a scalar loop as the
 //! always-correct fallback. There is **no** zero-skipping: a branch on
 //! `a == 0.0` both blocks vectorization and silently changes IEEE
 //! semantics (`0 · ∞` must be `NaN`, not skipped) — see
 //! `gemm_propagates_nan_and_inf`.
 //!
-//! A product of at least [`simd::GEMM_FORK_MIN_WORK`] multiply-adds is
+//! A product of at least `simd::GEMM_FORK_MIN_WORK` (2¹⁸) multiply-adds is
 //! split by weight-panel ranges across the lanes of [`crate::par`]; an
 //! element's chain does not depend on the lane that runs it, so results
 //! are identical on any number of lanes.
@@ -97,17 +96,10 @@ impl PackedB {
         Self::pack(n, k, (0..n).map(|j| (&b[j * k..], 1)))
     }
 
-    /// Packs a row-major `[k][n]` matrix (the NN layout): each panel row
-    /// is a plain slice of a `B` row.
-    pub fn pack_nn(b: &[f32], n: usize, k: usize) -> Self {
-        let mut packed = PackedB::default();
-        packed.pack_nn_into(b, n, n, k);
-        packed
-    }
-
     /// Repacks `self`, at the detected level and in its own allocation,
-    /// as [`PackedB::pack_nn`] of the `[k][n]` matrix whose row `kk`
-    /// starts at `b[kk·ld]`. A recycled pack allocates only to grow.
+    /// from the row-major `[k][n]` matrix (the NN layout) whose row `kk`
+    /// starts at `b[kk·ld]`: each panel row is a plain slice of a `B`
+    /// row. A recycled pack allocates only to grow.
     ///
     /// # Panics
     ///
@@ -136,11 +128,6 @@ impl PackedB {
     /// Output columns and reduction extent, `(n, k)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.n, self.k)
-    }
-
-    /// Floats held, padding included.
-    pub fn floats(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -184,42 +171,11 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
     let n = b.shape().dim(1);
     let mut c = Tensor::zeros(&[m, n]);
-    gemm_into(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, n, k);
-    Ok(c)
-}
-
-/// Slice-level NN product: `c[i·n+j] = Σ_k a[i·k+k']·b[k'·n+j]`
-/// ([`PackedB::pack_nn`], then [`gemm_packed_into`]).
-///
-/// # Panics
-///
-/// Panics if the slices are shorter than the shapes imply.
-pub fn gemm_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
     if m > 0 && n > 0 {
-        gemm_packed_into(c, a, &PackedB::pack_nn(b, n, k), m);
+        let mut packed = PackedB::default();
+        packed.pack_nn_into(b.as_slice(), n, n, k);
+        gemm_packed_into(c.as_mut_slice(), a.as_slice(), &packed, m);
     }
-}
-
-/// Transposed-B product into a [`Tensor`]: `C[m,n] = Σ_k A[m,k]·B[n,k]`.
-///
-/// This is the layout the batched wavefront executor produces (packed
-/// operand rows × packed weight rows).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `a` is `[M,K]` and `b` is
-/// `[N,K]`.
-pub fn gemm_nt(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
-    if a.rank() != 2 || b.rank() != 2 || a.shape().dim(1) != b.shape().dim(1) {
-        return Err(TensorError::ShapeMismatch {
-            expected: "[M,K] x [N,K]".to_string(),
-            found: format!("{} x {}", a.shape(), b.shape()),
-        });
-    }
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let n = b.shape().dim(0);
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_nt_into(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, n, k);
     Ok(c)
 }
 
@@ -235,26 +191,6 @@ pub fn gemm_nt_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, n: usize, k: 
     if m > 0 && n > 0 {
         gemm_packed_into(c, a, &PackedB::pack_nt(b, n, k), m);
     }
-}
-
-/// Dense matrix–vector product: `y[m] = sum_k A[m,k] * x[k]` — the
-/// one-row NT product `x · Aᵀ`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `a` is `[M,K]` and `x` is
-/// `[K]`.
-pub fn gemv(a: &Tensor, x: &Tensor) -> crate::Result<Tensor> {
-    if a.rank() != 2 || x.rank() != 1 || a.shape().dim(1) != x.shape().dim(0) {
-        return Err(TensorError::ShapeMismatch {
-            expected: "[M,K] x [K]".to_string(),
-            found: format!("{} x {}", a.shape(), x.shape()),
-        });
-    }
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let mut y = vec![0.0f32; m];
-    gemm_nt_into(&mut y, x.as_slice(), a.as_slice(), 1, m, k);
-    Tensor::from_vec(y, &[m])
 }
 
 /// Dot product of two equal-length slices, dispatched to the widest
@@ -297,52 +233,6 @@ pub fn mul(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
     a.zip(b, |x, y| x * y)
 }
 
-/// Concatenates rank-1 tensors end to end.
-///
-/// Used for the gate-input `concat` in LSTM/GRU cells.
-pub fn concat(parts: &[&Tensor]) -> Tensor {
-    let total: usize = parts.iter().map(|t| t.len()).sum();
-    let mut data = Vec::with_capacity(total);
-    for part in parts {
-        data.extend_from_slice(part.as_slice());
-    }
-    Tensor::from_vec(data, &[total]).expect("concat length computed from parts")
-}
-
-/// Sums a list of same-shaped tensors (child-sum aggregation).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if any shape differs from the
-/// first; returns a zero scalar tensor shape error if `parts` is empty.
-pub fn sum_all(parts: &[&Tensor]) -> crate::Result<Tensor> {
-    let first = parts.first().ok_or_else(|| TensorError::ShapeMismatch {
-        expected: "at least one tensor".to_string(),
-        found: "empty list".to_string(),
-    })?;
-    let mut out = (*first).clone();
-    for part in &parts[1..] {
-        out = add(&out, part)?;
-    }
-    Ok(out)
-}
-
-/// Transposes a rank-2 tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `a` is not rank 2.
-pub fn transpose(a: &Tensor) -> crate::Result<Tensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::ShapeMismatch {
-            expected: "[M,N]".to_string(),
-            found: format!("{}", a.shape()),
-        });
-    }
-    let (m, n) = (a.shape().dim(0), a.shape().dim(1));
-    Ok(Tensor::from_fn(&[n, m], |ix| a[[ix[1], ix[0]]]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +243,19 @@ mod tests {
         Tensor::from_fn(&[m, n], |ix| {
             (0..k).map(|kk| a[[ix[0], kk]] * b[[kk, ix[1]]]).sum()
         })
+    }
+
+    fn transpose(a: &Tensor) -> Tensor {
+        let (m, n) = (a.shape().dim(0), a.shape().dim(1));
+        Tensor::from_fn(&[n, m], |ix| a[[ix[1], ix[0]]])
+    }
+
+    /// `a · btᵀ` through the slice-level NT entry.
+    fn gemm_nt(a: &Tensor, bt: &Tensor) -> Tensor {
+        let (m, k, n) = (a.shape().dim(0), a.shape().dim(1), bt.shape().dim(0));
+        let mut c = Tensor::zeros(&[m, n]);
+        gemm_nt_into(c.as_mut_slice(), a.as_slice(), bt.as_slice(), m, n, k);
+        c
     }
 
     #[test]
@@ -379,8 +282,8 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (17, 33, 4), (40, 1030, 12)] {
             let a = Tensor::random(&[m, k], 1.0, 3);
             let bt = Tensor::random(&[n, k], 1.0, 4);
-            let via_nt = gemm_nt(&a, &bt).unwrap();
-            let via_nn = gemm(&a, &transpose(&bt).unwrap()).unwrap();
+            let via_nt = gemm_nt(&a, &bt);
+            let via_nn = gemm(&a, &transpose(&bt)).unwrap();
             assert!(via_nt.all_close(&via_nn, 1e-3), "mismatch at ({m},{k},{n})");
         }
     }
@@ -408,13 +311,21 @@ mod tests {
 
     #[test]
     fn gemv_matches_gemm_column() {
+        // A matrix–vector product is the one-row NT product `x · Aᵀ`.
         for &(m, k) in &[(17, 9), (4, 8), (3, 3), (9, 130)] {
             let a = Tensor::random(&[m, k], 1.0, 3);
             let x = Tensor::random(&[k], 1.0, 4);
-            let as_mat = x.clone().reshape(&[k, 1]).unwrap();
-            let via_gemm = gemm(&a, &as_mat).unwrap().reshape(&[m]).unwrap();
-            let via_gemv = gemv(&a, &x).unwrap();
-            assert!(via_gemv.all_close(&via_gemm, 1e-4));
+            let column = Tensor::from_vec(x.as_slice().to_vec(), &[k, 1]).unwrap();
+            let via_gemm = gemm(&a, &column).unwrap();
+            let via_gemv = gemm_nt(
+                &Tensor::from_vec(x.as_slice().to_vec(), &[1, k]).unwrap(),
+                &a,
+            );
+            assert!(via_gemv
+                .as_slice()
+                .iter()
+                .zip(via_gemm.as_slice())
+                .all(|(p, q)| (p - q).abs() <= 1e-4));
         }
     }
 
@@ -426,7 +337,6 @@ mod tests {
             gemm(&a, &b),
             Err(TensorError::ShapeMismatch { .. })
         ));
-        assert!(gemm_nt(&a, &Tensor::zeros(&[4, 4])).is_err());
     }
 
     #[test]
@@ -437,30 +347,6 @@ mod tests {
             let want: f32 = (0..len).map(|i| i as f32).sum();
             assert_eq!(dot(&a, &b), want, "len {len}");
         }
-    }
-
-    #[test]
-    fn concat_orders_parts() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0], &[1]).unwrap();
-        assert_eq!(concat(&[&a, &b]).as_slice(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn sum_all_is_child_sum() {
-        let a = Tensor::full(&[3], 1.0);
-        let b = Tensor::full(&[3], 2.0);
-        let c = Tensor::full(&[3], 3.0);
-        let s = sum_all(&[&a, &b, &c]).unwrap();
-        assert_eq!(s.as_slice(), &[6.0, 6.0, 6.0]);
-        assert!(sum_all(&[]).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Tensor::random(&[4, 7], 1.0, 5);
-        let tt = transpose(&transpose(&a).unwrap()).unwrap();
-        assert_eq!(a, tt);
     }
 
     #[test]
@@ -477,8 +363,8 @@ mod tests {
         let (m, k, n) = (130, 96, 50);
         let a = Tensor::random(&[m, k], 1.0, 7);
         let bt = Tensor::random(&[n, k], 1.0, 8);
-        let got = gemm_nt(&a, &bt).unwrap();
-        let want = naive_gemm(&a, &transpose(&bt).unwrap());
+        let got = gemm_nt(&a, &bt);
+        let want = naive_gemm(&a, &transpose(&bt));
         assert!(got.all_close(&want, 1e-3));
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`Shape`] — tensor extents with row-major index arithmetic,
 //! * [`Tensor`] — an owned dense `f32` tensor,
-//! * [`kernels`] — the numeric kernels (gemm, gemv, elementwise, concat)
+//! * [`kernels`] — the numeric kernels (gemm, elementwise)
 //!   used both by Cortex-generated code and by the baseline frameworks'
 //!   "vendor library" calls,
 //! * [`simd`] — explicit AVX2/AVX-512 micro-kernels with runtime feature
@@ -22,8 +22,8 @@
 //! use cortex_tensor::{Tensor, kernels};
 //!
 //! let w = Tensor::from_fn(&[2, 3], |ix| (ix[0] * 3 + ix[1]) as f32);
-//! let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-//! let y = kernels::gemv(&w, &x).unwrap();
+//! let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1]).unwrap();
+//! let y = kernels::gemm(&w, &x).unwrap();
 //! assert_eq!(y.as_slice(), &[8.0, 26.0]);
 //! ```
 

@@ -67,20 +67,6 @@ impl Shape {
         self.dims.contains(&0)
     }
 
-    /// Row-major strides (in elements) for this shape.
-    ///
-    /// ```
-    /// # use cortex_tensor::Shape;
-    /// assert_eq!(Shape::new(&[2, 3, 4]).row_major_strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn row_major_strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for d in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * self.dims[d + 1];
-        }
-        strides
-    }
-
     /// Converts a multi-dimensional index to a flat row-major offset.
     ///
     /// # Panics
@@ -214,15 +200,6 @@ mod tests {
         assert_eq!(s.rank(), 0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.linearize(&[]), 0);
-    }
-
-    #[test]
-    fn row_major_strides_match_linearize() {
-        let s = Shape::new(&[2, 3, 4]);
-        let strides = s.row_major_strides();
-        let ix = [1, 2, 3];
-        let via_strides: usize = ix.iter().zip(&strides).map(|(i, s)| i * s).sum();
-        assert_eq!(via_strides, s.linearize(&ix));
     }
 
     #[test]

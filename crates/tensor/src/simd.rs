@@ -37,7 +37,7 @@
 //! chains, FMA at the wide levels) and promises a tolerance, not bits.
 //! IEEE special values flow through all of them unchanged (`0·∞ → NaN`;
 //! FMA propagates NaN/∞ exactly like mul+add does). The *elementwise*
-//! kernels ([`run_tile`], [`unary_slice`]) never reassociate: every
+//! kernels ([`run_tile`]) never reassociate: every
 //! level runs the one lane-generic routine of [`crate::approx`] and is
 //! bit-identical to its scalar form. Inside those routines each spelled
 //! out multiply-add is one `Lanes::mul_add`, rounded once at every
@@ -86,7 +86,7 @@ pub fn level() -> Level {
 }
 
 /// Uncached detection: hardware capability clamped by `CORTEX_SIMD`.
-pub fn detect() -> Level {
+pub(crate) fn detect() -> Level {
     clamp_level(
         detect_hardware(),
         std::env::var("CORTEX_SIMD").ok().as_deref(),
@@ -139,7 +139,7 @@ pub fn available_levels() -> Vec<Level> {
 /// an unsupported level) — `is_x86_feature_detected!` caches, so the
 /// check is an atomic load, negligible against any kernel body.
 #[inline]
-pub fn level_supported(l: Level) -> bool {
+pub(crate) fn level_supported(l: Level) -> bool {
     match l {
         Level::Scalar => true,
         #[cfg(target_arch = "x86_64")]
@@ -173,7 +173,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of unequal lengths");
     match l {
         #[cfg(target_arch = "x86_64")]
@@ -187,7 +187,7 @@ pub fn dot_with(l: Level, a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Scalar `dot`: eight partial accumulators, pairwise-combined.
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
     let chunks = a.len() / 8;
     for c in 0..chunks {
@@ -319,7 +319,7 @@ impl Fma for [f32; 4] {
 /// 16 and 64 rows go from 136 and 149 to 240 and 252 GFLOP/s. Every
 /// launch of the `h = 32` models is several times below the line, so the
 /// small-request path never looks at the pool.
-pub const GEMM_FORK_MIN_WORK: usize = 1 << 18;
+pub(crate) const GEMM_FORK_MIN_WORK: usize = 1 << 18;
 
 /// The output of a product shared by the lanes that compute it.
 struct SplitOut(*mut f32);
@@ -335,7 +335,7 @@ unsafe impl Sync for SplitOut {}
 /// padding and never stored). Every element of `c` is the
 /// [`dot_ordered_with`]`(l, ..)` chain of its row and column — whatever
 /// `m`, the tile split, the rows it shares a launch with, or the lane
-/// that computes it: a product of at least [`GEMM_FORK_MIN_WORK`]
+/// that computes it: a product of at least `GEMM_FORK_MIN_WORK`
 /// multiply-adds is split by **panel ranges** across the lanes of
 /// [`crate::par::split`], which changes who computes an element and
 /// nothing about how. Returns whether the product was split.
@@ -595,7 +595,7 @@ pub fn axpy(y: &mut [f32], x: &[f32]) {
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn axpy_with(l: Level, y: &mut [f32], x: &[f32]) {
+pub(crate) fn axpy_with(l: Level, y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy of unequal lengths");
     match l {
         #[cfg(target_arch = "x86_64")]
@@ -609,7 +609,7 @@ pub fn axpy_with(l: Level, y: &mut [f32], x: &[f32]) {
 }
 
 /// Scalar `axpy`.
-pub fn axpy_scalar(y: &mut [f32], x: &[f32]) {
+pub(crate) fn axpy_scalar(y: &mut [f32], x: &[f32]) {
     for (yv, &xv) in y.iter_mut().zip(x) {
         *yv += xv;
     }
@@ -761,7 +761,7 @@ pub fn run_tile(ops: &[TileOp], regs: &mut [f32], lanes: usize, mode: Nonlineari
 /// # Panics
 ///
 /// See [`run_tile`].
-pub fn run_tile_with(
+pub(crate) fn run_tile_with(
     l: Level,
     ops: &[TileOp],
     regs: &mut [f32],
@@ -850,25 +850,6 @@ fn run_tile_lanes<L: Lanes>(
     }
 }
 
-/// Applies a unary operator in place over a slice of any length at
-/// level `l` (whole tiles in place, the ragged tail through a
-/// zero-padded stack tile — the same lane routine either way); an
-/// unsupported level falls back to the scalar kernel.
-pub fn unary_slice(l: Level, op: TileUnary, mode: NonlinearityMode, xs: &mut [f32]) {
-    let prog = [TileOp::Unary { op, dst: 0, a: 0 }];
-    let mut chunks = xs.chunks_exact_mut(TILE);
-    for chunk in &mut chunks {
-        run_tile_with(l, &prog, chunk, TILE, mode);
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let mut reg = [0.0f32; TILE];
-        reg[..tail.len()].copy_from_slice(tail);
-        run_tile_with(l, &prog, &mut reg, tail.len(), mode);
-        tail.copy_from_slice(&reg[..tail.len()]);
-    }
-}
-
 // ---------------------------------------------------------------------
 // AVX2 + FMA (8-lane)
 // ---------------------------------------------------------------------
@@ -893,7 +874,7 @@ mod avx2 {
 
     /// 8-lane dot with two accumulator chains (hides FMA latency).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY (all pointer arithmetic below): `i + 16 <= n` /
         // `i + 8 <= n` bounds every unaligned load to the slices.
         unsafe {
@@ -951,7 +932,7 @@ mod avx2 {
 
     /// The tile kernel at 8 lanes: 16-column panels, tiles up to 6×16.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_panels_avx2(
+    pub(crate) unsafe fn gemm_panels_avx2(
         c: *mut f32,
         a: &[f32],
         panels: &[f32],
@@ -966,7 +947,7 @@ mod avx2 {
 
     /// The FMA ceiling probe at 8 lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fma_chains_avx2(steps: usize) {
+    pub(crate) unsafe fn fma_chains_avx2(steps: usize) {
         // SAFETY: the caller verified AVX2+FMA.
         unsafe { fma_chains_on::<__m256>(steps) }
     }
@@ -975,7 +956,7 @@ mod avx2 {
     /// Only constructed inside `#[target_feature(enable = "avx2,fma")]`
     /// entry points, after the runtime feature check.
     #[derive(Clone, Copy)]
-    pub struct V256(__m256);
+    pub(crate) struct V256(__m256);
 
     // SAFETY (every intrinsic below): `V256` values exist only in code
     // reached through an AVX2+FMA-checked entry point; loads and stores
@@ -1061,7 +1042,7 @@ mod avx2 {
 
     /// The tile interpreter at 8 lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn run_tile_avx2(
+    pub(crate) unsafe fn run_tile_avx2(
         ops: &[TileOp],
         regs: &mut [f32],
         lanes: usize,
@@ -1073,13 +1054,13 @@ mod avx2 {
     /// `Lanes::mul_add` at 8 lanes over whole vectors.
     #[cfg(test)]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mul_add_avx2(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+    pub(crate) unsafe fn mul_add_avx2(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
         super::tests::mul_add_lanes::<V256>(a, b, c, out);
     }
 
     /// 8-lane `y += x`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_avx2(y: &mut [f32], x: &[f32]) {
+    pub(crate) unsafe fn axpy_avx2(y: &mut [f32], x: &[f32]) {
         // SAFETY: `i + 8 <= n` bounds every load/store; lengths are
         // checked equal by the caller.
         unsafe {
@@ -1114,7 +1095,7 @@ mod avx512 {
 
     /// 16-lane dot with two accumulator chains and a masked tail.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: full loads are bounded by `i + 16/32 <= n`; the tail
         // load is masked to the remaining `n - i` lanes.
         unsafe {
@@ -1176,7 +1157,7 @@ mod avx512 {
     /// The tile kernel at 16 lanes: 32-column panels, tiles up to 12×32
     /// (24 of the 32 vector registers accumulate).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_panels_avx512(
+    pub(crate) unsafe fn gemm_panels_avx512(
         c: *mut f32,
         a: &[f32],
         panels: &[f32],
@@ -1191,7 +1172,7 @@ mod avx512 {
 
     /// The FMA ceiling probe at 16 lanes.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn fma_chains_avx512(steps: usize) {
+    pub(crate) unsafe fn fma_chains_avx512(steps: usize) {
         // SAFETY: the caller verified AVX-512F.
         unsafe { fma_chains_on::<__m512>(steps) }
     }
@@ -1201,7 +1182,7 @@ mod avx512 {
     /// `#[target_feature(enable = "avx512f")]` entry points, after the
     /// runtime feature check.
     #[derive(Clone, Copy)]
-    pub struct V512(__m512);
+    pub(crate) struct V512(__m512);
 
     // SAFETY (every intrinsic below): `V512` values exist only in code
     // reached through an AVX-512F-checked entry point; loads and stores
@@ -1299,7 +1280,7 @@ mod avx512 {
 
     /// The tile interpreter at 16 lanes.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn run_tile_avx512(
+    pub(crate) unsafe fn run_tile_avx512(
         ops: &[TileOp],
         regs: &mut [f32],
         lanes: usize,
@@ -1311,13 +1292,13 @@ mod avx512 {
     /// `Lanes::mul_add` at 16 lanes over whole vectors.
     #[cfg(test)]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn mul_add_avx512(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+    pub(crate) unsafe fn mul_add_avx512(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
         super::tests::mul_add_lanes::<V512>(a, b, c, out);
     }
 
     /// 16-lane `y += x` with a masked tail.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy_avx512(y: &mut [f32], x: &[f32]) {
+    pub(crate) unsafe fn axpy_avx512(y: &mut [f32], x: &[f32]) {
         // SAFETY: full ops bounded by `i + 16 <= n`; tail masked.
         unsafe {
             let n = y.len();
@@ -1348,6 +1329,25 @@ use avx512::{axpy_avx512, dot_avx512, fma_chains_avx512, gemm_panels_avx512, run
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
+
+    /// Applies a unary operator in place over a slice of any length at
+    /// level `l` (whole tiles in place, the ragged tail through a
+    /// zero-padded stack tile — the same lane routine either way); an
+    /// unsupported level falls back to the scalar kernel.
+    fn unary_slice(l: Level, op: TileUnary, mode: NonlinearityMode, xs: &mut [f32]) {
+        let prog = [TileOp::Unary { op, dst: 0, a: 0 }];
+        let mut chunks = xs.chunks_exact_mut(TILE);
+        for chunk in &mut chunks {
+            run_tile_with(l, &prog, chunk, TILE, mode);
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let mut reg = [0.0f32; TILE];
+            reg[..tail.len()].copy_from_slice(tail);
+            run_tile_with(l, &prog, &mut reg, tail.len(), mode);
+            tail.copy_from_slice(&reg[..tail.len()]);
+        }
+    }
 
     /// Relative-ish tolerance for reassociated/FMA-contracted sums.
     fn close(a: f32, b: f32, tol: f32) -> bool {

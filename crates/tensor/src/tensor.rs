@@ -204,34 +204,6 @@ impl Tensor {
         &self.data[i * w..(i + 1) * w]
     }
 
-    /// Mutably borrows row `i` of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or `i` is out of bounds.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        assert_eq!(self.rank(), 2, "row_mut() requires a rank-2 tensor");
-        let w = self.shape.dim(1);
-        &mut self.data[i * w..(i + 1) * w]
-    }
-
-    /// Reshapes the tensor without moving data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape(mut self, dims: &[usize]) -> crate::Result<Self> {
-        let shape = Shape::new(dims);
-        if shape.len() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.len(),
-                found: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(self)
-    }
-
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
@@ -373,14 +345,6 @@ mod tests {
             a.zip(&b, |x, y| x + y),
             Err(TensorError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_fn(&[2, 3], |ix| (ix[0] * 3 + ix[1]) as f32);
-        let r = t.clone().reshape(&[3, 2]).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(&[5]).is_err());
     }
 
     #[test]
